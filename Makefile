@@ -1,7 +1,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke
+.PHONY: test lint trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
+	bench-e2e-quick
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -35,6 +36,13 @@ fuzz-smoke:
 chaos-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/chaos_smoke.py \
 		--out chaos-out
+
+## the end-to-end benchmark at smoke size (all four workloads, both
+## passes, < 30 s) plus its self-tests; numbers from --quick are for
+## plumbing, not for comparison (benchmarks/e2e/README.md)
+bench-e2e-quick:
+	$(PYTHON) benchmarks/e2e/run.py --seed 1 --quick
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 ## the CI serving gate: short mixed update/query workload through the
 ## resident service; fails on any staleness-contract violation or if

@@ -7,11 +7,15 @@ cross-check must have passed.  CI runs this after the bench-smoke step so
 a transport or runtime change that silently slows the fast path fails
 the build instead of shipping::
 
-    python benchmarks/check_mp_gap.py --report BENCH_kernels.json \
-        --min-sssp 5.6 --min-cc 3.3
+    python benchmarks/check_mp_gap.py --report BENCH_kernels.json
 
-The default floors are the seed repository's measured speedups; raise
-them when a change intentionally widens the gap.  ``--baseline`` points
+The default floors are ~60 % of the medians of ten runs at the commit
+that last refreshed ``BENCH_kernels.json`` (SSSP 12.96x, CC 8.2x on
+powerlaw:40000, 4 fragments, AP): a ratio of two wall times of an
+asynchronous schedule spreads widely (SSSP 11.8x-20.4x over those ten
+runs), so the floor sits under the spread and still well above the
+seed's 5.6x / 3.3x.  Move them when a change moves the medians.
+``--baseline`` points
 at a *before* report (e.g. the committed BENCH_kernels.json) purely for
 the printed comparison — the assertion is always against the floors, so
 machine-speed drift between the two runs cannot flip the verdict.
@@ -37,9 +41,9 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=None,
                         help="optional before-report for the printed "
                              "comparison (no effect on the verdict)")
-    parser.add_argument("--min-sssp", type=float, default=5.6,
+    parser.add_argument("--min-sssp", type=float, default=7.8,
                         help="minimum multiprocess SSSP speedup")
-    parser.add_argument("--min-cc", type=float, default=3.3,
+    parser.add_argument("--min-cc", type=float, default=4.9,
                         help="minimum multiprocess CC speedup")
     args = parser.parse_args(argv)
 

@@ -4,9 +4,22 @@ Python's GIL prevents the threaded runtime from showing real speed-ups on
 compute-heavy workloads, so this runtime places each virtual worker in its
 own OS process (the repro band's "needs multiprocessing" note).  Fragments,
 program and query are shipped once at start; designated messages travel
-through per-worker ``multiprocessing.Queue``s; the master process runs the
-paper's termination protocol (inactive flags, in-flight accounting, and an
-explicit probe/ack round — the ``terminate``/``ack``-or-``wait`` exchange).
+through shared-memory rings (or pickled per-``(src, dst)`` lanes); the
+master process runs the paper's termination protocol (inactive flags,
+in-flight accounting, and an explicit probe/ack round — the
+``terminate``/``ack``-or-``wait`` exchange).
+
+Nothing on the blocking path sleeps and re-checks.  Every channel is
+single-producer and selectable (:mod:`repro.runtime.lane`): the master
+blocks in ``multiprocessing.connection.wait`` on its per-worker control
+lanes until one event arrives (or the next real timer: fault-tolerance
+tick, fleet broadcast, deadline), reads what is there, and decides its
+barrier / probe / stop at once — safe because a worker's ``sent`` and
+``drained`` reports precede its ``step-done`` / ``ack`` on its own FIFO
+lane.  A worker with nothing to do ``select``s on its command lane, its
+inbound data lanes and its ring doorbell (:mod:`repro.runtime.slab`);
+how long messages accumulate before a round is the delay policy's
+decision, not the receive loop's.
 
 All five parallel models are supported:
 
@@ -36,14 +49,14 @@ travels through per-``(src, dst)`` shared-memory ring buffers
 record header, and the receiver reconstructs numpy views without copying
 or pickling.  Control traffic — heartbeats, fleet/``rmin`` broadcasts,
 ``ds`` decisions, the termination probe, checkpoint state — stays on the
-``ctx.Queue`` control plane, as do messages the rings cannot carry
-(generic unpacked :class:`Message` objects, exotic payload dtypes,
-ring-full overflow): the queue path is always the correctness fallback.
-``transport="queue"`` (or ``REPRO_MP_TRANSPORT=queue``) restores the
-pure pickled-queue data plane.  Both planes share the same seams: the
-fault injector judges messages before they reach either, the termination
-ledger counts logical entries identically, and snapshot tokens ride the
-ring record header.
+control and command lanes, and messages the rings cannot carry (generic
+unpacked :class:`Message` objects, exotic payload dtypes, ring-full
+overflow) take the pickled ``(src, dst)`` data lane: that path is always
+the correctness fallback.  ``transport="queue"`` (or
+``REPRO_MP_TRANSPORT=queue``) makes it the whole data plane.  Both
+planes share the same seams: the fault injector judges messages before
+they reach either, the termination ledger counts logical entries
+identically, and snapshot tokens ride the ring record header.
 
 Fault tolerance (paper, Section 6) mirrors the threaded runtime's and is
 off by default: a :class:`~repro.runtime.faultplan.FaultPlan` injects
@@ -78,11 +91,11 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import select
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.delay import AAPPolicy, HsyncPolicy, WorkerView
@@ -95,27 +108,20 @@ from repro.obs import events as obs_events
 from repro.partition.fragment import PartitionedGraph
 from repro.runtime.detection import FailureDetector, FailureEvent
 from repro.runtime.faultplan import FaultPlan
+from repro.runtime.lane import Lane
 from repro.runtime.metrics import (RunMetrics, WorkerMetrics,
                                    registry_from_workers)
-from repro.runtime.slab import (ShmMessageBatch, SlabArena, SlabPool,
-                                to_owned)
+from repro.runtime.slab import ShmMessageBatch, SlabArena, to_owned
 from repro.runtime.snapshot import (GlobalSnapshot, LiveCheckpointer,
                                     apply_snapshot_values, stamp_messages)
 
 _MODES = ("AP", "BSP", "SSP", "AAP", "Hsync")
 _TRANSPORTS = ("shm", "queue")
-#: idle backoff of the slab-polling receive loop (seconds); short enough
-#: to keep round latency low, long enough to yield the CPU between polls
-_POLL_IDLE = 0.0003
-#: batch-fattening cap (seconds): after the first message lands, keep
-#: polling until a poll comes back empty or this much time has passed.
-#: Consolidating several peers' updates into one round cuts redundant
-#: recomputation (label-correcting programs re-relax a node once per
-#: arriving improvement) and halves the control-plane chatter per entry.
-_ACCUM_MAX = 0.002
-#: consecutive empty receive polls before a worker is "deep idle" and
-#: falls back to blocking on the queue plane instead of fast polling
-_IDLE_POLLS = 10
+#: longest a worker stays blocked before it looks again anyway.  A
+#: safety net, not a latency knob: every wake-up source is a readable
+#: pipe (level-triggered, so none can be missed) and no test or
+#: benchmark run ever waits this long.
+_REPOLL = 0.25
 
 
 @dataclass
@@ -161,127 +167,37 @@ class _WorkerReport:
     #: (type, absolute-monotonic-time, wid, round, payload) tuples
     events: List[Tuple] = field(default_factory=list)
     #: data-plane accounting: batches/bytes that rode the shared-memory
-    #: rings, and batches that fell back to the pickled queue path
+    #: rings, and batches that fell back to the pickled data lanes
     shm_batches: int = 0
     shm_bytes: int = 0
     shm_fallbacks: int = 0
+    #: the paper's Section 6 collector: seconds inside PEval/IncEval
+    #: rounds, blocked waiting for a message or command, and in delay
+    #: stretches (DS) the policy chose
+    busy: float = 0.0
+    idle: float = 0.0
+    suspended: float = 0.0
+    #: wake-ups by a readable pipe that found no command and no message
+    empty_wakeups: int = 0
 
 
-class _SingleFragmentEngine:
-    """Engine restricted to the one fragment living in this process."""
-
-    def __init__(self, program: PIEProgram, pg: PartitionedGraph,
-                 query: Any, wid: int, vectorized: bool = False):
-        # Engine builds contexts for every fragment; acceptable at these
-        # scales and keeps the shipping path identical to the other
-        # runtimes.  Only contexts[wid] is ever touched in this process.
-        self._engine = Engine(program, pg, query, vectorized=vectorized)
-        self.wid = wid
-
-    def peval(self):
-        return self._engine.run_peval(self.wid)
-
-    def inceval(self, batches, round_no):
-        return self._engine.run_inceval(self.wid, batches,
-                                        round_no=round_no)
-
-    def reship(self, dst, round_no):
-        """Full border re-ship to a respawned peer (surgical recovery)."""
-        return self._engine.derive_reship(self.wid, dst, round_no)
-
-    @property
-    def context(self):
-        return self._engine.contexts[self.wid]
-
-
-class _CommandPipe:
-    """Master -> worker command channel over a raw ``mp.Pipe``.
-
-    The command channel is strictly single-producer/single-consumer, so
-    a full ``mp.Queue`` (a pipe plus two semaphores plus a feeder thread
-    per producing process, ~2ms to build) buys nothing over a bare pipe.
-    With one pipe per worker this trims ~8ms of fixed setup per run and
-    four feeder threads' worth of context switches on small machines.
-
-    ``put`` blocks if the pipe buffer is full — safe for the rare
-    correctness commands (probe/stop/superstep/checkpoint) because the
-    worker drains the channel on every loop iteration, but periodic
-    fleet telemetry must use ``put_nowait_drop`` instead: dropping one
-    broadcast is harmless (the next comes within 20ms) while blocking
-    the master on a stalled worker is not.
-    """
-
-    def __init__(self, ctx):
-        self._rx, self._tx = ctx.Pipe(duplex=False)
-
-    def put(self, item) -> None:
-        try:
-            self._tx.send(item)
-        except (BrokenPipeError, OSError):
-            pass  # receiver already exited (stopped or crashed worker)
-
-    def put_nowait_drop(self, item) -> None:
-        """Send iff the pipe is writable right now; else drop silently."""
-        try:
-            _, writable, _ = select.select([], [self._tx], [], 0)
-            if writable:
-                self._tx.send(item)
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-
-    def get_nowait(self):
-        try:
-            if not self._rx.poll():
-                raise queue_mod.Empty
-            return self._rx.recv()
-        except (EOFError, OSError):
-            raise queue_mod.Empty from None
-
-    # Queue-API compat for the shared teardown sweep
-    def cancel_join_thread(self) -> None:
-        pass
-
-    def close(self) -> None:
-        for conn in (self._rx, self._tx):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-def _drain(inbox: mp.Queue, first=None, wait: float = 0.0) -> List[Any]:
-    """Collect everything currently in ``inbox`` (plus ``first``)."""
-    batch = [] if first is None else [first]
-    if wait > 0 and not batch:
-        try:
-            batch.append(inbox.get(timeout=wait))
-        except queue_mod.Empty:
-            return batch
-    while True:
-        try:
-            batch.append(inbox.get_nowait())
-        except queue_mod.Empty:
-            return batch
-
-
-def _worker_main(wid: int, mode: str, program: PIEProgram,
-                 pg: PartitionedGraph, query: Any,
-                 inboxes: List[mp.Queue], control: mp.Queue,
-                 command: "_CommandPipe", time_scale: float,
-                 observe: bool = False,
-                 ft: Optional[_FTConfig] = None,
-                 vectorized: bool = False,
-                 policy_conf: Optional[Dict[str, Any]] = None,
-                 run_id: Optional[str] = None) -> None:
-    """Entry point of one worker process."""
+def _worker_main(control: Lane, wid: int, *args) -> None:
+    """Entry point of one worker process (see :func:`_worker_loop`)."""
     try:
-        _worker_loop(wid, mode, program, pg, query, inboxes, control,
-                     command, time_scale, observe, ft, vectorized,
-                     policy_conf, run_id)
+        _worker_loop(control, wid, *args)
     except Exception as exc:  # pragma: no cover - surfaced by master
         # ship the formatted traceback too: the master re-raises it, and
         # "worker 3 crashed: KeyError(5)" alone is undebuggable
-        control.put(("error", wid, repr(exc), traceback.format_exc()))
+        control.send(("error", wid, repr(exc), traceback.format_exc()))
+
+
+def _reap(proc) -> bool:
+    """Make sure ``proc`` is dead (terminate, then kill); True if it is."""
+    for stop in (proc.terminate, proc.kill):
+        if proc.is_alive():
+            stop()
+            proc.join(1.0)
+    return not proc.is_alive()
 
 
 def _by_dst(messages) -> Dict[int, int]:
@@ -292,17 +208,27 @@ def _by_dst(messages) -> Dict[int, int]:
     return out
 
 
-def _send_all(wid: int, messages, put, control: mp.Queue,
+def _announce(control: Lane, wid: int, by_dst: Dict[int, int],
+              incarnation: int) -> None:
+    """Tell the master what is about to go on the wire.
+
+    The announcement (with every event queued before it) is in the
+    master's pipe before the messages become receivable, so its
+    in-flight counter can only over-estimate, never under-estimate.  The
+    ledger counts *logical entries* (len of a Message or a packed
+    MessageBatch) per directed channel, so batching doesn't skew
+    termination and a takeover can settle exactly the dead worker's
+    channels.
+    """
+    control.put(("sent", wid, by_dst, incarnation))
+    control.flush()
+
+
+def _send_all(wid: int, messages, put, control: Lane,
               stats: Dict[str, int], emit=None, round_no: int = 0,
               incarnation: int = 0) -> None:
     if messages:
-        # announce before the messages become receivable, so the master's
-        # in-flight counter can only over-estimate, never under-estimate.
-        # The ledger counts *logical entries* (len of a Message or a
-        # packed MessageBatch) per directed channel, so batching doesn't
-        # skew termination and a takeover can settle exactly the dead
-        # worker's channels.
-        control.put(("sent", wid, _by_dst(messages), incarnation))
+        _announce(control, wid, _by_dst(messages), incarnation)
     for msg in messages:
         if emit is not None:
             emit(obs_events.MSG_SEND, round_no, dst=msg.dst,
@@ -313,71 +239,92 @@ def _send_all(wid: int, messages, put, control: mp.Queue,
         stats["bytes"] += msg.size_bytes
 
 
-def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
-                 time_scale, observe=False, ft=None,
-                 vectorized=False, policy_conf=None, run_id=None) -> None:
-    engine = _SingleFragmentEngine(program, pg, query, wid,
-                                   vectorized=vectorized)
-    inbox = inboxes[wid]
+def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
+                 pg: PartitionedGraph, query: Any,
+                 lanes: Dict[Tuple[int, int], Lane], command: Lane,
+                 time_scale: float, observe: bool, ft: Optional[_FTConfig],
+                 vectorized: bool, policy_conf: Dict[str, Any],
+                 arena: Optional[SlabArena]) -> None:
+    """One worker: ``control`` is its event lane to the master, ``command``
+    the master's lane to it, ``lanes[(src, dst)]`` the pickled data plane;
+    all of them, and the arena's rings and doorbells, predate the fork."""
+    # Engine builds contexts for every fragment; acceptable at these
+    # scales and keeps the shipping path identical to the other runtimes.
+    # Only contexts[wid] is ever touched in this process.
+    engine = Engine(program, pg, query, vectorized=vectorized)
+    context = engine.contexts[wid]
+    in_lanes = [lane for (_, dst), lane in lanes.items() if dst == wid]
+    out_lanes = [lane for (src, _), lane in lanes.items() if src == wid]
     # zero-copy data plane: attach this worker's slab rings (the master
-    # created them before forking).  ``pool is None`` keeps the legacy
-    # pure-queue path byte-for-byte.
-    pool = (SlabPool(run_id, wid, pg.num_fragments)
-            if run_id is not None else None)
-    #: consecutive empty receive polls, for the escalating idle backoff
-    idle_polls = [0]
+    # created them, and the doorbells, before forking).  ``pool is
+    # None`` leaves only the pickled lanes.
+    pool = arena.pool(wid) if arena is not None else None
+    #: seconds by kind (the paper's Section 6 collector) and wake-ups
+    clock = {"busy": 0.0, "idle": 0.0, "suspended": 0.0}
+    empty_wakeups = 0
+    #: a pipe woke this worker and the loop has yet to find out why
+    unanswered = False
 
     def put_msg(msg) -> None:
-        """Data-plane send: slab ring when it fits, queue otherwise."""
+        """Data-plane send: slab ring when it fits, data lane otherwise."""
         if pool is None or not pool.try_send(msg):
-            inboxes[msg.dst].put(msg)
+            lane = lanes[(wid, msg.dst)]
+            lane.put(msg)
+            lane.flush(block=False)
 
-    def recv(wait: float = 0.0) -> List[Any]:
-        """Drain both planes; on the slab path, poll-sleep-poll instead
-        of blocking on the queue (the rings have no wakeup primitive).
+    def block(data: bool = True) -> None:
+        """Sleep until a command — or, with ``data``, a message — may be
+        there: the command lane, the inbound lanes and the doorbell are
+        all readable pipes, so nothing is missed between the poll that
+        came back empty and this wait.  The timeout is the next timer
+        (heartbeat, delayed-message release) or the safety net."""
+        nonlocal empty_wakeups, unanswered
+        if unanswered:
+            empty_wakeups += 1
+        control.flush()
+        timeout = _REPOLL
+        if hb_interval > 0:
+            timeout = min(timeout, hb_interval)
+        if delayed:
+            timeout = min(timeout, max(
+                min(due for due, _, _ in delayed) - time.monotonic(), 0.0))
+        rlist = [command, *in_lanes] if data else [command]
+        # unsent tails of peer-bound frames go out as the pipes drain
+        stuck = {lane.wfd: lane for lane in out_lanes if lane.backlog}
+        began = time.monotonic()
+        if pool is not None and data:
+            ready, writable = pool.wait(timeout, rlist, list(stuck))
+        else:
+            ready, writable, _ = select.select(rlist, list(stuck), [],
+                                               timeout)
+        clock["idle"] += time.monotonic() - began
+        for fd in writable:
+            stuck[fd].flush(block=False)
+        # a readable pipe must turn into a command or a message on the
+        # next pass; a timer or a flushed backlog owes nothing
+        unanswered = bool(ready)
 
-        When the first poll finds data, one further micro-sleep + poll
-        accumulates stragglers from peers mid-publish: marginally later
-        rounds, but fatter batches — fewer rounds, fewer control
-        messages, fewer context switches (the dominant cost when workers
-        outnumber cores).
-        """
-        if pool is None:
-            return _drain(inbox, wait=wait)
-        # deep-idle fallback: a worker whose polls keep coming up empty
-        # (a long convergence tail, or a generic-path run whose traffic
-        # is all on the queue plane) reverts to the legacy blocking
-        # queue get so idle pollers don't steal CPU from the workers
-        # doing the computing on oversubscribed machines
-        deep_idle = wait > 0 and idle_polls[0] >= _IDLE_POLLS
-        fresh = _drain(inbox, wait=wait if deep_idle else 0.0)
-        fresh.extend(pool.poll())
-        if not fresh and wait > 0 and not deep_idle:
-            time.sleep(_POLL_IDLE)
-            fresh = pool.poll()
-            fresh.extend(_drain(inbox))
-        if not fresh:
-            idle_polls[0] += 1
-            return fresh
-        idle_polls[0] = 0
-        grow_until = time.monotonic() + _ACCUM_MAX
-        while time.monotonic() < grow_until:
-            time.sleep(_POLL_IDLE)
-            more = pool.poll()
-            more.extend(_drain(inbox))
-            if not more:
-                break
-            fresh.extend(more)
-        return fresh
+    def fragment_values():
+        # dense contexts ship their state as one contiguous array:
+        # pickling a node -> scalar dict costs a Python-level lookup per
+        # node on both ends, which dominated the run tail at bench sizes
+        return (("__dense__", context.export_state())
+                if hasattr(context, "export_state")
+                else dict(context.values))
+
+    def suspend(seconds: float) -> None:
+        """A delay stretch the policy (or Hsync's switch cost) chose."""
+        time.sleep(seconds)
+        clock["suspended"] += seconds
+
     stats = {"messages": 0, "entries": 0, "bytes": 0, "work": 0}
     # round/rate reports feed the master's fleet broadcasts (AAP/SSP/
     # Hsync) and the Hsync switching policy; AP and BSP consume neither,
-    # so skipping the per-round control message there removes one feeder
-    # -thread wake per round per worker
+    # so skipping the per-round control message there spares the master
+    # one event per round per worker
     report_rounds = mode in ("AAP", "SSP", "Hsync")
     rounds = 0
     policy = AAPPolicy() if mode == "AAP" else None
-    policy_conf = policy_conf or {}
     #: SSP staleness bound c / Hsync switch cost (ignored by other modes)
     ssp_bound = policy_conf.get("staleness_bound", 1)
     switch_cost = policy_conf.get("switch_cost", 1.0)
@@ -430,7 +377,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
             return
         now = time.monotonic()
         if now - last_hb >= hb_interval:
-            control.put(("heartbeat", wid, incarnation))
+            control.send(("heartbeat", wid, incarnation))
             last_hb = now
 
     def crash_if_due() -> None:
@@ -504,9 +451,9 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
         for _, m, _ in later:
             wire[m.dst] = wire.get(m.dst, 0) + len(m)
         if wire:
-            # announce everything (including held messages) before any
-            # becomes receivable: in-flight may only over-estimate
-            control.put(("sent", wid, wire, incarnation))
+            # everything, held messages included, before any becomes
+            # receivable
+            _announce(control, wid, wire, incarnation)
         for m in now_ship:
             if emit is not None:
                 emit(obs_events.MSG_SEND, round_no, dst=m.dst,
@@ -539,7 +486,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
             if getattr(m, "token", None) != ckpt_token:
                 control.put(("ckpt_late", wid, ckpt_token, m))
 
-    def drain_in(wait: float = 0.0) -> List[Any]:
+    def drain_in() -> List[Any]:
         """Receive from both planes and credit the channel ledger.
 
         The ``drained`` report is the receive-side half of the master's
@@ -548,8 +495,12 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
         transport occupancy exactly and a takeover can settle the dead
         worker's channels without guessing what its peers had buffered.
         """
-        fresh = recv(wait=wait)
+        nonlocal unanswered
+        fresh = [msg for lane in in_lanes for msg in lane.get_all()]
+        if pool is not None:
+            fresh.extend(pool.poll())
         if fresh:
+            unanswered = False
             by_src: Dict[int, int] = {}
             for m in fresh:
                 by_src[m.src] = by_src.get(m.src, 0) + len(m)
@@ -573,13 +524,8 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
             return  # already held: ignore the request
         carry.extend(drain_in())
         pre = [m for m in carry if getattr(m, "token", None) != token]
-        ctx = engine.context
-        # dense contexts record one contiguous array instead of a
-        # per-node dict — same fast path as the final report
-        values = (("__dense__", ctx.export_state())
-                  if hasattr(ctx, "export_state") else dict(ctx.values))
-        control.put(("ckpt_state", wid, token, values,
-                     dict(ctx.scratch), list(pre),
+        control.put(("ckpt_state", wid, token, fragment_values(),
+                     dict(context.scratch), list(pre),
                      sent_base + stats["entries"],
                      recv_base + recv_total
                      - recv_by_token.get(token, 0)))
@@ -592,7 +538,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
         # touches the ledger: it was never on the wire this run, and
         # crediting is drain-time, so un-announced local replay is
         # conservation-neutral.
-        apply_snapshot_values(engine.context, ft.seed_values,
+        apply_snapshot_values(context, ft.seed_values,
                               ft.seed_scratch)
         rounds = 1
         carry.extend(ft.seed_messages)
@@ -603,9 +549,10 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
         started0 = time.monotonic()
         if emit is not None:
             emit(obs_events.ROUND_START, 0, kind="peval", batches=0)
-        out = engine.peval()
+        out = engine.run_peval(wid)
         rounds += 1
         stats["work"] += out.work
+        clock["busy"] += time.monotonic() - started0
         if emit is not None:
             emit(obs_events.ROUND_END, 0, kind="peval",
                  duration=time.monotonic() - started0,
@@ -620,7 +567,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
         if emit is not None:
             emit(obs_events.ROUND_START, rounds, kind="inceval",
                  batches=len(batch))
-        result = engine.inceval(batch, round_no=rounds)
+        result = engine.run_inceval(wid, batch, round_no=rounds)
         rounds += 1
         last_round_dur = max(time.monotonic() - started, 1e-6)
         if injector is not None:
@@ -628,6 +575,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
             extra = injector.round_slowdown(wid, last_round_dur)
             if extra > 0:
                 time.sleep(min(extra, 0.05))
+        clock["busy"] += time.monotonic() - started
         stats["work"] += result.work
         if emit is not None:
             emit(obs_events.ROUND_END, rounds - 1, kind="inceval",
@@ -655,19 +603,20 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                      bytes=msg.size_bytes, seq=msg.seq, depth=depth + 1)
 
     inactive_reported = False
+    stopped = None
     while True:
         if ft is not None:
             beat()
             crash_if_due()
             flush_delayed()
         # master commands take priority (probe/fleet/superstep/stop)
-        try:
-            cmd = command.get_nowait()
-        except queue_mod.Empty:
-            cmd = None
-        if cmd is not None:
+        cmds = command.get_all()
+        if cmds:
+            unanswered = False
+        for cmd in cmds:
             kind = cmd[0]
-            if kind == "stop":
+            if kind in ("stop", "abort"):
+                stopped = kind
                 break
             if kind == "fleet":
                 fleet = cmd[1]
@@ -677,9 +626,10 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                 continue
             if kind == "probe":
                 # the paper's terminate broadcast: ack iff still inactive
-                # (both planes: queue inbox AND unparsed ring records),
-                # and nothing parked for a quarantined peer
-                empty = (inbox.empty() and not carry and not held
+                # (both planes: unread lane bytes AND unparsed ring
+                # records), and nothing parked for a quarantined peer
+                empty = (all(lane.empty() for lane in in_lanes)
+                         and not carry and not held
                          and not any(parked.values())
                          and (pool is None or pool.drained))
                 control.put(("ack" if empty else "wait", wid))
@@ -727,10 +677,12 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                                 pool.release([msg])
                                 buf[i] = owned
                 quarantined.add(qw)
-                # flush marker: FIFO-per-producer means once the master
-                # sees it, no earlier message of ours can still surface
-                # in the dead worker's inbox
-                inboxes[qw].put(("__qflush__", wid))
+                # resynchronise both data lanes shared with the dead
+                # peer: the torn tail of its last frame, and whatever we
+                # had not finished writing to it (the master empties the
+                # pipe itself once we have acknowledged)
+                lanes[(qw, wid)].discard()
+                lanes[(wid, qw)].discard()
                 control.put(("quarantined", wid, qw))
                 continue
             if kind == "rejoin":
@@ -742,13 +694,15 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                 parked.pop(qw, None)
                 if pool is not None:
                     pool.rejoin_peer(qw)
-                ship(engine.reship(qw, rounds), rounds)
+                ship(engine.derive_reship(wid, qw, rounds), rounds)
                 continue
+        if stopped is not None:
+            break
         if mode == "BSP":
-            time.sleep(0.0005)
+            block(data=False)  # rounds only ever start on a command
             continue
 
-        fresh = drain_in(wait=0.002)
+        fresh = drain_in()
         if carry:
             fresh = carry + fresh
             carry.clear()
@@ -757,6 +711,7 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                 control.put(("inactive", wid))
                 inactive_reported = True
                 status_change("running", "inactive", rounds)
+            block()
             continue
         observe_arrivals(fresh)
         batch = held + fresh
@@ -776,13 +731,13 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
             gate = fleet["rmin"]
         if gate is not None and rounds > gate:
             held.extend(batch)
-            time.sleep(0.0005)
+            block()  # for the fleet broadcast that lifts the gate
             continue
         if mode == "Hsync" and fleet.get("switches", 0) != paid_switches:
             # pay the mode-switch cost once per global switch, scaled the
             # same way AAP's delay stretches are
             paid_switches = fleet.get("switches", 0)
-            time.sleep(min(switch_cost * time_scale, 0.01))
+            suspend(min(switch_cost * time_scale, 0.01))
         if mode == "AAP" and policy is not None:
             view = WorkerView(
                 wid=wid, round=rounds, eta=len(batch),
@@ -805,26 +760,24 @@ def _worker_loop(wid, mode, program, pg, query, inboxes, control, command,
                      t_idle=view.idle_time,
                      reason=why.pop("reason", ""), **why)
             if ds > 0 and not math.isinf(ds):
-                time.sleep(min(ds * time_scale, 0.01))
+                suspend(min(ds * time_scale, 0.01))
                 accumulated = drain_in()
                 observe_arrivals(accumulated)
                 batch.extend(accumulated)
         run_round(batch)
 
-    ctx = engine.context
-    # dense contexts ship their state as one contiguous array: pickling a
-    # node -> scalar dict costs a Python-level lookup per node on both
-    # ends, which dominated the run tail at bench sizes
-    final_values = (("__dense__", ctx.export_state())
-                    if hasattr(ctx, "export_state") else dict(ctx.values))
-    control.put(("done", wid, _WorkerReport(
+    if stopped == "abort":
+        return  # the master is tearing down: nobody reads a report
+    control.send(("done", wid, _WorkerReport(
         wid=wid, rounds=rounds, work=stats["work"],
         messages_sent=stats["messages"], bytes_sent=stats["bytes"],
-        values=final_values, scratch=dict(ctx.scratch),
+        values=fragment_values(), scratch=dict(context.scratch),
         events=events,
         shm_batches=pool.sent_batches if pool is not None else 0,
         shm_bytes=pool.sent_bytes if pool is not None else 0,
-        shm_fallbacks=pool.fallbacks if pool is not None else 0)))
+        shm_fallbacks=pool.fallbacks if pool is not None else 0,
+        busy=clock["busy"], idle=clock["idle"],
+        suspended=clock["suspended"], empty_wakeups=empty_wakeups)))
     # no pool.close() here: numpy views into the slabs may still be alive
     # (closing would raise BufferError); process exit unmaps, and the
     # master's arena sweep owns the unlink
@@ -960,13 +913,17 @@ class MultiprocessRuntime:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         m = self.pg.num_fragments
-        ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
-        inboxes = [ctx.Queue() for _ in range(m)]
-        control = ctx.Queue()
-        commands = [_CommandPipe(ctx) for _ in range(m)]
-        # data plane: pre-create the full channel mesh before forking, so
-        # worker attachment can never race slab creation.  Any failure
-        # (no /dev/shm, exhausted segments) falls back to the queue plane.
+        ctx = mp.get_context("fork")
+        # every channel is a single-producer lane made before the fork:
+        # control[w] worker -> master, commands[w] master -> worker, and
+        # lanes[(src, dst)] the pickled data plane
+        control = [Lane() for _ in range(m)]
+        commands = [Lane() for _ in range(m)]
+        lanes = {(src, dst): Lane() for src in range(m)
+                 for dst in range(m) if src != dst}
+        # shm data plane: pre-create the full channel mesh before forking,
+        # so worker attachment can never race slab creation.  Any failure
+        # (no /dev/shm, exhausted segments) leaves the lanes to carry it.
         arena = None
         if self.transport == "shm" and m > 1:
             try:
@@ -974,72 +931,58 @@ class MultiprocessRuntime:
             except Exception:  # pragma: no cover - platform-dependent
                 arena = None
         self.transport_used = "shm" if arena is not None else "queue"
-        run_id = arena.run_id if arena is not None else None
         policy_conf = {"staleness_bound": self.staleness_bound,
                        "switch_cost": (self.hsync.switch_cost
                                        if self.hsync is not None else 1.0)}
         self.respawns = []
-        procs = [ctx.Process(
-            target=_worker_main,
-            args=(wid, self.mode, self.program, self.pg, self.query,
-                  inboxes, control, commands[wid], self.time_scale,
-                  self.obs is not None, self._ft_config(wid),
-                  self.vectorized, policy_conf, run_id),
-            daemon=True) for wid in range(m)]
+        self._wake = {"decisions": 0, "timeout_decisions": 0}
+
+        def launch(wid: int, cfg: Optional[_FTConfig]):
+            p = ctx.Process(
+                target=_worker_main,
+                args=(control[wid], wid, self.mode, self.program, self.pg,
+                      self.query, lanes, commands[wid], self.time_scale,
+                      self.obs is not None, cfg, self.vectorized,
+                      policy_conf, arena),
+                daemon=True)
+            p.start()
+            return p
 
         def spawn_replacement(wid: int, incarnation: int,
                               plan: Optional[FaultPlan],
                               sent_base: int, recv_base: int) -> None:
-            # a fresh command pipe: the dead incarnation's pipe may hold
-            # undelivered commands the replacement must never see
-            commands[wid].close()
-            commands[wid] = _CommandPipe(ctx)
-            cfg = self._respawn_config(wid, incarnation, plan,
-                                       sent_base, recv_base)
-            p = ctx.Process(
-                target=_worker_main,
-                args=(wid, self.mode, self.program, self.pg, self.query,
-                      inboxes, control, commands[wid], self.time_scale,
-                      self.obs is not None, cfg, self.vectorized,
-                      policy_conf, run_id),
-                daemon=True)
-            p.start()
-            procs[wid] = p
+            # fresh lanes to and from the master: the dead incarnation's
+            # may hold commands the replacement must never see, and a
+            # torn tail of its last event
+            for chan in (commands, control):
+                chan[wid].close()
+                chan[wid] = Lane()
+            procs[wid].close()
+            procs[wid] = launch(wid, self._respawn_config(
+                wid, incarnation, plan, sent_base, recv_base))
 
         started = time.monotonic()
         self._started = started
-        for p in procs:
-            p.start()
+        procs: List[Any] = []
         try:
-            reports = self._master_loop(m, control, commands, procs,
-                                        inboxes=inboxes, arena=arena,
-                                        spawn=spawn_replacement)
+            for wid in range(m):
+                procs.append(launch(wid, self._ft_config(wid)))
+            reports = self._master_loop(m, control, commands, procs, lanes,
+                                        arena, spawn_replacement)
         finally:
             for cq in commands:
-                try:
-                    cq.put(("stop",))
-                except Exception:  # pragma: no cover
-                    pass
+                cq.send_or_drop(("abort",))
             for p in procs:
                 p.join(timeout=5.0)
             for p in procs:
-                if p.is_alive():  # pragma: no cover - defensive
-                    p.terminate()
-                    p.join(timeout=1.0)
-                if p.is_alive() and hasattr(p, "kill"):  # pragma: no cover
-                    p.kill()
-                    p.join(timeout=1.0)
-            # drop the queues' feeder threads without blocking on buffered
-            # items, so an aborted run leaks neither threads nor zombies
-            for q in [*inboxes, control, *commands]:
-                try:
-                    q.cancel_join_thread()
-                    q.close()
-                except Exception:  # pragma: no cover
-                    pass
-            # unlink every slab on both the clean path and the
-            # terminate/crash path — runs after the workers are joined or
-            # killed, so no /dev/shm segment outlives the run
+                if _reap(p):
+                    p.close()  # releases the sentinel descriptor
+            # every descriptor and every slab goes on both the clean path
+            # and the terminate/crash path — after the workers are joined
+            # or killed, so neither a pipe nor a /dev/shm segment
+            # outlives the run
+            for lane in [*control, *commands, *lanes.values()]:
+                lane.close()
             if arena is not None:
                 arena.unlink_all()
         makespan = time.monotonic() - started
@@ -1052,12 +995,11 @@ class MultiprocessRuntime:
                               **payload)
 
     # ------------------------------------------------------------------
-    def _master_loop(self, m: int, control: mp.Queue,
-                     commands: List["_CommandPipe"],
-                     procs: Optional[List] = None,
-                     inboxes: Optional[List] = None,
-                     arena: Optional[SlabArena] = None,
-                     spawn=None) -> Dict[int, _WorkerReport]:
+    def _master_loop(self, m: int, control: List[Lane],
+                     commands: List[Lane], procs: List,
+                     lanes: Dict[Tuple[int, int], Lane],
+                     arena: Optional[SlabArena],
+                     spawn) -> Dict[int, _WorkerReport]:
         deadline = time.monotonic() + self.timeout
         # termination ledger v3: per-directed-channel conservation books.
         # ``sent[(s, d)]`` counts logical entries announced by s for d,
@@ -1115,19 +1057,28 @@ class MultiprocessRuntime:
 
         def broadcast(msg) -> None:
             for cq in commands:
-                cq.put(msg)
+                cq.send(msg)
+
+        def events(timeout: float) -> Optional[List[Tuple]]:
+            """Block for one event, then take what is readable — one
+            bounded read per lane that woke us.  ``None`` means the
+            timeout passed in silence."""
+            ready = wait_readable(control, max(timeout, 0.0))
+            if not ready:
+                return None
+            return [evt for lane in ready for evt in lane.get_all()]
 
         def collect_reports() -> Dict[int, _WorkerReport]:
             while len(reports) < m:
-                try:
-                    evt = control.get(timeout=5.0)
-                except queue_mod.Empty:
+                got = events(5.0)
+                if got is None:
                     missing = [w for w in range(m) if w not in reports]
                     raise TerminationError(
                         f"workers {missing} never reported back after the "
-                        f"stop broadcast") from None
-                if evt[0] == "done":
-                    reports[evt[1]] = evt[2]
+                        f"stop broadcast")
+                for evt in got:
+                    if evt[0] == "done":
+                        reports[evt[1]] = evt[2]
             return reports
 
         def accept_late(wid: int, token: int, msg) -> None:
@@ -1151,13 +1102,13 @@ class MultiprocessRuntime:
             nonlocal ack_count, got_wait, step_activity
             kind = evt[0]
             if kind == "sent":
-                if len(evt) > 3 and evt[3] != era[evt[1]]:
+                if evt[3] != era[evt[1]]:
                     return kind  # dead incarnation's backlog: settled
                 for dst, n in evt[2].items():
                     key = (evt[1], dst)
                     sent[key] = sent.get(key, 0) + n
             elif kind == "drained":
-                if len(evt) > 3 and evt[3] != era[evt[1]]:
+                if evt[3] != era[evt[1]]:
                     return kind
                 for src, n in evt[2].items():
                     key = (src, evt[1])
@@ -1186,8 +1137,7 @@ class MultiprocessRuntime:
                         num_workers=m), dur)
             elif kind == "heartbeat":
                 if detector is not None:
-                    detector.beat(evt[1], time.monotonic(),
-                                  evt[2] if len(evt) > 2 else 0)
+                    detector.beat(evt[1], time.monotonic(), evt[2])
             elif kind == "ckpt_state":
                 _, wid, token, values, scratch, pre, sent_n, recv_n = evt
                 if (ckpt is not None and ckpt.current is not None
@@ -1206,16 +1156,13 @@ class MultiprocessRuntime:
                 ack_count += 1
             elif kind == "error":
                 detail = f"worker {evt[1]} crashed: {evt[2]}"
-                if len(evt) > 3 and evt[3]:
-                    detail += ("\n--- worker traceback ---\n"
-                               + str(evt[3]).rstrip())
+                detail += ("\n--- worker traceback ---\n"
+                           + str(evt[3]).rstrip())
                 raise TerminationError(detail)
             elif kind == "step-done":
                 steppers.add(evt[1])
                 if evt[2] > 0:
                     step_activity = True
-            elif kind == "done":
-                reports[evt[1]] = evt[2]
             return kind
 
         def pump(timeout_s: float, until) -> bool:
@@ -1229,11 +1176,8 @@ class MultiprocessRuntime:
                         f"(mode={self.mode}, during takeover)")
                 if time.monotonic() > end:
                     return False
-                try:
-                    evt = control.get(timeout=0.005)
-                except queue_mod.Empty:
-                    continue
-                handle(evt)
+                for evt in events(0.005) or ():
+                    handle(evt)
             return True
 
         def try_takeover(s) -> bool:
@@ -1252,8 +1196,6 @@ class MultiprocessRuntime:
                                   reason=reason)
                 return False
 
-            if spawn is None or inboxes is None:
-                return False  # respawn machinery not plumbed in
             if budget[w] <= 0:
                 if self.respawn_budget > 0:
                     return degrade("respawn budget exhausted")
@@ -1263,20 +1205,12 @@ class MultiprocessRuntime:
             if m == 1:
                 return degrade("no surviving peers to re-ship from")
             # 1. make sure the dead incarnation is really gone: its slab
-            # cursors and queue feeder must never touch the wire again
-            if procs is not None:
-                p = procs[w]
-                if p.is_alive():
-                    p.terminate()
-                    p.join(1.0)
-                    if p.is_alive() and hasattr(p, "kill"):
-                        p.kill()
-                        p.join(1.0)
-                    if p.is_alive():  # pragma: no cover - defensive
-                        return degrade("old incarnation would not die")
+            # cursors and lane ends must never touch the wire again
+            if not _reap(procs[w]):  # pragma: no cover - defensive
+                return degrade("old incarnation would not die")
             # 2. quarantine: survivors take a final drain of everything
             # the dead worker got onto the wire, fence its rings, and
-            # mark their queue lane with a flush sentinel.  Only *live*
+            # stop writing to its data lanes.  Only *live*
             # peers owe an acknowledgement — and one may die mid-pump
             # (its own scheduled crash, a cascading fault): it can never
             # ack, so stop waiting for it rather than timing the whole
@@ -1286,16 +1220,14 @@ class MultiprocessRuntime:
             peers = [d for d in range(m) if d != w]
             qacks.clear()
             qtarget[0] = w
-            live = {d for d in peers
-                    if procs is None or procs[d].is_alive()}
+            live = {d for d in peers if procs[d].is_alive()}
             for d in live:
-                commands[d].put(("quarantine", w))
+                commands[d].send(("quarantine", w))
 
             def acked_or_dead() -> bool:
-                if procs is not None:
-                    for d in list(live - qacks):
-                        if not procs[d].is_alive():
-                            live.discard(d)
+                for d in list(live - qacks):
+                    if not procs[d].is_alive():
+                        live.discard(d)
                 return live <= qacks
 
             ok = pump(5.0, acked_or_dead)
@@ -1303,33 +1235,15 @@ class MultiprocessRuntime:
             if not ok:
                 return degrade("quarantine acknowledgement timed out "
                                f"(missing {sorted(live - qacks)})")
-            # 3. reconcile the queue plane: drain the dead inbox until
-            # every live survivor's sentinel arrived (mp.Queue is FIFO
-            # per producer, so the sentinel proves no earlier message
-            # from that survivor can surface later), crediting the books
-            # for every data message the dead worker never drained.  A
-            # survivor that dies after acking is dropped here too — its
-            # feeder thread died with it, so its lane can produce
-            # nothing further and the sentinel may simply never arrive.
-            pending = set(live)
-            end = time.monotonic() + 5.0
-            while pending and time.monotonic() < end:
-                if procs is not None:
-                    for d in list(pending):
-                        if not procs[d].is_alive():
-                            pending.discard(d)
-                try:
-                    msg = inboxes[w].get(timeout=0.01)
-                except queue_mod.Empty:
-                    continue
-                if (isinstance(msg, tuple) and len(msg) == 2
-                        and msg[0] == "__qflush__"):
-                    pending.discard(msg[1])
-                else:
-                    key = (msg.src, w)
-                    recv[key] = recv.get(key, 0) + len(msg)
-            if pending:
-                return degrade("queue-plane flush timed out")
+            # 3. empty the dead worker's inbound data lanes.  Each has one
+            # producer, and that producer is now fenced (it acknowledged,
+            # so it parks instead of writing until rejoin) or dead, so
+            # whatever the pipe holds — whole frames or the torn head of
+            # one — can be read off and thrown away; the replacement
+            # starts on a frame boundary.  The books for these entries
+            # are settled in step 5.
+            for d in peers:
+                lanes[(d, w)].discard()
             # 4. retire the dead incarnation's rings: the generation bump
             # makes any torn or stale endpoint state unreadable
             if arena is not None:
@@ -1384,7 +1298,7 @@ class MultiprocessRuntime:
             # consistent cut (or both from PEval, whose output is the
             # full border), which is exactly the Theorem 2 condition.
             for d in live:
-                commands[d].put(("rejoin", w))
+                commands[d].send(("rejoin", w))
             duration = time.monotonic() - t0
             self.respawns.append({
                 "wid": w, "incarnation": incarnation, "seeded": seeded,
@@ -1434,9 +1348,8 @@ class MultiprocessRuntime:
                         channel_messages=snap.num_channel_messages)
             if detector is None:
                 return
-            alive = (None if procs is None
-                     else lambda i: procs[i].is_alive())
-            for s in detector.check(now, alive=alive):
+            for s in detector.check(
+                    now, alive=lambda i: procs[i].is_alive()):
                 event = FailureEvent(t=t, kind=s.kind, wid=s.wid,
                                      detail=f"age={s.age:.3f}s")
                 self.failures.append(event)
@@ -1462,15 +1375,19 @@ class MultiprocessRuntime:
             self._emit_master(obs_events.BARRIER, step=step_no)
             broadcast(("superstep",))
 
-        def broadcast_fleet() -> None:
-            live_rates = [r for r in rates if r > 0]
+        def active_rounds() -> List[int]:
             # bounds over *active* workers: a finished worker must not pin
             # r_min, or an SSP/Hsync-gated worker would deadlock waiting
             # for rounds that will never come (same rule as WorkerState.
             # pending in the other runtimes)
-            active = [rounds[i] for i in range(m) if not inactive[i]]
-            base = active if active else rounds
-            fleet = {"rmin": min(base), "rmax": max(base),
+            return [rounds[i] for i in range(m) if not inactive[i]] or rounds
+
+        def broadcast_fleet() -> None:
+            nonlocal told_rmin
+            live_rates = [r for r in rates if r > 0]
+            base = active_rounds()
+            told_rmin = min(base)
+            fleet = {"rmin": told_rmin, "rmax": max(base),
                      "avg_rate": (sum(live_rates) / len(live_rates)
                                   if live_rates else 0.0),
                      "avg_round": sum(durations) / len(durations)}
@@ -1480,86 +1397,93 @@ class MultiprocessRuntime:
             # telemetry, not protocol: skip a worker whose pipe is full
             # rather than block the master behind a stalled consumer
             for cq in commands:
-                cq.put_nowait_drop(("fleet", fleet))
+                cq.send_or_drop(("fleet", fleet))
 
-        last_fleet = 0.0
-        while True:
-            if time.monotonic() > deadline:
-                raise TerminationError(
-                    f"multiprocess run exceeded {self.timeout}s "
-                    f"(mode={self.mode})")
-            if self._ft:
-                ft_check()
-            try:
-                # poll faster once every worker looks inactive: the
-                # remaining traffic is the probe/ack dance, and a 10ms
-                # block per hop would dominate short runs' tails
-                evt = control.get(
-                    timeout=0.002 if all(inactive) else 0.01)
-            except queue_mod.Empty:
-                evt = None
-            if evt is not None:
-                kind = handle(evt)
-                if kind == "done" and len(reports) == m:
-                    return reports
-                if kind not in ("heartbeat", "ckpt_state", "ckpt_late"):
-                    # keep draining control before deciding anything --
-                    # but pure fault-tolerance telemetry must fall
-                    # through, or a steady heartbeat stream (one event
-                    # every few ms) keeps the queue non-empty forever
-                    # and starves the termination probe below
-                    continue
+        bsp = self.mode == "BSP"
+        told_rmin = -1
+        # async modes that consult fleet state get periodic broadcasts
+        fleet_mode = self.mode in ("AAP", "SSP", "Hsync")
+        #: SSP and Hsync workers block on r_min: tell them when it moves,
+        #: not 20 ms later
+        gating = self.mode in ("SSP", "Hsync")
+        next_fleet = 0.0
+        timed_out = False
 
-            if self.mode == "BSP":
-                if acks_pending:
-                    if ack_count == acks_pending:
-                        acks_pending = 0
-                        self._emit_master(
-                            obs_events.TERMINATE_PROBE,
-                            result="ack" if not got_wait else "wait")
-                        if not got_wait and in_flight() == 0:
-                            broadcast(("stop",))
-                            return collect_reports()
-                        start_superstep()
-                elif len(steppers) == m:
+        def decided() -> None:
+            self._wake["decisions"] += 1
+            self._wake["timeout_decisions"] += timed_out
+
+        def probe() -> None:
+            # the paper's terminate broadcast: probe every worker
+            nonlocal ack_count, got_wait, acks_pending
+            decided()
+            ack_count = 0
+            got_wait = False
+            acks_pending = m
+            broadcast(("probe",))
+
+        def decide() -> bool:
+            """Take the barrier / probe / stop decision the books allow
+            right now; True once the stop broadcast went out.
+
+            Deciding on the spot, not after a quiet spell, is safe
+            because each lane is FIFO: by the time a worker's
+            ``step-done`` or ``ack`` has been read, so has every ``sent``
+            and ``drained`` it reported before it."""
+            nonlocal acks_pending
+            if acks_pending:
+                if ack_count < acks_pending:
+                    return False
+                acks_pending = 0
+                self._emit_master(obs_events.TERMINATE_PROBE,
+                                  result="ack" if not got_wait else "wait")
+                if (not got_wait and in_flight() == 0
+                        and (bsp or all(inactive))):
+                    decided()
+                    broadcast(("stop",))
+                    return True
+                if bsp:
+                    decided()
+                    start_superstep()
+                    return False
+            if bsp:
+                if len(steppers) == m:
                     if not step_activity and in_flight() == 0:
                         # a quiet barrier is necessary but no longer
                         # sufficient: drain-time crediting means a
                         # checkpoint drain may have parked messages in a
                         # worker's carry after it answered an empty
                         # superstep — probe before stopping
-                        ack_count = 0
-                        got_wait = False
-                        acks_pending = m
-                        broadcast(("probe",))
+                        probe()
                     else:
+                        decided()
                         start_superstep()
-                continue
+            elif all(inactive) and in_flight() == 0:
+                probe()
+            return False
 
-            # async modes that consult fleet state get periodic broadcasts
-            if (self.mode in ("AAP", "SSP", "Hsync")
-                    and time.monotonic() - last_fleet > 0.02):
-                broadcast_fleet()
-                last_fleet = time.monotonic()
-
-            if acks_pending:
-                if ack_count == acks_pending:
-                    acks_pending = 0
-                    self._emit_master(
-                        obs_events.TERMINATE_PROBE,
-                        result="ack" if not got_wait else "wait")
-                    if not got_wait and in_flight() == 0 \
-                            and all(inactive):
-                        broadcast(("stop",))
-                        return collect_reports()
-                continue
-
-            if all(inactive) and in_flight() == 0:
-                # the paper's terminate broadcast: probe every worker
-                ack_count = 0
-                got_wait = False
-                acks_pending = m
-                broadcast(("probe",))
+        while True:
+            now = time.monotonic()
+            if now > deadline:
+                raise TerminationError(
+                    f"multiprocess run exceeded {self.timeout}s "
+                    f"(mode={self.mode})")
+            timers = [deadline]
+            if self._ft:
+                ft_check()
+                timers.append(last_ft_check + 0.005)
+            if fleet_mode:
+                if now >= next_fleet or (
+                        gating and min(active_rounds()) != told_rmin):
+                    broadcast_fleet()
+                    next_fleet = now + 0.02
+                timers.append(next_fleet)
+            if decide():
+                return collect_reports()
+            got = events(min(timers) - time.monotonic())
+            timed_out = got is None
+            for evt in got or ():
+                handle(evt)
 
     # ------------------------------------------------------------------
     def _assemble(self, reports: Dict[int, _WorkerReport],
@@ -1579,14 +1503,22 @@ class MultiprocessRuntime:
         answer = engine.assemble()
         workers = [WorkerMetrics(
             wid=wid, rounds=rep.rounds, messages_sent=rep.messages_sent,
-            bytes_sent=rep.bytes_sent, work_done=rep.work)
+            bytes_sent=rep.bytes_sent, work_done=rep.work,
+            busy_time=rep.busy, idle_time=rep.idle,
+            suspended_time=rep.suspended)
             for wid, rep in sorted(reports.items())]
         extras: Dict[str, Any] = {"transport": {
             "kind": self.transport_used or self.transport,
             "shm_batches": sum(r.shm_batches for r in reports.values()),
             "shm_bytes": sum(r.shm_bytes for r in reports.values()),
             "queue_fallbacks": sum(r.shm_fallbacks
-                                   for r in reports.values())}}
+                                   for r in reports.values())},
+            # how the run waited: worker wake-ups that found nothing,
+            # and master decisions by whether an event or a timer
+            # preceded them
+            "wake": {"empty_wakeups": sum(r.empty_wakeups
+                                          for r in reports.values()),
+                     **self._wake}}
         if self.respawns:
             extras["respawns"] = [dict(r) for r in self.respawns]
         if self.obs is not None:

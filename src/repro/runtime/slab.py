@@ -40,6 +40,16 @@ records purely by comparing its cursor against the published ``head`` (no
 queue traffic at all), and every field it needs to rebuild the batch —
 round, wire ``seq``, snapshot token, dtype — rides in the header.
 
+Wake-up: each worker owns a *doorbell*, a non-blocking ``os.pipe()`` the
+arena creates before the fork.  A producer writes one byte after a
+successful :meth:`SlabPool.try_send`; the consumer blocks in
+:meth:`SlabPool.wait` (a ``select`` over the bell and whatever else it
+listens to) instead of sleeping between polls.  The bell is a hint,
+never the truth: ``head`` stays authoritative and every wait times out
+into a poll, so a bell that is early, late, merged, dropped (full pipe)
+or stale (a replacement inherits its predecessor's bytes) costs at most
+one empty poll (docs/transport.md, "Wake-up").
+
 Torn-read hardening: :meth:`SlabRing.open` validates the record before
 constructing views — the position must lie inside the live ``[tail,
 head)`` window, the kind magic and dtype code must be known, the length
@@ -65,9 +75,10 @@ planes identically.
 from __future__ import annotations
 
 import os
+import select
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,9 +240,11 @@ class SlabRing:
             self._ctrl[_GEN] = 0
             self._ctrl[_MAGIC] = SLAB_MAGIC  # last: marks the slab usable
         elif int(self._ctrl[_MAGIC]) != SLAB_MAGIC:
+            magic = int(self._ctrl[_MAGIC])
+            self.close()  # a refused attachment must not keep its mapping
             raise TransportError(
-                f"slab {name!r} has bad magic "
-                f"0x{int(self._ctrl[_MAGIC]):x} (torn or foreign segment)")
+                f"slab {name!r} has bad magic 0x{magic:x} "
+                f"(torn or foreign segment)")
         self.capacity = int(self._ctrl[_CAP])
         #: consumer-side read cursor and per-channel record counter
         self._cursor = 0
@@ -463,12 +476,20 @@ class SlabPool:
 
     Attaches the worker's outbound ring per destination and every inbound
     ring; exposes batch-level send/poll/release plus the counters the
-    worker report ships back to the master.
+    worker report ships back to the master.  ``bells`` is the arena's
+    ``(read_fd, write_fd)`` doorbell per worker (inherited over fork);
+    without it sends ring nothing and :meth:`wait` only watches
+    ``rlist``.
     """
 
-    def __init__(self, run_id: str, wid: int, num_workers: int):
+    def __init__(self, run_id: str, wid: int, num_workers: int,
+                 bells: Optional[Sequence[Tuple[int, int]]] = None):
         self.run_id = run_id
         self.wid = wid
+        #: this worker's doorbell (read end), ``None`` without bells
+        self.bell: Optional[int] = None if bells is None else bells[wid][0]
+        self._peer_bells = ({} if bells is None else
+                            {peer: bell[1] for peer, bell in enumerate(bells)})
         self._out: Dict[int, SlabRing] = {}
         self._in: Dict[int, SlabRing] = {}
         for peer in range(num_workers):
@@ -496,7 +517,30 @@ class SlabPool:
             return False
         self.sent_batches += 1
         self.sent_bytes += msg.size_bytes
+        if self._peer_bells:
+            try:
+                os.write(self._peer_bells[msg.dst], b"\0")
+            except BlockingIOError:
+                pass  # bell pipe full: it is ringing already
         return True
+
+    def wait(self, timeout: Optional[float], rlist=(), wlist=()):
+        """Block until the bell rings, an ``rlist``/``wlist`` entry is
+        ready, or ``timeout`` passes; returns select's two ready lists.
+
+        The bell is emptied *before* the caller polls, so a record
+        published after this returns rings again — never the other way
+        round.
+        """
+        bell = [] if self.bell is None else [self.bell]
+        ready, writable, _ = select.select(bell + list(rlist), wlist, [],
+                                           timeout)
+        if self.bell in ready:
+            try:
+                os.read(self.bell, 4096)
+            except BlockingIOError:  # pragma: no cover - raced to empty
+                pass
+        return ready, writable
 
     def poll(self) -> List[ShmMessageBatch]:
         """Newly published inbound batches across all channels."""
@@ -570,7 +614,15 @@ class SlabArena:
         self.num_workers = num_workers
         self._rings: List[SlabRing] = []
         self._by_channel: Dict[Tuple[int, int], SlabRing] = {}
+        #: per-worker doorbell ``(read_fd, write_fd)``; plain pipes, made
+        #: before the fork so every worker inherits every bell
+        self.doorbells: List[Tuple[int, int]] = []
         try:
+            for _ in range(num_workers):
+                bell = os.pipe()
+                self.doorbells.append(bell)
+                for fd in bell:
+                    os.set_blocking(fd, False)
             for src in range(num_workers):
                 for dst in range(num_workers):
                     if src != dst:
@@ -600,13 +652,22 @@ class SlabArena:
                 gen = ring.reset()
         return gen
 
+    def pool(self, wid: int) -> "SlabPool":
+        """Worker ``wid``'s endpoint (call in the forked worker)."""
+        return SlabPool(self.run_id, wid, self.num_workers, self.doorbells)
+
     def unlink_all(self) -> int:
-        """Close + unlink every segment of this run; returns the count."""
+        """Close + unlink every segment (and close the doorbells) of this
+        run; returns the segment count."""
         removed = 0
         for ring in self._rings:
             ring.close()
         self._rings = []
         self._by_channel = {}
+        for bell in self.doorbells:
+            for fd in bell:
+                os.close(fd)
+        self.doorbells = []
         for src in range(self.num_workers):
             for dst in range(self.num_workers):
                 if src == dst:

@@ -8,6 +8,7 @@ alarm per test on Unix so a deadlock still fails loudly instead of
 freezing the suite.
 """
 
+import gc
 import os
 import signal
 
@@ -44,21 +45,55 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Every test must leave ``/dev/shm`` free of repro-owned segments.
+def session_state():
+    """What a test must hand back as it found it: repro-owned ``/dev/shm``
+    segments, live ``multiprocessing`` children, open descriptors."""
+    import multiprocessing
 
-    The multiprocess runtime's shared-memory data plane unlinks its slabs
-    in the master's ``finally`` — on clean exits, aborts, and chaos runs
-    with injected crashes alike.  A residual segment here means a leaked
-    lifetime path; fail the test that introduced it rather than letting
-    segments accumulate across the suite.
-    """
     from repro.runtime.slab import residual_segments
-    before = set(residual_segments())
+    return {"shm": set(residual_segments()),
+            "children": {p.pid for p in multiprocessing.active_children()},
+            "fds": len(os.listdir("/proc/self/fd"))
+            if os.path.isdir("/proc/self/fd") else 0}
+
+
+def leaks_since(before):
+    """Human-readable differences between ``before`` and now (ROADMAP 4c)."""
+    now = session_state()
+    found = []
+    if now["shm"] - before["shm"]:
+        found.append(f"shared-memory segments: "
+                     f"{sorted(now['shm'] - before['shm'])}")
+    if now["children"] - before["children"]:
+        found.append(f"live child processes: "
+                     f"{sorted(now['children'] - before['children'])}")
+    if now["fds"] > before["fds"]:
+        found.append(f"open descriptors: {before['fds']} -> {now['fds']}")
+    return found
+
+
+@pytest.fixture(autouse=True)
+def session_hygiene():
+    """Every test leaves no segment, no child process and no descriptor.
+
+    A multiprocess run owns slabs, worker processes and one pipe per
+    lane and doorbell; its ``finally`` gives all of them back on clean
+    exits, worker exceptions, takeovers and timeouts alike.  Anything
+    left here is a leaked lifetime path: fail the test that introduced
+    it rather than let it pile up across the suite.
+    """
+    # the resource tracker's pipe is opened by the first shared-memory
+    # segment of the session and kept on purpose; start it up front so
+    # it is not charged to whichever test comes first
+    from multiprocessing import resource_tracker
+    resource_tracker.ensure_running()
+    before = session_state()
     yield
-    leaked = [s for s in residual_segments() if s not in before]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+    leaked = leaks_since(before)
+    if leaked:
+        gc.collect()  # what unreachable objects still own is not a leak
+        leaked = leaks_since(before)
+    assert not leaked, "test leaked " + "; ".join(leaked)
 
 
 @pytest.fixture

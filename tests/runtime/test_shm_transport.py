@@ -254,6 +254,7 @@ class TestPoolAndArena:
             assert not pool.try_send(msg)
             assert pool.fallbacks == 1
             assert pool.sent_batches == 0
+            pool.close()
         finally:
             arena.unlink_all()
 
@@ -270,6 +271,9 @@ class TestPoolAndArena:
             assert len(got) == 5
             assert receiver.drained
             receiver.release([got])
+            del got  # a live view would keep the mapping open
+            sender.close()
+            receiver.close()
         finally:
             arena.unlink_all()
 
