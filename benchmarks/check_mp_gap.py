@@ -19,6 +19,10 @@ seed's 5.6x / 3.3x.  Move them when a change moves the medians.
 at a *before* report (e.g. the committed BENCH_kernels.json) purely for
 the printed comparison — the assertion is always against the floors, so
 machine-speed drift between the two runs cannot flip the verdict.
+
+PageRank is not gated, but its vectorized wall seconds are printed per
+runtime next to the ratios, so a kernel change has a committed absolute
+number to compare against.
 """
 
 import argparse
@@ -50,10 +54,11 @@ def main(argv=None) -> int:
     with open(args.report, encoding="utf-8") as fh:
         report = json.load(fh)
     rows = _mp_speedups(report)
-    baseline_rows = {}
+    baseline = {}
     if args.baseline:
         with open(args.baseline, encoding="utf-8") as fh:
-            baseline_rows = _mp_speedups(json.load(fh))
+            baseline = json.load(fh)
+    baseline_rows = _mp_speedups(baseline)
 
     floors = {"sssp": args.min_sssp, "cc": args.min_cc}
     failures = []
@@ -75,6 +80,19 @@ def main(argv=None) -> int:
         if speedup < floor:
             failures.append(f"{algorithm}: speedup {speedup}x below "
                             f"floor {floor}x")
+
+    # printed, not gated: the absolute number the next kernel change
+    # compares against (a ratio hides which side of it moved)
+    def pagerank_seconds(rep):
+        return {row["runtime"]: row["vectorized_s"]
+                for row in rep.get("results", [])
+                if row.get("algorithm") == "pagerank"}
+
+    before = pagerank_seconds(baseline)
+    for runtime, seconds in pagerank_seconds(report).items():
+        drift = (f" (baseline {before[runtime]} s)" if runtime in before
+                 else "")
+        print(f"pagerank: {runtime} vectorized {seconds} s{drift}")
 
     if failures:
         for f in failures:

@@ -10,6 +10,14 @@ exactly once (ship-and-reset) — this is the accumulative semantics.
 Correctness does not need bounded staleness: every path contribution
 ``p(v)`` is added to ``P_v`` at most once (paper's remark in Section 5.3),
 so all runs converge to the same scores up to the tolerance ``epsilon``.
+
+IncEval drains pending mass to a *local fixpoint* before anything ships,
+so the in-fragment waves are where a PageRank run spends its time.  The
+vectorized kernel treats each wave as the sparse matrix-vector product it
+is (the delayed-asynchronous SpMV sequence of Blanco et al., PAPERS.md)
+and picks, per wave, between sweeping the fragment's whole edge array and
+expanding only the frontier's ranges — see
+:meth:`PageRankProgram._dense_propagate` and :data:`DENSE_EDGE_SHARE`.
 """
 
 from __future__ import annotations
@@ -23,6 +31,31 @@ from repro.errors import ProgramError
 from repro.partition.fragment import Fragment, PartitionedGraph
 
 Node = Hashable
+
+#: A wave takes the full-fragment SpMV once its frontier holds more than
+#: this share of the fragment's out-edges.  The ratio of the two measured
+#: per-edge costs: ~3.4 ns per *fragment* edge for gather + ``bincount``
+#: over the whole edge array against ~11 ns per *frontier* edge for the
+#: ragged expansion (docs/performance.md, ledger entry 2).
+DENSE_EDGE_SHARE = 0.3
+
+
+def _spmv_arrays(frag: Fragment):
+    """``(out-degrees, share divisor, per-edge source lid)`` of ``frag``.
+
+    Pure functions of the fragment's CSR view, memoized on the fragment
+    (and dropped with it when the fragment grows in place).  The divisor
+    is the float out-degree with dangling nodes clamped to 1: they have
+    no edge to gather their share through.
+    """
+    import numpy as np
+
+    def build():
+        csr = frag.compact().csr
+        degrees = np.diff(csr.out_indptr)
+        return (degrees, np.maximum(degrees, 1).astype(np.float64),
+                csr.out_sources)
+    return frag.memo("pagerank.spmv_arrays", build)
 
 
 @dataclass(frozen=True)
@@ -111,7 +144,7 @@ class PageRankProgram(PIEProgram):
             current = sorted(next_wave, key=repr)
 
     # ------------------------------------------------------------------
-    # vectorized kernels (SpMV-style delta accumulation)
+    # vectorized kernels (one SpMV per wave of delta accumulation)
     # ------------------------------------------------------------------
     def dense_seed(self, frag: Fragment, ctx: Any,
                    query: PageRankQuery) -> None:
@@ -141,8 +174,18 @@ class PageRankProgram(PIEProgram):
 
     def _dense_propagate(self, frag: Fragment, ctx: Any, query:
                          PageRankQuery, seeds) -> None:
-        """Drain pending deltas in Jacobi waves via ``np.add.at``.
+        """Drain pending deltas in Jacobi waves, one SpMV per wave.
 
+        A wave's gain is ``bincount(targets, weights=shares)`` over the
+        frontier's out-edges.  A frontier holding more than
+        :data:`DENSE_EDGE_SHARE` of the fragment's out-edges takes the
+        whole edge array — scatter the shares into a node vector, gather
+        it through the cached per-edge sources — and a smaller one
+        expands only its own ranges.  Both sum a node's gain in CSR edge
+        order (the extra edges of the full sweep add exact zeros), so
+        the answer does not depend on which branch a wave took.
+
+        ``ctx.mask`` marks the nodes whose pending mass moved.
         Floating-point accumulation order differs from the generic path,
         so the cross-check is tolerance-based (within ``epsilon``), not
         exact — the paper's accuracy argument bounds both the same way.
@@ -150,44 +193,45 @@ class PageRankProgram(PIEProgram):
         import numpy as np
         from repro.graph.csr import expand_ranges
         view = ctx.view
-        csr = view.csr
-        indptr = csr.out_indptr
-        indices = csr.out_indices
+        indptr = view.csr.out_indptr
+        indices = view.csr.out_indices
+        degrees, divisor, edge_src = _spmv_arrays(frag)
         pend = ctx.array
         score = ctx.scratch["score_arr"]
         eps_node = ctx.scratch["eps_node"]
         d = query.damping
         owned = view.owned_mask
-        degrees = np.diff(indptr)
-        touched = np.zeros(pend.size, dtype=bool)
-        touched[np.asarray(seeds, dtype=np.int64)] = True
-        touched &= owned
-        current = np.nonzero(touched)[0]
-        while current.size:
-            active = current[np.abs(pend[current]) > eps_node]
+        n = pend.size
+        dense_above = DENSE_EDGE_SHARE * indices.size
+        front = np.zeros(n, dtype=bool)
+        front[np.asarray(seeds, dtype=np.int64)] = True
+        while True:
+            front &= owned
+            front &= np.abs(pend) > eps_node
+            active = np.nonzero(front)[0]
             if active.size == 0:
                 break
-            delta = pend[active].copy()
+            delta = pend[active]
             pend[active] = 0.0
             score[active] += delta
-            ctx.add_work(int(active.size))
-            has_out = degrees[active] > 0
-            srcs = active[has_out]
-            if srcs.size == 0:
+            counts = degrees[active]
+            edges = int(counts.sum())
+            ctx.add_work(int(active.size) + edges)
+            if edges == 0:
                 break
-            dsub = delta[has_out]
-            counts = degrees[srcs]
-            eidx = expand_ranges(indptr[srcs], counts)
-            tgt = indices[eidx]
-            share = np.repeat(d * dsub / counts, counts)
-            np.add.at(pend, tgt, share)
-            ctx.mask[tgt] = True
-            ctx.add_work(int(tgt.size))
-            touched[:] = False
-            touched[tgt] = True
-            touched &= owned
-            nxt = np.nonzero(touched)[0]
-            current = nxt[np.abs(pend[nxt]) > eps_node]
+            share = d * delta / divisor[active]
+            if edges > dense_above:
+                per_node = np.zeros(n)
+                per_node[active] = share
+                gain = np.bincount(indices, weights=per_node[edge_src],
+                                   minlength=n)
+            else:
+                gain = np.bincount(
+                    indices[expand_ranges(indptr[active], counts)],
+                    weights=np.repeat(share, counts), minlength=n)
+            pend += gain
+            front = gain != 0.0
+            ctx.mask |= front
 
     def dense_emit(self, frag: Fragment, ctx: Any, lids) -> Any:
         """Ship accumulated mirror deltas and reset them (take-and-zero)."""
@@ -203,22 +247,19 @@ class PageRankProgram(PIEProgram):
                              payloads) -> Any:
         import numpy as np
         np.add.at(ctx.array, lids, payloads)
-        seen = np.zeros(ctx.array.size, dtype=bool)
-        seen[lids] = True
-        return np.nonzero(seen)[0]
+        # unique lids at a cost proportional to the batch, not the fragment
+        lids = np.sort(lids)
+        first = np.ones(lids.size, dtype=bool)
+        first[1:] = lids[1:] != lids[:-1]
+        return lids[first]
 
     def dense_assemble(self, pg: PartitionedGraph, contexts: Sequence[Any],
                        query: PageRankQuery) -> Dict[Node, float]:
         """Final scores; residual pending mass is folded in for accuracy."""
-        out: Dict[Node, float] = {}
-        owner = pg.owner
-        for ctx in contexts:
-            fid = ctx.fragment.fid
-            total = ctx.scratch["score_arr"] + ctx.array
-            for i, gid in enumerate(ctx.view.nodes):
-                if owner.get(gid) == fid:
-                    out[gid] = float(total[i])
-        return out
+        from repro.core.dense import assemble_owner_values
+        return assemble_owner_values(
+            pg, contexts,
+            values=lambda ctx: ctx.scratch["score_arr"] + ctx.array)
 
     # ------------------------------------------------------------------
     # accumulative message semantics

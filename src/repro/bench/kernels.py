@@ -48,34 +48,40 @@ def _make_workload(algorithm: str, graph: Graph) -> Tuple[Any, Any, float]:
     raise ReproError(f"unknown bench algorithm {algorithm!r}")
 
 
+def _run_result(runtime: str, program_cls, pg: PartitionedGraph,
+                query: Any, mode: str, vectorized: bool, timeout: float,
+                transport: Optional[str] = None) -> Any:
+    """One run on the named runtime; returns its ``RunResult``."""
+    program = program_cls()
+    if runtime == "simulated":
+        from repro import api
+        return api.run(program, pg, query, mode=mode,
+                       record_trace=False, vectorized=vectorized)
+    if runtime == "threaded":
+        from repro.core.engine import Engine
+        from repro.core.modes import make_policy
+        from repro.runtime.threaded import ThreadedRuntime
+        engine = Engine(program, pg, query, vectorized=vectorized)
+        return ThreadedRuntime(engine, make_policy(mode),
+                               timeout=timeout).run()
+    if runtime == "multiprocess":
+        from repro.runtime.multiprocess import MultiprocessRuntime
+        return MultiprocessRuntime(program, pg, query, mode=mode,
+                                   timeout=timeout,
+                                   vectorized=vectorized,
+                                   transport=transport).run()
+    raise ReproError(f"unknown runtime {runtime!r}")
+
+
 def _run_once(runtime: str, program_cls, pg: PartitionedGraph, query: Any,
               mode: str, vectorized: bool, timeout: float,
               transport: Optional[str] = None
               ) -> Tuple[float, Dict[Any, Any]]:
     """One timed run; returns (wall seconds, assembled answer)."""
-    program = program_cls()
     t0 = time.perf_counter()
-    if runtime == "simulated":
-        from repro import api
-        result = api.run(program, pg, query, mode=mode,
-                         record_trace=False, vectorized=vectorized)
-    elif runtime == "threaded":
-        from repro.core.engine import Engine
-        from repro.core.modes import make_policy
-        from repro.runtime.threaded import ThreadedRuntime
-        engine = Engine(program, pg, query, vectorized=vectorized)
-        result = ThreadedRuntime(engine, make_policy(mode),
-                                 timeout=timeout).run()
-    elif runtime == "multiprocess":
-        from repro.runtime.multiprocess import MultiprocessRuntime
-        result = MultiprocessRuntime(program, pg, query, mode=mode,
-                                     timeout=timeout,
-                                     vectorized=vectorized,
-                                     transport=transport).run()
-    else:
-        raise ReproError(f"unknown runtime {runtime!r}")
-    elapsed = time.perf_counter() - t0
-    return elapsed, result.answer
+    result = _run_result(runtime, program_cls, pg, query, mode, vectorized,
+                         timeout, transport)
+    return time.perf_counter() - t0, result.answer
 
 
 def _answers_match(generic: Dict[Any, Any], fast: Dict[Any, Any],

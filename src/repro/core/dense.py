@@ -67,9 +67,13 @@ def apply_aggregated(agg: Aggregator, array: np.ndarray,
     return uniq[array[uniq] != prev]
 
 
-def assemble_owner_values(pg: PartitionedGraph,
-                          contexts) -> Dict[Node, Any]:
+def assemble_owner_values(pg: PartitionedGraph, contexts,
+                          values=lambda ctx: ctx.array
+                          ) -> Dict[Node, Any]:
     """Default dense Assemble: each node's value at its owner fragment.
+
+    ``values(ctx)`` is the fragment's per-lid answer array (the status
+    array unless the program keeps its answer elsewhere).
 
     Selects owned rows through the fragment's ``owned_mask`` (partitioners
     build ``pg.owner`` from exactly those owned sets, so the mask and the
@@ -81,7 +85,7 @@ def assemble_owner_values(pg: PartitionedGraph,
         view = ctx.view
         sel = np.nonzero(view.owned_mask)[0]
         out.update(zip(view.gids[sel].tolist(),
-                       ctx.array[sel].tolist()))
+                       values(ctx)[sel].tolist()))
     return out
 
 

@@ -35,6 +35,7 @@ class ScheduledExecutor:
         self.buffers: List[List[Message]] = [[] for _ in range(m)]
         self.rounds = [0] * m
         self.total_messages = 0
+        self.total_bytes = 0
         self._started = False
 
     # ------------------------------------------------------------------
@@ -68,6 +69,7 @@ class ScheduledExecutor:
         for msg in messages:
             self.buffers[msg.dst].append(msg)
             self.total_messages += 1
+            self.total_bytes += msg.size_bytes
 
     def superstep(self) -> bool:
         """One strict BSP superstep: every worker consumes exactly the

@@ -185,8 +185,10 @@ class Fragment:
         """Memoize partition-derived data on this fragment.
 
         Engines cache ship sets and dense routing masks here (keyed by
-        program class): they are pure functions of the partition, so
-        rebuilding them on every engine construction over the same
+        program class), kernels the per-fragment arrays they would
+        otherwise rebuild on every call (out-degrees, per-edge sources):
+        all pure functions of the partition, so rebuilding them on every
+        engine construction — or every round — over the same
         ``PartitionedGraph`` is wasted work.  Cached objects must be
         treated as immutable by callers.
         """
@@ -204,10 +206,11 @@ class Fragment:
 
         :func:`repro.partition.grow.grow_edge_cut` mutates the local graph
         and the border/routing sets; the cached CSR view, ship sets, dense
-        routes and peer sets are all pure functions of that structure and
-        must be rebuilt on next use.  Engines kept over the partition
-        additionally call :meth:`~repro.core.engine.Engine.refresh_routes`
-        to refresh the per-instance copies they hold.
+        routes, peer sets and kernel arrays are all pure functions of that
+        structure and must be rebuilt on next use.  Engines kept over the
+        partition additionally call
+        :meth:`~repro.core.engine.Engine.refresh_routes` to refresh the
+        per-instance copies they hold.
         """
         self._compact = None
         self._memo = None

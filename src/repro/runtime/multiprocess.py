@@ -26,6 +26,16 @@ All five parallel models are supported:
 - ``"AP"``  — fully asynchronous; a worker runs whenever its inbox is
   non-empty.
 - ``"BSP"`` — master-coordinated supersteps (a real distributed barrier).
+  A superstep consumes exactly the previous superstep's messages, so the
+  schedule — rounds per worker, entries shipped — is a function of the
+  input, the same on every run and equal to
+  :meth:`~repro.core.fixpoint.ScheduledExecutor.run_supersteps`.  Three
+  rules make it so: PEval is the 0th superstep (a worker reports it like
+  any other, and superstep 1 opens only when all have); messages carry
+  the superstep that produced them as their round stamp and a receiver
+  sets aside, for the next superstep, any that a faster peer produced in
+  the current one; and a worker's barrier report waits until every frame
+  it wrote to a pickled lane has crossed the pipe.
 - ``"SSP"`` — bounded staleness: a worker holds its drained batch while
   ``r_i > r_min + c``, where ``r_min`` comes from the master's fleet
   broadcasts (computed over *active* workers, so a finished worker never
@@ -94,7 +104,7 @@ import os
 import select
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -272,12 +282,12 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
             lane.put(msg)
             lane.flush(block=False)
 
-    def block(data: bool = True) -> None:
-        """Sleep until a command — or, with ``data``, a message — may be
-        there: the command lane, the inbound lanes and the doorbell are
-        all readable pipes, so nothing is missed between the poll that
-        came back empty and this wait.  The timeout is the next timer
-        (heartbeat, delayed-message release) or the safety net."""
+    def block(bell: bool = True) -> None:
+        """Sleep until a command or a message may be there: the command
+        lane, the inbound lanes and (with ``bell``) the ring doorbell
+        are all readable pipes, so nothing is missed between the poll
+        that came back empty and this wait.  The timeout is the next
+        timer (heartbeat, delayed-message release) or the safety net."""
         nonlocal empty_wakeups, unanswered
         if unanswered:
             empty_wakeups += 1
@@ -288,11 +298,11 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
         if delayed:
             timeout = min(timeout, max(
                 min(due for due, _, _ in delayed) - time.monotonic(), 0.0))
-        rlist = [command, *in_lanes] if data else [command]
+        rlist = [command, *in_lanes]
         # unsent tails of peer-bound frames go out as the pipes drain
         stuck = {lane.wfd: lane for lane in out_lanes if lane.backlog}
         began = time.monotonic()
-        if pool is not None and data:
+        if pool is not None and bell:
             ready, writable = pool.wait(timeout, rlist, list(stuck))
         else:
             ready, writable, _ = select.select(rlist, list(stuck), [],
@@ -324,6 +334,15 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
     # one event per round per worker
     report_rounds = mode in ("AAP", "SSP", "Hsync")
     rounds = 0
+    #: BSP: the superstep this worker is in (PEval is the 0th).  Outgoing
+    #: messages carry it as their round stamp, so a receiver can tell a
+    #: peer's output of the *current* superstep from the previous one's.
+    step = 0
+
+    def stamp() -> int:
+        """The round number outgoing messages carry."""
+        return step if mode == "BSP" else rounds
+
     policy = AAPPolicy() if mode == "AAP" else None
     #: SSP staleness bound c / Hsync switch cost (ignored by other modes)
     ssp_bound = policy_conf.get("staleness_bound", 1)
@@ -388,6 +407,14 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
             # a real hard death: no error report, no done report — the
             # master's failure detector must notice on its own
             os._exit(17)
+
+    def straggle(duration: float) -> None:
+        """Straggler fault: stretch a round (PEval included) before its
+        results ship."""
+        if injector is not None:
+            extra = injector.round_slowdown(wid, duration)
+            if extra > 0:
+                time.sleep(min(extra, 0.05))
 
     def flush_delayed() -> None:
         if not delayed:
@@ -541,7 +568,9 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
         apply_snapshot_values(context, ft.seed_values,
                               ft.seed_scratch)
         rounds = 1
-        carry.extend(ft.seed_messages)
+        # (restamped as 0th-superstep traffic: the checkpointed run's
+        # superstep numbers mean nothing to this one)
+        carry.extend(replace(m, round=0) for m in ft.seed_messages)
         if report_rounds:
             control.put(("round", wid, rounds, last_round_dur, rate, 0))
     else:
@@ -550,6 +579,7 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
         if emit is not None:
             emit(obs_events.ROUND_START, 0, kind="peval", batches=0)
         out = engine.run_peval(wid)
+        straggle(time.monotonic() - started0)
         rounds += 1
         stats["work"] += out.work
         clock["busy"] += time.monotonic() - started0
@@ -560,6 +590,11 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
         ship(out.messages, 0)
         if report_rounds:
             control.put(("round", wid, rounds, last_round_dur, rate, 0))
+    #: BSP: the barrier report this worker still owes the master.  PEval
+    #: (or the restored snapshot) is its 0th superstep: superstep 1 opens
+    #: once every worker has reported, so it finds the whole fleet's
+    #: round-0 traffic on the wire.
+    owed = ("step-done", wid, 1) if mode == "BSP" else None
 
     def run_round(batch) -> None:
         nonlocal rounds, last_round_dur
@@ -567,14 +602,10 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
         if emit is not None:
             emit(obs_events.ROUND_START, rounds, kind="inceval",
                  batches=len(batch))
-        result = engine.run_inceval(wid, batch, round_no=rounds)
+        result = engine.run_inceval(wid, batch, round_no=stamp())
         rounds += 1
         last_round_dur = max(time.monotonic() - started, 1e-6)
-        if injector is not None:
-            # straggler fault: stretch the round before results ship
-            extra = injector.round_slowdown(wid, last_round_dur)
-            if extra > 0:
-                time.sleep(min(extra, 0.05))
+        straggle(last_round_dur)
         clock["busy"] += time.monotonic() - started
         stats["work"] += result.work
         if emit is not None:
@@ -635,12 +666,16 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
                 control.put(("ack" if empty else "wait", wid))
                 continue
             if kind == "superstep":
-                batch = carry + drain_in()
-                carry.clear()
+                step = cmd[1]
+                arrived = carry + drain_in()
+                # a faster peer may already have shipped this
+                # superstep's output; it belongs to the next one
+                batch = [msg for msg in arrived if msg.round < step]
+                carry[:] = [msg for msg in arrived if msg.round >= step]
                 observe_arrivals(batch)
                 if batch:
                     run_round(batch)
-                control.put(("step-done", wid, len(batch)))
+                owed = ("step-done", wid, len(batch))
                 continue
             if kind == "quarantine":
                 # a peer died: take one final drain of everything already
@@ -694,12 +729,22 @@ def _worker_loop(control: Lane, wid: int, mode: str, program: PIEProgram,
                 parked.pop(qw, None)
                 if pool is not None:
                     pool.rejoin_peer(qw)
-                ship(engine.derive_reship(wid, qw, rounds), rounds)
+                ship(engine.derive_reship(wid, qw, stamp()), rounds)
                 continue
         if stopped is not None:
             break
         if mode == "BSP":
-            block(data=False)  # rounds only ever start on a command
+            # rounds only ever start on a command, but pickled frames
+            # are read as they come (the next superstep sorts them by
+            # stamp) and the barrier report waits until this worker's
+            # own have crossed: a frame larger than the pipe needs its
+            # reader, and must not straddle a barrier
+            carry.extend(drain_in())
+            if owed is not None and not any(
+                    lane.backlog for lane in out_lanes):
+                control.put(owed)
+                owed = None
+            block(bell=False)
             continue
 
         fresh = drain_in()
@@ -1022,10 +1067,11 @@ class MultiprocessRuntime:
         ack_count = 0
         got_wait = False
         #: BSP barrier membership: which workers answered the current
-        #: superstep (a set, not a counter, so a takeover can enrol the
-        #: replacement without double-counting the dead incarnation)
-        steppers = set(range(m))  # PEval counts as the 0th superstep
-        step_activity = True
+        #: superstep (a set, not a counter, so a takeover cannot count a
+        #: slot twice).  PEval is the 0th superstep: it starts empty and
+        #: fills as the workers report theirs.
+        steppers: set = set()
+        step_activity = False
         step_no = 0
         budget = [self.respawn_budget] * m
         plan_now = self.fault_plan
@@ -1285,7 +1331,9 @@ class MultiprocessRuntime:
             rounds[w] = 1
             durations[w] = 1e-3
             rates[w] = 0.0
-            steppers.add(w)  # BSP: it joins at the next barrier
+            # BSP: the open barrier waits for the replacement's own
+            # 0th-superstep report, whatever the dead incarnation answered
+            steppers.discard(w)
             acks_pending = 0
             ack_count = 0
             got_wait = False
@@ -1373,7 +1421,7 @@ class MultiprocessRuntime:
             step_activity = False
             step_no += 1
             self._emit_master(obs_events.BARRIER, step=step_no)
-            broadcast(("superstep",))
+            broadcast(("superstep", step_no))
 
         def active_rounds() -> List[int]:
             # bounds over *active* workers: a finished worker must not pin

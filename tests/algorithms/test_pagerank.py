@@ -82,3 +82,50 @@ class TestSemantics:
         # regular graph: each score is exactly 1
         for v in g.nodes:
             assert r.answer[v] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestMemoizedKernelArrays:
+    def test_rebuilt_after_in_place_growth(self):
+        """The kernel's per-fragment arrays (degrees, divisor, per-edge
+        sources) are memoized on the fragment; growing it in place must
+        drop them, or the next run would index the new CSR with the old
+        degrees."""
+        import numpy as np
+
+        from repro.algorithms.pagerank import _spmv_arrays
+        from repro.graph.stable import stable_owner
+        from repro.partition.builder import build_edge_cut
+        from repro.partition.grow import grow_edge_cut
+
+        g = generators.powerlaw(80, m=2, seed=3)
+        owner = {v: stable_owner(v, 2) for v in g.nodes}
+        pg = build_edge_cut(g, owner, 2, "test")
+        query = PageRankQuery(epsilon=1e-6)
+        api.run(PageRankProgram(), pg, query, vectorized=True)
+        before = [_spmv_arrays(frag) for frag in pg]
+        # memoized: a second run is handed the very same arrays
+        api.run(PageRankProgram(), pg, query, vectorized=True)
+        for frag, old in zip(pg, before):
+            assert _spmv_arrays(frag)[0] is old[0]
+
+        # a new node 80 hanging off 0, and a new edge between old nodes
+        u, v = next((u, v) for u in g.nodes for v in g.nodes
+                    if u < v and not g.has_edge(u, v))
+        insertions = [(0, 80, 1.0), (u, v, 1.0)]
+        report = grow_edge_cut(pg, insertions)
+        for a, b, w in insertions:
+            g.add_edge(a, b, w)
+        grown = api.run(PageRankProgram(), pg, query, vectorized=True)
+        for fid in report.touched:
+            frag = pg.fragments[fid]
+            degrees, divisor, edge_src = _spmv_arrays(frag)
+            assert degrees is not before[fid][0]
+            csr = frag.compact().csr
+            assert np.array_equal(degrees, np.diff(csr.out_indptr))
+            assert np.array_equal(divisor, np.maximum(degrees, 1))
+            assert edge_src is csr.out_sources
+        # and the grown partition answers like one built from scratch
+        rebuilt = build_edge_cut(g, dict(pg.owner), 2, "test")
+        fresh = api.run(PageRankProgram(), rebuilt, query, vectorized=True)
+        assert grown.answer == fresh.answer
+        assert_close(grown.answer, g, tol=1e-4)

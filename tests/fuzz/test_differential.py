@@ -8,7 +8,7 @@ tolerance) to the sequential fixpoint.
 
 from repro.bench.kernels import ALGORITHMS, RUNTIMES
 from repro.core.modes import MODES
-from repro.fuzz import format_report, run_differential
+from repro.fuzz import differential, format_report, run_differential
 from repro.fuzz.differential import PATHS
 from repro.graph import generators
 
@@ -26,6 +26,17 @@ class TestFullGrid:
         assert {c.mode for c in report.cells} == set(MODES)
         assert {c.runtime for c in report.cells} == set(RUNTIMES)
         assert {c.vectorized for c in report.cells} == {False, True}
+        # BSP's schedule is pinned as well as its answer: the
+        # multiprocess cell repeated the strict superstep schedule on
+        # every run, and with two fragments (one sender per worker) the
+        # simulator's delay-stretch BSP has that same schedule
+        cells = {(c.algorithm, c.runtime, c.vectorized): c
+                 for c in report.cells if c.mode == "BSP"}
+        for algorithm in ALGORITHMS:
+            for path in PATHS:
+                live = cells[algorithm, "multiprocess", path].schedule
+                assert live is not None
+                assert live == cells[algorithm, "simulated", path].schedule
 
 
 class TestReportShape:
@@ -39,3 +50,24 @@ class TestReportShape:
         text = format_report(report)
         assert "1/1 cells match" in text
         assert report.to_dict()["ok"] is True
+
+
+class TestBspScheduleOracle:
+    def test_wrong_schedule_fails_the_cell(self, monkeypatch):
+        graph = generators.grid2d(4, 4, weighted=True, seed=1)
+        real = differential.bsp_schedule
+
+        def off_by_one(*args):
+            rounds, messages, size = real(*args)
+            return rounds, messages + 1, size
+
+        monkeypatch.setattr(differential, "bsp_schedule", off_by_one)
+        report = run_differential(
+            graph, fragments=2, algorithms=("cc",), modes=("BSP",),
+            runtimes=("simulated", "multiprocess"), paths=(True,))
+        simulated, live = report.cells
+        assert simulated.match  # only the live runtime is pinned
+        assert not live.match
+        assert "strict superstep schedule" in live.error
+        assert "MISMATCH cc/BSP/multiprocess/vectorized" in \
+            format_report(report)

@@ -8,15 +8,25 @@ the identical float operations); PageRank within the shipping tolerance
 """
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.graph.csr as csr_mod
 from repro import api
 from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
+from repro.algorithms.pagerank import DENSE_EDGE_SHARE
+from repro.core.aggregators import Sum
+from repro.core.dense import DenseContext
 from repro.graph import generators
+from repro.graph.csr import CompactGraph
 from repro.graph.graph import Graph
 from repro.partition.edge_cut import HashPartitioner
+from repro.partition.fragment import Fragment
 from repro.partition.vertex_cut import HashEdgePartitioner
 
 MODES = ("AAP", "BSP", "AP", "SSP")
@@ -125,3 +135,166 @@ class TestLiveRuntimes:
                                      mode="AAP", vectorized=vectorized)
             answers.append(rt.run().answer)
         assert answers[0] == answers[1]
+
+
+# ----------------------------------------------------------------------
+# The PageRank wave kernel against a straight-line reference
+# ----------------------------------------------------------------------
+def raw_csr(n, edges, directed):
+    """A ``CompactGraph`` from raw arrays: unlike ``from_edges`` (and
+    ``Graph``) this keeps self-loops as well as parallel edges — the
+    kernel must not care."""
+    if not directed:
+        edges = edges + [(v, u) for u, v in edges]
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    wgt = np.ones(len(edges))
+    fwd = CompactGraph._build_csr(n, src, dst, wgt)
+    rev = CompactGraph._build_csr(n, dst, src, wgt)
+    return CompactGraph(n, *fwd, *rev, directed, len(edges))
+
+
+class CountingContext(DenseContext):
+    """Counts the kernel's waves: it books work once per wave."""
+
+    waves = 0
+
+    def add_work(self, amount):
+        self.waves += 1
+        super().add_work(amount)
+
+
+def kernel_state(n, edges, directed, owned, pend, eps_node):
+    """A one-fragment context over ``edges`` with ``pend`` pending."""
+    g = Graph(directed=directed)
+    for v in range(n):
+        g.add_node(v)
+    mirrors = [v for v in range(n) if not owned[v]]
+    frag = Fragment(0, g, [v for v in range(n) if owned[v]], mirrors,
+                    (), (), (), (), {})
+    frag.compact().csr = raw_csr(n, edges, directed)
+    ctx = CountingContext(frag, Sum())
+    ctx.array[:] = pend
+    ctx.scratch.update(score_arr=np.zeros(n), eps_node=eps_node)
+    return frag, ctx
+
+
+def reference_propagate(csr, owned, pend, eps_node, damping, seeds):
+    """Always-sparse, one Python step per node and per edge.  Sums each
+    target's gain in CSR edge order, as ``bincount`` does, so it equals
+    the kernel bit for bit and no threshold can fall between the two."""
+    indptr, indices = csr.out_indptr, csr.out_indices
+    pend = pend.copy()
+    score = np.zeros(pend.size)
+    mask = np.zeros(pend.size, dtype=bool)
+    work = 0
+    wave_edges = []
+    frontier = sorted({int(v) for v in seeds if owned[v]})
+    while True:
+        active = [v for v in frontier if abs(pend[v]) > eps_node]
+        if not active:
+            break
+        gain = np.zeros(pend.size)
+        touched = set()
+        edges = 0
+        for v in active:
+            delta = pend[v]
+            pend[v] = 0.0
+            score[v] += delta
+            out = indices[indptr[v]:indptr[v + 1]]
+            for u in out:
+                gain[u] += damping * delta / out.size
+                touched.add(int(u))
+            edges += out.size
+        work += len(active) + edges
+        wave_edges.append(edges)
+        if not edges:
+            break
+        pend += gain
+        mask[sorted(touched)] = True
+        frontier = sorted(v for v in touched if owned[v])
+    return pend, score, mask, work, wave_edges
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    # lists, not sets: parallel edges and self-loops included
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    owned = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pending = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    pend = draw(st.lists(pending, min_size=n, max_size=n))
+    seeds = draw(st.one_of(
+        st.just([]),                                        # nothing
+        st.just([v for v in range(n) if not owned[v]]),    # mirrors only
+        st.just(list(range(n))),                            # PEval
+        st.lists(node, max_size=2 * n)))                   # duplicates
+    return (n, edges, draw(st.booleans()), owned, pend, seeds,
+            # (not 0.0: mass decays by `damping` a wave and would take
+            # thousands of waves to underflow)
+            draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3])),
+            draw(st.floats(0.05, 0.95)))
+
+
+class TestPageRankKernel:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kernel_cases())
+    def test_equals_reference(self, case):
+        n, edges, directed, owned, pend, seeds, eps_node, damping = case
+        frag, ctx = kernel_state(n, edges, directed, owned, pend, eps_node)
+        csr = ctx.view.csr
+        sparse_waves = []
+        real_expand = csr_mod.expand_ranges
+
+        def counting_expand(starts, counts):
+            sparse_waves.append(int(counts.sum()))
+            return real_expand(starts, counts)
+
+        with mock.patch.object(csr_mod, "expand_ranges", counting_expand):
+            PageRankProgram()._dense_propagate(
+                frag, ctx, PageRankQuery(damping=damping),
+                np.array(seeds, dtype=np.int64))
+        want_pend, want_score, want_mask, want_work, wave_edges = \
+            reference_propagate(csr, np.array(owned), np.array(pend),
+                                eps_node, damping, seeds)
+        assert np.array_equal(ctx.array, want_pend)
+        assert np.array_equal(ctx.scratch["score_arr"], want_score)
+        assert np.array_equal(ctx.mask, want_mask)
+        assert ctx.take_work() == want_work
+        assert ctx.waves == len(wave_edges)
+        # the branch is a function of the frontier's edge count alone
+        switch = DENSE_EDGE_SHARE * csr.out_indices.size
+        assert sparse_waves == [e for e in wave_edges if 0 < e <= switch]
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_switch_point(self, over):
+        """A frontier holding exactly the switch share of the edges
+        expands its own ranges; one edge more takes the full sweep.
+        Either way the answer is the reference's."""
+        total = 20
+        at = int(DENSE_EDGE_SHARE * total)
+        n = total + 3
+        # node 0 has `at` out-edges, node 1 has `at + 1`, node 2 the rest
+        edges = [(0, 3 + i) for i in range(at)]
+        edges += [(1, 3 + i) for i in range(at + 1)]
+        edges += [(2, 3 + i) for i in range(total - len(edges))]
+        pend = [0.0] * n
+        pend[1 if over else 0] = 1.0
+        frag, ctx = kernel_state(n, edges, True, [True] * n, pend, 1e-9)
+        calls = []
+        real_expand = csr_mod.expand_ranges
+        with mock.patch.object(
+                csr_mod, "expand_ranges",
+                lambda s, c: calls.append(1) or real_expand(s, c)):
+            PageRankProgram()._dense_propagate(
+                frag, ctx, PageRankQuery(), np.arange(n))
+        # wave 1 is the seeded node, wave 2 its dangling targets
+        assert ctx.waves == 2
+        assert len(calls) == (0 if over else 1)
+        want = reference_propagate(ctx.view.csr, np.ones(n, dtype=bool),
+                                   np.array(pend), 1e-9, 0.85, range(n))
+        assert np.array_equal(ctx.array, want[0])
+        assert np.array_equal(ctx.scratch["score_arr"], want[1])
+        assert np.array_equal(ctx.mask, want[2])
