@@ -162,8 +162,7 @@ class PageRankProgram(PIEProgram):
         import numpy as np
         view = ctx.view
         ctx.scratch["score_arr"] = np.zeros(len(view), dtype=np.float64)
-        denom = query.num_nodes if query.num_nodes \
-            else frag.graph.num_nodes
+        denom = query.num_nodes if query.num_nodes else len(view)
         ctx.scratch["eps_node"] = query.epsilon / max(denom, 1)
         self._dense_propagate(frag, ctx, query,
                               np.nonzero(view.owned_mask)[0])

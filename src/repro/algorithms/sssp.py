@@ -173,7 +173,7 @@ class SSSPProgram(PIEProgram):
             if u in ctx.values and ctx.get(u) < INF:
                 seeds.add(u)
             # undirected edges relax both ways
-            if not frag.graph.directed and v in ctx.values \
+            if not frag.directed and v in ctx.values \
                     and ctx.get(v) < INF:
                 seeds.add(v)
         return seeds

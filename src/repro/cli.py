@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any, Optional, Tuple
 
 from repro import api
@@ -32,7 +33,7 @@ from repro.algorithms import (CCProgram, CCQuery, CFProgram, CFQuery,
                               SSSPQuery)
 from repro.core.convergence import verify_conditions
 from repro.core.modes import MODES
-from repro.errors import ReproError
+from repro.errors import PartitionError, ReproError
 from repro.graph import analysis, generators, io
 from repro.graph.graph import Graph
 from repro.partition.edge_cut import (BfsPartitioner, GreedyLdgPartitioner,
@@ -260,15 +261,28 @@ def cmd_verify(args) -> int:
 
 def cmd_info(args) -> int:
     graph = parse_graph(args.graph, seed=args.seed)
+    t0 = time.perf_counter()
     pg = api.partition_graph(graph, args.fragments,
                              PARTITIONERS[args.partitioner]())
+    t1 = time.perf_counter()
+    try:
+        for frag in pg:
+            frag.compact()
+        compact_s = round(time.perf_counter() - t1, 4)
+    except PartitionError:  # ids the dense view does not take
+        compact_s = None
+    partition = {k: round(v, 4) for k, v in summary(pg).items()}
+    partition.update(
+        build_s=round(t1 - t0, 4), compact_s=compact_s,
+        materialised=f"{sum(f.materialised for f in pg)}"
+                     f"/{pg.num_fragments} fragments")
     print(json.dumps({
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
         "directed": graph.directed,
         "degree_skew": round(analysis.degree_skew(graph), 3),
         "diameter_estimate": analysis.diameter_estimate(graph),
-        "partition": {k: round(v, 4) for k, v in summary(pg).items()},
+        "partition": partition,
     }, indent=2))
     return 0
 

@@ -93,8 +93,7 @@ def measure_incrementality(program: PIEProgram, pg: PartitionedGraph,
     ex.drain()
     frag = pg.fragments[wid]
     ctx = engine.contexts[wid]
-    report = BoundednessReport(
-        fragment_size=frag.graph.num_nodes + frag.graph.num_edges)
+    report = BoundednessReport(fragment_size=frag.size)
     round_no = ex.rounds[wid]
     for node, value in perturbations:
         if node not in ctx.values:

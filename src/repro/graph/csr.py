@@ -15,7 +15,8 @@ CompactGraph is immutable; build one with :meth:`from_edges` or
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from repro.errors import GraphError
 from repro.graph.graph import Graph
 
 Edge = Tuple[int, int, float]
+_EDGE_RECORD = np.dtype([("u", object), ("v", object), ("w", object)])
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -85,27 +87,39 @@ class CompactGraph:
         which collapses them) — deduplicate upstream if needed.
         """
         edge_list = list(edges)
-        for u, v, _ in edge_list:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise GraphError(
-                    f"edge ({u}, {v}) out of range 0..{num_nodes - 1}")
-            if u == v:
+        count = len(edge_list)
+        return cls.from_arrays(
+            num_nodes,
+            np.fromiter((e[0] for e in edge_list), np.int64, count),
+            np.fromiter((e[1] for e in edge_list), np.int64, count),
+            np.fromiter((e[2] for e in edge_list), np.float64, count),
+            directed)
+
+    @classmethod
+    def from_arrays(cls, num_nodes: int, src: np.ndarray, dst: np.ndarray,
+                    wgt: np.ndarray, directed: bool = True
+                    ) -> "CompactGraph":
+        """:meth:`from_edges` over edge arrays (``int64`` endpoints,
+        ``float64`` weights): same checks, same CSR, no Python pass."""
+        bad = ((src < 0) | (src >= num_nodes) | (dst < 0)
+               | (dst >= num_nodes) | (src == dst))
+        if bad.any():
+            at = bad.argmax()
+            u, v = int(src[at]), int(dst[at])
+            if u == v and 0 <= u < num_nodes:
                 raise GraphError(f"self-loops are not supported: {u}")
-        if directed:
-            fwd = edge_list
-        else:
-            fwd = edge_list + [(v, u, w) for u, v, w in edge_list]
-        src = np.fromiter((e[0] for e in fwd), dtype=np.int64,
-                          count=len(fwd))
-        dst = np.fromiter((e[1] for e in fwd), dtype=np.int64,
-                          count=len(fwd))
-        wgt = np.fromiter((e[2] for e in fwd), dtype=np.float64,
-                          count=len(fwd))
+            raise GraphError(
+                f"edge ({u}, {v}) out of range 0..{num_nodes - 1}")
+        num_edges = len(src)
+        if not directed:
+            src, dst = (np.concatenate((src, dst)),
+                        np.concatenate((dst, src)))
+            wgt = np.concatenate((wgt, wgt))
         indptr, indices, weights = cls._build_csr(num_nodes, src, dst, wgt)
         rindptr, rindices, rweights = cls._build_csr(num_nodes, dst, src,
                                                      wgt)
         return cls(num_nodes, indptr, indices, weights, rindptr, rindices,
-                   rweights, directed, num_edges=len(edge_list))
+                   rweights, directed, num_edges=num_edges)
 
     @staticmethod
     def _build_csr(n: int, src: np.ndarray, dst: np.ndarray,
@@ -122,22 +136,16 @@ class CompactGraph:
     @classmethod
     def from_graph(cls, g: Graph) -> "CompactGraph":
         """Convert a :class:`Graph` whose node ids are ``0..n-1`` ints."""
-        nodes = sorted(g.nodes)
-        if nodes != list(range(len(nodes))):
+        ids, csr = GraphArrays.of(g).to_csr()
+        if ids.tolist() != list(range(len(ids))):
             raise GraphError(
                 "CompactGraph requires contiguous integer node ids "
                 "0..n-1; relabel first")
-        return cls.from_edges(len(nodes), list(g.edges()),
-                              directed=g.directed)
+        return csr
 
     def to_graph(self) -> Graph:
         """Materialise back into a mutable dict-based :class:`Graph`."""
-        g = Graph(directed=self.directed)
-        for v in range(self._n):
-            g.add_node(v)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, w)
-        return g
+        return GraphArrays.of(self).to_graph()
 
     # ------------------------------------------------------------------
     # Graph read API
@@ -273,12 +281,15 @@ class CompactGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Each stored edge once (canonical ``u <= v`` for undirected)."""
-        for u in range(self._n):
-            lo, hi = self._indptr[u], self._indptr[u + 1]
-            for idx in range(lo, hi):
-                v = int(self._indices[idx])
-                if self.directed or u <= v:
-                    yield u, v, float(self._weights[idx])
+        return zip(*(a.tolist() for a in self.edge_arrays()))
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`edges` as ``(src, dst, weights)`` arrays, in its order."""
+        src, dst, wgt = self.out_sources, self._indices, self._weights
+        if self.directed:
+            return src, dst, wgt
+        once = src <= dst
+        return src[once], dst[once], wgt[once]
 
     # ------------------------------------------------------------------
     def __contains__(self, v) -> bool:
@@ -291,3 +302,101 @@ class CompactGraph:
         kind = "directed" if self.directed else "undirected"
         return (f"CompactGraph({kind}, nodes={self._n}, "
                 f"edges={self._num_edges})")
+
+
+class GraphArrays(NamedTuple):
+    """A graph as plain arrays: the hand-over format between backends.
+
+    The array-native partition build cuts fragments out of one of these
+    and hands each fragment another; :meth:`to_graph` is how a fragment's
+    dict graph comes back when a generic-path program asks for it.
+    """
+
+    #: node objects, in ``g.nodes`` order (object array)
+    nodes: np.ndarray
+    #: per edge, in ``g.edges()`` order: positions in ``nodes``
+    src: np.ndarray
+    dst: np.ndarray
+    #: the weight objects (``float64`` when a CompactGraph handed over)
+    weights: np.ndarray
+    directed: bool
+    labels: Mapping[Any, Any]
+    #: whether undirected edges are oriented the way a dict :class:`Graph`
+    #: keys them (``repr(u) <= repr(v)``), which its ``edges()`` yield
+    is_keyed: bool
+
+    @classmethod
+    def of(cls, g) -> "GraphArrays":
+        """``g`` (any backend) as arrays, node labels not included.
+
+        A :class:`CompactGraph` hands its arrays over as they are; a dict
+        graph costs one streamed pass over its edges (they go into a
+        record array as they are read, so the garbage collector never
+        sees ``|E|`` live tuples).
+        """
+        if isinstance(g, GraphArrays):
+            return g
+        node_list = list(g.nodes)
+        nodes = np.fromiter(node_list, dtype=object, count=len(node_list))
+        if isinstance(g, CompactGraph):  # unchecked if made from raw arrays
+            src, dst, wgt = g.edge_arrays()
+            loops = src == dst
+            if loops.any():
+                raise GraphError("self-loops are not supported: "
+                                 f"{int(src[loops.argmax()])}")
+            return cls(nodes, src, dst, wgt, g.directed, {}, g.directed)
+        edges = np.fromiter(g.edges(), dtype=_EDGE_RECORD,
+                            count=g.num_edges)
+        index = {v: i for i, v in enumerate(node_list)}
+        return cls(
+            nodes,
+            np.fromiter(map(index.__getitem__, edges["u"]), np.int64,
+                        len(edges)),
+            np.fromiter(map(index.__getitem__, edges["v"]), np.int64,
+                        len(edges)),
+            np.ascontiguousarray(edges["w"]), g.directed, {}, True)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.src)
+
+    def keyed(self) -> "GraphArrays":
+        """Edges in the orientation a dict :class:`Graph` stores them in:
+        what :meth:`to_graph`, and a CSR that is to equal the dict
+        graph's, must be made from."""
+        if self.is_keyed:
+            return self
+        flip = np.fromiter(
+            (repr(u) > repr(v) for u, v in zip(
+                self.nodes[self.src].tolist(), self.nodes[self.dst].tolist())),
+            bool, len(self.src))
+        return self._replace(src=np.where(flip, self.dst, self.src),
+                             dst=np.where(flip, self.src, self.dst),
+                             is_keyed=True)
+
+    def to_csr(self) -> Tuple[np.ndarray, CompactGraph]:
+        """The node ids in ascending order and the CSR graph over their
+        ranks; the ids must be non-negative integers."""
+        for v in self.nodes:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
+                    or v < 0:
+                raise GraphError(
+                    f"requires non-negative integer node ids, got {v!r}")
+        ids = self.nodes.astype(np.int64)
+        order = np.argsort(ids)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return ids[order], CompactGraph.from_arrays(
+            order.size, rank[self.src], rank[self.dst],
+            np.asarray(self.weights, dtype=np.float64), self.directed)
+
+    def to_graph(self) -> Graph:
+        """The dict graph: same node, adjacency and ``edges()`` order as
+        adding the nodes, then the edges, one by one."""
+        g, keyed = Graph(directed=self.directed), self.keyed()
+        g.add_novel_edges(
+            self.nodes.tolist(), self.nodes[keyed.src].tolist(),
+            self.nodes[keyed.dst].tolist(), self.weights.tolist())
+        for v, label in self.labels.items():
+            g.set_node_label(v, label)
+        return g

@@ -13,7 +13,7 @@ Node identifiers are arbitrary hashables, though the generators in
 from __future__ import annotations
 
 from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Tuple)
+                    Sequence, Tuple)
 
 from repro.errors import GraphError
 
@@ -81,6 +81,42 @@ class Graph:
         self._edge_weights[key] = weight
         if label is not None:
             self._edge_labels[key] = label
+
+    def add_novel_edges(self, nodes: Iterable[Node], us: Sequence[Node],
+                        vs: Sequence[Node], ws: Sequence[float]) -> None:
+        """Bulk insert: ``nodes`` (idempotent, in order), then the edges
+        ``zip(us, vs, ws)`` in order — what the same calls to
+        :meth:`add_node` and :meth:`add_edge` would leave, without the
+        per-edge checks.
+
+        The caller guarantees what :meth:`add_edge` checks edge by edge:
+        every endpoint is in ``nodes`` or already present, no self-loops,
+        no edge already present or repeated, and undirected edges
+        oriented the way :meth:`edges` of a :class:`Graph` yields them
+        (``repr(u) <= repr(v)``).  A repeated edge is detected afterwards
+        and raises :class:`~repro.errors.GraphError`; the graph must be
+        discarded then.
+        """
+        adj, radj = self._adj, self._radj
+        for v in nodes:
+            if v not in adj:
+                adj[v] = []
+                radj[v] = []
+        if self.directed:
+            for u, v, w in zip(us, vs, ws):
+                adj[u].append((v, w))
+                radj[v].append((u, w))
+        else:
+            for u, v, w in zip(us, vs, ws):
+                out, back = (v, w), (u, w)
+                adj[u].append(out)
+                radj[v].append(back)
+                adj[v].append(back)
+                radj[u].append(out)
+        self._edge_weights.update(zip(zip(us, vs), ws))
+        self._num_edges += len(us)
+        if len(self._edge_weights) != self._num_edges:
+            raise GraphError("bulk insert requires novel edges")
 
     def _rewrite_weight(self, u: Node, v: Node, weight: float) -> None:
         """Update the stored adjacency weight of an existing edge."""
@@ -210,10 +246,12 @@ class Graph:
 
     def copy(self) -> "Graph":
         dup = Graph(directed=self.directed)
-        for v in self.nodes:
-            dup.add_node(v, self._node_labels.get(v))
-        for u, v, w in self.edges():
-            dup.add_edge(u, v, w, self._edge_labels.get(self._edge_key(u, v)))
+        dup._adj = {v: list(out) for v, out in self._adj.items()}
+        dup._radj = {v: list(inc) for v, inc in self._radj.items()}
+        dup._node_labels = dict(self._node_labels)
+        dup._edge_weights = dict(self._edge_weights)
+        dup._edge_labels = dict(self._edge_labels)
+        dup._num_edges = self._num_edges
         return dup
 
     # ------------------------------------------------------------------

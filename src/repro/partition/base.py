@@ -11,7 +11,6 @@ from __future__ import annotations
 import abc
 from typing import Dict
 
-from repro.errors import PartitionError
 from repro.graph.graph import Graph, Node
 from repro.partition.fragment import PartitionedGraph
 
@@ -28,9 +27,8 @@ class NodePartitioner(abc.ABC):
     def partition(self, g: Graph, num_fragments: int) -> PartitionedGraph:
         """Assign nodes and build fragments (edge-cut)."""
         from repro.partition.builder import build_edge_cut
-        assignment = self.assign(g, num_fragments)
-        _check_node_assignment(g, assignment, num_fragments)
-        return build_edge_cut(g, assignment, num_fragments, self.name)
+        return build_edge_cut(g, self.assign(g, num_fragments),
+                              num_fragments, self.name)
 
 
 class EdgePartitioner(abc.ABC):
@@ -45,18 +43,6 @@ class EdgePartitioner(abc.ABC):
     def partition(self, g: Graph, num_fragments: int) -> PartitionedGraph:
         """Assign edges and build fragments (vertex-cut)."""
         from repro.partition.builder import build_vertex_cut
-        assignment = self.assign(g, num_fragments)
-        return build_vertex_cut(g, assignment, num_fragments, self.name)
+        return build_vertex_cut(g, self.assign(g, num_fragments),
+                                num_fragments, self.name)
 
-
-def _check_node_assignment(g: Graph, assignment: Dict[Node, int],
-                           num_fragments: int) -> None:
-    if num_fragments < 1:
-        raise PartitionError("num_fragments must be >= 1")
-    for v in g.nodes:
-        fid = assignment.get(v)
-        if fid is None:
-            raise PartitionError(f"node {v!r} was not assigned a fragment")
-        if not 0 <= fid < num_fragments:
-            raise PartitionError(
-                f"node {v!r} assigned out-of-range fragment {fid}")

@@ -1,74 +1,144 @@
-"""Build fragments from node or edge assignments.
+"""Build fragments from node or edge assignments — array-native.
 
 :func:`build_edge_cut` implements the paper's edge-cut semantics: a cut edge
 from ``F_i`` to ``F_j`` has a copy in both fragments, and mirror copies of the
 remote endpoint are materialised locally.  :func:`build_vertex_cut` implements
 vertex-cut: edges are distributed and every endpoint present in more than one
 fragment becomes a border node with copies.
+
+Both take the input as :class:`~repro.graph.csr.GraphArrays` (one streamed
+pass over ``edges()``; none for a ``CompactGraph``), gather the assignment,
+and cut each fragment out by boolean selection, which keeps the global edge
+order.  A fragment gets its slice as arrays; no dict ``Graph`` is built here
+— :attr:`Fragment.graph` does that on first access and reproduces what
+inserting the same nodes and edges one by one gives.  The per-edge builder
+this replaces is the oracle of ``tests/partition/test_builder_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.errors import PartitionError
+from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph, Node
 from repro.partition.fragment import Fragment, PartitionedGraph
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def _insertion_order(n: int, head: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Node positions in the order a dict graph lists them after
+    ``add_node`` of ``head``, ``add_edge`` of ``zip(src, dst)`` and
+    ``add_node`` of ``tail``: endpoints by first appearance in between."""
+    known = np.zeros(n, dtype=bool)
+    known[head] = True
+    ends = np.stack((src, dst), axis=1).ravel()
+    fresh, first = np.unique(ends[~known[ends]], return_index=True)
+    return np.concatenate((head, fresh[np.argsort(first)], tail))
+
+
+def _placement(nodes: np.ndarray, order: np.ndarray, keys: np.ndarray,
+               m: int) -> Tuple[Dict[Node, Tuple[int, ...]],
+                                List[Dict[Node, Tuple[int, ...]]]]:
+    """Placement map (in ``order``) and per-fragment routing index from
+    the sorted ``node * m + fid`` presence keys.  Nodes are handled in
+    groups of equal presence count, so every tuple is cut from one 2-D
+    array without a per-node loop."""
+    node, fid = np.divmod(keys, m)
+    counts = np.bincount(node, minlength=len(nodes))
+    starts = np.cumsum(counts) - counts
+    def tuples(rows):  # no list per row: nothing for the collector
+        return zip(*(column.tolist() for column in rows.T))
+    placement = dict.fromkeys(nodes[order].tolist())
+    routing: List[Dict[Node, Tuple[int, ...]]] = [{} for _ in range(m)]
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        group = np.flatnonzero(counts == c)
+        rows = fid[starts[group][:, None] + np.arange(c)]
+        placement.update(zip(nodes[group].tolist(), tuples(rows)))
+        for f in range(m if c > 1 else 0):
+            hit = rows == f
+            here = hit.any(axis=1)
+            others = rows[here][~hit[here]].reshape(-1, c - 1)
+            routing[f].update(zip(nodes[group[here]].tolist(),
+                                  tuples(others)))
+    return placement, routing
+
+
+def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
+              own: np.ndarray, owner: Mapping[Node, int], order: np.ndarray,
+              labels: Mapping[Node, Any], parts: List[tuple]
+              ) -> PartitionedGraph:
+    """The one way to make fragments, shared by both cuts.  ``own`` is the
+    owner per node position, ``order`` the node positions in placement
+    order; a part is one fragment's local node positions in dict-graph
+    order, the boolean selection of its edges and its border sets as node
+    positions.  A node resides exactly where it is local, which gives
+    placement and routing."""
+    arrays = arrays.keyed()  # fragments hold what a dict graph would
+    nodes, m = arrays.nodes, len(parts)
+    placement, routing = _placement(nodes, order, np.sort(np.concatenate(
+        [local * m + fid for fid, (local, _, _) in enumerate(parts)])), m)
+    slot = np.empty(len(nodes), dtype=np.int64)
+    fragments = []
+    for fid, (local, here, borders) in enumerate(parts):
+        slot[local] = np.arange(local.size)
+        owned = nodes[local[own[local] == fid]].tolist()
+        fragments.append(Fragment(
+            fid, GraphArrays(
+                nodes[local], slot[arrays.src[here]], slot[arrays.dst[here]],
+                arrays.weights[here], arrays.directed,
+                {v: labels[v] for v in owned if v in labels}, True),
+            owned=owned, mirrors=nodes[local[own[local] != fid]].tolist(),
+            routing=routing[fid], cut=cut,
+            **{name: nodes[at].tolist() for name, at in borders.items()}))
+    return PartitionedGraph(fragments, owner, placement, strategy_name,
+                            cut=cut)
 
 
 def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
                    strategy_name: str = "custom") -> PartitionedGraph:
     """Materialise edge-cut fragments from a node->fragment assignment."""
-    local_graphs = [Graph(directed=g.directed) for _ in range(m)]
-    owned: List[Set[Node]] = [set() for _ in range(m)]
-    mirrors: List[Set[Node]] = [set() for _ in range(m)]
-    in_border: List[Set[Node]] = [set() for _ in range(m)]
-    out_border: List[Set[Node]] = [set() for _ in range(m)]
-    out_copies: List[Set[Node]] = [set() for _ in range(m)]
-    in_copies: List[Set[Node]] = [set() for _ in range(m)]
-    presence: Dict[Node, Set[int]] = {}
-
-    for v in g.nodes:
-        fid = owner[v]
-        owned[fid].add(v)
-        local_graphs[fid].add_node(v, g.node_label(v))
-        presence.setdefault(v, set()).add(fid)
-
-    for u, v, w in g.edges():
-        fu, fv = owner[u], owner[v]
-        # the edge has a copy in the fragment of each endpoint
-        local_graphs[fu].add_edge(u, v, w)
-        if fv != fu:
-            local_graphs[fv].add_edge(u, v, w)
-            # border bookkeeping, directed semantics; undirected graphs get
-            # the symmetric closure below
-            out_border[fu].add(u)
-            out_copies[fu].add(v)
-            mirrors[fu].add(v)
-            presence.setdefault(v, set()).add(fu)
-            in_border[fv].add(v)
-            in_copies[fv].add(u)
-            mirrors[fv].add(u)
-            presence.setdefault(u, set()).add(fv)
-            if not g.directed:
-                out_border[fv].add(v)
-                out_copies[fv].add(u)
-                in_border[fu].add(u)
-                in_copies[fu].add(v)
-
-    fragments = []
+    arrays = GraphArrays.of(g)
+    nodes, src, dst = arrays.nodes, arrays.src, arrays.dst
+    try:
+        own = np.fromiter(map(owner.__getitem__, nodes), np.int64,
+                          len(nodes))
+    except KeyError as exc:
+        raise PartitionError(
+            f"node {exc.args[0]!r} was not assigned a fragment") from None
+    bad = (own < 0) | (own >= m)
+    if bad.any():
+        at = bad.argmax()
+        raise PartitionError(f"node {nodes[at]!r} assigned out-of-range "
+                             f"fragment {own[at]}")
+    fu, fv = own[src], own[dst]
+    cut = fu != fv
+    parts = []
     for fid in range(m):
-        routing = {v: tuple(sorted(presence[v] - {fid}))
-                   for v in owned[fid] | mirrors[fid]
-                   if len(presence[v]) > 1}
-        fragments.append(Fragment(
-            fid=fid, graph=local_graphs[fid], owned=owned[fid],
-            mirrors=mirrors[fid], in_border=in_border[fid],
-            out_border=out_border[fid], out_copies=out_copies[fid],
-            in_copies=in_copies[fid], routing=routing, cut="edge"))
-    placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
-    return PartitionedGraph(fragments, dict(owner), placement, strategy_name,
-                            cut="edge")
+        # the edge has a copy in the fragment of each endpoint; owned nodes
+        # come first, mirrors as the cut edges bring them in
+        here = (fu == fid) | (fv == fid)
+        local = _insertion_order(len(nodes), np.flatnonzero(own == fid),
+                                 src[here], dst[here], _NONE)
+        # border bookkeeping, directed semantics; undirected graphs get
+        # the symmetric closure
+        leaving, entering = cut & (fu == fid), cut & (fv == fid)
+        out_border, out_copies = src[leaving], dst[leaving]
+        in_border, in_copies = dst[entering], src[entering]
+        if not g.directed:
+            out_border = in_border = np.concatenate((out_border, in_border))
+            out_copies = in_copies = np.concatenate((out_copies, in_copies))
+        parts.append((local, here, dict(
+            in_border=in_border, out_border=out_border,
+            out_copies=out_copies, in_copies=in_copies)))
+    labels = {v: label for v, label in zip(nodes, map(g.node_label, nodes))
+              if label is not None}
+    return _assemble(arrays, "edge", strategy_name, own, dict(owner),
+                     np.arange(len(nodes)), labels, parts)
 
 
 def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
@@ -83,43 +153,44 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
     is simultaneously in-border and out-border on its master, and an in/out
     copy on the others).
     """
-    local_graphs = [Graph(directed=g.directed) for _ in range(m)]
-    presence: Dict[Node, Set[int]] = {}
-
-    for u, v, w in g.edges():
-        fid = edge_owner.get((u, v))
-        if fid is None and not g.directed:
-            fid = edge_owner.get((v, u))
-        if fid is None:
-            raise PartitionError(f"edge ({u!r}, {v!r}) was not assigned")
-        if not 0 <= fid < m:
-            raise PartitionError(f"edge ({u!r}, {v!r}) out-of-range {fid}")
-        local_graphs[fid].add_edge(u, v, w)
-        presence.setdefault(u, set()).add(fid)
-        presence.setdefault(v, set()).add(fid)
-
+    arrays = GraphArrays.of(g)
+    nodes, src, dst = arrays.nodes, arrays.src, arrays.dst
+    n = len(nodes)
+    us, vs = nodes[src].tolist(), nodes[dst].tolist()
+    fids = list(map(edge_owner.get, zip(us, vs)))
+    if not g.directed:
+        fids = [edge_owner.get((v, u)) if fid is None else fid
+                for fid, u, v in zip(fids, us, vs)]
+    if None in fids:
+        at = fids.index(None)
+        raise PartitionError(f"edge ({us[at]!r}, {vs[at]!r}) was not assigned")
+    fe = np.fromiter(fids, np.int64, len(fids))
+    bad = (fe < 0) | (fe >= m)
+    if bad.any():
+        at = int(bad.argmax())
+        raise PartitionError(
+            f"edge ({us[at]!r}, {vs[at]!r}) out-of-range {fids[at]}")
     # isolated nodes: place on their hash fragment
-    for v in g.nodes:
-        if v not in presence:
-            fid = hash(v) % m
-            presence[v] = {fid}
-            local_graphs[fid].add_node(v)
-
-    owner: Dict[Node, int] = {v: min(fids) for v, fids in presence.items()}
-
-    fragments = []
-    for fid in range(m):
-        local_nodes = set(local_graphs[fid].nodes)
-        owned = {v for v in local_nodes if owner[v] == fid}
-        mirror = local_nodes - owned
-        replicated_owned = {v for v in owned if len(presence[v]) > 1}
-        routing = {v: tuple(sorted(presence[v] - {fid}))
-                   for v in local_nodes if len(presence[v]) > 1}
-        fragments.append(Fragment(
-            fid=fid, graph=local_graphs[fid], owned=owned, mirrors=mirror,
-            in_border=replicated_owned, out_border=replicated_owned,
-            out_copies=mirror, in_copies=mirror, routing=routing,
-            cut="vertex"))
-    placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
-    return PartitionedGraph(fragments, owner, placement, strategy_name,
-                            cut="vertex")
+    isolated = np.flatnonzero(
+        np.bincount(np.concatenate((src, dst)), minlength=n) == 0)
+    iso_fid = np.fromiter((hash(v) % m for v in nodes[isolated]), np.int64,
+                          isolated.size)
+    heres = [fe == fid for fid in range(m)]
+    locals_ = [_insertion_order(n, _NONE, src[here], dst[here],
+                                isolated[iso_fid == fid])
+               for fid, here in enumerate(heres)]
+    copies = np.bincount(np.concatenate(locals_), minlength=n)
+    own = np.empty(n, dtype=np.int64)
+    for fid in reversed(range(m)):  # the smallest fragment id wins
+        own[locals_[fid]] = fid
+    parts = []
+    for fid, (local, here) in enumerate(zip(locals_, heres)):
+        owned = own[local] == fid
+        replicated, mirrors = local[owned & (copies[local] > 1)], local[~owned]
+        parts.append((local, here, dict(
+            in_border=replicated, out_border=replicated,
+            out_copies=mirrors, in_copies=mirrors)))
+    order = _insertion_order(n, _NONE, src, dst, isolated)
+    owner = dict(zip(nodes[order].tolist(), own[order].tolist()))
+    return _assemble(arrays, "vertex", strategy_name, own, owner, order,
+                     {}, parts)

@@ -39,20 +39,21 @@ class HashPartitioner(NodePartitioner):
 
 
 class RangePartitioner(NodePartitioner):
-    """Sort nodes and split into ``m`` contiguous, equally sized ranges."""
+    """Sort nodes (by value; by ``repr`` only when ids of mixed types do
+    not order) and split into ``m`` contiguous, equally sized ranges."""
 
     name = "range"
 
     def assign(self, g: Graph, num_fragments: int) -> Dict[Node, int]:
         if num_fragments < 1:
             raise PartitionError("num_fragments must be >= 1")
-        ordered = sorted(g.nodes, key=repr)
+        try:
+            ordered = sorted(g.nodes)
+        except TypeError:
+            ordered = sorted(g.nodes, key=repr)
         n = len(ordered)
-        assignment: Dict[Node, int] = {}
-        for idx, v in enumerate(ordered):
-            assignment[v] = min(idx * num_fragments // max(n, 1),
-                                num_fragments - 1)
-        return assignment
+        return {v: min(idx * num_fragments // n, num_fragments - 1)
+                for idx, v in enumerate(ordered)}
 
 
 class BfsPartitioner(NodePartitioner):

@@ -17,57 +17,56 @@ of remote endpoints.  The paper's border sets are exposed directly:
 Each fragment also carries the routing index ``I_i`` (paper, Section 3):
 for a border node ``v``, :meth:`Fragment.locations` returns every other
 fragment where ``v`` resides, used to derive designated messages ``M(i, j)``.
+
+A fragment's local graph has **one source of truth at a time**: the
+builder's :class:`~repro.graph.csr.GraphArrays`, from which
+:meth:`Fragment.compact` builds the CSR view the vectorized path runs on,
+until :attr:`Fragment.graph` is first read; that turns them into the dict
+:class:`~repro.graph.graph.Graph` and drops them (``compact()`` keeps its
+view, or rebuilds it from the dict graph after in-place growth).  Only
+generic-path programs (so ``GraphService`` and ``StreamingSession``),
+``grow_edge_cut`` on the fragments it touches and ``runtime.recovery`` read
+``graph``; sizes, ``directed`` and the quality metrics never do.
 """
 
 from __future__ import annotations
 
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    List, Mapping, Optional,
-                    Sequence, Tuple)
+                    List, Mapping, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
-from repro.errors import PartitionError
-from repro.graph.csr import CompactGraph
+from repro.errors import GraphError, PartitionError
+from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph, Node
 
 
 class FragmentCSR:
     """Cached array view of one fragment: contiguous local ids + CSR.
 
-    The vectorized fast path stores status variables in arrays indexed by
-    *local id* (lid); this view provides the lid <-> global-node mapping,
-    a :class:`~repro.graph.csr.CompactGraph` over lids, and owned/mirror
-    boolean masks.  It requires non-negative integer node ids (what every
-    generator produces); build it through :meth:`Fragment.compact`, which
-    caches one instance per fragment.
+    The vectorized fast path keeps status variables in arrays indexed by
+    *local id* (lid); this view maps lids to global nodes and back and holds
+    a :class:`~repro.graph.csr.CompactGraph` over lids plus owned/mirror
+    masks.  It needs non-negative integer node ids; build it through
+    :meth:`Fragment.compact`, which caches one instance per fragment.
     """
 
     __slots__ = ("fragment", "nodes", "lid_of", "gids", "csr",
                  "owned_mask", "mirror_mask", "_gid_to_lid")
 
-    def __init__(self, frag: "Fragment"):
-        nodes = []
-        for v in frag.graph.nodes:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
-                    or v < 0:
-                raise PartitionError(
-                    f"fragment {frag.fid}: dense view requires non-negative "
-                    f"integer node ids, got {v!r}")
-            nodes.append(int(v))
-        nodes.sort()
+    def __init__(self, frag: "Fragment", local: GraphArrays):
+        try:
+            self.gids, self.csr = local.to_csr()
+        except GraphError as exc:
+            raise PartitionError(
+                f"fragment {frag.fid}: dense view {exc}") from None
         self.fragment = frag
         #: local nodes in lid order (sorted global ids)
-        self.nodes: List[int] = nodes
-        self.lid_of: Dict[int, int] = {v: i for i, v in enumerate(nodes)}
-        self.gids = np.asarray(nodes, dtype=np.int64)
-        lid = self.lid_of
-        edges = [(lid[u], lid[v], w) for u, v, w in frag.graph.edges()]
-        self.csr = CompactGraph.from_edges(len(nodes), edges,
-                                           directed=frag.graph.directed)
-        self.owned_mask = np.zeros(len(nodes), dtype=bool)
-        for v in frag.owned:
-            self.owned_mask[lid[v]] = True
+        self.nodes: List[int] = self.gids.tolist()
+        self.lid_of: Dict[int, int] = dict(
+            zip(self.nodes, range(len(self.nodes))))
+        self.owned_mask = np.fromiter(
+            map(frag.owned.__contains__, self.nodes), bool, len(self.nodes))
         self.mirror_mask = ~self.owned_mask
         self._gid_to_lid = None
 
@@ -92,19 +91,21 @@ class FragmentCSR:
 class Fragment:
     """One fragment of a partitioned graph, resident at one virtual worker."""
 
-    __slots__ = ("fid", "graph", "owned", "mirrors", "in_border", "out_border",
-                 "out_copies", "in_copies", "cut", "_routing", "_compact",
-                 "_memo")
+    __slots__ = ("fid", "_local", "owned", "mirrors", "in_border",
+                 "out_border", "out_copies", "in_copies", "cut", "_routing",
+                 "_compact", "_memo")
 
-    def __init__(self, fid: int, graph: Graph, owned: Iterable[Node],
-                 mirrors: Iterable[Node],
+    def __init__(self, fid: int, graph: Union[Graph, GraphArrays],
+                 owned: Iterable[Node], mirrors: Iterable[Node],
                  in_border: Iterable[Node], out_border: Iterable[Node],
                  out_copies: Iterable[Node], in_copies: Iterable[Node],
                  routing: Mapping[Node, Sequence[int]],
                  cut: str = "edge"):
         self.fid = fid
         self.cut = cut
-        self.graph = graph
+        # one source of truth: the builder's arrays until someone asks
+        # for the dict graph, the dict graph afterwards
+        self._local: Union[Graph, GraphArrays] = graph
         self.owned: FrozenSet[Node] = frozenset(owned)
         self.mirrors: FrozenSet[Node] = frozenset(mirrors)
         self.in_border: FrozenSet[Node] = frozenset(in_border)
@@ -122,16 +123,32 @@ class Fragment:
             overlap = next(iter(self.owned & self.mirrors))
             raise PartitionError(
                 f"fragment {self.fid}: node {overlap!r} both owned and mirror")
-        for v in self.in_border | self.out_border:
-            if v not in self.owned:
-                raise PartitionError(
-                    f"fragment {self.fid}: border node {v!r} not owned")
-        for v in self.out_copies | self.in_copies:
-            if v not in self.mirrors:
-                raise PartitionError(
-                    f"fragment {self.fid}: copy {v!r} not a mirror")
+        for v in (self.in_border | self.out_border) - self.owned:
+            raise PartitionError(
+                f"fragment {self.fid}: border node {v!r} not owned")
+        for v in (self.out_copies | self.in_copies) - self.mirrors:
+            raise PartitionError(
+                f"fragment {self.fid}: copy {v!r} not a mirror")
 
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> Graph:
+        """The local dict graph, materialised from the builder's arrays
+        on first access (which drops the arrays)."""
+        local = self._local
+        if isinstance(local, GraphArrays):
+            local = self._local = local.to_graph()
+        return local
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the dict graph has been built (or was handed in)."""
+        return isinstance(self._local, Graph)
+
+    @property
+    def directed(self) -> bool:
+        return self._local.directed
+
     @property
     def border_nodes(self) -> FrozenSet[Node]:
         """The paper's border nodes of ``F_i``: ``F.I ∪ F.O'``."""
@@ -157,40 +174,26 @@ class Fragment:
         Memoized: the routing index is fixed at construction and runtimes
         rebuild their queues from this on every run.
         """
-        return self.memo("peer_fragments", self._compute_peers)
-
-    def _compute_peers(self) -> FrozenSet[int]:
-        peers = set()
-        for fids in self._routing.values():
-            peers.update(fids)
-        return frozenset(peers)
-
-    def nodes(self) -> Iterable[Node]:
-        """All nodes present locally (owned + mirrors)."""
-        return self.graph.nodes
+        return self.memo("peer_fragments", lambda: frozenset().union(
+            *self._routing.values()))
 
     def compact(self) -> FragmentCSR:
-        """The cached :class:`FragmentCSR` array view of this fragment.
-
-        Built lazily on first use; the vectorized fast path calls this per
-        context construction, so later calls must be free.  Raises
-        :class:`~repro.errors.PartitionError` if node ids are not
-        non-negative integers.
-        """
+        """The cached :class:`FragmentCSR` view, built on first use (the
+        vectorized path asks per context, so later calls are free).  Raises
+        :class:`~repro.errors.PartitionError` unless node ids are
+        non-negative integers."""
         if self._compact is None:
-            self._compact = FragmentCSR(self)
+            self._compact = FragmentCSR(self, GraphArrays.of(self._local))
         return self._compact
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Memoize partition-derived data on this fragment.
 
         Engines cache ship sets and dense routing masks here (keyed by
-        program class), kernels the per-fragment arrays they would
-        otherwise rebuild on every call (out-degrees, per-edge sources):
-        all pure functions of the partition, so rebuilding them on every
-        engine construction — or every round — over the same
-        ``PartitionedGraph`` is wasted work.  Cached objects must be
-        treated as immutable by callers.
+        program class), kernels their per-fragment arrays (out-degrees,
+        per-edge sources): pure functions of the partition that would
+        otherwise be rebuilt per engine or per round.  Callers must treat
+        cached objects as immutable.
         """
         if self._memo is None:
             self._memo = {}
@@ -205,32 +208,34 @@ class Fragment:
         """Drop every memoized view after the fragment grew in place.
 
         :func:`repro.partition.grow.grow_edge_cut` mutates the local graph
-        and the border/routing sets; the cached CSR view, ship sets, dense
-        routes, peer sets and kernel arrays are all pure functions of that
-        structure and must be rebuilt on next use.  Engines kept over the
-        partition additionally call
-        :meth:`~repro.core.engine.Engine.refresh_routes` to refresh the
-        per-instance copies they hold.
+        and the border/routing sets, which the CSR view, ship sets, dense
+        routes, peer sets and kernel arrays are functions of.  Engines kept
+        over the partition also call
+        :meth:`~repro.core.engine.Engine.refresh_routes`.
         """
         self._compact = None
         self._memo = None
 
     @property
-    def num_local_nodes(self) -> int:
-        return len(self.owned)
-
-    @property
     def num_local_edges(self) -> int:
-        return self.graph.num_edges
+        return self._local.num_edges
+
+    def num_edges_from_owned(self) -> int:
+        """Local edges whose stored source endpoint is owned here.  Under
+        edge-cut both copies of a cut edge keep one orientation, so this
+        counts every edge of the graph in exactly one fragment."""
+        local = GraphArrays.of(self._local)
+        return sum(map(self.owned.__contains__, local.nodes[local.src]))
 
     @property
     def size(self) -> int:
         """Fragment size ``|F_i|`` (nodes + edges), used for skew ratio r."""
-        return self.graph.num_nodes + self.graph.num_edges
+        return len(self.owned) + len(self.mirrors) + self.num_local_edges
 
     def __repr__(self) -> str:
         return (f"Fragment(fid={self.fid}, owned={len(self.owned)}, "
-                f"mirrors={len(self.mirrors)}, edges={self.graph.num_edges})")
+                f"mirrors={len(self.mirrors)}, "
+                f"edges={self.num_local_edges})")
 
 
 class PartitionedGraph:

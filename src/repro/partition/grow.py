@@ -118,7 +118,7 @@ def grow_edge_cut(pg: PartitionedGraph,
             pres.add(fid)
             presence_dirty.add(v)
 
-    directed = pg.fragments[0].graph.directed
+    directed = pg.fragments[0].directed
     for u, v, w in insertions:
         fu = ensure_owner(u)
         fv = ensure_owner(v)

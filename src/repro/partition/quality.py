@@ -10,25 +10,18 @@ from repro.partition.fragment import PartitionedGraph
 def edge_cut_ratio(pg: PartitionedGraph) -> float:
     """Fraction of edges whose endpoints live in different owner fragments.
 
-    Computed from the fragments themselves: an edge is cut iff it is
-    materialised in two fragments, so total copies minus distinct edges equals
-    the number of cut edges.
+    Computed from the fragments themselves, without building their dict
+    graphs: an edge is cut iff it has a copy in two fragments, so total
+    copies minus distinct edges equals the number of cut edges.  Under
+    edge-cut the fragment owning an edge's stored source holds it exactly
+    once; vertex-cut duplicates no edge.
     """
-    total_copies = sum(f.graph.num_edges for f in pg.fragments)
-    distinct = _distinct_edges(pg)
+    total_copies = sum(f.num_local_edges for f in pg.fragments)
+    distinct = total_copies if pg.cut == "vertex" else sum(
+        f.num_edges_from_owned() for f in pg.fragments)
     if distinct == 0:
         return 0.0
     return (total_copies - distinct) / distinct
-
-
-def _distinct_edges(pg: PartitionedGraph) -> int:
-    seen = set()
-    for f in pg.fragments:
-        for u, v, _ in f.graph.edges():
-            key = (u, v) if f.graph.directed else (min(u, v, key=repr),
-                                                   max(u, v, key=repr))
-            seen.add(key)
-    return len(seen)
 
 
 def replication_factor(pg: PartitionedGraph) -> float:

@@ -79,7 +79,10 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["nodes"] == 25
-        assert "partition" in doc
+        part = doc["partition"]
+        assert part["build_s"] >= 0 and part["compact_s"] >= 0
+        # the quality summary beside them did not build a dict graph
+        assert part["materialised"] == "0/2 fragments"
 
     def test_bench_modes_experiment(self, capsys):
         code, out = self.run_cli(capsys, "bench", "-e", "cc",

@@ -148,6 +148,47 @@ class TestDerived:
         assert g.num_edges == 1
         assert dup.num_edges == 2
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_copy_equals_replay(self, directed):
+        g = Graph(directed=directed)
+        g.add_node("lonely", label="x")
+        for u, v, w in [(3, 1, 1.0), (1, 2, 2.0), (10, 9, 1.0), (3, 1, 5.0)]:
+            g.add_edge(u, v, w, label=f"{u}-{v}")
+        dup = g.copy()
+        assert list(dup.nodes) == list(g.nodes)
+        assert list(dup.edges()) == list(g.edges())
+        for v in g.nodes:
+            assert dup.out_edges(v) == g.out_edges(v)
+            assert dup.out_edges(v) is not g.out_edges(v)
+            assert dup.in_edges(v) == g.in_edges(v)
+        assert dup.node_label("lonely") == "x"
+        assert dup.edge_label(3, 1) == "3-1"
+        assert dup.num_edges == g.num_edges == 3
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_add_novel_edges_equals_one_by_one(self, directed):
+        edges = [(3, 1, 1.0), (1, 2, 2.0), (10, 9, 1.0), (2, 3, 2.0)]
+        one = Graph(directed=directed)
+        one.add_edge(1, 7, 4.0)  # bulk insert extends a graph in use
+        bulk = one.copy()
+        for v in (5, 1):
+            one.add_node(v)
+        for u, v, w in edges:
+            one.add_edge(u, v, w)
+        keyed = [one._edge_key(u, v) for u, v, _ in edges]
+        bulk.add_novel_edges([5, 1, 3, 2, 10, 9], [k[0] for k in keyed],
+                             [k[1] for k in keyed], [e[2] for e in edges])
+        assert list(bulk.nodes) == list(one.nodes)
+        assert list(bulk.edges()) == list(one.edges())
+        for v in one.nodes:
+            assert bulk.out_edges(v) == one.out_edges(v)
+            assert bulk.in_edges(v) == one.in_edges(v)
+        assert bulk.num_edges == one.num_edges
+        assert bulk.has_edge(10, 9) and bulk.weight(2, 3) == 2.0
+        assert bulk.has_edge(9, 10) == (not directed)
+        with pytest.raises(GraphError, match="novel"):
+            bulk.add_novel_edges([], [1], [7], [1.0])
+
     def test_equality(self):
         a = Graph(directed=False)
         a.add_edge(1, 2, 3.0)

@@ -1,0 +1,449 @@
+"""The array-native partition build equals the per-edge builder it replaced.
+
+``oracle_edge_cut`` / ``oracle_vertex_cut`` are that builder, kept here as
+the straight-line reference: one ``add_node`` / ``add_edge`` and eight
+``set.add`` per node and edge.  ``oracle_csr`` is the CSR view spelt out
+the same way.  The property compares everything a runtime can observe:
+owner, placement, routing, the six border sets, the CSR arrays byte for
+byte, and — once materialised — the dict graph's node, adjacency and
+``edges()`` order, which generic-path schedules depend on.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms import (PageRankProgram, PageRankQuery, SSSPProgram,
+                              SSSPQuery)
+from repro.core.engine import Engine
+from repro.core.modes import make_policy
+from repro.errors import GraphError, PartitionError
+from repro.graph import generators
+from repro.graph.csr import CompactGraph
+from repro.graph.graph import Graph
+from repro.graph.stable import stable_owner
+from repro.partition import quality
+from repro.partition.base import NodePartitioner
+from repro.partition.builder import build_edge_cut, build_vertex_cut
+from repro.partition.edge_cut import HashPartitioner
+from repro.partition.fragment import Fragment, PartitionedGraph
+from repro.partition.grow import grow_edge_cut
+from repro.partition.vertex_cut import HashEdgePartitioner
+from repro.runtime.multiprocess import MultiprocessRuntime
+from repro.runtime.threaded import ThreadedRuntime
+
+SETS = ("owned", "mirrors", "in_border", "out_border", "out_copies",
+        "in_copies")
+CSR_ARRAYS = ("out_indptr", "out_indices", "out_weights", "in_indptr",
+              "in_indices", "in_weights")
+
+
+# -- the oracle --------------------------------------------------------
+def oracle_edge_cut(g, owner, m, strategy_name="custom"):
+    local_graphs = [Graph(directed=g.directed) for _ in range(m)]
+    owned = [set() for _ in range(m)]
+    mirrors = [set() for _ in range(m)]
+    in_border = [set() for _ in range(m)]
+    out_border = [set() for _ in range(m)]
+    out_copies = [set() for _ in range(m)]
+    in_copies = [set() for _ in range(m)]
+    presence = {}
+
+    for v in g.nodes:
+        fid = owner[v]
+        owned[fid].add(v)
+        local_graphs[fid].add_node(v, g.node_label(v))
+        presence.setdefault(v, set()).add(fid)
+
+    for u, v, w in g.edges():
+        fu, fv = owner[u], owner[v]
+        # the edge has a copy in the fragment of each endpoint
+        local_graphs[fu].add_edge(u, v, w)
+        if fv != fu:
+            local_graphs[fv].add_edge(u, v, w)
+            # border bookkeeping, directed semantics; undirected graphs get
+            # the symmetric closure below
+            out_border[fu].add(u)
+            out_copies[fu].add(v)
+            mirrors[fu].add(v)
+            presence.setdefault(v, set()).add(fu)
+            in_border[fv].add(v)
+            in_copies[fv].add(u)
+            mirrors[fv].add(u)
+            presence.setdefault(u, set()).add(fv)
+            if not g.directed:
+                out_border[fv].add(v)
+                out_copies[fv].add(u)
+                in_border[fu].add(u)
+                in_copies[fu].add(v)
+
+    fragments = []
+    for fid in range(m):
+        routing = {v: tuple(sorted(presence[v] - {fid}))
+                   for v in owned[fid] | mirrors[fid]
+                   if len(presence[v]) > 1}
+        fragments.append(Fragment(
+            fid=fid, graph=local_graphs[fid], owned=owned[fid],
+            mirrors=mirrors[fid], in_border=in_border[fid],
+            out_border=out_border[fid], out_copies=out_copies[fid],
+            in_copies=in_copies[fid], routing=routing, cut="edge"))
+    placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
+    return PartitionedGraph(fragments, dict(owner), placement, strategy_name,
+                            cut="edge")
+
+
+def oracle_vertex_cut(g, edge_owner, m, strategy_name="custom"):
+    local_graphs = [Graph(directed=g.directed) for _ in range(m)]
+    presence = {}
+
+    for u, v, w in g.edges():
+        fid = edge_owner.get((u, v))
+        if fid is None and not g.directed:
+            fid = edge_owner.get((v, u))
+        if fid is None:
+            raise PartitionError(f"edge ({u!r}, {v!r}) was not assigned")
+        if not 0 <= fid < m:
+            raise PartitionError(f"edge ({u!r}, {v!r}) out-of-range {fid}")
+        local_graphs[fid].add_edge(u, v, w)
+        presence.setdefault(u, set()).add(fid)
+        presence.setdefault(v, set()).add(fid)
+
+    # isolated nodes: place on their hash fragment
+    for v in g.nodes:
+        if v not in presence:
+            fid = hash(v) % m
+            presence[v] = {fid}
+            local_graphs[fid].add_node(v)
+
+    owner = {v: min(fids) for v, fids in presence.items()}
+
+    fragments = []
+    for fid in range(m):
+        local_nodes = set(local_graphs[fid].nodes)
+        owned = {v for v in local_nodes if owner[v] == fid}
+        mirror = local_nodes - owned
+        replicated_owned = {v for v in owned if len(presence[v]) > 1}
+        routing = {v: tuple(sorted(presence[v] - {fid}))
+                   for v in local_nodes if len(presence[v]) > 1}
+        fragments.append(Fragment(
+            fid=fid, graph=local_graphs[fid], owned=owned, mirrors=mirror,
+            in_border=replicated_owned, out_border=replicated_owned,
+            out_copies=mirror, in_copies=mirror, routing=routing,
+            cut="vertex"))
+    placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
+    return PartitionedGraph(fragments, owner, placement, strategy_name,
+                            cut="vertex")
+
+
+def oracle_csr(graph, owned):
+    """The dense view of a dict graph, one Python step per edge."""
+    nodes = sorted(graph.nodes)
+    lid = {v: i for i, v in enumerate(nodes)}
+    edges = [(lid[u], lid[v], float(w)) for u, v, w in graph.edges()]
+    if not graph.directed:
+        edges += [(v, u, w) for u, v, w in edges]
+    out = {"nodes": nodes, "lid_of": lid,
+           "owned_mask": [v in owned for v in nodes]}
+    for name, a, b in (("out", 0, 1), ("in", 1, 0)):
+        rows = [[] for _ in nodes]
+        for e in edges:
+            rows[e[a]].append((e[b], e[2]))
+        out[f"{name}_indptr"] = np.cumsum(
+            [0] + [len(r) for r in rows]).astype(np.int64)
+        out[f"{name}_indices"] = np.array(
+            [t for r in rows for t, _ in r], dtype=np.int64)
+        out[f"{name}_weights"] = np.array(
+            [w for r in rows for _, w in r], dtype=np.float64)
+    return out
+
+
+def has_int_ids(nodes):
+    return all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+               for v in nodes)
+
+
+def assert_same_partition(got, want):
+    """``got`` (array-built, unmaterialised) against the oracle ``want``."""
+    assert got.cut == want.cut
+    assert got.num_fragments == want.num_fragments
+    assert list(got.owner.items()) == list(want.owner.items())
+    assert list(got.placement.items()) == list(want.placement.items())
+    assert quality.summary(got) == quality.summary(want)
+    assert got.sizes() == want.sizes()
+    assert not any(f.materialised for f in got)
+    for fg, fw in zip(got, want):
+        for name in SETS:
+            assert getattr(fg, name) == getattr(fw, name), name
+        assert fg._routing == fw._routing
+        assert (fg.cut, fg.directed) == (fw.cut, fw.directed)
+        assert fg.num_local_edges == fw.num_local_edges
+        if has_int_ids(fw.graph.nodes):
+            view, ref = fg.compact(), oracle_csr(fw.graph, fw.owned)
+            assert view.nodes == ref["nodes"]
+            assert view.lid_of == ref["lid_of"]
+            assert view.gids.tolist() == ref["nodes"]
+            assert view.owned_mask.tolist() == ref["owned_mask"]
+            assert (~view.mirror_mask).tolist() == ref["owned_mask"]
+            assert view.csr.directed == fw.graph.directed
+            assert view.csr.num_edges == fw.graph.num_edges
+            for name in CSR_ARRAYS:
+                arr = getattr(view.csr, name)
+                assert arr.dtype == ref[name].dtype, name
+                assert arr.tobytes() == ref[name].tobytes(), name
+        else:
+            with pytest.raises(PartitionError):
+                fg.compact()
+        assert not fg.materialised
+    for fg, fw in zip(got, want):
+        assert_same_graph(fg.graph, fw.graph)
+        assert fg.materialised and fg._local is fg.graph  # arrays dropped
+
+
+def assert_same_graph(g, ref):
+    assert g.directed == ref.directed
+    assert list(g.nodes) == list(ref.nodes)
+    for v in ref.nodes:
+        assert g.out_edges(v) == ref.out_edges(v)
+        assert g.in_edges(v) == ref.in_edges(v)
+    assert list(g.edges()) == list(ref.edges())
+    assert g._edge_weights == ref._edge_weights
+    assert g._node_labels == ref._node_labels
+    assert g.num_edges == ref.num_edges
+
+
+# -- generated inputs --------------------------------------------------
+ID_FAMILIES = {
+    "dense": lambda i: i,
+    "gappy": lambda i: 3 * i + 2,
+    "sparse": lambda i: i * 10 ** 11 + 7,
+    "str": lambda i: f"n{i}",
+    "tuple": lambda i: (i % 3, i),
+    "mixed": lambda i: (i, f"s{i}", (i, "t"))[i % 3],
+}
+
+
+@st.composite
+def graphs(draw):
+    """A small random graph; ``dense`` ones may come as a CompactGraph."""
+    family = draw(st.sampled_from(sorted(ID_FAMILIES)))
+    n = draw(st.integers(0, 12))
+    directed = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    ids = [ID_FAMILIES[family](i) for i in range(n)]
+    rng.shuffle(ids)  # g.nodes is in no useful order
+    g = Graph(directed=directed)
+    for v in ids:
+        g.add_node(v, rng.choice([None, None, "a", ("b", 1)]))
+    for _ in range(draw(st.integers(0, 30)) if n > 1 else 0):
+        u, v = rng.sample(ids, 2)
+        # few distinct weights (int and float): equal weights must not
+        # be confused; a repeated pair overwrites, as add_edge does
+        g.add_edge(u, v, rng.choice([1, 1.0, 2.5, 0.5]))
+    if family == "dense" and draw(st.booleans()):
+        return CompactGraph.from_graph(g)
+    return g
+
+
+def node_assignment(g, m, how, rng):
+    if how == "hash":
+        return HashPartitioner(salt=rng.randrange(5)).assign(g, m)
+    if how == "stable":
+        return {v: stable_owner(v, m) for v in g.nodes}
+    # skewed: most nodes on fragment 0, some fragments possibly empty
+    return {v: 0 if rng.random() < 0.7 else rng.randrange(m)
+            for v in g.nodes}
+
+
+SETTINGS = dict(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@given(g=graphs(), m=st.integers(1, 5),
+       how=st.sampled_from(["hash", "stable", "skewed"]),
+       seed=st.integers(0, 1000))
+@settings(**SETTINGS)
+def test_edge_cut_equals_oracle(g, m, how, seed):
+    owner = node_assignment(g, m, how, random.Random(seed))
+    assert_same_partition(build_edge_cut(g, owner, m, "t"),
+                          oracle_edge_cut(g, owner, m, "t"))
+
+
+@given(g=graphs(), m=st.integers(1, 5), seed=st.integers(0, 1000))
+@settings(**SETTINGS)
+def test_vertex_cut_equals_oracle(g, m, seed):
+    rng = random.Random(seed)
+    edge_owner = {}
+    for u, v, _ in g.edges():
+        # undirected edges may be assigned under either orientation
+        key = (v, u) if not g.directed and rng.random() < 0.3 else (u, v)
+        edge_owner[key] = rng.randrange(m)
+    assert_same_partition(build_vertex_cut(g, edge_owner, m, "t"),
+                          oracle_vertex_cut(g, edge_owner, m, "t"))
+
+
+# -- the property notices the bugs it is there for ----------------------
+def fixed_case():
+    g = generators.powerlaw(40, m=2, weighted=True, seed=3)
+    owner = {v: stable_owner(v, 3) for v in g.nodes}
+    return build_edge_cut(g, owner, 3, "t"), oracle_edge_cut(g, owner, 3, "t")
+
+
+def break_edge_order(pg):
+    local = pg.fragments[2]._local
+    for arr in (local.src, local.dst, local.weights):
+        arr[[0, 1]] = arr[[1, 0]]
+
+
+def drop_undirected_closure(pg):
+    frag = pg.fragments[2]
+    local = frag._local
+    from_mirror = [u not in frag.owned for u in local.nodes[local.src]]
+    entering = local.nodes[local.dst[from_mirror]].tolist()
+    assert frozenset(entering) < frag.in_border
+    frag.in_border = frozenset(entering)
+
+
+def misroute_one_mirror(pg):
+    frag = pg.fragments[2]
+    v = sorted(frag.mirrors)[0]
+    frag._routing[v] = tuple((fid + 1) % 3 for fid in frag._routing[v])
+
+
+@pytest.mark.parametrize("mutate", [break_edge_order,
+                                    drop_undirected_closure,
+                                    misroute_one_mirror])
+def test_property_fails_on_mutation(mutate):
+    got, want = fixed_case()
+    mutate(got)
+    with pytest.raises(AssertionError):
+        assert_same_partition(got, want)
+
+
+def test_property_passes_unmutated():
+    assert_same_partition(*fixed_case())
+
+
+# -- laziness ----------------------------------------------------------
+def test_vectorized_runs_never_materialise():
+    g = generators.powerlaw(300, m=3, weighted=True, seed=1)
+    pg = HashPartitioner().partition(g, 2)
+    quality.summary(pg)
+    repr(pg)
+    query = PageRankQuery(epsilon=1e-3 * g.num_nodes)
+    engine = Engine(PageRankProgram(), pg, query, vectorized=True)
+    assert engine.vectorized
+    ThreadedRuntime(engine, make_policy("AAP"), timeout=60).run()
+    result = MultiprocessRuntime(SSSPProgram(), pg, SSSPQuery(source=0),
+                                 mode="AAP", timeout=60,
+                                 vectorized=True).run()
+    assert result.answer[0] == 0.0
+    assert [f.materialised for f in pg] == [False, False]
+    # the generic path is who asks for the dict graphs
+    Engine(SSSPProgram(), pg, SSSPQuery(source=0))
+    assert [f.materialised for f in pg] == [True, True]
+    assert all(isinstance(f._local, Graph) for f in pg)  # arrays dropped
+
+
+def test_compact_view_survives_materialisation():
+    g = generators.grid2d(5, 5, weighted=True, seed=2)
+    pg = HashPartitioner().partition(g, 2)
+    frag = pg.fragments[0]
+    before = frag.compact()
+    frag.graph
+    assert frag.compact() is before
+    frag.invalidate_caches()  # as in-place growth does
+    after = frag.compact()
+    for name in CSR_ARRAYS:
+        assert getattr(after.csr, name).tobytes() \
+            == getattr(before.csr, name).tobytes()
+    assert after.nodes == before.nodes
+    assert after.owned_mask.tolist() == before.owned_mask.tolist()
+
+
+def test_grow_on_unmaterialised_partition_equals_rebuild():
+    from test_grow import assert_partitions_equal
+    g = generators.powerlaw(80, m=2, weighted=True, seed=4)
+    m = 4
+    owner = {v: stable_owner(v, m) for v in g.nodes}
+    pg = build_edge_cut(g, owner, m, "t")
+    u = next(v for v in g.nodes if owner[v] == 0)
+    v = next(v for v in g.nodes if owner[v] == 1 and not g.has_edge(u, v))
+    report = grow_edge_cut(pg, [(u, v, 1.5)])
+    assert report.touched >= {0, 1}
+    for frag in pg:  # only the fragments that got the edge pay for it
+        assert frag.materialised == (frag.fid in (0, 1))
+        assert isinstance(frag._local, Graph) == frag.materialised
+    g.add_edge(u, v, 1.5)
+    assert_partitions_equal(pg, build_edge_cut(g, dict(pg.owner), m, "t"))
+
+
+# -- every check is still there ----------------------------------------
+class FixedAssignment(NodePartitioner):
+    def __init__(self, assignment):
+        self.assignment = assignment
+
+    def assign(self, g, num_fragments):
+        return self.assignment
+
+
+def triangle():
+    g = Graph(directed=True)
+    for u, v in [(0, 1), (1, 2), (2, 0)]:
+        g.add_edge(u, v, 1.0)
+    return g
+
+
+def test_errors_keep_their_types():
+    g = triangle()
+    with pytest.raises(PartitionError, match="not assigned"):
+        FixedAssignment({0: 0, 1: 1}).partition(g, 2)
+    with pytest.raises(PartitionError, match="out-of-range"):
+        FixedAssignment({0: 0, 1: 1, 2: 2}).partition(g, 2)
+    with pytest.raises(PartitionError):
+        build_edge_cut(g, {0: 0, 1: 1, 2: 5}, 2)
+    with pytest.raises(PartitionError, match="not assigned"):
+        build_vertex_cut(g, {(0, 1): 0, (1, 2): 1}, 2)
+    with pytest.raises(PartitionError, match="out-of-range"):
+        build_vertex_cut(g, {(0, 1): 0, (1, 2): 1, (2, 0): 2}, 2)
+    with pytest.raises(PartitionError, match="both owned and mirror"):
+        Fragment(0, g, [0, 1], [1], (), (), (), (), {})
+    with pytest.raises(PartitionError, match="not owned"):
+        Fragment(0, g, [0], [1], [1], (), (), (), {})
+    with pytest.raises(PartitionError, match="not a mirror"):
+        Fragment(0, g, [0], [1], (), (), [2], (), {})
+
+
+def test_non_integer_ids_fail_at_compact_not_at_build():
+    g = Graph(directed=False)
+    g.add_edge("a", "b", 1.0)
+    g.add_edge("b", -3, 1.0)
+    pg = build_edge_cut(g, {"a": 0, "b": 1, -3: 1}, 2)
+    for frag in pg:
+        with pytest.raises(PartitionError, match="non-negative integer"):
+            frag.compact()
+    pg = HashEdgePartitioner().partition(g, 2)
+    with pytest.raises(PartitionError, match="non-negative integer"):
+        for frag in pg:
+            frag.compact()
+
+
+def test_compact_graph_array_constructor_checks():
+    one = np.array([1.0])
+    with pytest.raises(GraphError, match="out of range"):
+        CompactGraph.from_arrays(2, np.array([0]), np.array([5]), one)
+    with pytest.raises(GraphError, match="self-loops"):
+        CompactGraph.from_arrays(2, np.array([1]), np.array([1]), one)
+    with pytest.raises(GraphError, match="out of range"):
+        CompactGraph.from_edges(2, [(0, 1, 1.0), (-1, -1, 1.0)])
+
+
+def test_parallel_edges_cannot_be_materialised():
+    cg = CompactGraph.from_edges(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)])
+    pg = build_edge_cut(cg, {0: 0, 1: 0, 2: 0}, 1)
+    with pytest.raises(GraphError, match="novel"):
+        pg.fragments[0].graph
+    with pytest.raises(GraphError, match="novel"):
+        cg.to_graph()

@@ -51,6 +51,23 @@ class TestAllPartitioners:
             partitioner.partition(small_grid, 0)
 
 
+class TestRangePartitioner:
+    def test_ranges_are_numeric_not_lexicographic(self):
+        g = generators.grid2d(12, 12)
+        assignment = RangePartitioner().assign(g, 2)
+        assert [assignment[v] for v in range(144)] == [0] * 72 + [1] * 72
+        # 12 cut edges between rows 5 and 6; sorting by repr cut 48
+        cut = sum(assignment[u] != assignment[v] for u, v, _ in g.edges())
+        assert cut == 12
+
+    def test_mixed_ids_fall_back_to_repr_order(self):
+        g = Graph()
+        for v in (2, "b", 10, "a"):
+            g.add_node(v)
+        assignment = RangePartitioner().assign(g, 2)
+        assert assignment == {"a": 0, "b": 0, 10: 1, 2: 1}
+
+
 class TestBorderSemantics:
     def test_cut_edge_copied_both_sides(self):
         g = Graph(directed=True)
