@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
-	bench-e2e-quick
+	bench-e2e-quick epoch-layers
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -52,6 +52,12 @@ serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_serve.py \
 		--graph powerlaw:300 --queries 300 --batches 12 \
 		--out BENCH_serve_smoke.json
+
+## where one epoch apply of the service spends its time, layer by
+## layer, at two graph sizes (docs/performance.md ledger entry 4): a row
+## that grows with the graph is an O(fragment) step
+epoch-layers:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/epoch_layers.py
 
 ## example observability run: straggler SSSP -> Chrome trace + audit
 trace-demo:

@@ -1,0 +1,132 @@
+"""Where one epoch apply of ``GraphService`` spends its time.
+
+Times the layers of ``GraphService._apply_one`` *from outside*, by
+shadowing the names the service calls (``benchmarks/e2e/tracing.Tracer``,
+the way the end-to-end benchmark's traced pass does; the service is not
+edited), on the input of the ``serve-sssp-mixed`` workload — powerlaw
+graph, 2 fragments, 8-edge batches, every other edge to a new node — at
+two graph sizes.  An epoch that costs O(batch + changed
+answers) shows the same row at both sizes; an O(fragment) step shows up
+as a row that grows with the graph.  This is the table docs/performance.md
+(ledger entry 4) quotes, not part of ``benchmarks/e2e``::
+
+    PYTHONPATH=src python benchmarks/epoch_layers.py [--sizes 2000 20000]
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import sys
+import time
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE / "e2e"))
+try:
+    import repro  # noqa: F401
+except ImportError:  # run from a checkout without installing
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+import workloads as wl  # noqa: E402  (benchmarks/e2e)
+from tracing import Tracer  # noqa: E402  (benchmarks/e2e)
+
+from repro.graph import generators  # noqa: E402
+from repro.serve import service as service_module  # noqa: E402
+from repro.serve.loadgen import verify_against_recompute  # noqa: E402
+
+#: table rows, in the order an epoch runs them; "other" is what is left of
+#: the total: the global graph's own insertions, the snapshot patch, the
+#: cache invalidation and the epoch's obs event
+LAYERS = ("grow", "contexts", "routes", "integrate", "run", "answer_delta")
+
+
+def install(tracer: Tracer, svc) -> None:
+    """Shadow every layer boundary of ``svc._apply_one``."""
+    tracer.wrap(service_module, "grow_edge_cut", "grow")
+    tracer.wrap(service_module, "integrate_insertions", "integrate")
+    tracer.wrap(svc.engine, "extend_contexts", "contexts")
+    tracer.wrap(svc.engine, "refresh_routes", "routes")
+    tracer.wrap(svc.engine, "answer_delta", "answer_delta")
+    tracer.wrap(service_module, "resume_to_fixpoint", "run")
+    tracer.wrap(svc, "_apply_one", "total")
+
+
+def measure(nodes: int, seed: int, epochs: int, reads: int) -> dict:
+    """One column of the table: median milliseconds per epoch by layer."""
+    graph = generators.powerlaw(nodes, m=3, weighted=True, seed=seed)
+    svc = wl.build_service(graph)
+    script = wl.ServeScript(graph, seed)
+    tracer = Tracer(f"powerlaw-{nodes}")
+    install(tracer, svc)
+    try:
+        for _ in range(epochs):
+            svc.ingest(script.batch())
+            svc.pump(1)
+    finally:
+        tracer.unwrap_all()
+    per_epoch = {name: [0.0] * epochs for name in LAYERS}
+    totals = tracer.durations("total")
+    # every layer span is a direct child of its epoch's "total" span
+    epoch_of = {s[0]: i for i, s in enumerate(
+        s for s in tracer.spans if s[1] == "total")}
+    for _, name, start, end, parent, *_ in tracer.spans:
+        if name in per_epoch:
+            per_epoch[name][epoch_of[parent]] += end - start
+    column = {name: statistics.median(walls) * 1e3
+              for name, walls in per_epoch.items()}
+    column["other"] = statistics.median(
+        total - sum(per_epoch[name][i] for name in LAYERS)
+        for i, total in enumerate(totals)) * 1e3
+    column["total"] = statistics.median(totals) * 1e3
+    column["changed_keys"] = svc.obs.metrics.histogram(
+        "serve_epoch_changed").mean
+    keys = [script.key() for _ in range(reads)]
+    t0 = time.perf_counter()
+    for key in keys:
+        svc.query(key, staleness_bound=wl.READ_BOUND)
+    column["read_us"] = (time.perf_counter() - t0) / reads * 1e6
+    column["verified"] = verify_against_recompute(svc)
+    return column
+
+
+def table(columns: dict) -> str:
+    sizes = list(columns)
+    lines = ["| layer | " + " | ".join(sizes) + " |",
+             "|---|" + "---:|" * len(sizes)]
+    for row in (*LAYERS, "other", "total"):
+        lines.append(f"| {row} (ms) | " + " | ".join(
+            f"{columns[size][row]:.3f}" for size in sizes) + " |")
+    lines.append("| changed keys / epoch | " + " | ".join(
+        f"{columns[size]['changed_keys']:.1f}" for size in sizes) + " |")
+    lines.append("| serve.read_us | " + " | ".join(
+        f"{columns[size]['read_us']:.2f}" for size in sizes) + " |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs=2, default=[2000, 20000],
+                        metavar="NODES")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--epochs", type=int, default=60)
+    parser.add_argument("--reads", type=int, default=2000)
+    parser.add_argument("--out", help="also write the table (markdown) "
+                        "and the numbers (JSON beside it) here")
+    args = parser.parse_args(argv)
+    columns = {f"powerlaw-{n}": measure(n, args.seed, args.epochs,
+                                        args.reads)
+               for n in args.sizes}
+    text = table(columns)
+    print(text)
+    if args.out:
+        out = pathlib.Path(args.out)
+        out.write_text(text + "\n")
+        out.with_suffix(".json").write_text(json.dumps(
+            {"seed": args.seed, "epochs": args.epochs,
+             "fragments": wl.FRAGMENTS, "batch_edges": wl.BATCH_EDGES,
+             "columns": columns}, indent=2) + "\n")
+    return 0 if all(c["verified"] for c in columns.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

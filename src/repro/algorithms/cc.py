@@ -40,6 +40,9 @@ class CCProgram(PIEProgram):
     def init_values(self, frag: Fragment, query: CCQuery) -> Dict[Node, Node]:
         return {v: v for v in frag.graph.nodes}
 
+    def init_value(self, frag: Fragment, v: Node, query: CCQuery) -> Node:
+        return v
+
     # ------------------------------------------------------------------
     def peval(self, frag: Fragment, ctx: FragmentContext,
               query: CCQuery) -> None:
@@ -78,6 +81,7 @@ class CCProgram(PIEProgram):
         ctx.scratch["root_of"] = root_of
         ctx.scratch["members"] = members
         ctx.scratch["comp_cid"] = comp_cid
+        ctx.scratch["moved"] = set()
         # only nodes shared with other fragments need eager value updates
         # on later cid changes; interior nodes are resolved through their
         # root at Assemble time (the paper's Assemble does exactly this)
@@ -85,6 +89,8 @@ class CCProgram(PIEProgram):
         ctx.scratch["border_members"] = {
             root: [v for v in comp if v in shared]
             for root, comp in members.items()}
+        # every node that sits in some border_members list
+        ctx.scratch["tracked"] = shared
 
     def inceval(self, frag: Fragment, ctx: FragmentContext,
                 activated: Set[Node], query: CCQuery) -> None:
@@ -98,6 +104,7 @@ class CCProgram(PIEProgram):
         root_of = ctx.scratch["root_of"]
         border_members = ctx.scratch["border_members"]
         comp_cid = ctx.scratch["comp_cid"]
+        moved = ctx.scratch["moved"]
         dirty_roots: Dict[Node, Node] = {}
         for v in activated:
             new_cid = ctx.get(v)
@@ -109,6 +116,7 @@ class CCProgram(PIEProgram):
         for root, new_cid in dirty_roots.items():
             if new_cid < comp_cid[root]:
                 comp_cid[root] = new_cid
+                moved.add(root)
                 for v in border_members[root]:
                     ctx.set(v, new_cid)
                     ctx.add_work(1)
@@ -199,14 +207,15 @@ class CCProgram(PIEProgram):
         members = ctx.scratch["members"]
         comp_cid = ctx.scratch["comp_cid"]
         border_members = ctx.scratch["border_members"]
-        shared = frag.shared_nodes
+        tracked = ctx.scratch["tracked"]
+        moved = ctx.scratch["moved"]
 
         def ensure(v: Node) -> Node:
             if v not in root_of:
                 root_of[v] = v
                 members[v] = [v]
                 comp_cid[v] = ctx.get(v)
-                border_members[v] = [v] if v in shared else []
+                border_members[v] = []
             return root_of[v]
 
         for u, v, _ in inserted:
@@ -214,7 +223,8 @@ class CCProgram(PIEProgram):
             # an endpoint may have just *become* shared (its edge is the
             # new cut edge): start tracking it for eager updates
             for x, r in ((u, ru), (v, rv)):
-                if x in shared and x not in border_members[r]:
+                if x not in tracked and frag.is_shared(x):
+                    tracked.add(x)
                     border_members[r].append(x)
             if ru == rv:
                 continue
@@ -222,6 +232,13 @@ class CCProgram(PIEProgram):
             if len(members[ru]) < len(members[rv]):
                 ru, rv = rv, ru
             new_cid = min(comp_cid[ru], comp_cid[rv])
+            if new_cid != comp_cid[ru]:
+                moved.add(ru)
+            if new_cid != comp_cid[rv] or rv in moved:
+                # the absorbed side's answers moved, the absorbing side's
+                # may not have: remember its nodes, not the merged root
+                moved.discard(rv)
+                moved.update(members[rv])
             for x in members[rv]:
                 root_of[x] = ru
                 ctx.add_work(1)
@@ -267,6 +284,34 @@ class CCProgram(PIEProgram):
             ctx = contexts[fid]
             root = ctx.scratch["root_of"][v]
             out[v] = ctx.scratch["comp_cid"][root]
+        return out
+
+    def answer_delta(self, pg: PartitionedGraph,
+                     contexts: Sequence[FragmentContext], written,
+                     query: CCQuery) -> Dict[Node, Node]:
+        """Every owned member of a component whose cid moved, plus the
+        owned nodes written (new nodes among them).
+
+        Assemble reads the component index, not the status variables, so
+        ``written`` alone would miss interior members — and a merge of two
+        border-less components writes no status variable at all.  PEval,
+        IncEval and ``inc_update`` note what they moved in
+        ``scratch["moved"]``; this drains it.
+        """
+        owner = pg.owner
+        out: Dict[Node, Node] = {}
+        for fid, ctx in enumerate(contexts):
+            root_of = ctx.scratch["root_of"]
+            members = ctx.scratch["members"]
+            comp_cid = ctx.scratch["comp_cid"]
+            moved = ctx.scratch["moved"]
+            nodes = set(written[fid])
+            for x in moved:
+                nodes.update(members.get(x, (x,)))
+            moved.clear()
+            for v in nodes:
+                if owner[v] == fid:
+                    out[v] = comp_cid[root_of[v]]
         return out
 
 

@@ -164,6 +164,9 @@ class CFProgram(PIEProgram):
         return frozenset(v for v in frag.graph.nodes
                          if _is_item(v) and frag.locations(v))
 
+    def ships(self, frag: Fragment, v: Node) -> bool:
+        return _is_item(v) and bool(frag.locations(v))
+
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
                      v: Node) -> Sequence[Node]:
         if self.aggregation == "gossip":

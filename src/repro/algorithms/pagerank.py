@@ -273,6 +273,9 @@ class PageRankProgram(PIEProgram):
         """Only mirror copies carry outbound deltas."""
         return frozenset(v for v in frag.mirrors if frag.locations(v))
 
+    def ships(self, frag: Fragment, v: Node) -> bool:
+        return v in frag.mirrors and bool(frag.locations(v))
+
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
                      v: Node) -> Sequence[int]:
         """A delta must be consumed exactly once: ship to the owner only."""

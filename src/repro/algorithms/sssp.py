@@ -50,6 +50,10 @@ class SSSPProgram(PIEProgram):
         return {v: (0.0 if v == query.source else INF)
                 for v in frag.graph.nodes}
 
+    def init_value(self, frag: Fragment, v: Node,
+                   query: SSSPQuery) -> float:
+        return 0.0 if v == query.source else INF
+
     # ------------------------------------------------------------------
     def peval(self, frag: Fragment, ctx: FragmentContext,
               query: SSSPQuery) -> None:
@@ -203,3 +207,13 @@ class SSSPProgram(PIEProgram):
                  query: SSSPQuery) -> Dict[Node, float]:
         """dist(s, v) for every node, taken from each node's owner."""
         return {v: contexts[fid].values[v] for v, fid in pg.owner.items()}
+
+    def answer_delta(self, pg: PartitionedGraph,
+                     contexts: Sequence[FragmentContext], written,
+                     query: SSSPQuery) -> Dict[Node, float]:
+        """The answer is the owner's status variable, so it moves exactly
+        where an owner copy was written."""
+        owner = pg.owner
+        return {v: contexts[fid].values[v]
+                for fid, nodes in enumerate(written)
+                for v in nodes if owner[v] == fid}

@@ -393,13 +393,13 @@ def cmd_serve(args) -> int:
         else:
             shed += 1
         service.pump(1)
-        for ev in service.obs.log.events[-1:]:
-            if ev.type == EPOCH_APPLY:
-                print(f"epoch {ev.payload['epoch']:>4}  "
-                      f"edges {ev.payload['edges']:>4}  "
-                      f"changed {ev.payload['changed']:>6}  "
-                      f"{ev.payload['duration'] * 1000:8.2f} ms",
-                      file=sys.stderr)
+        ev = service.obs.log.events[-1]  # the ingest above emitted
+        if ev.type == EPOCH_APPLY:
+            print(f"epoch {ev.payload['epoch']:>4}  "
+                  f"edges {ev.payload['edges']:>4}  "
+                  f"changed {ev.payload['changed']:>6}  "
+                  f"{ev.payload['duration'] * 1000:8.2f} ms",
+                  file=sys.stderr)
     service.flush()
     matches = verify_against_recompute(service)
     epoch_hist = service.obs.metrics.histogram("serve_epoch_duration")

@@ -219,6 +219,9 @@ class MapReduceOnPIE(PIEProgram):
     def ship_set(self, frag: Fragment):
         return frozenset(v for v in frag.mirrors if frag.locations(v))
 
+    def ships(self, frag: Fragment, v: Hashable) -> bool:
+        return v in frag.mirrors and bool(frag.locations(v))
+
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
                      v: Hashable) -> Sequence[int]:
         """A bag must reach its worker node's owner exactly once."""

@@ -196,6 +196,9 @@ class PregelAdapter(PIEProgram):
     def ship_set(self, frag: Fragment):
         return frozenset(v for v in frag.mirrors if frag.locations(v))
 
+    def ships(self, frag: Fragment, v: Node) -> bool:
+        return v in frag.mirrors and bool(frag.locations(v))
+
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
                      v: Node) -> Sequence[int]:
         owner = pg.owner[v]

@@ -25,13 +25,14 @@ can pass it unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Sequence, Set
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set
 
 from repro.core.messages import (Message, MessageBatch, group_entries,
                                  make_messages)
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.errors import ProgramError
 from repro.partition.fragment import PartitionedGraph
+from repro.partition.grow import GrowthReport
 
 Node = Hashable
 
@@ -92,20 +93,27 @@ class Engine:
                     if cacheable else self._build_dense_routes(wid, frag))
                 self._dense_routes.append(routes)
                 self._dense_ship_masks.append(ship_mask)
+        #: per fragment, the nodes written since :meth:`track_writes`
+        #: (``None``: nobody asked)
+        self._written: Optional[List[Set[Node]]] = None
 
     @property
     def num_workers(self) -> int:
         return self.pg.num_fragments
 
-    def _checked_ship_set(self, frag) -> Any:
+    def _checked_ship_set(self, frag) -> Set[Node]:
         """The program's ship set, validated against the routing index."""
-        ship = self.program.ship_set(frag)
-        stray = [v for v in ship if not frag.locations(v)]
+        ship = set(self.program.ship_set(frag))
+        self._check_shippable(frag, ship)
+        return ship
+
+    @staticmethod
+    def _check_shippable(frag, nodes) -> None:
+        stray = [v for v in nodes if not frag.locations(v)]
         if stray:
             raise ProgramError(
                 f"ship set of fragment {frag.fid} contains node "
                 f"{stray[0]!r} that resides nowhere else")
-        return ship
 
     def _build_dense_routes(self, wid: int, frag) -> Any:
         """Precompute one fragment's routing masks for batched derivation.
@@ -130,22 +138,31 @@ class Engine:
                 routes[dst][lid] = True
         return routes, ship_mask
 
-    def refresh_routes(self, wids) -> None:
-        """Recompute memoized routing after the partition grew in place.
+    # ------------------------------------------------------------------
+    # following in-place growth (repro.partition.grow)
+    # ------------------------------------------------------------------
+    def refresh_routes(self, report: GrowthReport) -> None:
+        """Patch the routing this engine holds after the partition grew.
 
-        :func:`repro.partition.grow.grow_edge_cut` invalidates the
-        fragment-level caches; this refreshes the engine's per-instance
-        copies (ship sets, dense routes) for the touched fragments so a
-        warm engine keeps serving without a rebuild.
+        Ship-set membership is re-decided (:meth:`PIEProgram.ships`) and
+        re-validated only for the nodes ``report`` names; growth dropped
+        the fragment-level memo, so the patched set is put back for the
+        next engine of this program class.  Dense routes are arrays over a
+        CSR view that no longer exists: rebuilt for the touched fragments.
         """
         cacheable = getattr(self.program, "cacheable_routes", True)
         cls = type(self.program)
-        for wid in wids:
+        for wid, nodes in report.rerouted.items():
             frag = self.pg.fragments[wid]
-            self._ship_sets[wid] = (
-                frag.memo(("ship_set", cls),
-                          lambda f=frag: self._checked_ship_set(f))
-                if cacheable else self._checked_ship_set(frag))
+            gained = [v for v in nodes if self.program.ships(frag, v)]
+            self._check_shippable(frag, gained)
+            ship = self._ship_sets[wid]
+            ship.difference_update(nodes)
+            ship.update(gained)
+        for wid in report.touched:
+            frag = self.pg.fragments[wid]
+            if cacheable:
+                frag.memo(("ship_set", cls), lambda w=wid: self._ship_sets[w])
             if self.vectorized:
                 routes, ship_mask = (
                     frag.memo(("dense_routes", cls),
@@ -154,6 +171,52 @@ class Engine:
                     if cacheable else self._build_dense_routes(wid, frag))
                 self._dense_routes[wid] = routes
                 self._dense_ship_masks[wid] = ship_mask
+
+    def extend_contexts(self, report: GrowthReport) -> None:
+        """Give every node that growth made locally present a status
+        variable.
+
+        Brand-new nodes take the program's initial value on their owner
+        (what a rebuilt context would start them at,
+        :meth:`PIEProgram.init_value`); every other copy in
+        ``report.new_local`` is a fresh mirror and adopts its owner's
+        current value — the carry-over
+        :class:`~repro.streaming.StreamingSession` performs on rebuild,
+        done in place.  Nothing is marked changed: seeding IncEval is
+        ``inc_update``'s job.
+        """
+        owner = self.pg.owner
+        for v in report.new_nodes:
+            fid = owner[v]
+            self.contexts[fid].values[v] = self.program.init_value(
+                self.pg.fragments[fid], v, self.query)
+            if self._written is not None:
+                self._written[fid].add(v)
+        for fid, nodes in report.new_local.items():
+            values = self.contexts[fid].values
+            for v in nodes:
+                if owner[v] != fid:
+                    values[v] = self.contexts[owner[v]].values[v]
+
+    def track_writes(self) -> None:
+        """From now on record, per fragment, which status variables get
+        written — what bounds :meth:`answer_delta`.  Generic path only:
+        dense rounds keep masks, not sets."""
+        self._written = [set() for _ in self.contexts]
+        # a program may keep notes of its own (CC's moved components):
+        # forget the ones that predate tracking
+        self.answer_delta()
+
+    def answer_delta(self) -> Optional[Dict[Node, Any]]:
+        """The program's answer delta for everything written since the
+        last call (or since :meth:`track_writes`); ``None`` when it is
+        unknown and the caller has to assemble and compare."""
+        written = self._written
+        if written is None or self.vectorized:
+            return None
+        self._written = [set() for _ in written]
+        return self.program.answer_delta(self.pg, self.contexts, written,
+                                         self.query)
 
     # ------------------------------------------------------------------
     def run_peval(self, wid: int) -> RoundOutput:
@@ -243,6 +306,8 @@ class Engine:
         ctx = self.contexts[wid]
         ship = self._ship_sets[wid]
         changed = ctx.take_changed()
+        if self._written is not None:
+            self._written[wid] |= changed
         per_dest: Dict[int, List] = {}
         held_back = []
         for v in sorted(changed & ship, key=repr):

@@ -50,6 +50,16 @@ class ScheduledExecutor:
             self.rounds[out.wid] += 1
             self._deliver(out.messages)
 
+    def resume(self, messages: Iterable[Message]) -> None:
+        """Start from a converged engine instead of PEval: its contexts
+        hold a fixpoint that local updates have moved, ``messages`` are
+        the designated messages those updates derived (round 0 is done)."""
+        if self._started:
+            raise TerminationError("executor already started")
+        self._started = True
+        self.rounds = [1] * self.engine.num_workers
+        self._deliver(messages)
+
     def step(self, wid: int) -> bool:
         """Activate worker ``wid`` once (one IncEval round).
 
@@ -155,3 +165,18 @@ def run_sequential_fixpoint(engine: Engine,
     ex.start()
     ex.drain(max_steps=max_steps)
     return ex.assemble()
+
+
+def resume_to_fixpoint(engine: Engine, messages: Iterable[Message],
+                       max_steps: int = 1_000_000) -> int:
+    """Continue a converged ``engine`` from ``messages`` on the calling
+    thread: round-robin IncEval until quiescent, no PEval, no Assemble.
+    Returns the number of rounds run.
+
+    A continuation after a small update is a handful of rounds of
+    microseconds each; on threads it costs more in hand-offs than in
+    work, and its latency is the scheduler's, not the program's.
+    """
+    ex = ScheduledExecutor(engine)
+    ex.resume(messages)
+    return ex.drain(max_steps=max_steps)

@@ -21,8 +21,8 @@ changes so the engine can derive designated messages by diffing.
 from __future__ import annotations
 
 import abc
-from typing import (Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Any, Dict, FrozenSet, Hashable, Iterable,
+                    List, Mapping, Optional, Sequence, Set, Tuple)
 
 from repro.core.aggregators import Aggregator
 from repro.errors import ProgramError
@@ -151,7 +151,7 @@ class PIEProgram(abc.ABC):
     # ------------------------------------------------------------------
     # declarations
     # ------------------------------------------------------------------
-    def candidates(self, frag: Fragment) -> FrozenSet[Node]:
+    def candidates(self, frag: Fragment) -> AbstractSet[Node]:
         """The candidate set ``C_i`` whose variables are update parameters.
 
         Defaults to every node shared with another fragment, which is correct
@@ -169,9 +169,28 @@ class PIEProgram(abc.ABC):
         return frozenset(v for v in self.candidates(frag)
                          if frag.locations(v))
 
+    def ships(self, frag: Fragment, v: Node) -> bool:
+        """``v in ship_set(frag)`` for one local node, without the set.
+
+        An engine builds its ship sets in bulk and, after in-place growth,
+        re-asks this for the few nodes the growth touched; a program that
+        overrides one form overrides the other (``tests/core/test_pie.py``
+        holds every program in the repo to it).
+        """
+        return frag.is_shared(v) and bool(frag.locations(v))
+
     @abc.abstractmethod
     def init_values(self, frag: Fragment, query: Any) -> Dict[Node, Any]:
         """Initial status variables for every locally present node."""
+
+    def init_value(self, frag: Fragment, v: Node, query: Any) -> Any:
+        """Per-node form of :meth:`init_values`: what a rebuilt context
+        would start node ``v`` at.  Growing a warm engine in place asks it
+        for the handful of nodes a batch adds; programs that support
+        streaming updates override it (with :meth:`inc_update`).
+        """
+        raise ProgramError(
+            f"{self.name} does not support streaming updates")
 
     # ------------------------------------------------------------------
     # the three functions
@@ -248,6 +267,23 @@ class PIEProgram(abc.ABC):
         """
         raise ProgramError(
             f"{self.name} does not support streaming updates")
+
+    def answer_delta(self, pg: PartitionedGraph,
+                     contexts: Sequence[FragmentContext],
+                     written: Sequence[Set[Node]],
+                     query: Any) -> Optional[Dict[Node, Any]]:
+        """The part of :meth:`assemble`'s answer that may have moved.
+
+        ``written[i]`` holds the nodes of fragment ``i`` whose status
+        variable was written (or created) since the caller started
+        tracking — one update epoch of a resident service.  Return
+        ``{node: current answer value}`` covering *at least* every answer
+        entry that differs from before the epoch (entries that did not
+        move are allowed; the caller compares), at a cost bounded by what
+        was written.  ``None`` (the default) declares the delta unknown
+        and the caller falls back to a full Assemble and diff.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # convergence support (conditions T1-T3, Section 4.1)

@@ -13,8 +13,9 @@ for the wall-clock runtimes.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Union
 
 #: a worker begins PEval or IncEval
 ROUND_START = "round_start"
@@ -116,27 +117,49 @@ class EventLog:
 
     The hot-path contract is that runtimes never call :meth:`emit` unless an
     observer was attached, so a disabled run pays nothing; when enabled the
-    per-emit cost is one lock acquisition and one list append.
+    per-emit cost is one lock acquisition and one append.
+
+    A batch run keeps every record (``capacity=None``).  A resident
+    process that emits for as long as it lives passes a ``capacity``: the
+    log is then a ring of the most recent ``capacity`` records, and
+    :attr:`dropped` counts the ones it let go.  ``len(log)`` is what is
+    retained either way.
     """
 
-    __slots__ = ("events", "_lock")
+    __slots__ = ("events", "capacity", "dropped", "_lock")
 
-    def __init__(self):
-        self.events: List[ObsEvent] = []
+    def __init__(self, capacity: Optional[int] = None):
+        if capacity is not None and capacity <= 0:
+            raise ValueError(f"event log capacity must be > 0, "
+                             f"got {capacity}")
+        self.capacity = capacity
+        self.events: Union[List[ObsEvent], Deque[ObsEvent]] = (
+            [] if capacity is None else deque(maxlen=capacity))
+        #: records a bounded log has overwritten
+        self.dropped = 0
         self._lock = threading.Lock()
 
     def emit(self, type: str, t: float, wid: int = -1,
              round: int = -1, **payload: Any) -> None:
+        event = ObsEvent(type=type, t=t, wid=wid, round=round,
+                         payload=payload)
         with self._lock:
-            self.events.append(ObsEvent(type=type, t=t, wid=wid,
-                                        round=round, payload=payload))
+            if len(self.events) == self.capacity:
+                self.dropped += 1
+            self.events.append(event)
 
     def append(self, event: ObsEvent) -> None:
         with self._lock:
+            if len(self.events) == self.capacity:
+                self.dropped += 1
             self.events.append(event)
 
     def extend(self, events) -> None:
+        events = list(events)
         with self._lock:
+            if self.capacity is not None:
+                self.dropped += max(0, len(self.events) + len(events)
+                                    - self.capacity)
             self.events.extend(events)
 
     # ------------------------------------------------------------------
@@ -165,7 +188,9 @@ class EventLog:
     def sort(self) -> None:
         """Order records by timestamp (stable); for merged worker logs."""
         with self._lock:
-            self.events.sort(key=lambda e: e.t)
+            ordered = sorted(self.events, key=lambda e: e.t)
+            self.events.clear()
+            self.events.extend(ordered)
 
     def __len__(self) -> int:
         return len(self.events)

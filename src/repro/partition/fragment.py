@@ -31,8 +31,8 @@ generic-path programs (so ``GraphService`` and ``StreamingSession``),
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    List, Mapping, Optional, Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class Fragment:
 
     __slots__ = ("fid", "_local", "owned", "mirrors", "in_border",
                  "out_border", "out_copies", "in_copies", "cut", "_routing",
-                 "_compact", "_memo")
+                 "_peers", "_compact", "_memo")
 
     def __init__(self, fid: int, graph: Union[Graph, GraphArrays],
                  owned: Iterable[Node], mirrors: Iterable[Node],
@@ -106,14 +106,17 @@ class Fragment:
         # one source of truth: the builder's arrays until someone asks
         # for the dict graph, the dict graph afterwards
         self._local: Union[Graph, GraphArrays] = graph
-        self.owned: FrozenSet[Node] = frozenset(owned)
-        self.mirrors: FrozenSet[Node] = frozenset(mirrors)
-        self.in_border: FrozenSet[Node] = frozenset(in_border)
-        self.out_border: FrozenSet[Node] = frozenset(out_border)
-        self.out_copies: FrozenSet[Node] = frozenset(out_copies)
-        self.in_copies: FrozenSet[Node] = frozenset(in_copies)
+        # plain sets: in-place growth only ever adds members
+        # (repro.partition.grow); nobody else may mutate them
+        self.owned: Set[Node] = set(owned)
+        self.mirrors: Set[Node] = set(mirrors)
+        self.in_border: Set[Node] = set(in_border)
+        self.out_border: Set[Node] = set(out_border)
+        self.out_copies: Set[Node] = set(out_copies)
+        self.in_copies: Set[Node] = set(in_copies)
         self._routing: Dict[Node, Tuple[int, ...]] = {
             v: tuple(fids) for v, fids in routing.items()}
+        self._peers: Optional[Set[int]] = None
         self._compact: Optional[FragmentCSR] = None
         self._memo: Optional[Dict] = None
         self._validate()
@@ -150,15 +153,20 @@ class Fragment:
         return self._local.directed
 
     @property
-    def border_nodes(self) -> FrozenSet[Node]:
+    def border_nodes(self) -> Set[Node]:
         """The paper's border nodes of ``F_i``: ``F.I ∪ F.O'``."""
         return self.in_border | self.out_border
 
     @property
-    def shared_nodes(self) -> FrozenSet[Node]:
+    def shared_nodes(self) -> Set[Node]:
         """All nodes with a presence in some other fragment
         (border + mirrors)."""
         return self.border_nodes | self.mirrors
+
+    def is_shared(self, v: Node) -> bool:
+        """``v in shared_nodes`` without building the union."""
+        return (v in self.mirrors or v in self.in_border
+                or v in self.out_border)
 
     def locations(self, v: Node) -> Tuple[int, ...]:
         """Fragment ids (excluding this one) where node ``v`` also resides.
@@ -168,14 +176,15 @@ class Fragment:
         """
         return self._routing.get(v, ())
 
-    def peer_fragments(self) -> FrozenSet[int]:
+    def peer_fragments(self) -> Set[int]:
         """Fragments sharing at least one node with this one (its senders).
 
-        Memoized: the routing index is fixed at construction and runtimes
-        rebuild their queues from this on every run.
+        Computed once (runtimes rebuild their queues from this on every
+        run); in-place growth adds the peers it creates.
         """
-        return self.memo("peer_fragments", lambda: frozenset().union(
-            *self._routing.values()))
+        if self._peers is None:
+            self._peers = set().union(*self._routing.values())
+        return self._peers
 
     def compact(self) -> FragmentCSR:
         """The cached :class:`FragmentCSR` view, built on first use (the
@@ -193,7 +202,9 @@ class Fragment:
         program class), kernels their per-fragment arrays (out-degrees,
         per-edge sources): pure functions of the partition that would
         otherwise be rebuilt per engine or per round.  Callers must treat
-        cached objects as immutable.
+        cached objects as immutable; the one exception is the ship set,
+        which the engine that follows in-place growth patches and
+        re-installs (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
         if self._memo is None:
             self._memo = {}
@@ -209,9 +220,10 @@ class Fragment:
 
         :func:`repro.partition.grow.grow_edge_cut` mutates the local graph
         and the border/routing sets, which the CSR view, ship sets, dense
-        routes, peer sets and kernel arrays are functions of.  Engines kept
-        over the partition also call
-        :meth:`~repro.core.engine.Engine.refresh_routes`.
+        routes and kernel arrays are functions of (the peer set it patches
+        itself).  An engine kept over the partition patches its ship set
+        from the growth report and puts it back
+        (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
         self._compact = None
         self._memo = None

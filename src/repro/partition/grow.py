@@ -10,11 +10,13 @@ by the equivalence tests — identical to rebuilding with the same owner
 map: same local graphs, same owned/mirror/border sets, same routing index,
 same placement.
 
-The one global cost is cache invalidation: touched fragments drop their
-memoized ship sets, dense routes and CSR views (they are pure functions of
-a partition that just changed); an :class:`~repro.core.engine.Engine` kept
-over the partition refreshes its per-fragment routing via
-:meth:`~repro.core.engine.Engine.refresh_routes`.
+Fragment sets, the routing index and the peer sets only ever *gain*
+members under insertion, so they are grown in place, and the
+:class:`GrowthReport` names the nodes whose presence, border status or
+routing changed in each fragment.  Array-shaped caches of a touched
+fragment (CSR view, dense routes, kernel arrays) are dropped; an
+:class:`~repro.core.engine.Engine` kept over the partition patches its ship
+sets from the report (:meth:`~repro.core.engine.Engine.refresh_routes`).
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ class GrowthReport:
     new_local: Dict[int, List[Node]] = field(default_factory=dict)
     #: nodes that did not exist anywhere before this step
     new_nodes: Set[Node] = field(default_factory=set)
-
-    def _note_local(self, fid: int, v: Node) -> None:
-        self.new_local.setdefault(fid, []).append(v)
+    #: per fragment: nodes whose presence, border status or routing entry
+    #: changed there — everything a per-fragment function of those (a ship
+    #: set) has to look at again; every other node is as it was
+    rerouted: Dict[int, Set[Node]] = field(default_factory=dict)
 
 
 def grow_edge_cut(pg: PartitionedGraph,
@@ -66,101 +69,75 @@ def grow_edge_cut(pg: PartitionedGraph,
             f"in-place growth requires an edge-cut partition, got "
             f"{pg.cut!r}")
     m = pg.num_fragments
+    frags = pg.fragments
     report = GrowthReport()
-    # fragments collect set deltas in mutable scratch; frozensets are
-    # reassigned once per touched fragment at the end
-    scratch: Dict[int, Dict[str, set]] = {}
-    # nodes whose presence set changed (routing must be rewritten
-    # everywhere they are present)
-    presence_dirty: Set[Node] = set()
-    placement: Dict[Node, Set[int]] = {}
+    touched = report.touched
 
-    def presence(v: Node) -> Set[int]:
-        got = placement.get(v)
-        if got is None:
-            got = placement[v] = set(pg.placement.get(v, ()))
-        return got
-
-    def sets_of(fid: int) -> Dict[str, set]:
-        got = scratch.get(fid)
-        if got is None:
-            frag = pg.fragments[fid]
-            got = scratch[fid] = {
-                "owned": set(frag.owned), "mirrors": set(frag.mirrors),
-                "in_border": set(frag.in_border),
-                "out_border": set(frag.out_border),
-                "out_copies": set(frag.out_copies),
-                "in_copies": set(frag.in_copies)}
-            report.touched.add(fid)
-        return got
+    def dirty(fid: int, v: Node) -> None:
+        touched.add(fid)
+        report.rerouted.setdefault(fid, set()).add(v)
 
     def ensure_owner(v: Node) -> int:
         fid = pg.owner.get(v)
         if fid is None:
-            fid = assign(v, m)
-            pg.owner[v] = fid
+            fid = pg.owner[v] = assign(v, m)
             report.new_nodes.add(v)
-            report._note_local(fid, v)
-            sets_of(fid)["owned"].add(v)
-            pg.fragments[fid].graph.add_node(v)
-            presence(v).add(fid)
-            presence_dirty.add(v)
+            report.new_local.setdefault(fid, []).append(v)
+            frags[fid].owned.add(v)
+            frags[fid].graph.add_node(v)
+            pg.placement[v] = (fid,)
+            dirty(fid, v)
         return fid
 
     def ensure_mirror(fid: int, v: Node) -> None:
         """Give fragment ``fid`` a mirror copy of remotely-owned ``v``."""
-        s = sets_of(fid)
-        if v not in s["mirrors"]:
-            s["mirrors"].add(v)
-            report._note_local(fid, v)
-        pres = presence(v)
-        if fid not in pres:
-            pres.add(fid)
-            presence_dirty.add(v)
+        frag = frags[fid]
+        if v in frag.mirrors:
+            return
+        frag.mirrors.add(v)
+        report.new_local.setdefault(fid, []).append(v)
+        # v now resides in one more place: rewrite its routing entry
+        # everywhere it is present
+        present = pg.placement[v] = tuple(sorted(pg.placement[v] + (fid,)))
+        for at in present:
+            peers = tuple(f for f in present if f != at)
+            frags[at]._routing[v] = peers
+            if frags[at]._peers is not None:
+                frags[at]._peers.update(peers)
+            dirty(at, v)
 
-    directed = pg.fragments[0].directed
+    def mark(fid: int, border: Set[Node], v: Node) -> None:
+        if v not in border:
+            border.add(v)
+            dirty(fid, v)
+
+    directed = frags[0].directed
     for u, v, w in insertions:
         fu = ensure_owner(u)
         fv = ensure_owner(v)
         # the edge has a copy in the fragment of each endpoint
-        pg.fragments[fu].graph.add_edge(u, v, w)
-        report.touched.add(fu)
-        if fv != fu:
-            pg.fragments[fv].graph.add_edge(u, v, w)
-            # border bookkeeping, directed semantics; undirected graphs
-            # get the symmetric closure — mirroring build_edge_cut exactly
-            su, sv = sets_of(fu), sets_of(fv)
-            su["out_border"].add(u)
-            su["out_copies"].add(v)
-            ensure_mirror(fu, v)
-            sv["in_border"].add(v)
-            sv["in_copies"].add(u)
-            ensure_mirror(fv, u)
-            if not directed:
-                sv["out_border"].add(v)
-                sv["out_copies"].add(u)
-                su["in_border"].add(u)
-                su["in_copies"].add(v)
-
-    # commit set deltas and rewrite routing for dirty nodes
-    for fid, s in scratch.items():
-        frag = pg.fragments[fid]
-        frag.owned = frozenset(s["owned"])
-        frag.mirrors = frozenset(s["mirrors"])
-        frag.in_border = frozenset(s["in_border"])
-        frag.out_border = frozenset(s["out_border"])
-        frag.out_copies = frozenset(s["out_copies"])
-        frag.in_copies = frozenset(s["in_copies"])
-    for v in presence_dirty:
-        fids = placement[v]
-        pg.placement[v] = tuple(sorted(fids))
-        if len(fids) > 1:
-            for fid in fids:
-                pg.fragments[fid]._routing[v] = tuple(
-                    sorted(fids - {fid}))
-                report.touched.add(fid)
-    # memoized ship sets / dense routes / CSR views are functions of the
+        frags[fu].graph.add_edge(u, v, w)
+        touched.add(fu)
+        if fv == fu:
+            continue
+        a, b = frags[fu], frags[fv]
+        b.graph.add_edge(u, v, w)
+        touched.add(fv)
+        # border bookkeeping, directed semantics; undirected graphs
+        # get the symmetric closure — mirroring build_edge_cut exactly
+        ensure_mirror(fu, v)
+        ensure_mirror(fv, u)
+        mark(fu, a.out_border, u)
+        mark(fu, a.out_copies, v)
+        mark(fv, b.in_border, v)
+        mark(fv, b.in_copies, u)
+        if not directed:
+            mark(fv, b.out_border, v)
+            mark(fv, b.out_copies, u)
+            mark(fu, a.in_border, u)
+            mark(fu, a.in_copies, v)
+    # CSR views, dense routes and kernel arrays are functions of the
     # partition that just changed under them
-    for fid in report.touched:
-        pg.fragments[fid].invalidate_caches()
+    for fid in touched:
+        frags[fid].invalidate_caches()
     return report

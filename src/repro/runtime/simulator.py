@@ -92,6 +92,8 @@ class SimulatedRuntime:
         self._host_queue: List[List[int]] = [[] for _ in range(num_hosts)]
         self._finished = False
         self._seeded = False
+        #: a continuation run (:meth:`seed_resume`) leaves Assemble out
+        self._assemble = True
         # potential senders per worker: fragments sharing at least one node
         self._num_peers = [len(frag.peer_fragments()) for frag in engine.pg]
 
@@ -107,7 +109,7 @@ class SimulatedRuntime:
                 self._try_start(wid)
         self._event_loop()
         self._finished = True
-        answer = self.engine.assemble()
+        answer = self.engine.assemble() if self._assemble else None
         metrics = self._collect_metrics()
         extras = {"events": self.queue.processed}
         if self.obs is not None:
@@ -123,7 +125,11 @@ class SimulatedRuntime:
 
         Used by the streaming extension: the engine's contexts already hold
         a (locally updated) fixpoint state; ``messages`` are the designated
-        messages derived from the update integration.  PEval is skipped.
+        messages derived from the update integration.  PEval is skipped,
+        and so is Assemble: the caller holds the previous answer and asks
+        the engine for it (or for the delta,
+        :meth:`~repro.core.engine.Engine.answer_delta`), so the run's
+        ``answer`` is ``None``.
         """
         for wid, w in enumerate(self.workers):
             w.rounds = 1  # PEval logically done in a previous run
@@ -135,6 +141,7 @@ class SimulatedRuntime:
                 w.status = WorkerStatus.WAITING
                 w.wait_started = 0.0
         self._seeded = True
+        self._assemble = False
         self._reevaluate_all()
 
     def seed_from_snapshot(self, snapshot) -> None:

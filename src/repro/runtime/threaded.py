@@ -170,22 +170,6 @@ class ThreadedRuntime:
                 w.buffer.push(msg)
         self._seeded = True
 
-    def seed_resume(self, messages) -> None:
-        """Resume incremental evaluation from pre-derived messages.
-
-        The streaming/serving continuation path (mirror of
-        :meth:`~repro.runtime.simulator.SimulatedRuntime.seed_resume`):
-        the engine's contexts already hold a locally-integrated fixpoint
-        state; ``messages`` are the designated messages derived from the
-        update integration.  PEval is skipped for every worker.
-        """
-        for wid, w in enumerate(self.workers):
-            w.rounds = 1  # PEval logically done in a previous run
-            self._peval_done[wid] = True
-        for msg in messages:
-            self.workers[msg.dst].buffer.push(msg)
-        self._seeded = True
-
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         self._start_time = time.monotonic()

@@ -3,11 +3,11 @@
 The service answers point lookups out of the assembled answer map; the
 cache in front of it exists for the *skewed* workloads a service actually
 sees (a few hot keys asked over and over).  Entries are invalidated by the
-epoch-apply path: after each batch converges, the service diffs the new
-assembled answer against the previous one and drops exactly the keys whose
-value changed — so a cache hit is always identical to reading the current
-snapshot, and hot keys untouched by an update survive arbitrarily many
-epochs.
+epoch-apply path: after each batch converges, the service drops exactly the
+keys whose answer the epoch changed (the program's answer delta, compared
+with the snapshot) — so a cache hit is always identical to reading the
+current snapshot, and hot keys untouched by an update survive arbitrarily
+many epochs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterable, Tuple
 
 Node = Hashable
+
+#: "no entry", as distinct from a cached ``None`` (a key read before its
+#: node existed)
+_ABSENT = object()
 
 
 class QueryCache:
@@ -60,7 +64,7 @@ class QueryCache:
         """Drop every cached entry whose key's value just changed."""
         dropped = 0
         for k in keys:
-            if self._entries.pop(k, None) is not None:
+            if self._entries.pop(k, _ABSENT) is not _ABSENT:
                 dropped += 1
         self.invalidations += dropped
         return dropped

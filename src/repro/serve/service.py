@@ -11,14 +11,20 @@ read queries flow out.  The hot path never rebuilds the engine:
    queue, and parked; accepting a batch advances the *accepted* epoch.
 2. **Epoch apply** — one parked batch is materialised by growing the
    fragments in place (:func:`~repro.partition.grow.grow_edge_cut` — same
-   owner map, memoized routes refreshed, cost proportional to the batch),
-   new nodes get program-default status variables and fresh mirrors adopt
-   their owner's converged value, each touched fragment integrates its
-   insertions through :meth:`~repro.core.pie.PIEProgram.inc_update` + one
-   IncEval, and the continuation run resumes from the resulting designated
-   messages (Theorem 2: monotone programs converge to ``Q(G ⊕ ∆G)`` from
-   any intermediate state).  Applying a batch advances the *applied*
-   epoch.
+   owner map; its report names the nodes whose presence or routing
+   changed, and the engine patches ship sets and contexts for those
+   only), new nodes get their per-node initial value and fresh mirrors
+   adopt their owner's converged value, each touched fragment integrates
+   its insertions through :meth:`~repro.core.pie.PIEProgram.inc_update` +
+   one IncEval, and the continuation resumes from the resulting
+   designated messages on the calling thread
+   (:func:`~repro.core.fixpoint.resume_to_fixpoint`; Theorem 2: monotone
+   programs converge to ``Q(G ⊕ ∆G)`` from any intermediate state, under
+   any schedule).  The snapshot is then
+   patched with the program's answer delta
+   (:meth:`~repro.core.pie.PIEProgram.answer_delta`) — every step costs
+   O(batch + changed answers), none O(fragment).  Applying a batch
+   advances the *applied* epoch.
 3. **Query** — each read declares a maximum staleness in applied-batch
    epochs (an SSP-style bound).  The service's staleness is the number of
    accepted-but-unapplied batches; a query whose bound is already met is
@@ -36,9 +42,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Deque, Dict, Hashable, List, Optional, Set
+from typing import Any, Deque, Dict, Hashable, Optional, Set
 
 from repro.core.engine import Engine
+from repro.core.fixpoint import resume_to_fixpoint
 from repro.core.modes import make_policy
 from repro.core.pie import PIEProgram
 from repro.core.result import RunResult
@@ -46,13 +53,14 @@ from repro.errors import ProgramError, ReproError
 from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
-                       Observer)
+                       EventLog, Observer)
 from repro.partition.builder import build_edge_cut
-from repro.partition.grow import GrowthReport, grow_edge_cut
+from repro.partition.grow import grow_edge_cut
 from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.threaded import ThreadedRuntime
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import QueryCache
+from repro.streaming.session import integrate_insertions
 from repro.streaming.updates import UpdateBatch, edge_key, validate_batch
 
 Node = Hashable
@@ -61,6 +69,12 @@ Node = Hashable
 _MISSING = object()
 
 RUNTIMES = ("threaded", "simulated")
+
+#: events the service's own log retains: a resident process emits one per
+#: read for as long as it lives, so its log is a ring of the recent past
+#: (:attr:`~repro.obs.EventLog.dropped` counts the rest; the histograms
+#: see every event)
+EVENT_LOG_CAPACITY = 8192
 
 
 @dataclass(frozen=True)
@@ -99,9 +113,10 @@ class QueryResult:
 class GraphService:
     """A warm, incrementally-updated PIE computation behind a query API.
 
-    ``runtime`` selects what executes the continuation runs: ``threaded``
-    (real threads, the serving configuration) or ``simulated`` (the
-    deterministic reference, used by the differential tests).
+    ``runtime`` and ``mode`` select what executes the one PEval run:
+    ``threaded`` (real threads, the serving configuration) or
+    ``simulated`` (the deterministic reference, used by the differential
+    tests).  Epochs continue from it on the calling thread.
     """
 
     def __init__(self, program: PIEProgram, graph: Graph, query: Any,
@@ -131,7 +146,13 @@ class GraphService:
         self.cache = QueryCache(cache_size)
         #: always-on observability: events + histograms for every ingest,
         #: epoch and query land here
-        self.obs = observer if observer is not None else Observer()
+        self.obs = observer if observer is not None \
+            else Observer(log=EventLog(capacity=EVENT_LOG_CAPACITY))
+        metrics = self.obs.metrics
+        # read-path instruments, looked up once instead of per query
+        self._query_latency = metrics.histogram("serve_query_latency")
+        self._staleness = metrics.histogram("serve_staleness")
+        self._queries = metrics.counter("serve_queries")
         # ownership is the process-stable hash shared with StreamingSession,
         # so a session-warmed partition and the service agree on placement
         owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
@@ -145,22 +166,18 @@ class GraphService:
         #: edge keys of parked batches (cross-batch duplicate detection)
         self._staged: Set[Any] = set()
         #: the one PEval in this service's lifetime
-        self.initial_result: RunResult = self._run_fresh()
+        self.initial_result: RunResult = self._make_runtime().run()
+        #: the one full Assemble; epochs patch it with answer deltas
         self._answer: Dict[Node, Any] = self._assembled()
+        self.engine.track_writes()
 
     # -- runtime plumbing ----------------------------------------------
-    def _policy(self):
-        return make_policy(self.mode, staleness_bound=self.staleness_bound)
-
     def _make_runtime(self):
+        policy = make_policy(self.mode, staleness_bound=self.staleness_bound)
         if self.runtime == "threaded":
-            return ThreadedRuntime(self.engine, self._policy(),
+            return ThreadedRuntime(self.engine, policy,
                                    time_scale=self.time_scale)
-        return SimulatedRuntime(self.engine, self._policy(),
-                                record_trace=False)
-
-    def _run_fresh(self) -> RunResult:
-        return self._make_runtime().run()
+        return SimulatedRuntime(self.engine, policy, record_trace=False)
 
     def _assembled(self) -> Dict[Node, Any]:
         answer = self.engine.assemble()
@@ -235,22 +252,26 @@ class GraphService:
             self._staged.discard(edge_key(self.graph, u, v))
             self.graph.add_edge(u, v, w)
         report = grow_edge_cut(self.pg, batch.insertions)
-        self._extend_contexts(report)
-        touched = sorted(report.touched)
-        self.engine.refresh_routes(touched)
-        messages = self._integrate(batch, touched)
+        self.engine.extend_contexts(report)
+        self.engine.refresh_routes(report)
+        messages = integrate_insertions(self.engine, batch.insertions)
         if messages:
-            runtime = self._make_runtime()
-            runtime.seed_resume(messages)
-            runtime.run()
+            # on the calling thread: the continuation of one batch is a
+            # few short rounds, and an epoch that waits on thread wake-ups
+            # takes as long as the scheduler says, not the program
+            resume_to_fixpoint(self.engine, messages)
         # with no designated messages the local IncEvals already reached
-        # the global fixpoint; skip the runtime entirely
+        # the global fixpoint
         self.epoch += 1
-        new_answer = self._assembled()
-        changed = {k for k, val in new_answer.items()
-                   if self._answer.get(k, _MISSING) != val}
+        delta = self.engine.answer_delta()
+        if delta is None:
+            # the program declares no delta: everything may have moved
+            delta = self._assembled()
+        answer = self._answer
+        changed = {k: val for k, val in delta.items()
+                   if answer.get(k, _MISSING) != val}
+        answer.update(changed)
         self.cache.invalidate(changed)
-        self._answer = new_answer
         duration = perf_counter() - t0
         self.obs.metrics.counter("serve_epochs").inc()
         self.obs.metrics.histogram("serve_epoch_duration").observe(duration)
@@ -259,51 +280,6 @@ class GraphService:
         self.obs.log.emit(EPOCH_APPLY, perf_counter(), epoch=self.epoch,
                           edges=len(batch), changed=len(changed),
                           duration=duration)
-
-    def _extend_contexts(self, report: GrowthReport) -> None:
-        """Give every newly-present node a status variable.
-
-        Two passes: brand-new *owned* nodes take the program's initial
-        value (what a rebuilt context would start them at); fresh mirror
-        copies then adopt their owner's current value — exactly the
-        carry-over :class:`~repro.streaming.StreamingSession` performs on
-        rebuild, done in place.  Nothing is marked changed: seeding is
-        ``inc_update``'s job.
-        """
-        for fid, nodes in report.new_local.items():
-            ctx = self.engine.contexts[fid]
-            owned_new = [v for v in nodes
-                         if self.pg.owner[v] == fid and v not in ctx.values]
-            if owned_new:
-                defaults = self.program.init_values(self.pg.fragments[fid],
-                                                    self.pie_query)
-                for v in owned_new:
-                    ctx.values[v] = defaults[v]
-        for fid, nodes in report.new_local.items():
-            ctx = self.engine.contexts[fid]
-            for v in nodes:
-                if v not in ctx.values:
-                    owner_ctx = self.engine.contexts[self.pg.owner[v]]
-                    ctx.values[v] = owner_ctx.values[v]
-
-    def _integrate(self, batch: UpdateBatch,
-                   touched: List[int]) -> List[Any]:
-        """inc_update + one IncEval per touched fragment; collect the
-        designated messages that seed the continuation run."""
-        messages: List[Any] = []
-        for wid in touched:
-            frag = self.pg.fragments[wid]
-            local = [(u, v, w) for u, v, w in batch.insertions
-                     if frag.graph.has_node(u) and frag.graph.has_node(v)
-                     and frag.graph.has_edge(u, v)]
-            if not local:
-                continue
-            ctx = self.engine.contexts[wid]
-            seeds = self.program.inc_update(frag, ctx, local, self.pie_query)
-            if seeds:
-                self.program.inceval(frag, ctx, set(seeds), self.pie_query)
-            messages.extend(self.engine.derive_messages(wid, round_no=1))
-        return messages
 
     # -- query path ----------------------------------------------------
     def query(self, key: Node, staleness_bound: int = 0) -> QueryResult:
@@ -346,9 +322,9 @@ class GraphService:
                 value = self._answer.get(key)
                 self.cache.put(key, value)
         latency = perf_counter() - t0
-        self.obs.metrics.histogram("serve_query_latency").observe(latency)
-        self.obs.metrics.histogram("serve_staleness").observe(staleness)
-        self.obs.metrics.counter("serve_queries").inc()
+        self._query_latency.observe(latency)
+        self._staleness.observe(staleness)
+        self._queries.inc()
         self.obs.log.emit(QUERY_SERVED, perf_counter(),
                           key=repr(key) if not snapshot else "<snapshot>",
                           bound=bound, staleness=staleness, epoch=self.epoch,

@@ -13,7 +13,7 @@ intermediate state, so the continuation converges to ``Q(G ⊕ ∆G)``.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
@@ -24,9 +24,34 @@ from repro.graph.stable import stable_owner
 from repro.partition.builder import build_edge_cut
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import SimulatedRuntime
-from repro.streaming.updates import UpdateBatch, validate_batch
+from repro.streaming.updates import (EdgeInsertion, UpdateBatch,
+                                     validate_batch)
 
 Node = Hashable
+
+
+def integrate_insertions(engine: Engine,
+                         insertions: Sequence[EdgeInsertion]) -> List:
+    """Fold already-materialised ``insertions`` into a converged
+    ``engine``: ``inc_update`` + one IncEval on every fragment that holds
+    a copy of one, and the designated messages that seed the continuation
+    run.  The one integration step behind :class:`StreamingSession` and
+    :class:`~repro.serve.GraphService`.
+    """
+    program, query = engine.program, engine.query
+    messages: List = []
+    for wid, frag in enumerate(engine.pg):
+        g = frag.graph
+        local = [(u, v, w) for u, v, w in insertions
+                 if g.has_node(u) and g.has_node(v) and g.has_edge(u, v)]
+        if not local:
+            continue
+        ctx = engine.contexts[wid]
+        seeds = program.inc_update(frag, ctx, local, query)
+        if seeds:
+            program.inceval(frag, ctx, set(seeds), query)
+        messages.extend(engine.derive_messages(wid, round_no=1))
+    return messages
 
 
 class StreamingSession:
@@ -83,12 +108,13 @@ class StreamingSession:
         Atomic: the whole batch is validated against the current graph
         before anything mutates, so a rejected batch (duplicate edge,
         self-loop) leaves graph, engine and owner map exactly as they
-        were and the session stays usable.
+        were and the session stays usable.  Returns the continuation run's
+        result (metrics, rounds; no ``answer`` — read :attr:`answer`).
         """
         validate_batch(self.graph, batch)
         self._grow_graph(batch)
         new_engine = self._rebuild_engine()
-        messages = self._integrate_locally(new_engine, batch)
+        messages = integrate_insertions(new_engine, batch.insertions)
         runtime = SimulatedRuntime(new_engine, self._policy(),
                                    cost_model=self._cost(),
                                    record_trace=False)
@@ -132,21 +158,3 @@ class StreamingSession:
             new_ctx.scratch = copy.deepcopy(old_ctx.scratch)
             new_ctx.changed = set()
         return new_engine
-
-    def _integrate_locally(self, engine: Engine,
-                           batch: UpdateBatch) -> List:
-        """Run inc_update + IncEval per affected fragment; collect the
-        designated messages for the continuation run."""
-        messages = []
-        for wid, frag in enumerate(engine.pg):
-            local = [(u, v, w) for u, v, w in batch.insertions
-                     if frag.graph.has_node(u) and frag.graph.has_node(v)
-                     and frag.graph.has_edge(u, v)]
-            if not local:
-                continue
-            ctx = engine.contexts[wid]
-            seeds = self.program.inc_update(frag, ctx, local, self.query)
-            if seeds:
-                self.program.inceval(frag, ctx, set(seeds), self.query)
-            messages.extend(engine.derive_messages(wid, round_no=1))
-        return messages

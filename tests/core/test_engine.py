@@ -106,3 +106,22 @@ class TestShipSetValidation:
         pg = RangePartitioner().partition(small_grid, 2)
         with pytest.raises(ProgramError):
             Engine(Broken(), pg, CCQuery())
+
+    def test_growth_revalidates_the_nodes_it_names(self, small_grid):
+        """``refresh_routes`` keeps the check, for the re-decided nodes."""
+        from repro.partition.grow import grow_edge_cut
+
+        class Greedy(CCProgram):
+            def ships(self, frag, v):
+                return True  # also the interior node growth adds
+
+        pg = RangePartitioner().partition(small_grid, 2)
+        engine = Engine(Greedy(), pg, CCQuery())
+        before = [set(ship) for ship in engine._ship_sets]
+        anchor = next(v for v in pg.fragments[0].owned
+                      if not pg.fragments[0].locations(v))
+        report = grow_edge_cut(pg, [(anchor, 999, 1.0)],
+                               assign=lambda v, m: 0)
+        with pytest.raises(ProgramError, match="resides nowhere else"):
+            engine.refresh_routes(report)
+        assert [set(ship) for ship in engine._ship_sets] == before

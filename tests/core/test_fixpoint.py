@@ -4,10 +4,13 @@ import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
-from repro.core.fixpoint import ScheduledExecutor, run_sequential_fixpoint
+from repro.core.fixpoint import (ScheduledExecutor, resume_to_fixpoint,
+                                 run_sequential_fixpoint)
 from repro.errors import TerminationError
 from repro.graph import analysis, generators
 from repro.partition.edge_cut import HashPartitioner
+from repro.partition.grow import grow_edge_cut
+from repro.streaming import integrate_insertions
 
 
 def make_engine(graph, program, query, m=4):
@@ -34,6 +37,40 @@ class TestLifecycle:
         # drain everything, then stepping is a no-op
         ex.drain()
         assert ex.step(0) is False
+
+
+class TestResume:
+    """A continuation: contexts hold a fixpoint, messages move it on."""
+
+    def converged(self, graph):
+        engine = make_engine(graph, SSSPProgram(), SSSPQuery(source=0), m=2)
+        run_sequential_fixpoint(engine)
+        return engine
+
+    def test_resume_skips_peval_and_drains_the_messages(self, small_grid):
+        engine = self.converged(small_grid)
+        before = dict(engine.assemble())
+        # a shortcut from the source to the farthest node, integrated
+        # where it lands; the continuation carries the consequences
+        far = max(before, key=before.get)
+        report = grow_edge_cut(engine.pg, [(0, far, 0.5)])
+        engine.extend_contexts(report)
+        engine.refresh_routes(report)
+        messages = integrate_insertions(engine, [(0, far, 0.5)])
+        engine.program.peval = None  # a continuation never calls it
+        assert resume_to_fixpoint(engine, messages) >= 1
+        after = dict(engine.assemble())
+        small_grid.add_edge(0, far, 0.5)
+        ref = analysis.dijkstra(small_grid, 0)
+        assert after[far] == 0.5 < before[far]
+        assert all(after[v] == pytest.approx(ref[v]) for v in ref)
+
+    def test_resume_after_start_rejected(self, small_grid):
+        ex = ScheduledExecutor(self.converged(small_grid))
+        ex.resume([])
+        assert ex.quiescent and ex.rounds == [1, 1]
+        with pytest.raises(TerminationError):
+            ex.resume([])
 
 
 class TestFixpoint:

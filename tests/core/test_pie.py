@@ -80,6 +80,38 @@ class TestProgramDeclarations:
         for v in prog.ship_set(frag):
             assert frag.locations(v)
 
+    def test_ships_is_ship_set_per_node(self, small_grid):
+        """The two forms of the ship declaration agree, on every program
+        that spells one out and under both cuts."""
+        from repro.algorithms import (CFProgram, PageRankProgram)
+        from repro.graph import generators
+        from repro.partition.vertex_cut import GreedyVertexCutPartitioner
+        ratings, _, _ = generators.bipartite_ratings(12, 8, 4, seed=3)
+        cases = [(SSSPProgram(), small_grid), (CCProgram(), small_grid),
+                 (PageRankProgram(), small_grid), (CFProgram(), ratings)]
+        for prog, graph in cases:
+            for pg in (HashPartitioner().partition(graph, 3),
+                       GreedyVertexCutPartitioner().partition(graph, 3)):
+                for f in pg:
+                    assert prog.ship_set(f) == {
+                        v for v in f.graph.nodes if prog.ships(f, v)}, \
+                        (prog.name, pg.cut)
+
+    def test_ship_declarations_are_overridden_together(self):
+        import repro.algorithms  # noqa: F401  (registers the subclasses)
+        import repro.compat.mapreduce  # noqa: F401
+        import repro.compat.pregel  # noqa: F401
+
+        def walk(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from walk(sub)
+
+        for cls in walk(PIEProgram):
+            if cls.__module__.startswith("repro."):
+                assert ("ship_set" in vars(cls)) == ("ships" in vars(cls)), \
+                    cls.__name__
+
     def test_make_context_requires_full_init(self, frag):
         class Sloppy(SSSPProgram):
             def init_values(self, frag, query):

@@ -75,6 +75,8 @@ class TestStreamingCC:
         initial_work = sess.initial_result.metrics.total_work
         cont = sess.apply(UpdateBatch.of((8888, 3)))
         assert cont.metrics.total_work < initial_work / 2
+        # a continuation run leaves Assemble to whoever wants the answer
+        assert cont.answer is None and 8888 in sess.answer
 
 
 class TestStreamingSSSP:

@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.obs.events import (EVENT_TYPES, MSG_DELIVER, ROUND_END,
                               ROUND_START, SCHEMA, EventLog, ObsEvent)
 
@@ -73,6 +75,28 @@ class TestEventLog:
         log.append(ObsEvent(type="x", t=0.0))
         log.extend([ObsEvent(type="y", t=1.0), ObsEvent(type="z", t=2.0)])
         assert len(log) == 3
+
+    def test_bounded_log_is_a_ring_that_counts_what_it_drops(self):
+        log = EventLog(capacity=3)
+        for i in range(5):
+            log.emit("e", float(i))
+        assert [e.t for e in log] == [2.0, 3.0, 4.0]
+        assert (len(log), log.dropped) == (3, 2)
+        log.append(ObsEvent(type="x", t=9.0))
+        log.extend([ObsEvent(type="y", t=0.5), ObsEvent(type="z", t=0.25)])
+        assert (len(log), log.dropped) == (3, 5)
+        log.sort()
+        assert [e.t for e in log] == [0.25, 0.5, 9.0]
+        assert log.counts() == {"x": 1, "y": 1, "z": 1}
+        log.emit("w", 10.0)  # still a ring after the sort
+        assert (len(log), log.dropped) == (3, 6)
+
+    def test_unbounded_log_drops_nothing(self):
+        log = EventLog()
+        log.extend(ObsEvent(type="e", t=float(i)) for i in range(100))
+        assert (len(log), log.dropped, log.capacity) == (100, 0, None)
+        with pytest.raises(ValueError):
+            EventLog(capacity=0)
 
     def test_concurrent_emits_are_all_recorded(self):
         log = EventLog()

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
+                              PageRankQuery, SSSPProgram, SSSPQuery)
+from repro.core.engine import Engine
 from repro.errors import PartitionError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -37,6 +40,30 @@ def assert_partitions_equal(got, want):
         assert edge_set(fg.graph) == edge_set(fw.graph)
 
 
+def make_engines(pg):
+    """Warm engines kept over ``pg`` while it grows: the default ship
+    declaration (twice) and a mirrors-only one."""
+    return [Engine(SSSPProgram(), pg, SSSPQuery(source=0)),
+            Engine(CCProgram(), pg, CCQuery()),
+            Engine(PageRankProgram(), pg, PageRankQuery(epsilon=1e-3))]
+
+
+def assert_routes_equal_rebuild(engines, report, rebuilt):
+    """The patched ship and peer sets are the ones a fresh engine over
+    the rebuilt partition computes."""
+    for engine in engines:
+        engine.refresh_routes(report)
+        fresh = Engine(engine.program, rebuilt, engine.query)
+        assert engine._ship_sets == fresh._ship_sets
+        for frag, ship in zip(engine.pg, engine._ship_sets):
+            # and the next engine of this class is handed the patched set
+            assert frag.memo(("ship_set", type(engine.program)),
+                             lambda: None) is ship
+    for grown, want in zip(engines[0].pg, rebuilt):
+        assert grown._peers is not None  # patched, not recomputed
+        assert grown.peer_fragments() == want.peer_fragments()
+
+
 def random_insertions(graph, rng, n, next_id):
     """``n`` novel edges: half attach brand-new nodes, half join
     existing pairs."""
@@ -67,6 +94,9 @@ def random_insertions(graph, rng, n, next_id):
 def test_grow_equals_rebuild(make, m):
     graph = make()
     pg = stable_pg(graph, m)
+    engines = make_engines(pg)
+    for frag in pg:
+        frag.peer_fragments()
     rng = random.Random(m * 101)
     next_id = max(graph.nodes) + 1
     for _ in range(4):  # several consecutive growth steps
@@ -77,6 +107,10 @@ def test_grow_equals_rebuild(make, m):
         rebuilt = build_edge_cut(graph, dict(pg.owner), m, "test")
         assert_partitions_equal(pg, rebuilt)
         assert report.new_nodes <= set(pg.owner)
+        # every fragment that got an edge copy integrates the batch
+        assert report.touched >= {pg.owner[x] for u, v, _ in insertions
+                                  for x in (u, v)}
+        assert_routes_equal_rebuild(engines, report, rebuilt)
 
 
 def test_grow_directed_graph():
@@ -84,12 +118,16 @@ def test_grow_directed_graph():
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         g.add_edge(u, v, 1.0)
     pg = stable_pg(g, 3)
+    engines = make_engines(pg)
+    for frag in pg:
+        frag.peer_fragments()
     report = grow_edge_cut(pg, [(1, 4, 1.0), (4, 2, 1.0), (0, 2, 1.0)])
     for u, v, w in [(1, 4, 1.0), (4, 2, 1.0), (0, 2, 1.0)]:
         g.add_edge(u, v, w)
     rebuilt = build_edge_cut(g, dict(pg.owner), 3, "test")
     assert_partitions_equal(pg, rebuilt)
     assert 4 in report.new_nodes
+    assert_routes_equal_rebuild(engines, report, rebuilt)
 
 
 def test_grow_rejects_vertex_cut():

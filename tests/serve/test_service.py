@@ -108,6 +108,20 @@ class TestQueryCache:
         assert cache.get("a") == (False, None)
         assert cache.stats()["hits"] == 2
 
+    def test_invalidating_a_negative_entry_counts(self):
+        """A key read before its node exists is cached as ``None``;
+        dropping that entry is an invalidation like any other."""
+        cache = QueryCache()
+        cache.put("ghost", None)
+        assert cache.invalidate(["ghost", "never-cached"]) == 1
+        assert cache.stats()["invalidations"] == 1
+        svc = make_service()
+        assert svc.query(100, staleness_bound=0).value is None
+        svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+        fresh = svc.query(100, staleness_bound=0)
+        assert not fresh.cache_hit and fresh.value == 0.5
+        assert svc.cache.stats()["invalidations"] == 1
+
     def test_capacity_zero_disables(self):
         cache = QueryCache(capacity=0)
         cache.put("a", 1)
@@ -157,6 +171,21 @@ class TestSnapshotsAndObs:
                         if e.type == EPOCH_APPLY]
         assert epoch_events[0].payload["epoch"] == 1
         assert epoch_events[0].payload["edges"] == 1
+
+    def test_own_event_log_is_a_ring(self, monkeypatch):
+        """The service's own log retains the recent past, the histograms
+        see everything; a caller's observer is used as handed in."""
+        from repro.obs import Observer
+        from repro.serve import service
+        assert make_service().obs.log.capacity == service.EVENT_LOG_CAPACITY
+        monkeypatch.setattr(service, "EVENT_LOG_CAPACITY", 5)
+        svc = make_service()
+        for _ in range(12):
+            svc.query(0, staleness_bound=0)
+        assert len(svc.obs.log) == 5 and svc.obs.log.dropped == 7
+        assert svc.obs.metrics.counter("serve_queries").value == 12
+        mine = Observer()
+        assert make_service(observer=mine).obs.log.capacity is None
 
     def test_cc_service_merges_components(self):
         g = generators.path_graph(6, weighted=True, seed=0)
