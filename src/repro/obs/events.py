@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Union
+from typing import (Any, Deque, Dict, Iterator, List, NamedTuple, Optional,
+                    Union)
 
 #: a worker begins PEval or IncEval
 ROUND_START = "round_start"
@@ -94,9 +94,8 @@ SCHEMA: Dict[str, tuple] = {
 }
 
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """One structured observability record."""
+class _EventFields(NamedTuple):
+    """The fields of :class:`ObsEvent`, which adds the payload default."""
 
     type: str
     #: timestamp in the emitting runtime's time base
@@ -105,7 +104,27 @@ class ObsEvent:
     wid: int = -1
     #: the worker's round counter when the event fired (-1 when n/a)
     round: int = -1
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Optional[Dict[str, Any]] = None
+
+
+_new_record = tuple.__new__
+
+
+class ObsEvent(_EventFields):
+    """One structured observability record.
+
+    An immutable named tuple: every observed run builds one per event, so
+    it constructs at tuple speed.  ``payload`` defaults to a fresh dict
+    per record (hence the ``__new__``; a ``NamedTuple`` default would be
+    one shared dict).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, type: str, t: float, wid: int = -1, round: int = -1,
+                payload: Optional[Dict[str, Any]] = None):
+        return _new_record(cls, (type, t, wid, round,
+                                 {} if payload is None else payload))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": self.type, "t": self.t, "wid": self.wid,
@@ -141,8 +160,8 @@ class EventLog:
 
     def emit(self, type: str, t: float, wid: int = -1,
              round: int = -1, **payload: Any) -> None:
-        event = ObsEvent(type=type, t=t, wid=wid, round=round,
-                         payload=payload)
+        # straight to the tuple: ``payload`` is already this call's own dict
+        event = _new_record(ObsEvent, (type, t, wid, round, payload))
         with self._lock:
             if len(self.events) == self.capacity:
                 self.dropped += 1
@@ -163,25 +182,35 @@ class EventLog:
             self.events.extend(events)
 
     # ------------------------------------------------------------------
+    def snapshot(self) -> List[ObsEvent]:
+        """The retained records, copied under the lock.
+
+        Every reader goes through this: iterating :attr:`events` itself
+        while a writer appends raises ``RuntimeError: deque mutated during
+        iteration`` on a bounded log.
+        """
+        with self._lock:
+            return list(self.events)
+
     def filter(self, type: Optional[str] = None,
                wid: Optional[int] = None) -> List[ObsEvent]:
-        return [e for e in self.events
+        return [e for e in self.snapshot()
                 if (type is None or e.type == type)
                 and (wid is None or e.wid == wid)]
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for e in self.events:
+        for e in self.snapshot():
             out[e.type] = out.get(e.type, 0) + 1
         return out
 
     def types(self) -> set:
-        return {e.type for e in self.events}
+        return {e.type for e in self.snapshot()}
 
     def payload_keys(self) -> Dict[str, set]:
         """Observed payload-key sets per event type (schema introspection)."""
         out: Dict[str, set] = {}
-        for e in self.events:
+        for e in self.snapshot():
             out.setdefault(e.type, set()).update(e.payload)
         return out
 
@@ -196,7 +225,7 @@ class EventLog:
         return len(self.events)
 
     def __iter__(self) -> Iterator[ObsEvent]:
-        return iter(list(self.events))
+        return iter(self.snapshot())
 
     def __repr__(self) -> str:
         return f"EventLog({len(self.events)} events)"

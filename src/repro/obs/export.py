@@ -32,17 +32,19 @@ def to_chrome_trace(log: EventLog, process_name: str = "repro",
     ``round_end`` pairs become duration slices named after the round kind
     (``peval`` / ``inceval``).
     """
+    # one consistent copy: a live log may be appended to while we convert
+    records = log.snapshot()
     events: List[Dict[str, Any]] = []
     events.append({"ph": "M", "pid": 0, "tid": 0,
                    "name": "process_name",
                    "args": {"name": process_name}})
-    wids = sorted({e.wid for e in log.events if e.wid >= 0})
+    wids = sorted({e.wid for e in records if e.wid >= 0})
     for wid in wids:
         events.append({"ph": "M", "pid": 0, "tid": wid,
                        "name": "thread_name",
                        "args": {"name": f"worker {wid}"}})
     open_rounds: Dict[int, ObsEvent] = {}
-    for e in log.events:
+    for e in records:
         ts = e.t * time_scale
         if e.type == ROUND_START:
             open_rounds[e.wid] = e
@@ -70,7 +72,7 @@ def to_chrome_trace(log: EventLog, process_name: str = "repro",
                 "args": {"depth": e.payload.get("depth", 0)}})
     # rounds still open at export time (e.g. a crashed run) become slices
     # ending at the last known timestamp
-    last_ts = max((e.t for e in log.events), default=0.0) * time_scale
+    last_ts = max((e.t for e in records), default=0.0) * time_scale
     for wid, start in open_rounds.items():
         events.append({
             "ph": "X", "pid": 0, "tid": wid,
@@ -91,7 +93,7 @@ def write_chrome_trace(log: EventLog, path: str,
 def write_jsonl(log: EventLog, path: str) -> None:
     """Dump the log as JSON Lines (one event object per line)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in log.events:
+        for e in log.snapshot():
             fh.write(json.dumps(e.to_dict()) + "\n")
 
 

@@ -40,9 +40,8 @@ freshness histograms on the service's :class:`~repro.obs.Observer`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Deque, Dict, Hashable, Optional, Set
+from typing import Any, Deque, Dict, Hashable, NamedTuple, Optional, Set
 
 from repro.core.engine import Engine
 from repro.core.fixpoint import resume_to_fixpoint
@@ -77,8 +76,7 @@ RUNTIMES = ("threaded", "simulated")
 EVENT_LOG_CAPACITY = 8192
 
 
-@dataclass(frozen=True)
-class IngestReceipt:
+class IngestReceipt(NamedTuple):
     """What :meth:`GraphService.ingest` hands back for one batch."""
 
     accepted: bool
@@ -93,9 +91,14 @@ class IngestReceipt:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """One answered (or shed) read query."""
+class QueryResult(NamedTuple):
+    """One answered (or shed) read query.
+
+    A named tuple, like :class:`IngestReceipt` and
+    :class:`~repro.obs.ObsEvent`: the service builds one per read, and
+    finding the answer is a ``dict.get`` — the record must not cost more
+    than the read.
+    """
 
     served: bool
     value: Any
@@ -148,11 +151,20 @@ class GraphService:
         #: epoch and query land here
         self.obs = observer if observer is not None \
             else Observer(log=EventLog(capacity=EVENT_LOG_CAPACITY))
+        # every instrument the ingest / epoch / read paths touch, taken
+        # once here instead of looked up by name per call
+        self._log = self.obs.log
         metrics = self.obs.metrics
-        # read-path instruments, looked up once instead of per query
+        self._ingest_latency = metrics.histogram("serve_ingest_latency")
+        self._batches_accepted = metrics.counter("serve_batches_accepted")
+        self._shed_batches = metrics.counter("serve_shed_batches")
+        self._epochs = metrics.counter("serve_epochs")
+        self._epoch_duration = metrics.histogram("serve_epoch_duration")
+        self._epoch_changed = metrics.histogram("serve_epoch_changed")
         self._query_latency = metrics.histogram("serve_query_latency")
         self._staleness = metrics.histogram("serve_staleness")
         self._queries = metrics.counter("serve_queries")
+        self._shed_queries = metrics.counter("serve_shed_queries")
         # ownership is the process-stable hash shared with StreamingSession,
         # so a session-warmed partition and the service agree on placement
         owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
@@ -200,6 +212,29 @@ class GraphService:
         """The assembled answer at the current *applied* epoch."""
         return dict(self._answer)
 
+    def status(self) -> Dict[str, Any]:
+        """What the service is doing right now, as one JSON-ready dict.
+
+        Read-only and free of state of its own: every number comes from
+        the counters, histograms, cache and event log the hot paths
+        already feed.
+        """
+        return {
+            "epoch": self.epoch,
+            "accepted": self.accepted,
+            "lag": len(self._pending),
+            "queries": {"served": self._queries.value,
+                        "shed": self._shed_queries.value},
+            "batches": {"accepted": self._batches_accepted.value,
+                        "shed": self._shed_batches.value},
+            "cache": self.cache.stats(),
+            "query_latency": self._query_latency.summary(),
+            "staleness": self._staleness.summary(),
+            "epoch_duration": self._epoch_duration.summary(),
+            "events": {"retained": len(self._log),
+                       "dropped": self._log.dropped},
+        }
+
     # -- ingest path ---------------------------------------------------
     def ingest(self, batch: UpdateBatch) -> IngestReceipt:
         """Admit, validate and park one update batch.
@@ -212,9 +247,9 @@ class GraphService:
         t0 = perf_counter()
         reason = self.admission.admit_batch(len(self._pending))
         if reason is not None:
-            self.obs.metrics.counter("serve_shed_batches").inc()
-            self.obs.log.emit(ADMISSION_SHED, perf_counter(), kind="batch",
-                              reason=reason, depth=len(self._pending))
+            self._shed_batches.inc()
+            self._log.emit(ADMISSION_SHED, perf_counter(), kind="batch",
+                           reason=reason, depth=len(self._pending))
             return IngestReceipt(accepted=False, epoch=self.accepted,
                                  depth=len(self._pending),
                                  latency=perf_counter() - t0, reason=reason)
@@ -224,10 +259,10 @@ class GraphService:
         self._pending.append(batch)
         self.accepted += 1
         latency = perf_counter() - t0
-        self.obs.metrics.histogram("serve_ingest_latency").observe(latency)
-        self.obs.metrics.counter("serve_batches_accepted").inc()
-        self.obs.log.emit(INGEST, perf_counter(), edges=len(batch),
-                          depth=len(self._pending), latency=latency)
+        self._ingest_latency.observe(latency)
+        self._batches_accepted.inc()
+        self._log.emit(INGEST, perf_counter(), edges=len(batch),
+                       depth=len(self._pending), latency=latency)
         return IngestReceipt(accepted=True, epoch=self.accepted,
                              depth=len(self._pending), latency=latency)
 
@@ -273,13 +308,12 @@ class GraphService:
         answer.update(changed)
         self.cache.invalidate(changed)
         duration = perf_counter() - t0
-        self.obs.metrics.counter("serve_epochs").inc()
-        self.obs.metrics.histogram("serve_epoch_duration").observe(duration)
-        self.obs.metrics.histogram("serve_epoch_changed").observe(
-            len(changed))
-        self.obs.log.emit(EPOCH_APPLY, perf_counter(), epoch=self.epoch,
-                          edges=len(batch), changed=len(changed),
-                          duration=duration)
+        self._epochs.inc()
+        self._epoch_duration.observe(duration)
+        self._epoch_changed.observe(len(changed))
+        self._log.emit(EPOCH_APPLY, perf_counter(), epoch=self.epoch,
+                       edges=len(batch), changed=len(changed),
+                       duration=duration)
 
     # -- query path ----------------------------------------------------
     def query(self, key: Node, staleness_bound: int = 0) -> QueryResult:
@@ -298,24 +332,30 @@ class GraphService:
 
     def _serve(self, key: Optional[Node], bound: int,
                snapshot: bool) -> QueryResult:
+        """The freshness contract, once, for :meth:`query` and
+        :meth:`snapshot`: admit or shed, catch up to ``bound``, answer,
+        then count, time and log the read.  ``latency`` (the result's and
+        the histogram's) stops when the answer is known; the bookkeeping
+        after it is the caller-side gap docs/serving.md quotes."""
         if bound < 0:
             raise ProgramError(
                 f"staleness bound must be >= 0 epochs, got {bound}")
         t0 = perf_counter()
-        reason = self.admission.admit_query(len(self._pending), bound)
+        pending = self._pending
+        reason = self.admission.admit_query(len(pending), bound)
         if reason is not None:
-            self.obs.metrics.counter("serve_shed_queries").inc()
-            self.obs.log.emit(ADMISSION_SHED, perf_counter(), kind="query",
-                              reason=reason, depth=len(self._pending))
+            self._shed_queries.inc()
+            self._log.emit(ADMISSION_SHED, perf_counter(), kind="query",
+                           reason=reason, depth=len(pending))
             return QueryResult(served=False, value=None, epoch=self.epoch,
-                               staleness=len(self._pending),
+                               staleness=len(pending),
                                latency=perf_counter() - t0, reason=reason)
-        while len(self._pending) > bound:
+        while len(pending) > bound:
             self._apply_one()
-        staleness = len(self._pending)
-        cache_hit = False
+        staleness = len(pending)
+        epoch = self.epoch
         if snapshot:
-            value: Any = dict(self._answer)
+            cache_hit, value = False, dict(self._answer)
         else:
             cache_hit, value = self.cache.get(key)
             if not cache_hit:
@@ -325,13 +365,12 @@ class GraphService:
         self._query_latency.observe(latency)
         self._staleness.observe(staleness)
         self._queries.inc()
-        self.obs.log.emit(QUERY_SERVED, perf_counter(),
-                          key=repr(key) if not snapshot else "<snapshot>",
-                          bound=bound, staleness=staleness, epoch=self.epoch,
-                          latency=latency, cache_hit=cache_hit)
-        return QueryResult(served=True, value=value, epoch=self.epoch,
-                           staleness=staleness, latency=latency,
-                           cache_hit=cache_hit)
+        self._log.emit(QUERY_SERVED, perf_counter(),
+                       key="<snapshot>" if snapshot else repr(key),
+                       bound=bound, staleness=staleness, epoch=epoch,
+                       latency=latency, cache_hit=cache_hit)
+        # positional: the one record built per read skips keyword matching
+        return QueryResult(True, value, epoch, staleness, latency, cache_hit)
 
     def __repr__(self) -> str:
         return (f"GraphService(m={self.m}, mode={self.mode!r}, "

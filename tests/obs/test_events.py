@@ -1,11 +1,14 @@
 """Tests for the typed event log."""
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.obs.events import (EVENT_TYPES, MSG_DELIVER, ROUND_END,
                               ROUND_START, SCHEMA, EventLog, ObsEvent)
+from repro.obs.export import to_chrome_trace, write_jsonl
 
 
 class TestObsEvent:
@@ -114,3 +117,48 @@ class TestEventLog:
             t.join()
         assert len(log) == 800
         assert all(len(log.filter(wid=w)) == 200 for w in range(4))
+
+    @pytest.mark.parametrize("capacity", [256, None])
+    def test_readers_are_safe_against_a_live_writer(self, capacity,
+                                                    tmp_path):
+        """Every reader works from one copy taken under the lock; iterating
+        ``log.events`` itself while a writer appends raised ``RuntimeError:
+        deque mutated during iteration`` on a bounded log."""
+        log = EventLog(capacity=capacity)
+        stop = threading.Event()
+
+        def writer():
+            i = 0
+            while not stop.is_set() and i < 200_000:
+                log.emit(MSG_DELIVER, float(i), wid=i % 2, round=i,
+                         src=0, bytes=1, seq=i, depth=1)
+                i += 1
+
+        readers = (
+            lambda: [e.t for e in log.filter(type=MSG_DELIVER)],
+            lambda: [e.t for e in log],
+            log.counts, log.types, log.payload_keys,
+            lambda: to_chrome_trace(log),
+            lambda: write_jsonl(log, str(tmp_path / "live.jsonl")),
+        )
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                for read in readers:
+                    out = read()
+                    if isinstance(out, list):
+                        # one consistent copy: no gap, no repeat, and
+                        # never more than a bounded log retains
+                        assert out == [out[0] + k for k in range(len(out))]
+                        assert capacity is None or len(out) <= capacity
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert len(log) + log.dropped > 0
+        assert sum(log.counts().values()) == len(log)

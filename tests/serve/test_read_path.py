@@ -1,0 +1,217 @@
+"""A served read does all of its bookkeeping and nothing else.
+
+Count-based, like ``test_epoch_delta.py``.  *Nothing else*: with every
+by-name instrument lookup, the epoch apply and Assemble patched to raise
+after construction, reads whose bound is already met are still served.
+*All of it*: each of them is admitted, goes through the cache, is timed,
+counted and logged — one ``query_served`` event with the schema's payload
+keys per read.  The record types the paths hand back keep their contract
+(keyword construction, defaults, immutability, equality, pickling).
+"""
+
+import pickle
+
+import pytest
+
+from repro.algorithms import SSSPProgram, SSSPQuery
+from repro.core.engine import Engine
+from repro.graph import generators
+from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
+                       SCHEMA, MetricsRegistry, ObsEvent)
+from repro.serve import (AdmissionController, GraphService, IngestReceipt,
+                         QueryResult)
+from repro.streaming import UpdateBatch
+
+READS = 200
+BOUND = 2
+
+
+def make_service(**kw):
+    g = generators.grid2d(5, 5, weighted=True, seed=1)
+    return GraphService(SSSPProgram(), g, SSSPQuery(source=0),
+                        num_fragments=3, runtime="simulated", **kw)
+
+
+def events(svc, type_):
+    return svc.obs.log.filter(type=type_)
+
+
+def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
+    svc = make_service()
+    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
+    assert svc.ingest(UpdateBatch.of((100, 101, 0.5))).accepted
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a read within its bound reached this")
+    monkeypatch.setattr(MetricsRegistry, "_get", forbidden)
+    monkeypatch.setattr(GraphService, "_apply_one", forbidden)
+    monkeypatch.setattr(Engine, "assemble", forbidden)
+
+    keys = [i % 30 for i in range(READS)]  # 25 nodes, 5 absent, repeated
+    results = [svc.query(k, staleness_bound=BOUND) for k in keys]
+
+    assert all(r.served and r.staleness == BOUND and r.epoch == 0
+               and r.reason is None for r in results)
+    snapshot = svc.answer
+    assert [r.value for r in results] == [snapshot.get(k) for k in keys]
+    served = events(svc, QUERY_SERVED)
+    assert len(served) == READS
+    assert all(set(e.payload) == set(SCHEMA[QUERY_SERVED]) for e in served)
+    assert [e.payload["key"] for e in served] == [repr(k) for k in keys]
+    assert [e.payload["cache_hit"] for e in served] \
+        == [r.cache_hit for r in results]
+    status = svc.status()
+    assert status["query_latency"]["count"] == READS
+    assert status["staleness"]["count"] == READS
+    assert status["staleness"]["total"] == READS * BOUND
+    assert status["queries"] == {"served": READS, "shed": 0}
+    assert status["cache"]["hits"] + status["cache"]["misses"] == READS
+    assert status["cache"]["misses"] == 30
+
+
+def test_read_past_its_bound_still_catches_up():
+    svc = make_service()
+    svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+    svc.ingest(UpdateBatch.of((100, 101, 0.5)))
+    fresh = svc.query(101, staleness_bound=1)
+    assert fresh.served and fresh.staleness == 1 and fresh.epoch == 1
+    assert fresh.value is None  # node 101 arrives with the second batch
+    fresh = svc.query(101, staleness_bound=0)
+    assert (fresh.staleness, fresh.epoch, svc.lag) == (0, 2, 0)
+    assert fresh.value == pytest.approx(1.0)
+    assert len(events(svc, EPOCH_APPLY)) == 2
+
+
+def test_shed_read_reports_its_reason_and_is_logged():
+    svc = make_service(admission=AdmissionController(max_catchup=0))
+    svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+    shed = svc.query(0, staleness_bound=0)
+    assert not shed.served and shed.value is None
+    assert "catch-up of 1 epochs" in shed.reason
+    assert (shed.epoch, shed.staleness) == (0, 1)
+    (event,) = events(svc, ADMISSION_SHED)
+    assert event.payload == {"kind": "query", "reason": shed.reason,
+                             "depth": 1}
+    assert svc.status()["queries"] == {"served": 0, "shed": 1}
+    assert not events(svc, QUERY_SERVED)
+
+
+def test_snapshot_goes_through_the_same_contract():
+    svc = make_service()
+    svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+    whole = svc.snapshot(staleness_bound=0)
+    assert whole.served and whole.value == svc.answer and svc.epoch == 1
+    (event,) = events(svc, QUERY_SERVED)
+    assert event.payload["key"] == "<snapshot>"
+    assert set(event.payload) == set(SCHEMA[QUERY_SERVED])
+    assert svc.status()["cache"]["misses"] == 0  # a snapshot is not cached
+
+
+def test_ingests_and_epochs_still_record_their_instruments():
+    svc = make_service(admission=AdmissionController(max_pending_batches=2))
+    receipts = [svc.ingest(UpdateBatch.of((0, 100 + i, 0.5)))
+                for i in range(3)]
+    assert [r.accepted for r in receipts] == [True, True, False]
+    assert "ingest queue full" in receipts[2].reason
+    assert svc.pump() == 2
+    metrics = svc.obs.metrics
+    assert metrics.histogram("serve_ingest_latency").count == 2
+    assert metrics.counter("serve_batches_accepted").value == 2
+    assert metrics.counter("serve_shed_batches").value == 1
+    assert metrics.counter("serve_epochs").value == 2
+    assert metrics.histogram("serve_epoch_duration").count == 2
+    assert metrics.histogram("serve_epoch_changed").total == 2
+    assert svc.obs.log.counts() == {INGEST: 2, ADMISSION_SHED: 1,
+                                    EPOCH_APPLY: 2}
+    assert all(set(e.payload) == set(SCHEMA[e.type]) for e in svc.obs.log)
+
+
+def test_status_reads_the_handles_and_adds_no_state():
+    svc = make_service(cache_size=4)
+    before = dict(vars(svc))
+    assert svc.status() == {
+        "epoch": 0, "accepted": 0, "lag": 0,
+        "queries": {"served": 0, "shed": 0},
+        "batches": {"accepted": 0, "shed": 0},
+        "cache": svc.cache.stats(),
+        "query_latency": svc.obs.metrics.histogram(
+            "serve_query_latency").summary(),
+        "staleness": {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0,
+                      "max": 0.0},
+        "epoch_duration": svc.obs.metrics.histogram(
+            "serve_epoch_duration").summary(),
+        "events": {"retained": 0, "dropped": 0},
+    }
+    svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+    svc.ingest(UpdateBatch.of((100, 101, 0.5)))
+    svc.pump(1)
+    svc.query(0, staleness_bound=1)
+    svc.query(0, staleness_bound=1)
+    status = svc.status()
+    assert (status["epoch"], status["accepted"], status["lag"]) == (1, 2, 1)
+    assert status["batches"] == {"accepted": 2, "shed": 0}
+    assert status["cache"]["hit_rate"] == 0.5
+    assert status["epoch_duration"]["count"] == 1
+    assert status["events"] == {"retained": len(svc.obs.log), "dropped": 0}
+    assert vars(svc).keys() == before.keys()
+    assert len(svc.obs.log) == 5  # status() itself emits nothing
+
+
+# -- the record types --------------------------------------------------
+RECORDS = [
+    (QueryResult,
+     dict(served=True, value=1.5, epoch=3, staleness=1, latency=2e-6),
+     dict(cache_hit=False, reason=None)),
+    (IngestReceipt,
+     dict(accepted=True, epoch=4, depth=2, latency=5e-5),
+     dict(reason=None)),
+    (ObsEvent, dict(type="barrier", t=0.25), dict(wid=-1, round=-1,
+                                                   payload={})),
+]
+
+
+@pytest.mark.parametrize("cls, required, defaults", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, required, defaults):
+    record = cls(**required)
+    for name, value in {**required, **defaults}.items():
+        assert getattr(record, name) == value
+    assert cls._fields == tuple({**required, **defaults})
+    # immutable: neither a field nor a new attribute can be set
+    first = next(iter(required))
+    with pytest.raises(AttributeError):
+        setattr(record, first, required[first])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    # equality is by value, and says no when any field differs
+    assert record == cls(**required) == cls(**required, **defaults)
+    changed = dict(required)
+    changed[first] = "other"
+    assert record != cls(**changed)
+    # pickling keeps the type (worker reports and artifacts carry records)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    with pytest.raises(TypeError):
+        cls()  # required fields stay required
+
+
+def test_default_events_do_not_share_a_payload():
+    a, b = ObsEvent(type="barrier", t=0.0), ObsEvent("barrier", 0.0)
+    assert a.payload == {} and a.payload is not b.payload
+    a.payload["step"] = 1
+    assert b.payload == {}
+    given = {"step": 2}
+    event = ObsEvent(type="barrier", t=1.0, wid=0, round=3, payload=given)
+    assert event.payload is given
+    assert event.to_dict() == {"type": "barrier", "t": 1.0, "wid": 0,
+                               "round": 3, "payload": {"step": 2}}
+    assert event.to_dict()["payload"] is not given
+
+
+def test_emitted_events_equal_constructed_ones():
+    svc = make_service()
+    svc.obs.log.emit("barrier", 1.0, wid=2, round=5, step=7)
+    (event,) = svc.obs.log
+    assert type(event) is ObsEvent
+    assert event == ObsEvent(type="barrier", t=1.0, wid=2, round=5,
+                             payload={"step": 7})
