@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
-	bench-e2e-quick epoch-layers
+	bench-e2e-quick epoch-layers build-layers
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -58,6 +58,14 @@ serve-smoke:
 ## that grows with the graph is an O(fragment) step
 epoch-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/epoch_layers.py
+
+## where a cold build (partition + compact + engine: the benchmark's
+## setup_s) spends its time, layer by layer, on the four workload graphs
+## at quick and full size, vectorized and generic engine
+## (docs/performance.md ledger entry 6); exits 1 if a vectorized build
+## made a per-node container
+build-layers:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
 
 ## example observability run: straggler SSSP -> Chrome trace + audit
 trace-demo:

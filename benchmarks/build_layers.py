@@ -1,0 +1,174 @@
+"""Where a cold build spends its time, layer by layer.
+
+A cold build is what ``setup_s`` of the end-to-end benchmark times on the
+batch workloads: ``HashPartitioner().partition`` + ``compact()`` of every
+fragment + ``Engine(...)``.  The layers are timed *from outside*, by
+shadowing the names the build calls (``benchmarks/e2e/tracing.Tracer``,
+as the traced pass of the benchmark does; the program is not edited), on
+the graphs of the four ``BENCHMARK.json`` workloads at quick and full
+size, once with the vectorized engine the batch workloads build and once
+with the generic engine the service builds:
+
+- ``edge pass``     ``GraphArrays.of`` over the input graph
+- ``assignment``    the partitioner's node -> fragment map
+- ``node order``    each fragment's local nodes in dict-graph order
+- ``assembly``      the rest of ``build_edge_cut``: owner gather, edge
+                    selection, routing pairs, ``Fragment.from_arrays``
+- ``containers``    node sets, routing dicts, placement map, ``lid_of`` —
+                    built on first read, so 0 when nobody reads them
+- ``dict graph``    ``Fragment.graph`` materialised (generic engine only)
+- ``csr sort``      ``stable_order``: one key sort per CSR direction
+- ``csr view``      the rest of ``Fragment.compact``
+- ``routes``        ship sets / dense routing masks of the engine
+- ``contexts``      the rest of ``Engine(...)``
+
+Medians of ``--builds`` cold builds with quartiles, in milliseconds.  The
+cyclic collector is off during a build: a collection lands in whichever
+layer allocates next (after a dict graph was made, in the first set built)
+and would be charged to it.
+This is the table docs/performance.md (ledger entry 6) quotes, not part
+of ``benchmarks/e2e``::
+
+    PYTHONPATH=src python benchmarks/build_layers.py [--sizes quick full]
+"""
+
+import argparse
+import gc
+import json
+import pathlib
+import statistics
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE / "e2e"))
+try:
+    import repro  # noqa: F401
+except ImportError:  # run from a checkout without installing
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+import workloads as wl  # noqa: E402  (benchmarks/e2e)
+from tracing import Tracer  # noqa: E402  (benchmarks/e2e)
+
+from repro.core.engine import Engine  # noqa: E402
+from repro.graph import csr as csr_module  # noqa: E402
+from repro.graph.csr import GraphArrays  # noqa: E402
+from repro.partition import builder as builder_module  # noqa: E402
+from repro.partition.edge_cut import HashPartitioner  # noqa: E402
+from repro.partition.fragment import BuiltOnRead, Fragment  # noqa: E402
+
+LAYERS = ("edge pass", "assignment", "node order", "assembly",
+          "containers", "dict graph", "csr sort", "csr view", "routes",
+          "contexts")
+
+
+def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
+    """One cold build under wrappers: milliseconds by layer, plus the
+    names of the containers it built."""
+    tracer = Tracer("build")
+    partitioner = HashPartitioner()
+    tracer.wrap(partitioner, "assign", "assignment")
+    tracer.wrap(builder_module, "build_edge_cut", "assembly")
+    tracer.wrap(GraphArrays, "of", "edge pass")
+    tracer.wrap(builder_module, "_insertion_order", "node order")
+    tracer.wrap(BuiltOnRead, "__getattr__", "containers")
+    tracer.wrap(GraphArrays, "to_graph", "dict graph")
+    tracer.wrap(csr_module, "stable_order", "csr sort")
+    tracer.wrap(Fragment, "compact", "csr view")
+    tracer.wrap(Engine, "_ship_set", "routes")
+    tracer.wrap(Engine, "_routes", "routes")
+    gc.collect()
+    gc.disable()
+    try:
+        with tracer.span("total"):
+            pg = partitioner.partition(graph, wl.FRAGMENTS)
+            for frag in pg:
+                frag.compact()
+            with tracer.span("contexts"):
+                Engine(program_cls(), pg, query, vectorized=vectorized)
+    finally:
+        gc.enable()
+        tracer.unwrap_all()
+    # layers nest (a generic engine reads sets inside its route loop, a
+    # route loop may build the CSR view): each is charged its self time
+    out = {name: tracer.self_time(name) * 1e3 for name in LAYERS}
+    out["total"] = tracer.total("total") * 1e3
+    built = [kind for kind, there in (
+        ("node sets + routing", any(frag.built for frag in pg)),
+        ("lid_of", any(frag.compact().built for frag in pg)),
+        ("placement", pg.built)) if there]
+    return {"ms": out, "built": built,
+            "materialised": sum(frag.materialised for frag in pg)}
+
+
+def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
+    graph = spec.graph(seed, quick)
+    program_cls, query, _ = wl.make_query(spec, graph)
+    column = {"nodes": graph.num_nodes, "edges": graph.num_edges}
+    for engine, vectorized in (("vectorized", True), ("generic", False)):
+        runs = [cold_build(graph, program_cls, query, vectorized)
+                for _ in range(builds)]
+        rows = {}
+        for layer in (*LAYERS, "total"):
+            q1, med, q3 = statistics.quantiles(
+                [run["ms"][layer] for run in runs], n=4) \
+                if builds > 1 else [runs[0]["ms"][layer]] * 3
+            rows[layer] = {"median": med, "q1": q1, "q3": q3}
+        column[engine] = {"ms": rows, "built": runs[-1]["built"],
+                          "materialised": runs[-1]["materialised"]}
+    return column
+
+
+def table(columns: dict, engine: str) -> str:
+    names = list(columns)
+    lines = [f"| {engine} engine (ms) | " + " | ".join(names) + " |",
+             "|---|" + "---:|" * len(names)]
+    for layer in (*LAYERS, "total"):
+        cells = []
+        for name in names:
+            row = columns[name][engine]["ms"][layer]
+            cells.append(f"{row['median']:.1f} "
+                         f"[{row['q1']:.1f}, {row['q3']:.1f}]")
+        lines.append(f"| {layer} | " + " | ".join(cells) + " |")
+    lines.append("| containers built | " + " | ".join(
+        ", ".join(columns[name][engine]["built"]) or "none"
+        for name in names) + " |")
+    lines.append("| dict graphs | " + " | ".join(
+        f"{columns[name][engine]['materialised']}/{wl.FRAGMENTS}"
+        for name in names) + " |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", nargs="+", default=["quick", "full"],
+                        choices=["quick", "full"])
+    parser.add_argument("--workloads", nargs="+", default=list(wl.WORKLOADS),
+                        choices=list(wl.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--builds", type=int, default=7,
+                        help="cold builds per column")
+    parser.add_argument("--out", help="also write the tables (markdown) "
+                        "and the numbers (JSON beside it) here")
+    args = parser.parse_args(argv)
+    columns = {}
+    for size in args.sizes:
+        for name in args.workloads:
+            columns[f"{name} ({size})"] = measure(
+                wl.WORKLOADS[name], size == "quick", args.seed, args.builds)
+    text = "\n\n".join(table(columns, engine)
+                       for engine in ("vectorized", "generic"))
+    print(text)
+    if args.out:
+        out = pathlib.Path(args.out)
+        out.write_text(text + "\n")
+        out.with_suffix(".json").write_text(json.dumps(
+            {"seed": args.seed, "builds": args.builds,
+             "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
+    # a vectorized build that made a per-node container is the regression
+    # this table exists to show
+    return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
+                    for c in columns.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -270,6 +270,11 @@ class CCProgram(PIEProgram):
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
 
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+        from repro.core.dense import routes_to_copies, routes_to_owner
+        return (routes_to_owner if frag.cut == "edge"
+                else routes_to_copies)(frag)
+
     def assemble(self, pg: PartitionedGraph,
                  contexts: Sequence[FragmentContext],
                  query: CCQuery) -> Dict[Node, Node]:

@@ -282,6 +282,10 @@ class PageRankProgram(PIEProgram):
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
 
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+        from repro.core.dense import routes_to_owner
+        return routes_to_owner(frag)
+
     def should_ship(self, frag: Fragment, ctx: FragmentContext,
                     v: Node) -> bool:
         """Hold back sub-threshold mirror deltas (Maiter-style).

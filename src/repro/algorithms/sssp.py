@@ -104,14 +104,14 @@ class SSSPProgram(PIEProgram):
     def dense_seed(self, frag: Fragment, ctx: Any,
                    query: SSSPQuery) -> None:
         ctx.array.fill(INF)
-        src = ctx.view.lid_of.get(query.source)
+        src = ctx.view.lid(query.source)
         if src is not None:
             ctx.array[src] = 0.0
 
     def dense_peval(self, frag: Fragment, ctx: Any,
                     query: SSSPQuery) -> None:
         import numpy as np
-        src = ctx.view.lid_of.get(query.source)
+        src = ctx.view.lid(query.source)
         if src is not None:
             self._dense_relax(frag, ctx,
                               np.asarray([src], dtype=np.int64))
@@ -200,6 +200,11 @@ class SSSPProgram(PIEProgram):
             return ()
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
+
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+        from repro.core.dense import routes_to_copies, routes_to_owner
+        return (routes_to_owner if frag.cut == "edge"
+                else routes_to_copies)(frag)
 
     # ------------------------------------------------------------------
     def assemble(self, pg: PartitionedGraph,

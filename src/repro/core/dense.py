@@ -14,14 +14,15 @@ kernels bypass it and operate on :attr:`DenseContext.array` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.aggregators import Aggregator
 from repro.core.pie import FragmentContext, Node, PIEProgram
 from repro.errors import PartitionError, ProgramError
-from repro.partition.fragment import Fragment, PartitionedGraph
+from repro.partition.fragment import (Fragment, PartitionedGraph,
+                                      distinct_fids)
 
 
 def supports_dense(program: PIEProgram, pg: PartitionedGraph) -> bool:
@@ -39,6 +40,39 @@ def supports_dense(program: PIEProgram, pg: PartitionedGraph) -> bool:
     except PartitionError:
         return False
     return True
+
+
+Routes = Tuple[Dict[int, np.ndarray], np.ndarray]
+
+
+def routes_to_owner(frag: Fragment) -> Optional[Routes]:
+    """The array rule "a mirror copy ships to its owner"
+    (:meth:`PIEProgram.dense_routes`): what SSSP and CC declare under
+    edge-cut and PageRank always.  ``None`` when the view was built
+    without the builder's node arrays (a hand-made fragment, or one whose
+    sets were read — by a generic-path program, by growth — first)."""
+    view = frag.compact()
+    if view.owner is None:
+        return None
+    ship_mask = view.mirror_mask
+    return {dst: ship_mask & (view.owner == dst)
+            for dst in distinct_fids(view.owner[ship_mask])}, ship_mask
+
+
+def routes_to_copies(frag: Fragment) -> Optional[Routes]:
+    """The array rule "every shared copy ships to everywhere else the
+    node resides" — the routing index itself, which is the default
+    ``destinations`` and what SSSP and CC declare under vertex-cut."""
+    view = frag.compact()
+    if view.routed is None:
+        return None
+    routes = {}
+    for dst in distinct_fids(view.peers):
+        routes[dst] = np.zeros(len(view), dtype=bool)
+        routes[dst][view.routed[view.peers == dst]] = True
+    ship_mask = np.zeros(len(view), dtype=bool)
+    ship_mask[view.routed] = True
+    return routes, ship_mask
 
 
 def aggregator_ufunc(agg: Aggregator):

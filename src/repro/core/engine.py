@@ -74,25 +74,13 @@ class Engine:
         # ship sets and dense routes are pure functions of the partition
         # (unless the program says otherwise), so they are memoized on the
         # fragments: repeated engine builds over the same PartitionedGraph
-        # — every run of a query class — skip the Python-loop setup cost
-        cacheable = getattr(program, "cacheable_routes", True)
-        cls = type(program)
-        self._ship_sets = [
-            frag.memo(("ship_set", cls),
-                      lambda f=frag: self._checked_ship_set(f))
-            if cacheable else self._checked_ship_set(frag)
-            for frag in pg]
+        # — every run of a query class — skip the setup cost
         if self.vectorized:
-            self._dense_routes = []
-            self._dense_ship_masks = []
-            for wid, frag in enumerate(pg):
-                routes, ship_mask = (
-                    frag.memo(("dense_routes", cls),
-                              lambda w=wid, f=frag:
-                              self._build_dense_routes(w, f))
-                    if cacheable else self._build_dense_routes(wid, frag))
-                self._dense_routes.append(routes)
-                self._dense_ship_masks.append(ship_mask)
+            routed = [self._routes(frag) for frag in pg]
+            self._dense_routes = [routes for routes, _ in routed]
+            self._dense_ship_masks = [ship_mask for _, ship_mask in routed]
+        else:
+            self._ship_sets = [self._ship_set(frag) for frag in pg]
         #: per fragment, the nodes written since :meth:`track_writes`
         #: (``None``: nobody asked)
         self._written: Optional[List[Set[Node]]] = None
@@ -100,6 +88,19 @@ class Engine:
     @property
     def num_workers(self) -> int:
         return self.pg.num_fragments
+
+    def _memoized(self, frag, kind: str, build) -> Any:
+        """``build(frag)``, kept on the fragment per program class when
+        the program's routing is a pure function of the partition."""
+        if not getattr(self.program, "cacheable_routes", True):
+            return build(frag)
+        return frag.memo((kind, type(self.program)), lambda: build(frag))
+
+    def _ship_set(self, frag) -> Set[Node]:
+        return self._memoized(frag, "ship_set", self._checked_ship_set)
+
+    def _routes(self, frag) -> Any:
+        return self._memoized(frag, "dense_routes", self._checked_routes)
 
     def _checked_ship_set(self, frag) -> Set[Node]:
         """The program's ship set, validated against the routing index."""
@@ -115,18 +116,29 @@ class Engine:
                 f"ship set of fragment {frag.fid} contains node "
                 f"{stray[0]!r} that resides nowhere else")
 
-    def _build_dense_routes(self, wid: int, frag) -> Any:
-        """Precompute one fragment's routing masks for batched derivation.
+    def _checked_routes(self, frag) -> Any:
+        """One fragment's routing masks for batched derivation.
 
         ``destinations`` depends only on the partition, so we bake one
         boolean lid-mask per destination plus the union ship mask;
-        deriving a round's batches is then pure masking.
+        deriving a round's batches is then pure masking.  The program's
+        array rule (:meth:`PIEProgram.dense_routes`) states both in
+        bulk and is validated against the routing index on the arrays;
+        without one it is a loop over the checked ship set.
         """
         import numpy as np
         view = frag.compact()
+        rule = self.program.dense_routes(self.pg, frag)
+        if rule is not None:
+            routes, ship_mask = rule
+            stray = ship_mask.copy()
+            if view.routed is not None:  # the routing index, on arrays
+                stray[view.routed] = False
+            self._check_shippable(frag, view.gids[stray].tolist())
+            return routes, ship_mask
         routes: Dict[int, Any] = {}
         ship_mask = np.zeros(len(view), dtype=bool)
-        for v in self._ship_sets[wid]:
+        for v in self._ship_set(frag):
             dests = self.program.destinations(self.pg, frag, v)
             if not dests:
                 continue
@@ -150,8 +162,11 @@ class Engine:
         next engine of this program class.  Dense routes are arrays over a
         CSR view that no longer exists: rebuilt for the touched fragments.
         """
-        cacheable = getattr(self.program, "cacheable_routes", True)
-        cls = type(self.program)
+        if self.vectorized:
+            for wid in report.touched:
+                self._dense_routes[wid], self._dense_ship_masks[wid] = \
+                    self._routes(self.pg.fragments[wid])
+            return
         for wid, nodes in report.rerouted.items():
             frag = self.pg.fragments[wid]
             gained = [v for v in nodes if self.program.ships(frag, v)]
@@ -160,17 +175,8 @@ class Engine:
             ship.difference_update(nodes)
             ship.update(gained)
         for wid in report.touched:
-            frag = self.pg.fragments[wid]
-            if cacheable:
-                frag.memo(("ship_set", cls), lambda w=wid: self._ship_sets[w])
-            if self.vectorized:
-                routes, ship_mask = (
-                    frag.memo(("dense_routes", cls),
-                              lambda w=wid, f=frag:
-                              self._build_dense_routes(w, f))
-                    if cacheable else self._build_dense_routes(wid, frag))
-                self._dense_routes[wid] = routes
-                self._dense_ship_masks[wid] = ship_mask
+            self._memoized(self.pg.fragments[wid], "ship_set",
+                           lambda frag, w=wid: self._ship_sets[w])
 
     def extend_contexts(self, report: GrowthReport) -> None:
         """Give every node that growth made locally present a status

@@ -337,6 +337,23 @@ class PIEProgram(abc.ABC):
         from repro.core.dense import apply_aggregated
         return apply_aggregated(self.aggregator, ctx.array, lids, payloads)
 
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment
+                     ) -> Optional[Tuple[Dict[int, Any], Any]]:
+        """:meth:`ship_set` and :meth:`destinations` of every local node
+        at once, over the lids of ``frag.compact()``.
+
+        Returns ``(routes, ship_mask)``: per destination fragment the
+        boolean lid-mask of the nodes whose changed values go there (no
+        entry for a fragment that gets none), and their union.  ``None``
+        (the default) leaves it to the engine, which loops over the two
+        per-node forms.  A dense-capable program that overrides those
+        states the same rule here, on the view's ``owner`` / ``routed`` /
+        ``peers`` arrays (:mod:`repro.core.dense` has the two usual
+        rules); ``tests/core/test_dense_routes.py`` holds every program
+        in the repo to it, and to the equality of the two forms.
+        """
+        return None
+
     def dense_assemble(self, pg: PartitionedGraph, contexts: Sequence[Any],
                        query: Any) -> Any:
         """Assemble from dense contexts; default: owner-fragment values."""

@@ -52,6 +52,26 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in
+    ``[0, bound)``, as one in-place sort.
+
+    ``key * E + position`` is distinct per entry and orders by key, then
+    by position, so an unstable sort of it is the stable order and
+    ``% E`` reads the permutation back: one pass over ``int64`` values
+    instead of a merge sort that carries an index array along.  Where
+    ``bound * E`` does not fit ``int64`` the stable ``argsort`` stays.
+    """
+    count = len(keys)
+    if bound * count > np.iinfo(np.int64).max:
+        return np.argsort(keys, kind="stable")
+    packed = np.multiply(keys, count, dtype=np.int64)
+    packed += np.arange(count, dtype=np.int64)
+    packed.sort()
+    packed %= max(count, 1)
+    return packed
+
+
 class CompactGraph:
     """Immutable CSR graph over integer node ids ``0..num_nodes-1``."""
 
@@ -124,19 +144,15 @@ class CompactGraph:
     @staticmethod
     def _build_csr(n: int, src: np.ndarray, dst: np.ndarray,
                    wgt: np.ndarray):
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        indices = dst[order]
-        weights = wgt[order]
-        counts = np.bincount(src_sorted, minlength=n)
+        order = stable_order(src, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, indices, weights
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return indptr, dst[order], wgt[order]
 
     @classmethod
     def from_graph(cls, g: Graph) -> "CompactGraph":
         """Convert a :class:`Graph` whose node ids are ``0..n-1`` ints."""
-        ids, csr = GraphArrays.of(g).to_csr()
+        ids, _, csr = GraphArrays.of(g).to_csr()
         if ids.tolist() != list(range(len(ids))):
             raise GraphError(
                 "CompactGraph requires contiguous integer node ids "
@@ -279,6 +295,9 @@ class CompactGraph:
     def node_label(self, v, default=None):
         return default
 
+    def node_labels(self) -> dict:
+        return {}
+
     def edges(self) -> Iterator[Edge]:
         """Each stored edge once (canonical ``u <= v`` for undirected)."""
         return zip(*(a.tolist() for a in self.edge_arrays()))
@@ -374,19 +393,24 @@ class GraphArrays(NamedTuple):
                              dst=np.where(flip, self.src, self.dst),
                              is_keyed=True)
 
-    def to_csr(self) -> Tuple[np.ndarray, CompactGraph]:
-        """The node ids in ascending order and the CSR graph over their
-        ranks; the ids must be non-negative integers."""
-        for v in self.nodes:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
-                    or v < 0:
-                raise GraphError(
-                    f"requires non-negative integer node ids, got {v!r}")
-        ids = self.nodes.astype(np.int64)
+    def to_csr(self) -> Tuple[np.ndarray, np.ndarray, CompactGraph]:
+        """The node ids in ascending order, each node's rank in that
+        order and the CSR graph over the ranks; the ids must be
+        non-negative integers."""
+        # one type check per distinct type, one sign check on the array
+        kinds = set(map(type, self.nodes.tolist()))
+        ok = bool not in kinds and all(
+            issubclass(kind, (int, np.integer)) for kind in kinds)
+        ids = self.nodes.astype(np.int64) if ok else None
+        if not ok or (ids < 0).any():
+            bad = next(v for v in self.nodes if isinstance(v, bool)
+                       or not isinstance(v, (int, np.integer)) or v < 0)
+            raise GraphError(
+                f"requires non-negative integer node ids, got {bad!r}")
         order = np.argsort(ids)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        return ids[order], CompactGraph.from_arrays(
+        return ids[order], rank, CompactGraph.from_arrays(
             order.size, rank[self.src], rank[self.dst],
             np.asarray(self.weights, dtype=np.float64), self.directed)
 

@@ -190,6 +190,10 @@ class Graph:
     def node_label(self, v: Node, default: Any = None) -> Any:
         return self._node_labels.get(v, default)
 
+    def node_labels(self) -> Dict[Node, Any]:
+        """Every labelled node with its label (a copy)."""
+        return dict(self._node_labels)
+
     def set_node_label(self, v: Node, label: Any) -> None:
         if v not in self._adj:
             raise GraphError(f"unknown node: {v!r}")

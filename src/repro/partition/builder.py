@@ -11,8 +11,12 @@ pass over ``edges()``; none for a ``CompactGraph``), gather the assignment,
 and cut each fragment out by boolean selection, which keeps the global edge
 order.  A fragment gets its slice as arrays; no dict ``Graph`` is built here
 — :attr:`Fragment.graph` does that on first access and reproduces what
-inserting the same nodes and edges one by one gives.  The per-edge builder
-this replaces is the oracle of ``tests/partition/test_builder_equivalence.py``.
+inserting the same nodes and edges one by one gives.  Node sets, routing
+index and placement map are handed over the same way
+(:class:`~repro.partition.fragment.NodeArrays`): positions and fragment
+ids, which become ``set`` / ``dict`` when someone reads them.  The per-edge
+builder this replaces is the oracle of
+``tests/partition/test_builder_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import GraphArrays
+from repro.graph.csr import GraphArrays, expand_ranges, stable_order
 from repro.graph.graph import Graph, Node
-from repro.partition.fragment import Fragment, PartitionedGraph
+from repro.partition.fragment import Fragment, NodeArrays, PartitionedGraph
 
 _NONE = np.empty(0, dtype=np.int64)
 
@@ -37,39 +41,26 @@ def _insertion_order(n: int, head: np.ndarray, src: np.ndarray,
     known = np.zeros(n, dtype=bool)
     known[head] = True
     ends = np.stack((src, dst), axis=1).ravel()
-    fresh, first = np.unique(ends[~known[ends]], return_index=True)
-    return np.concatenate((head, fresh[np.argsort(first)], tail))
+    fresh = ends[~known[ends]]
+    # the first of each run of equal endpoints, in (endpoint, position)
+    # order, is that endpoint's first appearance
+    order = stable_order(fresh, n)
+    by_node = fresh[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = by_node[1:] != by_node[:-1]
+    return np.concatenate((head, fresh[np.sort(order[first])], tail))
 
 
-def _placement(nodes: np.ndarray, order: np.ndarray, keys: np.ndarray,
-               m: int) -> Tuple[Dict[Node, Tuple[int, ...]],
-                                List[Dict[Node, Tuple[int, ...]]]]:
-    """Placement map (in ``order``) and per-fragment routing index from
-    the sorted ``node * m + fid`` presence keys.  Nodes are handled in
-    groups of equal presence count, so every tuple is cut from one 2-D
-    array without a per-node loop."""
-    node, fid = np.divmod(keys, m)
-    counts = np.bincount(node, minlength=len(nodes))
-    starts = np.cumsum(counts) - counts
-    def tuples(rows):  # no list per row: nothing for the collector
-        return zip(*(column.tolist() for column in rows.T))
-    placement = dict.fromkeys(nodes[order].tolist())
-    routing: List[Dict[Node, Tuple[int, ...]]] = [{} for _ in range(m)]
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
-        group = np.flatnonzero(counts == c)
-        rows = fid[starts[group][:, None] + np.arange(c)]
-        placement.update(zip(nodes[group].tolist(), tuples(rows)))
-        for f in range(m if c > 1 else 0):
-            hit = rows == f
-            here = hit.any(axis=1)
-            others = rows[here][~hit[here]].reshape(-1, c - 1)
-            routing[f].update(zip(nodes[group[here]].tolist(),
-                                  tuples(others)))
-    return placement, routing
+def _mask(scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``scratch`` (a reused boolean array) with exactly ``positions``
+    set."""
+    scratch[:] = False
+    scratch[positions] = True
+    return scratch
 
 
 def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
-              own: np.ndarray, owner: Mapping[Node, int], order: np.ndarray,
+              own: np.ndarray, owner: Dict[Node, int], order: np.ndarray,
               labels: Mapping[Node, Any], parts: List[tuple]
               ) -> PartitionedGraph:
     """The one way to make fragments, shared by both cuts.  ``own`` is the
@@ -77,26 +68,42 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
     order; a part is one fragment's local node positions in dict-graph
     order, the boolean selection of its edges and its border sets as node
     positions.  A node resides exactly where it is local, which gives
-    placement and routing."""
+    placement and routing — handed over as arrays, like the node sets:
+    the fragments build the containers when someone reads them."""
     arrays = arrays.keyed()  # fragments hold what a dict graph would
     nodes, m = arrays.nodes, len(parts)
-    placement, routing = _placement(nodes, order, np.sort(np.concatenate(
+    # every (node, fragment) presence, by node and then by fragment
+    at, fids = np.divmod(np.sort(np.concatenate(
         [local * m + fid for fid, (local, _, _) in enumerate(parts)])), m)
+    counts = np.bincount(at, minlength=len(nodes))
+    # routing: each presence of a node with copies, paired with every
+    # other fragment the node resides on
+    shared = np.flatnonzero(counts[at] > 1)
+    copies = counts[at[shared]]
+    here = np.repeat(shared, copies)
+    there = expand_ranges((np.cumsum(counts) - counts)[at[shared]], copies)
+    elsewhere = fids[here] != fids[there]
+    here, peers = here[elsewhere], fids[there[elsewhere]]
     slot = np.empty(len(nodes), dtype=np.int64)
+    member = np.empty(len(nodes), dtype=bool)
     fragments = []
-    for fid, (local, here, borders) in enumerate(parts):
+    for fid, (local, edges, borders) in enumerate(parts):
         slot[local] = np.arange(local.size)
-        owned = nodes[local[own[local] == fid]].tolist()
-        fragments.append(Fragment(
+        local_nodes, local_own = nodes[local], own[local]
+        mine = fids[here] == fid
+        fragments.append(Fragment.from_arrays(
             fid, GraphArrays(
-                nodes[local], slot[arrays.src[here]], slot[arrays.dst[here]],
-                arrays.weights[here], arrays.directed,
-                {v: labels[v] for v in owned if v in labels}, True),
-            owned=owned, mirrors=nodes[local[own[local] != fid]].tolist(),
-            routing=routing[fid], cut=cut,
-            **{name: nodes[at].tolist() for name, at in borders.items()}))
-    return PartitionedGraph(fragments, owner, placement, strategy_name,
-                            cut=cut)
+                local_nodes, slot[arrays.src[edges]],
+                slot[arrays.dst[edges]], arrays.weights[edges],
+                arrays.directed,
+                {v: labels[v] for v in local_nodes[local_own == fid]
+                 if v in labels} if labels else {}, True),
+            NodeArrays(local_nodes, local_own,
+                       {name: _mask(member, members)[local]
+                        for name, members in borders.items()},
+                       slot[at[here[mine]]], peers[mine]), cut))
+    return PartitionedGraph.from_arrays(
+        fragments, owner, (nodes, order, fids, counts), strategy_name, cut)
 
 
 def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
@@ -135,7 +142,7 @@ def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
         parts.append((local, here, dict(
             in_border=in_border, out_border=out_border,
             out_copies=out_copies, in_copies=in_copies)))
-    labels = {v: label for v, label in zip(nodes, map(g.node_label, nodes))
+    labels = {v: label for v, label in g.node_labels().items()
               if label is not None}
     return _assemble(arrays, "edge", strategy_name, own, dict(owner),
                      np.arange(len(nodes)), labels, parts)

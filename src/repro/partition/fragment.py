@@ -18,21 +18,41 @@ Each fragment also carries the routing index ``I_i`` (paper, Section 3):
 for a border node ``v``, :meth:`Fragment.locations` returns every other
 fragment where ``v`` resides, used to derive designated messages ``M(i, j)``.
 
-A fragment's local graph has **one source of truth at a time**: the
-builder's :class:`~repro.graph.csr.GraphArrays`, from which
-:meth:`Fragment.compact` builds the CSR view the vectorized path runs on,
-until :attr:`Fragment.graph` is first read; that turns them into the dict
-:class:`~repro.graph.graph.Graph` and drops them (``compact()`` keeps its
-view, or rebuilds it from the dict graph after in-place growth).  Only
-generic-path programs (so ``GraphService`` and ``StreamingSession``),
-``grow_edge_cut`` on the fragments it touches and ``runtime.recovery`` read
-``graph``; sizes, ``directed`` and the quality metrics never do.
+Everything a fragment knows has **one source of truth at a time**, and it
+starts out as the builder's arrays:
+
+- the local graph is a :class:`~repro.graph.csr.GraphArrays`, from which
+  :meth:`Fragment.compact` builds the CSR view the vectorized path runs
+  on, until :attr:`Fragment.graph` is first read; that turns it into the
+  dict :class:`~repro.graph.graph.Graph` and drops the arrays
+  (``compact()`` keeps its view, or rebuilds it from the dict graph after
+  in-place growth);
+- the six node sets and the routing index are a :class:`NodeArrays`.
+  The first read of any of them builds the ``set`` s and the ``dict`` of
+  tuples and drops the arrays, after which they are ordinary attributes
+  of an ordinary ``Fragment`` (:class:`BuiltOnRead`).  A CSR view built
+  while the arrays are there takes its masks, per-lid owners and routing
+  pairs from them (and keeps those); one built afterwards asks the sets.
+  :attr:`PartitionedGraph.placement` and the view's ``lid_of`` / ``nodes``
+  are kept the same way.
+
+A vectorized build and run reads neither the dict graph nor any of the
+containers: peers come from the builder, routes from the programs' array
+rules (:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes,
+``directed`` and the quality metrics from the arrays.  Generic-path
+programs (so ``GraphService`` and ``StreamingSession``), ``grow_edge_cut``
+on the fragments it touches, ``replication_factor`` and
+``runtime.recovery`` are who reads them.  A hand-made
+``Fragment(fid, graph, owned=..., ...)`` holds its containers from the
+start.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple, Union)
+import numbers
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -40,60 +60,179 @@ from repro.errors import GraphError, PartitionError
 from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph, Node
 
+BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
+
+
+class NodeArrays(NamedTuple):
+    """A fragment's node bookkeeping the way the builder computes it.
+
+    Positions index ``nodes``, which lists the local nodes in the order
+    the fragment's dict graph does.
+    """
+
+    #: the local node objects (object array)
+    nodes: np.ndarray
+    #: per local node, the fragment that owns it
+    owner: np.ndarray
+    #: per name in :data:`BORDER_SETS`, the boolean mask of its members
+    borders: Mapping[str, np.ndarray]
+    #: the routing index ``I_i`` as pairs, grouped by node and ascending
+    #: in the peer: ``routed[k]`` also resides on fragment ``peers[k]``
+    routed: np.ndarray
+    peers: np.ndarray
+
+
+def grouped_tuples(labels: np.ndarray, starts: np.ndarray,
+                   counts: np.ndarray, values: np.ndarray
+                   ) -> Iterator[Tuple[Any, Tuple[int, ...]]]:
+    """``(labels[i], tuple(values[starts[i]:starts[i] + counts[i]]))`` per
+    group ``i``.  Groups of equal length are cut from one 2-D array, so
+    there is no Python step per group beyond the final ``zip``."""
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        group = np.flatnonzero(counts == c)
+        rows = values[starts[group][:, None] + np.arange(c)]
+        # no list per row: nothing for the collector to track
+        yield from zip(labels[group].tolist(),
+                       zip(*(column.tolist() for column in rows.T)))
+
+
+def distinct_fids(fids: np.ndarray) -> List[int]:
+    """The distinct values of an array of fragment ids, ascending (plain
+    ``np.unique`` would do, and import ``numpy.ma`` to do it)."""
+    return np.flatnonzero(np.bincount(fids)).tolist()
+
+
+class BuiltOnRead:
+    """Mixin of a subclass whose instances start without some containers.
+
+    ``class LazyX(BuiltOnRead, X)`` adds no slot; its instances leave the
+    slots named in ``_BUILDERS`` unset.  The first read of one of them
+    builds them all (in order, so a builder may read an earlier one, and
+    a last entry may clear the slot the arrays were in) and turns the
+    instance into a plain ``X``.  All or nothing on purpose: a
+    class that defines ``__getattr__`` pays for it on *every* attribute
+    read, found or not (~30 ns, and no specialised ``LOAD_ATTR``), which
+    the generic kernels' ``v in frag.mirrors`` per heap pop and the
+    service's epochs would feel; after the switch there is nothing left
+    to pay.
+    """
+
+    __slots__ = ()
+    _BUILDERS: Dict[str, Callable[[Any], Any]] = {}
+    _PLAIN: type
+    #: whether the containers exist (a read-only probe; ``True`` on the
+    #: plain classes)
+    built = False
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in self._BUILDERS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        for attr, build in self._BUILDERS.items():
+            setattr(self, attr, build(self))
+        self.__class__ = self._PLAIN
+        return getattr(self, name)
+
 
 class FragmentCSR:
     """Cached array view of one fragment: contiguous local ids + CSR.
 
     The vectorized fast path keeps status variables in arrays indexed by
-    *local id* (lid); this view maps lids to global nodes and back and holds
-    a :class:`~repro.graph.csr.CompactGraph` over lids plus owned/mirror
-    masks.  It needs non-negative integer node ids; build it through
-    :meth:`Fragment.compact`, which caches one instance per fragment.
+    *local id* (lid): position in the ascending global ids :attr:`gids`.
+    The view holds a :class:`~repro.graph.csr.CompactGraph` over lids, the
+    owned/mirror masks and — for a fragment that still has the builder's
+    :class:`NodeArrays` — each lid's owner and the routing index as
+    ``(lid, peer)`` pairs, which is what array routing rules read
+    (:meth:`~repro.core.pie.PIEProgram.dense_routes`).  Lookups go through
+    ``searchsorted`` (:meth:`lid`, :meth:`lids_for`); the ``nodes`` list
+    (local nodes in lid order) and the ``lid_of`` dict exist for the
+    scalar facade of :mod:`repro.core.dense` and are built when it first
+    reads one of them (:class:`BuiltOnRead`).  It needs non-negative
+    integer node ids; build it through :meth:`Fragment.compact`, which
+    caches one instance per fragment.
     """
 
-    __slots__ = ("fragment", "nodes", "lid_of", "gids", "csr",
-                 "owned_mask", "mirror_mask", "_gid_to_lid")
+    __slots__ = ("fragment", "gids", "csr", "owned_mask", "mirror_mask",
+                 "owner", "routed", "peers", "nodes", "lid_of")
+    built = True
 
     def __init__(self, frag: "Fragment", local: GraphArrays):
         try:
-            self.gids, self.csr = local.to_csr()
+            self.gids, rank, self.csr = local.to_csr()
         except GraphError as exc:
             raise PartitionError(
                 f"fragment {frag.fid}: dense view {exc}") from None
         self.fragment = frag
-        #: local nodes in lid order (sorted global ids)
-        self.nodes: List[int] = self.gids.tolist()
-        self.lid_of: Dict[int, int] = dict(
-            zip(self.nodes, range(len(self.nodes))))
-        self.owned_mask = np.fromiter(
-            map(frag.owned.__contains__, self.nodes), bool, len(self.nodes))
+        arrays = frag._node_arrays
+        if arrays is None:  # hand-made, or its sets were read: ask them
+            self.owner = self.routed = self.peers = None
+            self.owned_mask = np.fromiter(
+                map(frag.owned.__contains__, self.gids.tolist()), bool,
+                len(self.gids))
+        else:
+            self.owner = np.empty(len(self.gids), dtype=np.int64)
+            self.owner[rank] = arrays.owner
+            self.routed, self.peers = rank[arrays.routed], arrays.peers
+            self.owned_mask = self.owner == frag.fid
         self.mirror_mask = ~self.owned_mask
-        self._gid_to_lid = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.gids)
+
+    def lid(self, v: Node) -> Optional[int]:
+        """The local id of node ``v``, ``None`` when it is not local."""
+        if not isinstance(v, numbers.Real) or not len(self.gids):
+            return None
+        at = min(int(np.searchsorted(self.gids, v)), len(self.gids) - 1)
+        return at if self.gids[at] == v else None
 
     def lids_for(self, gids: np.ndarray) -> np.ndarray:
         """Vectorized global-id -> lid lookup; ``-1`` for non-local ids."""
-        if self._gid_to_lid is None:
-            size = int(self.gids[-1]) + 1 if self.gids.size else 0
-            table = np.full(size, -1, dtype=np.int64)
-            table[self.gids] = np.arange(len(self.nodes), dtype=np.int64)
-            self._gid_to_lid = table
-        table = self._gid_to_lid
         gids = np.asarray(gids, dtype=np.int64)
-        out = np.full(gids.shape, -1, dtype=np.int64)
-        ok = (gids >= 0) & (gids < table.size)
-        out[ok] = table[gids[ok]]
-        return out
+        if not len(self.gids):
+            return np.full(gids.shape, -1, dtype=np.int64)
+        at = np.searchsorted(self.gids, gids)
+        at[at == len(self.gids)] = 0
+        at[self.gids[at] != gids] = -1
+        return at
+
+
+class _LazyFragmentCSR(BuiltOnRead, FragmentCSR):
+    __slots__ = ()
+    _PLAIN = FragmentCSR
+    _BUILDERS = {
+        "nodes": lambda view: view.gids.tolist(),
+        "lid_of": lambda view: dict(zip(view.nodes, range(len(view)))),
+    }
+
+
+def _node_set(select: Callable[[NodeArrays, int], np.ndarray]
+              ) -> Callable[["Fragment"], Set[Node]]:
+    """Builder of the set of local nodes ``select(arrays, fid)`` picks."""
+    def build(frag: "Fragment") -> Set[Node]:
+        arrays = frag._node_arrays
+        return set(arrays.nodes[select(arrays, frag.fid)].tolist())
+    return build
+
+
+def _routing_index(frag: "Fragment") -> Dict[Node, Tuple[int, ...]]:
+    arrays = frag._node_arrays
+    routed = arrays.routed
+    first = np.ones(routed.size, dtype=bool)  # of each node's run of pairs
+    first[1:] = routed[1:] != routed[:-1]
+    starts = np.flatnonzero(first)
+    return dict(grouped_tuples(arrays.nodes[routed[starts]], starts,
+                               np.diff(starts, append=routed.size),
+                               arrays.peers))
 
 
 class Fragment:
     """One fragment of a partitioned graph, resident at one virtual worker."""
 
-    __slots__ = ("fid", "_local", "owned", "mirrors", "in_border",
-                 "out_border", "out_copies", "in_copies", "cut", "_routing",
-                 "_peers", "_compact", "_memo")
+    __slots__ = ("fid", "_local", "_node_arrays", "owned", "mirrors",
+                 *BORDER_SETS, "cut", "_routing", "_peers", "_compact",
+                 "_memo")
+    built = True
 
     def __init__(self, fid: int, graph: Union[Graph, GraphArrays],
                  owned: Iterable[Node], mirrors: Iterable[Node],
@@ -101,11 +240,7 @@ class Fragment:
                  out_copies: Iterable[Node], in_copies: Iterable[Node],
                  routing: Mapping[Node, Sequence[int]],
                  cut: str = "edge"):
-        self.fid = fid
-        self.cut = cut
-        # one source of truth: the builder's arrays until someone asks
-        # for the dict graph, the dict graph afterwards
-        self._local: Union[Graph, GraphArrays] = graph
+        self._setup(fid, graph, None, None, cut)
         # plain sets: in-place growth only ever adds members
         # (repro.partition.grow); nobody else may mutate them
         self.owned: Set[Node] = set(owned)
@@ -116,10 +251,32 @@ class Fragment:
         self.in_copies: Set[Node] = set(in_copies)
         self._routing: Dict[Node, Tuple[int, ...]] = {
             v: tuple(fids) for v, fids in routing.items()}
-        self._peers: Optional[Set[int]] = None
+        self._validate()
+
+    @classmethod
+    def from_arrays(cls, fid: int, graph: GraphArrays, arrays: NodeArrays,
+                    cut: str = "edge") -> "Fragment":
+        """The fragment the array-native builder makes: its sets and its
+        routing index stay ``arrays`` until someone reads one of them."""
+        self = _LazyFragment.__new__(_LazyFragment)
+        self._setup(fid, graph, arrays, set(distinct_fids(arrays.peers)), cut)
+        self._validate_arrays()
+        return self
+
+    def _setup(self, fid: int, graph: Union[Graph, GraphArrays],
+               arrays: Optional[NodeArrays], peers: Optional[Set[int]],
+               cut: str) -> None:
+        self.fid = fid
+        self.cut = cut
+        # one source of truth: the builder's arrays until someone asks
+        # for the dict graph, the dict graph afterwards
+        self._local: Union[Graph, GraphArrays] = graph
+        # likewise the node sets and the routing index: ``arrays`` until
+        # someone reads one of them, the containers afterwards
+        self._node_arrays = arrays
+        self._peers = peers
         self._compact: Optional[FragmentCSR] = None
         self._memo: Optional[Dict] = None
-        self._validate()
 
     def _validate(self) -> None:
         if self.owned & self.mirrors:
@@ -132,6 +289,21 @@ class Fragment:
         for v in (self.out_copies | self.in_copies) - self.mirrors:
             raise PartitionError(
                 f"fragment {self.fid}: copy {v!r} not a mirror")
+
+    def _validate_arrays(self) -> None:
+        """:meth:`_validate` on the arrays (one owner per node, so owned
+        and mirrors cannot overlap)."""
+        arrays = self._node_arrays
+        owned = arrays.owner == self.fid
+        for name, allowed, complaint in (
+                ("in_border", owned, "border node {!r} not owned"),
+                ("out_border", owned, "border node {!r} not owned"),
+                ("out_copies", ~owned, "copy {!r} not a mirror"),
+                ("in_copies", ~owned, "copy {!r} not a mirror")):
+            bad = arrays.borders[name] & ~allowed
+            if bad.any():
+                raise PartitionError(f"fragment {self.fid}: " + complaint
+                                     .format(arrays.nodes[bad.argmax()]))
 
     # ------------------------------------------------------------------
     @property
@@ -182,7 +354,7 @@ class Fragment:
         Computed once (runtimes rebuild their queues from this on every
         run); in-place growth adds the peers it creates.
         """
-        if self._peers is None:
+        if self._peers is None:  # the builder hands its fragments theirs
             self._peers = set().union(*self._routing.values())
         return self._peers
 
@@ -192,7 +364,8 @@ class Fragment:
         :class:`~repro.errors.PartitionError` unless node ids are
         non-negative integers."""
         if self._compact is None:
-            self._compact = FragmentCSR(self, GraphArrays.of(self._local))
+            self._compact = _LazyFragmentCSR(self,
+                                             GraphArrays.of(self._local))
         return self._compact
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
@@ -223,7 +396,9 @@ class Fragment:
         routes and kernel arrays are functions of (the peer set it patches
         itself).  An engine kept over the partition patches its ship set
         from the growth report and puts it back
-        (:meth:`~repro.core.engine.Engine.refresh_routes`).
+        (:meth:`~repro.core.engine.Engine.refresh_routes`).  (Growth read
+        the sets it mutated, so the fragment holds them and no longer the
+        builder's node arrays.)
         """
         self._compact = None
         self._memo = None
@@ -237,17 +412,49 @@ class Fragment:
         edge-cut both copies of a cut edge keep one orientation, so this
         counts every edge of the graph in exactly one fragment."""
         local = GraphArrays.of(self._local)
-        return sum(map(self.owned.__contains__, local.nodes[local.src]))
+        arrays = self._node_arrays
+        if arrays is None:
+            return sum(map(self.owned.__contains__, local.nodes[local.src]))
+        return int(np.count_nonzero(arrays.owner[local.src] == self.fid))
+
+    def _node_counts(self) -> Tuple[int, int]:
+        """``(owned, mirrors)`` sizes, without building the sets."""
+        arrays = self._node_arrays
+        if arrays is None:
+            return len(self.owned), len(self.mirrors)
+        owned = int(np.count_nonzero(arrays.owner == self.fid))
+        return owned, len(arrays.owner) - owned
 
     @property
     def size(self) -> int:
         """Fragment size ``|F_i|`` (nodes + edges), used for skew ratio r."""
-        return len(self.owned) + len(self.mirrors) + self.num_local_edges
+        return sum(self._node_counts()) + self.num_local_edges
 
     def __repr__(self) -> str:
-        return (f"Fragment(fid={self.fid}, owned={len(self.owned)}, "
-                f"mirrors={len(self.mirrors)}, "
-                f"edges={self.num_local_edges})")
+        owned, mirrors = self._node_counts()
+        return (f"Fragment(fid={self.fid}, owned={owned}, "
+                f"mirrors={mirrors}, edges={self.num_local_edges})")
+
+
+class _LazyFragment(BuiltOnRead, Fragment):
+    __slots__ = ()
+    _PLAIN = Fragment
+    _BUILDERS = {
+        "owned": _node_set(lambda arrays, fid: arrays.owner == fid),
+        "mirrors": _node_set(lambda arrays, fid: arrays.owner != fid),
+        **{name: _node_set(lambda arrays, fid, name=name:
+                           arrays.borders[name]) for name in BORDER_SETS},
+        "_routing": _routing_index,
+        "_node_arrays": lambda frag: None,  # the containers are it now
+    }
+
+
+def _placement(pg: "PartitionedGraph") -> Dict[Node, Tuple[int, ...]]:
+    nodes, order, fids, counts = pg._presence
+    placement = dict.fromkeys(nodes[order].tolist())
+    placement.update(grouped_tuples(nodes, np.cumsum(counts) - counts,
+                                    counts, fids))
+    return placement
 
 
 class PartitionedGraph:
@@ -257,17 +464,38 @@ class PartitionedGraph:
     and owner lookup used by the engine and by ``Assemble``.
     """
 
-    __slots__ = ("fragments", "owner", "placement", "strategy_name", "cut")
+    __slots__ = ("fragments", "owner", "placement", "_presence",
+                 "strategy_name", "cut")
+    built = True
 
     def __init__(self, fragments: Sequence[Fragment],
                  owner: Mapping[Node, int],
                  placement: Mapping[Node, Sequence[int]],
                  strategy_name: str = "custom", cut: str = "edge"):
-        self.cut = cut
-        self.fragments: List[Fragment] = list(fragments)
-        self.owner: Dict[Node, int] = dict(owner)
+        self._setup(fragments, dict(owner), None, strategy_name, cut)
         self.placement: Dict[Node, Tuple[int, ...]] = {
             v: tuple(fids) for v, fids in placement.items()}
+
+    @classmethod
+    def from_arrays(cls, fragments: Sequence[Fragment],
+                    owner: Dict[Node, int], presence: tuple,
+                    strategy_name: str, cut: str) -> "PartitionedGraph":
+        """What the array-native builder makes.  ``owner`` becomes the
+        partition's own; ``presence`` is where every node resides —
+        ``(nodes, placement order as positions, fragment ids grouped by
+        node position and ascending, copies per node)`` — and stays that
+        until :attr:`placement` is read."""
+        self = _LazyPartitionedGraph.__new__(_LazyPartitionedGraph)
+        self._setup(fragments, owner, presence, strategy_name, cut)
+        return self
+
+    def _setup(self, fragments: Sequence[Fragment], owner: Dict[Node, int],
+               presence: Optional[tuple], strategy_name: str,
+               cut: str) -> None:
+        self.cut = cut
+        self.fragments: List[Fragment] = list(fragments)
+        self.owner = owner
+        self._presence = presence
         self.strategy_name = strategy_name
         if not self.fragments:
             raise PartitionError("a partition needs at least one fragment")
@@ -299,3 +527,9 @@ class PartitionedGraph:
     def __repr__(self) -> str:
         return (f"PartitionedGraph(m={self.num_fragments}, "
                 f"strategy={self.strategy_name!r}, sizes={self.sizes()})")
+
+
+class _LazyPartitionedGraph(BuiltOnRead, PartitionedGraph):
+    __slots__ = ()
+    _PLAIN = PartitionedGraph
+    _BUILDERS = {"placement": _placement, "_presence": lambda pg: None}

@@ -202,3 +202,72 @@ class TestMessageBatch:
     def test_mixed_entry_count(self):
         m = Message(src=0, dst=1, round=0, entries=((7, 1.0),))
         assert entry_count([m, self._batch(2)]) == 3
+
+
+class TestLidLookup:
+    """Global id -> lid goes through ``searchsorted``: nothing is sized
+    by an id, and the ``lid_of`` dict is the scalar facade's alone."""
+
+    def sparse_path(self):
+        # ids a table indexed by id cannot hold: 10**12 slots of int64
+        ids = [0, 1, 2, 3] + [10 ** 12 + i for i in range(4)]
+        g = Graph(directed=False)
+        for u, v in zip(ids, ids[1:]):
+            g.add_edge(u, v, 1.5)
+        return g
+
+    def test_sparse_ids_run_on_the_dense_path(self):
+        """Regression: the first message used to die with ``MemoryError:
+        Unable to allocate 7.28 TiB`` inside ``lids_for``."""
+        from repro.core.fixpoint import run_sequential_fixpoint
+        from repro.core.modes import make_policy
+        from repro.partition.edge_cut import HashPartitioner
+        from repro.runtime.threaded import ThreadedRuntime
+        g = self.sparse_path()
+        pg = HashPartitioner().partition(g, 2)
+        query = SSSPQuery(0)
+        generic = run_sequential_fixpoint(Engine(SSSPProgram(), pg, query))
+        assert generic[10 ** 12 + 3] == 7 * 1.5
+        engine = Engine(SSSPProgram(), pg, query, vectorized=True)
+        assert engine.vectorized
+        assert run_sequential_fixpoint(engine) == generic
+        threaded = ThreadedRuntime(
+            Engine(SSSPProgram(), pg, query, vectorized=True),
+            make_policy("AAP"), timeout=60).run()
+        assert threaded.answer == generic
+
+    def test_lids_for_marks_non_local_ids(self, pg):
+        view = pg.fragments[0].compact()
+        local = view.gids[[0, len(view) - 1, len(view) // 2]]
+        missing = sorted(set(range(-2, int(view.gids[-1]) + 3))
+                         - set(view.gids.tolist()))
+        asked = np.concatenate([local, np.asarray(missing, dtype=np.int64)])
+        got = view.lids_for(asked)
+        assert got[:3].tolist() == [0, len(view) - 1, len(view) // 2]
+        assert (got[3:] == -1).all()
+        assert view.lids_for(np.empty(0, dtype=np.int64)).size == 0
+
+    def test_non_local_update_is_still_a_program_error(self, pg):
+        engine = Engine(SSSPProgram(), pg, SSSPQuery(source=0),
+                        vectorized=True)
+        stranger = int(max(pg.owner)) + 5
+        batch = MessageBatch(src=1, dst=0, round=1,
+                             ids=np.asarray([stranger], dtype=np.int64),
+                             payloads=np.asarray([1.0]))
+        with pytest.raises(ProgramError,
+                           match=f"non-local node {stranger}"):
+            engine.run_inceval(0, [batch], round_no=1)
+
+    def test_single_node_lookup_matches_the_dict(self, pg):
+        view = pg.fragments[1].compact()
+        for v in (*view.gids.tolist(), -1, 10 ** 15, 2.0, 2.5, "a", None,
+                  (1, 2), np.int64(int(view.gids[0]))):
+            assert view.lid(v) == view.lid_of.get(v), repr(v)
+
+    def test_seeding_sssp_builds_no_dict(self, pg):
+        ctx = SSSPProgram().make_dense_context(pg.fragments[0],
+                                               SSSPQuery(source=0))
+        assert ctx.array.min() == 0.0 or 0 not in ctx.view.gids
+        assert not ctx.view.built
+        assert ctx.get(int(ctx.view.gids[0])) is not None  # the facade
+        assert ctx.view.built

@@ -159,3 +159,77 @@ class TestExpandRanges:
         out = expand_ranges(np.empty(0, dtype=np.int64),
                             np.empty(0, dtype=np.int64))
         assert out.size == 0
+
+
+class TestStableOrder:
+    """``stable_order`` is ``argsort(kind="stable")``, one sort cheaper."""
+
+    def test_equals_stable_argsort_on_keys_with_duplicates(self):
+        import numpy as np
+        from repro.graph.csr import stable_order
+        rng = np.random.default_rng(7)
+        for bound, count in ((1, 50), (3, 200), (40, 1000), (10 ** 6, 300)):
+            keys = rng.integers(0, bound, count)
+            assert stable_order(keys, bound).tolist() \
+                == np.argsort(keys, kind="stable").tolist()
+
+    def test_empty_and_narrow_input(self):
+        import numpy as np
+        from repro.graph.csr import stable_order
+        assert stable_order(np.empty(0, dtype=np.int64), 5).tolist() == []
+        keys = np.array([2, 0, 2, 1], dtype=np.int32)  # must not wrap
+        assert stable_order(keys, 2 ** 40).tolist() == [1, 3, 0, 2]
+
+    def test_falls_back_where_the_packed_key_would_overflow(self,
+                                                            monkeypatch):
+        import numpy as np
+        from repro.graph import csr
+        keys = np.array([5, 1, 5, 0, 1], dtype=np.int64)
+        want = np.argsort(keys, kind="stable").tolist()
+        calls = []
+        real_argsort = np.argsort
+        monkeypatch.setattr(csr.np, "argsort", lambda *a, **k: (
+            calls.append(k), real_argsort(*a, **k))[1])
+        assert csr.stable_order(keys, 2 ** 62).tolist() == want
+        assert calls == [{"kind": "stable"}]
+        assert csr.stable_order(keys, 6).tolist() == want
+        assert len(calls) == 1  # the packed sort needs no argsort
+
+    def test_csr_rows_keep_edge_order(self):
+        g = CompactGraph.from_edges(
+            3, [(1, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0), (0, 1, 4.0)])
+        assert g.out_edges(0) == [(2, 2.0), (1, 4.0)]
+        assert g.out_edges(1) == [(0, 1.0), (2, 3.0)]
+        assert g.in_edges(2) == [(0, 2.0), (1, 3.0)]
+
+
+class TestToCsrIdCheck:
+    """One type check per distinct type, the offender named as before."""
+
+    @pytest.mark.parametrize("bad", [True, -3, 2.0, "7", (1, 2), None])
+    def test_first_offending_id_is_named(self, bad):
+        from repro.graph.csr import GraphArrays
+        g = Graph(directed=True)
+        g.add_edge(4, 9)
+        g.add_edge(9, bad)
+        g.add_edge(bad, -1 if bad != -3 else -8)
+        with pytest.raises(GraphError) as err:
+            GraphArrays.of(g).to_csr()
+        assert str(err.value) == \
+            f"requires non-negative integer node ids, got {bad!r}"
+
+    def test_numpy_and_subclassed_ints_pass(self):
+        import enum
+
+        import numpy as np
+        from repro.graph.csr import GraphArrays
+
+        class Colour(enum.IntEnum):
+            RED = 5
+
+        g = Graph(directed=True)
+        g.add_edge(np.int64(3), Colour.RED)
+        g.add_edge(Colour.RED, 0)
+        ids, rank, csr = GraphArrays.of(g).to_csr()
+        assert ids.tolist() == [0, 3, 5] and rank.tolist() == [1, 2, 0]
+        assert csr.out_edges(2) == [(0, 1.0)]

@@ -1,0 +1,167 @@
+"""Node sets, routing, placement and ``lid_of`` are built on first read
+(of any one of them, per object: ``BuiltOnRead``).
+
+A vectorized build and run reads none of them: the property here is that
+every builder can be made to *raise* and partition -> ``compact()`` ->
+``Engine(vectorized=True)`` -> threaded and multiprocess runs still finish
+(a forked worker inherits the patch, so this covers the children too),
+while a generic engine on the same partition afterwards reads containers
+equal to the ones the per-edge oracle of ``test_builder_equivalence.py``
+builds eagerly.
+"""
+
+import pytest
+
+from repro.algorithms import (PageRankProgram, PageRankQuery, SSSPProgram,
+                              SSSPQuery)
+from repro.core.engine import Engine
+from repro.core.fixpoint import run_sequential_fixpoint
+from repro.core.modes import make_policy
+from repro.graph import generators
+from repro.partition import quality
+from repro.partition.edge_cut import HashPartitioner
+from repro.partition.fragment import (BuiltOnRead, Fragment, FragmentCSR,
+                                      PartitionedGraph)
+from repro.partition.grow import grow_edge_cut
+from repro.runtime.multiprocess import MultiprocessRuntime
+from repro.runtime.threaded import ThreadedRuntime
+
+SETS = ("owned", "mirrors", "in_border", "out_border", "out_copies",
+        "in_copies")
+
+#: the graphs of the four BENCHMARK.json workloads, at their quick size
+WORKLOADS = {
+    "pagerank-powerlaw": (PageRankProgram, lambda: generators.powerlaw(
+        5_000, m=3, weighted=True, seed=1)),
+    "sssp-grid": (SSSPProgram, lambda: generators.grid2d(
+        40, 40, weighted=True, seed=1)),
+    "pagerank-rmat": (PageRankProgram, lambda: generators.rmat(
+        10, edge_factor=6, directed=True, seed=1)),
+    "serve-sssp-powerlaw": (SSSPProgram, lambda: generators.powerlaw(
+        2_000, m=3, weighted=True, seed=1)),
+}
+
+
+def query_for(program_cls, graph):
+    """The benchmark's query and answer tolerance (0.0 = exact): two
+    PageRank runs may each leave ``eps_node`` unshipped at every
+    in-neighbour of a node plus its own pending mass."""
+    if program_cls is SSSPProgram:
+        return SSSPQuery(source=0), 0.0
+    n = graph.num_nodes
+    query = PageRankQuery(epsilon=5e-4 * n, num_nodes=n)
+    max_indeg = max(graph.in_degree(v) for v in graph.nodes)
+    return query, 2.0 * query.epsilon / n * (1 + max_indeg)
+
+
+def nothing_built(pg):
+    return not (pg.built or any(frag.materialised or frag.built
+                                or frag.compact().built for frag in pg))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_vectorized_build_and_runs_build_no_container(name, monkeypatch):
+    program_cls, make_graph = WORKLOADS[name]
+    graph = make_graph()
+    query, tolerance = query_for(program_cls, graph)
+    from test_builder_equivalence import oracle_edge_cut
+    eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 2), 2)
+    reference = run_sequential_fixpoint(Engine(program_cls(), eager, query))
+
+    def boom(self, attr):
+        raise AssertionError(f"{type(self).__name__}.{attr} was read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BuiltOnRead, "__getattr__", boom)
+        pg = HashPartitioner().partition(graph, 2)
+        for frag in pg:
+            frag.compact()
+        engine = Engine(program_cls(), pg, query, vectorized=True)
+        assert engine.vectorized
+        threaded = ThreadedRuntime(engine, make_policy("AAP"),
+                                   timeout=60).run()
+        forked = MultiprocessRuntime(program_cls(), pg, query, mode="AAP",
+                                     timeout=60, vectorized=True).run()
+        quality.edge_cut_ratio(pg), quality.balance(pg), repr(pg)
+        assert [len(frag.peer_fragments()) for frag in pg] == [1, 1]
+    assert nothing_built(pg)
+    for result in (threaded, forked):
+        assert result.answer.keys() == reference.keys()
+        assert all(abs(result.answer[v] - reference[v]) <= tolerance
+                   for v in reference)
+
+    # the generic path is who reads them, and reads what an eager build has
+    Engine(program_cls(), pg, query)
+    assert all(frag.materialised and frag.built for frag in pg)
+    assert list(pg.placement.items()) == list(eager.placement.items())
+    for lazy, built in zip(pg, eager):
+        for attr in (*SETS, "_routing"):
+            assert getattr(lazy, attr) == getattr(built, attr), attr
+        assert lazy.compact().lid_of == built.compact().lid_of
+        assert lazy.compact().nodes == built.compact().nodes
+
+
+def test_after_the_first_read_the_objects_are_plain():
+    graph = generators.grid2d(5, 5, weighted=True, seed=2)
+    pg = HashPartitioner().partition(graph, 2)
+    frag = pg.fragments[0]
+    view = frag.compact()
+    for lazy, plain in ((pg, PartitionedGraph), (frag, Fragment),
+                        (view, FragmentCSR)):
+        assert isinstance(lazy, plain) and type(lazy) is not plain
+        assert not lazy.built
+        with pytest.raises(AttributeError):
+            lazy.no_such_attribute
+        assert not lazy.built
+    mirrors = frag.mirrors
+    assert isinstance(mirrors, set) and frag.mirrors is mirrors
+    assert isinstance(frag._routing, dict)
+    assert isinstance(next(iter(frag._routing.values())), tuple)
+    assert isinstance(pg.placement, dict) and view.lid_of[view.nodes[0]] == 0
+    for lazy, plain in ((pg, PartitionedGraph), (frag, Fragment),
+                        (view, FragmentCSR)):
+        # no ``__getattr__`` left on the type: reads cost what they do on
+        # any slotted object
+        assert type(lazy) is plain and lazy.built
+        assert "__getattr__" not in dir(plain)
+    assert not pg.fragments[1].built  # each object on its own
+
+
+def test_hand_made_fragments_have_everything_from_the_start():
+    graph = generators.path_graph(4)
+    frag = Fragment(0, graph, owned=[0, 1], mirrors=[2], in_border=[1],
+                    out_border=[1], out_copies=[2], in_copies=[2],
+                    routing={1: [1], 2: [1]})
+    pg = PartitionedGraph([frag], {0: 0, 1: 0}, {0: [0], 1: [0, 1]})
+    assert frag.built and pg.built and pg.placement[1] == (0, 1)
+    assert type(frag) is Fragment and type(pg) is PartitionedGraph
+    assert frag.peer_fragments() == {1}
+
+
+def test_growth_makes_the_containers_the_truth():
+    graph = generators.grid2d(6, 6, weighted=True, seed=2)
+    pg = HashPartitioner().partition(graph, 2)
+    u = min(pg.fragments[0].owned)
+    v = next(v for v in sorted(pg.fragments[1].owned)
+             if not graph.has_edge(u, v))
+    assert grow_edge_cut(pg, [(u, v, 1.0)]).touched == {0, 1}
+    for frag in pg:
+        assert frag.built and frag._node_arrays is None
+        # the next view asks the sets
+        view = frag.compact()
+        assert view.owner is None and view.routed is None
+        assert view.owned_mask.tolist() \
+            == [v in frag.owned for v in view.nodes]
+
+
+def test_counting_edges_and_sizes_builds_nothing():
+    graph = generators.powerlaw(120, m=3, weighted=True, seed=5)
+    pg = HashPartitioner().partition(graph, 3)
+    eager = HashPartitioner().partition(graph, 3)
+    for frag in eager:
+        frag.invalidate_caches()  # every set built, arrays dropped
+    assert [f.num_edges_from_owned() for f in pg] \
+        == [f.num_edges_from_owned() for f in eager]
+    assert pg.sizes() == eager.sizes() and repr(pg) == repr(eager)
+    assert quality.edge_cut_ratio(pg) == quality.edge_cut_ratio(eager)
+    assert not any(frag.built for frag in pg)
