@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
+.PHONY: test lint size trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
 	bench-e2e-quick epoch-layers build-layers
 
 ## tier-1 test suite (the CI gate)
@@ -17,6 +17,12 @@ lint:
 	else \
 		echo "lint: ruff not installed; skipping (config in pyproject.toml)"; \
 	fi
+
+## source lines per src/repro package and the ten longest functions,
+## overall and under runtime/ (report only, no options; the numbers
+## ROADMAP re-anchors and simplicity issues quote)
+size:
+	@$(PYTHON) tools/size.py
 
 ## schedule fuzzing + differential conformance (docs/conformance.md)
 fuzz:

@@ -155,6 +155,11 @@ class MessageBuffer:
         """
         return list(self._messages)
 
+    def rewrite(self, fn) -> None:
+        """Replace each buffered message by ``fn(message)``, counters
+        untouched (a takeover copies slab-backed views out this way)."""
+        self._messages = [fn(m) for m in self._messages]
+
     @property
     def staleness(self) -> int:
         """``eta_i``: number of message batches currently buffered."""

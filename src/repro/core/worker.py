@@ -1,14 +1,17 @@
-"""Per-worker runtime state shared by the simulated and threaded runtimes.
+"""Per-worker runtime state, the same record on every runtime.
 
 A :class:`WorkerState` tracks what Section 3 of the paper attaches to each
 virtual worker ``P_i``: its message buffer ``B_x̄_i``, its current round
 ``r_i``, its status, idle bookkeeping for ``T_idle``, and the predictors that
-feed the adjustment function delta.
+feed the adjustment function delta.  It is owned and mutated by a
+:class:`~repro.core.step.WorkerStep`; :class:`WorkerMetrics` is what the
+step exports from it when the run ends.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.messages import MessageBuffer
@@ -26,6 +29,22 @@ class WorkerStatus(enum.Enum):
     WAITING = "waiting"
     #: finished a round with an empty buffer; flagged inactive to the master
     INACTIVE = "inactive"
+
+
+@dataclass
+class WorkerMetrics:
+    """Final statistics of one virtual worker."""
+
+    wid: int
+    rounds: int = 0
+    busy_time: float = 0.0
+    idle_time: float = 0.0
+    suspended_time: float = 0.0
+    messages_sent: int = 0
+    messages_received: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
+    work_done: int = 0
 
 
 class WorkerState:

@@ -21,6 +21,8 @@ reproduction-side equivalent as three composable pieces:
 See ``docs/observability.md`` for the event schema and usage.
 """
 
+import math
+
 from repro.obs.audit import explain_delays
 from repro.obs.events import (ADMISSION_SHED, BARRIER, CHECKPOINT,
                               DS_DECISION, EPOCH_APPLY, EVENT_TYPES,
@@ -48,6 +50,32 @@ class Observer:
                  metrics: MetricsRegistry = None):
         self.log = log if log is not None else EventLog()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+
+    def record(self, type: str, t: float, wid: int, round: int,
+               payload: dict) -> None:
+        """The sink a :class:`~repro.core.step.WorkerStep` emits into: log
+        the record and feed the instrument it maps to, if any.  The only
+        copy of the event -> registry mapping: a record made in the run's
+        own process and one shipped back from a worker both come here.
+        """
+        self.log.emit(type, t, wid=wid, round=round, **payload)
+        metrics = self.metrics
+        if type == ROUND_END:
+            metrics.histogram("round_duration", wid).observe(
+                payload["duration"])
+        elif type == ROUND_START:
+            if payload["kind"] == "inceval":
+                metrics.histogram("eta_at_drain", wid).observe(
+                    payload["batches"])
+        elif type == MSG_SEND:
+            metrics.counter("wire_bytes").inc(payload["bytes"])
+        elif type == MSG_DELIVER:
+            metrics.histogram("buffer_depth", wid).observe(payload["depth"])
+        elif type == DS_DECISION:
+            if math.isinf(payload["ds"]):
+                metrics.counter("ds_suspend", wid).inc()
+            else:
+                metrics.histogram("ds_chosen", wid).observe(payload["ds"])
 
     def __repr__(self) -> str:
         return (f"Observer(events={len(self.log.events)}, "

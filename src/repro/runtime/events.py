@@ -49,13 +49,6 @@ class WakeUp(Event):
 
 
 @dataclass(frozen=True)
-class HostFree(Event):
-    """A physical host may have freed up; retry queued virtual workers."""
-
-    host: int = 0
-
-
-@dataclass(frozen=True)
 class Custom(Event):
     """Extension point (fault injection, snapshot requests)."""
 
@@ -74,13 +67,15 @@ class EventQueue:
     a deterministic total order).
     """
 
-    __slots__ = ("_heap", "_counter", "processed", "_tiebreak")
+    __slots__ = ("_heap", "_counter", "processed", "_tiebreak", "now")
 
     def __init__(self, tiebreak=None):
         self._heap = []
         self._counter = itertools.count()
         self.processed = 0
         self._tiebreak = tiebreak
+        #: simulated time: that of the latest event popped
+        self.now = 0.0
 
     def push(self, event: Event) -> None:
         if event.time < 0:
@@ -90,7 +85,7 @@ class EventQueue:
                        (event.time, sub, next(self._counter), event))
 
     def pop(self) -> Event:
-        event = heapq.heappop(self._heap)[-1]
+        self.now, _, _, event = heapq.heappop(self._heap)
         self.processed += 1
         return event
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -204,6 +205,16 @@ def _matches(fault, src: int, dst: int) -> bool:
             and (fault.dst is None or fault.dst == dst))
 
 
+def fault_kind(deliveries) -> Optional[str]:
+    """What :meth:`FaultInjector.on_send` did to one message, as the
+    ``fault_injected`` record names it; ``None`` when it passed intact."""
+    if not deliveries:
+        return "drop"
+    if len(deliveries) > 1:
+        return "duplicate"
+    return "delay" if deliveries[0][1] > 0 else None
+
+
 class FaultInjector:
     """Applies one :class:`FaultPlan` to one run.
 
@@ -268,17 +279,20 @@ class FaultInjector:
         with self._lock:
             self._crashed.discard(wid)
 
-    def maybe_crash(self, wid: int, round_no: int) -> None:
-        """Raise :class:`InjectedCrash` when the plan schedules one here."""
-        if self.crash_due(wid, round_no):
-            raise InjectedCrash(wid, round_no)
-
     def round_slowdown(self, wid: int, duration: float) -> float:
         """Extra seconds worker ``wid`` must stall after a round."""
         factor = self._stragglers.get(wid)
         if factor is None:
             return 0.0
         return (factor - 1.0) * max(duration, 0.0)
+
+    def stall(self, wid: int, duration: float, cap: float) -> None:
+        """Straggler fault on a wall-clock runtime: sleep a round that
+        took ``duration`` out to its slowed-down length (``cap`` at most)
+        — the worker step's ``stretch`` seam."""
+        extra = self.round_slowdown(wid, duration)
+        if extra > 0:
+            time.sleep(min(extra, cap))
 
     # ------------------------------------------------------------------
     def on_send(self, msg: Message) -> List[Tuple[Message, float]]:

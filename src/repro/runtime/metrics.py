@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.worker import WorkerMetrics
 from repro.obs.registry import MetricsRegistry
 
 #: per-worker integer counters in the shared registry schema
@@ -24,22 +25,6 @@ WORKER_COUNTERS = ("rounds", "messages_sent", "messages_received",
                    "bytes_sent", "bytes_received", "work_done")
 #: per-worker time gauges in the shared registry schema
 WORKER_TIMES = ("busy_time", "idle_time", "suspended_time")
-
-
-@dataclass
-class WorkerMetrics:
-    """Final statistics of one virtual worker."""
-
-    wid: int
-    rounds: int = 0
-    busy_time: float = 0.0
-    idle_time: float = 0.0
-    suspended_time: float = 0.0
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    work_done: int = 0
 
 
 @dataclass
@@ -59,9 +44,11 @@ class RunMetrics:
     total_rounds: int = 0
 
     @classmethod
-    def from_workers(cls, workers: List[WorkerMetrics],
-                     makespan: float) -> "RunMetrics":
-        registry = registry_from_workers(workers)
+    def from_workers(cls, workers: List[WorkerMetrics], makespan: float,
+                     into: Optional[MetricsRegistry] = None) -> "RunMetrics":
+        """Run metrics of ``workers``; an observed run passes its registry
+        as ``into`` so the totals land beside the per-event histograms."""
+        registry = registry_from_workers(workers, into=into)
         m = cls.from_registry(registry, makespan=makespan)
         m.workers = list(workers)  # preserve the caller's ordering
         return m
@@ -75,11 +62,7 @@ class RunMetrics:
         workers = []
         for wid in wids:
             w = WorkerMetrics(wid=wid)
-            for name in WORKER_COUNTERS:
-                inst = registry.get(name, wid)
-                if inst is not None:
-                    setattr(w, name, inst.value)
-            for name in WORKER_TIMES:
+            for name in WORKER_COUNTERS + WORKER_TIMES:
                 inst = registry.get(name, wid)
                 if inst is not None:
                     setattr(w, name, inst.value)

@@ -246,7 +246,8 @@ class ChandyLamportCoordinator:
         # once shipped these messages will carry the token (i.e. they are
         # counted exactly once, here)
         with self._lock:
-            for msg in runtime._held[wid]:
+            running = runtime._running[wid]
+            for msg in running[0].messages if running is not None else ():
                 self.snapshot.channel_messages.setdefault(
                     msg.dst, []).append(msg)
 

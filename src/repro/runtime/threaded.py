@@ -30,22 +30,22 @@ and restart.
 from __future__ import annotations
 
 import copy
-import math
+import functools
 import threading
 import time
 from typing import Any, List, Optional
 
-from repro.core.delay import DelayPolicy, WorkerView
+from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
 from repro.core.master import TerminationMaster
 from repro.core.result import RunResult
-from repro.core.worker import WorkerState, WorkerStatus
+from repro.core.step import Fleet, WorkerStep
+from repro.core.worker import WorkerStatus
 from repro.errors import SnapshotError, WorkerCrashedError
 from repro.obs import events as obs_events
 from repro.runtime.detection import FailureDetector, FailureEvent
-from repro.runtime.faultplan import FaultPlan, InjectedCrash
-from repro.runtime.metrics import (RunMetrics, WorkerMetrics,
-                                   registry_from_workers)
+from repro.runtime.faultplan import FaultPlan, InjectedCrash, fault_kind
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.snapshot import (GlobalSnapshot, LiveCheckpointer,
                                     apply_snapshot_values)
 
@@ -82,9 +82,6 @@ class ThreadedRuntime:
         worker slot may spend before a detected death degrades to
         whole-run rollback (``WorkerCrashedError``).  0 (default)
         disables the rung.
-
-    With none of the fault-tolerance options set, the scheduling path is
-    byte-for-byte today's: no extra locks, waits or message rewrites.
     """
 
     def __init__(self, engine: Engine, policy: DelayPolicy,
@@ -103,15 +100,29 @@ class ThreadedRuntime:
         self.timeout = timeout
         self.obs = observer
         m = engine.num_workers
-        self.workers = [WorkerState(wid) for wid in range(m)]
         self.master = TerminationMaster(m)
         self._locks = [threading.Lock() for _ in range(m)]
         self._events = [threading.Event() for _ in range(m)]
-        self._num_peers = [len(frag.peer_fragments()) for frag in engine.pg]
-        self._start_time = 0.0
+        # seconds since the run started: the runtime's clock and its
+        # steps'.  A closure over a cell, not a method of the runtime, so
+        # a finished run stays free-able by reference count
+        started = self._started = [0.0]
+        self._now = lambda: time.monotonic() - started[0]
         # --- fault tolerance (all optional; None/off by default) ---------
         self.fault_plan = fault_plan
         self._injector = fault_plan.injector() if fault_plan else None
+        #: one step per virtual worker; this class only drives them
+        #: (thread, lock, wake-up event, termination master, fault seams)
+        #: — docs/architecture.md
+        self.steps = [
+            WorkerStep(engine, wid, policy, clock=self._now,
+                       emit=observer.record if observer is not None else None,
+                       stretch=None if self._injector is None else
+                       functools.partial(self._injector.stall, wid,
+                                         cap=max_wait),
+                       guard=self._locks[wid])
+            for wid in range(m)]
+        self.workers = [s.state for s in self.steps]
         if detect_failures is None:
             detect_failures = (fault_plan is not None
                                or checkpoint_interval is not None)
@@ -130,7 +141,8 @@ class ThreadedRuntime:
         self._threads: List[threading.Thread] = []
         self._timers: List[threading.Timer] = []
         self._clean_exit = [False] * m
-        self._seeded = False
+        #: the checkpoint to resume from instead of PEval, if any
+        self._seeded: Optional[GlobalSnapshot] = None
         #: surgical-recovery rung 1: in-place thread respawns allowed per
         #: worker slot before a death degrades to whole-run rollback
         self.respawn_budget = respawn_budget
@@ -164,20 +176,20 @@ class ThreadedRuntime:
             state = snapshot.worker_states[wid]
             apply_snapshot_values(ctx, copy.deepcopy(state.values),
                                   copy.deepcopy(state.scratch))
-            w = self.workers[wid]
-            w.rounds = 1  # PEval logically done
-            for msg in snapshot.buffered_messages(wid):
-                w.buffer.push(msg)
-        self._seeded = True
+        self._seeded = snapshot
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        self._start_time = time.monotonic()
+        start = self._started[0] = time.monotonic()
+        if self._seeded is not None:
+            # only now: the steps stamp their waits with the run's clock
+            for wid, step in enumerate(self.steps):
+                step.resume(self._seeded.buffered_messages(wid))
         self.respawns = []
         self._budget = [self.respawn_budget] * self.engine.num_workers
         if self._detector is not None:
             for wid in range(self.engine.num_workers):
-                self._detector.beat(wid, self._start_time)
+                self._detector.beat(wid, start)
         self._threads = [threading.Thread(target=self._worker_loop,
                                           args=(wid,),
                                           name=f"grape-worker-{wid}",
@@ -198,10 +210,8 @@ class ThreadedRuntime:
             t.join(timeout=5.0)
         for timer in self._timers:
             timer.cancel()
-        if self.obs is not None:
-            self.obs.log.emit(
-                obs_events.TERMINATE_PROBE, self._now(),
-                result="aborted" if self.master.aborted else "quiescent")
+        self._emit(obs_events.TERMINATE_PROBE,
+                   result="aborted" if self.master.aborted else "quiescent")
         if crash is not None:
             raise crash
         errors = self.master.errors
@@ -212,9 +222,11 @@ class ThreadedRuntime:
                     first.add_note(
                         f"concurrent worker failure: {other!r}")
             raise first
-        makespan = time.monotonic() - self._start_time
+        makespan = self._now()
         answer = self.engine.assemble()
-        metrics = self._metrics(makespan)
+        metrics = RunMetrics.from_workers(
+            [s.metrics(makespan) for s in self.steps], makespan=makespan,
+            into=self.obs.metrics if self.obs is not None else None)
         extras = {} if self.obs is None else {"obs": self.obs}
         if self._ckpt is not None:
             extras["checkpoints"] = self._ckpt.completed
@@ -224,8 +236,10 @@ class ThreadedRuntime:
                          extras=extras)
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return time.monotonic() - self._start_time
+    def _emit(self, type_: str, **payload) -> None:
+        """Runtime-side observability record (probe, checkpoint, faults)."""
+        if self.obs is not None:
+            self.obs.log.emit(type_, self._now(), **payload)
 
     # ------------------------------------------------------------------
     # fault-tolerance hooks (never on the default path)
@@ -241,29 +255,24 @@ class ThreadedRuntime:
         if self.master.terminated:
             return
         now = time.monotonic()
-        t = now - self._start_time
+        t = now - self._started[0]
         if self._ckpt is not None:
             self._ckpt.maybe_start(now)
             snap = self._ckpt.maybe_complete(now, self.master.in_flight)
-            if snap is not None and self.obs is not None:
-                self.obs.log.emit(
-                    obs_events.CHECKPOINT, t, token=snap.token,
-                    workers=snap.num_workers_recorded,
-                    channel_messages=snap.num_channel_messages)
+            if snap is not None:
+                self._emit(obs_events.CHECKPOINT, token=snap.token,
+                           workers=snap.num_workers_recorded,
+                           channel_messages=snap.num_channel_messages)
         if self._detector is None:
             return
         for s in self._detector.check(now, alive=self._worker_alive):
-            event = FailureEvent(t=t, kind=s.kind, wid=s.wid,
-                                 detail=f"age={s.age:.3f}s")
-            self.failures.append(event)
+            self.failures.append(FailureEvent(
+                t=t, kind=s.kind, wid=s.wid, detail=f"age={s.age:.3f}s"))
             if not s.fatal:
-                if self.obs is not None:
-                    self.obs.log.emit(obs_events.HEARTBEAT_MISS, t,
-                                      wid=s.wid, age=s.age)
+                self._emit(obs_events.HEARTBEAT_MISS, wid=s.wid, age=s.age)
                 continue
-            if self.obs is not None:
-                self.obs.log.emit(obs_events.FAILURE_DETECTED, t, wid=s.wid,
-                                  reason=s.kind, age=s.age)
+            self._emit(obs_events.FAILURE_DETECTED, wid=s.wid,
+                       reason=s.kind, age=s.age)
             # degradation ladder, rung 1: respawn the thread in place
             if not self._try_respawn(s, t):
                 raise WorkerCrashedError(
@@ -290,10 +299,8 @@ class ThreadedRuntime:
         wid = s.wid
 
         def degrade(reason: str) -> bool:
-            if self.obs is not None:
-                self.obs.log.emit(obs_events.DEGRADE, t, wid=wid,
-                                  frm="respawn", to="rollback",
-                                  reason=reason)
+            self._emit(obs_events.DEGRADE, wid=wid, frm="respawn",
+                       to="rollback", reason=reason)
             return False
 
         if self._budget[wid] <= 0:
@@ -334,13 +341,11 @@ class ThreadedRuntime:
             "wid": wid, "incarnation": incarnation, "seeded": False,
             "token": None, "takeover": False, "t": t, "duration": duration,
             "budget_left": self._budget[wid]})
-        if self.obs is not None:
-            self.obs.log.emit(obs_events.WORKER_RESPAWN, t, wid=wid,
-                              incarnation=incarnation, seeded=False,
-                              token=None, budget_left=self._budget[wid])
-            self.obs.log.emit(obs_events.FRAGMENT_TAKEOVER, t, wid=wid,
-                              incarnation=incarnation, reshipped=0,
-                              duration=duration)
+        self._emit(obs_events.WORKER_RESPAWN, wid=wid,
+                   incarnation=incarnation, seeded=False, token=None,
+                   budget_left=self._budget[wid])
+        self._emit(obs_events.FRAGMENT_TAKEOVER, wid=wid,
+                   incarnation=incarnation, reshipped=0, duration=duration)
         return True
 
     def _ft_tick(self, wid: int) -> None:
@@ -350,10 +355,9 @@ class ThreadedRuntime:
         if self._injector is not None:
             w = self.workers[wid]
             if self._injector.crash_due(wid, w.rounds):
-                if self.obs is not None:
-                    self.obs.log.emit(obs_events.FAULT_INJECTED, self._now(),
-                                      wid=wid, round=w.rounds, fault="crash",
-                                      detail=f"round={w.rounds}")
+                self._emit(obs_events.FAULT_INJECTED, wid=wid,
+                           round=w.rounds, fault="crash",
+                           detail=f"round={w.rounds}")
                 raise InjectedCrash(wid, w.rounds)
         if self._ckpt is not None:
             coord = self._ckpt.current
@@ -364,13 +368,6 @@ class ThreadedRuntime:
                                       self.workers[wid].buffer.peek())
 
     # ------------------------------------------------------------------
-    def _set_status(self, w: WorkerState, status: WorkerStatus) -> None:
-        if self.obs is not None and w.status is not status:
-            self.obs.log.emit(obs_events.STATUS_CHANGE, self._now(),
-                              wid=w.wid, round=w.rounds,
-                              frm=w.status.value, to=status.value)
-        w.status = status
-
     def _note_if_inactive(self, wid: int) -> bool:
         """Atomically check emptiness and report inactive to the master.
 
@@ -381,24 +378,23 @@ class ThreadedRuntime:
         events) never report a stale RUNNING/WAITING state while the worker
         sits in the empty-buffer wait path.
         """
-        w = self.workers[wid]
         with self._locks[wid]:
-            if w.buffer:
+            if self.workers[wid].buffer:
                 return False
-            self._set_status(w, WorkerStatus.INACTIVE)
+            self.steps[wid].mark(WorkerStatus.INACTIVE)
             self.master.set_inactive(wid)
             return True
 
     def _worker_loop(self, wid: int) -> None:
-        w = self.workers[wid]
+        step = self.steps[wid]
         try:
             if self._ft:
                 self._ft_tick(wid)  # at_round <= 0 crashes before PEval
-            if not self._seeded and not self._peval_done[wid]:
+            if self._seeded is None and not self._peval_done[wid]:
                 # a respawned thread resumes the surviving context; only
                 # the first incarnation (or one whose predecessor died
                 # before PEval finished) initialises the fragment
-                self._run_round(wid, peval=True)
+                self._run_round(wid, None)
                 self._peval_done[wid] = True
             while not self.master.terminated:
                 if self._ft:
@@ -407,36 +403,23 @@ class ThreadedRuntime:
                     self._events[wid].wait(timeout=0.02)
                     self._events[wid].clear()
                     continue
-                view = self._view(wid)
-                if self.obs is None:
-                    ds = self.policy.delay(view)
-                else:
-                    ds, why = self.policy.decide(view)
-                    action = ("start" if ds <= 0 else
-                              "suspend" if math.isinf(ds) else
-                              "wake_scheduled")
-                    self.obs.log.emit(
-                        obs_events.DS_DECISION, self._now(), wid=wid,
-                        round=view.round, ds=ds, action=action,
-                        eta=view.eta, t_pred=view.t_pred,
-                        s_pred=view.s_pred, rmin=view.rmin, rmax=view.rmax,
-                        t_idle=view.idle_time,
-                        reason=why.pop("reason", ""), **why)
-                    if math.isinf(ds):
-                        self.obs.metrics.counter("ds_suspend", wid).inc()
-                    else:
-                        self.obs.metrics.histogram(
-                            "ds_chosen", wid).observe(ds)
-                if ds > 0:
+                ds, action = step.decide(self._fleet())
+                if action != "start":
                     wait = (min(ds * self.time_scale, self.max_wait)
-                            if not math.isinf(ds) else self.max_wait)
-                    self._set_status(w, WorkerStatus.WAITING)
+                            if action == "wake_scheduled" else self.max_wait)
+                    step.mark(WorkerStatus.WAITING)
                     self._events[wid].wait(timeout=wait)
                     self._events[wid].clear()
-                    if math.isinf(ds):
+                    if action == "suspend":
                         # re-evaluate after any state change
                         continue
-                self._run_round(wid, peval=False)
+                # non-empty: only this thread drains, and it just looked.
+                # RUNNING in the same critical section, or a waiting worker
+                # with an empty buffer drops out of the fleet's rmin / rmax
+                with self._locks[wid]:
+                    step.mark(WorkerStatus.RUNNING)
+                    batches = step.state.buffer.drain()
+                self._run_round(wid, batches)
             self._clean_exit[wid] = True
         except InjectedCrash:
             # simulated hard death: no abort, no error report — the
@@ -448,88 +431,40 @@ class ThreadedRuntime:
             self.master.abort(exc)
             self._clean_exit[wid] = True
 
-    def _run_round(self, wid: int, peval: bool) -> None:
-        w = self.workers[wid]
-        self._set_status(w, WorkerStatus.RUNNING)
-        started = time.monotonic()
-        if peval:
-            batches = []
-            out = self.engine.run_peval(wid)
-        else:
-            with self._locks[wid]:
-                batches = w.buffer.drain()
-            if not batches:
-                self._set_status(w, WorkerStatus.INACTIVE)
-                return
-            out = self.engine.run_inceval(wid, batches, round_no=w.rounds)
-        if self._injector is not None:
-            # straggler fault: stretch the round before results ship
-            extra = self._injector.round_slowdown(
-                wid, time.monotonic() - started)
-            if extra > 0:
-                time.sleep(min(extra, self.max_wait))
-        if self.obs is not None:
-            self.obs.log.emit(obs_events.ROUND_START,
-                              started - self._start_time, wid=wid,
-                              round=w.rounds,
-                              kind="peval" if peval else "inceval",
-                              batches=len(batches))
-            if not peval:
-                self.obs.metrics.histogram(
-                    "eta_at_drain", wid).observe(len(batches))
-        w.rounds += 1
-        w.work_done += out.work
-        duration = time.monotonic() - started
-        w.busy_time += duration
-        w.round_time.observe_round(max(duration, 1e-9))
-        if self.obs is not None:
-            self.obs.log.emit(obs_events.ROUND_END, self._now(), wid=wid,
-                              round=w.rounds - 1,
-                              kind="peval" if peval else "inceval",
-                              duration=duration, messages=len(out.messages))
-            self.obs.metrics.histogram(
-                "round_duration", wid).observe(duration)
+    def _run_round(self, wid: int, batches: Optional[List[Any]]) -> None:
+        step = self.steps[wid]
+        out = step.begin(batches)
+        duration = step.finish(out)
         for msg in out.messages:
             self._send(msg)
-        self._set_status(w, WorkerStatus.INACTIVE if not w.buffer
-                         else WorkerStatus.WAITING)
-        w.idle_since = time.monotonic() - self._start_time
-        self.policy.on_round_complete(self._view(wid), max(duration, 1e-9))
+        self.policy.on_round_complete(step.view(self._fleet()), duration)
+
+    def _fleet(self) -> Fleet:
+        return Fleet.of(self.workers, self._now())
 
     # ------------------------------------------------------------------
     # transport: _send decides the fate of a message, _deliver lands it
     # ------------------------------------------------------------------
     def _send(self, msg) -> None:
-        src = self.workers[msg.src]
-        if not self._ft:
-            deliveries = ((msg, 0.0),)
-        else:
-            if self._ckpt is not None:
-                coord = self._ckpt.current
-                if coord is not None:
-                    msg = coord.stamp_outgoing(msg.src, [msg])[0]
-            if self._injector is None:
-                deliveries = ((msg, 0.0),)
-            else:
-                deliveries = self._injector.on_send(msg)
-                self._emit_injections(msg, deliveries)
-                if not deliveries:
-                    # dropped: never reaches the wire.  Producer stats
-                    # count wire messages only, matching the per-entry
-                    # batch path (a partially-dropped batch counts its
-                    # surviving sub-batches, not the dropped entries) —
-                    # each logical entry is counted exactly once
-                    return
+        coord = self._ckpt.current if self._ckpt is not None else None
+        if coord is not None:
+            msg = coord.stamp_outgoing(msg.src, [msg])[0]
+        deliveries = ((msg, 0.0),)
+        if self._injector is not None:
+            deliveries = self._injector.on_send(msg)
+            fault = fault_kind(deliveries)
+            if fault is not None:
+                self._emit(obs_events.FAULT_INJECTED, wid=msg.src,
+                           fault=fault, detail=f"src={msg.src} "
+                           f"dst={msg.dst} seq={msg.seq}")
+        # a dropped message (no deliveries) never reaches the wire.
+        # Producer stats count wire messages only, matching the per-entry
+        # batch path (a partially-dropped batch counts its surviving
+        # sub-batches, not the dropped entries) — each logical entry is
+        # counted exactly once
         for m, delay in deliveries:
             self.master.message_sent()
-            src.messages_sent += 1
-            src.bytes_sent += m.size_bytes
-            if self.obs is not None:
-                self.obs.log.emit(obs_events.MSG_SEND, self._now(),
-                                  wid=m.src, round=src.rounds, dst=m.dst,
-                                  bytes=m.size_bytes, seq=m.seq,
-                                  entries=len(m))
-                self.obs.metrics.counter("wire_bytes").inc(m.size_bytes)
+            self.steps[m.src].sent(m)
             if delay <= 0:
                 self._deliver(m)
             else:
@@ -538,73 +473,12 @@ class ThreadedRuntime:
                 self._timers.append(timer)
                 timer.start()
 
-    def _emit_injections(self, msg, deliveries) -> None:
-        if self.obs is None:
-            return
-        detail = f"src={msg.src} dst={msg.dst} seq={msg.seq}"
-        if not deliveries:
-            fault = "drop"
-        elif len(deliveries) > 1:
-            fault = "duplicate"
-        elif deliveries[0][1] > 0:
-            fault = "delay"
-        else:
-            return
-        self.obs.log.emit(obs_events.FAULT_INJECTED, self._now(),
-                          wid=msg.src, fault=fault, detail=detail)
-
     def _deliver(self, msg) -> None:
-        dst = self.workers[msg.dst]
         with self._locks[msg.dst]:
-            if self._ft and self._ckpt is not None:
-                coord = self._ckpt.current
-                if coord is not None:
-                    coord.on_deliver(msg.dst, msg, self._now())
-            dst.buffer.push(msg)
-            now = time.monotonic() - self._start_time
-            dst.arrival_rate.observe_arrival(now)
-            dst.last_arrival = now
-            if self.obs is not None:
-                depth = dst.buffer.staleness
-                self.obs.log.emit(obs_events.MSG_DELIVER, now, wid=msg.dst,
-                                  round=dst.rounds, src=msg.src,
-                                  bytes=msg.size_bytes, seq=msg.seq,
-                                  depth=depth)
-                self.obs.metrics.histogram(
-                    "buffer_depth", msg.dst).observe(depth)
+            coord = self._ckpt.current if self._ckpt is not None else None
+            if coord is not None:
+                coord.on_deliver(msg.dst, msg, self._now())
+            self.steps[msg.dst].arrived(msg)
         self.master.set_active(msg.dst)
         self.master.message_delivered()
         self._events[msg.dst].set()
-
-    # ------------------------------------------------------------------
-    def _view(self, wid: int) -> WorkerView:
-        w = self.workers[wid]
-        pending = [x.rounds for x in self.workers if x.pending]
-        rmin = min(pending) if pending else w.rounds
-        rmax = max(pending) if pending else w.rounds
-        now = time.monotonic() - self._start_time
-        rates = [x.arrival_rate.predict(now=now) for x in self.workers]
-        finite = [r for r in rates if r > 0 and not math.isinf(r)]
-        t_preds = [x.round_time.predict(default=1e-4) for x in self.workers]
-        return WorkerView(
-            wid=wid, round=w.rounds, eta=w.eta, rmin=rmin, rmax=rmax,
-            idle_time=w.idle_for(now), now=now,
-            t_pred=w.round_time.predict(default=1e-4),
-            s_pred=w.arrival_rate.predict(now=now),
-            fleet_avg_rate=sum(finite) / len(finite) if finite else 0.0,
-            num_workers=len(self.workers),
-            num_peers=self._num_peers[wid],
-            fleet_avg_round_time=sum(t_preds) / len(t_preds))
-
-    def _metrics(self, makespan: float) -> RunMetrics:
-        per_worker = [WorkerMetrics(
-            wid=w.wid, rounds=w.rounds, busy_time=w.busy_time,
-            messages_sent=w.messages_sent,
-            messages_received=w.buffer.total_received,
-            bytes_sent=w.bytes_sent, bytes_received=w.buffer.total_bytes,
-            work_done=w.work_done) for w in self.workers]
-        if self.obs is not None:
-            registry_from_workers(per_worker, into=self.obs.metrics)
-            return RunMetrics.from_registry(self.obs.metrics,
-                                            makespan=makespan)
-        return RunMetrics.from_workers(per_worker, makespan=makespan)

@@ -24,8 +24,7 @@ from repro.runtime.threaded import ThreadedRuntime
 CORE_TYPES = (ROUND_START, ROUND_END, MSG_SEND, MSG_DELIVER, DS_DECISION)
 
 
-@pytest.fixture(scope="module")
-def sssp_logs():
+def _three_logs(mode):
     """One SSSP query, three runtimes, three event logs."""
     graph = generators.grid2d(6, 6, weighted=True, seed=1)
     pg = HashPartitioner().partition(graph, 2)
@@ -33,23 +32,33 @@ def sssp_logs():
     logs, answers = {}, {}
 
     obs = Observer()
-    r = api.run(SSSPProgram(), pg, query, mode="AAP", observer=obs)
+    r = api.run(SSSPProgram(), pg, query, mode=mode, observer=obs)
     logs["simulated"], answers["simulated"] = obs.log, r.answer
 
     obs = Observer()
     rt = ThreadedRuntime(Engine(SSSPProgram(), pg, query),
-                         make_policy("AAP"), timeout=60.0, observer=obs)
+                         make_policy(mode), timeout=60.0, observer=obs)
     r = rt.run()
     logs["threaded"], answers["threaded"] = obs.log, r.answer
 
     obs = Observer()
-    rt = MultiprocessRuntime(SSSPProgram(), pg, query, mode="AAP",
+    rt = MultiprocessRuntime(SSSPProgram(), pg, query, mode=mode,
                              timeout=90.0, observer=obs)
     r = rt.run()
     logs["multiprocess"], answers["multiprocess"] = obs.log, r.answer
 
     reference = analysis.dijkstra(graph, 0)
     return logs, answers, reference
+
+
+@pytest.fixture(scope="module")
+def sssp_logs():
+    return _three_logs("AAP")
+
+
+@pytest.fixture(scope="module")
+def ssp_logs():
+    return _three_logs("SSP")
 
 
 class TestSchemaIdentity:
@@ -101,3 +110,35 @@ class TestSchemaIdentity:
             counts = log.counts()
             assert counts[MSG_SEND] == counts[MSG_DELIVER], name
             assert counts[ROUND_START] == counts[ROUND_END], name
+
+
+class TestCanonicalOrder:
+    """The worker step's per-round event order (docs/architecture.md), on
+    every runtime: for each worker and round, every ``ds_decision`` comes
+    before ``round_start``, which comes before ``round_end``, which comes
+    no later than the round's ``msg_send`` records."""
+
+    @pytest.mark.parametrize("fixture", ["sssp_logs", "ssp_logs"])
+    def test_decision_start_end_sends(self, fixture, request):
+        logs, answers, ref = request.getfixturevalue(fixture)
+        for name, log in logs.items():
+            assert all(answers[name][v] == pytest.approx(ref[v])
+                       for v in ref), name
+            where = {}  # (wid, round) -> {type: [positions in the log]}
+            for pos, e in enumerate(log):
+                if e.type in (DS_DECISION, ROUND_START, ROUND_END, MSG_SEND):
+                    where.setdefault((e.wid, e.round), {}).setdefault(
+                        e.type, []).append(pos)
+            decided = 0
+            for (wid, rnd), at in sorted(where.items()):
+                tag = f"{fixture}:{name}: worker {wid} round {rnd}"
+                assert len(at[ROUND_START]) == 1, tag
+                assert len(at[ROUND_END]) == 1, tag
+                start, end = at[ROUND_START][0], at[ROUND_END][0]
+                assert start < end, tag
+                assert all(d < start for d in at.get(DS_DECISION, ())), tag
+                assert all(end <= s for s in at.get(MSG_SEND, ())), tag
+                if rnd > 0:  # every IncEval was released by a decision
+                    assert at.get(DS_DECISION), tag
+                    decided += 1
+            assert decided, f"{fixture}:{name} ran no IncEval"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime.events import (Custom, Deliver, Event, EventQueue,
-                                  HostFree, RoundEnd, WakeUp)
+                                  RoundEnd, WakeUp)
 
 
 class TestOrdering:
@@ -32,6 +32,16 @@ class TestOrdering:
         q.pop()
         assert q.processed == 1
 
+    def test_now_is_the_time_of_the_latest_pop(self):
+        q = EventQueue()
+        assert q.now == 0.0
+        q.push(RoundEnd(time=2.5, wid=0))
+        q.push(RoundEnd(time=1.0, wid=1))
+        q.pop()
+        assert q.now == 1.0
+        q.pop()
+        assert q.now == 2.5
+
     def test_negative_time_rejected(self):
         q = EventQueue()
         with pytest.raises(ValueError):
@@ -40,7 +50,7 @@ class TestOrdering:
     def test_len_and_bool(self):
         q = EventQueue()
         assert not q
-        q.push(HostFree(time=0.0, host=0))
+        q.push(WakeUp(time=0.0, wid=0, epoch=0))
         assert len(q) == 1
         assert q
 

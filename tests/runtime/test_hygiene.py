@@ -101,3 +101,45 @@ class TestRunEndings:
         with pytest.raises(TerminationError, match="exceeded"):
             MultiprocessRuntime(SlowPeval(), pg, SSSPQuery(source=0),
                                 mode="BSP", timeout=0.2).run()
+
+
+class TestNoReferenceCycles:
+    """A finished run is freed by reference count.  The steps once held
+    their runtime (``clock=lambda: self.now``, bound dispatch tables), so
+    every run — engine contexts, event log and all — waited for a full
+    pass of the cyclic collector, which then landed in whatever was being
+    timed next (it read as a 10x slower ``core.delay_decide_us`` in the
+    e2e benchmark's traced pass)."""
+
+    @pytest.mark.parametrize("runtime", ["simulated", "threaded",
+                                         "multiprocess"])
+    def test_runtime_dies_with_its_last_reference(self, grid, runtime):
+        import gc
+        import weakref
+
+        from repro.core.engine import Engine
+        from repro.core.modes import make_policy
+        from repro.obs import Observer
+        from repro.runtime.simulator import SimulatedRuntime
+        from repro.runtime.threaded import ThreadedRuntime
+
+        _, pg, reference = grid
+        query = SSSPQuery(source=0)
+        if runtime == "multiprocess":
+            rt = MultiprocessRuntime(SSSPProgram(), pg, query, mode="AAP",
+                                     observer=Observer(), timeout=60.0)
+        else:
+            cls = (SimulatedRuntime if runtime == "simulated"
+                   else ThreadedRuntime)
+            rt = cls(Engine(SSSPProgram(), pg, query), make_policy("AAP"),
+                     observer=Observer())
+        gc.collect()
+        gc.disable()
+        try:
+            result = rt.run()
+            assert result.answer == pytest.approx(reference)
+            ref = weakref.ref(rt)
+            del rt, result
+            assert ref() is None, "the runtime is part of a cycle"
+        finally:
+            gc.enable()

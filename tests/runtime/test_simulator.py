@@ -158,8 +158,8 @@ class TestStragglers:
 
 
 class TestTailAccounting:
-    """Regression: _collect_metrics must split the trailing non-RUNNING
-    segment into suspended vs. idle exactly as _start_round does."""
+    """Regression: WorkerStep.metrics must split the trailing non-RUNNING
+    segment into suspended vs. idle exactly as WorkerStep.begin does."""
 
     def _runtime(self, graph):
         pg = HashPartitioner().partition(graph, 2)
@@ -170,13 +170,11 @@ class TestTailAccounting:
         from repro.core.worker import WorkerStatus
 
         rt = self._runtime(small_grid)
-        rt.now = 10.0
         w = rt.workers[0]
         w.status = WorkerStatus.WAITING
         w.idle_since = 2.0   # finished its last round at t=2
         w.wait_started = 6.0  # under a delay stretch since t=6
-        metrics = rt._collect_metrics()
-        wm = metrics.workers[0]
+        wm = rt.steps[0].metrics(now=10.0)
         assert wm.suspended_time == pytest.approx(4.0)
         assert wm.idle_time == pytest.approx(4.0)
 
@@ -184,13 +182,11 @@ class TestTailAccounting:
         from repro.core.worker import WorkerStatus
 
         rt = self._runtime(small_grid)
-        rt.now = 10.0
         w = rt.workers[0]
         w.status = WorkerStatus.INACTIVE
         w.idle_since = 3.0
         w.wait_started = None
-        metrics = rt._collect_metrics()
-        wm = metrics.workers[0]
+        wm = rt.steps[0].metrics(now=10.0)
         assert wm.suspended_time == pytest.approx(0.0)
         assert wm.idle_time == pytest.approx(7.0)
 
@@ -198,12 +194,10 @@ class TestTailAccounting:
         from repro.core.worker import WorkerStatus
 
         rt = self._runtime(small_grid)
-        rt.now = 10.0
         w = rt.workers[0]
         w.status = WorkerStatus.RUNNING
         w.idle_since = 0.0
-        metrics = rt._collect_metrics()
-        wm = metrics.workers[0]
+        wm = rt.steps[0].metrics(now=10.0)
         assert wm.suspended_time == 0.0
         assert wm.idle_time == 0.0
 
@@ -213,13 +207,11 @@ class TestTailAccounting:
         from repro.core.worker import WorkerStatus
 
         rt = self._runtime(small_grid)
-        rt.now = 10.0
         w = rt.workers[0]
         w.status = WorkerStatus.WAITING
         w.idle_since = 8.0
         w.wait_started = 1.0
-        metrics = rt._collect_metrics()
-        wm = metrics.workers[0]
+        wm = rt.steps[0].metrics(now=10.0)
         assert wm.suspended_time == pytest.approx(2.0)
         assert wm.idle_time == pytest.approx(0.0)
 

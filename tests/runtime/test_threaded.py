@@ -146,3 +146,108 @@ class TestInactiveStatusReset:
         assert rt._note_if_inactive(0) is False
         assert w.status is WorkerStatus.WAITING
         assert rt.master.snapshot_flags()[0] is False
+
+
+class _BlockingCC(CCProgram):
+    """CC program whose first IncEval on one worker waits for a gate."""
+
+    def __init__(self, gate, entered, bad_wid=0):
+        super().__init__()
+        self.gate, self.entered, self.bad_wid = gate, entered, bad_wid
+
+    def inceval(self, frag, ctx, messages, query):
+        if frag.fid == self.bad_wid and not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(timeout=30.0)
+        return super().inceval(frag, ctx, messages, query)
+
+
+class TestLiveVisibility:
+    def test_round_start_is_on_record_while_the_round_hangs(
+            self, small_powerlaw):
+        # Regression: round_start used to be emitted after the kernel (and
+        # the straggler sleep) returned, so a hung round left no trace in
+        # the live log until it was over.
+        import threading
+
+        from repro.obs import Observer
+        from repro.obs.events import ROUND_END, ROUND_START
+
+        gate, entered = threading.Event(), threading.Event()
+        observer = Observer()
+        pg = HashPartitioner().partition(small_powerlaw, 4)
+        rt = ThreadedRuntime(
+            Engine(_BlockingCC(gate, entered), pg, CCQuery()),
+            make_policy("AP"), timeout=60.0, observer=observer)
+        box = {}
+        runner = threading.Thread(
+            target=lambda: box.setdefault("result", rt.run()), daemon=True)
+        runner.start()
+        try:
+            assert entered.wait(timeout=30.0), "IncEval never started"
+            starts = [e for e in observer.log.filter(ROUND_START, wid=0)
+                      if e.payload["kind"] == "inceval"]
+            ends = [e for e in observer.log.filter(ROUND_END, wid=0)
+                    if e.payload["kind"] == "inceval"]
+            # the hung round is the one started and not yet ended
+            assert len(starts) == len(ends) + 1
+        finally:
+            gate.set()
+            runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        assert box["result"].answer == \
+            analysis.connected_components(small_powerlaw)
+
+
+class TestThreadedAccounting:
+    def test_idle_and_suspended_time_are_reported(self):
+        # Regression: the threaded runtime never closed an idle / suspended
+        # segment, so idle_ratio was 0.0 on every threaded run.  With a
+        # straggler, the other worker spends most of the run waiting.
+        from repro.runtime.faultplan import FaultPlan, StragglerFault
+
+        graph = generators.grid2d(12, 12, weighted=True, seed=2)
+        pg = HashPartitioner().partition(graph, 2)
+        rt = ThreadedRuntime(
+            Engine(SSSPProgram(), pg, SSSPQuery(source=0)),
+            make_policy("AP"), timeout=60.0,
+            fault_plan=FaultPlan(faults=(StragglerFault(1, 40.0),)))
+        metrics = rt.run().metrics
+        assert metrics.workers[0].idle_time > 0.0
+        assert metrics.idle_ratio > 0.0
+        for w in metrics.workers:
+            accounted = w.busy_time + w.idle_time + w.suspended_time
+            assert accounted == pytest.approx(metrics.makespan, rel=0.10), \
+                f"worker {w.wid}: {accounted} of {metrics.makespan}"
+
+    def test_restored_run_accounts_from_the_runs_clock(self):
+        # Regression: seed_from_snapshot() stamped the restored workers'
+        # waits before run() had started the clock (absolute monotonic
+        # seconds against run-relative ones), so a restored worker's first
+        # idle segment was dropped and T_idle read 0 until its first round.
+        from repro.runtime.faultplan import FaultPlan, StragglerFault
+        from repro.runtime.faults import run_with_checkpoint
+        from repro.runtime.simulator import SimulatedRuntime
+
+        graph = generators.grid2d(12, 12, weighted=True, seed=2)
+        pg = HashPartitioner().partition(graph, 2)
+
+        def engine():
+            return Engine(SSSPProgram(), pg, SSSPQuery(source=0))
+
+        full = SimulatedRuntime(engine(), make_policy("AP")).run()
+        snapshot = run_with_checkpoint(
+            engine, lambda: make_policy("AP"),
+            checkpoint_time=0.2 * full.metrics.makespan).snapshot
+        rt = ThreadedRuntime(
+            engine(), make_policy("AP"), timeout=60.0,
+            fault_plan=FaultPlan(faults=(StragglerFault(1, 40.0),)))
+        rt.seed_from_snapshot(snapshot)
+        result = rt.run()
+        assert result.answer == full.answer
+        metrics = result.metrics
+        assert metrics.workers[0].idle_time > 0.0
+        for w in metrics.workers:
+            accounted = w.busy_time + w.idle_time + w.suspended_time
+            assert accounted == pytest.approx(metrics.makespan, rel=0.10), \
+                f"worker {w.wid}: {accounted} of {metrics.makespan}"
