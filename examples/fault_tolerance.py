@@ -5,6 +5,12 @@ protocol; the run then "crashes" and a fresh runtime is restored from the
 consistent checkpoint (worker states + in-channel messages).  Theorem 2
 guarantees the recovered run converges to the same answer.
 
+On the simulator a checkpoint-and-restore is three calls:
+``ChandyLamportCoordinator.request_at``, a runtime built with
+``snapshot_coordinator=...``, and ``seed_from_snapshot`` on a fresh one.
+Live runtimes recover through ``repro.runtime.recovery.run_with_recovery``
+(docs/fault_tolerance.md).
+
 Run:  python examples/fault_tolerance.py
 """
 
@@ -13,7 +19,8 @@ from repro.bench import workloads
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
 from repro.graph import analysis
-from repro.runtime.faults import run_with_checkpoint, run_with_failure
+from repro.runtime.simulator import SimulatedRuntime
+from repro.runtime.snapshot import ChandyLamportCoordinator
 
 
 def main() -> None:
@@ -22,25 +29,30 @@ def main() -> None:
     reference = analysis.connected_components(graph)
     print(f"graph: {graph}, 6 workers, AAP\n")
 
-    engine_factory = lambda: Engine(CCProgram(), pg, CCQuery())
-    policy_factory = lambda: make_policy("AAP")
-
-    report = run_with_checkpoint(engine_factory, policy_factory,
-                                 checkpoint_time=2.0)
-    snap = report.snapshot
+    coord = ChandyLamportCoordinator()
+    runtime = SimulatedRuntime(Engine(CCProgram(), pg, CCQuery()),
+                               make_policy("AAP"),
+                               snapshot_coordinator=coord)
+    coord.request_at(runtime, time=2.0)
+    result = runtime.run()
+    snap = coord.finalize()
     in_channel = sum(len(v) for v in snap.channel_messages.values())
     print(f"checkpoint at t=2.0: {snap.num_workers_recorded} worker states, "
           f"{in_channel} in-channel messages recorded")
-    print(f"uninterrupted run finished at t={report.result.time:.2f}, "
-          f"answer correct: {report.result.answer == reference}")
+    print(f"uninterrupted run finished at t={result.time:.2f}, "
+          f"answer correct: {result.answer == reference}")
 
-    recovered = run_with_failure(engine_factory, policy_factory,
-                                 checkpoint_time=2.0)
+    # the crash: everything after the checkpoint is lost; a fresh runtime
+    # rolls back to it and resumes the incremental phase
+    restored = SimulatedRuntime(Engine(CCProgram(), pg, CCQuery()),
+                                make_policy("AAP"))
+    restored.seed_from_snapshot(snap)
+    recovered = restored.run()
     print(f"\ncrash after checkpoint -> rollback -> resume:")
-    print(f"recovered run finished at t={recovered.result.time:.2f} "
+    print(f"recovered run finished at t={recovered.time:.2f} "
           f"(relative to the restored state)")
-    print(f"recovered answer correct: "
-          f"{recovered.result.answer == reference}")
+    print(f"recovered answer correct: {recovered.answer == reference}")
+    assert result.answer == reference and recovered.answer == reference
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
                      record_trace=bool(args.report),
                      vectorized=args.vectorized)
     if args.report:
-        from repro.runtime.report import write_report
+        from repro.obs.export import write_report
         write_report(result, args.report, include_trace=True,
                      extra={"graph": args.graph,
                             "algorithm": args.algorithm,

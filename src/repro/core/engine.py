@@ -186,10 +186,9 @@ class Engine:
         (what a rebuilt context would start them at,
         :meth:`PIEProgram.init_value`); every other copy in
         ``report.new_local`` is a fresh mirror and adopts its owner's
-        current value — the carry-over
-        :class:`~repro.streaming.StreamingSession` performs on rebuild,
-        done in place.  Nothing is marked changed: seeding IncEval is
-        ``inc_update``'s job.
+        current value, which is what an engine rebuilt over the grown
+        partition and handed the converged values would hold.  Nothing is
+        marked changed: seeding IncEval is ``inc_update``'s job.
         """
         owner = self.pg.owner
         for v in report.new_nodes:

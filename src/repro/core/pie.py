@@ -260,10 +260,11 @@ class PIEProgram(abc.ABC):
                    query: Any) -> Set[Node]:
         """Integrate locally materialised edge insertions into the state.
 
-        Called by :class:`repro.streaming.StreamingSession` after the
-        fragment graph has been extended; returns the nodes IncEval should
-        be (re)activated from.  Programs that support streaming override
-        this; the default declares the program non-streamable.
+        Called by :func:`repro.streaming.integrate_insertions` (session
+        and service alike) once the fragment has grown in place; returns
+        the nodes IncEval should be (re)activated from.  Programs that
+        support streaming override this; the default declares the program
+        non-streamable.
         """
         raise ProgramError(
             f"{self.name} does not support streaming updates")

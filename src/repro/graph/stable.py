@@ -74,8 +74,8 @@ def stable_hash(v: Node) -> int:
 def stable_owner(v: Node, m: int) -> int:
     """Deterministic fragment assignment: ``stable_hash(v) % m``.
 
-    The shared placement function of :class:`repro.streaming.
-    StreamingSession` and :class:`repro.serve.GraphService` — both must
-    agree on ownership for warm state to carry across processes.
+    The placement function of :class:`repro.streaming.StreamingSession`,
+    :class:`repro.serve.GraphService` and the growth both apply later
+    (``grow_edge_cut``): all must agree on ownership, in any process.
     """
     return stable_hash(v) % m

@@ -15,8 +15,9 @@ reproduction-side equivalent as three composable pieces:
   metrics.RunMetrics` is built on top of it, so all runtimes report the
   same schema.
 - Exporters — Chrome ``trace_event`` JSON (:func:`~repro.obs.export.
-  to_chrome_trace`, loadable in ``chrome://tracing`` / Perfetto) and a
-  JSONL dump, plus the delay-decision audit ("why did worker *i* wait?").
+  to_chrome_trace`, loadable in ``chrome://tracing`` / Perfetto), a JSONL
+  dump and the JSON run report (:func:`~repro.obs.export.run_report`),
+  plus the delay-decision audit ("why did worker *i* wait?").
 
 See ``docs/observability.md`` for the event schema and usage.
 """
@@ -31,8 +32,8 @@ from repro.obs.events import (ADMISSION_SHED, BARRIER, CHECKPOINT,
                               QUERY_SERVED, RETRY, ROLLBACK, ROUND_END,
                               ROUND_START, SCHEMA, STATUS_CHANGE,
                               TERMINATE_PROBE, EventLog, ObsEvent)
-from repro.obs.export import (read_jsonl, to_chrome_trace, write_chrome_trace,
-                              write_jsonl)
+from repro.obs.export import (read_jsonl, run_report, to_chrome_trace,
+                              write_chrome_trace, write_jsonl, write_report)
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry)
 
 
@@ -85,7 +86,8 @@ class Observer:
 __all__ = [
     "Observer", "EventLog", "ObsEvent", "MetricsRegistry", "Counter",
     "Gauge", "Histogram", "to_chrome_trace", "write_chrome_trace",
-    "write_jsonl", "read_jsonl", "explain_delays", "EVENT_TYPES", "SCHEMA",
+    "write_jsonl", "read_jsonl", "run_report", "write_report",
+    "explain_delays", "EVENT_TYPES", "SCHEMA",
     "ROUND_START", "ROUND_END", "MSG_SEND", "MSG_DELIVER", "DS_DECISION",
     "STATUS_CHANGE", "BARRIER", "TERMINATE_PROBE", "HEARTBEAT_MISS",
     "FAILURE_DETECTED", "CHECKPOINT", "ROLLBACK", "RETRY", "FAULT_INJECTED",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and JSONL event dumps.
+"""Exporters: Chrome ``trace_event`` JSON, JSONL event dumps, the run report.
 
 The Chrome format (one JSON document with a ``traceEvents`` array) loads
 directly in ``chrome://tracing`` and in Perfetto's legacy-trace importer
@@ -10,11 +10,16 @@ to is visible as a graph above the timeline.
 
 Simulated time units are mapped 1:1 onto microseconds (the viewer's native
 unit); wall-clock runtimes record seconds, which are scaled likewise.
+
+The run report (:func:`run_report`) is the statistics collector's output
+(Section 6) as one machine-readable document, for dashboards and
+regression tracking; ``repro run --report out.json`` writes one.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import (BARRIER, MSG_DELIVER, ROUND_END, ROUND_START,
@@ -111,3 +116,51 @@ def read_jsonl(path: str) -> EventLog:
                                 round=doc.get("round", -1),
                                 payload=doc.get("payload", {})))
     return log
+
+
+def run_report(result, include_trace: bool = False,
+               include_answer: bool = False) -> Dict[str, Any]:
+    """One run (a :class:`~repro.core.result.RunResult`) as a JSON-ready
+    document: the totals and per-worker statistics field for field, plus
+    what the run's observer collected.
+
+    The answer is excluded by default (it can be huge and its node ids may
+    not be JSON keys); pass ``include_answer=True`` for small runs.
+    """
+    metrics = asdict(result.metrics)
+    workers = metrics.pop("workers")  # last, where the document has them
+    metrics["idle_ratio"] = result.metrics.idle_ratio
+    metrics["workers"] = workers
+    doc: Dict[str, Any] = {
+        "mode": result.mode,
+        "time": result.time,
+        "rounds": result.rounds,
+        "metrics": metrics,
+        "extras": {k: v for k, v in result.extras.items()
+                   if isinstance(v, (int, float, str, bool))},
+    }
+    observer = result.extras.get("obs")
+    if observer is not None:
+        doc["observability"] = {
+            "event_counts": observer.log.counts(),
+            "metrics": observer.metrics.as_dict(),
+        }
+    if include_trace and result.trace is not None:
+        doc["trace"] = [asdict(iv) for iv in result.trace.intervals]
+    if include_answer:
+        doc["answer"] = {repr(k): v for k, v in result.answer.items()} \
+            if isinstance(result.answer, dict) else repr(result.answer)
+    return doc
+
+
+def write_report(result, path: str, include_trace: bool = False,
+                 include_answer: bool = False,
+                 extra: Optional[Dict[str, Any]] = None) -> None:
+    """Write :func:`run_report`'s document to ``path`` (``extra`` becomes
+    its ``context``)."""
+    doc = run_report(result, include_trace=include_trace,
+                     include_answer=include_answer)
+    if extra:
+        doc["context"] = extra
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)

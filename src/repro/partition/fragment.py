@@ -40,16 +40,17 @@ A vectorized build and run reads neither the dict graph nor any of the
 containers: peers come from the builder, routes from the programs' array
 rules (:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes,
 ``directed`` and the quality metrics from the arrays.  Generic-path
-programs (so ``GraphService`` and ``StreamingSession``), ``grow_edge_cut``
-on the fragments it touches, ``replication_factor`` and
-``runtime.recovery`` are who reads them.  A hand-made
-``Fragment(fid, graph, owned=..., ...)`` holds its containers from the
-start.
+programs (so the one engine a ``GraphService`` or ``StreamingSession``
+keeps), ``grow_edge_cut`` on the fragments it touches,
+``replication_factor`` and ``runtime.recovery`` are who reads them.  A
+hand-made ``Fragment(fid, graph, owned=..., ...)`` holds its containers
+from the start.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
                     Union)
@@ -114,23 +115,31 @@ class BuiltOnRead:
     read, found or not (~30 ns, and no specialised ``LOAD_ATTR``), which
     the generic kernels' ``v in frag.mirrors`` per heap pop and the
     service's epochs would feel; after the switch there is nothing left
-    to pay.
+    to pay.  First reads race (threaded workers share a lazy partition):
+    a miss looks again under ``_FIRST_READ``; a hit never gets here.
     """
 
     __slots__ = ()
     _BUILDERS: Dict[str, Callable[[Any], Any]] = {}
     _PLAIN: type
+    #: serialises first reads; re-entrant, as a builder may read a
+    #: container of another object that is still lazy
+    _FIRST_READ = threading.RLock()
     #: whether the containers exist (a read-only probe; ``True`` on the
     #: plain classes)
     built = False
 
     def __getattr__(self, name: str) -> Any:
-        if name not in self._BUILDERS:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        for attr, build in self._BUILDERS.items():
-            setattr(self, attr, build(self))
-        self.__class__ = self._PLAIN
+        with BuiltOnRead._FIRST_READ:
+            cls = type(self)
+            # else another first reader finished while this one waited
+            if issubclass(cls, BuiltOnRead):
+                if name not in cls._BUILDERS:
+                    raise AttributeError(f"{cls.__name__!r} object has no "
+                                         f"attribute {name!r}")
+                for attr, build in cls._BUILDERS.items():
+                    setattr(self, attr, build(self))
+                self.__class__ = cls._PLAIN
         return getattr(self, name)
 
 

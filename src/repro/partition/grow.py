@@ -1,14 +1,14 @@
 """Grow an edge-cut partition in place, without rebuilding fragments.
 
 :func:`repro.partition.builder.build_edge_cut` materialises a partition
-from scratch in O(|V| + |E|); a resident service ingesting a continuous
+from scratch in O(|V| + |E|); a service or a session ingesting a continuous
 update stream cannot afford that per batch.  :func:`grow_edge_cut` applies
 one batch of edge insertions *incrementally*: only the fragments an
 insertion touches are mutated, and the mutation cost is proportional to
 the batch, not the graph.  The result is — by construction, and enforced
-by the equivalence tests — identical to rebuilding with the same owner
-map: same local graphs, same owned/mirror/border sets, same routing index,
-same placement.
+by the equivalence tests, whose oracle the rebuild is — identical to it
+under the same owner map: same local graphs, same owned/mirror/border
+sets, same routing index, same placement.
 
 Fragment sets, the routing index and the peer sets only ever *gain*
 members under insertion, so they are grown in place, and the
@@ -58,8 +58,8 @@ def grow_edge_cut(pg: PartitionedGraph,
     ``insertions`` must already be validated (no duplicates of existing
     edges, no self-loops, no within-batch duplicates) — growth assumes
     every edge is novel.  New nodes are owned by ``assign(v, m)``
-    (default: the stable hash shared with
-    :class:`~repro.streaming.StreamingSession`).
+    (default: the stable hash :class:`~repro.streaming.StreamingSession`
+    and :class:`~repro.serve.GraphService` build their partitions with).
 
     Only edge-cut partitions grow in place; vertex-cut placement depends
     on global edge assignment and needs a rebuild.

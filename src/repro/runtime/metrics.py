@@ -5,11 +5,10 @@ and bytes exchanged — and aggregates the quantities the paper reports:
 response time, communication cost, idle time, and (at bench level, relative
 to a BSP reference) stale computation.
 
-Since the observability refactor, the canonical representation is a
-:class:`~repro.obs.registry.MetricsRegistry` populated under the shared
-schema below; :class:`RunMetrics` is assembled from a registry
-(:meth:`RunMetrics.from_registry`), and :meth:`RunMetrics.from_workers`
-routes through the same path so every runtime reports identically.
+An observed run also records the same per-worker numbers in its
+:class:`~repro.obs.registry.MetricsRegistry` under the shared schema below
+(:func:`registry_from_workers`, via ``from_workers(..., into=registry)``),
+so every runtime reports identically beside the per-event histograms.
 """
 
 from __future__ import annotations
@@ -48,27 +47,10 @@ class RunMetrics:
                      into: Optional[MetricsRegistry] = None) -> "RunMetrics":
         """Run metrics of ``workers``; an observed run passes its registry
         as ``into`` so the totals land beside the per-event histograms."""
-        registry = registry_from_workers(workers, into=into)
-        m = cls.from_registry(registry, makespan=makespan)
-        m.workers = list(workers)  # preserve the caller's ordering
-        return m
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry,
-                      makespan: float) -> "RunMetrics":
-        """Assemble run metrics from a registry in the shared schema."""
-        wids = sorted(set(registry.wids("rounds"))
-                      | set(registry.wids("busy_time")))
-        workers = []
-        for wid in wids:
-            w = WorkerMetrics(wid=wid)
-            for name in WORKER_COUNTERS + WORKER_TIMES:
-                inst = registry.get(name, wid)
-                if inst is not None:
-                    setattr(w, name, inst.value)
-            workers.append(w)
-        registry.gauge("makespan").set(makespan)
-        m = cls(workers=workers, makespan=makespan)
+        if into is not None:
+            registry_from_workers(workers, into)
+            into.gauge("makespan").set(makespan)
+        m = cls(workers=list(workers), makespan=makespan)
         for w in workers:
             m.total_busy += w.busy_time
             m.total_idle += w.idle_time
@@ -99,13 +81,6 @@ class RunMetrics:
         straggler = max(self.workers, key=lambda w: w.busy_time)
         return straggler.rounds
 
-    def to_registry(self, into: Optional[MetricsRegistry] = None
-                    ) -> MetricsRegistry:
-        """Re-express these metrics in the shared registry schema."""
-        registry = registry_from_workers(self.workers, into=into)
-        registry.gauge("makespan").set(self.makespan)
-        return registry
-
     def summary(self) -> Dict[str, float]:
         return {
             "makespan": self.makespan,
@@ -121,14 +96,12 @@ class RunMetrics:
 
 
 def registry_from_workers(workers: List[WorkerMetrics],
-                          into: Optional[MetricsRegistry] = None
-                          ) -> MetricsRegistry:
-    """Record final per-worker statistics under the shared schema."""
-    registry = into if into is not None else MetricsRegistry()
+                          registry: MetricsRegistry) -> None:
+    """Record final per-worker statistics in ``registry`` under the shared
+    schema."""
     for w in workers:
         for name in WORKER_COUNTERS:
             counter = registry.counter(name, w.wid)
             counter.value = getattr(w, name)
         for name in WORKER_TIMES:
             registry.gauge(name, w.wid).set(getattr(w, name))
-    return registry

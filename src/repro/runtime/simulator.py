@@ -154,7 +154,7 @@ class SimulatedRuntime:
         """
         import copy
         for wid, ctx in enumerate(self.engine.contexts):
-            state = snapshot.worker_states[wid]
+            state = snapshot.fragment_state(wid)
             ctx.values = copy.deepcopy(state.values)
             ctx.scratch = copy.deepcopy(state.scratch)
             ctx.changed = set()

@@ -4,7 +4,8 @@
 :class:`~repro.streaming.StreamingSession`: it runs PEval exactly once on
 a live runtime, then keeps the partitioned fragments *warm* while a
 continuous stream of :class:`~repro.streaming.UpdateBatch` es flows in and
-read queries flow out.  The hot path never rebuilds the engine:
+read queries flow out.  Both grow one partition and one engine in place
+through the same primitives; the service adds the rest:
 
 1. **Ingest** — batches are validated atomically (against the current
    graph *and* the already-staged batches), admitted through a bounded
@@ -165,8 +166,8 @@ class GraphService:
         self._staleness = metrics.histogram("serve_staleness")
         self._queries = metrics.counter("serve_queries")
         self._shed_queries = metrics.counter("serve_shed_queries")
-        # ownership is the process-stable hash shared with StreamingSession,
-        # so a session-warmed partition and the service agree on placement
+        # ownership is the process-stable hash, here and in grow_edge_cut:
+        # the same in every process, and in a StreamingSession
         owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
         self.pg = build_edge_cut(self.graph, owner, num_fragments, "serving")
         self.engine = Engine(program, self.pg, query)

@@ -1,18 +1,18 @@
 """Streaming sessions: keep a converged computation live across updates.
 
 A :class:`StreamingSession` runs a PIE program to its fixpoint once, then
-accepts batches of edge insertions.  Each batch is integrated *incrementally*:
-the partition grows (same owners, new nodes hashed), the converged status
-variables carry over, each affected fragment integrates its local insertions
+accepts batches of edge insertions.  Each batch is integrated *incrementally*
+and in place, the way a :class:`~repro.serve.GraphService` epoch is: the
+partition grows (same owners, new nodes hashed), new local nodes get a
+status variable, each affected fragment integrates its local insertions
 through :meth:`PIEProgram.inc_update` + one IncEval, and the continuation
-run starts from the resulting designated messages — no PEval, no global
-recomputation.  For monotone programs Theorem 2 applies from any
-intermediate state, so the continuation converges to ``Q(G ⊕ ∆G)``.
+run starts from the resulting designated messages — no PEval, no rebuild.
+For monotone programs Theorem 2 applies from any intermediate state, so the
+continuation converges to ``Q(G ⊕ ∆G)``.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.engine import Engine
@@ -22,6 +22,7 @@ from repro.core.result import RunResult
 from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
 from repro.partition.builder import build_edge_cut
+from repro.partition.grow import grow_edge_cut
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import SimulatedRuntime
 from repro.streaming.updates import (EdgeInsertion, UpdateBatch,
@@ -74,27 +75,25 @@ class StreamingSession:
         # placement must be a pure function of the node id: builtin hash
         # is salted per process (PYTHONHASHSEED), so two processes — or a
         # session and the service it warms — would disagree on ownership
-        self.owner: Dict[Node, int] = {
-            v: stable_owner(v, num_fragments) for v in self.graph.nodes}
-        self.pg = build_edge_cut(self.graph, self.owner, self.m, "streaming")
+        owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
+        #: one partition and one engine for the session's life, grown in
+        #: place; ``owner`` is the partition's own node -> fragment map
+        self.pg = build_edge_cut(self.graph, owner, self.m, "streaming")
+        self.owner: Dict[Node, int] = self.pg.owner
         self.engine = Engine(program, self.pg, query)
         self.batches_applied = 0
-        self.initial_result = self._run_full()
+        self.initial_result = self._runtime().run()
 
     # ------------------------------------------------------------------
-    def _policy(self):
-        return make_policy(self.mode, staleness_bound=self.staleness_bound)
-
-    def _cost(self) -> Optional[CostModel]:
-        if self.cost_model_factory is None:
-            return None
-        return self.cost_model_factory()
-
-    def _run_full(self) -> RunResult:
-        runtime = SimulatedRuntime(self.engine, self._policy(),
-                                   cost_model=self._cost(),
-                                   record_trace=False)
-        return runtime.run()
+    def _runtime(self) -> SimulatedRuntime:
+        """A fresh simulator over the session's engine, under its mode and
+        cost model."""
+        factory = self.cost_model_factory
+        return SimulatedRuntime(
+            self.engine,
+            make_policy(self.mode, staleness_bound=self.staleness_bound),
+            cost_model=factory() if factory is not None else None,
+            record_trace=False)
 
     # ------------------------------------------------------------------
     @property
@@ -107,54 +106,24 @@ class StreamingSession:
 
         Atomic: the whole batch is validated against the current graph
         before anything mutates, so a rejected batch (duplicate edge,
-        self-loop) leaves graph, engine and owner map exactly as they
+        self-loop) leaves graph, partition and engine exactly as they
         were and the session stays usable.  Returns the continuation run's
         result (metrics, rounds; no ``answer`` — read :attr:`answer`).
         """
         validate_batch(self.graph, batch)
-        self._grow_graph(batch)
-        new_engine = self._rebuild_engine()
-        messages = integrate_insertions(new_engine, batch.insertions)
-        runtime = SimulatedRuntime(new_engine, self._policy(),
-                                   cost_model=self._cost(),
-                                   record_trace=False)
-        runtime.seed_resume(messages)
-        result = runtime.run()
-        self.engine = new_engine
-        self.batches_applied += 1
-        return result
-
-    # ------------------------------------------------------------------
-    def _grow_graph(self, batch: UpdateBatch) -> None:
-        """Materialise a *validated* batch (see :meth:`apply`)."""
         for u, v, w in batch.insertions:
             self.graph.add_edge(u, v, w)
-        for v in batch.touched_nodes:
-            if v not in self.owner:
-                self.owner[v] = stable_owner(v, self.m)
-
-    def _rebuild_engine(self) -> Engine:
-        """Rebuild fragments for the grown graph, carrying the state over."""
-        self.pg = build_edge_cut(self.graph, self.owner, self.m, "streaming")
-        new_engine = Engine(self.program, self.pg, self.query)
-        old_contexts = self.engine.contexts
-        for wid, new_ctx in enumerate(new_engine.contexts):
-            old_ctx = old_contexts[wid]
-            for v in new_ctx.values:
-                if v in old_ctx.values:
-                    # same fragment knew this node: carry its value
-                    new_ctx.values[v] = old_ctx.values[v]
-                else:
-                    owner = self.owner.get(v)
-                    if owner is not None and \
-                            v in old_contexts[owner].values:
-                        # fresh mirror of a pre-existing node: adopt the
-                        # owner's converged value
-                        new_ctx.values[v] = old_contexts[owner].values[v]
-            # program scratch (e.g. CC's component index) carries over;
-            # inc_update extends it for new nodes.  Deep-copied, not
-            # aliased: a caller retaining the old engine (or a result
-            # built from it) must not observe mutations from later batches
-            new_ctx.scratch = copy.deepcopy(old_ctx.scratch)
-            new_ctx.changed = set()
-        return new_engine
+        report = grow_edge_cut(self.pg, batch.insertions)
+        self.engine.extend_contexts(report)
+        self.engine.refresh_routes(report)
+        messages = integrate_insertions(self.engine, batch.insertions)
+        runtime = self._runtime()
+        runtime.seed_resume(messages)
+        result = runtime.run()
+        # a fragment the continuation never woke did its integration work
+        # outside any round: nobody took it, and it must not be charged
+        # to the next batch's first round
+        for ctx in self.engine.contexts:
+            ctx.take_work()
+        self.batches_applied += 1
+        return result

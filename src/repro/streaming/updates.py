@@ -16,7 +16,7 @@ is out of scope here (documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProgramError
 from repro.graph.graph import Graph
@@ -61,14 +61,6 @@ class UpdateBatch:
             else:
                 raise ProgramError(f"bad edge insertion: {e!r}")
         return cls(insertions=tuple(normalised))
-
-    @property
-    def touched_nodes(self) -> FrozenSet[Node]:
-        out = set()
-        for u, v, _ in self.insertions:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
 
     def __len__(self) -> int:
         return len(self.insertions)

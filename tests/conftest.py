@@ -121,3 +121,26 @@ def partitioned_grid(small_grid):
 @pytest.fixture
 def partitioned_powerlaw(small_powerlaw):
     return api.partition_graph(small_powerlaw, 4)
+
+
+def edge_set(graph):
+    return sorted(((repr(u), repr(v), w) for u, v, w in graph.edges()))
+
+
+def assert_partitions_equal(got, want):
+    """Two edge-cut partitions hold the same thing: owner and placement
+    maps, and per fragment the six node sets, the routing index and the
+    local graph.  The comparison behind every grow-equals-rebuild test."""
+    assert got.num_fragments == want.num_fragments
+    assert got.owner == want.owner
+    assert got.placement == want.placement
+    for fg, fw in zip(got.fragments, want.fragments):
+        assert fg.owned == fw.owned
+        assert fg.mirrors == fw.mirrors
+        assert fg.in_border == fw.in_border
+        assert fg.out_border == fw.out_border
+        assert fg.out_copies == fw.out_copies
+        assert fg.in_copies == fw.in_copies
+        assert fg._routing == fw._routing
+        assert set(fg.graph.nodes) == set(fw.graph.nodes)
+        assert edge_set(fg.graph) == edge_set(fw.graph)

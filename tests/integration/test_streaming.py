@@ -8,14 +8,15 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
 from repro.errors import ProgramError
 from repro.graph import analysis, generators
+from repro.partition.builder import build_edge_cut
 from repro.streaming import StreamingSession, UpdateBatch
+from tests.conftest import assert_partitions_equal
 
 
 class TestUpdateBatch:
     def test_of_normalises(self):
         batch = UpdateBatch.of((1, 2), (3, 4, 2.5))
         assert batch.insertions == ((1, 2, 1.0), (3, 4, 2.5))
-        assert batch.touched_nodes == frozenset({1, 2, 3, 4})
         assert len(batch) == 2
 
     def test_empty_rejected(self):
@@ -105,6 +106,42 @@ class TestStreamingSSSP:
             ref = analysis.dijkstra(reference_graph, 0)
             for node in ref:
                 assert sess.answer[node] == pytest.approx(ref[node])
+
+
+class TestGrowsInPlace:
+    """One partition and one engine for the session's life; the rebuild
+    survives as the oracle they are held to after every batch."""
+
+    @pytest.mark.parametrize("program, query, reference", [
+        (CCProgram(), CCQuery(), analysis.connected_components),
+        (SSSPProgram(), SSSPQuery(source=0),
+         lambda graph: analysis.dijkstra(graph, 0)),
+    ], ids=["cc", "sssp"])
+    def test_same_objects_and_equal_to_rebuild(self, small_grid, program,
+                                               query, reference):
+        m = 4
+        sess = StreamingSession(program, small_grid, query, num_fragments=m)
+        pg0, engine0 = sess.pg, sess.engine
+        rng = random.Random(23)
+        next_id = 1000
+        for _ in range(5):
+            edges = [(next_id, rng.randrange(100), rng.uniform(0.1, 3.0))]
+            next_id += 1
+            u, v = rng.sample(range(100), 2)
+            if not sess.graph.has_edge(u, v):
+                edges.append((u, v, rng.uniform(0.1, 3.0)))
+            sess.apply(UpdateBatch.of(*edges))
+            assert sess.pg is pg0 and sess.engine is engine0
+            assert sess.owner is pg0.owner
+            assert_partitions_equal(
+                sess.pg, build_edge_cut(sess.graph, dict(sess.pg.owner), m,
+                                        "oracle"))
+            ref = reference(sess.graph)
+            answer = sess.answer
+            assert set(answer) == set(ref)
+            for node in ref:
+                assert answer[node] == pytest.approx(ref[node])
+        assert sess.batches_applied == 5
 
 
 class TestStreamingLimits:

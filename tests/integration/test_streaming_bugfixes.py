@@ -4,7 +4,9 @@ Four bugs, four tests (plus cross-process determinism):
 
 1. ownership used the per-process-salted builtin ``hash``;
 2. ``apply()`` mutated the graph before validating the whole batch;
-3. ``_rebuild_engine`` aliased program scratch across engines;
+3. the per-batch engine rebuild aliased program scratch across engines
+   (the rebuild is gone: the session grows one engine in place, and what
+   is left to hold is that a rejected batch touches no scratch);
 4. ``UpdateBatch`` accepted within-batch duplicate edges.
 """
 
@@ -109,18 +111,22 @@ class TestAtomicApply:
 
 
 class TestScratchIsolation:
-    def test_old_engine_scratch_not_mutated_by_later_batches(self):
+    def test_rejected_batch_leaves_scratch_untouched(self):
         g = generators.path_graph(6, weighted=True, seed=0)
         g.add_edge(10, 11, 1.0)  # a second component to merge later
         sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=3)
-        old_engine = sess.engine
-        snap = copy.deepcopy([ctx.scratch for ctx in old_engine.contexts])
+        engine = sess.engine
+        snap = copy.deepcopy([ctx.scratch for ctx in engine.contexts])
+        # the bridge is fine, the second edge already exists
+        with pytest.raises(ProgramError):
+            sess.apply(UpdateBatch.of((5, 10, 1.0), (0, 1, 2.0)))
+        assert sess.engine is engine
+        assert [ctx.scratch for ctx in engine.contexts] == snap
+        # and an accepted one grows that same engine's scratch in place
         sess.apply(UpdateBatch.of((5, 10, 1.0)))
-        assert sess.engine is not old_engine
-        assert [ctx.scratch for ctx in old_engine.contexts] == snap
-        for old_ctx, new_ctx in zip(old_engine.contexts,
-                                    sess.engine.contexts):
-            assert new_ctx.scratch is not old_ctx.scratch
+        assert sess.engine is engine
+        assert [ctx.scratch for ctx in engine.contexts] != snap
+        assert set(sess.answer.values()) == {0}
 
 
 class TestDuplicateInsertions:

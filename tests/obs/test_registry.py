@@ -3,8 +3,7 @@
 import pytest
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.runtime.metrics import (RunMetrics, WorkerMetrics,
-                                   registry_from_workers)
+from repro.runtime.metrics import RunMetrics, WorkerMetrics
 
 
 class TestInstruments:
@@ -86,30 +85,39 @@ class TestRunMetricsIntegration:
         ]
 
     def test_from_workers_equals_from_registry(self):
+        """The totals are the sums of what an observed run's registry
+        holds per worker, and the workers are the ones handed in."""
         workers = self._workers()
-        a = RunMetrics.from_workers(workers, makespan=3.5)
-        registry = registry_from_workers(self._workers())
-        b = RunMetrics.from_registry(registry, makespan=3.5)
-        assert a.makespan == b.makespan == 3.5
-        assert a.total_busy == b.total_busy
-        assert a.total_idle == b.total_idle
-        assert a.total_suspended == b.total_suspended
-        assert a.total_messages == b.total_messages == 13
-        assert a.total_bytes == b.total_bytes == 130
-        assert a.total_rounds == b.total_rounds == 5
-        assert [w.wid for w in a.workers] == [w.wid for w in b.workers]
-        for wa, wb in zip(a.workers, b.workers):
-            assert wa == wb
+        registry = MetricsRegistry()
+        m = RunMetrics.from_workers(workers, makespan=3.5, into=registry)
 
-    def test_to_registry_round_trip(self):
-        m = RunMetrics.from_workers(self._workers(), makespan=3.5)
-        registry = m.to_registry()
-        again = RunMetrics.from_registry(registry, makespan=3.5)
-        assert again.total_busy == m.total_busy
-        assert again.total_messages == m.total_messages
-        assert registry.get("makespan").value == 3.5
+        def total(name):
+            return sum(registry.get(name, wid).value
+                       for wid in registry.wids(name))
 
-    def test_from_registry_sets_makespan_gauge(self):
-        registry = registry_from_workers(self._workers())
-        RunMetrics.from_registry(registry, makespan=9.0)
+        assert m.makespan == 3.5
+        assert m.total_busy == total("busy_time") == 3.0
+        assert m.total_idle == total("idle_time") == 3.5
+        assert m.total_suspended == total("suspended_time") == 0.5
+        assert m.total_messages == total("messages_sent") == 13
+        assert m.total_bytes == total("bytes_sent") == 130
+        assert m.total_work == total("work_done") == 20
+        assert m.total_rounds == total("rounds") == 5
+        assert m.workers == workers
+        assert m == RunMetrics.from_workers(workers, makespan=3.5)
+
+    def test_from_workers_into_sets_makespan_gauge(self):
+        registry = MetricsRegistry()
+        RunMetrics.from_workers(self._workers(), makespan=9.0,
+                                into=registry)
         assert registry.get("makespan").value == 9.0
+
+    def test_from_workers_builds_no_registry_unasked(self, monkeypatch):
+        import repro.runtime.metrics as metrics_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an unobserved run built a registry")
+
+        monkeypatch.setattr(metrics_mod, "MetricsRegistry", boom)
+        m = RunMetrics.from_workers(self._workers(), makespan=3.5)
+        assert m.total_rounds == 5

@@ -49,7 +49,7 @@ class TestBitIdentical:
 
 class TestObserverPopulated:
     def test_observer_surfaces_in_extras_and_report(self, small_grid):
-        from repro.runtime.report import result_to_dict
+        from repro.obs.export import run_report
 
         obs = Observer()
         result = _run(small_grid, SSSPProgram(), SSSPQuery(source=0), "AAP",
@@ -57,7 +57,7 @@ class TestObserverPopulated:
         assert result.extras["obs"] is obs
         assert len(obs.log) > 0
         assert "round_duration" in obs.metrics.names()
-        doc = result_to_dict(result)
+        doc = run_report(result)
         assert doc["observability"]["event_counts"] == obs.log.counts()
 
     def test_disabled_run_has_no_obs_extras(self, small_grid):

@@ -13,31 +13,12 @@ from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
 from repro.partition.builder import build_edge_cut
 from repro.partition.grow import grow_edge_cut
+from tests.conftest import assert_partitions_equal
 
 
 def stable_pg(graph, m):
     owner = {v: stable_owner(v, m) for v in graph.nodes}
     return build_edge_cut(graph, owner, m, "test")
-
-
-def edge_set(graph):
-    return sorted(((repr(u), repr(v), w) for u, v, w in graph.edges()))
-
-
-def assert_partitions_equal(got, want):
-    assert got.num_fragments == want.num_fragments
-    assert got.owner == want.owner
-    assert got.placement == want.placement
-    for fg, fw in zip(got.fragments, want.fragments):
-        assert fg.owned == fw.owned
-        assert fg.mirrors == fw.mirrors
-        assert fg.in_border == fw.in_border
-        assert fg.out_border == fw.out_border
-        assert fg.out_copies == fw.out_copies
-        assert fg.in_copies == fw.in_copies
-        assert fg._routing == fw._routing
-        assert set(fg.graph.nodes) == set(fw.graph.nodes)
-        assert edge_set(fg.graph) == edge_set(fw.graph)
 
 
 def make_engines(pg):

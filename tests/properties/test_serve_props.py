@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
-from repro.graph import generators
+from repro.graph import analysis, generators
 from repro.serve import (AdmissionController, GraphService, LoadGenerator,
                          verify_against_recompute)
 from repro.streaming import StreamingSession, UpdateBatch
@@ -139,7 +139,9 @@ def test_loadgen_is_deterministic():
 
 def test_service_agrees_with_streaming_session():
     """Same batches through the service and the session end identically
-    (they share the stable owner map, so fragments line up too)."""
+    (they share the stable owner map, so fragments line up too).  Both
+    grow in place through the same primitives, so the independent check
+    is Dijkstra on the grown graph."""
     g = generators.grid2d(5, 5, weighted=True, seed=6)
     batches = [UpdateBatch.of((0, 100, 0.3), (100, 12, 0.4)),
                UpdateBatch.of((100, 101, 0.2), (3, 17, 0.9))]
@@ -153,3 +155,9 @@ def test_service_agrees_with_streaming_session():
     svc.flush()
     assert svc.answer == sess.answer
     assert svc.pg.owner == sess.owner
+    ref = analysis.dijkstra(sess.graph, 0)
+    assert sorted(svc.graph.edges()) == sorted(sess.graph.edges())
+    assert set(sess.answer) == set(ref)
+    for v in ref:
+        assert sess.answer[v] == pytest.approx(ref[v])
+        assert svc.answer[v] == pytest.approx(ref[v])

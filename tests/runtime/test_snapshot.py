@@ -10,8 +10,6 @@ from repro.errors import SnapshotError
 from repro.graph import analysis
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime.costmodel import CostModel
-from repro.runtime.faults import (recover_from_snapshot, run_with_checkpoint,
-                                  run_with_failure)
 from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.snapshot import ChandyLamportCoordinator, GlobalSnapshot
 
@@ -21,19 +19,52 @@ def pg(small_powerlaw):
     return HashPartitioner().partition(small_powerlaw, 4)
 
 
+def checkpointed_run(engine_factory, policy_factory, checkpoint_time,
+                     cost_model_factory=None):
+    """Run to completion, cutting a checkpoint at ``checkpoint_time``:
+    ``(result, snapshot)``."""
+    coord = ChandyLamportCoordinator()
+    cm = cost_model_factory() if cost_model_factory else None
+    runtime = SimulatedRuntime(engine_factory(), policy_factory(),
+                               cost_model=cm, snapshot_coordinator=coord)
+    coord.request_at(runtime, time=checkpoint_time)
+    result = runtime.run()
+    return result, coord.finalize()
+
+
+def recover(engine_factory, policy_factory, snapshot,
+            cost_model_factory=None):
+    """Restore a fresh runtime from ``snapshot`` and run to fixpoint."""
+    cm = cost_model_factory() if cost_model_factory else None
+    runtime = SimulatedRuntime(engine_factory(), policy_factory(),
+                               cost_model=cm)
+    runtime.seed_from_snapshot(snapshot)
+    return runtime.run()
+
+
+def crash_and_recover(engine_factory, policy_factory, checkpoint_time,
+                      cost_model_factory=None):
+    """Checkpoint mid-run, discard what followed (as a crash would) and
+    complete from the checkpoint: the recovered run's result."""
+    _, snapshot = checkpointed_run(engine_factory, policy_factory,
+                                   checkpoint_time, cost_model_factory)
+    return recover(engine_factory, policy_factory, snapshot,
+                   cost_model_factory)
+
+
 class TestSnapshotMechanics:
     def test_all_workers_recorded(self, pg):
-        report = run_with_checkpoint(
+        _, snapshot = checkpointed_run(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("AP"), checkpoint_time=1.0)
-        assert report.snapshot.num_workers_recorded == 4
-        assert report.snapshot.complete
+        assert snapshot.num_workers_recorded == 4
+        assert snapshot.complete
 
     def test_snapshot_does_not_change_answer(self, pg, small_powerlaw):
-        report = run_with_checkpoint(
+        result, _ = checkpointed_run(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("AAP"), checkpoint_time=2.0)
-        assert report.result.answer == analysis.connected_components(
+        assert result.answer == analysis.connected_components(
             small_powerlaw)
 
     def test_finalize_without_initiation(self):
@@ -57,68 +88,64 @@ class TestRecovery:
     @pytest.mark.parametrize("checkpoint_time", [0.5, 2.0, 10.0])
     def test_cc_recovers_to_same_answer(self, pg, small_powerlaw,
                                         checkpoint_time):
-        report = run_with_failure(
+        result = crash_and_recover(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("AAP"), checkpoint_time=checkpoint_time)
-        assert report.failed
-        assert report.result.answer == analysis.connected_components(
+        assert result.answer == analysis.connected_components(
             small_powerlaw)
 
     def test_sssp_recovers(self, pg, small_powerlaw):
         ref = analysis.dijkstra(small_powerlaw, 0)
-        report = run_with_failure(
+        result = crash_and_recover(
             lambda: Engine(SSSPProgram(), pg, SSSPQuery(source=0)),
             lambda: make_policy("AP"), checkpoint_time=1.0,
             cost_model_factory=lambda: CostModel(seed=2))
-        assert all(report.result.answer[v] == pytest.approx(ref[v])
+        assert all(result.answer[v] == pytest.approx(ref[v])
                    for v in ref)
 
     def test_pagerank_recovers_within_tolerance(self, pg, small_powerlaw):
         ref = analysis.pagerank(small_powerlaw, epsilon=1e-10)
-        report = run_with_failure(
+        result = crash_and_recover(
             lambda: Engine(PageRankProgram(), pg,
                            PageRankQuery(epsilon=1e-4)),
             lambda: make_policy("AAP"), checkpoint_time=3.0)
         for v in ref:
-            assert report.result.answer[v] == pytest.approx(ref[v],
-                                                            abs=2e-3)
+            assert result.answer[v] == pytest.approx(ref[v], abs=2e-3)
 
     def test_recover_from_empty_snapshot_rejected(self, pg):
         with pytest.raises(SnapshotError):
-            recover_from_snapshot(
-                lambda: Engine(CCProgram(), pg, CCQuery()),
-                lambda: make_policy("AAP"), GlobalSnapshot(token=1))
+            recover(lambda: Engine(CCProgram(), pg, CCQuery()),
+                    lambda: make_policy("AAP"), GlobalSnapshot(token=1))
 
     def test_late_checkpoint_snapshots_fixpoint(self, pg, small_powerlaw):
         # checkpoint far after convergence: recovery starts quiescent and
         # still assembles the right answer
-        report = run_with_failure(
+        result = crash_and_recover(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("BSP"), checkpoint_time=10_000.0)
-        assert report.result.answer == analysis.connected_components(
+        assert result.answer == analysis.connected_components(
             small_powerlaw)
 
     def test_request_past_drain_yields_empty_complete_snapshot(self, pg):
         # request_at lands after the event queue has fully drained: every
         # worker records at quiescence, so the cut has all worker states,
         # no in-channel messages, and is still marked complete
-        report = run_with_checkpoint(
+        _, snap = checkpointed_run(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("AAP"), checkpoint_time=50_000.0)
-        snap = report.snapshot
         assert snap.complete
         assert snap.num_workers_recorded == 4
         assert snap.num_channel_messages == 0
         assert all(not msgs for msgs in snap.channel_messages.values())
 
     def test_recover_from_snapshot_under_aap(self, pg, small_powerlaw):
-        # direct recover_from_snapshot with the adaptive policy: seed a
-        # fresh runtime from a mid-run AAP cut and run to fixpoint
-        report = run_with_checkpoint(
+        # seed_from_snapshot with the adaptive policy: seed a fresh
+        # runtime from a mid-run AAP cut and run to fixpoint
+        _, snapshot = checkpointed_run(
             lambda: Engine(CCProgram(), pg, CCQuery()),
             lambda: make_policy("AAP"), checkpoint_time=1.0)
-        result = recover_from_snapshot(
+        result = recover(
             lambda: Engine(CCProgram(), pg, CCQuery()),
-            lambda: make_policy("AAP"), report.snapshot)
+            lambda: make_policy("AAP"), snapshot)
         assert result.answer == analysis.connected_components(
             small_powerlaw)

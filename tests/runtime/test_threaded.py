@@ -226,8 +226,8 @@ class TestThreadedAccounting:
         # seconds against run-relative ones), so a restored worker's first
         # idle segment was dropped and T_idle read 0 until its first round.
         from repro.runtime.faultplan import FaultPlan, StragglerFault
-        from repro.runtime.faults import run_with_checkpoint
         from repro.runtime.simulator import SimulatedRuntime
+        from repro.runtime.snapshot import ChandyLamportCoordinator
 
         graph = generators.grid2d(12, 12, weighted=True, seed=2)
         pg = HashPartitioner().partition(graph, 2)
@@ -236,9 +236,12 @@ class TestThreadedAccounting:
             return Engine(SSSPProgram(), pg, SSSPQuery(source=0))
 
         full = SimulatedRuntime(engine(), make_policy("AP")).run()
-        snapshot = run_with_checkpoint(
-            engine, lambda: make_policy("AP"),
-            checkpoint_time=0.2 * full.metrics.makespan).snapshot
+        coord = ChandyLamportCoordinator()
+        checkpointed = SimulatedRuntime(engine(), make_policy("AP"),
+                                        snapshot_coordinator=coord)
+        coord.request_at(checkpointed, time=0.2 * full.metrics.makespan)
+        checkpointed.run()
+        snapshot = coord.finalize()
         rt = ThreadedRuntime(
             engine(), make_policy("AP"), timeout=60.0,
             fault_plan=FaultPlan(faults=(StragglerFault(1, 40.0),)))
