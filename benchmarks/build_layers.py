@@ -54,7 +54,7 @@ from repro.graph import csr as csr_module  # noqa: E402
 from repro.graph.csr import GraphArrays  # noqa: E402
 from repro.partition import builder as builder_module  # noqa: E402
 from repro.partition.edge_cut import HashPartitioner  # noqa: E402
-from repro.partition.fragment import BuiltOnRead, Fragment  # noqa: E402
+from repro.partition.fragment import Fragment, built_on_read  # noqa: E402
 
 LAYERS = ("edge pass", "assignment", "node order", "assembly",
           "containers", "dict graph", "csr sort", "csr view", "routes",
@@ -70,7 +70,7 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     tracer.wrap(builder_module, "build_edge_cut", "assembly")
     tracer.wrap(GraphArrays, "of", "edge pass")
     tracer.wrap(builder_module, "_insertion_order", "node order")
-    tracer.wrap(BuiltOnRead, "__getattr__", "containers")
+    tracer.wrap(built_on_read, "__get__", "containers")
     tracer.wrap(GraphArrays, "to_graph", "dict graph")
     tracer.wrap(csr_module, "stable_order", "csr sort")
     tracer.wrap(Fragment, "compact", "csr view")

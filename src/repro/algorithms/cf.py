@@ -120,6 +120,7 @@ class CFProgram(PIEProgram):
         """One pass of SGD over the local training edges."""
         factors = ctx.scratch["factors"]
         deltas: Dict[Node, List[float]] = ctx.scratch["deltas"]
+        owned = frag.owned
         lr = query.learning_rate
         reg = query.regularization
         epoch = ctx.scratch["epochs_done"] + 1
@@ -131,7 +132,7 @@ class CFProgram(PIEProgram):
             # the gradient is accumulated for shipping; under "server"
             # aggregation an owner's canonical copy needs no accumulator
             acc = None
-            if self.aggregation == "gossip" or p not in frag.owned:
+            if self.aggregation == "gossip" or p not in owned:
                 acc = deltas.setdefault(p, [0.0] * query.rank)
             for k in range(query.rank):
                 gu = lr * (err * fp[k] - reg * fu[k])
@@ -149,7 +150,7 @@ class CFProgram(PIEProgram):
             ctx.set(p, epoch)
         if self.aggregation == "server":
             for _, p, _ in ctx.scratch["edges"]:
-                if p in frag.owned and frag.locations(p):
+                if p in owned and frag.locations(p):
                     ctx.set(p, epoch)
 
     # ------------------------------------------------------------------

@@ -119,10 +119,11 @@ class PageRankProgram(PIEProgram):
         reprocess nodes with partial deltas and multiply the work.
         """
         g = frag.graph
+        owned = frag.owned
         score = ctx.scratch["score"]
         eps_node = ctx.scratch["eps_node"]
         d = query.damping
-        current = sorted((v for v in seeds if v in frag.owned), key=repr)
+        current = sorted((v for v in seeds if v in owned), key=repr)
         while current:
             next_wave = set()
             for v in current:
@@ -139,7 +140,7 @@ class PageRankProgram(PIEProgram):
                 for u, _ in g.out_edges(v):
                     ctx.set(u, ctx.get(u) + share)
                     ctx.add_work(1)
-                    if u in frag.owned and abs(ctx.get(u)) > eps_node:
+                    if u in owned and abs(ctx.get(u)) > eps_node:
                         next_wave.add(u)
             current = sorted(next_wave, key=repr)
 

@@ -49,12 +49,14 @@ class ReachabilityProgram(PIEProgram):
 
     def _traverse(self, frag: Fragment, ctx: FragmentContext,
                   seeds: Set[Node]) -> None:
+        g = frag.graph
+        mirrors = frag.mirrors if frag.cut == "edge" else ()
         stack = [v for v in sorted(seeds, key=repr) if ctx.get(v)]
         while stack:
             v = stack.pop()
-            if frag.cut == "edge" and v in frag.mirrors:
+            if v in mirrors:
                 continue  # the owner follows v's out-edges
-            for u, _ in frag.graph.out_edges(v):
+            for u, _ in g.out_edges(v):
                 ctx.add_work(1)
                 if not ctx.get(u):
                     ctx.set(u, True)

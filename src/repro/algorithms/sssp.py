@@ -69,6 +69,10 @@ class SSSPProgram(PIEProgram):
     def _dijkstra(self, frag: Fragment, ctx: FragmentContext,
                   seeds: Set[Node]) -> None:
         g = frag.graph
+        # under edge-cut, a mirror's distance only feeds the owner
+        # fragment via message passing (the owner holds all its edges);
+        # under vertex-cut every copy relaxes the edges it holds
+        mirrors = frag.mirrors if frag.cut == "edge" else ()
         heap = []
         seq = 0
         # seeds go in unsorted: heapify orders by distance and the final
@@ -85,10 +89,7 @@ class SSSPProgram(PIEProgram):
             ctx.add_work(1)
             if d > ctx.get(v):
                 continue  # stale heap entry
-            # under edge-cut, a mirror's distance only feeds the owner
-            # fragment via message passing (the owner holds all its edges);
-            # under vertex-cut every copy relaxes the edges it holds
-            if frag.cut == "edge" and v in frag.mirrors:
+            if v in mirrors:
                 continue
             for u, w in g.out_edges(v):
                 ctx.add_work(1)

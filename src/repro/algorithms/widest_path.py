@@ -55,6 +55,7 @@ class WidestPathProgram(PIEProgram):
                seeds: Set[Node]) -> None:
         """Widest-path Dijkstra variant: settle nodes widest-first."""
         g = frag.graph
+        mirrors = frag.mirrors if frag.cut == "edge" else ()
         heap = []
         seq = 0
         for v in sorted(seeds, key=repr):
@@ -69,7 +70,7 @@ class WidestPathProgram(PIEProgram):
             ctx.add_work(1)
             if width < ctx.get(v):
                 continue  # stale entry
-            if frag.cut == "edge" and v in frag.mirrors:
+            if v in mirrors:
                 continue
             for u, w in g.out_edges(v):
                 ctx.add_work(1)

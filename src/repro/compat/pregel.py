@@ -163,6 +163,7 @@ class PregelAdapter(PIEProgram):
         variable, which the engine ships after the round.
         """
         values = ctx.scratch["vertex_values"]
+        graph, owned = frag.graph, frag.owned
         steps = 0
         while inbox:
             steps += 1
@@ -172,11 +173,11 @@ class PregelAdapter(PIEProgram):
             next_inbox: Dict[Node, List[Any]] = {}
             for v in sorted(inbox, key=repr):
                 outbox: List[Tuple[Node, Any]] = []
-                vctx = VertexContext(v, values, frag.graph, outbox)
+                vctx = VertexContext(v, values, graph, outbox)
                 self.vprog.compute(vctx, inbox[v], ctx.scratch["superstep"])
                 ctx.add_work(1 + len(outbox))
                 for target, message in outbox:
-                    if target in frag.owned:
+                    if target in owned:
                         next_inbox.setdefault(target, []).append(message)
                     elif target in ctx.values:
                         ctx.update(target, message)

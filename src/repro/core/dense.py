@@ -48,9 +48,8 @@ Routes = Tuple[Dict[int, np.ndarray], np.ndarray]
 def routes_to_owner(frag: Fragment) -> Optional[Routes]:
     """The array rule "a mirror copy ships to its owner"
     (:meth:`PIEProgram.dense_routes`): what SSSP and CC declare under
-    edge-cut and PageRank always.  ``None`` when the view was built
-    without the builder's node arrays (a hand-made fragment, or one whose
-    sets were read — by a generic-path program, by growth — first)."""
+    edge-cut and PageRank always.  ``None`` when the fragment has no
+    builder's node arrays (a hand-made one, or one grown in place)."""
     view = frag.compact()
     if view.owner is None:
         return None

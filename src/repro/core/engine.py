@@ -124,7 +124,9 @@ class Engine:
         deriving a round's batches is then pure masking.  The program's
         array rule (:meth:`PIEProgram.dense_routes`) states both in
         bulk and is validated against the routing index on the arrays;
-        without one it is a loop over the checked ship set.
+        without one (a third-party program, or a fragment that was made
+        by hand or grew in place, whose view has no routing arrays) it
+        is a loop over the checked ship set.
         """
         import numpy as np
         view = frag.compact()

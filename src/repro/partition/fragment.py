@@ -18,23 +18,27 @@ Each fragment also carries the routing index ``I_i`` (paper, Section 3):
 for a border node ``v``, :meth:`Fragment.locations` returns every other
 fragment where ``v`` resides, used to derive designated messages ``M(i, j)``.
 
-Everything a fragment knows has **one source of truth at a time**, and it
-starts out as the builder's arrays:
+A fragment the builder makes is **arrays for life** and containers on
+demand; in-place growth is the one event that changes which is the truth:
 
-- the local graph is a :class:`~repro.graph.csr.GraphArrays`, from which
-  :meth:`Fragment.compact` builds the CSR view the vectorized path runs
-  on, until :attr:`Fragment.graph` is first read; that turns it into the
-  dict :class:`~repro.graph.graph.Graph` and drops the arrays
-  (``compact()`` keeps its view, or rebuilds it from the dict graph after
-  in-place growth);
-- the six node sets and the routing index are a :class:`NodeArrays`.
-  The first read of any of them builds the ``set`` s and the ``dict`` of
-  tuples and drops the arrays, after which they are ordinary attributes
-  of an ordinary ``Fragment`` (:class:`BuiltOnRead`).  A CSR view built
-  while the arrays are there takes its masks, per-lid owners and routing
-  pairs from them (and keeps those); one built afterwards asks the sets.
-  :attr:`PartitionedGraph.placement` and the view's ``lid_of`` / ``nodes``
-  are kept the same way.
+- the node bookkeeping is a :class:`NodeArrays` (owner per local node, a
+  mask per border set, the routing index as pairs).  The six node sets
+  and the routing ``dict`` are *cached attributes* built from it, each on
+  its own first read (:class:`built_on_read`); the arrays stay, so a CSR
+  view (:meth:`Fragment.compact`) carries its masks, per-lid owners and
+  routing pairs whenever it is built.  :attr:`PartitionedGraph.placement`
+  and the view's ``lid_of`` / ``nodes`` are cached the same way;
+- :func:`~repro.partition.grow.grow_edge_cut` mutates the containers of
+  the fragments it touches, in place, and ends with
+  :meth:`Fragment.invalidate_caches`: the containers own the truth from
+  then on, the node arrays and every array-shaped cache are dropped, and
+  a later CSR view asks the sets (its ``owner`` / ``routed`` / ``peers``
+  are ``None``, as for a hand-made ``Fragment(fid, graph, owned=...,
+  ...)``, which holds its containers from the start);
+- the local graph is a :class:`~repro.graph.csr.GraphArrays` until
+  :attr:`Fragment.graph` is first read; the dict
+  :class:`~repro.graph.graph.Graph` built then replaces it (``compact()``
+  keeps its view, or rebuilds it from the dict graph after growth).
 
 A vectorized build and run reads neither the dict graph nor any of the
 containers: peers come from the builder, routes from the programs' array
@@ -42,9 +46,7 @@ rules (:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes,
 ``directed`` and the quality metrics from the arrays.  Generic-path
 programs (so the one engine a ``GraphService`` or ``StreamingSession``
 keeps), ``grow_edge_cut`` on the fragments it touches,
-``replication_factor`` and ``runtime.recovery`` are who reads them.  A
-hand-made ``Fragment(fid, graph, owned=..., ...)`` holds its containers
-from the start.
+``replication_factor`` and ``runtime.recovery`` are who reads them.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph, Node
 
 BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
+#: what a builder fragment makes from its :class:`NodeArrays` on first read
+_CONTAINERS = ("owned", "mirrors", *BORDER_SETS, "_routing")
 
 
 class NodeArrays(NamedTuple):
@@ -103,44 +107,41 @@ def distinct_fids(fids: np.ndarray) -> List[int]:
     return np.flatnonzero(np.bincount(fids)).tolist()
 
 
-class BuiltOnRead:
-    """Mixin of a subclass whose instances start without some containers.
+class built_on_read:
+    """An attribute that ``build(obj)`` makes on its first read.
 
-    ``class LazyX(BuiltOnRead, X)`` adds no slot; its instances leave the
-    slots named in ``_BUILDERS`` unset.  The first read of one of them
-    builds them all (in order, so a builder may read an earlier one, and
-    a last entry may clear the slot the arrays were in) and turns the
-    instance into a plain ``X``.  All or nothing on purpose: a
-    class that defines ``__getattr__`` pays for it on *every* attribute
-    read, found or not (~30 ns, and no specialised ``LOAD_ATTR``), which
-    the generic kernels' ``v in frag.mirrors`` per heap pop and the
-    service's epochs would feel; after the switch there is nothing left
-    to pay.  First reads race (threaded workers share a lazy partition):
-    a miss looks again under ``_FIRST_READ``; a hit never gets here.
+    A non-data descriptor: the value is stored in the instance
+    ``__dict__``, which shadows it, so it is reached on a miss only and
+    plain assignment (a hand-made ``Fragment(...)``, in-place growth)
+    works as on any object.  First reads race (threaded workers share a
+    partition): a miss looks again under ``_FIRST_READ``.
     """
 
-    __slots__ = ()
-    _BUILDERS: Dict[str, Callable[[Any], Any]] = {}
-    _PLAIN: type
-    #: serialises first reads; re-entrant, as a builder may read a
-    #: container of another object that is still lazy
+    #: serialises first reads; re-entrant, as a builder may read another
+    #: attribute that is not built yet
     _FIRST_READ = threading.RLock()
-    #: whether the containers exist (a read-only probe; ``True`` on the
-    #: plain classes)
-    built = False
 
-    def __getattr__(self, name: str) -> Any:
-        with BuiltOnRead._FIRST_READ:
-            cls = type(self)
+    def __init__(self, build: Callable[[Any], Any]):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, objtype: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        with self._FIRST_READ:
+            have = vars(obj)
             # else another first reader finished while this one waited
-            if issubclass(cls, BuiltOnRead):
-                if name not in cls._BUILDERS:
-                    raise AttributeError(f"{cls.__name__!r} object has no "
-                                         f"attribute {name!r}")
-                for attr, build in cls._BUILDERS.items():
-                    setattr(self, attr, build(self))
-                self.__class__ = cls._PLAIN
-        return getattr(self, name)
+            if self.name not in have:
+                have[self.name] = self.build(obj)
+            return have[self.name]
+
+
+def _any_built(*names: str) -> property:
+    """Read-only probe: whether any of the attributes ``names`` exists
+    yet (asking builds none)."""
+    return property(lambda self: not vars(self).keys().isdisjoint(names))
 
 
 class FragmentCSR:
@@ -155,15 +156,16 @@ class FragmentCSR:
     (:meth:`~repro.core.pie.PIEProgram.dense_routes`).  Lookups go through
     ``searchsorted`` (:meth:`lid`, :meth:`lids_for`); the ``nodes`` list
     (local nodes in lid order) and the ``lid_of`` dict exist for the
-    scalar facade of :mod:`repro.core.dense` and are built when it first
-    reads one of them (:class:`BuiltOnRead`).  It needs non-negative
+    scalar facade of :mod:`repro.core.dense`, built when it first reads
+    them (:class:`built_on_read`).  It needs non-negative
     integer node ids; build it through :meth:`Fragment.compact`, which
     caches one instance per fragment.
     """
 
-    __slots__ = ("fragment", "gids", "csr", "owned_mask", "mirror_mask",
-                 "owner", "routed", "peers", "nodes", "lid_of")
-    built = True
+    nodes = built_on_read(lambda view: view.gids.tolist())
+    lid_of = built_on_read(
+        lambda view: dict(zip(view.nodes, range(len(view)))))
+    built = _any_built("nodes", "lid_of")
 
     def __init__(self, frag: "Fragment", local: GraphArrays):
         try:
@@ -173,7 +175,7 @@ class FragmentCSR:
                 f"fragment {frag.fid}: dense view {exc}") from None
         self.fragment = frag
         arrays = frag._node_arrays
-        if arrays is None:  # hand-made, or its sets were read: ask them
+        if arrays is None:  # hand-made, or grown in place: ask the sets
             self.owner = self.routed = self.peers = None
             self.owned_mask = np.fromiter(
                 map(frag.owned.__contains__, self.gids.tolist()), bool,
@@ -206,15 +208,6 @@ class FragmentCSR:
         return at
 
 
-class _LazyFragmentCSR(BuiltOnRead, FragmentCSR):
-    __slots__ = ()
-    _PLAIN = FragmentCSR
-    _BUILDERS = {
-        "nodes": lambda view: view.gids.tolist(),
-        "lid_of": lambda view: dict(zip(view.nodes, range(len(view)))),
-    }
-
-
 def _node_set(select: Callable[[NodeArrays, int], np.ndarray]
               ) -> Callable[["Fragment"], Set[Node]]:
     """Builder of the set of local nodes ``select(arrays, fid)`` picks."""
@@ -222,6 +215,10 @@ def _node_set(select: Callable[[NodeArrays, int], np.ndarray]
         arrays = frag._node_arrays
         return set(arrays.nodes[select(arrays, frag.fid)].tolist())
     return build
+
+
+def _border_set(name: str) -> Callable[["Fragment"], Set[Node]]:
+    return _node_set(lambda arrays, fid: arrays.borders[name])
 
 
 def _routing_index(frag: "Fragment") -> Dict[Node, Tuple[int, ...]]:
@@ -235,13 +232,29 @@ def _routing_index(frag: "Fragment") -> Dict[Node, Tuple[int, ...]]:
                                arrays.peers))
 
 
+def _dict_graph(frag: "Fragment") -> Graph:
+    local = frag._local
+    if isinstance(local, GraphArrays):  # which the dict graph replaces
+        local = frag._local = local.to_graph()
+    return local
+
+
 class Fragment:
     """One fragment of a partitioned graph, resident at one virtual worker."""
 
-    __slots__ = ("fid", "_local", "_node_arrays", "owned", "mirrors",
-                 *BORDER_SETS, "cut", "_routing", "_peers", "_compact",
-                 "_memo")
-    built = True
+    # plain sets: in-place growth only ever adds members
+    # (repro.partition.grow); nobody else may mutate them
+    owned = built_on_read(_node_set(lambda arrays, fid: arrays.owner == fid))
+    mirrors = built_on_read(_node_set(lambda arrays, fid: arrays.owner != fid))
+    in_border = built_on_read(_border_set("in_border"))
+    out_border = built_on_read(_border_set("out_border"))
+    out_copies = built_on_read(_border_set("out_copies"))
+    in_copies = built_on_read(_border_set("in_copies"))
+    _routing = built_on_read(_routing_index)
+    #: the local dict graph, materialised from the builder's arrays on
+    #: first read
+    graph = built_on_read(_dict_graph)
+    built = _any_built(*_CONTAINERS)
 
     def __init__(self, fid: int, graph: Union[Graph, GraphArrays],
                  owned: Iterable[Node], mirrors: Iterable[Node],
@@ -250,8 +263,6 @@ class Fragment:
                  routing: Mapping[Node, Sequence[int]],
                  cut: str = "edge"):
         self._setup(fid, graph, None, None, cut)
-        # plain sets: in-place growth only ever adds members
-        # (repro.partition.grow); nobody else may mutate them
         self.owned: Set[Node] = set(owned)
         self.mirrors: Set[Node] = set(mirrors)
         self.in_border: Set[Node] = set(in_border)
@@ -266,8 +277,8 @@ class Fragment:
     def from_arrays(cls, fid: int, graph: GraphArrays, arrays: NodeArrays,
                     cut: str = "edge") -> "Fragment":
         """The fragment the array-native builder makes: its sets and its
-        routing index stay ``arrays`` until someone reads one of them."""
-        self = _LazyFragment.__new__(_LazyFragment)
+        routing index are built from ``arrays`` when someone reads them."""
+        self = cls.__new__(cls)
         self._setup(fid, graph, arrays, set(distinct_fids(arrays.peers)), cut)
         self._validate_arrays()
         return self
@@ -277,11 +288,11 @@ class Fragment:
                cut: str) -> None:
         self.fid = fid
         self.cut = cut
-        # one source of truth: the builder's arrays until someone asks
-        # for the dict graph, the dict graph afterwards
+        # the builder's arrays until someone asks for the dict graph,
+        # the dict graph afterwards
         self._local: Union[Graph, GraphArrays] = graph
-        # likewise the node sets and the routing index: ``arrays`` until
-        # someone reads one of them, the containers afterwards
+        # what the node sets and the routing index are built from, and
+        # what a CSR view reads; ``None`` once the fragment grew in place
         self._node_arrays = arrays
         self._peers = peers
         self._compact: Optional[FragmentCSR] = None
@@ -315,15 +326,6 @@ class Fragment:
                                      .format(arrays.nodes[bad.argmax()]))
 
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> Graph:
-        """The local dict graph, materialised from the builder's arrays
-        on first access (which drops the arrays)."""
-        local = self._local
-        if isinstance(local, GraphArrays):
-            local = self._local = local.to_graph()
-        return local
-
     @property
     def materialised(self) -> bool:
         """Whether the dict graph has been built (or was handed in)."""
@@ -373,8 +375,7 @@ class Fragment:
         :class:`~repro.errors.PartitionError` unless node ids are
         non-negative integers."""
         if self._compact is None:
-            self._compact = _LazyFragmentCSR(self,
-                                             GraphArrays.of(self._local))
+            self._compact = FragmentCSR(self, GraphArrays.of(self._local))
         return self._compact
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
@@ -398,17 +399,22 @@ class Fragment:
             return value
 
     def invalidate_caches(self) -> None:
-        """Drop every memoized view after the fragment grew in place.
+        """The containers are the truth after the fragment grew in place:
+        drop the builder's node arrays and every memoized view.
 
         :func:`repro.partition.grow.grow_edge_cut` mutates the local graph
-        and the border/routing sets, which the CSR view, ship sets, dense
-        routes and kernel arrays are functions of (the peer set it patches
-        itself).  An engine kept over the partition patches its ship set
-        from the growth report and puts it back
-        (:meth:`~repro.core.engine.Engine.refresh_routes`).  (Growth read
-        the sets it mutated, so the fragment holds them and no longer the
-        builder's node arrays.)
+        and the border/routing sets, which the node arrays, the CSR view,
+        ship sets, dense routes and kernel arrays are functions of (the
+        peer set it patches itself).  A container growth did not read it
+        did not change, so the arrays still build it, here.  An engine
+        kept over the partition patches its ship set from the growth
+        report and puts it back
+        (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
+        if self._node_arrays is not None:
+            for name in _CONTAINERS:
+                getattr(self, name)
+            self._node_arrays = None
         self._compact = None
         self._memo = None
 
@@ -445,24 +451,12 @@ class Fragment:
                 f"mirrors={mirrors}, edges={self.num_local_edges})")
 
 
-class _LazyFragment(BuiltOnRead, Fragment):
-    __slots__ = ()
-    _PLAIN = Fragment
-    _BUILDERS = {
-        "owned": _node_set(lambda arrays, fid: arrays.owner == fid),
-        "mirrors": _node_set(lambda arrays, fid: arrays.owner != fid),
-        **{name: _node_set(lambda arrays, fid, name=name:
-                           arrays.borders[name]) for name in BORDER_SETS},
-        "_routing": _routing_index,
-        "_node_arrays": lambda frag: None,  # the containers are it now
-    }
-
-
 def _placement(pg: "PartitionedGraph") -> Dict[Node, Tuple[int, ...]]:
     nodes, order, fids, counts = pg._presence
     placement = dict.fromkeys(nodes[order].tolist())
     placement.update(grouped_tuples(nodes, np.cumsum(counts) - counts,
                                     counts, fids))
+    pg._presence = None  # this was its one reader
     return placement
 
 
@@ -473,9 +467,9 @@ class PartitionedGraph:
     and owner lookup used by the engine and by ``Assemble``.
     """
 
-    __slots__ = ("fragments", "owner", "placement", "_presence",
-                 "strategy_name", "cut")
-    built = True
+    #: node -> fragments where it resides, ascending; grown in place
+    placement = built_on_read(_placement)
+    built = _any_built("placement")
 
     def __init__(self, fragments: Sequence[Fragment],
                  owner: Mapping[Node, int],
@@ -494,7 +488,7 @@ class PartitionedGraph:
         ``(nodes, placement order as positions, fragment ids grouped by
         node position and ascending, copies per node)`` — and stays that
         until :attr:`placement` is read."""
-        self = _LazyPartitionedGraph.__new__(_LazyPartitionedGraph)
+        self = cls.__new__(cls)
         self._setup(fragments, owner, presence, strategy_name, cut)
         return self
 
@@ -536,9 +530,3 @@ class PartitionedGraph:
     def __repr__(self) -> str:
         return (f"PartitionedGraph(m={self.num_fragments}, "
                 f"strategy={self.strategy_name!r}, sizes={self.sizes()})")
-
-
-class _LazyPartitionedGraph(BuiltOnRead, PartitionedGraph):
-    __slots__ = ()
-    _PLAIN = PartitionedGraph
-    _BUILDERS = {"placement": _placement, "_presence": lambda pg: None}

@@ -13,8 +13,10 @@ sets, same routing index, same placement.
 Fragment sets, the routing index and the peer sets only ever *gain*
 members under insertion, so they are grown in place, and the
 :class:`GrowthReport` names the nodes whose presence, border status or
-routing changed in each fragment.  Array-shaped caches of a touched
-fragment (CSR view, dense routes, kernel arrays) are dropped; an
+routing changed in each fragment.  A touched fragment's containers are
+the truth from then on: the builder's node arrays and the array-shaped
+caches (CSR view, dense routes, kernel arrays) are dropped
+(:meth:`~repro.partition.fragment.Fragment.invalidate_caches`); an
 :class:`~repro.core.engine.Engine` kept over the partition patches its ship
 sets from the report (:meth:`~repro.core.engine.Engine.refresh_routes`).
 """
@@ -136,8 +138,8 @@ def grow_edge_cut(pg: PartitionedGraph,
             mark(fv, b.out_copies, u)
             mark(fu, a.in_border, u)
             mark(fu, a.in_copies, v)
-    # CSR views, dense routes and kernel arrays are functions of the
-    # partition that just changed under them
+    # the node arrays, CSR views, dense routes and kernel arrays are
+    # functions of the partition that just changed under them
     for fid in touched:
         frags[fid].invalidate_caches()
     return report

@@ -62,11 +62,10 @@ or pickling.  Control traffic — heartbeats, fleet/``rmin`` broadcasts,
 control and command lanes, and messages the rings cannot carry (generic
 unpacked :class:`Message` objects, exotic payload dtypes, ring-full
 overflow) take the pickled ``(src, dst)`` data lane: that path is always
-the correctness fallback.  ``transport="queue"`` (or
-``REPRO_MP_TRANSPORT=queue``) makes it the whole data plane.  Both
-planes share the same seams: the fault injector judges messages before
-they reach either, the termination ledger counts logical entries
-identically, and snapshot tokens ride the ring record header.
+the correctness fallback.  ``transport="queue"`` makes it the whole
+data plane.  Both planes share the same seams: the fault injector judges
+messages before they reach either, the termination ledger counts logical
+entries identically, and snapshot tokens ride the ring record header.
 
 Fault tolerance (paper, Section 6) mirrors the threaded runtime's and is
 off by default: a :class:`~repro.runtime.faultplan.FaultPlan` injects
@@ -99,7 +98,6 @@ single worker, or a protocol step times out) the failure degrades to
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from typing import Any, Dict, List, Optional
 
@@ -153,7 +151,7 @@ class MultiprocessRuntime:
             raise RuntimeConfigError(
                 f"multiprocess runtime supports {_MODES}, got {mode!r}")
         if transport is None:
-            transport = os.environ.get("REPRO_MP_TRANSPORT", "shm")
+            transport = "shm"
         if transport not in _TRANSPORTS:
             raise RuntimeConfigError(
                 f"multiprocess transport must be one of {_TRANSPORTS}, "

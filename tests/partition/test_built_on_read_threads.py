@@ -1,12 +1,14 @@
-"""First reads of a built-on-read object from several threads at once.
+"""First reads of built-on-read attributes from several threads at once.
 
-A lazy partition is shared by every ``ThreadedRuntime`` worker running a
+A partition is shared by every ``ThreadedRuntime`` worker running a
 generic program, so the first read of its containers is concurrent.  Each
-trial releases two to four readers from a barrier onto one fresh lazy
-object, under a switch interval short enough that they interleave inside
-``BuiltOnRead.__getattr__``: nobody may see an error or a half-built
-object, and the containers must equal those of a single-threaded first
-read.
+trial releases two to four readers from a barrier onto one fresh object,
+under a switch interval short enough that they interleave inside
+``built_on_read.__get__``: nobody may see an error, the containers must
+equal those of a single-threaded first read, and readers of one attribute
+must get the *same object* (growth mutates these containers in place: a
+reader holding a twin would miss it).  Growth itself has one writer; what
+it may meet is a fragment somebody has read half of.
 """
 
 import sys
@@ -18,9 +20,11 @@ from repro.graph import generators
 from repro.partition.edge_cut import HashPartitioner
 from repro.partition.fragment import (BORDER_SETS, Fragment, FragmentCSR,
                                       PartitionedGraph)
+from repro.partition.grow import grow_edge_cut
+from tests.conftest import assert_partitions_equal
 
 TRIALS = 60
-FRAGMENT_ATTRS = ("owned", "mirrors", *BORDER_SETS, "_routing")
+FRAGMENT_ATTRS = ("owned", "mirrors", *BORDER_SETS, "_routing", "graph")
 
 
 @pytest.fixture(scope="module")
@@ -74,24 +78,40 @@ def race(readers):
 @pytest.mark.parametrize("readers", [2, 3, 4])
 def test_partitioned_graph_and_fragment(graph, reference, readers):
     want = reference["fragments"][0]
-    for _ in range(TRIALS):
+    for trial in range(TRIALS):
         pg = HashPartitioner().partition(graph, 4)
         frag = pg.fragments[0]
-        assert not pg.built and not frag.built
-        # alternate between the partition's map and one fragment's sets,
-        # each read through a different container
+        assert not (pg.built or frag.built or frag.materialised)
+        # alternate between the partition's map and one fragment's
+        # attributes, each reader on a different one
+        attrs = [FRAGMENT_ATTRS[(trial + i) % len(FRAGMENT_ATTRS)]
+                 for i in range(readers)]
         reads = [(lambda: pg.placement) if i % 2 else
-                 (lambda a=FRAGMENT_ATTRS[i]: getattr(frag, a))
+                 (lambda a=attrs[i]: getattr(frag, a))
                  for i in range(readers)]
         got = race(reads)
         for i, value in enumerate(got):
             assert value == (reference["placement"] if i % 2
-                             else want[FRAGMENT_ATTRS[i]])
+                             else want[attrs[i]])
         assert type(pg) is PartitionedGraph and type(frag) is Fragment
         assert pg.placement == reference["placement"]
         for a in FRAGMENT_ATTRS:
             assert getattr(frag, a) == want[a]
-        assert frag._node_arrays is None and pg._presence is None
+        assert frag.built and frag.materialised and pg.built
+
+
+@pytest.mark.parametrize("readers", [2, 3, 4])
+def test_readers_of_one_attribute_get_one_object(graph, reference, readers):
+    want = {**reference["fragments"][0], "placement": reference["placement"]}
+    names = sorted(want)
+    for trial in range(TRIALS):
+        pg = HashPartitioner().partition(graph, 4)
+        name = names[trial % len(names)]
+        obj = pg if name == "placement" else pg.fragments[0]
+        assert name not in vars(obj)
+        got = race([lambda: getattr(obj, name)] * readers)
+        assert all(value is got[0] for value in got), name
+        assert got[0] is getattr(obj, name) and got[0] == want[name]
 
 
 @pytest.mark.parametrize("readers", [2, 4])
@@ -107,5 +127,37 @@ def test_fragment_csr(graph, reference, readers):
                     for i in range(readers)])
         for i, value in enumerate(got):
             assert value == (lid_of if i % 2 else nodes)
+            assert value is (view.lid_of if i % 2 else view.nodes)
         assert type(view) is FragmentCSR
-        assert view.nodes == nodes and view.lid_of == lid_of
+
+
+def test_growth_on_a_half_read_fragment_equals_a_rebuild():
+    """``compact()`` built and only ``mirrors`` read, then growth: what
+    growth did not read is built from the arrays before they go."""
+    graph = generators.grid2d(12, 12, weighted=True, seed=4)
+    pg = HashPartitioner().partition(graph, 8)
+    half_read = pg.fragments[0]
+    stale_view = half_read.compact()
+    mirrors = half_read.mirrors
+    assert set(vars(half_read)) & set(FRAGMENT_ATTRS) == {"mirrors"}
+    u = min(w for w, fid in pg.owner.items() if fid == 0)
+    v = min(w for w, fid in pg.owner.items()
+            if fid == 1 and not graph.has_edge(u, w))
+
+    report = grow_edge_cut(pg, [(u, v, 2.5)])
+    assert {0, 1} <= report.touched < set(range(8))
+    assert half_read.mirrors is mirrors and v in mirrors  # grown in place
+    graph.add_edge(u, v, 2.5)
+    rebuilt = HashPartitioner().partition(graph, 8)
+    for frag, want in zip(pg, rebuilt):
+        grown = frag.fid in report.touched
+        assert frag.built == grown and (frag._node_arrays is None) == grown
+        assert frag.peer_fragments() == want.peer_fragments()
+        view, want_view = frag.compact(), want.compact()
+        assert view is not stale_view and (view.routed is None) == grown
+        for name in ("gids", "owned_mask", "mirror_mask"):
+            assert getattr(view, name).tolist() \
+                == getattr(want_view, name).tolist(), name
+        assert view.csr.num_edges == want_view.csr.num_edges
+    assert list(pg.placement.items()) == list(rebuilt.placement.items())
+    assert_partitions_equal(pg, rebuilt)

@@ -1,8 +1,8 @@
-"""Node sets, routing, placement and ``lid_of`` are built on first read
-(of any one of them, per object: ``BuiltOnRead``).
+"""Node sets, routing, placement, the dict graph and ``lid_of`` are built
+on first read, each on its own (``built_on_read``).
 
 A vectorized build and run reads none of them: the property here is that
-every builder can be made to *raise* and partition -> ``compact()`` ->
+every first read can be made to *raise* and partition -> ``compact()`` ->
 ``Engine(vectorized=True)`` -> threaded and multiprocess runs still finish
 (a forked worker inherits the patch, so this covers the children too),
 while a generic engine on the same partition afterwards reads containers
@@ -20,8 +20,8 @@ from repro.core.modes import make_policy
 from repro.graph import generators
 from repro.partition import quality
 from repro.partition.edge_cut import HashPartitioner
-from repro.partition.fragment import (BuiltOnRead, Fragment, FragmentCSR,
-                                      PartitionedGraph)
+from repro.partition.fragment import (Fragment, FragmentCSR,
+                                      PartitionedGraph, built_on_read)
 from repro.partition.grow import grow_edge_cut
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.threaded import ThreadedRuntime
@@ -68,11 +68,11 @@ def test_vectorized_build_and_runs_build_no_container(name, monkeypatch):
     eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 2), 2)
     reference = run_sequential_fixpoint(Engine(program_cls(), eager, query))
 
-    def boom(self, attr):
-        raise AssertionError(f"{type(self).__name__}.{attr} was read")
+    def boom(self, obj, objtype=None):
+        raise AssertionError(f"{objtype.__name__}.{self.name} was read")
 
     with monkeypatch.context() as patch:
-        patch.setattr(BuiltOnRead, "__getattr__", boom)
+        patch.setattr(built_on_read, "__get__", boom)
         pg = HashPartitioner().partition(graph, 2)
         for frag in pg:
             frag.compact()
@@ -101,30 +101,53 @@ def test_vectorized_build_and_runs_build_no_container(name, monkeypatch):
         assert lazy.compact().nodes == built.compact().nodes
 
 
-def test_after_the_first_read_the_objects_are_plain():
+def test_public_classes_from_birth_and_one_attribute_per_read():
     graph = generators.grid2d(5, 5, weighted=True, seed=2)
     pg = HashPartitioner().partition(graph, 2)
     frag = pg.fragments[0]
     view = frag.compact()
-    for lazy, plain in ((pg, PartitionedGraph), (frag, Fragment),
-                        (view, FragmentCSR)):
-        assert isinstance(lazy, plain) and type(lazy) is not plain
+    objects = ((pg, PartitionedGraph), (frag, Fragment), (view, FragmentCSR))
+    for lazy, public in objects:
+        assert type(lazy) is public and "__getattr__" not in dir(public)
         assert not lazy.built
         with pytest.raises(AttributeError):
             lazy.no_such_attribute
         assert not lazy.built
+    assert not isinstance(Fragment.graph, property)
     mirrors = frag.mirrors
     assert isinstance(mirrors, set) and frag.mirrors is mirrors
+    assert frag.built and "owned" not in vars(frag)  # each on its own
+    assert frag._node_arrays is not None and not frag.materialised
     assert isinstance(frag._routing, dict)
     assert isinstance(next(iter(frag._routing.values())), tuple)
     assert isinstance(pg.placement, dict) and view.lid_of[view.nodes[0]] == 0
-    for lazy, plain in ((pg, PartitionedGraph), (frag, Fragment),
-                        (view, FragmentCSR)):
-        # no ``__getattr__`` left on the type: reads cost what they do on
-        # any slotted object
-        assert type(lazy) is plain and lazy.built
-        assert "__getattr__" not in dir(plain)
+    for lazy, public in objects:
+        assert type(lazy) is public and lazy.built
     assert not pg.fragments[1].built  # each object on its own
+
+
+def test_a_view_has_the_array_routes_whatever_was_read_first(monkeypatch):
+    graph = generators.grid2d(6, 6, weighted=True, seed=2)
+    query = SSSPQuery(source=0)
+    reference = run_sequential_fixpoint(
+        Engine(SSSPProgram(), HashPartitioner().partition(graph, 2), query))
+    pg = HashPartitioner().partition(graph, 2)
+    unread = HashPartitioner().partition(graph, 2)
+    for frag, want in zip(pg, (frag.compact() for frag in unread)):
+        frag.owned, frag._routing, frag.graph
+        view = frag.compact()
+        for name in ("owner", "routed", "peers", "owned_mask"):
+            assert getattr(view, name).tolist() \
+                == getattr(want, name).tolist(), name
+
+    def boom(self, frag):
+        raise AssertionError("the per-node route loop ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_checked_ship_set", boom)
+        engine = Engine(SSSPProgram(), pg, query, vectorized=True)
+    assert engine.vectorized
+    assert run_sequential_fixpoint(engine) == reference
 
 
 def test_hand_made_fragments_have_everything_from_the_start():
@@ -160,6 +183,7 @@ def test_counting_edges_and_sizes_builds_nothing():
     eager = HashPartitioner().partition(graph, 3)
     for frag in eager:
         frag.invalidate_caches()  # every set built, arrays dropped
+        assert frag.built and frag._node_arrays is None
     assert [f.num_edges_from_owned() for f in pg] \
         == [f.num_edges_from_owned() for f in eager]
     assert pg.sizes() == eager.sizes() and repr(pg) == repr(eager)

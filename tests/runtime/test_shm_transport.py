@@ -296,13 +296,6 @@ class TestTransportConfig:
             MultiprocessRuntime(SSSPProgram(), partitioned_grid,
                                 SSSPQuery(source=0), transport="carrier")
 
-    def test_env_override_selects_queue(self, partitioned_grid,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_MP_TRANSPORT", "queue")
-        rt = MultiprocessRuntime(SSSPProgram(), partitioned_grid,
-                                 SSSPQuery(source=0))
-        assert rt.transport == "queue"
-
     def test_queue_transport_reports_zero_shm_traffic(self):
         g = generators.grid2d(8, 8, weighted=True, seed=2)
         pg = HashPartitioner().partition(g, 2)
