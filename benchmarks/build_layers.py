@@ -16,16 +16,24 @@ with the generic engine the service builds:
                     selection, routing pairs, ``Fragment.from_arrays``
 - ``containers``    node sets, routing dicts, placement map, ``lid_of`` —
                     built on first read, so 0 when nobody reads them
-- ``dict graph``    ``Fragment.graph`` materialised (generic engine only)
+- ``dict graph``    ``Fragment.graph`` materialised: the bulk insert into
+                    the dict ``Graph`` (generic engine only)
 - ``csr sort``      ``stable_order``: one key sort per CSR direction
 - ``csr view``      the rest of ``Fragment.compact``
 - ``routes``        ship sets / dense routing masks of the engine
 - ``contexts``      the rest of ``Engine(...)``
 
+Below the layers, a ``serve`` row: the whole cold build of the resident
+service (``GraphService(...)``: graph copy, owner map, partition, engine,
+the one PEval run, Assemble — ``setup_s`` of the serve workload), on the
+dense engine it runs by default and on the generic one.
+
 Medians of ``--builds`` cold builds with quartiles, in milliseconds.  The
 cyclic collector is off during a build: a collection lands in whichever
 layer allocates next (after a dict graph was made, in the first set built)
-and would be charged to it.
+and would be charged to it.  Exits 1 if a vectorized build — the dense
+service's included — made a per-node container of the partition (node
+sets, routing dicts, placement map, dict graphs).
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
 
@@ -38,6 +46,7 @@ import json
 import pathlib
 import statistics
 import sys
+import time
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -49,12 +58,15 @@ except ImportError:  # run from a checkout without installing
 import workloads as wl  # noqa: E402  (benchmarks/e2e)
 from tracing import Tracer  # noqa: E402  (benchmarks/e2e)
 
+from repro.algorithms import SSSPProgram, SSSPQuery  # noqa: E402
 from repro.core.engine import Engine  # noqa: E402
 from repro.graph import csr as csr_module  # noqa: E402
 from repro.graph.csr import GraphArrays  # noqa: E402
+from repro.graph.graph import Graph  # noqa: E402
 from repro.partition import builder as builder_module  # noqa: E402
 from repro.partition.edge_cut import HashPartitioner  # noqa: E402
 from repro.partition.fragment import Fragment, built_on_read  # noqa: E402
+from repro.serve.service import GraphService  # noqa: E402
 
 LAYERS = ("edge pass", "assignment", "node order", "assembly",
           "containers", "dict graph", "csr sort", "csr view", "routes",
@@ -71,7 +83,7 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     tracer.wrap(GraphArrays, "of", "edge pass")
     tracer.wrap(builder_module, "_insertion_order", "node order")
     tracer.wrap(built_on_read, "__get__", "containers")
-    tracer.wrap(GraphArrays, "to_graph", "dict graph")
+    tracer.wrap(Graph, "add_novel_edges", "dict graph")
     tracer.wrap(csr_module, "stable_order", "csr sort")
     tracer.wrap(Fragment, "compact", "csr view")
     tracer.wrap(Engine, "_ship_set", "routes")
@@ -100,6 +112,42 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
             "materialised": sum(frag.materialised for frag in pg)}
 
 
+class GenericSSSP(SSSPProgram):
+    """The serve workload's program without dense kernels: how a service
+    ends up on the generic engine."""
+
+    dense_capable = False
+
+
+def serve_build(graph, vectorized: bool) -> dict:
+    """One cold build of the resident service: milliseconds, and what it
+    left built of the partition."""
+    program = SSSPProgram() if vectorized else GenericSSSP()
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        svc = GraphService(program, graph, SSSPQuery(source=0),
+                           num_fragments=wl.FRAGMENTS, mode="AAP",
+                           runtime="threaded")
+        wall = time.perf_counter() - t0
+    finally:
+        gc.enable()
+    assert svc.engine.vectorized == vectorized
+    built = [kind for kind, there in (
+        ("node sets + routing", any(frag.built for frag in svc.pg)),
+        ("placement", svc.pg.built)) if there]
+    return {"ms": {"serve": wall * 1e3}, "built": built,
+            "materialised": sum(frag.materialised for frag in svc.pg)}
+
+
+def quartiles(runs, layer: str) -> dict:
+    q1, med, q3 = statistics.quantiles(
+        [run["ms"][layer] for run in runs], n=4) \
+        if len(runs) > 1 else [runs[0]["ms"][layer]] * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
 def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
     graph = spec.graph(seed, quick)
     program_cls, query, _ = wl.make_query(spec, graph)
@@ -107,14 +155,15 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
     for engine, vectorized in (("vectorized", True), ("generic", False)):
         runs = [cold_build(graph, program_cls, query, vectorized)
                 for _ in range(builds)]
-        rows = {}
-        for layer in (*LAYERS, "total"):
-            q1, med, q3 = statistics.quantiles(
-                [run["ms"][layer] for run in runs], n=4) \
-                if builds > 1 else [runs[0]["ms"][layer]] * 3
-            rows[layer] = {"median": med, "q1": q1, "q3": q3}
-        column[engine] = {"ms": rows, "built": runs[-1]["built"],
-                          "materialised": runs[-1]["materialised"]}
+        rows = {layer: quartiles(runs, layer) for layer in (*LAYERS, "total")}
+        built, materialised = runs[-1]["built"], runs[-1]["materialised"]
+        if spec.kind == "serve":
+            served = [serve_build(graph, vectorized) for _ in range(builds)]
+            rows["serve"] = quartiles(served, "serve")
+            built = sorted({*built, *served[-1]["built"]})
+            materialised = max(materialised, served[-1]["materialised"])
+        column[engine] = {"ms": rows, "built": built,
+                          "materialised": materialised}
     return column
 
 
@@ -122,11 +171,12 @@ def table(columns: dict, engine: str) -> str:
     names = list(columns)
     lines = [f"| {engine} engine (ms) | " + " | ".join(names) + " |",
              "|---|" + "---:|" * len(names)]
-    for layer in (*LAYERS, "total"):
+    for layer in (*LAYERS, "total", "serve"):
         cells = []
         for name in names:
-            row = columns[name][engine]["ms"][layer]
-            cells.append(f"{row['median']:.1f} "
+            row = columns[name][engine]["ms"].get(layer)
+            cells.append("-" if row is None else
+                         f"{row['median']:.1f} "
                          f"[{row['q1']:.1f}, {row['q3']:.1f}]")
         lines.append(f"| {layer} | " + " | ".join(cells) + " |")
     lines.append("| containers built | " + " | ".join(
@@ -164,8 +214,8 @@ def main(argv=None) -> int:
         out.with_suffix(".json").write_text(json.dumps(
             {"seed": args.seed, "builds": args.builds,
              "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
-    # a vectorized build that made a per-node container is the regression
-    # this table exists to show
+    # a vectorized build — the dense service's included — that made a
+    # per-node container is the regression this table exists to show
     return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
                     for c in columns.values()) else 0
 

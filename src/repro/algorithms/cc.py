@@ -148,50 +148,56 @@ class CCProgram(PIEProgram):
         per component) is identical.
         """
         import numpy as np
-        from repro.graph.csr import expand_ranges
-        csr = ctx.view.csr
+        from repro.core.dense import (FEW_NODES, FILTER_SHARE, distinct,
+                                      scalar_waves)
+        view = ctx.view
         labels = ctx.array
-        # undirected CSR already stores each edge both ways; directed
-        # graphs need the reverse adjacency for CC's undirected semantics
-        dirs = [(csr.out_indptr, csr.out_indices, csr.out_sources)]
-        if csr.directed:
-            dirs.append((csr.in_indptr, csr.in_indices, csr.in_sources))
-        # boolean scatter + nonzero dedups seeds and each wave's updates
-        # far cheaper than hash-based np.unique on the raw arrays
-        upd = np.zeros(labels.size, dtype=bool)
-        upd[np.asarray(seeds, dtype=np.int64)] = True
-        frontier = np.nonzero(upd)[0]
+        # undirected adjacency already holds each edge both ways; directed
+        # graphs need the reverse one for CC's undirected semantics
+        reads = [view.out_edges, view.in_edges] if view.directed \
+            else [view.out_edges]
+        seeds = np.asarray(seeds, dtype=np.int64)
+        if seeds.size <= FEW_NODES:
+            seeds = scalar_waves(
+                ctx, seeds.tolist(), weighted=False,
+                reads=(False, True) if view.directed else (False,))
+            if not seeds:
+                return
+        frontier = distinct(np.asarray(seeds, dtype=np.int64), labels.size)
         while frontier.size:
             # label propagation keeps nearly every node improving for
             # several waves; once the frontier covers half the fragment
             # a flat sweep of the whole edge array is cheaper than the
             # ragged-range expansion (extra edges are no-ops under min)
             sweep = frontier.size * 2 >= labels.size
-            upd[:] = False
-            for indptr, indices, sources in dirs:
-                if sweep:
-                    ctx.add_work(int(indices.size))
-                    tgt = indices
-                    lab = labels[sources]
+            lowered = []
+            for edges_of in reads:
+                src, tgt, _ = edges_of(None if sweep else frontier,
+                                       weighted=False)
+                ctx.add_work(int(tgt.size))
+                if tgt.size == 0:
+                    continue
+                lab = labels[src]
+                if tgt.size < FILTER_SHARE * labels.size:
+                    # few candidates: keep the improving ones,
+                    # edge-sized work
+                    better = lab < labels[tgt]
+                    tgt = tgt[better]
+                    np.minimum.at(labels, tgt, lab[better])
+                    lowered.append(tgt)
                 else:
-                    starts = indptr[frontier]
-                    counts = indptr[frontier + 1] - starts
-                    eidx = expand_ranges(starts, counts)
-                    ctx.add_work(int(eidx.size))
-                    if eidx.size == 0:
-                        continue
-                    tgt = indices[eidx]
-                    lab = labels[sources[eidx]]
-                # unfiltered scatter-min plus a node-sized before/after
-                # compare beats filtering the edge-sized candidate list
-                # (which costs a gather, a compare and two compressions
-                # over |E| entries to save work that minimum.at skips
-                # anyway)
-                prev = labels.copy()
-                np.minimum.at(labels, tgt, lab)
-                upd |= labels < prev
-            ctx.mask |= upd
-            frontier = np.nonzero(upd)[0]
+                    # many: an unfiltered scatter-min plus a node-sized
+                    # before/after compare beats filtering the edge-sized
+                    # candidate list (a gather, a compare and two
+                    # compressions over |E| entries to save work that
+                    # minimum.at skips anyway)
+                    prev = labels.copy()
+                    np.minimum.at(labels, tgt, lab)
+                    lowered.append(np.flatnonzero(labels < prev))
+            if not lowered:
+                break
+            frontier = distinct(np.concatenate(lowered), labels.size)
+            ctx.mask[frontier] = True
 
     # ------------------------------------------------------------------
     def inc_update(self, frag: Fragment, ctx: FragmentContext,
@@ -253,6 +259,22 @@ class CCProgram(PIEProgram):
                 ctx.add_work(1)
         return set()
 
+    def dense_inc_update(self, frag: Fragment, ctx: Any, src_lids,
+                         dst_lids, weights, query: CCQuery):
+        """Labels are fresh on every local node, so a new edge's union is
+        its higher end taking the lower label; propagation goes on from
+        the ends that moved."""
+        import numpy as np
+        labels = ctx.array
+        src_lids, dst_lids = np.asarray(src_lids), np.asarray(dst_lids)
+        ends = np.concatenate((src_lids, dst_lids))
+        lower = np.minimum(labels[src_lids], labels[dst_lids])
+        lower = np.concatenate((lower, lower))
+        moved = ends[labels[ends] > lower]
+        np.minimum.at(labels, ends, lower)
+        ctx.mask[moved] = True
+        return moved
+
     # ------------------------------------------------------------------
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
                      v: Node) -> Sequence[int]:
@@ -270,10 +292,10 @@ class CCProgram(PIEProgram):
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
 
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         from repro.core.dense import routes_to_copies, routes_to_owner
         return (routes_to_owner if frag.cut == "edge"
-                else routes_to_copies)(frag)
+                else routes_to_copies)(frag, lids)
 
     def assemble(self, pg: PartitionedGraph,
                  contexts: Sequence[FragmentContext],
@@ -318,6 +340,11 @@ class CCProgram(PIEProgram):
                 if owner[v] == fid:
                     out[v] = comp_cid[root_of[v]]
         return out
+
+    def dense_answer_delta(self, pg: PartitionedGraph, contexts, written,
+                           query: CCQuery) -> Dict[Node, Node]:
+        from repro.core.dense import assemble_owner_values
+        return assemble_owner_values(pg, contexts, lids=written)
 
 
 def components_from_answer(answer: Dict[Node, Node]) -> List[Set[Node]]:

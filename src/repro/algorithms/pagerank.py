@@ -41,20 +41,22 @@ DENSE_EDGE_SHARE = 0.3
 
 
 def _spmv_arrays(frag: Fragment):
-    """``(out-degrees, share divisor, per-edge source lid)`` of ``frag``.
+    """``(out-degrees, share divisor, per-edge source lid, per-edge
+    target lid)`` of ``frag``.
 
-    Pure functions of the fragment's CSR view, memoized on the fragment
-    (and dropped with it when the fragment grows in place).  The divisor
-    is the float out-degree with dangling nodes clamped to 1: they have
-    no edge to gather their share through.
+    Pure functions of the fragment's adjacency, memoized on the fragment
+    (and dropped when the fragment grows in place).  The divisor is the
+    float out-degree with dangling nodes clamped to 1: they have no edge
+    to gather their share through.
     """
     import numpy as np
 
     def build():
-        csr = frag.compact().csr
-        degrees = np.diff(csr.out_indptr)
+        view = frag.compact()
+        degrees = view.out_degrees()
+        edge_src, edge_dst, _ = view.out_edges(weighted=False)
         return (degrees, np.maximum(degrees, 1).astype(np.float64),
-                csr.out_sources)
+                edge_src, edge_dst)
     return frag.memo("pagerank.spmv_arrays", build)
 
 
@@ -191,18 +193,18 @@ class PageRankProgram(PIEProgram):
         exact — the paper's accuracy argument bounds both the same way.
         """
         import numpy as np
-        from repro.graph.csr import expand_ranges
         view = ctx.view
-        indptr = view.csr.out_indptr
-        indices = view.csr.out_indices
-        degrees, divisor, edge_src = _spmv_arrays(frag)
+        degrees, divisor, edge_src, edge_dst = _spmv_arrays(frag)
         pend = ctx.array
         score = ctx.scratch["score_arr"]
         eps_node = ctx.scratch["eps_node"]
         d = query.damping
         owned = view.owned_mask
         n = pend.size
-        dense_above = DENSE_EDGE_SHARE * indices.size
+        dense_above = DENSE_EDGE_SHARE * edge_dst.size
+        # a sparse wave's share per node, read back per edge: only the
+        # entries just written are ever read, so it is never cleared
+        share_of = np.empty(n)
         front = np.zeros(n, dtype=bool)
         front[np.asarray(seeds, dtype=np.int64)] = True
         while True:
@@ -223,12 +225,12 @@ class PageRankProgram(PIEProgram):
             if edges > dense_above:
                 per_node = np.zeros(n)
                 per_node[active] = share
-                gain = np.bincount(indices, weights=per_node[edge_src],
+                gain = np.bincount(edge_dst, weights=per_node[edge_src],
                                    minlength=n)
             else:
-                gain = np.bincount(
-                    indices[expand_ranges(indptr[active], counts)],
-                    weights=np.repeat(share, counts), minlength=n)
+                src, dst, _ = view.out_edges(active, weighted=False)
+                share_of[active] = share
+                gain = np.bincount(dst, weights=share_of[src], minlength=n)
             pend += gain
             front = gain != 0.0
             ctx.mask |= front
@@ -283,9 +285,9 @@ class PageRankProgram(PIEProgram):
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
 
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         from repro.core.dense import routes_to_owner
-        return routes_to_owner(frag)
+        return routes_to_owner(frag, lids)
 
     def should_ship(self, frag: Fragment, ctx: FragmentContext,
                     v: Node) -> bool:

@@ -130,43 +130,46 @@ class SSSPProgram(PIEProgram):
         against the generic path is exact equality.
         """
         import numpy as np
-        from repro.graph.csr import expand_ranges
-        csr = ctx.view.csr
-        indptr = csr.out_indptr
-        indices = csr.out_indices
-        weights = csr.out_weights
-        sources = csr.out_sources
+        from repro.core.dense import (FEW_NODES, FILTER_SHARE, distinct,
+                                      scalar_waves)
+        view = ctx.view
         dist = ctx.array
-        # boolean scatter + nonzero dedups seeds and each wave's updates
-        # far cheaper than hash-based np.unique on the raw arrays
-        upd = np.zeros(dist.size, dtype=bool)
-        upd[np.asarray(seeds, dtype=np.int64)] = True
-        upd &= np.isfinite(dist)
-        frontier = np.nonzero(upd)[0]
         # under edge-cut, mirrors never relax locally (the owner holds
         # all their out-edges); under vertex-cut every copy relaxes
-        relax_ok = ctx.view.owned_mask if frag.cut == "edge" else None
+        relax_ok = view.owned_mask if frag.cut == "edge" else None
+        seeds = np.asarray(seeds, dtype=np.int64)
+        if seeds.size <= FEW_NODES:
+            seeds = scalar_waves(ctx, seeds.tolist(), weighted=True,
+                                 active=relax_ok, count_nodes=True)
+            if not seeds:
+                return
+        frontier = distinct(np.asarray(seeds, dtype=np.int64), dist.size)
+        frontier = frontier[np.isfinite(dist[frontier])]
         while frontier.size:
             if relax_ok is not None:
                 frontier = frontier[relax_ok[frontier]]
             if frontier.size == 0:
                 break
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            eidx = expand_ranges(starts, counts)
-            ctx.add_work(int(frontier.size + eidx.size))
-            if eidx.size == 0:
+            src, tgt, weights = view.out_edges(frontier)
+            ctx.add_work(int(frontier.size + tgt.size))
+            if tgt.size == 0:
                 break
-            tgt = indices[eidx]
-            nd = dist[sources[eidx]] + weights[eidx]
-            # unfiltered scatter-min + node-sized before/after compare:
-            # cheaper than filtering the edge-sized candidates first
-            # (see CCProgram._dense_propagate)
-            prev = dist.copy()
-            np.minimum.at(dist, tgt, nd)
-            upd = dist < prev
-            ctx.mask |= upd
-            frontier = np.nonzero(upd)[0]
+            nd = dist[src] + weights
+            if tgt.size < FILTER_SHARE * dist.size:
+                # few candidates: keep the improving ones, edge-sized work
+                better = nd < dist[tgt]
+                if not better.any():
+                    break
+                tgt = tgt[better]
+                np.minimum.at(dist, tgt, nd[better])
+                frontier = distinct(tgt, dist.size)
+            else:
+                # many: an unfiltered scatter-min and a node-sized
+                # before/after compare cost less than the filtering
+                prev = dist.copy()
+                np.minimum.at(dist, tgt, nd)
+                frontier = np.flatnonzero(dist < prev)
+            ctx.mask[frontier] = True
 
     # ------------------------------------------------------------------
     def inc_update(self, frag: Fragment, ctx: FragmentContext,
@@ -182,6 +185,47 @@ class SSSPProgram(PIEProgram):
                     and ctx.get(v) < INF:
                 seeds.add(v)
         return seeds
+
+    def dense_inc_update(self, frag: Fragment, ctx: Any, src_lids,
+                         dst_lids, weights, query: SSSPQuery):
+        """Every old edge is relaxed already, so only the new rows can
+        shorten a path: relax them alone and go on from the heads they
+        improved.  A row relaxes from a mirror tail too (its value is
+        the owner's, a real path's length): the head's fragment learns
+        at once what the tail's owner is about to ship it."""
+        import numpy as np
+        from repro.core.dense import FEW_EDGES, scalar_waves
+        dist = ctx.array
+        if len(weights) <= FEW_EDGES:  # a handful of rows: one by one
+            heads = []
+            for row in zip(src_lids, dst_lids, weights):
+                ways = (row,) if frag.directed \
+                    else (row, (row[1], row[0], row[2]))
+                for tail, head, weight in ways:
+                    nd = dist.item(tail) + weight
+                    if nd < dist.item(head):
+                        dist[head] = nd
+                        ctx.mask[head] = True
+                        heads.append(head)
+            # and on from the heads, while that stays a handful too
+            return np.array(scalar_waves(
+                ctx, heads, weighted=True, count_nodes=True,
+                active=ctx.view.owned_mask if frag.cut == "edge" else None),
+                dtype=np.int64)
+        src_lids, dst_lids, weights = (
+            np.asarray(src_lids), np.asarray(dst_lids),
+            np.asarray(weights, dtype=dist.dtype))
+        if not frag.directed:  # undirected edges relax both ways
+            src_lids, dst_lids, weights = (
+                np.concatenate(pair) for pair in (
+                    (src_lids, dst_lids), (dst_lids, src_lids),
+                    (weights, weights)))
+        nd = dist[src_lids] + weights
+        better = nd < dist[dst_lids]
+        heads = dst_lids[better]
+        np.minimum.at(dist, heads, nd[better])
+        ctx.mask[heads] = True
+        return heads
 
     # ------------------------------------------------------------------
     def destinations(self, pg: PartitionedGraph, frag: Fragment,
@@ -202,10 +246,10 @@ class SSSPProgram(PIEProgram):
         owner = pg.owner[v]
         return (owner,) if owner != frag.fid else ()
 
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment):
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         from repro.core.dense import routes_to_copies, routes_to_owner
         return (routes_to_owner if frag.cut == "edge"
-                else routes_to_copies)(frag)
+                else routes_to_copies)(frag, lids)
 
     # ------------------------------------------------------------------
     def assemble(self, pg: PartitionedGraph,
@@ -223,3 +267,8 @@ class SSSPProgram(PIEProgram):
         return {v: contexts[fid].values[v]
                 for fid, nodes in enumerate(written)
                 for v in nodes if owner[v] == fid}
+
+    def dense_answer_delta(self, pg: PartitionedGraph, contexts, written,
+                           query: SSSPQuery) -> Dict[Node, float]:
+        from repro.core.dense import assemble_owner_values
+        return assemble_owner_values(pg, contexts, lids=written)

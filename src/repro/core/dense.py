@@ -14,7 +14,8 @@ kernels bypass it and operate on :attr:`DenseContext.array` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from repro.core.aggregators import Aggregator
 from repro.core.pie import FragmentContext, Node, PIEProgram
 from repro.errors import PartitionError, ProgramError
 from repro.partition.fragment import (Fragment, PartitionedGraph,
-                                      distinct_fids)
+                                      distinct_fids, resized)
 
 
 def supports_dense(program: PIEProgram, pg: PartitionedGraph) -> bool:
@@ -44,34 +45,120 @@ def supports_dense(program: PIEProgram, pg: PartitionedGraph) -> bool:
 
 Routes = Tuple[Dict[int, np.ndarray], np.ndarray]
 
+#: A kernel wave with fewer candidate edges than this share of the
+#: fragment's nodes filters the candidates (edge-sized work) instead of
+#: comparing the whole status array before and after (node-sized work).
+#: Same updates either way; measured on the 10k-node fragments of
+#: ``serve-sssp-mixed`` (docs/performance.md, ledger entry 10).
+FILTER_SHARE = 0.25
 
-def routes_to_owner(frag: Fragment) -> Optional[Routes]:
+
+#: Waves from at most this many nodes over at most this many edges run as
+#: a Python loop (:func:`scalar_waves`): below that an array wave is all
+#: call overhead.  An epoch of a resident service is made of such waves.
+FEW_NODES = 16
+FEW_EDGES = 64
+
+
+def distinct(lids: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of ``lids`` (lids of an ``n``-node fragment),
+    ascending: a ``set`` for a handful, a sort for a few, a boolean
+    scatter for many."""
+    if lids.size <= FEW_NODES:
+        return np.array(sorted(set(lids.tolist())), dtype=np.int64)
+    if lids.size > FILTER_SHARE * n:
+        seen = np.zeros(n, dtype=bool)
+        seen[lids] = True
+        return np.flatnonzero(seen)
+    lids = np.sort(lids)
+    first = np.ones(lids.size, dtype=bool)
+    first[1:] = lids[1:] != lids[:-1]
+    return lids[first]
+
+
+def scalar_waves(ctx: "DenseContext", seeds: Iterable[int], weighted: bool,
+                 active: Optional[np.ndarray] = None,
+                 reads: Sequence[bool] = (False,),
+                 count_nodes: bool = False) -> List[int]:
+    """Min-propagation waves from a handful of lids, as a Python loop.
+
+    A wave offers every edge ``(v, t, w)`` leaving the frontier (entering
+    it, for a ``True`` in ``reads``; one direction after the other) the
+    value of ``v`` (plus ``w`` when ``weighted``), ``t`` keeps the
+    minimum, and the lids that were lowered are the next frontier —
+    exactly what the array form of a kernel does with ``out_edges`` and
+    ``np.minimum.at``, books the same work for, and marks the same
+    ``ctx.mask`` bits for.  Lids outside the mask ``active`` and lids
+    still at infinity offer nothing.  Starts from ``seeds`` (repeats
+    allowed) and goes on while the waves stay within :data:`FEW_NODES`
+    and :data:`FEW_EDGES`; returns the frontier the array form continues
+    from (empty at the local fixpoint).
+    """
+    view, values, mask = ctx.view, ctx.array, ctx.mask
+    lids = sorted(set(seeds))
+    while lids:
+        lids = [v for v in lids if values.item(v) < np.inf
+                and (active is None or active.item(v))]
+        if not lids or len(lids) > FEW_NODES:
+            break
+        rows = [[view.edges_of(v, reverse) for v in lids]
+                for reverse in reads]
+        edges = sum(len(base) + len(more)
+                    for row in rows for base, _, more, _ in row)
+        if edges > FEW_EDGES:
+            break
+        ctx.add_work(edges + (len(lids) if count_nodes else 0))
+        lowered = set()
+        for row in rows:
+            offers = [values.item(v) for v in lids]
+            for offer, (base, base_w, more, more_w) in zip(offers, row):
+                # the base targets' values in one read; a target another
+                # edge of the wave lowered meanwhile is looked at again
+                held = values[base].tolist() + [values.item(t)
+                                                for t in more]
+                for t, w, was in zip(base.tolist() + list(more),
+                                     base_w.tolist() + list(more_w), held):
+                    value = offer + w if weighted else offer
+                    if value < was and value < values.item(t):
+                        values[t] = value
+                        mask[t] = True
+                        lowered.add(t)
+        lids = sorted(lowered)
+    return lids
+
+
+def routes_to_owner(frag: Fragment,
+                    lids: Optional[np.ndarray] = None) -> Routes:
     """The array rule "a mirror copy ships to its owner"
     (:meth:`PIEProgram.dense_routes`): what SSSP and CC declare under
-    edge-cut and PageRank always.  ``None`` when the fragment has no
-    builder's node arrays (a hand-made one, or one grown in place)."""
+    edge-cut and PageRank always."""
     view = frag.compact()
-    if view.owner is None:
-        return None
-    ship_mask = view.mirror_mask
-    return {dst: ship_mask & (view.owner == dst)
-            for dst in distinct_fids(view.owner[ship_mask])}, ship_mask
+    if lids is not None and len(lids) <= FEW_NODES:  # element by element
+        owned, owner = view.owned_mask, view.owner
+        goes = [-1 if owned.item(lid) else owner.item(lid) for lid in lids]
+        return ({dst: [to == dst for to in goes]
+                 for dst in set(goes) - {-1}}, [to >= 0 for to in goes])
+    at = slice(None) if lids is None else lids
+    ship_mask, owner = ~view.owned_mask[at], view.owner[at]
+    return {dst: ship_mask & (owner == dst)
+            for dst in distinct_fids(owner[ship_mask])}, ship_mask
 
 
-def routes_to_copies(frag: Fragment) -> Optional[Routes]:
+def routes_to_copies(frag: Fragment,
+                     lids: Optional[np.ndarray] = None) -> Routes:
     """The array rule "every shared copy ships to everywhere else the
     node resides" — the routing index itself, which is the default
     ``destinations`` and what SSSP and CC declare under vertex-cut."""
     view = frag.compact()
-    if view.routed is None:
-        return None
+    at = slice(None) if lids is None else lids
     routes = {}
     for dst in distinct_fids(view.peers):
-        routes[dst] = np.zeros(len(view), dtype=bool)
-        routes[dst][view.routed[view.peers == dst]] = True
+        there = np.zeros(len(view), dtype=bool)
+        there[view.routed[view.peers == dst]] = True
+        routes[dst] = there[at]
     ship_mask = np.zeros(len(view), dtype=bool)
     ship_mask[view.routed] = True
-    return routes, ship_mask
+    return routes, ship_mask[at]
 
 
 def aggregator_ufunc(agg: Aggregator):
@@ -92,21 +179,22 @@ def apply_aggregated(agg: Aggregator, array: np.ndarray,
     if ufunc is None:
         raise ProgramError(
             f"aggregator {agg.name!r} has no vectorized form")
-    seen = np.zeros(array.size, dtype=bool)
-    seen[lids] = True
-    uniq = np.nonzero(seen)[0]
+    uniq = distinct(lids, array.size)
     prev = array[uniq]
     ufunc.at(array, lids, payloads)
     return uniq[array[uniq] != prev]
 
 
 def assemble_owner_values(pg: PartitionedGraph, contexts,
-                          values=lambda ctx: ctx.array
+                          values=lambda ctx: ctx.array,
+                          lids: Optional[Sequence[np.ndarray]] = None
                           ) -> Dict[Node, Any]:
     """Default dense Assemble: each node's value at its owner fragment.
 
     ``values(ctx)`` is the fragment's per-lid answer array (the status
-    array unless the program keeps its answer elsewhere).
+    array unless the program keeps its answer elsewhere).  ``lids``
+    restricts the answer to some *owned* lids per fragment: the default
+    dense answer delta (:meth:`PIEProgram.dense_answer_delta`).
 
     Selects owned rows through the fragment's ``owned_mask`` (partitioners
     build ``pg.owner`` from exactly those owned sets, so the mask and the
@@ -114,9 +202,9 @@ def assemble_owner_values(pg: PartitionedGraph, contexts,
     pass per fragment instead of a per-node dict lookup.
     """
     out: Dict[Node, Any] = {}
-    for ctx in contexts:
+    for wid, ctx in enumerate(contexts):
         view = ctx.view
-        sel = np.nonzero(view.owned_mask)[0]
+        sel = np.nonzero(view.owned_mask)[0] if lids is None else lids[wid]
         out.update(zip(view.gids[sel].tolist(),
                        values(ctx)[sel].tolist()))
     return out
@@ -258,6 +346,13 @@ class DenseContext(FragmentContext):
         self.mask[:] = False
         for v in nodes:
             self.mask[self.view.lid_of[v]] = True
+
+    def follow_view(self) -> None:
+        """The fragment grew in place: one status variable (zero until
+        somebody sets it) and one cleared change bit per appended lid."""
+        size, capacity = len(self.view), self.view.capacity
+        self.array = resized(self.array, size, capacity)
+        self.mask = resized(self.mask, size, capacity)
 
     def export_state(self) -> np.ndarray:
         """Owned copy of the status array, for cheap state shipping.

@@ -31,7 +31,7 @@ from repro.core.messages import (Message, MessageBatch, group_entries,
                                  make_messages)
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.errors import ProgramError
-from repro.partition.fragment import PartitionedGraph
+from repro.partition.fragment import Fragment, PartitionedGraph
 from repro.partition.grow import GrowthReport
 
 Node = Hashable
@@ -66,6 +66,11 @@ class Engine:
         else:
             self.vectorized = False
         if self.vectorized:
+            # a new engine is O(fragment) anyway: it starts on sorted
+            # adjacency, whatever in-place growth appended before
+            for view in map(Fragment.compact, pg):
+                if view.spilled:
+                    view.merge()
             self.contexts: List[FragmentContext] = [
                 program.make_dense_context(frag, query) for frag in pg]
         else:
@@ -81,9 +86,14 @@ class Engine:
             self._dense_ship_masks = [ship_mask for _, ship_mask in routed]
         else:
             self._ship_sets = [self._ship_set(frag) for frag in pg]
-        #: per fragment, the nodes written since :meth:`track_writes`
-        #: (``None``: nobody asked)
-        self._written: Optional[List[Set[Node]]] = None
+        #: whether incoming payloads are aggregated the default way, so a
+        #: handful of them can be, one by one (:meth:`_absorb_few`)
+        self._plain_apply = type(program).dense_apply_incoming \
+            is PIEProgram.dense_apply_incoming
+        #: per fragment, what was written since :meth:`track_writes` — a
+        #: set of nodes, or a list of lid arrays when vectorized (``None``:
+        #: nobody asked)
+        self._written: Optional[List[Any]] = None
 
     @property
     def num_workers(self) -> int:
@@ -124,9 +134,8 @@ class Engine:
         deriving a round's batches is then pure masking.  The program's
         array rule (:meth:`PIEProgram.dense_routes`) states both in
         bulk and is validated against the routing index on the arrays;
-        without one (a third-party program, or a fragment that was made
-        by hand or grew in place, whose view has no routing arrays) it
-        is a loop over the checked ship set.
+        without one (a third-party program) it is a loop over the
+        checked ship set.
         """
         import numpy as np
         view = frag.compact()
@@ -134,8 +143,7 @@ class Engine:
         if rule is not None:
             routes, ship_mask = rule
             stray = ship_mask.copy()
-            if view.routed is not None:  # the routing index, on arrays
-                stray[view.routed] = False
+            stray[view.routed] = False  # the routing index, on arrays
             self._check_shippable(frag, view.gids[stray].tolist())
             return routes, ship_mask
         routes: Dict[int, Any] = {}
@@ -158,27 +166,64 @@ class Engine:
     def refresh_routes(self, report: GrowthReport) -> None:
         """Patch the routing this engine holds after the partition grew.
 
-        Ship-set membership is re-decided (:meth:`PIEProgram.ships`) and
-        re-validated only for the nodes ``report`` names; growth dropped
-        the fragment-level memo, so the patched set is put back for the
-        next engine of this program class.  Dense routes are arrays over a
-        CSR view that no longer exists: rebuilt for the touched fragments.
+        Ship-set membership is re-decided (:meth:`PIEProgram.ships`, or
+        the array rule at the lids in question) and re-validated only for
+        the nodes ``report`` names.  Growth dropped the fragment-level
+        memo: a patched ship set is put back for the next engine of this
+        program class (dense routes it builds from the arrays, at array
+        speed).
         """
-        if self.vectorized:
-            for wid in report.touched:
-                self._dense_routes[wid], self._dense_ship_masks[wid] = \
-                    self._routes(self.pg.fragments[wid])
-            return
         for wid, nodes in report.rerouted.items():
             frag = self.pg.fragments[wid]
+            if self.vectorized:
+                self._refresh_dense(frag, nodes)
+                continue
             gained = [v for v in nodes if self.program.ships(frag, v)]
             self._check_shippable(frag, gained)
             ship = self._ship_sets[wid]
             ship.difference_update(nodes)
             ship.update(gained)
-        for wid in report.touched:
+        for wid in () if self.vectorized else report.touched:
             self._memoized(self.pg.fragments[wid], "ship_set",
-                           lambda frag, w=wid: self._ship_sets[w])
+                           lambda frag: self._ship_sets[frag.fid])
+
+    def _refresh_dense(self, frag, nodes: Dict[Node, int]) -> None:
+        """:meth:`refresh_routes` for one fragment's routing masks: they
+        follow the fragment's capacity, and the bits of ``nodes`` (with
+        their lids) are re-decided."""
+        import numpy as np
+        from repro.partition.fragment import resized
+        wid, view = frag.fid, frag.compact()
+        size, capacity = len(view), view.capacity
+        ship_mask = self._dense_ship_masks[wid]
+        routes = self._dense_routes[wid]
+        if len(ship_mask) != size:
+            ship_mask = self._dense_ship_masks[wid] = resized(
+                ship_mask, size, capacity)
+            for dst, mask in routes.items():
+                routes[dst] = resized(mask, size, capacity)
+        lids = list(nodes.values())
+        rule = self.program.dense_routes(self.pg, frag, lids)
+        if rule is None:  # a third-party program: its per-node forms
+            dests = [self.program.destinations(self.pg, frag, v)
+                     if self.program.ships(frag, v) else () for v in nodes]
+            rule = ({dst: np.array([dst in to for to in dests])
+                     for dst in set().union(*dests)},
+                    np.array([bool(to) for to in dests], dtype=bool))
+        gained, ships = rule
+        # shippable: a mirror resides at its owner at least, an owned
+        # node wherever its routing pairs say
+        owned = view.owned_mask
+        self._check_shippable(frag, [
+            v for (v, lid), ships_now in zip(nodes.items(), ships)
+            if ships_now and owned.item(lid) and not view.peers_of(lid)])
+        for dst in gained.keys() - routes.keys():
+            routes[dst] = np.zeros(capacity, dtype=bool)[:size]
+        # bit by bit: growth names a handful of nodes
+        for at, lid in enumerate(lids):
+            ship_mask[lid] = ships[at]
+            for dst, mask in routes.items():
+                mask[lid] = dst in gained and gained[dst][at]
 
     def extend_contexts(self, report: GrowthReport) -> None:
         """Give every node that growth made locally present a status
@@ -192,38 +237,69 @@ class Engine:
         partition and handed the converged values would hold.  Nothing is
         marked changed: seeding IncEval is ``inc_update``'s job.
         """
-        owner = self.pg.owner
-        for v in report.new_nodes:
-            fid = owner[v]
-            self.contexts[fid].values[v] = self.program.init_value(
-                self.pg.fragments[fid], v, self.query)
-            if self._written is not None:
-                self._written[fid].add(v)
+        owner, written = self.pg.owner, self._written
+        if not self.vectorized:
+            for v in report.new_nodes:
+                fid = owner[v]
+                self.contexts[fid].values[v] = self.program.init_value(
+                    self.pg.fragments[fid], v, self.query)
+                if written is not None:
+                    written[fid].add(v)
+            for fid, nodes in report.new_local.items():
+                values = self.contexts[fid].values
+                for v in nodes:
+                    if owner[v] != fid:
+                        values[v] = self.contexts[owner[v]].values[v]
+            return
+        import numpy as np
         for fid, nodes in report.new_local.items():
-            values = self.contexts[fid].values
-            for v in nodes:
-                if owner[v] != fid:
-                    values[v] = self.contexts[owner[v]].values[v]
+            ctx, frag = self.contexts[fid], self.pg.fragments[fid]
+            ctx.follow_view()
+            # growth appended them: they hold the fragment's last lids
+            first = len(ctx.view) - len(nodes)
+            for lid, v in enumerate(nodes, first):
+                if owner[v] == fid:
+                    ctx.array[lid] = self.program.init_value(frag, v,
+                                                             self.query)
+            if written is not None:  # new owned nodes are new answers
+                written[fid].append(np.arange(first, len(ctx.view)))
+        for fid, lid, home, home_lid in report.mirrored:
+            self.contexts[fid].array[lid] = \
+                self.contexts[home].array.item(home_lid)
 
     def track_writes(self) -> None:
         """From now on record, per fragment, which status variables get
-        written — what bounds :meth:`answer_delta`.  Generic path only:
-        dense rounds keep masks, not sets."""
-        self._written = [set() for _ in self.contexts]
+        written — what bounds :meth:`answer_delta`: a set of nodes, or
+        (vectorized) the lid arrays the message derivations found marked."""
+        self._written = self._nothing_written()
         # a program may keep notes of its own (CC's moved components):
         # forget the ones that predate tracking
         self.answer_delta()
+
+    def _nothing_written(self) -> List[Any]:
+        kind = list if self.vectorized else set
+        return [kind() for _ in self.contexts]
 
     def answer_delta(self) -> Optional[Dict[Node, Any]]:
         """The program's answer delta for everything written since the
         last call (or since :meth:`track_writes`); ``None`` when it is
         unknown and the caller has to assemble and compare."""
         written = self._written
-        if written is None or self.vectorized:
+        if written is None:
             return None
-        self._written = [set() for _ in written]
-        return self.program.answer_delta(self.pg, self.contexts, written,
-                                         self.query)
+        self._written = self._nothing_written()
+        if not self.vectorized:
+            return self.program.answer_delta(self.pg, self.contexts,
+                                             written, self.query)
+        import numpy as np
+        lids = []
+        for parts, ctx in zip(written, self.contexts):
+            # (a lid written twice is there twice: the hook reads values)
+            marked = np.concatenate(parts) if parts \
+                else np.empty(0, dtype=np.int64)
+            lids.append(marked[ctx.view.owned_mask[marked]])
+        return self.program.dense_answer_delta(self.pg, self.contexts, lids,
+                                               self.query)
 
     # ------------------------------------------------------------------
     def run_peval(self, wid: int) -> RoundOutput:
@@ -267,12 +343,14 @@ class Engine:
                            round_no: int) -> RoundOutput:
         """Dense round: concatenate batch arrays, aggregate, IncEval."""
         import numpy as np
+        from repro.core.dense import FEW_NODES
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
         ctx.round = round_no
         ids_parts: List[Any] = []
         payload_parts: List[Any] = []
-        for m in batches:
+        few = self._plain_apply and sum(map(len, batches)) <= FEW_NODES
+        for m in () if few else batches:
             if isinstance(m, MessageBatch):
                 ids_parts.append(np.asarray(m.ids, dtype=np.int64))
                 payload_parts.append(
@@ -282,16 +360,17 @@ class Engine:
                 ids_parts.append(np.asarray(nodes, dtype=np.int64))
                 payload_parts.append(
                     np.asarray(vals, dtype=ctx.array.dtype))
-        activated = np.empty(0, dtype=np.int64)
+        activated = self._absorb_few(wid, batches) if few \
+            else np.empty(0, dtype=np.int64)
         if ids_parts:
-            gids = np.concatenate(ids_parts)
-            payloads = np.concatenate(payload_parts)
+            gids, payloads = (
+                parts[0] if len(parts) == 1 else np.concatenate(parts)
+                for parts in (ids_parts, payload_parts))
             lids = ctx.view.lids_for(gids)
-            bad = np.nonzero(lids < 0)[0]
-            if bad.size:
+            if lids.size and lids.min() < 0:
                 raise ProgramError(
                     f"fragment {wid} received update for non-local node "
-                    f"{int(gids[bad[0]])!r}")
+                    f"{int(gids[lids.argmin()])!r}")
             ctx.add_work(int(lids.size))
             activated = self.program.dense_apply_incoming(
                 frag, ctx, lids, payloads)
@@ -299,10 +378,37 @@ class Engine:
             ctx.mask[activated] = True
             self.program.dense_inceval(frag, ctx, activated, self.query)
         work = ctx.take_work()
-        messages = self.derive_messages(wid, round_no=round_no)
+        # nothing marked in this round, and most often nothing left marked
+        # by the last one: one pass over the mask says so
+        messages = self.derive_messages(wid, round_no=round_no) \
+            if activated.size or ctx.mask.any() else []
         return RoundOutput(wid=wid, round=round_no, work=work,
                            messages=messages,
                            activated=int(activated.size))
+
+    def _absorb_few(self, wid: int, batches: Sequence[Any]) -> Any:
+        """``M_i = f_aggr(B ∪ C_i.x̄)`` for a handful of entries, one by
+        one: what the default ``dense_apply_incoming`` does with arrays
+        (:func:`repro.core.dense.apply_aggregated`); returns the lids
+        whose value changed, ascending."""
+        import numpy as np
+        ctx = self.contexts[wid]
+        lid_of, array = ctx.view.lid, ctx.array
+        combine = self.program.aggregator.combine
+        before: Dict[int, Any] = {}
+        for m in batches:
+            for gid, payload in m.entries:
+                lid = lid_of(gid)
+                if lid is None:
+                    raise ProgramError(
+                        f"fragment {wid} received update for non-local "
+                        f"node {gid!r}")
+                value = array.item(lid)
+                before.setdefault(lid, value)
+                array[lid] = combine(value, (payload,))
+                ctx.add_work(1)
+        return np.array(sorted(lid for lid, value in before.items()
+                               if array.item(lid) != value), dtype=np.int64)
 
     def derive_messages(self, wid: int, round_no: int,
                         token: Any = None) -> List[Message]:
@@ -340,20 +446,24 @@ class Engine:
         import numpy as np
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
-        cand = ctx.mask & self._dense_ship_masks[wid]
+        ship_mask = self._dense_ship_masks[wid]
+        if self._written is None:
+            lids = (ctx.mask & ship_mask).nonzero()[0]
+        else:  # everything marked is written; what ships is part of it
+            marked = ctx.mask.nonzero()[0]
+            self._written[wid].append(marked)
+            lids = marked[ship_mask[marked]]
         ctx.mask[:] = False
-        lids = np.nonzero(cand)[0]
         if lids.size == 0:
             return []
-        keep = np.asarray(
-            self.program.dense_should_ship(frag, ctx, lids), dtype=bool)
-        held = lids[~keep]
-        if held.size:
+        keep = self.program.dense_should_ship(frag, ctx, lids)
+        if keep is not None:
+            keep = np.asarray(keep, dtype=bool)
             # held-back lids stay marked so a later round reconsiders them
-            ctx.mask[held] = True
-        lids = lids[keep]
-        if lids.size == 0:
-            return []
+            ctx.mask[lids[~keep]] = True
+            lids = lids[keep]
+            if lids.size == 0:
+                return []
         payloads = np.asarray(self.program.dense_emit(frag, ctx, lids))
         gids = ctx.view.gids[lids]
         entry_bytes = self.program.value_size_bytes(None)
@@ -361,7 +471,7 @@ class Engine:
         routes = self._dense_routes[wid]
         for dst in sorted(routes):
             sel = routes[dst][lids]
-            if not np.any(sel):
+            if not sel.any():
                 continue
             out.append(MessageBatch(
                 src=wid, dst=dst, round=round_no, ids=gids[sel],

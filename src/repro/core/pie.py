@@ -286,6 +286,29 @@ class PIEProgram(abc.ABC):
         """
         return None
 
+    def dense_inc_update(self, frag: Fragment, ctx: "FragmentContext",
+                         src_lids: Any, dst_lids: Any, weights: Any,
+                         query: Any) -> Any:
+        """Array form of :meth:`inc_update`: the fragment's new edge rows
+        ``(src_lids[k], dst_lids[k], weights[k])`` (lists:
+        :attr:`~repro.partition.grow.GrowthReport.rows`) are already
+        readable through ``ctx.view.out_edges``; returns the lids to run
+        :meth:`dense_inceval` from (an int array, repeats allowed)."""
+        raise ProgramError(
+            f"{self.name} does not support streaming updates")
+
+    def dense_answer_delta(self, pg: PartitionedGraph,
+                           contexts: Sequence[Any],
+                           written: Sequence[Any],
+                           query: Any) -> Optional[Dict[Node, Any]]:
+        """Array form of :meth:`answer_delta`: ``written[i]`` holds the
+        *owned* lids of fragment ``i`` whose status variable was written
+        or created (repeats possible).  A program whose
+        :meth:`dense_assemble` is the default reads the same array at
+        those lids (:func:`repro.core.dense.assemble_owner_values`);
+        ``None`` (the default) declares the delta unknown."""
+        return None
+
     # ------------------------------------------------------------------
     # convergence support (conditions T1-T3, Section 4.1)
     # ------------------------------------------------------------------
@@ -328,9 +351,9 @@ class PIEProgram(abc.ABC):
 
     def dense_should_ship(self, frag: Fragment, ctx: "FragmentContext",
                           lids: Any) -> Any:
-        """Boolean keep-mask over ``lids``; default ships everything."""
-        import numpy as np
-        return np.ones(len(lids), dtype=bool)
+        """Boolean keep-mask over ``lids``; ``None`` (the default) ships
+        everything."""
+        return None
 
     def dense_apply_incoming(self, frag: Fragment, ctx: "FragmentContext",
                              lids: Any, payloads: Any) -> Any:
@@ -338,13 +361,16 @@ class PIEProgram(abc.ABC):
         from repro.core.dense import apply_aggregated
         return apply_aggregated(self.aggregator, ctx.array, lids, payloads)
 
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment
+    def dense_routes(self, pg: PartitionedGraph, frag: Fragment,
+                     lids: Any = None
                      ) -> Optional[Tuple[Dict[int, Any], Any]]:
         """:meth:`ship_set` and :meth:`destinations` of every local node
-        at once, over the lids of ``frag.compact()``.
+        at once, over the lids of ``frag.compact()`` — or, after in-place
+        growth, of the few ``lids`` it names, at a cost bounded by them.
 
-        Returns ``(routes, ship_mask)``: per destination fragment the
-        boolean lid-mask of the nodes whose changed values go there (no
+        Returns ``(routes, ship_mask)``, each a boolean mask over the
+        lids asked about (any sequence will do for a handful): per
+        destination fragment the nodes whose changed values go there (no
         entry for a fragment that gets none), and their union.  ``None``
         (the default) leaves it to the engine, which loops over the two
         per-node forms.  A dense-capable program that overrides those

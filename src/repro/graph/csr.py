@@ -16,7 +16,7 @@ CompactGraph is immutable; build one with :meth:`from_edges` or
 from __future__ import annotations
 
 from typing import (Any, Iterable, Iterator, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     the textbook double-``np.repeat`` formulation, whose repeats touch
     edge-sized intermediates twice.
     """
+    if starts.size == 1:  # one range: a frontier of one node
+        return np.arange(starts[0], starts[0] + counts[0], dtype=np.int64)
     nz = counts > 0
     if not nz.all():
         starts = starts[nz]
@@ -50,6 +52,92 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         # index (starts[i-1] + counts[i-1] - 1) to starts[i]
         out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
     return np.cumsum(out)
+
+
+class Spill(NamedTuple):
+    """Edges appended to a graph since its CSR was built: the overflow
+    adjacency :func:`frontier_edges` reads after the sorted base."""
+
+    #: one row per stored direction — an undirected edge has two, as in
+    #: the CSR — in arrival order; may name nodes the CSR does not have
+    tail: np.ndarray
+    head: np.ndarray
+    weights: np.ndarray
+    #: boolean scratch over all nodes, all ``False`` between calls
+    member: np.ndarray
+
+
+def frontier_edges(csr: "CompactGraph", spill: Optional[Spill],
+                   frontier: Optional[np.ndarray] = None,
+                   reverse: bool = False, weighted: bool = True
+                   ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``(source, target, weight)`` per edge leaving the nodes ``frontier``
+    (entering them, with ``reverse``; ``None``: every node) — the one way
+    a dense kernel reads adjacency.  ``frontier`` is ascending and not
+    empty; a kernel that ignores weights says so (``weighted=False``) and
+    gets ``None`` for them instead of an edge-sized gather.
+
+    Base edges come first, in CSR order: the frontier's ranges through
+    :func:`expand_ranges`.  Then the ``spill`` rows with their tail in
+    the frontier (``None`` when nothing was appended, which costs
+    nothing).  The scan is one gather over the spill, whatever the
+    frontier's size.
+    """
+    if reverse:
+        indptr, targets, weights, sources = (
+            csr.in_indptr, csr.in_indices, csr.in_weights, csr.in_sources)
+    else:
+        indptr, targets, weights, sources = (
+            csr.out_indptr, csr.out_indices, csr.out_weights,
+            csr.out_sources)
+    if frontier is not None:
+        inside = frontier
+        if spill is not None and frontier[-1] >= csr.num_nodes:
+            # appended nodes have no base range
+            inside = frontier[:np.searchsorted(frontier, csr.num_nodes)]
+        starts = indptr[inside]
+        at = expand_ranges(starts, indptr[inside + 1] - starts)
+        sources, targets = sources[at], targets[at]
+        weights = weights[at] if weighted else None
+    if spill is None:
+        return sources, targets, weights
+    tail, head, wgt, member = spill
+    if reverse and csr.directed:
+        tail, head = head, tail
+    if frontier is not None:
+        member[frontier] = True
+        hit = member[tail].nonzero()[0]
+        member[frontier] = False
+        if not hit.size:
+            return sources, targets, weights
+        tail, head, wgt = tail[hit], head[hit], wgt[hit]
+    return (np.concatenate((sources, tail)), np.concatenate((targets, head)),
+            np.concatenate((weights, wgt)) if weighted else None)
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64), np.empty(0)
+
+
+def node_edges(csr: "CompactGraph",
+               spilled: Mapping[int, Tuple[List[int], List[float]]],
+               node: int, reverse: bool = False
+               ) -> Tuple[np.ndarray, np.ndarray, Sequence[int],
+                          Sequence[float]]:
+    """:func:`frontier_edges` of one node — what a wave over a handful
+    of nodes loops over: ``(targets, weights)`` of its base edges as
+    array slices, then of its spill rows as lists.  ``spilled`` maps a
+    node to the lists of its spill rows (in the direction asked for)."""
+    more = spilled.get(node) or ((), ())
+    if node >= csr.num_nodes:  # appended: it has spill rows only
+        return (*_NO_ROWS, *more)
+    if reverse:
+        indptr, indices, weights = (csr.in_indptr, csr.in_indices,
+                                    csr.in_weights)
+    else:
+        indptr, indices, weights = (csr.out_indptr, csr.out_indices,
+                                    csr.out_weights)
+    lo, hi = indptr.item(node), indptr.item(node + 1)
+    return (indices[lo:hi], weights[lo:hi], *more)
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -70,6 +158,25 @@ def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     packed.sort()
     packed %= max(count, 1)
     return packed
+
+
+def integer_ids(nodes: np.ndarray) -> Optional[np.ndarray]:
+    """The node ids ``nodes`` (an object array) as ``int64`` when every
+    one is a non-negative integer — what a CSR over sorted ids needs —
+    else ``None``."""
+    # one type check per distinct type, one sign check on the array
+    kinds = set(map(type, nodes.tolist()))
+    if bool in kinds or not all(
+            issubclass(kind, (int, np.integer)) for kind in kinds):
+        return None
+    ids = nodes.astype(np.int64)
+    return None if (ids < 0).any() else ids
+
+
+def first_bad_id(nodes: Iterable[Any]) -> Any:
+    """The first node id :func:`integer_ids` rejects."""
+    return next(v for v in nodes if isinstance(v, bool)
+                or not isinstance(v, (int, np.integer)) or v < 0)
 
 
 class CompactGraph:
@@ -397,16 +504,10 @@ class GraphArrays(NamedTuple):
         """The node ids in ascending order, each node's rank in that
         order and the CSR graph over the ranks; the ids must be
         non-negative integers."""
-        # one type check per distinct type, one sign check on the array
-        kinds = set(map(type, self.nodes.tolist()))
-        ok = bool not in kinds and all(
-            issubclass(kind, (int, np.integer)) for kind in kinds)
-        ids = self.nodes.astype(np.int64) if ok else None
-        if not ok or (ids < 0).any():
-            bad = next(v for v in self.nodes if isinstance(v, bool)
-                       or not isinstance(v, (int, np.integer)) or v < 0)
-            raise GraphError(
-                f"requires non-negative integer node ids, got {bad!r}")
+        ids = integer_ids(self.nodes)
+        if ids is None:
+            raise GraphError("requires non-negative integer node ids, "
+                             f"got {first_bad_id(self.nodes)!r}")
         order = np.argsort(ids)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)

@@ -87,7 +87,7 @@ SCHEMA: Dict[str, tuple] = {
     FRAGMENT_TAKEOVER: ("incarnation", "reshipped", "duration"),
     DEGRADE: ("frm", "to", "reason"),
     INGEST: ("edges", "depth", "latency"),
-    EPOCH_APPLY: ("epoch", "edges", "changed", "duration"),
+    EPOCH_APPLY: ("epoch", "edges", "changed", "duration", "merged"),
     QUERY_SERVED: ("key", "bound", "staleness", "epoch", "latency",
                    "cache_hit"),
     ADMISSION_SHED: ("kind", "reason", "depth"),

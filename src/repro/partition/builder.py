@@ -60,16 +60,17 @@ def _mask(scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
-              own: np.ndarray, owner: Dict[Node, int], order: np.ndarray,
+              own: np.ndarray, owner: Dict[Node, int],
               labels: Mapping[Node, Any], parts: List[tuple]
               ) -> PartitionedGraph:
     """The one way to make fragments, shared by both cuts.  ``own`` is the
-    owner per node position, ``order`` the node positions in placement
-    order; a part is one fragment's local node positions in dict-graph
-    order, the boolean selection of its edges and its border sets as node
-    positions.  A node resides exactly where it is local, which gives
-    placement and routing — handed over as arrays, like the node sets:
-    the fragments build the containers when someone reads them."""
+    owner per node position, ``owner`` the same as the partition's map
+    (its order is the placement map's); a part is one fragment's local
+    node positions in dict-graph order, the boolean selection of its
+    edges and its border sets as node positions.  A node resides exactly
+    where it is local, which gives the routing index — handed over as
+    arrays, like the node sets: the fragments build the containers when
+    someone reads them, and the placement map is read off the routing."""
     arrays = arrays.keyed()  # fragments hold what a dict graph would
     nodes, m = arrays.nodes, len(parts)
     # every (node, fragment) presence, by node and then by fragment
@@ -102,8 +103,7 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
                        {name: _mask(member, members)[local]
                         for name, members in borders.items()},
                        slot[at[here[mine]]], peers[mine]), cut))
-    return PartitionedGraph.from_arrays(
-        fragments, owner, (nodes, order, fids, counts), strategy_name, cut)
+    return PartitionedGraph.from_arrays(fragments, owner, strategy_name, cut)
 
 
 def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
@@ -144,8 +144,8 @@ def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
             out_copies=out_copies, in_copies=in_copies)))
     labels = {v: label for v, label in g.node_labels().items()
               if label is not None}
-    return _assemble(arrays, "edge", strategy_name, own, dict(owner),
-                     np.arange(len(nodes)), labels, parts)
+    return _assemble(arrays, "edge", strategy_name, own, dict(owner), labels,
+                     parts)
 
 
 def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
@@ -199,5 +199,4 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
             out_copies=mirrors, in_copies=mirrors)))
     order = _insertion_order(n, _NONE, src, dst, isolated)
     owner = dict(zip(nodes[order].tolist(), own[order].tolist()))
-    return _assemble(arrays, "vertex", strategy_name, own, owner, order,
-                     {}, parts)
+    return _assemble(arrays, "vertex", strategy_name, own, owner, {}, parts)

@@ -18,35 +18,39 @@ Each fragment also carries the routing index ``I_i`` (paper, Section 3):
 for a border node ``v``, :meth:`Fragment.locations` returns every other
 fragment where ``v`` resides, used to derive designated messages ``M(i, j)``.
 
-A fragment the builder makes is **arrays for life** and containers on
-demand; in-place growth is the one event that changes which is the truth:
+A fragment is **arrays for life, grown in place; its containers are
+caches, patched if present**:
 
-- the node bookkeeping is a :class:`NodeArrays` (owner per local node, a
-  mask per border set, the routing index as pairs).  The six node sets
-  and the routing ``dict`` are *cached attributes* built from it, each on
-  its own first read (:class:`built_on_read`); the arrays stay, so a CSR
-  view (:meth:`Fragment.compact`) carries its masks, per-lid owners and
-  routing pairs whenever it is built.  :attr:`PartitionedGraph.placement`
-  and the view's ``lid_of`` / ``nodes`` are cached the same way;
-- :func:`~repro.partition.grow.grow_edge_cut` mutates the containers of
-  the fragments it touches, in place, and ends with
-  :meth:`Fragment.invalidate_caches`: the containers own the truth from
-  then on, the node arrays and every array-shaped cache are dropped, and
-  a later CSR view asks the sets (its ``owner`` / ``routed`` / ``peers``
-  are ``None``, as for a hand-made ``Fragment(fid, graph, owned=...,
-  ...)``, which holds its containers from the start);
-- the local graph is a :class:`~repro.graph.csr.GraphArrays` until
-  :attr:`Fragment.graph` is first read; the dict
-  :class:`~repro.graph.graph.Graph` built then replaces it (``compact()``
-  keeps its view, or rebuilds it from the dict graph after growth).
+- the array form is one :class:`FragmentCSR` per fragment: a node table
+  over *local ids* (the id, the owner and a mask per border set for each
+  local node), the routing index as ``(lid, peer)`` pairs and the local
+  edges as ``(src lid, dst lid, weight)`` rows, with a CSR over the rows
+  once :meth:`Fragment.compact` asked for one.  Local ids never change:
+  the nodes a fragment is made with are numbered in ascending id order
+  (integer ids; in the builder's order otherwise), nodes that arrive
+  later take ``n, n + 1, ...``;
+- the six node sets, the routing ``dict`` and the dict
+  :class:`~repro.graph.graph.Graph` are *cached attributes* built from
+  the arrays, each on its own first read (:class:`built_on_read`).
+  :attr:`PartitionedGraph.placement` and the view's ``lid_of`` /
+  ``nodes`` are cached the same way;
+- :func:`~repro.partition.grow.grow_edge_cut` appends to the arrays —
+  rows at the end of every per-lid column, edge rows after the CSR's
+  (:meth:`FragmentCSR.out_edges` reads both; a merge folds them into the
+  CSR when they pass :data:`MERGE_FRACTION` of it) — and patches the
+  containers that have been built; the ones that have not are built
+  later from the grown arrays;
+- a hand-made ``Fragment(fid, graph, owned=..., ...)`` is the other way
+  round: it holds its containers from the start and its array form is
+  derived from them the first time somebody needs it.
 
-A vectorized build and run reads neither the dict graph nor any of the
-containers: peers come from the builder, routes from the programs' array
-rules (:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes,
-``directed`` and the quality metrics from the arrays.  Generic-path
-programs (so the one engine a ``GraphService`` or ``StreamingSession``
-keeps), ``grow_edge_cut`` on the fragments it touches,
-``replication_factor`` and ``runtime.recovery`` are who reads them.
+A vectorized build, run and epoch reads none of the containers: peers
+come from the builder, routes from the programs' array rules
+(:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes, ``directed``
+and the quality metrics from the arrays.  Generic-path programs (so the
+engine a ``StreamingSession`` keeps, and a ``GraphService`` over
+non-integer ids), ``replication_factor`` and ``runtime.recovery`` are
+who reads them.
 """
 
 from __future__ import annotations
@@ -54,18 +58,35 @@ from __future__ import annotations
 import numbers
 import threading
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
-                    Union)
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
 from repro.errors import GraphError, PartitionError
-from repro.graph.csr import GraphArrays
+from repro.graph import csr as csr_module
+from repro.graph.csr import (CompactGraph, GraphArrays, Spill, first_bad_id,
+                             integer_ids, stable_order)
 from repro.graph.graph import Graph, Node
 
 BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
-#: what a builder fragment makes from its :class:`NodeArrays` on first read
+#: the border sets an outgoing cut edge puts its (owned end, mirror end)
+#: in, then an incoming one; an undirected cut edge is both
+_WAYS = (("out_border", "out_copies"), ("in_border", "in_copies"))
+#: what a builder fragment makes from its array form on first read
 _CONTAINERS = ("owned", "mirrors", *BORDER_SETS, "_routing")
+
+#: Edges appended to a fragment are folded into its CSR once they exceed
+#: this share of the edges already in it (and :data:`MERGE_FLOOR`).  A
+#: merge is one key sort per CSR direction over the whole fragment and an
+#: array wave of a dense kernel scans the appended rows, so the share
+#: trades the amortised merge against the per-wave scan; measured on the
+#: ``serve-sssp-mixed`` workload (docs/performance.md, ledger entry 10:
+#: 1/8 keeps the merges at 1-2 % of an epoch, 1/32 at 7 %, 1/128 at 20 %).
+MERGE_FRACTION = 1 / 8
+MERGE_FLOOR = 64
+#: up to this many ids are looked up one by one (:meth:`FragmentCSR.lid`):
+#: below that an array lookup is all call overhead
+FEW_LOOKUPS = 16
 
 
 class NodeArrays(NamedTuple):
@@ -144,22 +165,105 @@ def _any_built(*names: str) -> property:
     return property(lambda self: not vars(self).keys().isdisjoint(names))
 
 
-class FragmentCSR:
-    """Cached array view of one fragment: contiguous local ids + CSR.
+def resized(live: np.ndarray, size: int, capacity: int) -> np.ndarray:
+    """``live`` — the used prefix of a longer buffer — at length ``size``.
 
-    The vectorized fast path keeps status variables in arrays indexed by
-    *local id* (lid): position in the ascending global ids :attr:`gids`.
-    The view holds a :class:`~repro.graph.csr.CompactGraph` over lids, the
-    owned/mirror masks and — for a fragment that still has the builder's
-    :class:`NodeArrays` — each lid's owner and the routing index as
-    ``(lid, peer)`` pairs, which is what array routing rules read
-    (:meth:`~repro.core.pie.PIEProgram.dense_routes`).  Lookups go through
-    ``searchsorted`` (:meth:`lid`, :meth:`lids_for`); the ``nodes`` list
-    (local nodes in lid order) and the ``lid_of`` dict exist for the
-    scalar facade of :mod:`repro.core.dense`, built when it first reads
-    them (:class:`built_on_read`).  It needs non-negative
-    integer node ids; build it through :meth:`Fragment.compact`, which
-    caches one instance per fragment.
+    Every per-lid array of a fragment, its contexts and its engines is
+    kept this way: while the buffer behind ``live`` has room the longer
+    prefix is a re-slice, and when not, the rows move into a zeroed
+    buffer of ``capacity`` (the fragment's, which doubles), so ``n``
+    appends cost O(n) copies in total.  New rows read as zero / False.
+    """
+    if len(live) == size:
+        return live
+    buf = live if live.base is None else live.base
+    if len(buf) < size:
+        buf = np.zeros(capacity, dtype=live.dtype)
+        buf[:len(live)] = live
+    return buf[:size]
+
+
+class _Columns:
+    """Equal-length arrays that grow together, by appending rows."""
+
+    __slots__ = ("_bufs", "_live", "size", "capacity")
+
+    def __init__(self, **arrays: np.ndarray):
+        self._bufs = arrays
+        self._live: Dict[str, np.ndarray] = {}
+        self.size = self.capacity = len(next(iter(arrays.values())))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The live rows of column ``name`` (a view: writes go through)."""
+        try:
+            return self._live[name]
+        except KeyError:
+            live = self._live[name] = self._bufs[name][:self.size]
+            return live
+
+    def extend(self, **rows: Sequence[Any]) -> int:
+        """Append one value per new row to the columns named (the others
+        get zero / False); returns the index of the first new row."""
+        first = self.size
+        self.size += len(next(iter(rows.values())))
+        self._live.clear()
+        if self.size > self.capacity:
+            self.reserve(max(2 * self.capacity, self.size))
+        # element by element: growth appends a handful of rows, and a
+        # tuple in an object column is one id, not a row
+        for name, values in rows.items():
+            column = self._bufs[name]
+            for at, value in enumerate(values, first):
+                column[at] = value
+        return first
+
+    def reserve(self, capacity: int) -> None:
+        """Move the columns to buffers with room for ``capacity`` rows."""
+        self.capacity = capacity
+        for name, buf in self._bufs.items():
+            self._bufs[name] = np.zeros(capacity, dtype=buf.dtype)
+            self._bufs[name][:len(buf)] = buf[:capacity]
+        self._live.clear()
+
+    def replace(self, name: str, values: np.ndarray) -> None:
+        """Swap the live rows of column ``name`` for ``values``."""
+        buf = np.zeros(self.capacity, dtype=values.dtype)
+        buf[:self.size] = values
+        self._bufs[name] = buf
+        self._live.pop(name, None)
+
+
+class FragmentCSR:
+    """The array form of one fragment: node table, routing pairs, edge
+    rows and — on request — a CSR, all over contiguous *local ids*.
+
+    A lid is a node's position in every per-lid column
+    (:attr:`gids`, :attr:`owner`, :attr:`owned_mask` /
+    :attr:`mirror_mask`, :attr:`borders`).  The nodes the fragment was
+    made with are numbered in ascending id order when the ids are
+    non-negative integers (in the builder's order otherwise, and then
+    there is no CSR); nodes appended by in-place growth take the next
+    lids, in arrival order, and no lid ever changes.  Integer ids are
+    looked up with ``searchsorted`` over a sorted index plus a ``dict``
+    of the nodes appended since the index was last folded
+    (:meth:`lid`, :meth:`lids_for`); the ``nodes`` list and the ``lid_of``
+    dict exist for the scalar facade of :mod:`repro.core.dense` and for
+    non-integer ids, built when first read (:class:`built_on_read`) and
+    patched by growth from then on.
+
+    :attr:`csr` is a :class:`~repro.graph.csr.CompactGraph` over the first
+    edge rows; the rows appended since are the *spill* that
+    :meth:`out_edges` / :meth:`in_edges` — the one way kernels read
+    adjacency — scan after the base ranges.  :meth:`merge` folds the
+    spill into the CSR (and the appended ids into the sorted index, the
+    appended routing pairs into the sorted pairs); lids stay.  Every
+    per-lid column shares one amortised-doubling :attr:`capacity`, which
+    contexts and engines follow (:func:`resized`).
+
+    One instance per fragment, for life: made by the builder
+    (:meth:`Fragment.from_arrays`) or derived once from a hand-made
+    fragment's containers; :meth:`Fragment.compact` returns it with the
+    CSR built.
     """
 
     nodes = built_on_read(lambda view: view.gids.tolist())
@@ -167,76 +271,389 @@ class FragmentCSR:
         lambda view: dict(zip(view.nodes, range(len(view)))))
     built = _any_built("nodes", "lid_of")
 
-    def __init__(self, frag: "Fragment", local: GraphArrays):
-        try:
-            self.gids, rank, self.csr = local.to_csr()
-        except GraphError as exc:
-            raise PartitionError(
-                f"fragment {frag.fid}: dense view {exc}") from None
+    def __init__(self, frag: "Fragment", graph: GraphArrays,
+                 arrays: NodeArrays):
         self.fragment = frag
-        arrays = frag._node_arrays
-        if arrays is None:  # hand-made, or grown in place: ask the sets
-            self.owner = self.routed = self.peers = None
-            self.owned_mask = np.fromiter(
-                map(frag.owned.__contains__, self.gids.tolist()), bool,
-                len(self.gids))
+        graph = graph.keyed()
+        self.directed = graph.directed
+        self.labels = graph.labels
+        gids = integer_ids(arrays.nodes)
+        routed, peers = arrays.routed, arrays.peers
+        src, dst = graph.src, graph.dst
+        owner, borders = arrays.owner, arrays.borders
+        if gids is None:
+            gids, rank = arrays.nodes, None
         else:
-            self.owner = np.empty(len(self.gids), dtype=np.int64)
-            self.owner[rank] = arrays.owner
-            self.routed, self.peers = rank[arrays.routed], arrays.peers
-            self.owned_mask = self.owner == frag.fid
-        self.mirror_mask = ~self.owned_mask
+            order = np.argsort(gids)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            gids, owner = gids[order], owner[order]
+            borders = {name: mask[order] for name, mask in borders.items()}
+            routed, src, dst = rank[routed], rank[src], rank[dst]
+        by_lid = stable_order(routed, max(len(gids), 1))
+        routed, peers = routed[by_lid], peers[by_lid]
+        #: integer ids only: the ids in ascending order and, once a merge
+        #: folded appended nodes in, the lid at each position
+        self._sorted_gids = None if rank is None else gids
+        self._sorted_lids: Optional[np.ndarray] = None
+        #: id -> lid of the integer-id nodes appended since
+        self._recent: Dict[Node, int] = {}
+        #: lids in the order the dict graph lists the initial nodes
+        #: (``None``: lid order)
+        self._dict_order = rank
+        self._nodes = _Columns(gids=gids, owner=owner,
+                               owned_mask=owner == frag.fid)
+        #: the four border masks; ``None`` once in-place growth added
+        #: nodes or edges, until somebody reads :attr:`borders`
+        self._borders: Optional[Dict[str, np.ndarray]] = dict(borders)
+        #: the routing index, sorted by lid, and lid -> peers of the
+        #: pairs appended since it was last sorted
+        self._pairs = _Columns(routed=routed, peers=peers)
+        self._new_pairs: Dict[int, List[int]] = {}
+        #: lids from here on have no sorted pairs yet
+        self._paired = len(gids)
+        self._edges = _Columns(src=src, dst=dst, weights=graph.weights)
+        #: edge rows the last merge (or the build) had seen
+        self._merged_edges = len(src)
+        #: the spill as the two accessors read it: arrays, made when an
+        #: array wave asks, and per tail lid the (heads, weights) lists,
+        #: for a wave over a handful of lids (outgoing, incoming; one
+        #: dict when undirected)
+        self._spill: Optional[Spill] = None
+        self._spilled_out: Dict[int, Tuple[List[int], List[float]]] = {}
+        self._spilled_in = self._spilled_out if not self.directed else {}
+        self.csr: Optional[CompactGraph] = None
+        #: merges so far
+        self.merges = 0
+
+    # -- the per-lid columns, live rows --------------------------------
+    gids = property(lambda self: self._nodes["gids"])
+    owner = property(lambda self: self._nodes["owner"])
+    owned_mask = property(lambda self: self._nodes["owned_mask"])
+    mirror_mask = property(lambda self: ~self._nodes["owned_mask"])
+    routed = property(lambda self: self._sorted_pairs()["routed"])
+    peers = property(lambda self: self._sorted_pairs()["peers"])
+
+    @property
+    def borders(self) -> Dict[str, np.ndarray]:
+        """Per name in :data:`BORDER_SETS`, the mask of its members: what
+        the builder handed over, and after in-place growth (edge-cut
+        only) what the edge rows and the owners say — a cut edge puts its
+        owned end in a border set and its mirror end in a copies set,
+        outgoing or incoming; an undirected one both."""
+        if self._borders is None:
+            src, dst = self._edges["src"], self._edges["dst"]
+            owned = self.owned_mask
+            cut = self.owner[src] != self.owner[dst]
+            leaving, entering = cut & owned[src], cut & owned[dst]
+            members = dict(out_border=src[leaving], out_copies=dst[leaving],
+                           in_border=dst[entering], in_copies=src[entering])
+            if not self.directed:
+                for out, inc in zip(*_WAYS):
+                    members[out] = members[inc] = np.concatenate(
+                        (members[out], members[inc]))
+            self._borders = {}
+            for name in BORDER_SETS:
+                self._borders[name] = np.zeros(len(self), dtype=bool)
+                self._borders[name][members[name]] = True
+        return self._borders
+
+    @property
+    def capacity(self) -> int:
+        """Rows every per-lid column has room for before it is moved."""
+        return self._nodes.capacity
+
+    @property
+    def num_edges(self) -> int:
+        return self._edges.size
+
+    @property
+    def spilled(self) -> int:
+        """Edge rows appended since the last merge."""
+        return self._edges.size - self._merged_edges
+
+    @property
+    def merge_threshold(self) -> int:
+        """A merge is due once :attr:`spilled` exceeds this."""
+        return max(MERGE_FLOOR, int(self._merged_edges * MERGE_FRACTION))
 
     def __len__(self) -> int:
-        return len(self.gids)
+        return self._nodes.size
 
+    # -- id -> lid -----------------------------------------------------
     def lid(self, v: Node) -> Optional[int]:
-        """The local id of node ``v``, ``None`` when it is not local."""
-        if not isinstance(v, numbers.Real) or not len(self.gids):
+        """The local id of node ``v``, ``None`` when it is not local:
+        one ``dict`` probe where somebody built ``lid_of`` (a resident
+        service does, for the handful of lookups every epoch makes), a
+        binary search otherwise."""
+        index = self._sorted_gids
+        if index is None or "lid_of" in vars(self):
+            return self.lid_of.get(v)
+        lid = self._recent.get(v)
+        if lid is not None or not len(index) or not (
+                type(v) is int or isinstance(v, numbers.Real)):
+            return lid
+        at = min(int(index.searchsorted(v)), len(index) - 1)
+        if index.item(at) != v:
             return None
-        at = min(int(np.searchsorted(self.gids, v)), len(self.gids) - 1)
-        return at if self.gids[at] == v else None
+        return at if self._sorted_lids is None else self._sorted_lids.item(at)
 
     def lids_for(self, gids: np.ndarray) -> np.ndarray:
-        """Vectorized global-id -> lid lookup; ``-1`` for non-local ids."""
+        """Vectorized global-id -> lid lookup; ``-1`` for non-local ids
+        (integer ids only)."""
         gids = np.asarray(gids, dtype=np.int64)
-        if not len(self.gids):
-            return np.full(gids.shape, -1, dtype=np.int64)
-        at = np.searchsorted(self.gids, gids)
-        at[at == len(self.gids)] = 0
-        at[self.gids[at] != gids] = -1
-        return at
+        if gids.size <= FEW_LOOKUPS:
+            return np.array([-1 if lid is None else lid
+                             for lid in map(self.lid, gids.tolist())],
+                            dtype=np.int64)
+        index = self._sorted_gids
+        if not len(index):
+            lids = np.full(gids.shape, -1, dtype=np.int64)
+            absent = lids < 0
+        else:
+            lids = index.searchsorted(gids)
+            absent = index.take(lids, mode="clip") != gids
+            if self._sorted_lids is not None:
+                lids = self._sorted_lids.take(lids, mode="clip")
+        if absent.any():
+            lids[absent] = -1
+            for at in absent.nonzero()[0].tolist() if self._recent else ():
+                lids[at] = self._recent.get(int(gids[at]), -1)
+        return lids
+
+    def peers_of(self, lid: int) -> List[int]:
+        """The routing index at one lid: the other fragments the node
+        resides on, unordered."""
+        more = self._new_pairs.get(lid, [])
+        if lid >= self._paired:  # appended since the pairs were sorted
+            return list(more)
+        routed = self._pairs["routed"]
+        lo, hi = routed.searchsorted(lid), routed.searchsorted(lid, "right")
+        return self._pairs["peers"][lo:hi].tolist() + more
+
+    # -- edges ---------------------------------------------------------
+    def out_edges(self, frontier: Optional[np.ndarray] = None,
+                  weighted: bool = True) -> tuple:
+        """``(source lid, target lid, weight)`` per edge leaving the lids
+        ``frontier`` (``None``: every edge), base ranges first, then the
+        spill (:func:`~repro.graph.csr.frontier_edges`)."""
+        return csr_module.frontier_edges(self.csr, self._spill_rows(),
+                                         frontier, False, weighted)
+
+    def in_edges(self, frontier: Optional[np.ndarray] = None,
+                 weighted: bool = True) -> tuple:
+        """:meth:`out_edges` over the reverse adjacency."""
+        return csr_module.frontier_edges(self.csr, self._spill_rows(),
+                                         frontier, True, weighted)
+
+    def edges_of(self, lid: int, reverse: bool = False) -> tuple:
+        """:meth:`out_edges` (:meth:`in_edges` with ``reverse``) of one
+        lid: ``(targets, weights)`` of the base edges as array slices,
+        then of the spill rows as lists
+        (:func:`~repro.graph.csr.node_edges`)."""
+        return csr_module.node_edges(
+            self.csr, self._spilled_in if reverse else self._spilled_out,
+            lid, reverse)
+
+    def _spill_rows(self) -> Optional[Spill]:
+        """The edge rows appended since the CSR was built, each stored
+        direction a row, as arrays."""
+        if self._spill is None and self.spilled:
+            done, edges = self._merged_edges, self._edges
+            src, dst, wgt = (edges[name][done:]
+                             for name in ("src", "dst", "weights"))
+            if not self.directed:  # both ways, as the CSR stores them
+                src, dst, wgt = (np.concatenate(pair) for pair in (
+                    (src, dst), (dst, src), (wgt, wgt)))
+            self._spill = Spill(src, dst, wgt,
+                                np.zeros(self.capacity, dtype=bool))
+        return self._spill
+
+    def out_degrees(self) -> np.ndarray:
+        """Per lid, how many edges :meth:`out_edges` yields for it."""
+        degrees = np.zeros(len(self), dtype=np.int64)
+        degrees[:self.csr.num_nodes] = np.diff(self.csr.out_indptr)
+        if self.spilled:
+            degrees += np.bincount(self._spill_rows().tail,
+                                   minlength=len(self))
+        return degrees
+
+    # -- growth --------------------------------------------------------
+    def reserve(self) -> None:
+        """Make room for growth now rather than while the first batch
+        waits: every column moves to twice its size (what the first
+        append would do)."""
+        for columns in (self._nodes, self._edges, self._pairs):
+            columns.reserve(2 * max(columns.size, 1))
+
+    def add_nodes(self, ids: List[Node], owners: List[int]) -> None:
+        """Append local nodes; they take the next lids, in order."""
+        if self._sorted_gids is not None \
+                and not all(type(v) is int and v >= 0 for v in ids) \
+                and integer_ids(np.fromiter(ids, object, len(ids))) is None:
+            self._stop_sorting(ids)
+        fid = self.fragment.fid
+        self._borders = None
+        first = self._nodes.extend(
+            gids=ids, owner=owners, owned_mask=[f == fid for f in owners])
+        lids = range(first, first + len(ids))
+        if self._sorted_gids is not None:
+            self._recent.update(zip(ids, lids))
+        have = vars(self)
+        if "lid_of" in have:
+            have["lid_of"].update(zip(ids, lids))
+        if "nodes" in have:
+            have["nodes"].extend(ids)
+
+    def _stop_sorting(self, ids: Sequence[Node]) -> None:
+        """An id that is no non-negative integer arrives: from here on
+        the fragment looks ids up in ``lid_of``, like one made with such
+        ids — unless it has a CSR, which somebody computes on."""
+        if self.csr is not None:
+            raise PartitionError(
+                f"fragment {self.fragment.fid}: dense view requires "
+                f"non-negative integer node ids, got {first_bad_id(ids)!r}")
+        self._nodes.replace("gids", np.fromiter(
+            self.gids.tolist(), object, len(self)))
+        self._sorted_gids = self._sorted_lids = None
+        self._recent = {}
+
+    def add_edges(self, src: Sequence[int], dst: Sequence[int],
+                  weights: Sequence[float]) -> None:
+        """Append edge rows over lids; with a CSR they are its spill."""
+        self._edges.extend(src=src, dst=dst, weights=weights)
+        self._borders = None
+        if self.csr is not None:
+            self._spill = None
+            for spilled, tails, heads in (
+                    (self._spilled_out, src, dst),
+                    (self._spilled_in, dst, src)):
+                for tail, head, weight in zip(tails, heads, weights):
+                    row = spilled.get(tail)
+                    if row is None:
+                        row = spilled[tail] = ([], [])
+                    row[0].append(head)
+                    row[1].append(weight)
+
+    def add_routes(self, lid: int, peers: Iterable[int]) -> None:
+        """Append ``(lid, peer)`` pairs to the routing index."""
+        self._new_pairs.setdefault(lid, []).extend(peers)
+
+    def _sorted_pairs(self) -> _Columns:
+        """The routing pairs with the appended ones sorted in."""
+        pairs = self._pairs
+        if self._new_pairs:
+            for lid, peers in self._new_pairs.items():
+                pairs.extend(routed=[lid] * len(peers), peers=peers)
+            self._new_pairs = {}
+            self._paired = len(self)
+            by_lid = stable_order(pairs["routed"], max(len(self), 1))
+            for name in ("routed", "peers"):
+                pairs[name][:] = pairs[name][by_lid]
+        return pairs
+
+    def merge(self) -> None:
+        """Fold what growth appended into the sorted structures: the
+        spill into the CSR (one key sort per direction), the appended ids
+        into the lookup index, the appended pairs into the sorted pairs.
+        O(fragment); lids do not change, what was memoized on the
+        fragment goes."""
+        self.fragment.invalidate_caches()
+        self._sorted_pairs()
+        if self._recent:
+            gids = self.gids
+            self._sorted_lids = np.argsort(gids, kind="stable")
+            self._sorted_gids = gids[self._sorted_lids]
+            self._recent = {}
+        if self.csr is None:
+            self._merged_edges = self._edges.size
+        else:
+            self._build_csr()
+        self.merges += 1
+
+    def _build_csr(self) -> None:
+        edges = self._edges
+        if edges["weights"].dtype != np.float64:
+            edges.replace("weights", np.asarray(edges["weights"],
+                                                dtype=np.float64))
+        try:
+            self.csr = CompactGraph.from_arrays(
+                len(self), edges["src"], edges["dst"], edges["weights"],
+                self.directed)
+        except GraphError as exc:
+            raise PartitionError(
+                f"fragment {self.fragment.fid}: dense view {exc}") from None
+        self._merged_edges, self._spill = edges.size, None
+        self._spilled_out.clear()
+        self._spilled_in.clear()
 
 
-def _node_set(select: Callable[[NodeArrays, int], np.ndarray]
+def _node_set(mask_of: Callable[[FragmentCSR], np.ndarray]
               ) -> Callable[["Fragment"], Set[Node]]:
-    """Builder of the set of local nodes ``select(arrays, fid)`` picks."""
+    """Builder of the set of local nodes a mask of the array form picks."""
     def build(frag: "Fragment") -> Set[Node]:
-        arrays = frag._node_arrays
-        return set(arrays.nodes[select(arrays, frag.fid)].tolist())
+        view = frag._arrays
+        return set(view.gids[mask_of(view)].tolist())
     return build
 
 
 def _border_set(name: str) -> Callable[["Fragment"], Set[Node]]:
-    return _node_set(lambda arrays, fid: arrays.borders[name])
+    return _node_set(lambda view: view.borders[name])
+
+
+def _runs(view: FragmentCSR, lids: np.ndarray, fids: np.ndarray
+          ) -> Iterator[Tuple[Node, Tuple[int, ...]]]:
+    """Per distinct lid of the pairs ``(lids[k], fids[k])``: the node and
+    its fragment ids, ascending."""
+    by_lid = np.lexsort((fids, lids))
+    lids, fids = lids[by_lid], fids[by_lid]
+    first = np.ones(lids.size, dtype=bool)  # of each node's run of pairs
+    first[1:] = lids[1:] != lids[:-1]
+    starts = np.flatnonzero(first)
+    return grouped_tuples(view.gids[lids[starts]], starts,
+                          np.diff(starts, append=lids.size), fids)
 
 
 def _routing_index(frag: "Fragment") -> Dict[Node, Tuple[int, ...]]:
-    arrays = frag._node_arrays
-    routed = arrays.routed
-    first = np.ones(routed.size, dtype=bool)  # of each node's run of pairs
-    first[1:] = routed[1:] != routed[:-1]
-    starts = np.flatnonzero(first)
-    return dict(grouped_tuples(arrays.nodes[routed[starts]], starts,
-                               np.diff(starts, append=routed.size),
-                               arrays.peers))
+    view = frag._arrays
+    return dict(_runs(view, view.routed, view.peers))
 
 
 def _dict_graph(frag: "Fragment") -> Graph:
-    local = frag._local
-    if isinstance(local, GraphArrays):  # which the dict graph replaces
-        local = frag._local = local.to_graph()
-    return local
+    """The dict graph: same node, adjacency and ``edges()`` order as
+    adding the initial nodes, then the edges, one by one."""
+    view = frag._arrays
+    gids, edges, first = view.gids, view._edges, view._dict_order
+    nodes = gids.tolist() if first is None \
+        else gids[first].tolist() + gids[len(first):].tolist()
+    g = Graph(directed=view.directed)
+    g.add_novel_edges(nodes, gids[edges["src"]].tolist(),
+                      gids[edges["dst"]].tolist(), edges["weights"].tolist())
+    for v, label in view.labels.items():
+        g.set_node_label(v, label)
+    return g
+
+
+def _derived_arrays(frag: "Fragment") -> FragmentCSR:
+    """The array form of a hand-made fragment, from its containers.  A
+    mirror's owner is what the partition the fragment was put in says
+    (``-1`` outside one)."""
+    graph = GraphArrays.of(frag.graph)
+    nodes = graph.nodes.tolist()
+    owner_of = frag._owner_of or {}
+    owner = np.fromiter(
+        (frag.fid if v in frag.owned else owner_of.get(v, -1)
+         for v in nodes), np.int64, len(nodes))
+    borders = {name: np.fromiter(map(getattr(frag, name).__contains__,
+                                     nodes), bool, len(nodes))
+               for name in BORDER_SETS}
+    at = {v: i for i, v in enumerate(nodes)}
+    pairs = [(at[v], fid) for v, fids in frag._routing.items()
+             for fid in sorted(fids)]
+    routed, peers = (np.fromiter(column, np.int64, len(pairs))
+                     for column in (zip(*pairs) if pairs else ((), ())))
+    return FragmentCSR(frag, graph, NodeArrays(graph.nodes, owner, borders,
+                                               routed, peers))
 
 
 class Fragment:
@@ -244,25 +661,30 @@ class Fragment:
 
     # plain sets: in-place growth only ever adds members
     # (repro.partition.grow); nobody else may mutate them
-    owned = built_on_read(_node_set(lambda arrays, fid: arrays.owner == fid))
-    mirrors = built_on_read(_node_set(lambda arrays, fid: arrays.owner != fid))
+    owned = built_on_read(_node_set(lambda view: view.owned_mask))
+    mirrors = built_on_read(_node_set(lambda view: view.mirror_mask))
     in_border = built_on_read(_border_set("in_border"))
     out_border = built_on_read(_border_set("out_border"))
     out_copies = built_on_read(_border_set("out_copies"))
     in_copies = built_on_read(_border_set("in_copies"))
     _routing = built_on_read(_routing_index)
-    #: the local dict graph, materialised from the builder's arrays on
-    #: first read
+    #: the local dict graph, materialised from the array form on first
+    #: read
     graph = built_on_read(_dict_graph)
+    #: the array form; a hand-made fragment derives its own on first need
+    _arrays = built_on_read(_derived_arrays)
     built = _any_built(*_CONTAINERS)
+    #: whether the dict graph has been built (or was handed in)
+    materialised = _any_built("graph")
 
-    def __init__(self, fid: int, graph: Union[Graph, GraphArrays],
+    def __init__(self, fid: int, graph: Graph,
                  owned: Iterable[Node], mirrors: Iterable[Node],
                  in_border: Iterable[Node], out_border: Iterable[Node],
                  out_copies: Iterable[Node], in_copies: Iterable[Node],
                  routing: Mapping[Node, Sequence[int]],
                  cut: str = "edge"):
-        self._setup(fid, graph, None, None, cut)
+        self._setup(fid, None, cut)
+        self.graph = graph
         self.owned: Set[Node] = set(owned)
         self.mirrors: Set[Node] = set(mirrors)
         self.in_border: Set[Node] = set(in_border)
@@ -276,27 +698,22 @@ class Fragment:
     @classmethod
     def from_arrays(cls, fid: int, graph: GraphArrays, arrays: NodeArrays,
                     cut: str = "edge") -> "Fragment":
-        """The fragment the array-native builder makes: its sets and its
-        routing index are built from ``arrays`` when someone reads them."""
+        """The fragment the array-native builder makes: its sets, its
+        routing index and its dict graph are built from the arrays when
+        someone reads them."""
         self = cls.__new__(cls)
-        self._setup(fid, graph, arrays, set(distinct_fids(arrays.peers)), cut)
+        self._setup(fid, set(distinct_fids(arrays.peers)), cut)
+        self._arrays = FragmentCSR(self, graph, arrays)
         self._validate_arrays()
         return self
 
-    def _setup(self, fid: int, graph: Union[Graph, GraphArrays],
-               arrays: Optional[NodeArrays], peers: Optional[Set[int]],
-               cut: str) -> None:
+    def _setup(self, fid: int, peers: Optional[Set[int]], cut: str) -> None:
         self.fid = fid
         self.cut = cut
-        # the builder's arrays until someone asks for the dict graph,
-        # the dict graph afterwards
-        self._local: Union[Graph, GraphArrays] = graph
-        # what the node sets and the routing index are built from, and
-        # what a CSR view reads; ``None`` once the fragment grew in place
-        self._node_arrays = arrays
         self._peers = peers
-        self._compact: Optional[FragmentCSR] = None
         self._memo: Optional[Dict] = None
+        #: node -> owner of the partition this fragment is part of
+        self._owner_of: Optional[Mapping[Node, int]] = None
 
     def _validate(self) -> None:
         if self.owned & self.mirrors:
@@ -313,27 +730,21 @@ class Fragment:
     def _validate_arrays(self) -> None:
         """:meth:`_validate` on the arrays (one owner per node, so owned
         and mirrors cannot overlap)."""
-        arrays = self._node_arrays
-        owned = arrays.owner == self.fid
+        view = self._arrays
         for name, allowed, complaint in (
-                ("in_border", owned, "border node {!r} not owned"),
-                ("out_border", owned, "border node {!r} not owned"),
-                ("out_copies", ~owned, "copy {!r} not a mirror"),
-                ("in_copies", ~owned, "copy {!r} not a mirror")):
-            bad = arrays.borders[name] & ~allowed
+                ("in_border", view.owned_mask, "border node {!r} not owned"),
+                ("out_border", view.owned_mask, "border node {!r} not owned"),
+                ("out_copies", view.mirror_mask, "copy {!r} not a mirror"),
+                ("in_copies", view.mirror_mask, "copy {!r} not a mirror")):
+            bad = view.borders[name] & ~allowed
             if bad.any():
                 raise PartitionError(f"fragment {self.fid}: " + complaint
-                                     .format(arrays.nodes[bad.argmax()]))
+                                     .format(view.gids[bad.argmax()]))
 
     # ------------------------------------------------------------------
     @property
-    def materialised(self) -> bool:
-        """Whether the dict graph has been built (or was handed in)."""
-        return isinstance(self._local, Graph)
-
-    @property
     def directed(self) -> bool:
-        return self._local.directed
+        return self._arrays.directed
 
     @property
     def border_nodes(self) -> Set[Node]:
@@ -370,13 +781,21 @@ class Fragment:
         return self._peers
 
     def compact(self) -> FragmentCSR:
-        """The cached :class:`FragmentCSR` view, built on first use (the
-        vectorized path asks per context, so later calls are free).  Raises
-        :class:`~repro.errors.PartitionError` unless node ids are
+        """The array form with its CSR built (on first use; the
+        vectorized path asks per context, so later calls are free).
+        Raises :class:`~repro.errors.PartitionError` unless node ids are
         non-negative integers."""
-        if self._compact is None:
-            self._compact = FragmentCSR(self, GraphArrays.of(self._local))
-        return self._compact
+        view = self._arrays
+        if view.csr is None:
+            with built_on_read._FIRST_READ:
+                if view.csr is None:
+                    if view._sorted_gids is None:
+                        raise PartitionError(
+                            f"fragment {self.fid}: dense view requires "
+                            "non-negative integer node ids, got "
+                            f"{first_bad_id(view.gids)!r}")
+                    view._build_csr()
+        return view
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Memoize partition-derived data on this fragment.
@@ -399,51 +818,38 @@ class Fragment:
             return value
 
     def invalidate_caches(self) -> None:
-        """The containers are the truth after the fragment grew in place:
-        drop the builder's node arrays and every memoized view.
+        """Drop every memoized function of the partition: the fragment
+        grew in place.
 
-        :func:`repro.partition.grow.grow_edge_cut` mutates the local graph
-        and the border/routing sets, which the node arrays, the CSR view,
-        ship sets, dense routes and kernel arrays are functions of (the
-        peer set it patches itself).  A container growth did not read it
-        did not change, so the arrays still build it, here.  An engine
-        kept over the partition patches its ship set from the growth
-        report and puts it back
-        (:meth:`~repro.core.engine.Engine.refresh_routes`).
+        :func:`repro.partition.grow.grow_edge_cut` grows the array form
+        and patches the containers itself; ship sets, dense routes and
+        kernel arrays are what is left.  An engine kept over the
+        partition patches its routing from the growth report and puts it
+        back (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
-        if self._node_arrays is not None:
-            for name in _CONTAINERS:
-                getattr(self, name)
-            self._node_arrays = None
-        self._compact = None
         self._memo = None
 
     @property
     def num_local_edges(self) -> int:
-        return self._local.num_edges
+        return self._arrays.num_edges
 
     def num_edges_from_owned(self) -> int:
         """Local edges whose stored source endpoint is owned here.  Under
         edge-cut both copies of a cut edge keep one orientation, so this
         counts every edge of the graph in exactly one fragment."""
-        local = GraphArrays.of(self._local)
-        arrays = self._node_arrays
-        if arrays is None:
-            return sum(map(self.owned.__contains__, local.nodes[local.src]))
-        return int(np.count_nonzero(arrays.owner[local.src] == self.fid))
+        view = self._arrays
+        return int(np.count_nonzero(view.owned_mask[view._edges["src"]]))
 
     def _node_counts(self) -> Tuple[int, int]:
         """``(owned, mirrors)`` sizes, without building the sets."""
-        arrays = self._node_arrays
-        if arrays is None:
-            return len(self.owned), len(self.mirrors)
-        owned = int(np.count_nonzero(arrays.owner == self.fid))
-        return owned, len(arrays.owner) - owned
+        view = self._arrays
+        owned = int(np.count_nonzero(view.owned_mask))
+        return owned, len(view) - owned
 
     @property
     def size(self) -> int:
         """Fragment size ``|F_i|`` (nodes + edges), used for skew ratio r."""
-        return sum(self._node_counts()) + self.num_local_edges
+        return len(self._arrays) + self.num_local_edges
 
     def __repr__(self) -> str:
         owned, mirrors = self._node_counts()
@@ -452,11 +858,18 @@ class Fragment:
 
 
 def _placement(pg: "PartitionedGraph") -> Dict[Node, Tuple[int, ...]]:
-    nodes, order, fids, counts = pg._presence
-    placement = dict.fromkeys(nodes[order].tolist())
-    placement.update(grouped_tuples(nodes, np.cumsum(counts) - counts,
-                                    counts, fids))
-    pg._presence = None  # this was its one reader
+    """A node resides on its owner and wherever the routing index of the
+    owner's copy says — read off the fragments' arrays, so in-place growth
+    before the first read is in it."""
+    placement = {v: (fid,) for v, fid in pg.owner.items()}
+    for frag in pg.fragments:
+        view = frag._arrays
+        mine = view.owned_mask[view.routed]
+        routed, peers = view.routed[mine], view.peers[mine]
+        shared = np.flatnonzero(np.bincount(routed, minlength=len(view)))
+        placement.update(_runs(
+            view, np.concatenate((routed, shared)),
+            np.concatenate((peers, np.full(shared.size, frag.fid)))))
     return placement
 
 
@@ -475,31 +888,29 @@ class PartitionedGraph:
                  owner: Mapping[Node, int],
                  placement: Mapping[Node, Sequence[int]],
                  strategy_name: str = "custom", cut: str = "edge"):
-        self._setup(fragments, dict(owner), None, strategy_name, cut)
+        self._setup(fragments, dict(owner), strategy_name, cut)
         self.placement: Dict[Node, Tuple[int, ...]] = {
             v: tuple(fids) for v, fids in placement.items()}
 
     @classmethod
     def from_arrays(cls, fragments: Sequence[Fragment],
-                    owner: Dict[Node, int], presence: tuple,
-                    strategy_name: str, cut: str) -> "PartitionedGraph":
+                    owner: Dict[Node, int], strategy_name: str,
+                    cut: str) -> "PartitionedGraph":
         """What the array-native builder makes.  ``owner`` becomes the
-        partition's own; ``presence`` is where every node resides —
-        ``(nodes, placement order as positions, fragment ids grouped by
-        node position and ascending, copies per node)`` — and stays that
-        until :attr:`placement` is read."""
+        partition's own and gives :attr:`placement` its order; where
+        every node resides is read off the fragments when somebody asks."""
         self = cls.__new__(cls)
-        self._setup(fragments, owner, presence, strategy_name, cut)
+        self._setup(fragments, owner, strategy_name, cut)
         return self
 
     def _setup(self, fragments: Sequence[Fragment], owner: Dict[Node, int],
-               presence: Optional[tuple], strategy_name: str,
-               cut: str) -> None:
+               strategy_name: str, cut: str) -> None:
         self.cut = cut
         self.fragments: List[Fragment] = list(fragments)
         self.owner = owner
-        self._presence = presence
         self.strategy_name = strategy_name
+        for frag in self.fragments:
+            frag._owner_of = owner
         if not self.fragments:
             raise PartitionError("a partition needs at least one fragment")
         seen_fids = {f.fid for f in self.fragments}

@@ -5,7 +5,10 @@
 a live runtime, then keeps the partitioned fragments *warm* while a
 continuous stream of :class:`~repro.streaming.UpdateBatch` es flows in and
 read queries flow out.  Both grow one partition and one engine in place
-through the same primitives; the service adds the rest:
+through the same primitives — the service on the dense engine, over
+fragments whose array form grows in place, whenever the program has dense
+kernels and the node ids are non-negative integers (the generic engine
+otherwise); the service adds the rest:
 
 1. **Ingest** — batches are validated atomically (against the current
    graph *and* the already-staged batches), admitted through a bounded
@@ -42,7 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Any, Deque, Dict, Hashable, NamedTuple, Optional, Set
+from typing import (Any, Deque, Dict, Hashable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from repro.core.engine import Engine
 from repro.core.fixpoint import resume_to_fixpoint
@@ -61,7 +65,7 @@ from repro.runtime.threaded import ThreadedRuntime
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import QueryCache
 from repro.streaming.session import integrate_insertions
-from repro.streaming.updates import UpdateBatch, edge_key, validate_batch
+from repro.streaming.updates import UpdateBatch, validate_batch
 
 Node = Hashable
 
@@ -162,6 +166,7 @@ class GraphService:
         self._epochs = metrics.counter("serve_epochs")
         self._epoch_duration = metrics.histogram("serve_epoch_duration")
         self._epoch_changed = metrics.histogram("serve_epoch_changed")
+        self._csr_merges = metrics.counter("serve_csr_merges")
         self._query_latency = metrics.histogram("serve_query_latency")
         self._staleness = metrics.histogram("serve_staleness")
         self._queries = metrics.counter("serve_queries")
@@ -170,12 +175,22 @@ class GraphService:
         # the same in every process, and in a StreamingSession
         owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
         self.pg = build_edge_cut(self.graph, owner, num_fragments, "serving")
-        self.engine = Engine(program, self.pg, query)
+        # dense kernels on arrays that grow in place; degrades to the
+        # generic engine for non-integer node ids or a program without
+        # dense kernels
+        self.engine = Engine(program, self.pg, query, vectorized=True)
+        # what the first epoch would pay for otherwise: room to grow in,
+        # and a dict probe per id an epoch looks up (a handful, one by
+        # one; kept current by growth) instead of a binary search
+        for frag in self.pg:
+            frag._arrays.reserve()
+            frag._arrays.lid_of
         #: applied epochs == batches fully integrated and re-converged
         self.epoch = 0
         #: accepted epochs == applied + parked batches
         self.accepted = 0
-        self._pending: Deque[UpdateBatch] = deque()
+        #: parked batches, each with the keys it put in ``_staged``
+        self._pending: Deque[Tuple[UpdateBatch, List[Any]]] = deque()
         #: edge keys of parked batches (cross-batch duplicate detection)
         self._staged: Set[Any] = set()
         #: the one PEval in this service's lifetime
@@ -224,6 +239,13 @@ class GraphService:
             "epoch": self.epoch,
             "accepted": self.accepted,
             "lag": len(self._pending),
+            "engine": "dense" if self.engine.vectorized else "generic",
+            "fragments": [
+                {"nodes": len(view), "capacity": view.capacity,
+                 "overflow_edges": view.spilled,
+                 "merge_threshold": view.merge_threshold,
+                 "merges": view.merges}
+                for view in (frag._arrays for frag in self.pg)],
             "queries": {"served": self._queries.value,
                         "shed": self._shed_queries.value},
             "batches": {"accepted": self._batches_accepted.value,
@@ -254,10 +276,17 @@ class GraphService:
             return IngestReceipt(accepted=False, epoch=self.accepted,
                                  depth=len(self._pending),
                                  latency=perf_counter() - t0, reason=reason)
-        validate_batch(self.graph, batch, staged=self._staged)
-        for u, v, _ in batch.insertions:
-            self._staged.add(edge_key(self.graph, u, v))
-        self._pending.append(batch)
+        keys = validate_batch(self.graph, batch, staged=self._staged)
+        if self.engine.vectorized:
+            # the arrays the dense engine serves from number nodes by id
+            for edge in batch.insertions:
+                for v in edge[:2]:
+                    if type(v) is not int or v < 0:
+                        raise ProgramError(
+                            f"node id {v!r}: a service on the dense engine "
+                            f"takes non-negative integer node ids only")
+        self._staged.update(keys)
+        self._pending.append((batch, keys))
         self.accepted += 1
         latency = perf_counter() - t0
         self._ingest_latency.observe(latency)
@@ -282,15 +311,21 @@ class GraphService:
         return self.pump()
 
     def _apply_one(self) -> None:
-        batch = self._pending.popleft()
+        batch, keys = self._pending.popleft()
         t0 = perf_counter()
-        for u, v, w in batch.insertions:
-            self._staged.discard(edge_key(self.graph, u, v))
-            self.graph.add_edge(u, v, w)
+        self._staged.difference_update(keys)
+        # validated novel at ingest: one bulk insert, undirected edges in
+        # the orientation the graph keys them by
+        edges = batch.insertions if self.graph.directed else [
+            (u, v, w) if repr(u) <= repr(v) else (v, u, w)
+            for u, v, w in batch.insertions]
+        self.graph.add_novel_edges(
+            [v for edge in batch.insertions for v in edge[:2]],
+            *zip(*edges))
         report = grow_edge_cut(self.pg, batch.insertions)
         self.engine.extend_contexts(report)
         self.engine.refresh_routes(report)
-        messages = integrate_insertions(self.engine, batch.insertions)
+        messages = integrate_insertions(self.engine, report)
         if messages:
             # on the calling thread: the continuation of one batch is a
             # few short rounds, and an epoch that waits on thread wake-ups
@@ -312,9 +347,11 @@ class GraphService:
         self._epochs.inc()
         self._epoch_duration.observe(duration)
         self._epoch_changed.observe(len(changed))
+        if report.merged:
+            self._csr_merges.inc(len(report.merged))
         self._log.emit(EPOCH_APPLY, perf_counter(), epoch=self.epoch,
                        edges=len(batch), changed=len(changed),
-                       duration=duration)
+                       duration=duration, merged=sorted(report.merged))
 
     # -- query path ----------------------------------------------------
     def query(self, key: Node, staleness_bound: int = 0) -> QueryResult:

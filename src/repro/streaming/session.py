@@ -13,7 +13,7 @@ continuation converges to ``Q(G ⊕ ∆G)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
@@ -22,35 +22,36 @@ from repro.core.result import RunResult
 from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
 from repro.partition.builder import build_edge_cut
-from repro.partition.grow import grow_edge_cut
+from repro.partition.grow import GrowthReport, grow_edge_cut
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import SimulatedRuntime
-from repro.streaming.updates import (EdgeInsertion, UpdateBatch,
-                                     validate_batch)
+from repro.streaming.updates import UpdateBatch, validate_batch
 
 Node = Hashable
 
 
-def integrate_insertions(engine: Engine,
-                         insertions: Sequence[EdgeInsertion]) -> List:
-    """Fold already-materialised ``insertions`` into a converged
-    ``engine``: ``inc_update`` + one IncEval on every fragment that holds
-    a copy of one, and the designated messages that seed the continuation
+def integrate_insertions(engine: Engine, report: GrowthReport) -> List:
+    """Fold the insertions growth just materialised (``report``, of
+    :func:`~repro.partition.grow.grow_edge_cut`) into a converged
+    ``engine``: ``inc_update`` + one IncEval on every fragment that got a
+    copy of one, and the designated messages that seed the continuation
     run.  The one integration step behind :class:`StreamingSession` and
     :class:`~repro.serve.GraphService`.
     """
     program, query = engine.program, engine.query
     messages: List = []
-    for wid, frag in enumerate(engine.pg):
-        g = frag.graph
-        local = [(u, v, w) for u, v, w in insertions
-                 if g.has_node(u) and g.has_node(v) and g.has_edge(u, v)]
-        if not local:
-            continue
-        ctx = engine.contexts[wid]
-        seeds = program.inc_update(frag, ctx, local, query)
-        if seeds:
-            program.inceval(frag, ctx, set(seeds), query)
+    for wid in sorted(report.inserted):
+        frag, ctx = engine.pg.fragments[wid], engine.contexts[wid]
+        if engine.vectorized:
+            seeds = program.dense_inc_update(frag, ctx, *report.rows[wid],
+                                             query)
+            if len(seeds):
+                program.dense_inceval(frag, ctx, seeds, query)
+        else:
+            seeds = program.inc_update(frag, ctx, report.inserted[wid],
+                                       query)
+            if seeds:
+                program.inceval(frag, ctx, set(seeds), query)
         messages.extend(engine.derive_messages(wid, round_no=1))
     return messages
 
@@ -116,7 +117,7 @@ class StreamingSession:
         report = grow_edge_cut(self.pg, batch.insertions)
         self.engine.extend_contexts(report)
         self.engine.refresh_routes(report)
-        messages = integrate_insertions(self.engine, batch.insertions)
+        messages = integrate_insertions(self.engine, report)
         runtime = self._runtime()
         runtime.seed_resume(messages)
         result = runtime.run()

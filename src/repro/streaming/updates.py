@@ -67,8 +67,10 @@ class UpdateBatch:
 
 
 def validate_batch(graph: Graph, batch: UpdateBatch,
-                   staged: Optional[Set[frozenset]] = None) -> None:
-    """Check a whole batch against ``graph`` before anything mutates.
+                   staged: Optional[Set[frozenset]] = None
+                   ) -> List[frozenset]:
+    """Check a whole batch against ``graph`` before anything mutates;
+    returns the :func:`edge_key` of each insertion, in order.
 
     Raises :class:`~repro.errors.ProgramError` if any insertion duplicates
     an existing edge (including reversed duplicates on undirected graphs,
@@ -79,6 +81,7 @@ def validate_batch(graph: Graph, batch: UpdateBatch,
     rejected batch leaves graph, engine and owner map untouched.
     """
     seen: Set[frozenset] = set()
+    keys = []
     for u, v, _ in batch.insertions:
         if u == v:
             # re-checked here (not just at batch construction) so a
@@ -90,6 +93,7 @@ def validate_batch(graph: Graph, batch: UpdateBatch,
             raise ProgramError(
                 f"duplicate edge ({u!r}, {v!r}) within one batch")
         seen.add(key)
+        keys.append(key)
         if staged is not None and key in staged:
             raise ProgramError(
                 f"edge ({u!r}, {v!r}) already staged by a pending batch")
@@ -97,6 +101,7 @@ def validate_batch(graph: Graph, batch: UpdateBatch,
             raise ProgramError(
                 f"edge ({u!r}, {v!r}) already exists; weight changes "
                 f"are not monotone-safe")
+    return keys
 
 
 def edge_key(graph: Graph, u: Node, v: Node) -> frozenset:

@@ -118,12 +118,13 @@ class TestMemoizedKernelArrays:
         grown = api.run(PageRankProgram(), pg, query, vectorized=True)
         for fid in report.touched:
             frag = pg.fragments[fid]
-            degrees, divisor, edge_src = _spmv_arrays(frag)
+            degrees, divisor, edge_src, edge_dst = _spmv_arrays(frag)
             assert degrees is not before[fid][0]
-            csr = frag.compact().csr
+            csr = frag.compact().csr  # the new engine merged the spill
             assert np.array_equal(degrees, np.diff(csr.out_indptr))
             assert np.array_equal(divisor, np.maximum(degrees, 1))
             assert edge_src is csr.out_sources
+            assert edge_dst is csr.out_indices
         # and the grown partition answers like one built from scratch
         rebuilt = build_edge_cut(g, dict(pg.owner), 2, "test")
         fresh = api.run(PageRankProgram(), rebuilt, query, vectorized=True)

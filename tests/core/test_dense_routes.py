@@ -97,7 +97,7 @@ def fixed_cases():
 def route_a_mirror_to_a_non_owner(monkeypatch):
     original = dense_module.routes_to_owner
 
-    def broken(frag):
+    def broken(frag, lids=None):
         routes, ship_mask = original(frag)
         dst = min(routes)
         other = next(fid for fid in range(3) if fid not in (dst, frag.fid))
@@ -114,7 +114,7 @@ def drop_one_destination(monkeypatch):
     for rule in ("routes_to_owner", "routes_to_copies"):
         original = getattr(dense_module, rule)
 
-        def broken(frag, original=original):
+        def broken(frag, lids=None, original=original):
             routes, ship_mask = original(frag)
             dst = min(routes)
             fewer = routes[dst].copy()
@@ -127,7 +127,7 @@ def ship_an_unshared_node(monkeypatch):
     for rule in ("routes_to_owner", "routes_to_copies"):
         original = getattr(dense_module, rule)
 
-        def broken(frag, original=original):
+        def broken(frag, lids=None, original=original):
             routes, ship_mask = original(frag)
             view = frag.compact()
             shared = np.zeros(len(view), dtype=bool)
@@ -184,23 +184,66 @@ def test_a_program_without_an_array_rule_gets_the_per_node_loop():
             == {d: m.tolist() for d, m in ruled._dense_routes[wid].items()}
 
 
-def test_grown_fragments_fall_back_to_the_per_node_loop():
+def test_a_program_without_an_array_rule_follows_growth_per_node():
+    """Its masks are patched from ``ships`` / ``destinations`` of the
+    nodes growth names, and end up what the array rule's are."""
     from repro.partition.grow import grow_edge_cut
-    graph = generators.grid2d(5, 5, weighted=True, seed=2)
-    pg = HashPartitioner().partition(graph, 2)
+
+    class Plain(SSSPProgram):
+        def dense_routes(self, pg, frag, lids=None):
+            return None
+
+    graph = generators.grid2d(6, 6, weighted=True, seed=2)
+    pg = HashPartitioner().partition(graph, 3)
+    engines = [Engine(program, pg, SSSPQuery(source=0), vectorized=True)
+               for program in (Plain(), SSSPProgram())]
     u = min(pg.fragments[0].owned)
     v = next(v for v in sorted(pg.fragments[1].owned)
              if not graph.has_edge(u, v))
-    assert grow_edge_cut(pg, [(u, v, 0.5)]).touched == {0, 1}
+    report = grow_edge_cut(pg, [(u, v, 0.5), (v, 500, 1.0), (500, 501, 1.0)])
+    for engine in engines:
+        engine.extend_contexts(report)
+        engine.refresh_routes(report)
+    plain, ruled = engines
+    for wid in range(3):
+        assert plain._dense_ship_masks[wid].tolist() \
+            == ruled._dense_ship_masks[wid].tolist()
+        assert {d: m.tolist() for d, m in plain._dense_routes[wid].items()
+                if m.any()} \
+            == {d: m.tolist() for d, m in ruled._dense_routes[wid].items()
+                if m.any()}
+    assert_routes_equal_oracle(SSSPProgram(), pg)
+
+
+def test_grown_fragments_keep_the_array_rule(monkeypatch):
+    """A warm engine patches the bits growth names; a new one states the
+    rule on the grown arrays; neither runs the per-node loop."""
+    from repro.partition.grow import grow_edge_cut
+    graph = generators.grid2d(5, 5, weighted=True, seed=2)
+    pg = HashPartitioner().partition(graph, 2)
     program = CCProgram()
-    for frag in pg:
-        assert program.dense_routes(pg, frag) is None
-    engine = Engine(program, pg, CCQuery(), vectorized=True)
+    warm = Engine(program, pg, CCQuery(), vectorized=True)
+    u = min(pg.fragments[0].owned)
+    v = next(v for v in sorted(pg.fragments[1].owned)
+             if not graph.has_edge(u, v))
+    report = grow_edge_cut(pg, [(u, v, 0.5), (u, 777, 0.5)],
+                           assign=lambda v, m: 1)
+    assert report.touched == {0, 1}
+    monkeypatch.setattr(Engine, "_checked_ship_set", None)
+    warm.extend_contexts(report)
+    warm.refresh_routes(report)
+    fresh = Engine(program, pg, CCQuery(), vectorized=True)
+    monkeypatch.undo()
+    assert_routes_equal_oracle(program, pg)
     for frag in pg:
         routes, ship_mask = oracle_routes(program, pg, frag)
-        assert engine._dense_ship_masks[frag.fid].tolist() \
-            == ship_mask.tolist()
-        assert sorted(engine._dense_routes[frag.fid]) == sorted(routes)
+        for engine in (warm, fresh):
+            assert engine._dense_ship_masks[frag.fid].tolist() \
+                == ship_mask.tolist()
+            assert {dst: mask.tolist() for dst, mask
+                    in engine._dense_routes[frag.fid].items()
+                    if mask.any()} \
+                == {dst: mask.tolist() for dst, mask in routes.items()}
 
 
 def test_route_declarations_are_overridden_together():

@@ -56,7 +56,7 @@ class TestResume:
         report = grow_edge_cut(engine.pg, [(0, far, 0.5)])
         engine.extend_contexts(report)
         engine.refresh_routes(report)
-        messages = integrate_insertions(engine, [(0, far, 0.5)])
+        messages = integrate_insertions(engine, report)
         engine.program.peval = None  # a continuation never calls it
         assert resume_to_fixpoint(engine, messages) >= 1
         after = dict(engine.assemble())

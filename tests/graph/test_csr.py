@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -233,3 +234,88 @@ class TestToCsrIdCheck:
         ids, rank, csr = GraphArrays.of(g).to_csr()
         assert ids.tolist() == [0, 3, 5] and rank.tolist() == [1, 2, 0]
         assert csr.out_edges(2) == [(0, 1.0)]
+
+
+class TestFrontierEdges:
+    """The one edge accessor of the dense kernels: a sorted base plus the
+    rows appended since (the *spill*)."""
+
+    @staticmethod
+    def rows(n, count, directed, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n, count)
+        dst = (src + rng.integers(1, n, count)) % n  # no self-loops
+        return src, dst, rng.integers(1, 9, count).astype(np.float64)
+
+    def test_without_a_spill_it_is_what_the_kernels_computed(self,
+                                                             small_compact):
+        """Bit for bit: the base arrays themselves for a sweep, and for a
+        frontier the gathers through ``expand_ranges`` the kernels did
+        before there was an accessor."""
+        from repro.graph.csr import expand_ranges, frontier_edges
+        g = small_compact
+        for reverse, (indptr, indices, weights, sources) in enumerate((
+                (g.out_indptr, g.out_indices, g.out_weights, g.out_sources),
+                (g.in_indptr, g.in_indices, g.in_weights, g.in_sources))):
+            everything = frontier_edges(g, None, None, bool(reverse))
+            assert all(got is want for got, want in zip(
+                everything, (sources, indices, weights)))
+            for frontier in ([7], [0, 3, 4, 50, 99], list(range(100))):
+                frontier = np.array(frontier)
+                starts = indptr[frontier]
+                at = expand_ranges(starts, indptr[frontier + 1] - starts)
+                got = frontier_edges(g, None, frontier, bool(reverse))
+                for mine, theirs in zip(got, (sources[at], indices[at],
+                                              weights[at])):
+                    assert mine.dtype == theirs.dtype
+                    assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_base_plus_spill_reads_like_the_merged_graph(self, directed):
+        """Whatever the frontier and the direction: the edges of a CSR
+        over the first rows plus the rest as its spill are the edges of a
+        CSR over all rows — appended nodes included — and ``node_edges``
+        yields one node's."""
+        from collections import Counter
+
+        from repro.graph.csr import Spill, frontier_edges, node_edges
+        n, grown = 30, 36
+        src, dst, wgt = self.rows(grown, 120, directed, seed=int(directed))
+        old = (src < n) & (dst < n)
+        base = CompactGraph.from_arrays(n, src[old], dst[old], wgt[old],
+                                        directed)
+        merged = CompactGraph.from_arrays(grown, src, dst, wgt, directed)
+        tail, head, weights = src[~old], dst[~old], wgt[~old]
+        if not directed:  # a row per stored direction, as the CSR has
+            tail, head, weights = (np.concatenate(pair) for pair in (
+                (tail, head), (head, tail), (weights, weights)))
+        spill = Spill(tail, head, weights, np.zeros(grown, dtype=bool))
+        out, inc = {}, {}
+        for t, h, w in zip(tail.tolist(), head.tolist(), weights.tolist()):
+            for rows, a, b in ((out, t, h), (inc, h, t)):
+                rows.setdefault(a, ([], []))
+                rows[a][0].append(b)
+                rows[a][1].append(w)
+
+        def bag(edges):
+            return Counter(zip(*(column.tolist() for column in edges)))
+
+        rng = np.random.default_rng(5)
+        frontiers = [None, np.arange(grown), np.array([n + 2]),
+                     *(np.sort(rng.choice(grown, size, replace=False))
+                       for size in (1, 3, 10))]
+        for reverse in (False, True):
+            for frontier in frontiers:
+                got = frontier_edges(base, spill, frontier, reverse)
+                assert bag(got) == bag(frontier_edges(merged, None, frontier,
+                                                      reverse))
+                assert not spill.member.any()  # the scratch is left clear
+            for node in range(grown):
+                targets, wgts, more, more_w = node_edges(
+                    base, inc if reverse and directed else out, node,
+                    reverse)
+                want = frontier_edges(merged, None, np.array([node]),
+                                      reverse)
+                assert Counter(zip(targets.tolist() + list(more),
+                                   wgts.tolist() + list(more_w))) \
+                    == Counter(zip(want[1].tolist(), want[2].tolist()))

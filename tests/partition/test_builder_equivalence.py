@@ -199,7 +199,7 @@ def assert_same_partition(got, want):
         assert not fg.materialised
     for fg, fw in zip(got, want):
         assert_same_graph(fg.graph, fw.graph)
-        assert fg.materialised and fg._local is fg.graph  # arrays dropped
+        assert fg.materialised and fg._arrays is not None  # arrays stay
 
 
 def assert_same_graph(g, ref):
@@ -292,16 +292,16 @@ def fixed_case():
 
 
 def break_edge_order(pg):
-    local = pg.fragments[2]._local
-    for arr in (local.src, local.dst, local.weights):
+    edges = pg.fragments[2]._arrays._edges
+    for arr in (edges["src"], edges["dst"], edges["weights"]):
         arr[[0, 1]] = arr[[1, 0]]
 
 
 def drop_undirected_closure(pg):
     frag = pg.fragments[2]
-    local = frag._local
-    from_mirror = [u not in frag.owned for u in local.nodes[local.src]]
-    entering = local.nodes[local.dst[from_mirror]].tolist()
+    view = frag._arrays
+    src, dst = view._edges["src"], view._edges["dst"]
+    entering = view.gids[dst[view.mirror_mask[src]]].tolist()
     assert frozenset(entering) < frag.in_border
     frag.in_border = frozenset(entering)
 
@@ -344,7 +344,6 @@ def test_vectorized_runs_never_materialise():
     # the generic path is who asks for the dict graphs
     Engine(SSSPProgram(), pg, SSSPQuery(source=0))
     assert [f.materialised for f in pg] == [True, True]
-    assert all(isinstance(f._local, Graph) for f in pg)  # arrays dropped
 
 
 def test_compact_view_survives_materialisation():
@@ -352,15 +351,14 @@ def test_compact_view_survives_materialisation():
     pg = HashPartitioner().partition(g, 2)
     frag = pg.fragments[0]
     before = frag.compact()
+    csr = {name: getattr(before.csr, name).tobytes() for name in CSR_ARRAYS}
     frag.graph
     assert frag.compact() is before
     frag.invalidate_caches()  # as in-place growth does
-    after = frag.compact()
+    assert frag.compact() is before  # the array form is for life
+    before.merge()  # nothing was appended: the same CSR again
     for name in CSR_ARRAYS:
-        assert getattr(after.csr, name).tobytes() \
-            == getattr(before.csr, name).tobytes()
-    assert after.nodes == before.nodes
-    assert after.owned_mask.tolist() == before.owned_mask.tolist()
+        assert getattr(before.csr, name).tobytes() == csr[name]
 
 
 def test_grow_on_unmaterialised_partition_equals_rebuild():
@@ -373,9 +371,7 @@ def test_grow_on_unmaterialised_partition_equals_rebuild():
     v = next(v for v in g.nodes if owner[v] == 1 and not g.has_edge(u, v))
     report = grow_edge_cut(pg, [(u, v, 1.5)])
     assert report.touched >= {0, 1}
-    for frag in pg:  # only the fragments that got the edge pay for it
-        assert frag.materialised == (frag.fid in (0, 1))
-        assert isinstance(frag._local, Graph) == frag.materialised
+    assert not any(frag.materialised or frag.built for frag in pg)
     g.add_edge(u, v, 1.5)
     assert_partitions_equal(pg, build_edge_cut(g, dict(pg.owner), m, "t"))
 

@@ -117,7 +117,7 @@ def test_public_classes_from_birth_and_one_attribute_per_read():
     mirrors = frag.mirrors
     assert isinstance(mirrors, set) and frag.mirrors is mirrors
     assert frag.built and "owned" not in vars(frag)  # each on its own
-    assert frag._node_arrays is not None and not frag.materialised
+    assert frag.compact() is view and not frag.materialised
     assert isinstance(frag._routing, dict)
     assert isinstance(next(iter(frag._routing.values())), tuple)
     assert isinstance(pg.placement, dict) and view.lid_of[view.nodes[0]] == 0
@@ -161,29 +161,33 @@ def test_hand_made_fragments_have_everything_from_the_start():
     assert frag.peer_fragments() == {1}
 
 
-def test_growth_makes_the_containers_the_truth():
+def test_growth_keeps_the_arrays_the_truth():
     graph = generators.grid2d(6, 6, weighted=True, seed=2)
     pg = HashPartitioner().partition(graph, 2)
-    u = min(pg.fragments[0].owned)
-    v = next(v for v in sorted(pg.fragments[1].owned)
-             if not graph.has_edge(u, v))
+    owners = dict(pg.owner)
+    u = min(v for v, fid in owners.items() if fid == 0)
+    v = next(v for v in sorted(owners)
+             if owners[v] == 1 and not graph.has_edge(u, v))
+    views = [frag.compact() for frag in pg]
     assert grow_edge_cut(pg, [(u, v, 1.0)]).touched == {0, 1}
-    for frag in pg:
-        assert frag.built and frag._node_arrays is None
-        # the next view asks the sets
-        view = frag.compact()
-        assert view.owner is None and view.routed is None
+    for frag, view in zip(pg, views):
+        # growth read no container and built none; the view is for life
+        assert not frag.built and not frag.materialised
+        assert frag.compact() is view and view.spilled == 1
+        assert view.owner.tolist() == [owners[w] for w in view.nodes]
+        # the sets come from the grown arrays
         assert view.owned_mask.tolist() \
-            == [v in frag.owned for v in view.nodes]
+            == [w in frag.owned for w in view.nodes]
+        assert {u, v} & frag.mirrors and {u, v} <= set(frag._routing)
 
 
 def test_counting_edges_and_sizes_builds_nothing():
     graph = generators.powerlaw(120, m=3, weighted=True, seed=5)
     pg = HashPartitioner().partition(graph, 3)
-    eager = HashPartitioner().partition(graph, 3)
-    for frag in eager:
-        frag.invalidate_caches()  # every set built, arrays dropped
-        assert frag.built and frag._node_arrays is None
+    from test_builder_equivalence import oracle_edge_cut
+    eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 3), 3,
+                            "hash")
+    assert all(frag.built and frag.materialised for frag in eager)
     assert [f.num_edges_from_owned() for f in pg] \
         == [f.num_edges_from_owned() for f in eager]
     assert pg.sizes() == eager.sizes() and repr(pg) == repr(eager)

@@ -1,26 +1,33 @@
-"""The epoch apply is change-bounded and still exact.
+"""The epoch apply is change-bounded and still exact, on both engines.
 
-Two halves.  *Exact*: after every epoch of a seeded insertion stream the
+A service over integer node ids runs the dense engine on arrays that grow
+in place; ``generic()`` makes the same program ``dense_capable = False``,
+which is how a service ends up on the generic engine (no knob).  Three
+parts.  *Exact*: after every epoch of a seeded insertion stream the
 delta-patched snapshot equals a fresh ``engine.assemble()`` and the cache
-was invalidated for exactly the keys of the full diff.  *Bounded*: with
-every whole-fragment entry point an epoch used to go through patched to
-raise, epochs still apply (and start no thread), and the routing-index
-lookups an epoch makes do not grow with the graph.
+was invalidated for exactly the keys of the full diff.  *Differential*:
+the dense and the generic service agree on answer, invalidated keys and
+changed count after every epoch.  *Bounded*: with every whole-fragment
+entry point an epoch used to go through patched to raise, epochs still
+apply (and start no thread), and the routing-index lookups an epoch makes
+do not grow with the graph.
 """
 
 import random
 import threading
 from itertools import count
 
+import numpy as np
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
 from repro.core.pie import PIEProgram
 from repro.graph import generators
+from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
-from repro.partition.fragment import Fragment
+from repro.partition.fragment import Fragment, FragmentCSR, built_on_read
 from repro.serve import GraphService, QueryCache, verify_against_recompute
 from repro.streaming import UpdateBatch
 
@@ -29,6 +36,12 @@ ALGOS = {
     "cc": lambda: (CCProgram(), CCQuery()),
 }
 _MISSING = object()
+
+
+def generic(program):
+    """The same program without dense kernels: the generic engine serves."""
+    return type(f"Generic{type(program).__name__}", (type(program),),
+                {"dense_capable": False})()
 
 
 class RecordingCache(QueryCache):
@@ -138,8 +151,41 @@ def test_delta_patched_answer_equals_assemble(algo, runtime, m, directed):
     program, query = ALGOS[algo]()
     g, paths, taken = islands(directed, m)
     svc = GraphService(program, g, query, num_fragments=m, runtime=runtime)
+    assert svc.status()["engine"] == "dense"
     rng = random.Random(f"{algo}-{runtime}-{m}-{directed}")
     check_every_epoch(svc, scripted_batches(svc.graph, paths, taken, m, rng))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_dense_and_generic_services_agree_every_epoch(algo, m, directed):
+    """Same stream, both engines: identical answer, identical invalidated
+    keys and ``changed`` count after every epoch, both equal to a
+    from-scratch recompute."""
+    program, query = ALGOS[algo]()
+    g, paths, taken = islands(directed, m)
+    services = [GraphService(prog, g, query, num_fragments=m,
+                             runtime="simulated")
+                for prog in (program, generic(program))]
+    assert [svc.status()["engine"] for svc in services] \
+        == ["dense", "generic"]
+    for svc in services:
+        svc.cache = RecordingCache()
+    assert services[0].answer == services[1].answer
+    rng = random.Random(f"{algo}-{m}-{directed}")
+    for edges in scripted_batches(g, paths, taken, m, rng):
+        for svc in services:
+            svc.ingest(UpdateBatch(insertions=tuple(edges)))
+            assert svc.pump(1) == 1
+        dense, other = services
+        assert dense.answer == other.answer
+        assert dense.cache.invalidated.pop() \
+            == other.cache.invalidated.pop()
+        changed = [svc.obs.metrics.histogram("serve_epoch_changed").total
+                   for svc in services]
+        assert changed[0] == changed[1]
+    assert all(verify_against_recompute(svc) for svc in services)
 
 
 def test_cc_borderless_merge_moves_interior_answers():
@@ -184,54 +230,74 @@ def test_program_without_a_delta_hook_falls_back_to_assemble():
     """Declaring nothing means "unknown": full Assemble and diff."""
     class Undeclared(SSSPProgram):
         answer_delta = PIEProgram.answer_delta
+        dense_answer_delta = PIEProgram.dense_answer_delta
 
-    g, paths, taken = islands(False, 2)
-    svc = GraphService(Undeclared(), g, SSSPQuery(source=0),
-                       num_fragments=2, runtime="simulated")
-    assert svc.engine.answer_delta() is None
-    check_every_epoch(svc, scripted_batches(svc.graph, paths, taken, 2,
-                                            random.Random(1)))
+    for program in (Undeclared(), generic(Undeclared())):
+        g, paths, taken = islands(False, 2)
+        svc = GraphService(program, g, SSSPQuery(source=0),
+                           num_fragments=2, runtime="simulated")
+        assert svc.engine.answer_delta() is None
+        check_every_epoch(svc, scripted_batches(svc.graph, paths, taken, 2,
+                                                random.Random(1)))
 
 
 def test_tracking_starts_clean_after_the_initial_run():
     """Components whose cid moved during PEval/IncEval of the initial run
     are not part of the first epoch's delta."""
     g, _, _ = islands(False, 2)
-    svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=2,
-                       runtime="simulated")
-    assert svc.engine.answer_delta() == {}
+    for program in (CCProgram(), generic(CCProgram())):
+        svc = GraphService(program, g, CCQuery(), num_fragments=2,
+                           runtime="simulated")
+        assert svc.engine.answer_delta() == {}
 
 
 class TestNoFragmentSizedStep:
     def forbid(self, monkeypatch, svc):
-        """Every whole-fragment entry point the parent's epoch called."""
+        """Every whole-fragment entry point an epoch could fall back on:
+        the generic ones the parent's epoch called, and on arrays every
+        way to rebuild a view, a CSR, a route table, a context or a
+        container (a merge is the one O(fragment) step left, and this
+        stream stays under its threshold)."""
         def boom(*args, **kwargs):
             raise AssertionError("O(fragment) call inside an epoch")
-        for name in ("assemble", "init_values", "ship_set", "candidates"):
+        for name in ("assemble", "init_values", "ship_set", "candidates",
+                     "dense_assemble", "dense_seed", "make_dense_context"):
             monkeypatch.setattr(type(svc.program), name, boom)
         monkeypatch.setattr(Engine, "assemble", boom)
         monkeypatch.setattr(Engine, "_checked_ship_set", boom)
+        monkeypatch.setattr(Engine, "_checked_routes", boom)
         monkeypatch.setattr(Fragment, "shared_nodes", property(boom))
         monkeypatch.setattr(Fragment, "border_nodes", property(boom))
+        monkeypatch.setattr(FragmentCSR, "__init__", boom)
+        monkeypatch.setattr(FragmentCSR, "merge", boom)
+        monkeypatch.setattr(GraphArrays, "of", boom)
+        monkeypatch.setattr(GraphArrays, "to_graph", boom)
+        if svc.engine.vectorized:  # the generic engine reads containers
+            monkeypatch.setattr(built_on_read, "__get__", boom)
 
     @pytest.mark.parametrize("runtime", ["simulated", "threaded"])
     @pytest.mark.parametrize("algo", sorted(ALGOS))
+    @pytest.mark.parametrize("engine", ["dense", "generic"])
     def test_epochs_apply_without_whole_fragment_calls(
-            self, monkeypatch, algo, runtime):
+            self, monkeypatch, engine, algo, runtime):
         program, query = ALGOS[algo]()
+        if engine == "generic":
+            program = generic(program)
         g, paths, taken = islands(False, 2)
         svc = GraphService(program, g, query, num_fragments=2,
                            runtime=runtime)
-        reference = GraphService(program, g, query, num_fragments=2,
-                                 runtime="simulated")
+        assert svc.status()["engine"] == engine
+        reference = GraphService(generic(program), g, query,
+                                 num_fragments=2, runtime="simulated")
         batches = list(scripted_batches(svc.graph, paths, taken, 2,
                                         random.Random(3)))
         self.forbid(monkeypatch, svc)
         for edges in batches:
             svc.ingest(UpdateBatch(insertions=tuple(edges)))
         assert svc.flush() == len(batches)
-        answer = svc.answer
+        answer = dict(svc._answer)
         monkeypatch.undo()
+        assert not any(part["merges"] for part in svc.status()["fragments"])
         for edges in batches:
             reference.ingest(UpdateBatch(insertions=tuple(edges)))
         reference.flush()
@@ -259,11 +325,12 @@ class TestNoFragmentSizedStep:
         """Same batches, 8x the graph: the epoch asks the routing index
         about the nodes the batch touched, not about the fragment."""
         calls = [0]
-        locations = Fragment.locations
 
-        def counting(self, v):
-            calls[0] += 1
-            return locations(self, v)
+        def counting(lookup):
+            def counted(self, v):
+                calls[0] += 1
+                return lookup(self, v)
+            return counted
 
         rng = random.Random(5)
         batches = [[(rng.randrange(2000), 50_000 + 2 * i + j,
@@ -278,7 +345,13 @@ class TestNoFragmentSizedStep:
                      for edges in batches]
             svc = GraphService(SSSPProgram(), g, SSSPQuery(source=0),
                                num_fragments=2, runtime="simulated")
-            monkeypatch.setattr(Fragment, "locations", counting)
+            # the routing index: a dict on the generic path, pairs over
+            # lids (looked up first) on arrays
+            for cls, name in ((Fragment, "locations"),
+                              (FragmentCSR, "peers_of"),
+                              (FragmentCSR, "lid")):
+                monkeypatch.setattr(cls, name,
+                                    counting(getattr(cls, name)))
             calls[0] = 0
             for edges in novel:
                 svc.ingest(UpdateBatch(insertions=tuple(edges)))
@@ -287,6 +360,66 @@ class TestNoFragmentSizedStep:
             per_size[n] = calls[0]
             assert verify_against_recompute(svc)
         edges = sum(len(b) for b in batches)
-        # a handful per inserted edge, and no more on the larger graph
-        # (there, more endpoints are border nodes already)
-        assert 0 < per_size[16000] <= per_size[2000] <= 8 * edges
+        # a handful per inserted edge, at either size
+        assert all(0 < asked <= 8 * edges for asked in per_size.values())
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_merges_and_capacity_doublings_keep_lids_and_answers(algo, directed):
+    """A stream long enough for every fragment to fold its appended edges
+    into its CSR at least twice and to outgrow its columns: no lid ever
+    changes, the lookups agree with a dict oracle before and after each
+    merge, the merges are observable, and the answer is the recompute's at
+    every step."""
+    program, query = ALGOS[algo]()
+    g, _, taken = islands(directed, 2)
+    svc = GraphService(program, g, query, num_fragments=2,
+                       runtime="simulated")
+    views = [frag.compact() for frag in svc.pg]
+    capacities = [view.capacity for view in views]
+    oracle = [dict(zip(view.gids.tolist(), range(len(view))))
+              for view in views]
+    rng = random.Random(f"{algo}-{directed}")
+    nodes = sorted(g.nodes)
+    edges = {frozenset(e[:2]) for e in g.edges()}
+    merges = [0, 0]
+    for step in range(60):
+        batch = []
+        while len(batch) < 8:
+            u = rng.choice(nodes)
+            if len(batch) % 2:
+                v = rng.choice(nodes)
+            else:
+                v = owned_by(rng.randrange(2), 2, taken, 20_000)
+                nodes.append(v)
+            if u != v and frozenset((u, v)) not in edges:
+                edges.add(frozenset((u, v)))
+                batch.append((u, v, round(rng.uniform(0.5, 3.0), 2)))
+        svc.ingest(UpdateBatch(insertions=tuple(batch)))
+        assert svc.pump(1) == 1
+        event = [e for e in svc.obs.log if e.type == "epoch_apply"][-1]
+        for fid, view in enumerate(views):
+            assert view is svc.pg.fragments[fid].compact()
+            # appended nodes took the next lids, nobody else's moved
+            for lid in range(len(oracle[fid]), len(view)):
+                oracle[fid][int(view.gids[lid])] = lid
+            asked = rng.sample(sorted(oracle[fid]), 12) + [10 ** 9, 7]
+            want = [oracle[fid].get(v, -1) for v in asked]
+            assert view.lids_for(np.array(asked)).tolist() == want
+            assert [view.lid(v) if view.lid(v) is not None else -1
+                    for v in asked] == want
+            assert (view.merges > merges[fid]) \
+                == (fid in event.payload["merged"])
+            if view.merges > merges[fid]:
+                assert view.spilled == 0
+            merges[fid] = view.merges
+        if step % 6 == 0:
+            assert verify_against_recompute(svc)
+    assert verify_against_recompute(svc)
+    assert all(count >= 2 for count in merges)
+    assert all(view.capacity > before
+               for view, before in zip(views, capacities))
+    status = svc.status()
+    assert [part["merges"] for part in status["fragments"]] == merges
+    assert svc.obs.metrics.counter("serve_csr_merges").value == sum(merges)

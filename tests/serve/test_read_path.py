@@ -129,8 +129,13 @@ def test_ingests_and_epochs_still_record_their_instruments():
 def test_status_reads_the_handles_and_adds_no_state():
     svc = make_service(cache_size=4)
     before = dict(vars(svc))
+    views = [frag.compact() for frag in svc.pg]
     assert svc.status() == {
         "epoch": 0, "accepted": 0, "lag": 0,
+        "engine": "dense",
+        "fragments": [{"nodes": len(view), "capacity": 2 * len(view),
+                       "overflow_edges": 0, "merge_threshold": 64,
+                       "merges": 0} for view in views],
         "queries": {"served": 0, "shed": 0},
         "batches": {"accepted": 0, "shed": 0},
         "cache": svc.cache.stats(),
@@ -142,6 +147,7 @@ def test_status_reads_the_handles_and_adds_no_state():
             "serve_epoch_duration").summary(),
         "events": {"retained": 0, "dropped": 0},
     }
+    before_status = svc.status()
     svc.ingest(UpdateBatch.of((0, 100, 0.5)))
     svc.ingest(UpdateBatch.of((100, 101, 0.5)))
     svc.pump(1)
@@ -153,6 +159,14 @@ def test_status_reads_the_handles_and_adds_no_state():
     assert status["cache"]["hit_rate"] == 0.5
     assert status["epoch_duration"]["count"] == 1
     assert status["events"] == {"retained": len(svc.obs.log), "dropped": 0}
+    # the epoch put node 100 and the edge to it on the arrays, in place
+    assert [part["nodes"] for part in status["fragments"]] \
+        == [len(view) for view in views]
+    assert sum(part["nodes"] for part in status["fragments"]) \
+        > sum(part["nodes"] for part in before_status["fragments"])
+    assert sum(part["overflow_edges"] for part in status["fragments"]) >= 1
+    assert all(part["capacity"] >= part["nodes"] and part["merges"] == 0
+               for part in status["fragments"])
     assert vars(svc).keys() == before.keys()
     assert len(svc.obs.log) == 5  # status() itself emits nothing
 

@@ -197,3 +197,31 @@ class TestSnapshotsAndObs:
         res = svc.query(11, staleness_bound=0)
         assert res.value == svc.query(0, staleness_bound=0).value
         assert verify_against_recompute(svc)
+
+
+def test_a_dense_service_rejects_an_id_that_is_no_integer_at_ingest():
+    """Atomically, like any bad batch: nothing is staged, the service
+    goes on; a service on the generic engine takes any hashable."""
+    from repro.algorithms import SSSPProgram, SSSPQuery
+    from repro.errors import ProgramError
+    from repro.graph import generators
+    from repro.serve import GraphService, verify_against_recompute
+    from repro.streaming import UpdateBatch
+
+    class Generic(SSSPProgram):
+        dense_capable = False
+
+    graph = generators.grid2d(4, 4, weighted=True, seed=1)
+    dense = GraphService(SSSPProgram(), graph, SSSPQuery(source=0),
+                         num_fragments=2, runtime="simulated")
+    with pytest.raises(ProgramError, match="non-negative integer"):
+        dense.ingest(UpdateBatch.of((0, 99, 1.0), (99, "x", 1.0)))
+    assert dense.lag == 0 and not dense._staged
+    dense.ingest(UpdateBatch.of((0, 99, 1.0)))
+    assert dense.flush() == 1 and verify_against_recompute(dense)
+
+    generic = GraphService(Generic(), graph, SSSPQuery(source=0),
+                           num_fragments=2, runtime="simulated")
+    generic.ingest(UpdateBatch.of((0, 99, 1.0), (99, "x", 1.0)))
+    assert generic.flush() == 1 and verify_against_recompute(generic)
+    assert generic.answer["x"] == 2.0
