@@ -172,12 +172,11 @@ class CCProgram(PIEProgram):
             sweep = frontier.size * 2 >= labels.size
             lowered = []
             for edges_of in reads:
-                src, tgt, _ = edges_of(None if sweep else frontier,
-                                       weighted=False)
+                lab, tgt, _ = edges_of(None if sweep else frontier,
+                                       weighted=False, at_source=labels)
                 ctx.add_work(int(tgt.size))
                 if tgt.size == 0:
                     continue
-                lab = labels[src]
                 if tgt.size < FILTER_SHARE * labels.size:
                     # few candidates: keep the improving ones,
                     # edge-sized work

@@ -15,8 +15,8 @@ IncEval drains pending mass to a *local fixpoint* before anything ships,
 so the in-fragment waves are where a PageRank run spends its time.  The
 vectorized kernel treats each wave as the sparse matrix-vector product it
 is (the delayed-asynchronous SpMV sequence of Blanco et al., PAPERS.md)
-and picks, per wave, between sweeping the fragment's whole edge array and
-expanding only the frontier's ranges — see
+and picks, per wave, between sweeping the out-edges of all owned nodes
+and expanding only the frontier's ranges — see
 :meth:`PageRankProgram._dense_propagate` and :data:`DENSE_EDGE_SHARE`.
 """
 
@@ -32,29 +32,35 @@ from repro.partition.fragment import Fragment, PartitionedGraph
 
 Node = Hashable
 
-#: A wave takes the full-fragment SpMV once its frontier holds more than
-#: this share of the fragment's out-edges.  The ratio of the two measured
-#: per-edge costs: ~3.4 ns per *fragment* edge for gather + ``bincount``
-#: over the whole edge array against ~11 ns per *frontier* edge for the
-#: ragged expansion (docs/performance.md, ledger entry 2).
+#: A wave takes the full SpMV once its frontier holds more than this share
+#: of the out-edges of the fragment's owned nodes.  The ratio of the two
+#: measured per-edge costs: ~3.4 ns per *owned-source* edge for gather +
+#: ``bincount`` over those rows against ~12 ns per *frontier* edge for the
+#: ragged expansion on the power-law workload (break-even 0.28), ~2.7
+#: against ~7 on the R-MAT one (0.37) (docs/performance.md, ledger
+#: entries 2 and 11).
 DENSE_EDGE_SHARE = 0.3
 
 
 def _spmv_arrays(frag: Fragment):
-    """``(out-degrees, share divisor, per-edge source lid, per-edge
-    target lid)`` of ``frag``.
+    """``(out-degrees, share divisor, source lid, target lid)`` of
+    ``frag``, the last two per out-edge of an *owned* node, in the order
+    :meth:`~repro.partition.fragment.FragmentCSR.out_edges` yields them.
 
     Pure functions of the fragment's adjacency, memoized on the fragment
     (and dropped when the fragment grows in place).  The divisor is the
     float out-degree with dangling nodes clamped to 1: they have no edge
-    to gather their share through.
+    to gather their share through.  An edge that starts at a mirror is
+    not kept: a mirror never propagates (its pending mass ships to the
+    owner), so its share in a full sweep is exactly 0.
     """
     import numpy as np
 
     def build():
         view = frag.compact()
         degrees = view.out_degrees()
-        edge_src, edge_dst, _ = view.out_edges(weighted=False)
+        edge_src, edge_dst, _ = view.out_edges(
+            np.flatnonzero(view.owned_mask), weighted=False)
         return (degrees, np.maximum(degrees, 1).astype(np.float64),
                 edge_src, edge_dst)
     return frag.memo("pagerank.spmv_arrays", build)
@@ -180,12 +186,16 @@ class PageRankProgram(PIEProgram):
 
         A wave's gain is ``bincount(targets, weights=shares)`` over the
         frontier's out-edges.  A frontier holding more than
-        :data:`DENSE_EDGE_SHARE` of the fragment's out-edges takes the
-        whole edge array — scatter the shares into a node vector, gather
-        it through the cached per-edge sources — and a smaller one
-        expands only its own ranges.  Both sum a node's gain in CSR edge
-        order (the extra edges of the full sweep add exact zeros), so
-        the answer does not depend on which branch a wave took.
+        :data:`DENSE_EDGE_SHARE` of the out-edges of owned nodes sweeps
+        all of those — scatter the shares into a node vector, gather it
+        through the memoized per-edge sources — and a smaller one
+        expands only its own ranges, its shares spread over them by the
+        accessor (``np.repeat`` over the range lengths).  Both sum a
+        node's gain in CSR edge order (the extra edges of the full sweep
+        add exact zeros), so the answer does not depend on which branch
+        a wave took.  Pending mass is never negative — it starts at
+        ``1 - d`` or 0 and only ever receives shares and incoming mirror
+        deltas — so the threshold test needs no ``abs``.
 
         ``ctx.mask`` marks the nodes whose pending mass moved.
         Floating-point accumulation order differs from the generic path,
@@ -202,14 +212,14 @@ class PageRankProgram(PIEProgram):
         owned = view.owned_mask
         n = pend.size
         dense_above = DENSE_EDGE_SHARE * edge_dst.size
-        # a sparse wave's share per node, read back per edge: only the
-        # entries just written are ever read, so it is never cleared
+        # a sparse wave's share per node, read back at the frontier: only
+        # the entries just written are ever read, so it is never cleared
         share_of = np.empty(n)
         front = np.zeros(n, dtype=bool)
         front[np.asarray(seeds, dtype=np.int64)] = True
         while True:
             front &= owned
-            front &= np.abs(pend) > eps_node
+            front &= pend > eps_node
             active = np.nonzero(front)[0]
             if active.size == 0:
                 break
@@ -228,9 +238,10 @@ class PageRankProgram(PIEProgram):
                 gain = np.bincount(edge_dst, weights=per_node[edge_src],
                                    minlength=n)
             else:
-                src, dst, _ = view.out_edges(active, weighted=False)
                 share_of[active] = share
-                gain = np.bincount(dst, weights=share_of[src], minlength=n)
+                shares, dst, _ = view.out_edges(active, weighted=False,
+                                                at_source=share_of)
+                gain = np.bincount(dst, weights=shares, minlength=n)
             pend += gain
             front = gain != 0.0
             ctx.mask |= front

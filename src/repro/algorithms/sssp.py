@@ -150,11 +150,11 @@ class SSSPProgram(PIEProgram):
                 frontier = frontier[relax_ok[frontier]]
             if frontier.size == 0:
                 break
-            src, tgt, weights = view.out_edges(frontier)
+            offer, tgt, weights = view.out_edges(frontier, at_source=dist)
             ctx.add_work(int(frontier.size + tgt.size))
             if tgt.size == 0:
                 break
-            nd = dist[src] + weights
+            nd = offer + weights
             if tgt.size < FILTER_SHARE * dist.size:
                 # few candidates: keep the improving ones, edge-sized work
                 better = nd < dist[tgt]

@@ -69,35 +69,51 @@ class Spill(NamedTuple):
 
 def frontier_edges(csr: "CompactGraph", spill: Optional[Spill],
                    frontier: Optional[np.ndarray] = None,
-                   reverse: bool = False, weighted: bool = True
+                   reverse: bool = False, weighted: bool = True,
+                   at_source: Optional[np.ndarray] = None
                    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """``(source, target, weight)`` per edge leaving the nodes ``frontier``
     (entering them, with ``reverse``; ``None``: every node) — the one way
-    a dense kernel reads adjacency.  ``frontier`` is ascending and not
-    empty; a kernel that ignores weights says so (``weighted=False``) and
-    gets ``None`` for them instead of an edge-sized gather.
+    a dense kernel reads adjacency.  ``frontier`` is ascending.  A kernel
+    asks only for the columns it reads: with ``weighted=False`` the
+    weights are ``None``, and a kernel that reads a per-node array at
+    each edge's source passes it as ``at_source`` and gets
+    ``at_source[source]`` in place of the source column.  A frontier's
+    base rows are grouped by source, so either column is one
+    ``np.repeat`` over the range lengths — of the frontier, or of
+    ``at_source`` at the frontier — and no per-edge source column is
+    gathered (or built: :attr:`CompactGraph.out_sources` is the
+    sweep's).
 
     Base edges come first, in CSR order: the frontier's ranges through
     :func:`expand_ranges`.  Then the ``spill`` rows with their tail in
     the frontier (``None`` when nothing was appended, which costs
     nothing).  The scan is one gather over the spill, whatever the
-    frontier's size.
+    frontier's size; spill rows are read through the tails they carry.
     """
     if reverse:
-        indptr, targets, weights, sources = (
-            csr.in_indptr, csr.in_indices, csr.in_weights, csr.in_sources)
+        indptr, targets, weights = (csr.in_indptr, csr.in_indices,
+                                    csr.in_weights)
     else:
-        indptr, targets, weights, sources = (
-            csr.out_indptr, csr.out_indices, csr.out_weights,
-            csr.out_sources)
-    if frontier is not None:
+        indptr, targets, weights = (csr.out_indptr, csr.out_indices,
+                                    csr.out_weights)
+    if frontier is None:
+        sources = csr.in_sources if reverse else csr.out_sources
+        if at_source is not None:
+            sources = at_source[sources]
+        weights = weights if weighted else None
+    else:
         inside = frontier
-        if spill is not None and frontier[-1] >= csr.num_nodes:
+        if spill is not None and frontier.size \
+                and frontier[-1] >= csr.num_nodes:
             # appended nodes have no base range
             inside = frontier[:np.searchsorted(frontier, csr.num_nodes)]
         starts = indptr[inside]
-        at = expand_ranges(starts, indptr[inside + 1] - starts)
-        sources, targets = sources[at], targets[at]
+        counts = indptr[inside + 1] - starts
+        at = expand_ranges(starts, counts)
+        sources = np.repeat(
+            inside if at_source is None else at_source[inside], counts)
+        targets = targets[at]
         weights = weights[at] if weighted else None
     if spill is None:
         return sources, targets, weights
@@ -111,6 +127,8 @@ def frontier_edges(csr: "CompactGraph", spill: Optional[Spill],
         if not hit.size:
             return sources, targets, weights
         tail, head, wgt = tail[hit], head[hit], wgt[hit]
+    if at_source is not None:
+        tail = at_source[tail]
     return (np.concatenate((sources, tail)), np.concatenate((targets, head)),
             np.concatenate((weights, wgt)) if weighted else None)
 
@@ -322,9 +340,9 @@ class CompactGraph:
         """Per-edge tail node: ``out_sources[e]`` is the source of the
         edge stored at flat index ``e`` of ``out_indices``.
 
-        Built lazily once per graph and cached — it turns the per-wave
-        ``np.repeat(values[frontier], counts)`` gather the dense kernels
-        would otherwise do into a single fancy-index read.
+        Built lazily once per graph and cached, for what reads every edge
+        (a sweep of :func:`frontier_edges`, :meth:`edge_arrays`); a
+        frontier's rows get theirs by one ``np.repeat`` instead.
         """
         if self._src_out is None:
             self._src_out = np.repeat(

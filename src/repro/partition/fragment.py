@@ -87,6 +87,13 @@ MERGE_FLOOR = 64
 #: up to this many ids are looked up one by one (:meth:`FragmentCSR.lid`):
 #: below that an array lookup is all call overhead
 FEW_LOOKUPS = 16
+#: :meth:`FragmentCSR.lids_for` reads lids from a table indexed by id
+#: while the fragment's sorted ids span at most this many ids per node
+#: (8 bytes an id, so at most 32 bytes per node; a hash partition into m
+#: fragments spans ~m / (1 + mirror share) ids per node).  The table is
+#: ~2.5 ns an id where ``searchsorted`` is ~27 (docs/performance.md,
+#: ledger entry 11).
+LID_TABLE_SPAN = 4
 
 
 class NodeArrays(NamedTuple):
@@ -183,6 +190,23 @@ def resized(live: np.ndarray, size: int, capacity: int) -> np.ndarray:
     return buf[:size]
 
 
+def _lid_table(ids: Optional[np.ndarray], lids: Optional[np.ndarray]
+               ) -> Optional[Tuple[int, np.ndarray]]:
+    """``(lowest id, table)`` with ``table[v - lowest id]`` the lid of id
+    ``v`` (-1 where there is none), for ascending integer ``ids`` at
+    ``lids`` (``None``: at their positions) — or ``None`` when they span
+    more than :data:`LID_TABLE_SPAN` ids per id (or there are none)."""
+    if ids is None or not len(ids):
+        return None
+    low = int(ids[0])
+    span = int(ids[-1]) - low + 1
+    if span > LID_TABLE_SPAN * len(ids):
+        return None
+    table = np.full(span, -1, dtype=np.int64)
+    table[ids - low] = np.arange(len(ids)) if lids is None else lids
+    return low, table
+
+
 class _Columns:
     """Equal-length arrays that grow together, by appending rows."""
 
@@ -244,21 +268,24 @@ class FragmentCSR:
     non-negative integers (in the builder's order otherwise, and then
     there is no CSR); nodes appended by in-place growth take the next
     lids, in arrival order, and no lid ever changes.  Integer ids are
-    looked up with ``searchsorted`` over a sorted index plus a ``dict``
-    of the nodes appended since the index was last folded
-    (:meth:`lid`, :meth:`lids_for`); the ``nodes`` list and the ``lid_of``
-    dict exist for the scalar facade of :mod:`repro.core.dense` and for
-    non-integer ids, built when first read (:class:`built_on_read`) and
-    patched by growth from then on.
+    looked up in a sorted index of the ids plus a ``dict`` of the nodes
+    appended since the index was last folded: an array of ids
+    (:meth:`lids_for`) through a lid table indexed by id when the index
+    spans at most :data:`LID_TABLE_SPAN` ids per node, by
+    ``searchsorted`` when the ids are sparser (so nothing is ever sized
+    by an id), and one id (:meth:`lid`) by ``searchsorted``; the
+    ``nodes`` list and the ``lid_of`` dict exist for the scalar facade
+    of :mod:`repro.core.dense` and for non-integer ids, built when first
+    read (:class:`built_on_read`) and patched by growth from then on.
 
     :attr:`csr` is a :class:`~repro.graph.csr.CompactGraph` over the first
     edge rows; the rows appended since are the *spill* that
     :meth:`out_edges` / :meth:`in_edges` — the one way kernels read
     adjacency — scan after the base ranges.  :meth:`merge` folds the
-    spill into the CSR (and the appended ids into the sorted index, the
-    appended routing pairs into the sorted pairs); lids stay.  Every
-    per-lid column shares one amortised-doubling :attr:`capacity`, which
-    contexts and engines follow (:func:`resized`).
+    spill into the CSR (and the appended ids into the sorted index and
+    the lid table, the appended routing pairs into the sorted pairs);
+    lids stay.  Every per-lid column shares one amortised-doubling
+    :attr:`capacity`, which contexts and engines follow (:func:`resized`).
 
     One instance per fragment, for life: made by the builder
     (:meth:`Fragment.from_arrays`) or derived once from a hand-made
@@ -296,6 +323,8 @@ class FragmentCSR:
         #: folded appended nodes in, the lid at each position
         self._sorted_gids = None if rank is None else gids
         self._sorted_lids: Optional[np.ndarray] = None
+        #: the sorted index as a table indexed by id, where it is dense
+        self._lid_table = _lid_table(self._sorted_gids, None)
         #: id -> lid of the integer-id nodes appended since
         self._recent: Dict[Node, int] = {}
         #: lids in the order the dict graph lists the initial nodes
@@ -407,18 +436,23 @@ class FragmentCSR:
                              for lid in map(self.lid, gids.tolist())],
                             dtype=np.int64)
         index = self._sorted_gids
-        if not len(index):
+        if self._lid_table is not None:
+            low, table = self._lid_table
+            at = gids - low
+            lids = table.take(at, mode="clip")
+            # below the table an offset is negative: as unsigned, too big
+            lids[at.view(np.uint64) >= table.size] = -1
+        elif not len(index):
             lids = np.full(gids.shape, -1, dtype=np.int64)
-            absent = lids < 0
         else:
             lids = index.searchsorted(gids)
             absent = index.take(lids, mode="clip") != gids
             if self._sorted_lids is not None:
                 lids = self._sorted_lids.take(lids, mode="clip")
-        if absent.any():
             lids[absent] = -1
-            for at in absent.nonzero()[0].tolist() if self._recent else ():
-                lids[at] = self._recent.get(int(gids[at]), -1)
+        if self._recent:
+            for k in np.flatnonzero(lids < 0).tolist():
+                lids[k] = self._recent.get(int(gids[k]), -1)
         return lids
 
     def peers_of(self, lid: int) -> List[int]:
@@ -433,18 +467,23 @@ class FragmentCSR:
 
     # -- edges ---------------------------------------------------------
     def out_edges(self, frontier: Optional[np.ndarray] = None,
-                  weighted: bool = True) -> tuple:
+                  weighted: bool = True,
+                  at_source: Optional[np.ndarray] = None) -> tuple:
         """``(source lid, target lid, weight)`` per edge leaving the lids
         ``frontier`` (``None``: every edge), base ranges first, then the
-        spill (:func:`~repro.graph.csr.frontier_edges`)."""
+        spill; ``at_source[source lid]`` in place of the source lid when
+        a per-lid array is passed (:func:`~repro.graph.csr.
+        frontier_edges`)."""
         return csr_module.frontier_edges(self.csr, self._spill_rows(),
-                                         frontier, False, weighted)
+                                         frontier, False, weighted,
+                                         at_source)
 
     def in_edges(self, frontier: Optional[np.ndarray] = None,
-                 weighted: bool = True) -> tuple:
+                 weighted: bool = True,
+                 at_source: Optional[np.ndarray] = None) -> tuple:
         """:meth:`out_edges` over the reverse adjacency."""
         return csr_module.frontier_edges(self.csr, self._spill_rows(),
-                                         frontier, True, weighted)
+                                         frontier, True, weighted, at_source)
 
     def edges_of(self, lid: int, reverse: bool = False) -> tuple:
         """:meth:`out_edges` (:meth:`in_edges` with ``reverse``) of one
@@ -515,7 +554,7 @@ class FragmentCSR:
                 f"non-negative integer node ids, got {first_bad_id(ids)!r}")
         self._nodes.replace("gids", np.fromiter(
             self.gids.tolist(), object, len(self)))
-        self._sorted_gids = self._sorted_lids = None
+        self._sorted_gids = self._sorted_lids = self._lid_table = None
         self._recent = {}
 
     def add_edges(self, src: Sequence[int], dst: Sequence[int],
@@ -555,15 +594,17 @@ class FragmentCSR:
     def merge(self) -> None:
         """Fold what growth appended into the sorted structures: the
         spill into the CSR (one key sort per direction), the appended ids
-        into the lookup index, the appended pairs into the sorted pairs.
-        O(fragment); lids do not change, what was memoized on the
-        fragment goes."""
+        into the lookup index and its lid table, the appended pairs into
+        the sorted pairs.  O(fragment); lids do not change, what was
+        memoized on the fragment goes."""
         self.fragment.invalidate_caches()
         self._sorted_pairs()
         if self._recent:
             gids = self.gids
             self._sorted_lids = np.argsort(gids, kind="stable")
             self._sorted_gids = gids[self._sorted_lids]
+            self._lid_table = _lid_table(self._sorted_gids,
+                                         self._sorted_lids)
             self._recent = {}
         if self.csr is None:
             self._merged_edges = self._edges.size
@@ -802,11 +843,11 @@ class Fragment:
 
         Engines cache ship sets and dense routing masks here (keyed by
         program class), kernels their per-fragment arrays (out-degrees,
-        per-edge sources): pure functions of the partition that would
-        otherwise be rebuilt per engine or per round.  Callers must treat
-        cached objects as immutable; the one exception is the ship set,
-        which the engine that follows in-place growth patches and
-        re-installs (:meth:`~repro.core.engine.Engine.refresh_routes`).
+        the rows a full sweep reads): pure functions of the partition
+        that would otherwise be rebuilt per engine or per round.  Callers
+        must treat cached objects as immutable; the one exception is the
+        ship set, which the engine that follows in-place growth patches
+        and re-installs (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
         if self._memo is None:
             self._memo = {}

@@ -86,10 +86,10 @@ class TestSemantics:
 
 class TestMemoizedKernelArrays:
     def test_rebuilt_after_in_place_growth(self):
-        """The kernel's per-fragment arrays (degrees, divisor, per-edge
-        sources) are memoized on the fragment; growing it in place must
-        drop them, or the next run would index the new CSR with the old
-        degrees."""
+        """The kernel's per-fragment arrays (degrees, divisor, the
+        owned-source rows) are memoized on the fragment; growing it in
+        place must drop them, or the next run would index the new CSR
+        with the old degrees."""
         import numpy as np
 
         from repro.algorithms.pagerank import _spmv_arrays
@@ -123,8 +123,11 @@ class TestMemoizedKernelArrays:
             csr = frag.compact().csr  # the new engine merged the spill
             assert np.array_equal(degrees, np.diff(csr.out_indptr))
             assert np.array_equal(divisor, np.maximum(degrees, 1))
-            assert edge_src is csr.out_sources
-            assert edge_dst is csr.out_indices
+            # the rows that start at an owned node, in CSR order
+            kept = frag.compact().owned_mask[csr.out_sources]
+            assert not kept.all()
+            assert np.array_equal(edge_src, csr.out_sources[kept])
+            assert np.array_equal(edge_dst, csr.out_indices[kept])
         # and the grown partition answers like one built from scratch
         rebuilt = build_edge_cut(g, dict(pg.owner), 2, "test")
         fresh = api.run(PageRankProgram(), rebuilt, query, vectorized=True)

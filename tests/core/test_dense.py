@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.algorithms import (CFProgram, CFQuery, SSSPProgram, SSSPQuery)
@@ -204,9 +206,72 @@ class TestMessageBatch:
         assert entry_count([m, self._batch(2)]) == 3
 
 
+@st.composite
+def id_layouts(draw):
+    """Node ids (dense, or reaching 10**12), fragments, the ids growth
+    appends (inside the span or beyond it) and the ids to look up."""
+    n = draw(st.integers(2, 30))
+    dense = draw(st.booleans())
+    top = 3 * n if dense else 10 ** 12
+    ids = draw(st.lists(st.integers(0, top), min_size=n, max_size=n,
+                        unique=True))
+    if not dense:
+        ids.append(10 ** 12 + 1)  # so the span is sparse for sure
+    low, high = min(ids), max(ids)
+    fresh = st.integers(0, high + 5).filter(lambda v: v not in ids)
+    grown = draw(st.lists(st.one_of(fresh, st.integers(high + 1, 10 ** 13)),
+                          max_size=12, unique=True))
+    probes = [low - 1, high + 1, -1, -(10 ** 12), 2 ** 62]
+    probes += draw(st.lists(st.integers(-5, high + 5), min_size=20,
+                            max_size=40))
+    return ids, draw(st.integers(1, 3)), grown, probes
+
+
 class TestLidLookup:
-    """Global id -> lid goes through ``searchsorted``: nothing is sized
-    by an id, and the ``lid_of`` dict is the scalar facade's alone."""
+    """Global id -> lid: a table indexed by id where the ids are dense,
+    ``searchsorted`` where they are not, so nothing is sized by an id
+    beyond :data:`LID_TABLE_SPAN` per node; the ``lid_of`` dict is the
+    scalar facade's alone."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(id_layouts())
+    def test_lookups_equal_a_dict(self, layout):
+        """``lids_for`` (an array of more than ``FEW_LOOKUPS`` ids) and
+        ``lid`` agree with ``{id: lid}`` read off the node table: on the
+        built fragment, after growth appended ids inside and outside its
+        span, and after ``merge()`` folded them in."""
+        from repro.partition.edge_cut import HashPartitioner
+        from repro.partition.fragment import FEW_LOOKUPS, LID_TABLE_SPAN
+        from repro.partition.grow import grow_edge_cut
+        ids, m, grown, probes = layout
+        g = Graph(directed=False)
+        for u, v in zip(ids, ids[1:]):
+            g.add_edge(u, v, 1.0)
+        pg = HashPartitioner().partition(g, m)
+
+        def check():
+            for frag in pg:
+                view = frag.compact()
+                oracle = dict(zip(view.gids.tolist(), range(len(view))))
+                asked = np.array(probes + list(oracle) + grown,
+                                 dtype=np.int64)
+                assert asked.size > FEW_LOOKUPS
+                want = [oracle.get(v, -1) for v in asked.tolist()]
+                assert view.lids_for(asked).tolist() == want
+                assert [-1 if view.lid(v) is None else view.lid(v)
+                        for v in asked.tolist()] == want
+                if view._lid_table is not None:
+                    assert view._lid_table[1].size \
+                        <= LID_TABLE_SPAN * len(view)
+
+        check()
+        grow_edge_cut(pg, [(ids[k % len(ids)], v, 1.0)
+                           for k, v in enumerate(grown)])
+        check()
+        for frag in pg:
+            frag.compact().merge()
+        check()
 
     def sparse_path(self):
         # ids a table indexed by id cannot hold: 10**12 slots of int64

@@ -196,6 +196,29 @@ class TestStableOrder:
         assert csr.stable_order(keys, 6).tolist() == want
         assert len(calls) == 1  # the packed sort needs no argsort
 
+    def test_exact_int64_boundary(self, monkeypatch):
+        """``bound * len(keys)`` == 2**63 - 1 still packs (the largest
+        packed key is 2**63 - 2); one more falls back.  Keys at the top
+        of the range, with duplicates, come out in the stable order both
+        ways."""
+        import numpy as np
+        from repro.graph import csr
+        top = np.iinfo(np.int64).max
+        assert top % 7 == 0
+        bound = top // 7
+        keys = np.array([bound - 1, 0, bound - 1, 5, 0, bound - 1, 5],
+                        dtype=np.int64)
+        assert bound * len(keys) == top
+        want = np.argsort(keys, kind="stable").tolist()
+        calls = []
+        real_argsort = np.argsort
+        monkeypatch.setattr(csr.np, "argsort", lambda *a, **k: (
+            calls.append(k), real_argsort(*a, **k))[1])
+        assert csr.stable_order(keys, bound).tolist() == want
+        assert calls == []
+        assert csr.stable_order(keys, bound + 1).tolist() == want
+        assert calls == [{"kind": "stable"}]
+
     def test_csr_rows_keep_edge_order(self):
         g = CompactGraph.from_edges(
             3, [(1, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0), (0, 1, 4.0)])
@@ -254,12 +277,17 @@ class TestFrontierEdges:
         before there was an accessor."""
         from repro.graph.csr import expand_ranges, frontier_edges
         g = small_compact
+        values = np.random.default_rng(3).random(g.num_nodes)
         for reverse, (indptr, indices, weights, sources) in enumerate((
                 (g.out_indptr, g.out_indices, g.out_weights, g.out_sources),
                 (g.in_indptr, g.in_indices, g.in_weights, g.in_sources))):
             everything = frontier_edges(g, None, None, bool(reverse))
             assert all(got is want for got, want in zip(
                 everything, (sources, indices, weights)))
+            swept = frontier_edges(g, None, None, bool(reverse), False,
+                                   at_source=values)
+            assert swept[0].tobytes() == values[sources].tobytes()
+            assert swept[2] is None
             for frontier in ([7], [0, 3, 4, 50, 99], list(range(100))):
                 frontier = np.array(frontier)
                 starts = indptr[frontier]
@@ -269,6 +297,11 @@ class TestFrontierEdges:
                                               weights[at])):
                     assert mine.dtype == theirs.dtype
                     assert mine.tobytes() == theirs.tobytes()
+                # the source's value instead of its lid: no source column
+                read = frontier_edges(g, None, frontier, bool(reverse),
+                                      at_source=values)
+                assert read[0].tobytes() == values[sources[at]].tobytes()
+                assert read[1].tobytes() == indices[at].tobytes()
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_base_plus_spill_reads_like_the_merged_graph(self, directed):
@@ -304,12 +337,17 @@ class TestFrontierEdges:
         frontiers = [None, np.arange(grown), np.array([n + 2]),
                      *(np.sort(rng.choice(grown, size, replace=False))
                        for size in (1, 3, 10))]
+        values = rng.random(grown)
         for reverse in (False, True):
             for frontier in frontiers:
                 got = frontier_edges(base, spill, frontier, reverse)
                 assert bag(got) == bag(frontier_edges(merged, None, frontier,
                                                       reverse))
                 assert not spill.member.any()  # the scratch is left clear
+                # spill rows are read through the tails they carry
+                read = frontier_edges(base, spill, frontier, reverse,
+                                      at_source=values)
+                assert bag(read) == bag((values[got[0]], *got[1:]))
             for node in range(grown):
                 targets, wgts, more, more_w = node_edges(
                     base, inc if reverse and directed else out, node,

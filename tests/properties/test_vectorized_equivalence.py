@@ -19,7 +19,7 @@ import repro.graph.csr as csr_mod
 from repro import api
 from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
-from repro.algorithms.pagerank import DENSE_EDGE_SHARE
+from repro.algorithms.pagerank import DENSE_EDGE_SHARE, _spmv_arrays
 from repro.core.aggregators import Sum
 from repro.core.dense import DenseContext
 from repro.graph import generators
@@ -155,12 +155,15 @@ def raw_csr(n, edges, directed):
 
 
 class CountingContext(DenseContext):
-    """Counts the kernel's waves: it books work once per wave."""
+    """Counts the kernel's waves: it books work once per wave.  Pending
+    mass must never be negative there: the kernel's threshold test
+    takes no ``abs``."""
 
     waves = 0
 
     def add_work(self, amount):
         self.waves += 1
+        assert self.array.min() >= 0.0
         super().add_work(amount)
 
 
@@ -245,6 +248,10 @@ class TestPageRankKernel:
         n, edges, directed, owned, pend, seeds, eps_node, damping = case
         frag, ctx = kernel_state(n, edges, directed, owned, pend, eps_node)
         csr = ctx.view.csr
+        # the memoized rows, built before expansions are counted: the
+        # out-edges of owned nodes
+        owned_rows = _spmv_arrays(frag)[3].size
+        assert owned_rows == np.diff(csr.out_indptr)[np.array(owned)].sum()
         sparse_waves = []
         real_expand = csr_mod.expand_ranges
 
@@ -264,8 +271,10 @@ class TestPageRankKernel:
         assert np.array_equal(ctx.mask, want_mask)
         assert ctx.take_work() == want_work
         assert ctx.waves == len(wave_edges)
-        # the branch is a function of the frontier's edge count alone
-        switch = DENSE_EDGE_SHARE * csr.out_indices.size
+        assert ctx.array.min() >= 0.0
+        # the branch is a function of the frontier's edge count alone,
+        # against the out-edges of owned nodes (the full sweep's rows)
+        switch = DENSE_EDGE_SHARE * owned_rows
         assert sparse_waves == [e for e in wave_edges if 0 < e <= switch]
 
     @pytest.mark.parametrize("over", [False, True])
@@ -283,6 +292,7 @@ class TestPageRankKernel:
         pend = [0.0] * n
         pend[1 if over else 0] = 1.0
         frag, ctx = kernel_state(n, edges, True, [True] * n, pend, 1e-9)
+        assert _spmv_arrays(frag)[3].size == total  # every node owned
         calls = []
         real_expand = csr_mod.expand_ranges
         with mock.patch.object(
@@ -298,3 +308,112 @@ class TestPageRankKernel:
         assert np.array_equal(ctx.array, want[0])
         assert np.array_equal(ctx.scratch["score_arr"], want[1])
         assert np.array_equal(ctx.mask, want[2])
+
+
+# ----------------------------------------------------------------------
+# The all-rows kernel, kept as an oracle for the one that replaced it
+# ----------------------------------------------------------------------
+def all_rows_propagate(self, frag, ctx, query, seeds):
+    """``PageRankProgram._dense_propagate`` as it was while its full
+    sweep read every out-edge of the fragment, mirror sources included,
+    its sparse waves read each share back through the per-edge source
+    lid and its threshold test took ``abs``."""
+    view = ctx.view
+    degrees = view.out_degrees()
+    divisor = np.maximum(degrees, 1).astype(np.float64)
+    edge_src, edge_dst, _ = view.out_edges(weighted=False)
+    pend = ctx.array
+    score = ctx.scratch["score_arr"]
+    eps_node = ctx.scratch["eps_node"]
+    d = query.damping
+    owned = view.owned_mask
+    n = pend.size
+    dense_above = 0.3 * edge_dst.size
+    share_of = np.empty(n)
+    front = np.zeros(n, dtype=bool)
+    front[np.asarray(seeds, dtype=np.int64)] = True
+    while True:
+        front &= owned
+        front &= np.abs(pend) > eps_node
+        active = np.nonzero(front)[0]
+        if active.size == 0:
+            break
+        delta = pend[active]
+        pend[active] = 0.0
+        score[active] += delta
+        counts = degrees[active]
+        edges = int(counts.sum())
+        ctx.add_work(int(active.size) + edges)
+        if edges == 0:
+            break
+        share = d * delta / divisor[active]
+        if edges > dense_above:
+            per_node = np.zeros(n)
+            per_node[active] = share
+            gain = np.bincount(edge_dst, weights=per_node[edge_src],
+                               minlength=n)
+        else:
+            src, dst, _ = view.out_edges(active, weighted=False)
+            share_of[active] = share
+            gain = np.bincount(dst, weights=share_of[src], minlength=n)
+        pend += gain
+        front = gain != 0.0
+        ctx.mask |= front
+
+
+class AllRowsPageRank(PageRankProgram):
+    _dense_propagate = all_rows_propagate
+
+
+def bsp_rounds(engine):
+    """Run ``engine`` to its fixpoint in BSP order on one thread (as the
+    benchmark's sequential pass does); per round the worker, its work,
+    its activated count and the bytes of every batch it shipped."""
+    m = engine.num_workers
+    inbox, rounds = [[] for _ in range(m)], []
+
+    def deliver(out):
+        rounds.append((out.wid, out.work, out.activated, [
+            (msg.dst, msg.ids.tobytes(), msg.payloads.tobytes())
+            for msg in out.messages]))
+        for msg in out.messages:
+            inbox[msg.dst].append(msg)
+
+    for out in [engine.run_peval(wid) for wid in range(m)]:
+        deliver(out)
+    round_no = 1
+    while any(inbox):
+        current, inbox = inbox, [[] for _ in range(m)]
+        for wid in range(m):
+            if current[wid]:
+                deliver(engine.run_inceval(wid, current[wid], round_no))
+        round_no += 1
+    return rounds
+
+
+class TestAllRowsKernel:
+    """The kernel equals the all-rows one bit for bit on the quick-size
+    workload graphs: the same rounds, work, shipped entries, pending and
+    score arrays, change masks and answer."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("graph", ["powerlaw-5k", "rmat-10"])
+    def test_bit_identical(self, graph, m):
+        from repro.core.engine import Engine
+        if graph == "powerlaw-5k":
+            g = generators.powerlaw(5_000, m=3, weighted=True, seed=1)
+        else:
+            g = generators.rmat(10, edge_factor=6, directed=True, seed=1)
+        pg = HashPartitioner().partition(g, m)
+        n = g.num_nodes
+        query = PageRankQuery(epsilon=5e-4 * n, num_nodes=n)
+        runs = []
+        for program in (PageRankProgram(), AllRowsPageRank()):
+            engine = Engine(program, pg, query, vectorized=True)
+            rounds = bsp_rounds(engine)
+            state = [(ctx.array.tobytes(), ctx.scratch["score_arr"].tobytes(),
+                      ctx.mask.tobytes()) for ctx in engine.contexts]
+            runs.append((rounds, state, engine.assemble()))
+        # IncEval rounds ran, wherever there are fragments to talk to
+        assert (len(runs[0][0]) > m) == (m > 1)
+        assert runs[0] == runs[1]
