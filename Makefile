@@ -68,8 +68,9 @@ epoch-layers:
 ## where a cold build (partition + compact + engine: the benchmark's
 ## setup_s) spends its time, layer by layer, on the four workload graphs
 ## at quick and full size, vectorized and generic engine
-## (docs/performance.md ledger entry 6); exits 1 if a vectorized build
-## made a per-node container
+## (docs/performance.md ledger entry 6), plus what one more, untimed
+## build retains (tracemalloc); exits 1 if a vectorized build made a
+## per-node container or an undirected CSR view holds separate in-rows
 build-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
 

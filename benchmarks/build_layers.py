@@ -18,7 +18,8 @@ with the generic engine the service builds:
                     built on first read, so 0 when nobody reads them
 - ``dict graph``    ``Fragment.graph`` materialised: the bulk insert into
                     the dict ``Graph`` (generic engine only)
-- ``csr sort``      ``stable_order``: one key sort per CSR direction
+- ``csr sort``      ``stable_order``: one key sort per adjacency (two
+                    for a directed graph, one for an undirected one)
 - ``csr view``      the rest of ``Fragment.compact``
 - ``routes``        ship sets / dense routing masks of the engine
 - ``contexts``      the rest of ``Engine(...)``
@@ -31,9 +32,14 @@ dense engine it runs by default and on the generic one.
 Medians of ``--builds`` cold builds with quartiles, in milliseconds.  The
 cyclic collector is off during a build: a collection lands in whichever
 layer allocates next (after a dict graph was made, in the first set built)
-and would be charged to it.  Exits 1 if a vectorized build — the dense
+and would be charged to it.  A ``retained MB`` row gives what one more,
+untimed cold build leaves allocated (``tracemalloc``: partition, CSR views,
+engine; dict graphs with the generic engine), so the timed rows do not
+carry the tracer's cost.  Exits 1 if a vectorized build — the dense
 service's included — made a per-node container of the partition (node
-sets, routing dicts, placement map, dict graphs).
+sets, routing dicts, placement map, dict graphs), or if an undirected
+fragment's CSR view holds in-rows apart from its out-rows (one adjacency:
+``separate in-rows`` must read 0).
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
 
@@ -47,6 +53,7 @@ import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -109,7 +116,32 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
         ("lid_of", any(frag.compact().built for frag in pg)),
         ("placement", pg.built)) if there]
     return {"ms": out, "built": built,
-            "materialised": sum(frag.materialised for frag in pg)}
+            "materialised": sum(frag.materialised for frag in pg),
+            "split": sum(separate_in_rows(frag.compact().csr) for frag in pg)}
+
+
+def separate_in_rows(csr) -> bool:
+    """Whether an undirected CSR keeps its reverse adjacency apart."""
+    return not csr.directed and csr.in_indices is not csr.out_indices
+
+
+def retained_mb(graph, program_cls, query, vectorized: bool) -> float:
+    """Megabytes one untimed cold build leaves allocated while its
+    partition and engine live (``tracemalloc`` counts numpy's buffers)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pg = HashPartitioner().partition(graph, wl.FRAGMENTS)
+        for frag in pg:
+            frag.compact()
+        engine = Engine(program_cls(), pg, query, vectorized=vectorized)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del engine, pg  # alive until measured
+    return kept / 2 ** 20
 
 
 class GenericSSSP(SSSPProgram):
@@ -157,13 +189,16 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
                 for _ in range(builds)]
         rows = {layer: quartiles(runs, layer) for layer in (*LAYERS, "total")}
         built, materialised = runs[-1]["built"], runs[-1]["materialised"]
+        split = max(run["split"] for run in runs)
         if spec.kind == "serve":
             served = [serve_build(graph, vectorized) for _ in range(builds)]
             rows["serve"] = quartiles(served, "serve")
             built = sorted({*built, *served[-1]["built"]})
             materialised = max(materialised, served[-1]["materialised"])
         column[engine] = {"ms": rows, "built": built,
-                          "materialised": materialised}
+                          "materialised": materialised, "split": split,
+                          "retained_mb": retained_mb(graph, program_cls,
+                                                     query, vectorized)}
     return column
 
 
@@ -179,11 +214,17 @@ def table(columns: dict, engine: str) -> str:
                          f"{row['median']:.1f} "
                          f"[{row['q1']:.1f}, {row['q3']:.1f}]")
         lines.append(f"| {layer} | " + " | ".join(cells) + " |")
+    lines.append("| retained MB | " + " | ".join(
+        f"{columns[name][engine]['retained_mb']:.1f}" for name in names)
+        + " |")
     lines.append("| containers built | " + " | ".join(
         ", ".join(columns[name][engine]["built"]) or "none"
         for name in names) + " |")
     lines.append("| dict graphs | " + " | ".join(
         f"{columns[name][engine]['materialised']}/{wl.FRAGMENTS}"
+        for name in names) + " |")
+    lines.append("| separate in-rows | " + " | ".join(
+        f"{columns[name][engine]['split']}/{wl.FRAGMENTS}"
         for name in names) + " |")
     return "\n".join(lines)
 
@@ -215,8 +256,10 @@ def main(argv=None) -> int:
             {"seed": args.seed, "builds": args.builds,
              "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
     # a vectorized build — the dense service's included — that made a
-    # per-node container is the regression this table exists to show
+    # per-node container, or an undirected view with a second adjacency,
+    # is the regression this table exists to show
     return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
+                    or c["vectorized"]["split"] or c["generic"]["split"]
                     for c in columns.values()) else 0
 
 

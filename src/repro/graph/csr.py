@@ -198,7 +198,12 @@ def first_bad_id(nodes: Iterable[Any]) -> Any:
 
 
 class CompactGraph:
-    """Immutable CSR graph over integer node ids ``0..num_nodes-1``."""
+    """Immutable CSR graph over integer node ids ``0..num_nodes-1``.
+
+    Undirected, one CSR holds each edge both ways and is the reverse
+    adjacency too (the ``in_`` arrays are the ``out_`` ones): node
+    ``x``'s in-row is its out-row, edges given as ``(x, y)`` first.
+    """
 
     __slots__ = ("directed", "_n", "_indptr", "_indices", "_weights",
                  "_rindptr", "_rindices", "_rweights", "_num_edges",
@@ -260,11 +265,9 @@ class CompactGraph:
             src, dst = (np.concatenate((src, dst)),
                         np.concatenate((dst, src)))
             wgt = np.concatenate((wgt, wgt))
-        indptr, indices, weights = cls._build_csr(num_nodes, src, dst, wgt)
-        rindptr, rindices, rweights = cls._build_csr(num_nodes, dst, src,
-                                                     wgt)
-        return cls(num_nodes, indptr, indices, weights, rindptr, rindices,
-                   rweights, directed, num_edges=num_edges)
+        out = cls._build_csr(num_nodes, src, dst, wgt)
+        back = cls._build_csr(num_nodes, dst, src, wgt) if directed else out
+        return cls(num_nodes, *out, *back, directed, num_edges=num_edges)
 
     @staticmethod
     def _build_csr(n: int, src: np.ndarray, dst: np.ndarray,
@@ -353,7 +356,10 @@ class CompactGraph:
     @property
     def in_sources(self) -> np.ndarray:
         """Per-edge head node of the reverse adjacency (see
-        :attr:`out_sources`)."""
+        :attr:`out_sources`); :attr:`out_sources` itself when
+        undirected."""
+        if not self.directed:
+            return self.out_sources
         if self._src_in is None:
             self._src_in = np.repeat(
                 np.arange(self._n, dtype=np.int64),

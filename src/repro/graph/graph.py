@@ -28,7 +28,8 @@ class Graph:
     ----------
     directed:
         If ``True`` edges are one-way; otherwise each added edge is traversable
-        in both directions (stored once, mirrored in adjacency).
+        in both directions (stored once, mirrored in adjacency), and the
+        graph keeps one adjacency: ``in_edges(v) is out_edges(v)``.
     """
 
     __slots__ = ("directed", "_adj", "_radj", "_node_labels", "_edge_weights",
@@ -38,9 +39,10 @@ class Graph:
         self.directed = directed
         # node -> list of (neighbour, weight) for outgoing edges
         self._adj: Dict[Node, List[Tuple[Node, float]]] = {}
-        # node -> list of (neighbour, weight) for incoming edges
-        # (directed only)
-        self._radj: Dict[Node, List[Tuple[Node, float]]] = {}
+        # node -> list of (neighbour, weight) for incoming edges; the
+        # same dict as ``_adj`` when undirected
+        self._radj: Dict[Node, List[Tuple[Node, float]]] = \
+            {} if directed else self._adj
         self._node_labels: Dict[Node, Any] = {}
         self._edge_weights: Dict[Edge, float] = {}
         self._edge_labels: Dict[Edge, Any] = {}
@@ -53,7 +55,7 @@ class Graph:
         """Add node ``v`` (idempotent); optionally set its label."""
         if v not in self._adj:
             self._adj[v] = []
-            self._radj[v] = []
+            self._radj.setdefault(v, [])  # undirected: already there
         if label is not None:
             self._node_labels[v] = label
 
@@ -72,9 +74,6 @@ class Graph:
         if key not in self._edge_weights:
             self._adj[u].append((v, weight))
             self._radj[v].append((u, weight))
-            if not self.directed:
-                self._adj[v].append((u, weight))
-                self._radj[u].append((v, weight))
             self._num_edges += 1
         elif weight != self._edge_weights[key]:
             self._rewrite_weight(u, v, weight)
@@ -101,18 +100,10 @@ class Graph:
         for v in nodes:
             if v not in adj:
                 adj[v] = []
-                radj[v] = []
-        if self.directed:
-            for u, v, w in zip(us, vs, ws):
-                adj[u].append((v, w))
-                radj[v].append((u, w))
-        else:
-            for u, v, w in zip(us, vs, ws):
-                out, back = (v, w), (u, w)
-                adj[u].append(out)
-                radj[v].append(back)
-                adj[v].append(back)
-                radj[u].append(out)
+                radj.setdefault(v, [])
+        for u, v, w in zip(us, vs, ws):
+            adj[u].append((v, w))
+            radj[v].append((u, w))
         self._edge_weights.update(zip(zip(us, vs), ws))
         self._num_edges += len(us)
         if len(self._edge_weights) != self._num_edges:
@@ -124,11 +115,6 @@ class Graph:
                         for w, wt in self._adj[u]]
         self._radj[v] = [(w, weight if w == u else wt)
                          for w, wt in self._radj[v]]
-        if not self.directed:
-            self._adj[v] = [(w, weight if w == u else wt)
-                            for w, wt in self._adj[v]]
-            self._radj[u] = [(w, weight if w == v else wt)
-                             for w, wt in self._radj[u]]
 
     def _edge_key(self, u: Node, v: Node) -> Edge:
         if self.directed:
@@ -214,13 +200,16 @@ class Graph:
     # derived graphs
     # ------------------------------------------------------------------
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Induced subgraph over ``nodes`` (labels and weights preserved)."""
+        """Induced subgraph over ``nodes``, in this graph's node order
+        (labels and weights preserved)."""
         keep = set(nodes)
-        sub = Graph(directed=self.directed)
         for v in keep:
             if not self.has_node(v):
                 raise GraphError(f"unknown node: {v!r}")
-            sub.add_node(v, self._node_labels.get(v))
+        sub = Graph(directed=self.directed)
+        for v in self.nodes:
+            if v in keep:
+                sub.add_node(v, self._node_labels.get(v))
         for u, v, w in self.edges():
             if u in keep and v in keep:
                 sub.add_edge(u, v, w,
@@ -251,7 +240,8 @@ class Graph:
     def copy(self) -> "Graph":
         dup = Graph(directed=self.directed)
         dup._adj = {v: list(out) for v, out in self._adj.items()}
-        dup._radj = {v: list(inc) for v, inc in self._radj.items()}
+        dup._radj = {v: list(inc) for v, inc in self._radj.items()} \
+            if self.directed else dup._adj
         dup._node_labels = dict(self._node_labels)
         dup._edge_weights = dict(self._edge_weights)
         dup._edge_labels = dict(self._edge_labels)

@@ -77,8 +77,8 @@ _CONTAINERS = ("owned", "mirrors", *BORDER_SETS, "_routing")
 
 #: Edges appended to a fragment are folded into its CSR once they exceed
 #: this share of the edges already in it (and :data:`MERGE_FLOOR`).  A
-#: merge is one key sort per CSR direction over the whole fragment and an
-#: array wave of a dense kernel scans the appended rows, so the share
+#: merge is one key sort per stored adjacency over the whole fragment and
+#: an array wave of a dense kernel scans the appended rows, so the share
 #: trades the amortised merge against the per-wave scan; measured on the
 #: ``serve-sssp-mixed`` workload (docs/performance.md, ledger entry 10:
 #: 1/8 keeps the merges at 1-2 % of an epoch, 1/32 at 7 %, 1/128 at 20 %).
@@ -593,10 +593,10 @@ class FragmentCSR:
 
     def merge(self) -> None:
         """Fold what growth appended into the sorted structures: the
-        spill into the CSR (one key sort per direction), the appended ids
-        into the lookup index and its lid table, the appended pairs into
-        the sorted pairs.  O(fragment); lids do not change, what was
-        memoized on the fragment goes."""
+        spill into the CSR (one key sort per stored adjacency), the
+        appended ids into the lookup index and its lid table, the
+        appended pairs into the sorted pairs.  O(fragment); lids do not
+        change, what was memoized on the fragment goes."""
         self.fragment.invalidate_caches()
         self._sorted_pairs()
         if self._recent:

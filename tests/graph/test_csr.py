@@ -357,3 +357,67 @@ class TestFrontierEdges:
                 assert Counter(zip(targets.tolist() + list(more),
                                    wgts.tolist() + list(more_w))) \
                     == Counter(zip(want[1].tolist(), want[2].tolist()))
+
+
+class TestOneAdjacency:
+    """An undirected CSR's reverse adjacency is its forward one."""
+
+    ROWS = ("indptr", "indices", "weights", "sources")
+
+    def test_undirected_in_arrays_are_out_arrays(self, small_compact):
+        g = small_compact
+        assert not g.directed
+        for row in self.ROWS:
+            assert getattr(g, f"in_{row}") is getattr(g, f"out_{row}"), row
+        for v in (0, 11, 99):
+            assert g.in_edges(v) == g.out_edges(v)
+            assert g.in_degree(v) == g.out_degree(v)
+
+    def test_undirected_in_row_is_the_out_row(self):
+        """Edges that name the node first, then those that name it
+        second, each in input order."""
+        g = CompactGraph.from_edges(
+            4, [(1, 0, 1.0), (0, 2, 2.0), (3, 0, 3.0), (0, 1, 4.0)],
+            directed=False)
+        assert g.in_edges(0) == g.out_edges(0) \
+            == [(2, 2.0), (1, 4.0), (1, 1.0), (3, 3.0)]
+
+    def test_directed_keeps_a_reverse_csr(self):
+        g = CompactGraph.from_edges(
+            3, [(1, 0, 1.0), (0, 2, 2.0), (1, 2, 3.0)], directed=True)
+        for row in self.ROWS:
+            assert getattr(g, f"in_{row}") is not getattr(g, f"out_{row}")
+        assert g.in_indptr.tolist() == [0, 1, 1, 3]
+        assert g.in_indices.tolist() == [1, 0, 1]
+        assert g.in_weights.tolist() == [1.0, 2.0, 3.0]
+        assert g.in_sources.tolist() == [0, 2, 2]
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    def test_reverse_read_is_the_forward_read(self, spilled):
+        from repro.graph.csr import Spill, frontier_edges
+        rows = TestFrontierEdges.rows
+        n = 30
+        src, dst, wgt = rows(n + 4, 90, False, seed=9)
+        old = (src < n) & (dst < n)
+        base = CompactGraph.from_arrays(n, src[old], dst[old], wgt[old],
+                                        directed=False)
+        spill = None
+        if spilled:
+            tail, head, weights = (np.concatenate(pair) for pair in (
+                (src[~old], dst[~old]), (dst[~old], src[~old]),
+                (wgt[~old], wgt[~old])))
+            spill = Spill(tail, head, weights, np.zeros(n + 4, dtype=bool))
+        values = np.random.default_rng(2).random(n + 4)
+        top = n + 4 if spilled else n  # appended nodes live in the spill
+        for frontier in (None, np.array([3]), np.array([0, 7, 8, top - 1]),
+                         np.arange(top)):
+            for kwargs in ({}, {"weighted": False},
+                           {"at_source": values}):
+                forward = frontier_edges(base, spill, frontier, **kwargs)
+                back = frontier_edges(base, spill, frontier, reverse=True,
+                                      **kwargs)
+                for mine, theirs in zip(back, forward):
+                    if theirs is None:
+                        assert mine is None
+                    else:
+                        assert mine.tobytes() == theirs.tobytes()

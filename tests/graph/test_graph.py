@@ -1,7 +1,15 @@
 """Unit tests for the property graph structure."""
 
+import json
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import GraphError
 from repro.graph.graph import Graph
 
@@ -119,6 +127,21 @@ class TestDerived:
         with pytest.raises(GraphError):
             g.subgraph([99])
 
+    def test_subgraph_keeps_graph_node_order(self):
+        g = Graph(directed=False)
+        for u, v in [(5, 1), (1, 9), (9, 3)]:
+            g.add_edge(u, v)
+        assert list(g.subgraph([3, 5, 9]).nodes) == [5, 9, 3]
+        with pytest.raises(GraphError, match="unknown node: 99"):
+            g.subgraph([5, 99])
+
+    def test_subgraph_order_ignores_the_hash_seed(self):
+        """String ids iterate a ``set`` in an order the interpreter's hash
+        salt picks; the subgraph's node order (what a partition build
+        inserts, and so a CSR's lids) must not follow it."""
+        orders = [_subgraph_nodes_with_hashseed(seed) for seed in (1, 2, 3)]
+        assert orders[0] == orders[1] == orders[2] == ["a", "b", "c", "d"]
+
     def test_reverse(self):
         g = Graph(directed=True)
         g.add_edge(1, 2, 5.0)
@@ -198,3 +221,97 @@ class TestDerived:
         c = Graph(directed=True)
         c.add_edge(1, 2, 3.0)
         assert a != c
+
+
+SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
+
+_SUBGRAPH_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.graph.graph import Graph
+g = Graph(directed=False)
+for u, v in zip("abcde", "bcdea"):
+    g.add_edge(u, v)
+print(json.dumps(list(g.subgraph(["a", "b", "c", "d"]).nodes)))
+"""
+
+
+def _subgraph_nodes_with_hashseed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    out = subprocess.run([sys.executable, "-c", _SUBGRAPH_PROBE, SRC_DIR],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _one_of_each_change(directed):
+    """A graph after every way of changing it: ``add_node``, ``add_edge``,
+    ``add_novel_edges`` and a weight rewrite."""
+    g = Graph(directed=directed)
+    g.add_node("lonely")
+    g.add_edge(1, 2, 1.0)
+    g.add_edge(3, 1, 2.0)
+    g.add_novel_edges([4, 5], [2, 1], [4, 5], [3.0, 4.0])
+    g.add_edge(1, 2, 7.5)  # rewrites the stored weight both ways
+    return g
+
+
+class TestOneAdjacency:
+    """An undirected graph's in-lists are its out-lists; a directed
+    graph keeps two."""
+
+    @pytest.mark.parametrize("how", ["built", "copy", "pickle"])
+    def test_undirected_in_edges_are_out_edges(self, how):
+        g = _one_of_each_change(directed=False)
+        if how == "copy":
+            g = g.copy()
+        elif how == "pickle":
+            g = pickle.loads(pickle.dumps(g))
+        assert g._radj is g._adj
+        for v in g.nodes:
+            assert g.in_edges(v) is g.out_edges(v)
+        assert g.out_edges(1) == [(2, 7.5), (3, 2.0), (5, 4.0)]
+        assert g.in_edges(2) == [(1, 7.5), (4, 3.0)]
+        g.add_edge(6, 1, 0.5)  # the alias outlives further changes
+        assert g.in_edges(6) is g.out_edges(6) == [(1, 0.5)]
+        assert g.in_edges(1)[-1] == (6, 0.5)
+
+    def test_undirected_rows_are_what_four_lists_held(self):
+        """Same entries, same order as when every edge was stored in both
+        an out-list and an in-list of each endpoint."""
+        g = _one_of_each_change(directed=False)
+        out, inc = {v: [] for v in g.nodes}, {v: [] for v in g.nodes}
+        for u, v, w in g.edges():
+            out[u].append((v, w))
+            inc[v].append((u, w))
+            out[v].append((u, w))
+            inc[u].append((v, w))
+        for v in g.nodes:
+            assert g.out_edges(v) == out[v] == inc[v]
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_copy_shares_no_list(self, directed):
+        g = _one_of_each_change(directed)
+        dup = g.copy()
+        lists = {id(row) for adj in (g._adj, g._radj) for row in adj.values()}
+        assert not lists & {id(row) for adj in (dup._adj, dup._radj)
+                            for row in adj.values()}
+        dup.add_edge(1, 4, 9.0)
+        assert not g.has_edge(1, 4)
+        assert (4, 9.0) not in g.out_edges(1)
+        assert (1, 9.0) not in g.in_edges(4)
+
+    @pytest.mark.parametrize("how", ["built", "copy", "pickle"])
+    def test_directed_keeps_two_lists(self, how):
+        g = _one_of_each_change(directed=True)
+        if how == "copy":
+            g = g.copy()
+        elif how == "pickle":
+            g = pickle.loads(pickle.dumps(g))
+        assert g._radj is not g._adj
+        for v in g.nodes:
+            assert g.in_edges(v) is not g.out_edges(v)
+        assert g.out_edges(1) == [(2, 7.5), (5, 4.0)]
+        assert g.in_edges(1) == [(3, 2.0)]
+        assert g.in_edges(2) == [(1, 7.5)]
+        assert g.out_edges(2) == [(4, 3.0)]
+        assert g.in_edges("lonely") == g.out_edges("lonely") == []

@@ -139,7 +139,12 @@ def oracle_vertex_cut(g, edge_owner, m, strategy_name="custom"):
 
 
 def oracle_csr(graph, owned):
-    """The dense view of a dict graph, one Python step per edge."""
+    """The dense view of a dict graph, one Python step per edge.
+
+    An undirected CSR's in-rows are its out-rows (one adjacency), so each
+    in-row lists its edges in out-row order; a separate reverse sort
+    listed the edges given as ``(y, x)`` first, and that order changed on
+    purpose.  Directed in-rows are what they always were."""
     nodes = sorted(graph.nodes)
     lid = {v: i for i, v in enumerate(nodes)}
     edges = [(lid[u], lid[v], float(w)) for u, v, w in graph.edges()]
@@ -147,7 +152,9 @@ def oracle_csr(graph, owned):
         edges += [(v, u, w) for u, v, w in edges]
     out = {"nodes": nodes, "lid_of": lid,
            "owned_mask": [v in owned for v in nodes]}
-    for name, a, b in (("out", 0, 1), ("in", 1, 0)):
+    rows_of = (("out", 0, 1), ("in", 1, 0)) if graph.directed \
+        else (("out", 0, 1), ("in", 0, 1))
+    for name, a, b in rows_of:
         rows = [[] for _ in nodes]
         for e in edges:
             rows[e[a]].append((e[b], e[2]))
@@ -193,6 +200,8 @@ def assert_same_partition(got, want):
                 arr = getattr(view.csr, name)
                 assert arr.dtype == ref[name].dtype, name
                 assert arr.tobytes() == ref[name].tobytes(), name
+            if not fw.graph.directed:  # one adjacency, not a copy of it
+                assert view.csr.in_indices is view.csr.out_indices
         else:
             with pytest.raises(PartitionError):
                 fg.compact()

@@ -150,7 +150,7 @@ def raw_csr(n, edges, directed):
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     wgt = np.ones(len(edges))
     fwd = CompactGraph._build_csr(n, src, dst, wgt)
-    rev = CompactGraph._build_csr(n, dst, src, wgt)
+    rev = CompactGraph._build_csr(n, dst, src, wgt) if directed else fwd
     return CompactGraph(n, *fwd, *rev, directed, len(edges))
 
 
