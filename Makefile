@@ -70,7 +70,8 @@ epoch-layers:
 ## at quick and full size, vectorized and generic engine
 ## (docs/performance.md ledger entry 6), plus what one more, untimed
 ## build retains (tracemalloc); exits 1 if a vectorized build made a
-## per-node container or an undirected CSR view holds separate in-rows
+## per-node container, an undirected CSR view holds separate in-rows or
+## a build of these integer-id graphs iterated Graph.edges()
 build-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
 

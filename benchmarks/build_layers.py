@@ -9,7 +9,8 @@ the graphs of the four ``BENCHMARK.json`` workloads at quick and full
 size, once with the vectorized engine the batch workloads build and once
 with the generic engine the service builds:
 
-- ``edge pass``     ``GraphArrays.of`` over the input graph
+- ``edge pass``     ``GraphArrays.of`` over the input graph: no Python step
+                    per edge for these integer-id graphs
 - ``assignment``    the partitioner's node -> fragment map
 - ``node order``    each fragment's local nodes in dict-graph order
 - ``assembly``      the rest of ``build_edge_cut``: owner gather, edge
@@ -39,7 +40,9 @@ carry the tracer's cost.  Exits 1 if a vectorized build — the dense
 service's included — made a per-node container of the partition (node
 sets, routing dicts, placement map, dict graphs), or if an undirected
 fragment's CSR view holds in-rows apart from its out-rows (one adjacency:
-``separate in-rows`` must read 0).
+``separate in-rows`` must read 0), or if a build iterated ``Graph.edges()``
+(``edges() reads`` must read 0: a dict graph over integer ids is read from
+its edge-key dict, not one generated edge at a time).
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
 
@@ -95,6 +98,7 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     tracer.wrap(Fragment, "compact", "csr view")
     tracer.wrap(Engine, "_ship_set", "routes")
     tracer.wrap(Engine, "_routes", "routes")
+    tracer.wrap(Graph, "edges", "edges() reads")
     gc.collect()
     gc.disable()
     try:
@@ -117,7 +121,8 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
         ("placement", pg.built)) if there]
     return {"ms": out, "built": built,
             "materialised": sum(frag.materialised for frag in pg),
-            "split": sum(separate_in_rows(frag.compact().csr) for frag in pg)}
+            "split": sum(separate_in_rows(frag.compact().csr) for frag in pg),
+            "edge_reads": len(tracer.durations("edges() reads"))}
 
 
 def separate_in_rows(csr) -> bool:
@@ -155,6 +160,8 @@ def serve_build(graph, vectorized: bool) -> dict:
     """One cold build of the resident service: milliseconds, and what it
     left built of the partition."""
     program = SSSPProgram() if vectorized else GenericSSSP()
+    tracer = Tracer("serve")
+    tracer.wrap(Graph, "edges", "edges() reads")
     gc.collect()
     gc.disable()
     try:
@@ -165,12 +172,14 @@ def serve_build(graph, vectorized: bool) -> dict:
         wall = time.perf_counter() - t0
     finally:
         gc.enable()
+        tracer.unwrap_all()
     assert svc.engine.vectorized == vectorized
     built = [kind for kind, there in (
         ("node sets + routing", any(frag.built for frag in svc.pg)),
         ("placement", svc.pg.built)) if there]
     return {"ms": {"serve": wall * 1e3}, "built": built,
-            "materialised": sum(frag.materialised for frag in svc.pg)}
+            "materialised": sum(frag.materialised for frag in svc.pg),
+            "edge_reads": len(tracer.durations("edges() reads"))}
 
 
 def quartiles(runs, layer: str) -> dict:
@@ -190,13 +199,17 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
         rows = {layer: quartiles(runs, layer) for layer in (*LAYERS, "total")}
         built, materialised = runs[-1]["built"], runs[-1]["materialised"]
         split = max(run["split"] for run in runs)
+        edge_reads = max(run["edge_reads"] for run in runs)
         if spec.kind == "serve":
             served = [serve_build(graph, vectorized) for _ in range(builds)]
             rows["serve"] = quartiles(served, "serve")
             built = sorted({*built, *served[-1]["built"]})
             materialised = max(materialised, served[-1]["materialised"])
+            edge_reads = max(edge_reads, *(run["edge_reads"]
+                                           for run in served))
         column[engine] = {"ms": rows, "built": built,
                           "materialised": materialised, "split": split,
+                          "edge_reads": edge_reads,
                           "retained_mb": retained_mb(graph, program_cls,
                                                      query, vectorized)}
     return column
@@ -226,6 +239,8 @@ def table(columns: dict, engine: str) -> str:
     lines.append("| separate in-rows | " + " | ".join(
         f"{columns[name][engine]['split']}/{wl.FRAGMENTS}"
         for name in names) + " |")
+    lines.append("| edges() reads | " + " | ".join(
+        str(columns[name][engine]["edge_reads"]) for name in names) + " |")
     return "\n".join(lines)
 
 
@@ -256,10 +271,13 @@ def main(argv=None) -> int:
             {"seed": args.seed, "builds": args.builds,
              "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
     # a vectorized build — the dense service's included — that made a
-    # per-node container, or an undirected view with a second adjacency,
-    # is the regression this table exists to show
+    # per-node container, an undirected view with a second adjacency, or
+    # a build of these integer-id graphs that read them one generated
+    # edge at a time is the regression this table exists to show
     return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
                     or c["vectorized"]["split"] or c["generic"]["split"]
+                    or c["vectorized"]["edge_reads"]
+                    or c["generic"]["edge_reads"]
                     for c in columns.values()) else 0
 
 

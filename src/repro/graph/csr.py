@@ -15,6 +15,7 @@ CompactGraph is immutable; build one with :meth:`from_edges` or
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (Any, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -187,14 +188,44 @@ def integer_ids(nodes: np.ndarray) -> Optional[np.ndarray]:
     if bool in kinds or not all(
             issubclass(kind, (int, np.integer)) for kind in kinds):
         return None
-    ids = nodes.astype(np.int64)
+    try:
+        ids = nodes.astype(np.int64)
+    except OverflowError:  # an id beyond int64
+        return None
     return None if (ids < 0).any() else ids
 
 
 def first_bad_id(nodes: Iterable[Any]) -> Any:
     """The first node id :func:`integer_ids` rejects."""
     return next(v for v in nodes if isinstance(v, bool)
-                or not isinstance(v, (int, np.integer)) or v < 0)
+                or not isinstance(v, (int, np.integer))
+                or not 0 <= v < 2 ** 63)
+
+
+#: An id -> position map is a table indexed by id while the ids span at
+#: most this many ids per node (8 bytes an id, so at most 32 bytes per
+#: node; a hash partition into m fragments spans ~m / (1 + mirror share)
+#: ids per node), and a ``searchsorted`` where they are sparser, so
+#: nothing is ever sized by an id.  The table is ~2.5 ns an id where
+#: ``searchsorted`` is ~27 (docs/performance.md, ledger entry 11).
+LID_TABLE_SPAN = 4
+
+
+def id_table(ids: Optional[np.ndarray], at: Optional[np.ndarray] = None
+             ) -> Optional[Tuple[int, np.ndarray]]:
+    """``(lowest id, table)`` with ``table[v - lowest id]`` the position
+    of id ``v`` in the distinct integer ``ids`` (``at`` at that position,
+    when given; -1 where there is none) — or ``None`` when they span more
+    than :data:`LID_TABLE_SPAN` ids per id (or there are none)."""
+    if ids is None or not len(ids):
+        return None
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    if span > LID_TABLE_SPAN * len(ids):
+        return None
+    table = np.full(span, -1, dtype=np.int64)
+    table[ids - low] = np.arange(len(ids)) if at is None else at
+    return low, table
 
 
 class CompactGraph:
@@ -474,15 +505,20 @@ class GraphArrays(NamedTuple):
     #: whether undirected edges are oriented the way a dict :class:`Graph`
     #: keys them (``repr(u) <= repr(v)``), which its ``edges()`` yield
     is_keyed: bool
+    #: the node ids as ``int64`` where :func:`integer_ids` accepts them
+    #: all, ``None`` where not or not known: the one id census of a build
+    ids: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, g) -> "GraphArrays":
         """``g`` (any backend) as arrays, node labels not included.
 
-        A :class:`CompactGraph` hands its arrays over as they are; a dict
-        graph costs one streamed pass over its edges (they go into a
-        record array as they are read, so the garbage collector never
-        sees ``|E|`` live tuples).
+        A :class:`CompactGraph` hands its arrays over as they are.  A dict
+        graph over ids :func:`integer_ids` accepts has no Python step per
+        edge: its edge keys stream into ``int64`` endpoints, which become
+        positions by :func:`id_table` (``searchsorted`` where it declines).
+        Any other dict graph costs one streamed pass over ``edges()``
+        (into a record array, so the collector never sees ``|E|`` tuples).
         """
         if isinstance(g, GraphArrays):
             return g
@@ -494,17 +530,29 @@ class GraphArrays(NamedTuple):
             if loops.any():
                 raise GraphError("self-loops are not supported: "
                                  f"{int(src[loops.argmax()])}")
-            return cls(nodes, src, dst, wgt, g.directed, {}, g.directed)
-        edges = np.fromiter(g.edges(), dtype=_EDGE_RECORD,
-                            count=g.num_edges)
-        index = {v: i for i, v in enumerate(node_list)}
-        return cls(
-            nodes,
-            np.fromiter(map(index.__getitem__, edges["u"]), np.int64,
-                        len(edges)),
-            np.fromiter(map(index.__getitem__, edges["v"]), np.int64,
-                        len(edges)),
-            np.ascontiguousarray(edges["w"]), g.directed, {}, True)
+            return cls(nodes, src, dst, wgt, g.directed, {}, g.directed,
+                       np.arange(len(nodes), dtype=np.int64))
+        ids = integer_ids(nodes)
+        if ids is None:
+            edges = np.fromiter(g.edges(), dtype=_EDGE_RECORD,
+                                count=g.num_edges)
+            index = {v: i for i, v in enumerate(node_list)}
+            src, dst = (np.fromiter(map(index.__getitem__, edges[end]),
+                                    np.int64, len(edges)) for end in "uv")
+            return cls(nodes, src, dst, np.ascontiguousarray(edges["w"]),
+                       g.directed, {}, True)
+        keys, weights = g.edge_views()
+        ends = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys))
+        where = id_table(ids)
+        if where is None:
+            order = np.argsort(ids)
+            ends = order[ids[order].searchsorted(ends)]
+        else:
+            low, table = where
+            ends = table[ends - low]
+        src, dst = ends.reshape(-1, 2).T.copy()
+        return cls(nodes, src, dst, np.fromiter(weights, object, len(keys)),
+                   g.directed, {}, True, ids)
 
     @property
     def num_edges(self) -> int:
@@ -528,7 +576,7 @@ class GraphArrays(NamedTuple):
         """The node ids in ascending order, each node's rank in that
         order and the CSR graph over the ranks; the ids must be
         non-negative integers."""
-        ids = integer_ids(self.nodes)
+        ids = self.ids if self.ids is not None else integer_ids(self.nodes)
         if ids is None:
             raise GraphError("requires non-negative integer node ids, "
                              f"got {first_bad_id(self.nodes)!r}")

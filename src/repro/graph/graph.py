@@ -12,8 +12,8 @@ Node identifiers are arbitrary hashables, though the generators in
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Hashable, Iterable, Iterator, KeysView, List,
+                    Sequence, Tuple, ValuesView)
 
 from repro.errors import GraphError
 
@@ -195,6 +195,11 @@ class Graph:
         """
         for (u, v), w in self._edge_weights.items():
             yield u, v, w
+
+    def edge_views(self) -> Tuple[KeysView[Edge], ValuesView[float]]:
+        """:meth:`edges` as live views of the edge dict: the ``(u, v)``
+        keys and the weights, in its order (for ``np.fromiter``)."""
+        return self._edge_weights.keys(), self._edge_weights.values()
 
     # ------------------------------------------------------------------
     # derived graphs

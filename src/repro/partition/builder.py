@@ -6,10 +6,13 @@ remote endpoint are materialised locally.  :func:`build_vertex_cut` implements
 vertex-cut: edges are distributed and every endpoint present in more than one
 fragment becomes a border node with copies.
 
-Both take the input as :class:`~repro.graph.csr.GraphArrays` (one streamed
-pass over ``edges()``; none for a ``CompactGraph``), gather the assignment,
-and cut each fragment out by boolean selection, which keeps the global edge
-order.  A fragment gets its slice as arrays; no dict ``Graph`` is built here
+Both take the input as :class:`~repro.graph.csr.GraphArrays` — from a dict
+graph over non-negative integer ids with no Python step per edge, from any
+other dict graph by one streamed pass over ``edges()``, from a
+``CompactGraph`` as it is — gather the assignment, and cut each fragment out
+by boolean selection, which keeps the global edge order.  A fragment gets
+its slice as arrays, its ids included (the id census is taken once, by
+``GraphArrays.of``); no dict ``Graph`` is built here
 — :attr:`Fragment.graph` does that on first access and reproduces what
 inserting the same nodes and edges one by one gives.  Node sets, routing
 index and placement map are handed over the same way
@@ -72,7 +75,7 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
     arrays, like the node sets: the fragments build the containers when
     someone reads them, and the placement map is read off the routing."""
     arrays = arrays.keyed()  # fragments hold what a dict graph would
-    nodes, m = arrays.nodes, len(parts)
+    nodes, ids, m = arrays.nodes, arrays.ids, len(parts)
     # every (node, fragment) presence, by node and then by fragment
     at, fids = np.divmod(np.sort(np.concatenate(
         [local * m + fid for fid, (local, _, _) in enumerate(parts)])), m)
@@ -98,7 +101,8 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
                 slot[arrays.dst[edges]], arrays.weights[edges],
                 arrays.directed,
                 {v: labels[v] for v in local_nodes[local_own == fid]
-                 if v in labels} if labels else {}, True),
+                 if v in labels} if labels else {}, True,
+                None if ids is None else ids[local]),
             NodeArrays(local_nodes, local_own,
                        {name: _mask(member, members)[local]
                         for name, members in borders.items()},

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import repeat
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph, Node
@@ -35,7 +38,11 @@ class HashPartitioner(NodePartitioner):
     def assign(self, g: Graph, num_fragments: int) -> Dict[Node, int]:
         if num_fragments < 1:
             raise PartitionError("num_fragments must be >= 1")
-        return {v: hash((self.salt, v)) % num_fragments for v in g.nodes}
+        # hash and modulo at C speed; the dict is built from the array
+        nodes = g.nodes
+        own = np.fromiter(map(hash, zip(repeat(self.salt), nodes)), np.int64,
+                          len(nodes)) % num_fragments
+        return dict(zip(nodes, own.tolist()))
 
 
 class RangePartitioner(NodePartitioner):

@@ -65,7 +65,7 @@ import numpy as np
 from repro.errors import GraphError, PartitionError
 from repro.graph import csr as csr_module
 from repro.graph.csr import (CompactGraph, GraphArrays, Spill, first_bad_id,
-                             integer_ids, stable_order)
+                             id_table, integer_ids, stable_order)
 from repro.graph.graph import Graph, Node
 
 BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
@@ -87,13 +87,6 @@ MERGE_FLOOR = 64
 #: up to this many ids are looked up one by one (:meth:`FragmentCSR.lid`):
 #: below that an array lookup is all call overhead
 FEW_LOOKUPS = 16
-#: :meth:`FragmentCSR.lids_for` reads lids from a table indexed by id
-#: while the fragment's sorted ids span at most this many ids per node
-#: (8 bytes an id, so at most 32 bytes per node; a hash partition into m
-#: fragments spans ~m / (1 + mirror share) ids per node).  The table is
-#: ~2.5 ns an id where ``searchsorted`` is ~27 (docs/performance.md,
-#: ledger entry 11).
-LID_TABLE_SPAN = 4
 
 
 class NodeArrays(NamedTuple):
@@ -190,23 +183,6 @@ def resized(live: np.ndarray, size: int, capacity: int) -> np.ndarray:
     return buf[:size]
 
 
-def _lid_table(ids: Optional[np.ndarray], lids: Optional[np.ndarray]
-               ) -> Optional[Tuple[int, np.ndarray]]:
-    """``(lowest id, table)`` with ``table[v - lowest id]`` the lid of id
-    ``v`` (-1 where there is none), for ascending integer ``ids`` at
-    ``lids`` (``None``: at their positions) — or ``None`` when they span
-    more than :data:`LID_TABLE_SPAN` ids per id (or there are none)."""
-    if ids is None or not len(ids):
-        return None
-    low = int(ids[0])
-    span = int(ids[-1]) - low + 1
-    if span > LID_TABLE_SPAN * len(ids):
-        return None
-    table = np.full(span, -1, dtype=np.int64)
-    table[ids - low] = np.arange(len(ids)) if lids is None else lids
-    return low, table
-
-
 class _Columns:
     """Equal-length arrays that grow together, by appending rows."""
 
@@ -271,7 +247,7 @@ class FragmentCSR:
     looked up in a sorted index of the ids plus a ``dict`` of the nodes
     appended since the index was last folded: an array of ids
     (:meth:`lids_for`) through a lid table indexed by id when the index
-    spans at most :data:`LID_TABLE_SPAN` ids per node, by
+    spans at most :data:`~repro.graph.csr.LID_TABLE_SPAN` ids per node, by
     ``searchsorted`` when the ids are sparser (so nothing is ever sized
     by an id), and one id (:meth:`lid`) by ``searchsorted``; the
     ``nodes`` list and the ``lid_of`` dict exist for the scalar facade
@@ -304,7 +280,9 @@ class FragmentCSR:
         graph = graph.keyed()
         self.directed = graph.directed
         self.labels = graph.labels
-        gids = integer_ids(arrays.nodes)
+        # the builder took the id census once, for the whole graph
+        gids = graph.ids if graph.ids is not None \
+            else integer_ids(arrays.nodes)
         routed, peers = arrays.routed, arrays.peers
         src, dst = graph.src, graph.dst
         owner, borders = arrays.owner, arrays.borders
@@ -324,7 +302,7 @@ class FragmentCSR:
         self._sorted_gids = None if rank is None else gids
         self._sorted_lids: Optional[np.ndarray] = None
         #: the sorted index as a table indexed by id, where it is dense
-        self._lid_table = _lid_table(self._sorted_gids, None)
+        self._lid_table = id_table(self._sorted_gids)
         #: id -> lid of the integer-id nodes appended since
         self._recent: Dict[Node, int] = {}
         #: lids in the order the dict graph lists the initial nodes
@@ -527,8 +505,8 @@ class FragmentCSR:
 
     def add_nodes(self, ids: List[Node], owners: List[int]) -> None:
         """Append local nodes; they take the next lids, in order."""
-        if self._sorted_gids is not None \
-                and not all(type(v) is int and v >= 0 for v in ids) \
+        if self._sorted_gids is not None and not all(
+                type(v) is int and 0 <= v < 2 ** 63 for v in ids) \
                 and integer_ids(np.fromiter(ids, object, len(ids))) is None:
             self._stop_sorting(ids)
         fid = self.fragment.fid
@@ -603,8 +581,7 @@ class FragmentCSR:
             gids = self.gids
             self._sorted_lids = np.argsort(gids, kind="stable")
             self._sorted_gids = gids[self._sorted_lids]
-            self._lid_table = _lid_table(self._sorted_gids,
-                                         self._sorted_lids)
+            self._lid_table = id_table(self._sorted_gids, self._sorted_lids)
             self._recent = {}
         if self.csr is None:
             self._merged_edges = self._edges.size

@@ -242,7 +242,8 @@ class TestLidLookup:
         built fragment, after growth appended ids inside and outside its
         span, and after ``merge()`` folded them in."""
         from repro.partition.edge_cut import HashPartitioner
-        from repro.partition.fragment import FEW_LOOKUPS, LID_TABLE_SPAN
+        from repro.graph.csr import LID_TABLE_SPAN
+        from repro.partition.fragment import FEW_LOOKUPS
         from repro.partition.grow import grow_edge_cut
         ids, m, grown, probes = layout
         g = Graph(directed=False)

@@ -230,7 +230,8 @@ class TestStableOrder:
 class TestToCsrIdCheck:
     """One type check per distinct type, the offender named as before."""
 
-    @pytest.mark.parametrize("bad", [True, -3, 2.0, "7", (1, 2), None])
+    @pytest.mark.parametrize("bad", [True, -3, 2.0, "7", (1, 2), None,
+                                     2 ** 64])
     def test_first_offending_id_is_named(self, bad):
         from repro.graph.csr import GraphArrays
         g = Graph(directed=True)

@@ -7,9 +7,16 @@ the same way.  The property compares everything a runtime can observe:
 owner, placement, routing, the six border sets, the CSR arrays byte for
 byte, and — once materialised — the dict graph's node, adjacency and
 ``edges()`` order, which generic-path schedules depend on.
+
+``oracle_graph_arrays`` is the edge pass every dict graph took before
+integer ids were read from the edge-key dict: one streamed pass over
+``edges()`` into a record array, then a dict lookup per endpoint.
+``GraphArrays.of`` is held to it byte for byte, and so are the partitions
+built on either.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +28,17 @@ from repro.algorithms import (PageRankProgram, PageRankQuery, SSSPProgram,
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
 from repro.errors import GraphError, PartitionError
+from repro.core.fixpoint import run_sequential_fixpoint
+from repro.graph import csr as csr_module
 from repro.graph import generators
-from repro.graph.csr import CompactGraph
+from repro.graph.csr import CompactGraph, GraphArrays, integer_ids
 from repro.graph.graph import Graph
 from repro.graph.stable import stable_owner
 from repro.partition import quality
 from repro.partition.base import NodePartitioner
 from repro.partition.builder import build_edge_cut, build_vertex_cut
 from repro.partition.edge_cut import HashPartitioner
+from repro.partition import fragment as fragment_module
 from repro.partition.fragment import Fragment, PartitionedGraph
 from repro.partition.grow import grow_edge_cut
 from repro.partition.vertex_cut import HashEdgePartitioner
@@ -452,3 +462,171 @@ def test_parallel_edges_cannot_be_materialised():
         pg.fragments[0].graph
     with pytest.raises(GraphError, match="novel"):
         cg.to_graph()
+
+
+# -- the edge pass -----------------------------------------------------
+def oracle_graph_arrays(g):
+    """``GraphArrays.of`` over a dict graph as it was before integer ids
+    were read from the edge-key dict: one streamed pass over ``edges()``
+    into a record array, a dict lookup per endpoint, the weight objects
+    as they are, no id census."""
+    node_list = list(g.nodes)
+    nodes = np.fromiter(node_list, dtype=object, count=len(node_list))
+    edges = np.fromiter(g.edges(), dtype=csr_module._EDGE_RECORD,
+                        count=g.num_edges)
+    index = {v: i for i, v in enumerate(node_list)}
+    return GraphArrays(
+        nodes,
+        np.fromiter(map(index.__getitem__, edges["u"]), np.int64,
+                    len(edges)),
+        np.fromiter(map(index.__getitem__, edges["v"]), np.int64,
+                    len(edges)),
+        np.ascontiguousarray(edges["w"]), g.directed, {}, True)
+
+
+#: node ids by family: the first four take the C-level read (dense ones
+#: with a stride around the table span rule, so both lookups run), the
+#: rest the streamed pass
+EDGE_PASS_IDS = {
+    "dense": lambda rng, n: list(range(3, 3 + 6 * n, rng.randint(1, 6)))[:n],
+    "sparse": lambda rng, n: rng.sample(range(10 ** 12 + 1), n),
+    "numpy": lambda rng, n: [np.int64(i) if i % 2 else i for i in range(n)],
+    "from zero": lambda rng, n: list(range(n)),
+    "bool": lambda rng, n: [True, False][:n] + list(range(2, n)),
+    "negative": lambda rng, n: [i - 2 for i in range(n)],
+    "beyond int64": lambda rng, n: [2 ** 63 - 2 + i for i in range(n)],
+    "str": lambda rng, n: [f"n{i}" for i in range(n)],
+    "mixed": lambda rng, n: [(i, f"s{i}", np.int64(i))[i % 3]
+                             for i in range(n)],
+}
+
+
+@st.composite
+def edge_pass_graphs(draw):
+    """A small dict graph, possibly empty, with isolated nodes and both
+    ``int`` and ``float`` weights."""
+    family = draw(st.sampled_from(sorted(EDGE_PASS_IDS)))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    ids = EDGE_PASS_IDS[family](rng, draw(st.integers(0, 14)))
+    rng.shuffle(ids)
+    g = Graph(directed=draw(st.booleans()))
+    for v in ids:
+        g.add_node(v)
+    for _ in range(draw(st.integers(0, 30)) if len(ids) > 1 else 0):
+        u, v = rng.sample(ids, 2)
+        g.add_edge(u, v, rng.choice([1, 2, 1.0, 2.5, 0.5]))
+    return g
+
+
+def typed(values):
+    return [(type(x), x) for x in values]
+
+
+def assert_same_arrays_partition(got, want):
+    """Two builds of one assignment, array form against array form: the
+    same ids, owners, border masks, routing pairs, edge rows (weight
+    types included) and CSR bytes, fragment by fragment."""
+    assert list(got.owner.items()) == list(want.owner.items())
+    assert list(got.placement.items()) == list(want.placement.items())
+    for fg, fw in zip(got, want):
+        vg, vw = fg._arrays, fw._arrays
+        assert typed(vg.gids.tolist()) == typed(vw.gids.tolist())
+        assert vg.gids.dtype == vw.gids.dtype
+        columns = ["owner", "owned_mask", "routed", "peers"]
+        for name in columns:
+            assert getattr(vg, name).tobytes() == getattr(vw, name).tobytes()
+        for name in vw.borders:
+            assert vg.borders[name].tobytes() == vw.borders[name].tobytes()
+        for name in ("src", "dst"):
+            assert vg._edges[name].tobytes() == vw._edges[name].tobytes()
+        assert typed(vg._edges["weights"].tolist()) \
+            == typed(vw._edges["weights"].tolist())
+        assert fg._routing == fw._routing
+        try:
+            ref = fw.compact().csr
+        except PartitionError:
+            with pytest.raises(PartitionError):
+                fg.compact()
+            continue
+        for name in CSR_ARRAYS:
+            assert getattr(fg.compact().csr, name).tobytes() \
+                == getattr(ref, name).tobytes(), name
+
+
+@given(g=edge_pass_graphs(), m=st.integers(1, 3), salt=st.integers(0, 3))
+@settings(**SETTINGS)
+def test_edge_pass_equals_the_streamed_pass(g, m, salt):
+    got, want = GraphArrays.of(g), oracle_graph_arrays(g)
+    assert typed(got.nodes.tolist()) == typed(want.nodes.tolist())
+    for name in ("src", "dst"):
+        assert getattr(got, name).dtype == np.int64
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.weights.dtype == want.weights.dtype
+    assert typed(got.weights.tolist()) == typed(want.weights.tolist())
+    assert (got.directed, got.labels, got.is_keyed) \
+        == (want.directed, want.labels, want.is_keyed)
+    census = integer_ids(want.nodes)
+    assert (got.ids is None) == (census is None)
+    if census is not None:
+        assert got.ids.tobytes() == census.tobytes()
+    # weight objects come back as they went in
+    assert typed(w for _, _, w in got.to_graph().edges()) \
+        == typed(w for _, _, w in g.edges())
+    # and the partitions built on either are the same
+    owner = HashPartitioner(salt).assign(g, m)
+    edge_owner = HashEdgePartitioner(salt).assign(g, m)
+    new = (build_edge_cut(g, owner, m), build_vertex_cut(g, edge_owner, m))
+    with mock.patch.object(GraphArrays, "of",
+                           staticmethod(oracle_graph_arrays)):
+        old = (build_edge_cut(g, owner, m),
+               build_vertex_cut(g, edge_owner, m))
+    for got_pg, want_pg in zip(new, old):
+        assert_same_arrays_partition(got_pg, want_pg)
+
+
+def test_a_cold_vectorized_build_reads_no_edge_at_a_time(monkeypatch):
+    """An integer-id dict graph is read from its edge-key dict, and its
+    ids are checked once per build: by the edge pass, whose census the
+    fragments gather their ids from."""
+    g = generators.rmat(8, edge_factor=4, directed=True, seed=2)
+    query = PageRankQuery(epsilon=1e-3 * g.num_nodes)
+    calls = {"edges": 0, "integer_ids": 0}
+
+    def counted(name, target):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return target(*args, **kwargs)
+        return call
+    monkeypatch.setattr(Graph, "edges", counted("edges", Graph.edges))
+    census = counted("integer_ids", integer_ids)
+    monkeypatch.setattr(csr_module, "integer_ids", census)
+    monkeypatch.setattr(fragment_module, "integer_ids", census)
+    pg = HashPartitioner().partition(g, 3)
+    for frag in pg:
+        frag.compact()
+    assert Engine(PageRankProgram(), pg, query, vectorized=True).vectorized
+    assert calls == {"edges": 0, "integer_ids": 1}
+
+
+def test_ids_beyond_int64_take_the_object_path():
+    """An id past ``int64`` is a non-dense id like any other: the build
+    keeps it as an object, the fragment holding it has no CSR, and the
+    vectorized engine falls back to the generic path."""
+    g = Graph(directed=False)
+    g.add_edge(0, 2 ** 64, 1.0)
+    g.add_edge(2 ** 64, 5, 2.0)
+    g.add_edge(5, 7, 1.5)
+    g.add_edge(0, 7, 9.0)
+    pg = HashPartitioner().partition(g, 2)
+    for frag in pg:
+        if 2 ** 64 in frag._arrays.gids.tolist():
+            with pytest.raises(PartitionError, match=str(2 ** 64)):
+                frag.compact()
+        else:
+            frag.compact()
+    dense = Engine(SSSPProgram(), pg, SSSPQuery(source=0), vectorized=True)
+    generic = Engine(SSSPProgram(), pg, SSSPQuery(source=0))
+    assert not dense.vectorized
+    want = {0: 0.0, 2 ** 64: 1.0, 5: 3.0, 7: 4.5}
+    assert run_sequential_fixpoint(dense) == want
+    assert run_sequential_fixpoint(generic) == want

@@ -231,17 +231,25 @@ def test_grow_invalidates_fragment_caches():
 
 
 def test_an_id_that_is_no_integer_joins_a_fragment_of_integers():
+    joins_a_fragment_of_integers("x")
+
+
+def test_an_id_beyond_int64_joins_a_fragment_of_integers():
+    joins_a_fragment_of_integers(2 ** 64)
+
+
+def joins_a_fragment_of_integers(new):
     """The fragment stops looking ids up by binary search and goes on as
     one made with such ids (``lid_of``); only a fragment somebody runs
     dense kernels on (it has a CSR) cannot take one."""
     graph = generators.grid2d(4, 4, weighted=True, seed=1)
     pg = stable_pg(graph, 2)
     engine = Engine(SSSPProgram(), pg, SSSPQuery(source=0))
-    edges = [(0, "x", 1.0), ("x", (1, 2), 2.0), (5, "x", 0.5)]
+    edges = [(0, new, 1.0), (new, (1, 2), 2.0), (5, new, 0.5)]
     report = grow_edge_cut(pg, edges)
     for u, v, w in edges:
         graph.add_edge(u, v, w)
-    assert report.new_nodes == {"x", (1, 2)}
+    assert report.new_nodes == {new, (1, 2)}
     rebuilt = build_edge_cut(graph, dict(pg.owner), 2, "test")
     assert_partitions_equal(pg, rebuilt)
     for frag in pg:
@@ -251,10 +259,10 @@ def test_an_id_that_is_no_integer_joins_a_fragment_of_integers():
     engine.extend_contexts(report)
     engine.refresh_routes(report)
     with pytest.raises(PartitionError, match="non-negative integer"):
-        pg.fragments[pg.owner["x"]].compact()
+        pg.fragments[pg.owner[new]].compact()
 
     dense = stable_pg(generators.grid2d(4, 4, weighted=True, seed=1), 2)
     for frag in dense:
         frag.compact()
     with pytest.raises(PartitionError, match="non-negative integer"):
-        grow_edge_cut(dense, [(0, "x", 1.0)])
+        grow_edge_cut(dense, [(0, new, 1.0)])
