@@ -70,8 +70,9 @@ epoch-layers:
 ## at quick and full size, vectorized and generic engine
 ## (docs/performance.md ledger entry 6), plus what one more, untimed
 ## build retains (tracemalloc); exits 1 if a vectorized build made a
-## per-node container, an undirected CSR view holds separate in-rows or
-## a build of these integer-id graphs iterated Graph.edges()
+## per-node container, a dict-graph node order, an owner dict or a
+## directed CSR's in-rows, an undirected CSR view holds separate in-rows
+## or a build of these integer-id graphs iterated Graph.edges()
 build-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
 

@@ -11,16 +11,19 @@ with the generic engine the service builds:
 
 - ``edge pass``     ``GraphArrays.of`` over the input graph: no Python step
                     per edge for these integer-id graphs
-- ``assignment``    the partitioner's node -> fragment map
-- ``node order``    each fragment's local nodes in dict-graph order
-- ``assembly``      the rest of ``build_edge_cut``: owner gather, edge
-                    selection, routing pairs, ``Fragment.from_arrays``
+- ``assignment``    the partitioner's fragment per node, as an array
+                    (``HashPartitioner.owners``)
+- ``node order``    a fragment's nodes in dict-graph order
+                    (``insertion_order``): made when the dict graph is, so
+                    0 in a vectorized build
+- ``assembly``      the rest of ``build_edge_cut``: edge selection, local
+                    node masks, routing pairs, ``Fragment.from_arrays``
 - ``containers``    node sets, routing dicts, placement map, ``lid_of`` —
                     built on first read, so 0 when nobody reads them
 - ``dict graph``    ``Fragment.graph`` materialised: the bulk insert into
                     the dict ``Graph`` (generic engine only)
-- ``csr sort``      ``stable_order``: one key sort per adjacency (two
-                    for a directed graph, one for an undirected one)
+- ``csr sort``      ``stable_order``: one key sort for the out-rows (a
+                    directed graph's in-rows are sorted on first read)
 - ``csr view``      the rest of ``Fragment.compact``
 - ``routes``        ship sets / dense routing masks of the engine
 - ``contexts``      the rest of ``Engine(...)``
@@ -42,7 +45,10 @@ sets, routing dicts, placement map, dict graphs), or if an undirected
 fragment's CSR view holds in-rows apart from its out-rows (one adjacency:
 ``separate in-rows`` must read 0), or if a build iterated ``Graph.edges()``
 (``edges() reads`` must read 0: a dict graph over integer ids is read from
-its edge-key dict, not one generated edge at a time).
+its edge-key dict, not one generated edge at a time), or if a vectorized
+cold build made what only a first read should: a dict-graph node order,
+the partition's owner dict or a directed CSR's in-rows (``dict orders
+built``, ``owner dicts built``, ``in-rows built`` must read 0 there).
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
 
@@ -74,6 +80,7 @@ from repro.graph import csr as csr_module  # noqa: E402
 from repro.graph.csr import GraphArrays  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
 from repro.partition import builder as builder_module  # noqa: E402
+from repro.partition import fragment as fragment_module  # noqa: E402
 from repro.partition.edge_cut import HashPartitioner  # noqa: E402
 from repro.partition.fragment import Fragment, built_on_read  # noqa: E402
 from repro.serve.service import GraphService  # noqa: E402
@@ -81,6 +88,8 @@ from repro.serve.service import GraphService  # noqa: E402
 LAYERS = ("edge pass", "assignment", "node order", "assembly",
           "containers", "dict graph", "csr sort", "csr view", "routes",
           "contexts")
+#: what a cold build should leave to a first read, counted per build
+READ_MADE = ("dict orders", "owner dicts", "in-rows")
 
 
 def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
@@ -88,10 +97,10 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     names of the containers it built."""
     tracer = Tracer("build")
     partitioner = HashPartitioner()
-    tracer.wrap(partitioner, "assign", "assignment")
+    tracer.wrap(partitioner, "owners", "assignment")
     tracer.wrap(builder_module, "build_edge_cut", "assembly")
     tracer.wrap(GraphArrays, "of", "edge pass")
-    tracer.wrap(builder_module, "_insertion_order", "node order")
+    tracer.wrap(fragment_module, "insertion_order", "node order")
     tracer.wrap(built_on_read, "__get__", "containers")
     tracer.wrap(Graph, "add_novel_edges", "dict graph")
     tracer.wrap(csr_module, "stable_order", "csr sort")
@@ -122,7 +131,17 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     return {"ms": out, "built": built,
             "materialised": sum(frag.materialised for frag in pg),
             "split": sum(separate_in_rows(frag.compact().csr) for frag in pg),
-            "edge_reads": len(tracer.durations("edges() reads"))}
+            "edge_reads": len(tracer.durations("edges() reads")),
+            "read_made": {"dict orders": len(tracer.durations("node order")),
+                          "owner dicts": int("owner" in vars(pg)),
+                          "in-rows": sum(has_in_rows(frag.compact().csr)
+                                         for frag in pg)}}
+
+
+def has_in_rows(csr) -> bool:
+    """Whether a directed CSR has sorted its in-rows (an undirected one's
+    are its out-rows)."""
+    return csr.directed and csr._reverse is not None
 
 
 def separate_in_rows(csr) -> bool:
@@ -200,6 +219,8 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
         built, materialised = runs[-1]["built"], runs[-1]["materialised"]
         split = max(run["split"] for run in runs)
         edge_reads = max(run["edge_reads"] for run in runs)
+        read_made = {kind: max(run["read_made"][kind] for run in runs)
+                     for kind in READ_MADE}
         if spec.kind == "serve":
             served = [serve_build(graph, vectorized) for _ in range(builds)]
             rows["serve"] = quartiles(served, "serve")
@@ -209,7 +230,7 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
                                            for run in served))
         column[engine] = {"ms": rows, "built": built,
                           "materialised": materialised, "split": split,
-                          "edge_reads": edge_reads,
+                          "edge_reads": edge_reads, "read_made": read_made,
                           "retained_mb": retained_mb(graph, program_cls,
                                                      query, vectorized)}
     return column
@@ -241,6 +262,10 @@ def table(columns: dict, engine: str) -> str:
         for name in names) + " |")
     lines.append("| edges() reads | " + " | ".join(
         str(columns[name][engine]["edge_reads"]) for name in names) + " |")
+    for kind in READ_MADE:
+        lines.append(f"| {kind} built | " + " | ".join(
+            str(columns[name][engine]["read_made"][kind]) for name in names)
+            + " |")
     return "\n".join(lines)
 
 
@@ -271,13 +296,15 @@ def main(argv=None) -> int:
             {"seed": args.seed, "builds": args.builds,
              "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
     # a vectorized build — the dense service's included — that made a
-    # per-node container, an undirected view with a second adjacency, or
-    # a build of these integer-id graphs that read them one generated
-    # edge at a time is the regression this table exists to show
+    # per-node container or what only a first read should make, an
+    # undirected view with a second adjacency, or a build of these
+    # integer-id graphs that read them one generated edge at a time is
+    # the regression this table exists to show
     return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
                     or c["vectorized"]["split"] or c["generic"]["split"]
                     or c["vectorized"]["edge_reads"]
                     or c["generic"]["edge_reads"]
+                    or any(c["vectorized"]["read_made"].values())
                     for c in columns.values()) else 0
 
 

@@ -234,24 +234,27 @@ class CompactGraph:
     Undirected, one CSR holds each edge both ways and is the reverse
     adjacency too (the ``in_`` arrays are the ``out_`` ones): node
     ``x``'s in-row is its out-row, edges given as ``(x, y)`` first.
+    Directed, :meth:`from_arrays` leaves the in-rows to their first read
+    (push kernels never read them).
     """
 
     __slots__ = ("directed", "_n", "_indptr", "_indices", "_weights",
-                 "_rindptr", "_rindices", "_rweights", "_num_edges",
-                 "_src_out", "_src_in")
+                 "_reverse", "_edge_rows", "_num_edges", "_src_out",
+                 "_src_in")
 
     def __init__(self, num_nodes: int, indptr: np.ndarray,
                  indices: np.ndarray, weights: np.ndarray,
-                 rindptr: np.ndarray, rindices: np.ndarray,
+                 rindptr: Optional[np.ndarray], rindices: np.ndarray,
                  rweights: np.ndarray, directed: bool, num_edges: int):
         self.directed = directed
         self._n = num_nodes
         self._indptr = indptr
         self._indices = indices
         self._weights = weights
-        self._rindptr = rindptr
-        self._rindices = rindices
-        self._rweights = rweights
+        #: the in-rows; ``None``: sorted from ``_edge_rows`` when first read
+        self._reverse = None if rindptr is None \
+            else (rindptr, rindices, rweights)
+        self._edge_rows: Optional[Tuple[np.ndarray, ...]] = None
         self._num_edges = num_edges
         self._src_out: Optional[np.ndarray] = None
         self._src_in: Optional[np.ndarray] = None
@@ -297,8 +300,11 @@ class CompactGraph:
                         np.concatenate((dst, src)))
             wgt = np.concatenate((wgt, wgt))
         out = cls._build_csr(num_nodes, src, dst, wgt)
-        back = cls._build_csr(num_nodes, dst, src, wgt) if directed else out
-        return cls(num_nodes, *out, *back, directed, num_edges=num_edges)
+        graph = cls(num_nodes, *out, *((None,) * 3 if directed else out),
+                    directed, num_edges=num_edges)
+        if directed:
+            graph._edge_rows = src, dst, wgt
+        return graph
 
     @staticmethod
     def _build_csr(n: int, src: np.ndarray, dst: np.ndarray,
@@ -345,29 +351,18 @@ class CompactGraph:
             raise GraphError(f"unknown node: {v!r}")
 
     # -- zero-copy array accessors (vectorized fast paths) -------------
-    @property
-    def out_indptr(self) -> np.ndarray:
-        return self._indptr
+    out_indptr = property(lambda self: self._indptr)
+    out_indices = property(lambda self: self._indices)
+    out_weights = property(lambda self: self._weights)
+    in_indptr = property(lambda self: self._in_rows()[0])
+    in_indices = property(lambda self: self._in_rows()[1])
+    in_weights = property(lambda self: self._in_rows()[2])
 
-    @property
-    def out_indices(self) -> np.ndarray:
-        return self._indices
-
-    @property
-    def out_weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def in_indptr(self) -> np.ndarray:
-        return self._rindptr
-
-    @property
-    def in_indices(self) -> np.ndarray:
-        return self._rindices
-
-    @property
-    def in_weights(self) -> np.ndarray:
-        return self._rweights
+    def _in_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._reverse is None:  # two first readers sort the same rows
+            src, dst, wgt = self._edge_rows
+            self._reverse = self._build_csr(self._n, dst, src, wgt)
+        return self._reverse
 
     @property
     def out_sources(self) -> np.ndarray:
@@ -394,7 +389,7 @@ class CompactGraph:
         if self._src_in is None:
             self._src_in = np.repeat(
                 np.arange(self._n, dtype=np.int64),
-                np.diff(self._rindptr))
+                np.diff(self.in_indptr))
         return self._src_in
 
     def out_arrays(self, v) -> Tuple[np.ndarray, np.ndarray]:
@@ -412,8 +407,9 @@ class CompactGraph:
     def in_arrays(self, v) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy ``(indices, weights)`` views of ``v``'s in-edges."""
         self._check(v)
-        lo, hi = self._rindptr[v], self._rindptr[v + 1]
-        return self._rindices[lo:hi], self._rweights[lo:hi]
+        indptr, indices, weights = self._in_rows()
+        lo, hi = indptr[v], indptr[v + 1]
+        return indices[lo:hi], weights[lo:hi]
 
     def out_edges(self, v) -> List[Tuple[int, float]]:
         self._check(v)
@@ -422,10 +418,8 @@ class CompactGraph:
                         self._weights[lo:hi].tolist()))
 
     def in_edges(self, v) -> List[Tuple[int, float]]:
-        self._check(v)
-        lo, hi = self._rindptr[v], self._rindptr[v + 1]
-        return list(zip(self._rindices[lo:hi].tolist(),
-                        self._rweights[lo:hi].tolist()))
+        indices, weights = self.in_arrays(v)
+        return list(zip(indices.tolist(), weights.tolist()))
 
     def neighbors(self, v) -> Iterator[int]:
         for u, _ in self.out_edges(v):
@@ -436,8 +430,7 @@ class CompactGraph:
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def in_degree(self, v) -> int:
-        self._check(v)
-        return int(self._rindptr[v + 1] - self._rindptr[v])
+        return len(self.in_arrays(v)[0])
 
     def has_edge(self, u, v) -> bool:
         if not (self.has_node(u) and self.has_node(v)):

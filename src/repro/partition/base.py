@@ -25,9 +25,11 @@ class NodePartitioner(abc.ABC):
         """Return a total map node -> fragment id in ``[0, num_fragments)``."""
 
     def partition(self, g: Graph, num_fragments: int) -> PartitionedGraph:
-        """Assign nodes and build fragments (edge-cut)."""
+        """Assign nodes and build fragments (edge-cut); a strategy with an
+        ``owners`` method hands the builder that array, not the dict."""
         from repro.partition.builder import build_edge_cut
-        return build_edge_cut(g, self.assign(g, num_fragments),
+        assignment = getattr(self, "owners", self.assign)
+        return build_edge_cut(g, assignment(g, num_fragments),
                               num_fragments, self.name)
 
 

@@ -12,11 +12,11 @@ other dict graph by one streamed pass over ``edges()``, from a
 ``CompactGraph`` as it is — gather the assignment, and cut each fragment out
 by boolean selection, which keeps the global edge order.  A fragment gets
 its slice as arrays, its ids included (the id census is taken once, by
-``GraphArrays.of``); no dict ``Graph`` is built here
-— :attr:`Fragment.graph` does that on first access and reproduces what
-inserting the same nodes and edges one by one gives.  Node sets, routing
-index and placement map are handed over the same way
-(:class:`~repro.partition.fragment.NodeArrays`): positions and fragment
+``GraphArrays.of``); no dict ``Graph`` is built here, nor the order it
+lists the nodes in — :attr:`Fragment.graph` does that on first access and
+reproduces what inserting the same nodes and edges one by one gives.  Node
+sets, routing index, placement map and owner map are handed over the same
+way (:class:`~repro.partition.fragment.NodeArrays`): positions and fragment
 ids, which become ``set`` / ``dict`` when someone reads them.  The per-edge
 builder this replaces is the oracle of
 ``tests/partition/test_builder_equivalence.py``.
@@ -29,29 +29,10 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import GraphArrays, expand_ranges, stable_order
+from repro.graph.csr import GraphArrays, expand_ranges
 from repro.graph.graph import Graph, Node
-from repro.partition.fragment import Fragment, NodeArrays, PartitionedGraph
-
-_NONE = np.empty(0, dtype=np.int64)
-
-
-def _insertion_order(n: int, head: np.ndarray, src: np.ndarray,
-                     dst: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Node positions in the order a dict graph lists them after
-    ``add_node`` of ``head``, ``add_edge`` of ``zip(src, dst)`` and
-    ``add_node`` of ``tail``: endpoints by first appearance in between."""
-    known = np.zeros(n, dtype=bool)
-    known[head] = True
-    ends = np.stack((src, dst), axis=1).ravel()
-    fresh = ends[~known[ends]]
-    # the first of each run of equal endpoints, in (endpoint, position)
-    # order, is that endpoint's first appearance
-    order = stable_order(fresh, n)
-    by_node = fresh[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = by_node[1:] != by_node[:-1]
-    return np.concatenate((head, fresh[np.sort(order[first])], tail))
+from repro.partition.fragment import (Fragment, NodeArrays, PartitionedGraph,
+                                      insertion_order)
 
 
 def _mask(scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -63,18 +44,17 @@ def _mask(scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
-              own: np.ndarray, owner: Dict[Node, int],
+              own: np.ndarray, owner: Dict[Node, int] | None,
               labels: Mapping[Node, Any], parts: List[tuple]
               ) -> PartitionedGraph:
     """The one way to make fragments, shared by both cuts.  ``own`` is the
-    owner per node position, ``owner`` the same as the partition's map
-    (its order is the placement map's); a part is one fragment's local
-    node positions in dict-graph order, the boolean selection of its
-    edges and its border sets as node positions.  A node resides exactly
-    where it is local, which gives the routing index — handed over as
-    arrays, like the node sets: the fragments build the containers when
-    someone reads them, and the placement map is read off the routing."""
-    arrays = arrays.keyed()  # fragments hold what a dict graph would
+    owner per node position, ``owner`` the partition's map (``None``: made
+    from ``own`` when read); a part is one fragment's local node positions,
+    ascending, the boolean selection of its edges and its border sets as
+    node positions.  A node resides exactly where it is local, which gives
+    the routing index — handed over as arrays, like the node sets: the
+    fragments build the containers when someone reads them, and the
+    placement map is read off the routing (in the owner map's order)."""
     nodes, ids, m = arrays.nodes, arrays.ids, len(parts)
     # every (node, fragment) presence, by node and then by fragment
     at, fids = np.divmod(np.sort(np.concatenate(
@@ -92,6 +72,10 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
     member = np.empty(len(nodes), dtype=bool)
     fragments = []
     for fid, (local, edges, borders) in enumerate(parts):
+        if ids is None or not arrays.is_keyed:  # as NodeArrays lists them
+            ends = arrays.src[edges], arrays.dst[edges]
+            local = insertion_order((own == fid) & (cut == "edge"), *ends,
+                                    local)
         slot[local] = np.arange(local.size)
         local_nodes, local_own = nodes[local], own[local]
         mine = fids[here] == fid
@@ -101,26 +85,39 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
                 slot[arrays.dst[edges]], arrays.weights[edges],
                 arrays.directed,
                 {v: labels[v] for v in local_nodes[local_own == fid]
-                 if v in labels} if labels else {}, True,
+                 if v in labels} if labels else {}, arrays.is_keyed,
                 None if ids is None else ids[local]),
             NodeArrays(local_nodes, local_own,
                        {name: _mask(member, members)[local]
                         for name, members in borders.items()},
                        slot[at[here[mine]]], peers[mine]), cut))
-    return PartitionedGraph.from_arrays(fragments, owner, strategy_name, cut)
+    return PartitionedGraph.from_arrays(fragments, owner or (nodes, own),
+                                        strategy_name, cut)
 
 
-def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
+def build_edge_cut(g: Graph, owner: Mapping[Node, int] | np.ndarray, m: int,
                    strategy_name: str = "custom") -> PartitionedGraph:
-    """Materialise edge-cut fragments from a node->fragment assignment."""
+    """Materialise edge-cut fragments from a node->fragment assignment (a
+    mapping, or the fragment ids as an array in ``g.nodes`` order)."""
     arrays = GraphArrays.of(g)
     nodes, src, dst = arrays.nodes, arrays.src, arrays.dst
-    try:
-        own = np.fromiter(map(owner.__getitem__, nodes), np.int64,
-                          len(nodes))
-    except KeyError as exc:
-        raise PartitionError(
-            f"node {exc.args[0]!r} was not assigned a fragment") from None
+    if isinstance(owner, np.ndarray):
+        own, owner = owner.astype(np.int64, copy=False), None
+        if len(own) != len(nodes):
+            raise PartitionError(f"{len(own)} fragment ids for {len(nodes)}"
+                                 " nodes")
+    else:
+        try:
+            own = np.fromiter(map(owner.__getitem__, nodes), np.int64,
+                              len(nodes))
+        except KeyError as exc:
+            raise PartitionError(
+                f"node {exc.args[0]!r} was not assigned a fragment") from None
+        if len(owner) != len(nodes):  # every node has one: keys to spare
+            extra = set(owner).difference(nodes.tolist()).pop()
+            raise PartitionError(f"node {extra!r} was assigned a fragment "
+                                 "but is not in the graph")
+        owner = dict(owner)
     bad = (own < 0) | (own >= m)
     if bad.any():
         at = bad.argmax()
@@ -130,11 +127,8 @@ def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
     cut = fu != fv
     parts = []
     for fid in range(m):
-        # the edge has a copy in the fragment of each endpoint; owned nodes
-        # come first, mirrors as the cut edges bring them in
+        # the edge has a copy in the fragment of each endpoint
         here = (fu == fid) | (fv == fid)
-        local = _insertion_order(len(nodes), np.flatnonzero(own == fid),
-                                 src[here], dst[here], _NONE)
         # border bookkeeping, directed semantics; undirected graphs get
         # the symmetric closure
         leaving, entering = cut & (fu == fid), cut & (fv == fid)
@@ -143,12 +137,15 @@ def build_edge_cut(g: Graph, owner: Mapping[Node, int], m: int,
         if not g.directed:
             out_border = in_border = np.concatenate((out_border, in_border))
             out_copies = in_copies = np.concatenate((out_copies, in_copies))
-        parts.append((local, here, dict(
+        # local: the owned nodes and the mirrors cut edges bring in
+        local = own == fid
+        local[out_copies] = local[in_copies] = True
+        parts.append((np.flatnonzero(local), here, dict(
             in_border=in_border, out_border=out_border,
             out_copies=out_copies, in_copies=in_copies)))
     labels = {v: label for v, label in g.node_labels().items()
               if label is not None}
-    return _assemble(arrays, "edge", strategy_name, own, dict(owner), labels,
+    return _assemble(arrays, "edge", strategy_name, own, owner, labels,
                      parts)
 
 
@@ -187,9 +184,9 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
     iso_fid = np.fromiter((hash(v) % m for v in nodes[isolated]), np.int64,
                           isolated.size)
     heres = [fe == fid for fid in range(m)]
-    locals_ = [_insertion_order(n, _NONE, src[here], dst[here],
-                                isolated[iso_fid == fid])
-               for fid, here in enumerate(heres)]
+    locals_ = [np.flatnonzero(np.bincount(np.concatenate(
+        (src[here], dst[here], isolated[iso_fid == fid])), minlength=n))
+        for fid, here in enumerate(heres)]
     copies = np.bincount(np.concatenate(locals_), minlength=n)
     own = np.empty(n, dtype=np.int64)
     for fid in reversed(range(m)):  # the smallest fragment id wins
@@ -201,6 +198,6 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
         parts.append((local, here, dict(
             in_border=replicated, out_border=replicated,
             out_copies=mirrors, in_copies=mirrors)))
-    order = _insertion_order(n, _NONE, src, dst, isolated)
+    order = insertion_order(np.zeros(n, dtype=bool), src, dst, None)
     owner = dict(zip(nodes[order].tolist(), own[order].tolist()))
     return _assemble(arrays, "vertex", strategy_name, own, owner, {}, parts)

@@ -35,14 +35,16 @@ class HashPartitioner(NodePartitioner):
     def __init__(self, salt: int = 0):
         self.salt = salt
 
-    def assign(self, g: Graph, num_fragments: int) -> Dict[Node, int]:
+    def owners(self, g: Graph, num_fragments: int) -> np.ndarray:
+        """The assignment as ``int64`` fragment ids in ``g.nodes`` order."""
         if num_fragments < 1:
             raise PartitionError("num_fragments must be >= 1")
-        # hash and modulo at C speed; the dict is built from the array
         nodes = g.nodes
-        own = np.fromiter(map(hash, zip(repeat(self.salt), nodes)), np.int64,
-                          len(nodes)) % num_fragments
-        return dict(zip(nodes, own.tolist()))
+        return np.fromiter(map(hash, zip(repeat(self.salt), nodes)),
+                           np.int64, len(nodes)) % num_fragments
+
+    def assign(self, g: Graph, num_fragments: int) -> Dict[Node, int]:
+        return dict(zip(g.nodes, self.owners(g, num_fragments).tolist()))
 
 
 class RangePartitioner(NodePartitioner):

@@ -27,13 +27,13 @@ caches, patched if present**:
   edges as ``(src lid, dst lid, weight)`` rows, with a CSR over the rows
   once :meth:`Fragment.compact` asked for one.  Local ids never change:
   the nodes a fragment is made with are numbered in ascending id order
-  (integer ids; in the builder's order otherwise), nodes that arrive
-  later take ``n, n + 1, ...``;
+  (integer ids; in the order its dict graph lists them otherwise), nodes
+  that arrive later take ``n, n + 1, ...``;
 - the six node sets, the routing ``dict`` and the dict
   :class:`~repro.graph.graph.Graph` are *cached attributes* built from
   the arrays, each on its own first read (:class:`built_on_read`).
-  :attr:`PartitionedGraph.placement` and the view's ``lid_of`` /
-  ``nodes`` are cached the same way;
+  :attr:`PartitionedGraph.placement` / ``owner``, the view's ``lid_of``
+  / ``nodes`` and its dict-graph node order are cached the same way;
 - :func:`~repro.partition.grow.grow_edge_cut` appends to the arrays —
   rows at the end of every per-lid column, edge rows after the CSR's
   (:meth:`FragmentCSR.out_edges` reads both; a merge folds them into the
@@ -92,8 +92,8 @@ FEW_LOOKUPS = 16
 class NodeArrays(NamedTuple):
     """A fragment's node bookkeeping the way the builder computes it.
 
-    Positions index ``nodes``, which lists the local nodes in the order
-    the fragment's dict graph does.
+    Positions index ``nodes``: graph position order for integer ids of
+    keyed edges, else the order the fragment's dict graph lists them in.
     """
 
     #: the local node objects (object array)
@@ -126,6 +126,28 @@ def distinct_fids(fids: np.ndarray) -> List[int]:
     """The distinct values of an array of fragment ids, ascending (plain
     ``np.unique`` would do, and import ``numpy.ma`` to do it)."""
     return np.flatnonzero(np.bincount(fids)).tolist()
+
+
+def insertion_order(head: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                    by_position: Optional[np.ndarray]) -> np.ndarray:
+    """Nodes ``0..n-1`` as a dict graph lists them after ``add_node`` of
+    the ``head`` (a mask), ``add_edge`` of ``zip(src, dst)`` and
+    ``add_node`` of the rest: head and rest in ``by_position`` order
+    (``None``: ascending), endpoints by first appearance in between."""
+    by_position = np.arange(len(head)) if by_position is None else by_position
+    known = head.copy()
+    ends = np.stack((src, dst), axis=1).ravel()
+    fresh = ends[~known[ends]]
+    # the first of each run of equal endpoints, in (endpoint, position)
+    # order, is that endpoint's first appearance
+    order = stable_order(fresh, len(known))
+    by_node = fresh[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = by_node[1:] != by_node[:-1]
+    fresh = fresh[np.sort(order[first])]
+    known[fresh] = True
+    return np.concatenate((by_position[head[by_position]], fresh,
+                           by_position[~known[by_position]]))
 
 
 class built_on_read:
@@ -241,9 +263,9 @@ class FragmentCSR:
     (:attr:`gids`, :attr:`owner`, :attr:`owned_mask` /
     :attr:`mirror_mask`, :attr:`borders`).  The nodes the fragment was
     made with are numbered in ascending id order when the ids are
-    non-negative integers (in the builder's order otherwise, and then
-    there is no CSR); nodes appended by in-place growth take the next
-    lids, in arrival order, and no lid ever changes.  Integer ids are
+    non-negative integers (in dict-graph order otherwise, and then there
+    is no CSR); nodes appended by in-place growth take the next lids, in
+    arrival order, and no lid ever changes.  Integer ids are
     looked up in a sorted index of the ids plus a ``dict`` of the nodes
     appended since the index was last folded: an array of ids
     (:meth:`lids_for`) through a lid table indexed by id when the index
@@ -272,24 +294,30 @@ class FragmentCSR:
     nodes = built_on_read(lambda view: view.gids.tolist())
     lid_of = built_on_read(
         lambda view: dict(zip(view.nodes, range(len(view)))))
+    #: lids in the order the dict graph lists the initial nodes (``None``:
+    #: lid order), from the initial edge rows on first read
+    _dict_order = built_on_read(lambda view: insertion_order(
+        view.owned_mask[:view._initial[0]] & (view.fragment.cut == "edge"),
+        *(view._edges[end][:view._initial[1]] for end in ("src", "dst")),
+        view._initial[2]))
     built = _any_built("nodes", "lid_of")
 
     def __init__(self, frag: "Fragment", graph: GraphArrays,
                  arrays: NodeArrays):
         self.fragment = frag
+        # the builder took the id census once, for the whole graph
+        ids = graph.ids if graph.ids is not None \
+            else integer_ids(arrays.nodes)
+        listed = ids is None or not graph.is_keyed  # see NodeArrays
         graph = graph.keyed()
         self.directed = graph.directed
         self.labels = graph.labels
-        # the builder took the id census once, for the whole graph
-        gids = graph.ids if graph.ids is not None \
-            else integer_ids(arrays.nodes)
         routed, peers = arrays.routed, arrays.peers
         src, dst = graph.src, graph.dst
         owner, borders = arrays.owner, arrays.borders
-        if gids is None:
-            gids, rank = arrays.nodes, None
-        else:
-            order = np.argsort(gids)
+        gids, rank = arrays.nodes if ids is None else ids, None
+        if ids is not None and (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids)
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
             gids, owner = gids[order], owner[order]
@@ -299,15 +327,15 @@ class FragmentCSR:
         routed, peers = routed[by_lid], peers[by_lid]
         #: integer ids only: the ids in ascending order and, once a merge
         #: folded appended nodes in, the lid at each position
-        self._sorted_gids = None if rank is None else gids
+        self._sorted_gids = None if ids is None else gids
         self._sorted_lids: Optional[np.ndarray] = None
         #: the sorted index as a table indexed by id, where it is dense
         self._lid_table = id_table(self._sorted_gids)
         #: id -> lid of the integer-id nodes appended since
         self._recent: Dict[Node, int] = {}
-        #: lids in the order the dict graph lists the initial nodes
-        #: (``None``: lid order)
-        self._dict_order = rank
+        #: nodes and edge rows the fragment was made with, and its lids in
+        #: graph-position order (``None``: lid order)
+        self._initial = len(gids), len(src), rank
         self._nodes = _Columns(gids=gids, owner=owner,
                                owned_mask=owner == frag.fid)
         #: the four border masks; ``None`` once in-place growth added
@@ -332,6 +360,8 @@ class FragmentCSR:
         self.csr: Optional[CompactGraph] = None
         #: merges so far
         self.merges = 0
+        if listed:
+            self._dict_order = rank
 
     # -- the per-lid columns, live rows --------------------------------
     gids = property(lambda self: self._nodes["gids"])
@@ -658,7 +688,7 @@ def _derived_arrays(frag: "Fragment") -> FragmentCSR:
     (``-1`` outside one)."""
     graph = GraphArrays.of(frag.graph)
     nodes = graph.nodes.tolist()
-    owner_of = frag._owner_of or {}
+    owner_of = {} if frag._partition is None else frag._partition.owner
     owner = np.fromiter(
         (frag.fid if v in frag.owned else owner_of.get(v, -1)
          for v in nodes), np.int64, len(nodes))
@@ -730,8 +760,8 @@ class Fragment:
         self.cut = cut
         self._peers = peers
         self._memo: Optional[Dict] = None
-        #: node -> owner of the partition this fragment is part of
-        self._owner_of: Optional[Mapping[Node, int]] = None
+        #: the partition this fragment is part of
+        self._partition: Optional[PartitionedGraph] = None
 
     def _validate(self) -> None:
         if self.owned & self.mirrors:
@@ -898,6 +928,9 @@ class PartitionedGraph:
     and owner lookup used by the engine and by ``Assemble``.
     """
 
+    #: node -> the fragment that owns it; grown in place
+    owner = built_on_read(lambda pg: dict(zip(
+        *(column.tolist() for column in vars(pg).pop("_assignment")))))
     #: node -> fragments where it resides, ascending; grown in place
     placement = built_on_read(_placement)
     built = _any_built("placement")
@@ -912,23 +945,26 @@ class PartitionedGraph:
 
     @classmethod
     def from_arrays(cls, fragments: Sequence[Fragment],
-                    owner: Dict[Node, int], strategy_name: str,
-                    cut: str) -> "PartitionedGraph":
-        """What the array-native builder makes.  ``owner`` becomes the
-        partition's own and gives :attr:`placement` its order; where
-        every node resides is read off the fragments when somebody asks."""
+                    owner: Dict[Node, int] | Tuple[np.ndarray, np.ndarray],
+                    strategy_name: str, cut: str) -> "PartitionedGraph":
+        """What the array-native builder makes.  ``owner`` (a map, or the
+        nodes and their owners as two arrays, made into one when read)
+        becomes the partition's own and gives :attr:`placement` its order;
+        where every node resides is read off the fragments when asked."""
         self = cls.__new__(cls)
         self._setup(fragments, owner, strategy_name, cut)
         return self
 
-    def _setup(self, fragments: Sequence[Fragment], owner: Dict[Node, int],
+    def _setup(self, fragments: Sequence[Fragment],
+               owner: Dict[Node, int] | Tuple[np.ndarray, np.ndarray],
                strategy_name: str, cut: str) -> None:
         self.cut = cut
         self.fragments: List[Fragment] = list(fragments)
-        self.owner = owner
+        setattr(self, "owner" if isinstance(owner, dict) else "_assignment",
+                owner)
         self.strategy_name = strategy_name
         for frag in self.fragments:
-            frag._owner_of = owner
+            frag._partition = self
         if not self.fragments:
             raise PartitionError("a partition needs at least one fragment")
         seen_fids = {f.fid for f in self.fragments}

@@ -39,7 +39,8 @@ from repro.partition.base import NodePartitioner
 from repro.partition.builder import build_edge_cut, build_vertex_cut
 from repro.partition.edge_cut import HashPartitioner
 from repro.partition import fragment as fragment_module
-from repro.partition.fragment import Fragment, PartitionedGraph
+from repro.partition.fragment import (Fragment, PartitionedGraph,
+                                      insertion_order)
 from repro.partition.grow import grow_edge_cut
 from repro.partition.vertex_cut import HashEdgePartitioner
 from repro.runtime.multiprocess import MultiprocessRuntime
@@ -100,7 +101,8 @@ def oracle_edge_cut(g, owner, m, strategy_name="custom"):
             mirrors=mirrors[fid], in_border=in_border[fid],
             out_border=out_border[fid], out_copies=out_copies[fid],
             in_copies=in_copies[fid], routing=routing, cut="edge"))
-    placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
+    # in the owner map's order, which need not be g.nodes'
+    placement = {v: tuple(sorted(presence[v])) for v in owner}
     return PartitionedGraph(fragments, dict(owner), placement, strategy_name,
                             cut="edge")
 
@@ -183,11 +185,10 @@ def has_int_ids(nodes):
 
 
 def assert_same_partition(got, want):
-    """``got`` (array-built, unmaterialised) against the oracle ``want``."""
+    """``got`` (array-built, unmaterialised) against the oracle ``want``;
+    its owner and placement maps are read last, its in-rows lazily."""
     assert got.cut == want.cut
     assert got.num_fragments == want.num_fragments
-    assert list(got.owner.items()) == list(want.owner.items())
-    assert list(got.placement.items()) == list(want.placement.items())
     assert quality.summary(got) == quality.summary(want)
     assert got.sizes() == want.sizes()
     assert not any(f.materialised for f in got)
@@ -206,6 +207,8 @@ def assert_same_partition(got, want):
             assert (~view.mirror_mask).tolist() == ref["owned_mask"]
             assert view.csr.directed == fw.graph.directed
             assert view.csr.num_edges == fw.graph.num_edges
+            # directed in-rows are sorted on this first read
+            assert (view.csr._reverse is None) == view.csr.directed
             for name in CSR_ARRAYS:
                 arr = getattr(view.csr, name)
                 assert arr.dtype == ref[name].dtype, name
@@ -219,6 +222,8 @@ def assert_same_partition(got, want):
     for fg, fw in zip(got, want):
         assert_same_graph(fg.graph, fw.graph)
         assert fg.materialised and fg._arrays is not None  # arrays stay
+    assert list(got.owner.items()) == list(want.owner.items())
+    assert list(got.placement.items()) == list(want.placement.items())
 
 
 def assert_same_graph(g, ref):
@@ -246,13 +251,18 @@ ID_FAMILIES = {
 
 @st.composite
 def graphs(draw):
-    """A small random graph; ``dense`` ones may come as a CompactGraph."""
+    """A small random graph, often with isolated nodes; ``dense`` ones may
+    come as a CompactGraph.  Its nodes are added in ascending order (so
+    the fragments' integer ids ascend with graph position and their lids
+    need no permutation) or shuffled (so they do, and the dict graph's
+    node order is neither lid nor id order)."""
     family = draw(st.sampled_from(sorted(ID_FAMILIES)))
     n = draw(st.integers(0, 12))
     directed = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     ids = [ID_FAMILIES[family](i) for i in range(n)]
-    rng.shuffle(ids)  # g.nodes is in no useful order
+    if draw(st.booleans()):
+        rng.shuffle(ids)
     g = Graph(directed=directed)
     for v in ids:
         g.add_node(v, rng.choice([None, None, "a", ("b", 1)]))
@@ -282,11 +292,18 @@ SETTINGS = dict(max_examples=200, deadline=None,
 
 @given(g=graphs(), m=st.integers(1, 5),
        how=st.sampled_from(["hash", "stable", "skewed"]),
-       seed=st.integers(0, 1000))
+       seed=st.integers(0, 1000),
+       form=st.sampled_from(["mapping", "reordered mapping", "array"]))
 @settings(**SETTINGS)
-def test_edge_cut_equals_oracle(g, m, how, seed):
+def test_edge_cut_equals_oracle(g, m, how, seed, form):
+    """The assignment as a mapping (its key order is the owner map's,
+    whatever ``g.nodes`` says) or as an array in ``g.nodes`` order."""
     owner = node_assignment(g, m, how, random.Random(seed))
-    assert_same_partition(build_edge_cut(g, owner, m, "t"),
+    if form == "reordered mapping":
+        owner = dict(reversed(list(owner.items())))
+    given = np.fromiter(owner.values(), np.int64, len(owner)) \
+        if form == "array" else owner
+    assert_same_partition(build_edge_cut(g, given, m, "t"),
                           oracle_edge_cut(g, owner, m, "t"))
 
 
@@ -419,6 +436,10 @@ def test_errors_keep_their_types():
         FixedAssignment({0: 0, 1: 1, 2: 2}).partition(g, 2)
     with pytest.raises(PartitionError):
         build_edge_cut(g, {0: 0, 1: 1, 2: 5}, 2)
+    with pytest.raises(PartitionError, match="out-of-range"):
+        build_edge_cut(g, np.array([0, 1, 2]), 2)
+    with pytest.raises(PartitionError, match="2 fragment ids for 3 nodes"):
+        build_edge_cut(g, np.array([0, 1]), 2)
     with pytest.raises(PartitionError, match="not assigned"):
         build_vertex_cut(g, {(0, 1): 0, (1, 2): 1}, 2)
     with pytest.raises(PartitionError, match="out-of-range"):
@@ -429,6 +450,14 @@ def test_errors_keep_their_types():
         Fragment(0, g, [0], [1], [1], (), (), (), {})
     with pytest.raises(PartitionError, match="not a mirror"):
         Fragment(0, g, [0], [1], (), (), [2], (), {})
+
+
+def test_a_node_outside_the_graph_has_no_owner():
+    """An assignment naming a node the graph lacks is refused, not kept
+    in the owner and placement maps for Assemble to trip over."""
+    with pytest.raises(PartitionError, match="node 99 .* not in the graph"):
+        build_edge_cut(generators.path_graph(4),
+                       {0: 0, 1: 0, 2: 1, 3: 1, 99: 1}, 2)
 
 
 def test_non_integer_ids_fail_at_compact_not_at_build():
@@ -606,6 +635,51 @@ def test_a_cold_vectorized_build_reads_no_edge_at_a_time(monkeypatch):
         frag.compact()
     assert Engine(PageRankProgram(), pg, query, vectorized=True).vectorized
     assert calls == {"edges": 0, "integer_ids": 1}
+
+
+def test_a_cold_vectorized_build_makes_only_what_the_engine_reads(
+        monkeypatch):
+    """A hash partition of a directed graph hands the builder an array:
+    the cold build makes no owner dict, no dict-graph order and no
+    in-rows, and neither does a threaded or forked PageRank run (a forked
+    worker inherits the patch), so no run sorts in-rows once per run."""
+    g = generators.rmat(8, edge_factor=4, directed=True, seed=2)
+    query = PageRankQuery(epsilon=1e-3 * g.num_nodes)
+    orders = []
+
+    def counted(*args):
+        orders.append(args)
+        return insertion_order(*args)
+
+    def boom(self):
+        raise AssertionError("in-rows were read")
+
+    monkeypatch.setattr(fragment_module, "insertion_order", counted)
+    pg = HashPartitioner().partition(g, 2)
+    for frag in pg:
+        frag.compact()
+    engine = Engine(PageRankProgram(), pg, query, vectorized=True)
+    assert engine.vectorized
+    assert not orders and "owner" not in vars(pg)
+    assert not any("_dict_order" in vars(frag._arrays) for frag in pg)
+    assert all(frag.compact().csr._reverse is None for frag in pg)
+    monkeypatch.setattr(CompactGraph, "_in_rows", boom)
+    threaded = ThreadedRuntime(engine, make_policy("AAP"), timeout=60).run()
+    forked = MultiprocessRuntime(PageRankProgram(), pg, query, mode="BSP",
+                                 timeout=60, vectorized=True).run()
+    reference = run_sequential_fixpoint(
+        Engine(PageRankProgram(), pg, query, vectorized=True))
+    tolerance = 2 * query.epsilon / g.num_nodes * (
+        1 + max(g.in_degree(v) for v in g.nodes))
+    for result in (threaded, forked):
+        assert result.answer.keys() == reference.keys()
+        assert all(abs(result.answer[v] - reference[v]) <= tolerance
+                   for v in reference)
+    assert not orders and "owner" not in vars(pg)
+    # what is made on first read is what the per-edge builder made
+    monkeypatch.undo()
+    assert_same_partition(pg, oracle_edge_cut(
+        g, HashPartitioner().assign(g, 2), 2, "hash"))
 
 
 def test_ids_beyond_int64_take_the_object_path():
