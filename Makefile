@@ -70,9 +70,10 @@ epoch-layers:
 ## at quick and full size, vectorized and generic engine
 ## (docs/performance.md ledger entry 6), plus what one more, untimed
 ## build retains (tracemalloc); exits 1 if a vectorized build made a
-## per-node container, a dict-graph node order, an owner dict or a
-## directed CSR's in-rows, an undirected CSR view holds separate in-rows
-## or a build of these integer-id graphs iterated Graph.edges()
+## per-node container, a dict-graph node order, an owner dict, a
+## directed CSR's in-rows or the input graph's dicts, an undirected CSR
+## view holds separate in-rows, a build of these integer-id graphs
+## iterated Graph.edges() or a generated graph's edge pass took 1 ms
 build-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
 

@@ -33,6 +33,9 @@ service (``GraphService(...)``: graph copy, owner map, partition, engine,
 the one PEval run, Assemble — ``setup_s`` of the serve workload), on the
 dense engine it runs by default and on the generic one.
 
+Above the layers, a ``generate`` row: the workload's generator, once
+(``graph.generate_s``; not part of a cold build, nor of its total).
+
 Medians of ``--builds`` cold builds with quartiles, in milliseconds.  The
 cyclic collector is off during a build: a collection lands in whichever
 layer allocates next (after a dict graph was made, in the first set built)
@@ -48,7 +51,12 @@ fragment's CSR view holds in-rows apart from its out-rows (one adjacency:
 its edge-key dict, not one generated edge at a time), or if a vectorized
 cold build made what only a first read should: a dict-graph node order,
 the partition's owner dict or a directed CSR's in-rows (``dict orders
-built``, ``owner dicts built``, ``in-rows built`` must read 0 there).
+built``, ``owner dicts built``, ``in-rows built`` must read 0 there),
+or if a vectorized build — the dense service's included — made the
+input graph build its dicts (the generators hand over arrays, and the
+graph builds its dicts on the first read that needs them: ``input dicts
+built`` must read 0 there), or if the edge pass of a generated graph
+(which hands its arrays over, with no pass and no id census) took 1 ms.
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
 
@@ -78,6 +86,7 @@ from repro.algorithms import SSSPProgram, SSSPQuery  # noqa: E402
 from repro.core.engine import Engine  # noqa: E402
 from repro.graph import csr as csr_module  # noqa: E402
 from repro.graph.csr import GraphArrays  # noqa: E402
+from repro.graph import graph as graph_module  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
 from repro.partition import builder as builder_module  # noqa: E402
 from repro.partition import fragment as fragment_module  # noqa: E402
@@ -90,6 +99,16 @@ LAYERS = ("edge pass", "assignment", "node order", "assembly",
           "contexts")
 #: what a cold build should leave to a first read, counted per build
 READ_MADE = ("dict orders", "owner dicts", "in-rows")
+#: a generated graph's edge pass hands its arrays over: well under this
+ARRAY_EDGE_PASS_MS = 1.0
+
+
+def input_dicts(graph) -> int:
+    """How many dicts of an array-born graph a read has built (0 for a
+    dict-born one: its dicts are the graph, nobody built them on read)."""
+    if getattr(graph, "_arrays", None) is None:
+        return 0
+    return sum(name in vars(graph) for name in graph_module._DICTS)
 
 
 def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
@@ -132,6 +151,7 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
             "materialised": sum(frag.materialised for frag in pg),
             "split": sum(separate_in_rows(frag.compact().csr) for frag in pg),
             "edge_reads": len(tracer.durations("edges() reads")),
+            "input_dicts": input_dicts(graph),
             "read_made": {"dict orders": len(tracer.durations("node order")),
                           "owner dicts": int("owner" in vars(pg)),
                           "in-rows": sum(has_in_rows(frag.compact().csr)
@@ -198,7 +218,8 @@ def serve_build(graph, vectorized: bool) -> dict:
         ("placement", svc.pg.built)) if there]
     return {"ms": {"serve": wall * 1e3}, "built": built,
             "materialised": sum(frag.materialised for frag in svc.pg),
-            "edge_reads": len(tracer.durations("edges() reads"))}
+            "edge_reads": len(tracer.durations("edges() reads")),
+            "input_dicts": max(input_dicts(graph), input_dicts(svc.graph))}
 
 
 def quartiles(runs, layer: str) -> dict:
@@ -209,16 +230,22 @@ def quartiles(runs, layer: str) -> dict:
 
 
 def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
+    t0 = time.perf_counter()
     graph = spec.graph(seed, quick)
+    generate = {"median": (time.perf_counter() - t0) * 1e3}
+    generate.update(q1=generate["median"], q3=generate["median"])
     program_cls, query, _ = wl.make_query(spec, graph)
-    column = {"nodes": graph.num_nodes, "edges": graph.num_edges}
+    column = {"nodes": graph.num_nodes, "edges": graph.num_edges,
+              "array_born": getattr(graph, "_arrays", None) is not None}
     for engine, vectorized in (("vectorized", True), ("generic", False)):
         runs = [cold_build(graph, program_cls, query, vectorized)
                 for _ in range(builds)]
         rows = {layer: quartiles(runs, layer) for layer in (*LAYERS, "total")}
+        rows["generate"] = generate
         built, materialised = runs[-1]["built"], runs[-1]["materialised"]
         split = max(run["split"] for run in runs)
         edge_reads = max(run["edge_reads"] for run in runs)
+        dicts = max(run["input_dicts"] for run in runs)
         read_made = {kind: max(run["read_made"][kind] for run in runs)
                      for kind in READ_MADE}
         if spec.kind == "serve":
@@ -228,9 +255,11 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
             materialised = max(materialised, served[-1]["materialised"])
             edge_reads = max(edge_reads, *(run["edge_reads"]
                                            for run in served))
+            dicts = max(dicts, *(run["input_dicts"] for run in served))
         column[engine] = {"ms": rows, "built": built,
                           "materialised": materialised, "split": split,
                           "edge_reads": edge_reads, "read_made": read_made,
+                          "input_dicts": dicts,
                           "retained_mb": retained_mb(graph, program_cls,
                                                      query, vectorized)}
     return column
@@ -240,7 +269,7 @@ def table(columns: dict, engine: str) -> str:
     names = list(columns)
     lines = [f"| {engine} engine (ms) | " + " | ".join(names) + " |",
              "|---|" + "---:|" * len(names)]
-    for layer in (*LAYERS, "total", "serve"):
+    for layer in ("generate", *LAYERS, "total", "serve"):
         cells = []
         for name in names:
             row = columns[name][engine]["ms"].get(layer)
@@ -262,6 +291,8 @@ def table(columns: dict, engine: str) -> str:
         for name in names) + " |")
     lines.append("| edges() reads | " + " | ".join(
         str(columns[name][engine]["edge_reads"]) for name in names) + " |")
+    lines.append("| input dicts built | " + " | ".join(
+        str(columns[name][engine]["input_dicts"]) for name in names) + " |")
     for kind in READ_MADE:
         lines.append(f"| {kind} built | " + " | ".join(
             str(columns[name][engine]["read_made"][kind]) for name in names)
@@ -296,15 +327,19 @@ def main(argv=None) -> int:
             {"seed": args.seed, "builds": args.builds,
              "fragments": wl.FRAGMENTS, "columns": columns}, indent=2) + "\n")
     # a vectorized build — the dense service's included — that made a
-    # per-node container or what only a first read should make, an
-    # undirected view with a second adjacency, or a build of these
-    # integer-id graphs that read them one generated edge at a time is
-    # the regression this table exists to show
+    # per-node container, what only a first read should make or the
+    # input graph's dicts, an undirected view with a second adjacency, a
+    # build of these integer-id graphs that read them one generated edge
+    # at a time, or an edge pass over a generated graph's arrays is the
+    # regression this table exists to show
     return 1 if any(c["vectorized"]["built"] or c["vectorized"]["materialised"]
                     or c["vectorized"]["split"] or c["generic"]["split"]
                     or c["vectorized"]["edge_reads"]
                     or c["generic"]["edge_reads"]
                     or any(c["vectorized"]["read_made"].values())
+                    or c["vectorized"]["input_dicts"]
+                    or c["array_born"] and c["vectorized"]["ms"][
+                        "edge pass"]["median"] >= ARRAY_EDGE_PASS_MS
                     for c in columns.values()) else 0
 
 

@@ -481,9 +481,10 @@ class CompactGraph:
 class GraphArrays(NamedTuple):
     """A graph as plain arrays: the hand-over format between backends.
 
-    The array-native partition build cuts fragments out of one of these
-    and hands each fragment another; :meth:`to_graph` is how a fragment's
-    dict graph comes back when a generic-path program asks for it.
+    The generators collect their graphs into one of these, the partition
+    build cuts fragments out of one and hands each fragment another, and
+    :meth:`to_graph` is the :class:`Graph` over one: a generated graph, a
+    fragment's dict graph.
     """
 
     #: node objects, in ``g.nodes`` order (object array)
@@ -491,7 +492,7 @@ class GraphArrays(NamedTuple):
     #: per edge, in ``g.edges()`` order: positions in ``nodes``
     src: np.ndarray
     dst: np.ndarray
-    #: the weight objects (``float64`` when a CompactGraph handed over)
+    #: the weight objects (``float64`` from a generator or a CompactGraph)
     weights: np.ndarray
     directed: bool
     labels: Mapping[Any, Any]
@@ -506,15 +507,17 @@ class GraphArrays(NamedTuple):
     def of(cls, g) -> "GraphArrays":
         """``g`` (any backend) as arrays, node labels not included.
 
-        A :class:`CompactGraph` hands its arrays over as they are.  A dict
-        graph over ids :func:`integer_ids` accepts has no Python step per
-        edge: its edge keys stream into ``int64`` endpoints, which become
-        positions by :func:`id_table` (``searchsorted`` where it declines).
-        Any other dict graph costs one streamed pass over ``edges()``
-        (into a record array, so the collector never sees ``|E|`` tuples).
+        A graph made over arrays, and a :class:`CompactGraph`, hand theirs
+        over as they are (no edge pass, no id census).  A dict graph over
+        ids :func:`integer_ids` accepts has no Python step per edge: its
+        edge keys stream into ``int64`` endpoints, which become positions
+        by :func:`id_table` (``searchsorted`` where it declines).  Any
+        other dict graph costs one streamed pass over ``edges()`` (into a
+        record array, so the collector never sees ``|E|`` tuples).
         """
-        if isinstance(g, GraphArrays):
-            return g
+        arrays = getattr(g, "_arrays", g)  # GraphArrays: g itself
+        if isinstance(arrays, GraphArrays):
+            return arrays
         node_list = list(g.nodes)
         nodes = np.fromiter(node_list, dtype=object, count=len(node_list))
         if isinstance(g, CompactGraph):  # unchecked if made from raw arrays
@@ -557,10 +560,9 @@ class GraphArrays(NamedTuple):
         graph's, must be made from."""
         if self.is_keyed:
             return self
-        flip = np.fromiter(
-            (repr(u) > repr(v) for u, v in zip(
-                self.nodes[self.src].tolist(), self.nodes[self.dst].tolist())),
-            bool, len(self.src))
+        # one repr per node; numpy compares them as Python does
+        text = np.array(list(map(repr, self.nodes.tolist())), dtype=str)
+        flip = text[self.src] > text[self.dst]
         return self._replace(src=np.where(flip, self.dst, self.src),
                              dst=np.where(flip, self.src, self.dst),
                              is_keyed=True)
@@ -581,12 +583,11 @@ class GraphArrays(NamedTuple):
             np.asarray(self.weights, dtype=np.float64), self.directed)
 
     def to_graph(self) -> Graph:
-        """The dict graph: same node, adjacency and ``edges()`` order as
-        adding the nodes, then the edges, one by one."""
-        g, keyed = Graph(directed=self.directed), self.keyed()
-        g.add_novel_edges(
-            self.nodes.tolist(), self.nodes[keyed.src].tolist(),
-            self.nodes[keyed.dst].tolist(), self.weights.tolist())
-        for v, label in self.labels.items():
-            g.set_node_label(v, label)
+        """The :class:`Graph` over these arrays (the one way a graph is
+        made from arrays): its dicts, built on the first read that needs
+        them, are what adding the nodes, then the edges, one by one
+        gives."""
+        g = Graph.__new__(Graph)
+        g.directed, g._num_edges, g._arrays = (self.directed, self.num_edges,
+                                               self.keyed())
         return g

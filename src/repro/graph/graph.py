@@ -6,14 +6,22 @@ explicit adjacency-list structure sized for simulation workloads (up to a few
 hundred thousand edges).  It is deliberately mutable only during construction;
 the engine treats graphs as read-only once partitioned.
 
+A graph made over arrays (``GraphArrays.to_graph``: every generator's) answers
+node, size, degree, ``edges()`` and label reads from them, builds its dicts on
+the first read that needs them (:class:`built_on_read`), and drops the arrays
+at its first mutation.
+
 Node identifiers are arbitrary hashables, though the generators in
 :mod:`repro.graph.generators` use integers.  Edge weights default to ``1.0``.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Hashable, Iterable, Iterator, KeysView, List,
-                    Sequence, Tuple, ValuesView)
+import threading
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator,
+                    KeysView, List, Optional, Sequence, Tuple, ValuesView)
+
+import numpy as np
 
 from repro.errors import GraphError
 
@@ -21,8 +29,66 @@ Node = Hashable
 Edge = Tuple[Node, Node]
 
 
+class built_on_read:
+    """An attribute that ``build(obj)`` makes on its first read.
+
+    A non-data descriptor: the value is stored in the instance
+    ``__dict__``, which shadows it, so it is reached on a miss only and
+    plain assignment (a hand-made ``Fragment(...)``, in-place growth)
+    works as on any object.  First reads race (threaded workers share a
+    partition): a miss looks again under ``_FIRST_READ``.
+    """
+
+    #: serialises first reads; re-entrant, as a builder may read another
+    #: attribute that is not built yet
+    _FIRST_READ = threading.RLock()
+
+    def __init__(self, build: Callable[[Any], Any]):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, objtype: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        with self._FIRST_READ:
+            have = vars(obj)
+            # else another first reader finished while this one waited
+            if self.name not in have:
+                have[self.name] = self.build(obj)
+            return have[self.name]
+
+
+#: the dict containers an array-born graph builds on first read
+_DICTS = ("_adj", "_radj", "_node_labels", "_edge_weights", "_edge_labels")
+
+
+def _dict_containers(g: "Graph") -> Dict[str, Any]:
+    """All five dict containers of an array-born graph, made at once
+    through :meth:`Graph.add_novel_edges` and published together, so a
+    reader of one finds the others complete."""
+    arrays, made = g._arrays, Graph(g.directed)
+    nodes = arrays.nodes
+    made.add_novel_edges(nodes.tolist(), nodes[arrays.src].tolist(),
+                         nodes[arrays.dst].tolist(), arrays.weights.tolist())
+    for v, label in arrays.labels.items():
+        made.set_node_label(v, label)
+    vars(g).update((name, vars(made)[name]) for name in _DICTS)
+    return vars(made)
+
+
+def _degree_counts(arrays) -> Tuple[np.ndarray, np.ndarray]:
+    """Out- and in-degree per node position of a graph's arrays."""
+    out, inc = (np.bincount(end, minlength=len(arrays.nodes))
+                for end in (arrays.src, arrays.dst))
+    return (out, inc) if arrays.directed else (out + inc,) * 2
+
+
 class Graph:
-    """A directed or undirected property graph.
+    """A directed or undirected property graph: made empty here and filled
+    by the mutators, or over arrays by ``GraphArrays.to_graph`` (see the
+    module docstring).
 
     Parameters
     ----------
@@ -32,27 +98,44 @@ class Graph:
         graph keeps one adjacency: ``in_edges(v) is out_edges(v)``.
     """
 
-    __slots__ = ("directed", "_adj", "_radj", "_node_labels", "_edge_weights",
-                 "_edge_labels", "_num_edges")
+    # node -> [(neighbour, weight)] out / in (one dict when undirected),
+    # labels, edge key -> weight: made on first read when array-born
+    _adj, _radj, _node_labels, _edge_weights, _edge_labels = (
+        built_on_read(lambda g, name=name: _dict_containers(g)[name])
+        for name in _DICTS)
+    #: a dict keyed by the nodes, in order: ``_adj``, or node -> position
+    #: while the graph is array-born
+    _nodes = built_on_read(lambda g: dict(zip(
+        g._arrays.nodes.tolist(), range(len(g._arrays.nodes)))))
+    #: out- and in-degree per node position while the graph is array-born
+    _degrees = built_on_read(lambda g: _degree_counts(g._arrays))
 
     def __init__(self, directed: bool = True):
         self.directed = directed
-        # node -> list of (neighbour, weight) for outgoing edges
         self._adj: Dict[Node, List[Tuple[Node, float]]] = {}
-        # node -> list of (neighbour, weight) for incoming edges; the
-        # same dict as ``_adj`` when undirected
         self._radj: Dict[Node, List[Tuple[Node, float]]] = \
             {} if directed else self._adj
         self._node_labels: Dict[Node, Any] = {}
         self._edge_weights: Dict[Edge, float] = {}
         self._edge_labels: Dict[Edge, Any] = {}
         self._num_edges = 0
+        self._nodes = self._adj
+        #: what an array-born graph reads from until its first mutation
+        self._arrays = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _mutable(self) -> None:
+        """Before a mutation: the dicts (built if need be) are the graph."""
+        if self._arrays is not None:
+            self._nodes = self._adj  # the read builds the five dicts
+            self._arrays = None
+            vars(self).pop("_degrees", None)
+
     def add_node(self, v: Node, label: Any = None) -> None:
         """Add node ``v`` (idempotent); optionally set its label."""
+        self._mutable()
         if v not in self._adj:
             self._adj[v] = []
             self._radj.setdefault(v, [])  # undirected: already there
@@ -96,6 +179,7 @@ class Graph:
         and raises :class:`~repro.errors.GraphError`; the graph must be
         discarded then.
         """
+        self._mutable()
         adj, radj = self._adj, self._radj
         for v in nodes:
             if v not in adj:
@@ -127,18 +211,18 @@ class Graph:
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> Iterable[Node]:
-        return self._adj.keys()
+        return self._nodes.keys()
 
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     @property
     def num_edges(self) -> int:
         return self._num_edges
 
     def has_node(self, v: Node) -> bool:
-        return v in self._adj
+        return v in self._nodes
 
     def has_edge(self, u: Node, v: Node) -> bool:
         return self._edge_key(u, v) in self._edge_weights
@@ -162,10 +246,18 @@ class Graph:
             yield u
 
     def out_degree(self, v: Node) -> int:
-        return len(self.out_edges(v))
+        return self._degree(v, 0)
 
     def in_degree(self, v: Node) -> int:
-        return len(self.in_edges(v))
+        return self._degree(v, 1)
+
+    def _degree(self, v: Node, way: int) -> int:
+        if self._arrays is None:
+            return len((self.out_edges, self.in_edges)[way](v))
+        at = self._nodes.get(v)
+        if at is None:
+            raise GraphError(f"unknown node: {v!r}")
+        return int(self._degrees[way][at])
 
     def weight(self, u: Node, v: Node) -> float:
         try:
@@ -178,9 +270,11 @@ class Graph:
 
     def node_labels(self) -> Dict[Node, Any]:
         """Every labelled node with its label (a copy)."""
-        return dict(self._node_labels)
+        return dict(self._node_labels if self._arrays is None
+                    else self._arrays.labels)
 
     def set_node_label(self, v: Node, label: Any) -> None:
+        self._mutable()
         if v not in self._adj:
             raise GraphError(f"unknown node: {v!r}")
         self._node_labels[v] = label
@@ -193,8 +287,12 @@ class Graph:
 
         For undirected graphs each edge appears once in canonical order.
         """
-        for (u, v), w in self._edge_weights.items():
-            yield u, v, w
+        arrays = self._arrays
+        if arrays is None:
+            return ((u, v, w) for (u, v), w in self._edge_weights.items())
+        nodes = arrays.nodes
+        return zip(nodes[arrays.src].tolist(), nodes[arrays.dst].tolist(),
+                   arrays.weights.tolist())
 
     def edge_views(self) -> Tuple[KeysView[Edge], ValuesView[float]]:
         """:meth:`edges` as live views of the edge dict: the ``(u, v)``
@@ -233,20 +331,25 @@ class Graph:
         return rev
 
     def as_undirected(self) -> "Graph":
-        """Undirected view copy of this graph."""
+        """Undirected view copy of this graph, labels kept (of ``(u, v)``
+        and ``(v, u)`` the first in :meth:`edges` gives weight and label)."""
         und = Graph(directed=False)
         for v in self.nodes:
             und.add_node(v, self._node_labels.get(v))
         for u, v, w in self.edges():
             if not und.has_edge(u, v):
-                und.add_edge(u, v, w)
+                und.add_edge(u, v, w, self._edge_labels.get((u, v)))
         return und
 
     def copy(self) -> "Graph":
+        """An independent copy; an array-born one shares the arrays."""
+        if self._arrays is not None:
+            return self._arrays.to_graph()
         dup = Graph(directed=self.directed)
         dup._adj = {v: list(out) for v, out in self._adj.items()}
         dup._radj = {v: list(inc) for v, inc in self._radj.items()} \
             if self.directed else dup._adj
+        dup._nodes = dup._adj
         dup._node_labels = dict(self._node_labels)
         dup._edge_weights = dict(self._edge_weights)
         dup._edge_labels = dict(self._edge_labels)
@@ -257,10 +360,10 @@ class Graph:
     # dunder
     # ------------------------------------------------------------------
     def __contains__(self, v: Node) -> bool:
-        return v in self._adj
+        return v in self._nodes
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

@@ -3,6 +3,7 @@
 Edge-list format (one edge per line)::
 
     # directed: true        <- optional header comment
+    v                       <- a node: nodes are added in the order read
     u v [weight]
 
 JSON format stores directedness, node labels and edge weights/labels and
@@ -22,17 +23,13 @@ PathLike = Union[str, Path]
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
-    """Write ``g`` as a whitespace edge list with a directedness header.
-
-    Isolated nodes are written as single-token lines so they round-trip.
-    """
+    """Write ``g`` as a whitespace edge list with a directedness header:
+    every node first, one per line in ``g.nodes`` order (which fragment
+    lids follow), so node order and isolated nodes round-trip."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# directed: {'true' if g.directed else 'false'}\n")
-        for u, v, w in g.edges():
-            fh.write(f"{u} {v} {w}\n")
-        for v in g.nodes:
-            if g.out_degree(v) == 0 and g.in_degree(v) == 0:
-                fh.write(f"{v}\n")
+        fh.writelines(f"{v}\n" for v in g.nodes)
+        fh.writelines(f"{u} {v} {w}\n" for u, v, w in g.edges())
 
 
 def read_edge_list(path: PathLike, directed: bool = None) -> Graph:

@@ -56,7 +56,6 @@ who reads them.
 from __future__ import annotations
 
 import numbers
-import threading
 from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
@@ -66,7 +65,7 @@ from repro.errors import GraphError, PartitionError
 from repro.graph import csr as csr_module
 from repro.graph.csr import (CompactGraph, GraphArrays, Spill, first_bad_id,
                              id_table, integer_ids, stable_order)
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph, Node, built_on_read
 
 BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
 #: the border sets an outgoing cut edge puts its (owned end, mirror end)
@@ -148,37 +147,6 @@ def insertion_order(head: np.ndarray, src: np.ndarray, dst: np.ndarray,
     known[fresh] = True
     return np.concatenate((by_position[head[by_position]], fresh,
                            by_position[~known[by_position]]))
-
-
-class built_on_read:
-    """An attribute that ``build(obj)`` makes on its first read.
-
-    A non-data descriptor: the value is stored in the instance
-    ``__dict__``, which shadows it, so it is reached on a miss only and
-    plain assignment (a hand-made ``Fragment(...)``, in-place growth)
-    works as on any object.  First reads race (threaded workers share a
-    partition): a miss looks again under ``_FIRST_READ``.
-    """
-
-    #: serialises first reads; re-entrant, as a builder may read another
-    #: attribute that is not built yet
-    _FIRST_READ = threading.RLock()
-
-    def __init__(self, build: Callable[[Any], Any]):
-        self.build = build
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: Any, objtype: Optional[type] = None) -> Any:
-        if obj is None:
-            return self
-        with self._FIRST_READ:
-            have = vars(obj)
-            # else another first reader finished while this one waited
-            if self.name not in have:
-                have[self.name] = self.build(obj)
-            return have[self.name]
 
 
 def _any_built(*names: str) -> property:
@@ -668,18 +636,16 @@ def _routing_index(frag: "Fragment") -> Dict[Node, Tuple[int, ...]]:
 
 
 def _dict_graph(frag: "Fragment") -> Graph:
-    """The dict graph: same node, adjacency and ``edges()`` order as
-    adding the initial nodes, then the edges, one by one."""
+    """The dict graph over the arrays: its node, adjacency and ``edges()``
+    order is that of adding the initial nodes, then the edges, one by one."""
     view = frag._arrays
-    gids, edges, first = view.gids, view._edges, view._dict_order
-    nodes = gids.tolist() if first is None \
-        else gids[first].tolist() + gids[len(first):].tolist()
-    g = Graph(directed=view.directed)
-    g.add_novel_edges(nodes, gids[edges["src"]].tolist(),
-                      gids[edges["dst"]].tolist(), edges["weights"].tolist())
-    for v, label in view.labels.items():
-        g.set_node_label(v, label)
-    return g
+    n, edges, first = len(view), view._edges, view._dict_order
+    lids = np.arange(n) if first is None \
+        else np.concatenate((first, np.arange(len(first), n)))
+    at = np.argsort(lids)  # lid -> position in the dict graph's order
+    return GraphArrays(view.gids[lids].astype(object), at[edges["src"]],
+                       at[edges["dst"]], edges["weights"], view.directed,
+                       view.labels, True).to_graph()
 
 
 def _derived_arrays(frag: "Fragment") -> FragmentCSR:

@@ -163,6 +163,23 @@ class TestDerived:
         assert und.num_edges == 1
         assert not und.directed
 
+    def test_as_undirected_keeps_edge_labels(self):
+        """As ``reverse`` and ``subgraph`` do; where both ``(u, v)`` and
+        ``(v, u)`` exist the first in ``edges()`` order gives the label,
+        as it gives the weight."""
+        g = Graph(directed=True)
+        g.add_node(1, label="a")
+        g.add_edge(1, 2, 3.0, label="road")
+        g.add_edge(2, 1, 4.0, label="back")
+        g.add_edge(3, 2, 1.0)
+        g.add_edge(2, 4, 2.0, label="rail")
+        und = g.as_undirected()
+        assert und.edge_label(1, 2) == und.edge_label(2, 1) == "road"
+        assert und.weight(2, 1) == 3.0
+        assert und.edge_label(3, 2) is None
+        assert und.edge_label(4, 2) == "rail"
+        assert und.node_label(1) == "a"
+
     def test_copy_independent(self):
         g = Graph()
         g.add_edge(1, 2)

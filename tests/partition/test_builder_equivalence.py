@@ -485,12 +485,14 @@ def test_compact_graph_array_constructor_checks():
 
 
 def test_parallel_edges_cannot_be_materialised():
+    """A graph over arrays builds its dicts on first read: that is where
+    a parallel edge is refused, every time it is tried."""
     cg = CompactGraph.from_edges(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)])
     pg = build_edge_cut(cg, {0: 0, 1: 0, 2: 0}, 1)
-    with pytest.raises(GraphError, match="novel"):
-        pg.fragments[0].graph
-    with pytest.raises(GraphError, match="novel"):
-        cg.to_graph()
+    for graph in (pg.fragments[0].graph, cg.to_graph()):
+        for _ in range(2):
+            with pytest.raises(GraphError, match="novel"):
+                graph.out_edges(0)
 
 
 # -- the edge pass -----------------------------------------------------
@@ -614,11 +616,13 @@ def test_edge_pass_equals_the_streamed_pass(g, m, salt):
 
 
 def test_a_cold_vectorized_build_reads_no_edge_at_a_time(monkeypatch):
-    """An integer-id dict graph is read from its edge-key dict, and its
+    """A generated graph hands its arrays over, ids included: no census.
+    A dict-born integer-id graph is read from its edge-key dict, and its
     ids are checked once per build: by the edge pass, whose census the
     fragments gather their ids from."""
-    g = generators.rmat(8, edge_factor=4, directed=True, seed=2)
-    query = PageRankQuery(epsilon=1e-3 * g.num_nodes)
+    generated = generators.rmat(8, edge_factor=4, directed=True, seed=2)
+    dict_born = generated.copy()
+    dict_born.add_node(0)  # a mutation makes the dicts the graph
     calls = {"edges": 0, "integer_ids": 0}
 
     def counted(name, target):
@@ -630,11 +634,14 @@ def test_a_cold_vectorized_build_reads_no_edge_at_a_time(monkeypatch):
     census = counted("integer_ids", integer_ids)
     monkeypatch.setattr(csr_module, "integer_ids", census)
     monkeypatch.setattr(fragment_module, "integer_ids", census)
-    pg = HashPartitioner().partition(g, 3)
-    for frag in pg:
-        frag.compact()
-    assert Engine(PageRankProgram(), pg, query, vectorized=True).vectorized
-    assert calls == {"edges": 0, "integer_ids": 1}
+    for g, id_checks in ((generated, 0), (dict_born, 1)):
+        calls.update(edges=0, integer_ids=0)
+        query = PageRankQuery(epsilon=1e-3 * g.num_nodes)
+        pg = HashPartitioner().partition(g, 3)
+        for frag in pg:
+            frag.compact()
+        assert Engine(PageRankProgram(), pg, query, vectorized=True).vectorized
+        assert calls == {"edges": 0, "integer_ids": id_checks}
 
 
 def test_a_cold_vectorized_build_makes_only_what_the_engine_reads(

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.graph import generators
+from repro.graph import graph as graph_module
 from repro.partition.edge_cut import HashPartitioner
 from repro.partition.fragment import (BORDER_SETS, Fragment, FragmentCSR,
                                       PartitionedGraph)
@@ -129,6 +130,32 @@ def test_fragment_csr(graph, reference, readers):
             assert value == (lid_of if i % 2 else nodes)
             assert value is (view.lid_of if i % 2 else view.nodes)
         assert type(view) is FragmentCSR
+
+
+@pytest.mark.parametrize("readers", [2, 3, 4])
+def test_array_born_graph(readers, monkeypatch):
+    """Readers of one fresh generated graph's adjacency — out- and
+    in-lists, two dicts of the five its one builder makes — get the same
+    lists, and the dicts are built once."""
+    base = generators.rmat(7, edge_factor=4, directed=True, seed=4)
+    hub = max(base.nodes, key=lambda v: base.in_degree(v) + base.out_degree(v))
+    want = [list(base.copy().out_edges(hub)), list(base.copy().in_edges(hub))]
+    builds = []
+    build = graph_module._dict_containers
+    monkeypatch.setattr(graph_module, "_dict_containers",
+                        lambda g: builds.append(g) or build(g))
+    for trial in range(TRIALS):
+        graph = base.copy()  # the same arrays, no dict yet
+        got = race([(lambda: graph.in_edges(hub)) if (trial + i) % 2
+                    else (lambda: graph.out_edges(hub))
+                    for i in range(readers)])
+        assert builds == [graph]
+        builds.clear()
+        for i, value in enumerate(got):
+            way = (trial + i) % 2
+            assert value == want[way]
+            assert value is (graph.in_edges if way else graph.out_edges)(hub)
+    assert not vars(base).keys() & set(graph_module._DICTS)
 
 
 def test_growth_on_a_half_read_fragment_equals_a_rebuild():
