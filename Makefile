@@ -37,7 +37,7 @@ fuzz-smoke:
 		--graph grid:6x6 -m 3 --quiet
 
 ## the CI respawn gate: every cell of {threaded,multiprocess} x
-## {AAP,BSP} x {1,2 crashes} must absorb its crashes in place (rung 1
+## {AAP,BSP,SSP} x {1,2 crashes} must absorb its crashes in place (rung 1
 ## of the degradation ladder; see docs/fault_tolerance.md)
 chaos-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/chaos_smoke.py \

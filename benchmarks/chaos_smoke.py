@@ -2,9 +2,9 @@
 """CI chaos smoke: the respawn matrix with JSON artifacts.
 
 Runs one mid-run crash scenario per cell of
-``{threaded, multiprocess} x {AAP, BSP} x {1 crash, 2 crashes}`` with the
-rung-1 respawn budget armed, and asserts the surgical-recovery contract
-on every cell:
+``{threaded, multiprocess} x {AAP, BSP, SSP} x {1 crash, 2 crashes}``
+with the rung-1 respawn budget armed, and asserts the surgical-recovery
+contract on every cell:
 
 - the run completes without a whole-run restart (``recoveries == 0``),
 - every injected crash was absorbed by an in-place respawn
@@ -31,7 +31,7 @@ from repro.runtime.faultplan import CrashFault, FaultPlan
 from repro.runtime.recovery import run_chaos
 
 RUNTIMES = ("threaded", "multiprocess")
-MODES = ("AAP", "BSP")
+MODES = ("AAP", "BSP", "SSP")
 CRASH_SETS = {
     1: (CrashFault(wid=1, at_round=2),),
     2: (CrashFault(wid=1, at_round=2), CrashFault(wid=2, at_round=3)),

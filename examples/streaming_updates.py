@@ -2,9 +2,11 @@
 
 The paper's conclusion proposes handling streaming updates "by capitalizing
 on the capability of incremental IncEval".  This example keeps a CC and an
-SSSP computation converged across batches of edge insertions: each batch is
-integrated through the programs' incremental update hooks and a short
-continuation run — no PEval, no recomputation from scratch.
+SSSP computation converged across batches of edge insertions through a
+:class:`~repro.serve.GraphService`: each batch is integrated through the
+programs' incremental update hooks and a short continuation — no PEval, no
+recomputation from scratch.  The service logs one ``epoch_apply`` event
+per batch, with its duration and how many answer entries it changed.
 
 Run:  python examples/streaming_updates.py
 """
@@ -13,7 +15,9 @@ import random
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.graph import analysis, generators
-from repro.streaming import StreamingSession, UpdateBatch
+from repro.obs import EPOCH_APPLY
+from repro.serve import GraphService
+from repro.streaming import UpdateBatch
 
 
 def main() -> None:
@@ -21,11 +25,10 @@ def main() -> None:
 
     print("connected components over a growing social graph")
     graph = generators.powerlaw(2000, m=2, seed=7)
-    session = StreamingSession(CCProgram(), graph, CCQuery(),
-                               num_fragments=6)
-    initial_work = session.initial_result.metrics.total_work
-    print(f"  initial run: {initial_work} work units, "
-          f"{len(set(session.answer.values()))} component(s)")
+    service = GraphService(CCProgram(), graph, CCQuery(), num_fragments=6,
+                           runtime="simulated")
+    print(f"  initial run: {len(service.answer)} nodes, "
+          f"{len(set(service.answer.values()))} component(s)")
 
     reference = graph.copy()
     next_id = 100_000
@@ -43,23 +46,25 @@ def main() -> None:
         if not edges:
             continue
         batch = UpdateBatch.of(*edges)
-        result = session.apply(batch)
+        service.ingest(batch)
+        service.flush()
         for u, v, w in batch.insertions:
             reference.add_edge(u, v, w)
-        assert session.answer == analysis.connected_components(reference)
-        print(f"  batch {step + 1}: +{len(batch)} edges, continuation did "
-              f"{result.metrics.total_work} work units "
-              f"({100 * result.metrics.total_work / initial_work:.1f}% of "
-              f"the initial run)")
+        assert service.answer == analysis.connected_components(reference)
+        epoch = service.obs.log.filter(type=EPOCH_APPLY)[-1].payload
+        print(f"  batch {step + 1}: +{epoch['edges']} edges, "
+              f"{epoch['changed']} answer entries changed, "
+              f"{1e3 * epoch['duration']:.2f} ms")
 
     print("\nshortest paths while roads are being built")
     roads = generators.grid2d(25, 25, weighted=True, seed=3)
-    sssp = StreamingSession(SSSPProgram(), roads, SSSPQuery(source=0),
-                            num_fragments=4)
+    sssp = GraphService(SSSPProgram(), roads, SSSPQuery(source=0),
+                        num_fragments=4, runtime="simulated")
     far_corner = 624
     print(f"  dist(0 -> {far_corner}) = {sssp.answer[far_corner]:.2f}")
     # a motorway from the source to the middle of the grid
-    sssp.apply(UpdateBatch.of((0, 312, 1.0)))
+    sssp.ingest(UpdateBatch.of((0, 312, 1.0)))
+    sssp.flush()
     print(f"  after motorway 0->312:   {sssp.answer[far_corner]:.2f}")
     ref_graph = roads.copy()
     ref_graph.add_edge(0, 312, 1.0)

@@ -260,11 +260,11 @@ class PIEProgram(abc.ABC):
                    query: Any) -> Set[Node]:
         """Integrate locally materialised edge insertions into the state.
 
-        Called by :func:`repro.streaming.integrate_insertions` (session
-        and service alike) once the fragment has grown in place; returns
-        the nodes IncEval should be (re)activated from.  Programs that
-        support streaming override this; the default declares the program
-        non-streamable.
+        Called by :func:`repro.serve.service.integrate_insertions` once
+        the fragment has grown in place; returns the nodes IncEval should
+        be (re)activated from.  Programs that support streaming override
+        this; the default declares the program non-streamable (a
+        :class:`~repro.serve.GraphService` refuses its batches).
         """
         raise ProgramError(
             f"{self.name} does not support streaming updates")

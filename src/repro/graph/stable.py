@@ -74,8 +74,8 @@ def stable_hash(v: Node) -> int:
 def stable_owner(v: Node, m: int) -> int:
     """Deterministic fragment assignment: ``stable_hash(v) % m``.
 
-    The placement function of :class:`repro.streaming.StreamingSession`,
-    :class:`repro.serve.GraphService` and the growth both apply later
-    (``grow_edge_cut``): all must agree on ownership, in any process.
+    The placement function of :class:`repro.serve.GraphService` and of
+    the growth it applies later (``grow_edge_cut``): both must agree on
+    ownership, in any process.
     """
     return stable_hash(v) % m

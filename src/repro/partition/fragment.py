@@ -47,10 +47,9 @@ caches, patched if present**:
 A vectorized build, run and epoch reads none of the containers: peers
 come from the builder, routes from the programs' array rules
 (:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes, ``directed``
-and the quality metrics from the arrays.  Generic-path programs (so the
-engine a ``StreamingSession`` keeps, and a ``GraphService`` over
-non-integer ids), ``replication_factor`` and ``runtime.recovery`` are
-who reads them.
+and the quality metrics from the arrays.  Generic-path programs (so a
+``GraphService`` over non-integer ids), ``replication_factor`` and
+``runtime.recovery`` are who reads them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Grow an edge-cut partition in place, without rebuilding fragments.
 
 :func:`repro.partition.builder.build_edge_cut` materialises a partition
-from scratch in O(|V| + |E|); a service or a session ingesting a continuous
-update stream cannot afford that per batch.  :func:`grow_edge_cut` applies
+from scratch in O(|V| + |E|); a service ingesting a continuous update
+stream cannot afford that per batch.  :func:`grow_edge_cut` applies
 one batch of edge insertions *incrementally*: only the fragments an
 insertion touches are mutated, and the mutation cost is proportional to
 the batch, not the graph.  The result is — by construction, and enforced
@@ -77,8 +77,8 @@ def grow_edge_cut(pg: PartitionedGraph,
     ``insertions`` must already be validated (no duplicates of existing
     edges, no self-loops, no within-batch duplicates) — growth assumes
     every edge is novel.  New nodes are owned by ``assign(v, m)``
-    (default: the stable hash :class:`~repro.streaming.StreamingSession`
-    and :class:`~repro.serve.GraphService` build their partitions with).
+    (default: the stable hash :class:`~repro.serve.GraphService` builds
+    its partition with).
 
     Only edge-cut partitions grow in place; vertex-cut placement depends
     on global edge assignment and needs a rebuild.
@@ -187,7 +187,7 @@ def _append(frag, edges: List[EdgeInsertion], owner: Dict[Node, int],
         if "graph" in built:
             for v in new:
                 built["graph"].add_node(v)
-    tails, heads = lids[0::2], lids[1::2]
+    ends = tails, heads = lids[0::2], lids[1::2]
     weights = [edge[2] for edge in edges]
     if not view.directed:  # rows keep the orientation a dict graph keys by
         flip = [repr(u) > repr(v) for u, v, _ in edges]
@@ -202,19 +202,20 @@ def _append(frag, edges: List[EdgeInsertion], owner: Dict[Node, int],
     # border bookkeeping on the sets somebody built (the masks are read
     # off the edge rows when asked for); directed semantics, and
     # undirected graphs get the symmetric closure — mirroring
-    # build_edge_cut exactly
+    # build_edge_cut exactly.  The lids are the edges' own ends: a row may
+    # have been flipped above
     leaving, entering = (_WAYS[:1], _WAYS[1:]) if view.directed \
         else (_WAYS, _WAYS)
-    for (u, v, _), tail, head in zip(edges, tails, heads) \
+    for (u, v, _), u_lid, v_lid in zip(edges, *ends) \
             if not built.keys().isdisjoint(BORDER_SETS) else ():
         fu = owner[u]
         if fu == owner[v]:
             continue
         # the owned end, the mirror end, and the sets they join
         if fu == fid:
-            near, near_lid, far, far_lid, ways = u, tail, v, head, leaving
+            near, near_lid, far, far_lid, ways = u, u_lid, v, v_lid, leaving
         else:
-            near, near_lid, far, far_lid, ways = v, head, u, tail, entering
+            near, near_lid, far, far_lid, ways = v, v_lid, u, u_lid, entering
         for border, copies in ways:
             for name, x, lid in ((border, near, near_lid),
                                  (copies, far, far_lid)):

@@ -31,7 +31,6 @@ run (within a per-workload numeric tolerance).
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -90,19 +89,6 @@ class RetryPolicy:
         return max(base * (1.0 + self.jitter * (2.0 * u - 1.0)), 0.0)
 
 
-def _accepts_crash(factory: Callable) -> bool:
-    """Whether ``factory`` takes the optional third ``crash`` argument."""
-    try:
-        sig = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return False
-    if any(p.kind == p.VAR_POSITIONAL for p in sig.parameters.values()):
-        return True
-    positional = [p for p in sig.parameters.values()
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    return len(positional) >= 3
-
-
 def run_with_recovery(runtime_factory: Callable[..., Any],
                       retry: Optional[RetryPolicy] = None,
                       observer: Optional[Any] = None,
@@ -110,12 +96,12 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
                       clock: Callable[[], float] = time.monotonic):
     """Run a live runtime, rolling back to checkpoints on worker failure.
 
-    ``runtime_factory(snapshot, attempt)`` must return a *fresh* runtime,
-    already seeded from ``snapshot`` when it is not ``None`` (attempt 0
-    always receives ``None``).  A factory may declare an optional third
-    parameter to additionally receive the :class:`WorkerCrashedError` that
-    ended the previous attempt (``None`` on attempt 0) — that is how a
-    supervisor disarms exactly the crash fault that fired, via
+    ``runtime_factory(snapshot, attempt, crash)`` must return a *fresh*
+    runtime, already seeded from ``snapshot`` when it is not ``None``
+    (attempt 0 always receives ``None``).  ``crash`` is the
+    :class:`WorkerCrashedError` that ended the previous attempt (``None``
+    on attempt 0) — that is how a supervisor disarms exactly the crash
+    fault that fired, via
     :meth:`~repro.runtime.faultplan.FaultPlan.without_crash`, while leaving
     the rest of the chaos script armed.
 
@@ -130,7 +116,6 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
     1 = respawn only, 2 = rollback).
     """
     retry = retry or RetryPolicy()
-    pass_crash = _accepts_crash(runtime_factory)
     snapshot: Optional[GlobalSnapshot] = None
     failures: List[FailureEvent] = []
     crashes: List[Dict[str, Any]] = []
@@ -140,10 +125,7 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
     last_crash: Optional[WorkerCrashedError] = None
     start = clock()
     while True:
-        if pass_crash:
-            runtime = runtime_factory(snapshot, attempt, last_crash)
-        else:
-            runtime = runtime_factory(snapshot, attempt)
+        runtime = runtime_factory(snapshot, attempt, last_crash)
         try:
             result = runtime.run()
         except WorkerCrashedError as crash:
@@ -201,7 +183,7 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
         return result
 
 
-def _build_runtime(kind: str, engine_or_none, *, program, pg, query, policy,
+def _build_runtime(kind: str, *, program, pg, query, policy,
                    mode: str, snapshot, fault_plan, checkpoint_interval,
                    heartbeat_interval, heartbeat_timeout, timeout,
                    observer, respawn_budget: int = 0):
@@ -303,23 +285,16 @@ def run_chaos(program, pg, query, fault_plan, *, runtime: str = "threaded",
     latencies and the injected fault log.  This is the engine behind the
     ``repro chaos`` CLI.
     """
-    from repro.core.delay import AAPPolicy, APPolicy, BSPPolicy
+    from repro.core.modes import make_policy
 
-    def default_policy():
-        if mode == "BSP":
-            return BSPPolicy()
-        if mode == "AP":
-            return APPolicy()
-        return AAPPolicy()
-
-    make_policy = policy_factory or default_policy
+    new_policy = policy_factory or (lambda: make_policy(mode))
     if tolerance is None:
         tolerance = infer_tolerance(program, pg, query)
     if reference is None:
         from repro.core.engine import Engine
         from repro.runtime.simulator import SimulatedRuntime
         ref_engine = Engine(program, pg, query)
-        reference = SimulatedRuntime(ref_engine, make_policy()).run().answer
+        reference = SimulatedRuntime(ref_engine, new_policy()).run().answer
 
     # surgical re-arm: each rollback disarms only the crash that actually
     # fired (the earliest scheduled one for that worker), so later crashes
@@ -330,8 +305,8 @@ def run_chaos(program, pg, query, fault_plan, *, runtime: str = "threaded",
         if crash is not None:
             plan_state["plan"] = plan_state["plan"].without_crash(crash.wid)
         return _build_runtime(
-            runtime, None, program=program, pg=pg, query=query,
-            policy=make_policy(), mode=mode, snapshot=snapshot,
+            runtime, program=program, pg=pg, query=query,
+            policy=new_policy(), mode=mode, snapshot=snapshot,
             fault_plan=plan_state["plan"],
             checkpoint_interval=checkpoint_interval,
             heartbeat_interval=heartbeat_interval,

@@ -95,8 +95,6 @@ class SimulatedRuntime:
         self._host_queue: List[List[int]] = [[] for _ in range(num_hosts)]
         self._finished = False
         self._seeded = False
-        #: a continuation run (:meth:`seed_resume`) leaves Assemble out
-        self._assemble = True
 
     # ------------------------------------------------------------------
     # public API
@@ -115,7 +113,7 @@ class SimulatedRuntime:
                 self._try_start(wid)
         self._event_loop()
         self._finished = True
-        answer = self.engine.assemble() if self._assemble else None
+        answer = self.engine.assemble()
         metrics = RunMetrics.from_workers(
             [s.metrics(self.now) for s in self.steps], makespan=self.now,
             into=self.obs.metrics if self.obs is not None else None)
@@ -127,24 +125,6 @@ class SimulatedRuntime:
             trace=self.trace,
             rounds=[w.rounds for w in self.workers],
             extras=extras)
-
-    def seed_resume(self, messages) -> None:
-        """Resume incremental evaluation from pre-derived messages.
-
-        Used by the streaming extension: the engine's contexts already hold
-        a (locally updated) fixpoint state; ``messages`` are the designated
-        messages derived from the update integration.  PEval is skipped,
-        and so is Assemble: the caller holds the previous answer and asks
-        the engine for it (or for the delta,
-        :meth:`~repro.core.engine.Engine.answer_delta`), so the run's
-        ``answer`` is ``None``.
-        """
-        messages = list(messages)
-        for wid, step in enumerate(self.steps):
-            step.resume(m for m in messages if m.dst == wid)
-        self._seeded = True
-        self._assemble = False
-        self._reevaluate_all()
 
     def seed_from_snapshot(self, snapshot) -> None:
         """Resume from a Chandy-Lamport snapshot instead of running PEval.

@@ -1,10 +1,10 @@
 """Resident bounded-staleness serving on top of incremental IncEval.
 
-The streaming package keeps one computation alive across update batches;
-this package turns that into a *service*: PEval once, fragments warm,
-continuous ingest through in-place partition growth + inc_update
-continuation runs, and read queries answered under a declared staleness
-bound (see :mod:`repro.serve.service` and ``docs/serving.md``).
+The streaming package defines update batches; this package is the one
+way to keep a computation alive across them, as a *service*: PEval once,
+fragments warm, continuous ingest through in-place partition growth +
+inc_update continuations, and read queries answered under a declared
+staleness bound (see :mod:`repro.serve.service` and ``docs/serving.md``).
 """
 
 from repro.serve.admission import AdmissionController

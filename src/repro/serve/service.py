@@ -1,14 +1,13 @@
 """A resident bounded-staleness graph service over the AAP engines.
 
-:class:`GraphService` is the serving-path counterpart of
-:class:`~repro.streaming.StreamingSession`: it runs PEval exactly once on
-a live runtime, then keeps the partitioned fragments *warm* while a
-continuous stream of :class:`~repro.streaming.UpdateBatch` es flows in and
-read queries flow out.  Both grow one partition and one engine in place
-through the same primitives — the service on the dense engine, over
-fragments whose array form grows in place, whenever the program has dense
-kernels and the node ids are non-negative integers (the generic engine
-otherwise); the service adds the rest:
+:class:`GraphService` is the one way to keep a PIE computation live
+across updates: it runs PEval exactly once, then keeps the partitioned
+fragments *warm* while a continuous stream of
+:class:`~repro.streaming.UpdateBatch` es flows in and read queries flow
+out.  It grows one partition and one engine in place — the dense engine,
+over fragments whose array form grows in place, whenever the program has
+dense kernels and the node ids are non-negative integers; the generic
+engine otherwise:
 
 1. **Ingest** — batches are validated atomically (against the current
    graph *and* the already-staged batches), admitted through a bounded
@@ -59,12 +58,11 @@ from repro.graph.stable import stable_owner
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
                        EventLog, Observer)
 from repro.partition.builder import build_edge_cut
-from repro.partition.grow import grow_edge_cut
+from repro.partition.grow import GrowthReport, grow_edge_cut
 from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.threaded import ThreadedRuntime
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import QueryCache
-from repro.streaming.session import integrate_insertions
 from repro.streaming.updates import UpdateBatch, validate_batch
 
 Node = Hashable
@@ -79,6 +77,30 @@ RUNTIMES = ("threaded", "simulated")
 #: (:attr:`~repro.obs.EventLog.dropped` counts the rest; the histograms
 #: see every event)
 EVENT_LOG_CAPACITY = 8192
+
+
+def integrate_insertions(engine: Engine, report: GrowthReport) -> List:
+    """Fold the insertions growth just materialised (``report``, of
+    :func:`~repro.partition.grow.grow_edge_cut`) into a converged
+    ``engine``: ``inc_update`` + one IncEval on every fragment that got a
+    copy of one, and the designated messages that seed the continuation.
+    """
+    program, query = engine.program, engine.query
+    messages: List = []
+    for wid in sorted(report.inserted):
+        frag, ctx = engine.pg.fragments[wid], engine.contexts[wid]
+        if engine.vectorized:
+            seeds = program.dense_inc_update(frag, ctx, *report.rows[wid],
+                                             query)
+            if len(seeds):
+                program.dense_inceval(frag, ctx, seeds, query)
+        else:
+            seeds = program.inc_update(frag, ctx, report.inserted[wid],
+                                       query)
+            if seeds:
+                program.inceval(frag, ctx, set(seeds), query)
+        messages.extend(engine.derive_messages(wid, round_no=1))
+    return messages
 
 
 class IngestReceipt(NamedTuple):
@@ -124,7 +146,9 @@ class GraphService:
     ``runtime`` and ``mode`` select what executes the one PEval run:
     ``threaded`` (real threads, the serving configuration) or
     ``simulated`` (the deterministic reference, used by the differential
-    tests).  Epochs continue from it on the calling thread.
+    tests and by callers that only want a live computation:
+    ``ingest(batch)`` then ``flush()``).  Epochs continue from it on the
+    calling thread.
     """
 
     def __init__(self, program: PIEProgram, graph: Graph, query: Any,
@@ -172,7 +196,7 @@ class GraphService:
         self._queries = metrics.counter("serve_queries")
         self._shed_queries = metrics.counter("serve_shed_queries")
         # ownership is the process-stable hash, here and in grow_edge_cut:
-        # the same in every process, and in a StreamingSession
+        # builtin hash is salted per process (PYTHONHASHSEED)
         owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
         self.pg = build_edge_cut(self.graph, owner, num_fragments, "serving")
         # dense kernels on arrays that grow in place; degrades to the
@@ -265,8 +289,16 @@ class GraphService:
         Atomic: validation covers the whole batch against the current
         graph plus everything already staged, so a rejected batch
         (:class:`~repro.errors.ProgramError`) leaves the service
-        untouched.  A shed batch (queue full) is reported, not raised.
+        untouched.  Every batch of a program that keeps
+        :class:`~repro.core.pie.PIEProgram`'s default streaming hook for
+        the engine it runs on is rejected the same way.  A shed batch
+        (queue full) is reported, not raised.
         """
+        hook = "dense_inc_update" if self.engine.vectorized else "inc_update"
+        if getattr(type(self.program), hook) is getattr(PIEProgram, hook):
+            raise ProgramError(
+                f"{self.program.name} does not support streaming updates "
+                f"(no {hook}); the service cannot take a batch")
         t0 = perf_counter()
         reason = self.admission.admit_batch(len(self._pending))
         if reason is not None:

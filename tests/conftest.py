@@ -123,6 +123,13 @@ def partitioned_powerlaw(small_powerlaw):
     return api.partition_graph(small_powerlaw, 4)
 
 
+def generic(program):
+    """The same program without dense kernels: a service over it runs the
+    generic engine (there is no other switch)."""
+    return type(f"Generic{type(program).__name__}", (type(program),),
+                {"dense_capable": False})()
+
+
 def edge_set(graph):
     return sorted(((repr(u), repr(v), w) for u, v, w in graph.edges()))
 

@@ -10,7 +10,7 @@ from repro.errors import TerminationError
 from repro.graph import analysis, generators
 from repro.partition.edge_cut import HashPartitioner
 from repro.partition.grow import grow_edge_cut
-from repro.streaming import integrate_insertions
+from repro.serve.service import integrate_insertions
 
 
 def make_engine(graph, program, query, m=4):

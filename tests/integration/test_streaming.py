@@ -1,4 +1,5 @@
-"""Tests for streaming updates (incremental continuation runs)."""
+"""Tests for streaming updates: a live service absorbs insertion batches
+by incremental continuation."""
 
 import random
 
@@ -8,9 +9,13 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
 from repro.errors import ProgramError
 from repro.graph import analysis, generators
+from repro.obs import EPOCH_APPLY
 from repro.partition.builder import build_edge_cut
-from repro.streaming import StreamingSession, UpdateBatch
-from tests.conftest import assert_partitions_equal
+from repro.serve import GraphService
+from repro.streaming import UpdateBatch
+from tests.conftest import assert_partitions_equal, generic
+
+ENGINES = {"dense": lambda program: program, "generic": generic}
 
 
 class TestUpdateBatch:
@@ -32,22 +37,26 @@ class TestStreamingCC:
     def test_bridge_merges_components(self):
         g = generators.path_graph(6)
         g.add_edge(10, 11)  # a second component
-        sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=3)
-        assert len(set(sess.answer.values())) == 2
-        sess.apply(UpdateBatch.of((5, 10)))
-        assert set(sess.answer.values()) == {0}
+        svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=3,
+                           runtime="simulated")
+        assert len(set(svc.answer.values())) == 2
+        svc.ingest(UpdateBatch.of((5, 10)))
+        svc.flush()
+        assert set(svc.answer.values()) == {0}
 
     def test_new_nodes_join(self, small_powerlaw):
-        sess = StreamingSession(CCProgram(), small_powerlaw, CCQuery(),
-                                num_fragments=4)
-        sess.apply(UpdateBatch.of((7777, 0), (7778, 7777)))
-        assert sess.answer[7777] == sess.answer[0]
-        assert sess.answer[7778] == sess.answer[0]
+        svc = GraphService(CCProgram(), small_powerlaw, CCQuery(),
+                           num_fragments=4, runtime="simulated")
+        svc.ingest(UpdateBatch.of((7777, 0), (7778, 7777)))
+        svc.flush()
+        assert svc.answer[7777] == svc.answer[0]
+        assert svc.answer[7778] == svc.answer[0]
 
     def test_many_random_batches_match_reference(self, small_powerlaw):
         rng = random.Random(5)
         g = small_powerlaw.copy()
-        sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=4)
+        svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=4,
+                           runtime="simulated")
         reference_graph = g.copy()
         next_id = 10_000
         for _ in range(5):
@@ -64,96 +73,122 @@ class TestStreamingCC:
             if not edges:
                 continue
             batch = UpdateBatch.of(*edges)
-            sess.apply(batch)
+            svc.ingest(batch)
+            svc.flush()
             for u, v, w in batch.insertions:
                 reference_graph.add_edge(u, v, w)
-            assert sess.answer == analysis.connected_components(
+            assert svc.answer == analysis.connected_components(
                 reference_graph)
 
     def test_continuation_cheaper_than_rerun(self, small_powerlaw):
-        sess = StreamingSession(CCProgram(), small_powerlaw, CCQuery(),
-                                num_fragments=4)
-        initial_work = sess.initial_result.metrics.total_work
-        cont = sess.apply(UpdateBatch.of((8888, 3)))
-        assert cont.metrics.total_work < initial_work / 2
-        # a continuation run leaves Assemble to whoever wants the answer
-        assert cont.answer is None and 8888 in sess.answer
+        svc = GraphService(CCProgram(), small_powerlaw, CCQuery(),
+                           num_fragments=4, runtime="simulated")
+        # an epoch runs neither PEval nor Assemble: the continuation
+        # starts from the integrated insertions and the answer is patched
+        # with the program's delta
+        svc.program.peval = svc.program.dense_peval = None
+        svc.engine.assemble = None
+        svc.ingest(UpdateBatch.of((8888, 3)))
+        svc.flush()
+        (epoch,) = svc.obs.log.filter(type=EPOCH_APPLY)
+        assert epoch.payload["changed"] == 1
+        assert svc.answer[8888] == svc.answer[3]
 
 
 class TestStreamingSSSP:
     def test_shortcut_lowers_distances(self):
         g = generators.path_graph(30, weighted=False)
-        sess = StreamingSession(SSSPProgram(), g, SSSPQuery(source=0),
-                                num_fragments=3)
-        assert sess.answer[29] == 29.0
-        sess.apply(UpdateBatch.of((0, 29, 2.0)))
-        assert sess.answer[29] == 2.0
-        assert sess.answer[28] == 3.0
+        svc = GraphService(SSSPProgram(), g, SSSPQuery(source=0),
+                           num_fragments=3, runtime="simulated")
+        assert svc.answer[29] == 29.0
+        svc.ingest(UpdateBatch.of((0, 29, 2.0)))
+        svc.flush()
+        assert svc.answer[29] == 2.0
+        assert svc.answer[28] == 3.0
 
     def test_random_insertions_match_dijkstra(self, small_grid):
         rng = random.Random(11)
         g = small_grid.copy()
-        sess = StreamingSession(SSSPProgram(), g, SSSPQuery(source=0),
-                                num_fragments=4)
+        svc = GraphService(SSSPProgram(), g, SSSPQuery(source=0),
+                           num_fragments=4, runtime="simulated")
         reference_graph = g.copy()
         for _ in range(4):
             u, v = rng.sample(range(100), 2)
             if reference_graph.has_edge(u, v):
                 continue
             w = rng.uniform(0.1, 3.0)
-            sess.apply(UpdateBatch.of((u, v, w)))
+            svc.ingest(UpdateBatch.of((u, v, w)))
+            svc.flush()
             reference_graph.add_edge(u, v, w)
             ref = analysis.dijkstra(reference_graph, 0)
             for node in ref:
-                assert sess.answer[node] == pytest.approx(ref[node])
+                assert svc.answer[node] == pytest.approx(ref[node])
 
 
 class TestGrowsInPlace:
-    """One partition and one engine for the session's life; the rebuild
+    """One partition and one engine for the service's life; the rebuild
     survives as the oracle they are held to after every batch."""
 
-    @pytest.mark.parametrize("program, query, reference", [
-        (CCProgram(), CCQuery(), analysis.connected_components),
+    @pytest.mark.parametrize("program, query, reference, engine", [
+        (CCProgram(), CCQuery(), analysis.connected_components, "dense"),
         (SSSPProgram(), SSSPQuery(source=0),
-         lambda graph: analysis.dijkstra(graph, 0)),
-    ], ids=["cc", "sssp"])
+         lambda graph: analysis.dijkstra(graph, 0), "dense"),
+        (CCProgram(), CCQuery(), analysis.connected_components, "generic"),
+        (SSSPProgram(), SSSPQuery(source=0),
+         lambda graph: analysis.dijkstra(graph, 0), "generic"),
+    ], ids=["cc", "sssp", "cc-generic", "sssp-generic"])
     def test_same_objects_and_equal_to_rebuild(self, small_grid, program,
-                                               query, reference):
+                                               query, reference, engine):
         m = 4
-        sess = StreamingSession(program, small_grid, query, num_fragments=m)
-        pg0, engine0 = sess.pg, sess.engine
+        svc = GraphService(ENGINES[engine](program), small_grid, query,
+                           num_fragments=m, runtime="simulated")
+        assert svc.status()["engine"] == engine
+        pg0, engine0 = svc.pg, svc.engine
         rng = random.Random(23)
         next_id = 1000
         for _ in range(5):
             edges = [(next_id, rng.randrange(100), rng.uniform(0.1, 3.0))]
             next_id += 1
             u, v = rng.sample(range(100), 2)
-            if not sess.graph.has_edge(u, v):
+            if not svc.graph.has_edge(u, v):
                 edges.append((u, v, rng.uniform(0.1, 3.0)))
-            sess.apply(UpdateBatch.of(*edges))
-            assert sess.pg is pg0 and sess.engine is engine0
-            assert sess.owner is pg0.owner
+            svc.ingest(UpdateBatch.of(*edges))
+            svc.flush()
+            assert svc.pg is pg0 and svc.engine is engine0
+            assert svc.engine.pg is pg0
             assert_partitions_equal(
-                sess.pg, build_edge_cut(sess.graph, dict(sess.pg.owner), m,
-                                        "oracle"))
-            ref = reference(sess.graph)
-            answer = sess.answer
+                svc.pg, build_edge_cut(svc.graph, dict(svc.pg.owner), m,
+                                       "oracle"))
+            ref = reference(svc.graph)
+            answer = svc.answer
             assert set(answer) == set(ref)
             for node in ref:
                 assert answer[node] == pytest.approx(ref[node])
-        assert sess.batches_applied == 5
+        assert svc.epoch == 5
 
 
 class TestStreamingLimits:
     def test_duplicate_edge_rejected(self, small_grid):
-        sess = StreamingSession(CCProgram(), small_grid, CCQuery(),
-                                num_fragments=2)
+        svc = GraphService(CCProgram(), small_grid, CCQuery(),
+                           num_fragments=2, runtime="simulated")
         with pytest.raises(ProgramError):
-            sess.apply(UpdateBatch.of((0, 1)))
+            svc.ingest(UpdateBatch.of((0, 1)))
 
-    def test_non_streamable_program_rejected(self, small_powerlaw):
-        sess = StreamingSession(
-            PageRankProgram(), small_powerlaw,
-            PageRankQuery(epsilon=1e-2, num_nodes=300), num_fragments=3)
-        with pytest.raises(ProgramError):
-            sess.apply(UpdateBatch.of((9999, 0)))
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_non_streamable_program_refused(self, small_powerlaw, engine):
+        program = ENGINES[engine](PageRankProgram())
+        svc = GraphService(program, small_powerlaw,
+                           PageRankQuery(epsilon=1e-2, num_nodes=300),
+                           num_fragments=3, runtime="simulated")
+        assert svc.status()["engine"] == engine
+        before = svc.answer
+        with pytest.raises(ProgramError, match=type(program).__name__):
+            svc.ingest(UpdateBatch.of((9999, 0)))
+        # nothing staged: no lag, no new node in the graph or the partition
+        assert (svc.lag, svc.accepted, svc.epoch) == (0, 0, 0)
+        assert not svc.graph.has_node(9999)
+        assert 9999 not in svc.pg.owner
+        # and reads keep being served from the untouched answer
+        res = svc.query(0)
+        assert res.served and res.value == before[0]
+        assert svc.snapshot().value == before

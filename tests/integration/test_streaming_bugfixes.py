@@ -1,22 +1,23 @@
-"""Regression tests for the streaming-session correctness fixes.
+"""Regression tests for the streaming correctness fixes, held on the live
+service that keeps a computation across updates.
 
 Four bugs, four tests (plus cross-process determinism):
 
 1. ownership used the per-process-salted builtin ``hash``;
-2. ``apply()`` mutated the graph before validating the whole batch;
-3. the per-batch engine rebuild aliased program scratch across engines
-   (the rebuild is gone: the session grows one engine in place, and what
-   is left to hold is that a rejected batch touches no scratch);
+2. applying a batch mutated the graph before validating all of it;
+3. a per-batch engine rebuild aliased program scratch across engines
+   (the rebuild is gone: the service grows one engine in place, and what
+   is left to hold is that a rejected batch touches no context);
 4. ``UpdateBatch`` accepted within-batch duplicate edges.
 """
 
-import copy
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -25,7 +26,8 @@ from repro.errors import ProgramError
 from repro.graph import analysis, generators
 from repro.graph.graph import Graph
 from repro.graph.stable import canonical_bytes, stable_hash, stable_owner
-from repro.streaming import StreamingSession, UpdateBatch, validate_batch
+from repro.serve import GraphService
+from repro.streaming import UpdateBatch, validate_batch
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -61,45 +63,51 @@ class TestStableOwnership:
         g = Graph(directed=False)
         for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
             g.add_edge(u, v, 1.0)
-        sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=3)
-        assert sess.owner == {v: stable_owner(v, 3) for v in g.nodes}
-        sess.apply(UpdateBatch.of(("d", "e")))
-        assert sess.owner["e"] == stable_owner("e", 3)
+        svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=3,
+                           runtime="simulated")
+        assert svc.pg.owner == {v: stable_owner(v, 3) for v in g.nodes}
+        svc.ingest(UpdateBatch.of(("d", "e")))
+        svc.flush()
+        assert svc.pg.owner["e"] == stable_owner("e", 3)
 
 
 class TestAtomicApply:
     def test_failed_batch_leaves_session_untouched(self):
         g = generators.path_graph(8, weighted=True, seed=0)
-        sess = StreamingSession(SSSPProgram(), g, SSSPQuery(source=0),
-                                num_fragments=3)
-        before_edges = sorted(sess.graph.edges())
-        before_owner = dict(sess.owner)
-        before_answer = dict(sess.answer)
-        engine_before = sess.engine
+        svc = GraphService(SSSPProgram(), g, SSSPQuery(source=0),
+                           num_fragments=3, runtime="simulated")
+        before_edges = sorted(svc.graph.edges())
+        before_owner = dict(svc.pg.owner)
+        before_answer = svc.answer
+        engine_before = svc.engine
         # the first insertion is fine, the second duplicates an existing
         # edge: nothing from the batch may stick
         bad = UpdateBatch.of((20, 21, 1.0), (0, 1, 9.9))
         with pytest.raises(ProgramError):
-            sess.apply(bad)
-        assert sorted(sess.graph.edges()) == before_edges
-        assert sess.owner == before_owner
-        assert sess.engine is engine_before
-        assert sess.batches_applied == 0
-        assert dict(sess.answer) == before_answer
-        # the session is still live: a valid batch converges to the
+            svc.ingest(bad)
+        assert sorted(svc.graph.edges()) == before_edges
+        assert svc.pg.owner == before_owner
+        assert svc.engine is engine_before
+        assert (svc.lag, svc.accepted, svc.epoch) == (0, 0, 0)
+        assert svc.answer == before_answer
+        assert svc.engine.assemble() == before_answer
+        # the service is still live: a valid batch converges to the
         # full-recompute answer on the grown graph
-        sess.apply(UpdateBatch.of((7, 30, 0.5), (30, 0, 0.25)))
-        ref = analysis.dijkstra(sess.graph, 0)
-        assert sess.answer == ref
+        svc.ingest(UpdateBatch.of((7, 30, 0.5), (30, 0, 0.25)))
+        svc.flush()
+        ref = analysis.dijkstra(svc.graph, 0)
+        assert svc.answer == ref
 
     def test_self_loop_rejected_atomically(self):
         g = generators.path_graph(5, weighted=True, seed=0)
-        sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=2)
+        svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=2,
+                           runtime="simulated")
         batch = UpdateBatch.of((0, 9, 1.0))
         object.__setattr__(batch, "insertions", ((0, 9, 1.0), (3, 3, 1.0)))
         with pytest.raises(ProgramError):
-            sess.apply(batch)
-        assert not sess.graph.has_node(9)
+            svc.ingest(batch)
+        assert svc.lag == 0
+        assert not svc.graph.has_node(9)
 
     def test_validate_batch_sees_staged_edges(self):
         g = generators.path_graph(4, weighted=True, seed=0)
@@ -114,19 +122,24 @@ class TestScratchIsolation:
     def test_rejected_batch_leaves_scratch_untouched(self):
         g = generators.path_graph(6, weighted=True, seed=0)
         g.add_edge(10, 11, 1.0)  # a second component to merge later
-        sess = StreamingSession(CCProgram(), g, CCQuery(), num_fragments=3)
-        engine = sess.engine
-        snap = copy.deepcopy([ctx.scratch for ctx in engine.contexts])
+        svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=3,
+                           runtime="simulated")
+        engine = svc.engine
+        assert engine.vectorized  # the dense engine: state is its arrays
+        snap = [ctx.array.copy() for ctx in engine.contexts]
         # the bridge is fine, the second edge already exists
         with pytest.raises(ProgramError):
-            sess.apply(UpdateBatch.of((5, 10, 1.0), (0, 1, 2.0)))
-        assert sess.engine is engine
-        assert [ctx.scratch for ctx in engine.contexts] == snap
-        # and an accepted one grows that same engine's scratch in place
-        sess.apply(UpdateBatch.of((5, 10, 1.0)))
-        assert sess.engine is engine
-        assert [ctx.scratch for ctx in engine.contexts] != snap
-        assert set(sess.answer.values()) == {0}
+            svc.ingest(UpdateBatch.of((5, 10, 1.0), (0, 1, 2.0)))
+        assert svc.engine is engine
+        assert all(np.array_equal(ctx.array, before)
+                   for ctx, before in zip(engine.contexts, snap))
+        # and an accepted one moves that same engine's arrays in place
+        svc.ingest(UpdateBatch.of((5, 10, 1.0)))
+        svc.flush()
+        assert svc.engine is engine
+        assert not all(np.array_equal(ctx.array, before)
+                       for ctx, before in zip(engine.contexts, snap))
+        assert set(svc.answer.values()) == {0}
 
 
 class TestDuplicateInsertions:

@@ -173,10 +173,15 @@ def test_growth_is_on_the_arrays_and_patches_what_was_built(prepared,
     next_id = max(graph.nodes) + 1
     for _ in range(3):
         insertions, next_id = random_insertions(graph, rng, 5, next_id)
-        grow_edge_cut(pg, insertions)
+        report = grow_edge_cut(pg, insertions)
         for u, v, w in insertions:
             graph.add_edge(u, v, w)
         rebuilt = build_edge_cut(graph, dict(pg.owner), m, "test")
+        # the lids the report names are the nodes' own (a dense engine
+        # re-decides routing at exactly those)
+        for fid, nodes in report.rerouted.items():
+            arrays = pg.fragments[fid]._arrays
+            assert {v: arrays.lid(v) for v in nodes} == nodes
         for frag, before, view in zip(pg, held, views):
             # growth built no container; the ones there were patched
             assert {name for name in CONTAINERS if name in vars(frag)} \

@@ -11,10 +11,10 @@ import random
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
-from repro.graph import analysis, generators
+from repro.graph import generators
 from repro.serve import (AdmissionController, GraphService, LoadGenerator,
                          verify_against_recompute)
-from repro.streaming import StreamingSession, UpdateBatch
+from repro.streaming import UpdateBatch
 
 ALGOS = {
     "sssp": lambda: (SSSPProgram(), SSSPQuery(source=0)),
@@ -136,28 +136,3 @@ def test_loadgen_is_deterministic():
     first, second = run_once(), run_once()
     assert first == second
 
-
-def test_service_agrees_with_streaming_session():
-    """Same batches through the service and the session end identically
-    (they share the stable owner map, so fragments line up too).  Both
-    grow in place through the same primitives, so the independent check
-    is Dijkstra on the grown graph."""
-    g = generators.grid2d(5, 5, weighted=True, seed=6)
-    batches = [UpdateBatch.of((0, 100, 0.3), (100, 12, 0.4)),
-               UpdateBatch.of((100, 101, 0.2), (3, 17, 0.9))]
-    svc = GraphService(SSSPProgram(), g, SSSPQuery(source=0),
-                       num_fragments=3, runtime="simulated")
-    sess = StreamingSession(SSSPProgram(), g, SSSPQuery(source=0),
-                            num_fragments=3)
-    for b in batches:
-        svc.ingest(b)
-        sess.apply(b)
-    svc.flush()
-    assert svc.answer == sess.answer
-    assert svc.pg.owner == sess.owner
-    ref = analysis.dijkstra(sess.graph, 0)
-    assert sorted(svc.graph.edges()) == sorted(sess.graph.edges())
-    assert set(sess.answer) == set(ref)
-    for v in ref:
-        assert sess.answer[v] == pytest.approx(ref[v])
-        assert svc.answer[v] == pytest.approx(ref[v])

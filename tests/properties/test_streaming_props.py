@@ -1,5 +1,6 @@
 """Property-based streaming tests: any insertion sequence, applied
-incrementally, must agree with recomputing on the final graph."""
+incrementally by a live service, must agree with recomputing on the final
+graph — on the dense engine and on the generic one."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.graph import analysis, generators
-from repro.streaming import StreamingSession, UpdateBatch
+from repro.serve import GraphService
+from repro.streaming import UpdateBatch
+from tests.conftest import generic
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -40,34 +43,57 @@ def insertion_plan(draw):
     return base, batches
 
 
+def cc_matches_recompute(program, engine, plan, m):
+    base, batches = plan
+    svc = GraphService(program, base, CCQuery(), num_fragments=m,
+                       runtime="simulated")
+    assert svc.status()["engine"] == engine
+    reference = base.copy()
+    for batch in batches:
+        svc.ingest(batch)
+        svc.flush()
+        for u, v, w in batch.insertions:
+            reference.add_edge(u, v, w)
+        assert svc.answer == analysis.connected_components(reference)
+
+
+def sssp_matches_recompute(program, engine, plan, m):
+    base, batches = plan
+    source = next(iter(base.nodes))
+    svc = GraphService(program, base, SSSPQuery(source=source),
+                       num_fragments=m, runtime="simulated")
+    assert svc.status()["engine"] == engine
+    reference = base.copy()
+    for batch in batches:
+        svc.ingest(batch)
+        svc.flush()
+        for u, v, w in batch.insertions:
+            reference.add_edge(u, v, w)
+        ref = analysis.dijkstra(reference, source)
+        for node in ref:
+            assert svc.answer[node] == pytest.approx(ref[node])
+
+
 class TestStreamingConfluence:
+    """Each property on the dense engine (integer ids, dense kernels) and
+    on the generic one (the same program without its dense kernels)."""
+
     @given(plan=insertion_plan(), m=st.integers(1, 4))
     @settings(**SETTINGS)
     def test_cc_matches_recompute(self, plan, m):
-        base, batches = plan
-        session = StreamingSession(CCProgram(), base, CCQuery(),
-                                   num_fragments=m)
-        reference = base.copy()
-        for batch in batches:
-            session.apply(batch)
-            for u, v, w in batch.insertions:
-                reference.add_edge(u, v, w)
-            assert session.answer == analysis.connected_components(
-                reference)
+        cc_matches_recompute(CCProgram(), "dense", plan, m)
+
+    @given(plan=insertion_plan(), m=st.integers(1, 4))
+    @settings(**SETTINGS)
+    def test_cc_matches_recompute_generic(self, plan, m):
+        cc_matches_recompute(generic(CCProgram()), "generic", plan, m)
 
     @given(plan=insertion_plan(), m=st.integers(1, 4))
     @settings(**SETTINGS)
     def test_sssp_matches_recompute(self, plan, m):
-        base, batches = plan
-        source = next(iter(base.nodes))
-        session = StreamingSession(SSSPProgram(), base,
-                                   SSSPQuery(source=source),
-                                   num_fragments=m)
-        reference = base.copy()
-        for batch in batches:
-            session.apply(batch)
-            for u, v, w in batch.insertions:
-                reference.add_edge(u, v, w)
-            ref = analysis.dijkstra(reference, source)
-            for node in ref:
-                assert session.answer[node] == pytest.approx(ref[node])
+        sssp_matches_recompute(SSSPProgram(), "dense", plan, m)
+
+    @given(plan=insertion_plan(), m=st.integers(1, 4))
+    @settings(**SETTINGS)
+    def test_sssp_matches_recompute_generic(self, plan, m):
+        sssp_matches_recompute(generic(SSSPProgram()), "generic", plan, m)

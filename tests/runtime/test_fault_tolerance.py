@@ -93,7 +93,7 @@ class TestThreadedRecovery:
         program, query = SSSPProgram(), SSSPQuery(source=0)
         plan = FaultPlan(seed=5, faults=(CrashFault(wid=0, at_round=2),))
 
-        def factory(snapshot, attempt):
+        def factory(snapshot, attempt, crash):
             engine = Engine(program, pg, query)
             rt = ThreadedRuntime(
                 engine, AAPPolicy(), timeout=30.0, fault_plan=plan,

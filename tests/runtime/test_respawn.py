@@ -18,6 +18,7 @@ import pytest
 from repro.algorithms import PageRankProgram, PageRankQuery, SSSPProgram, \
     SSSPQuery
 from repro.core.messages import MessageBatch
+from repro.core.modes import MODES
 from repro.errors import RuntimeConfigError, SnapshotError, TransportError, \
     WorkerCrashedError, WorkerFailureError
 from repro.graph import generators
@@ -203,6 +204,12 @@ class TestThreadedRespawn:
         assert report["ok"] and report["answer_matches_reference"]
         assert report["respawns"] == 1 and report["recoveries"] == 0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chaos_runs_the_named_mode(self, pg, mode):
+        report = chaos(pg, FaultPlan(seed=0), runtime="threaded", mode=mode)
+        assert report["ok"] and report["answer_matches_reference"]
+        assert report["mode"] == f"{mode}-threaded"
+
     def test_ladder_bottoms_out_structured(self, pg):
         # rung 3: no respawn budget, no retries -> WorkerFailureError,
         # surfaced as a structured failure report
@@ -328,7 +335,7 @@ class TestRetryPolicyDeadlineJitter:
         # backoff 1.0 overruns the 0.5s budget: no second attempt is made
         calls = []
 
-        def factory(snapshot, attempt):
+        def factory(snapshot, attempt, crash):
             calls.append(attempt)
             return types.SimpleNamespace(
                 run=lambda: (_ for _ in ()).throw(_crash()))
@@ -346,7 +353,7 @@ class TestRetryPolicyDeadlineJitter:
     def test_deadline_allows_retries_that_fit(self):
         attempts = []
 
-        def factory(snapshot, attempt):
+        def factory(snapshot, attempt, crash):
             attempts.append(attempt)
             if attempt < 2:
                 return types.SimpleNamespace(

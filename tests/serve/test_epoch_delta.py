@@ -30,18 +30,13 @@ from repro.graph.stable import stable_owner
 from repro.partition.fragment import Fragment, FragmentCSR, built_on_read
 from repro.serve import GraphService, QueryCache, verify_against_recompute
 from repro.streaming import UpdateBatch
+from tests.conftest import generic
 
 ALGOS = {
     "sssp": lambda: (SSSPProgram(), SSSPQuery(source=0)),
     "cc": lambda: (CCProgram(), CCQuery()),
 }
 _MISSING = object()
-
-
-def generic(program):
-    """The same program without dense kernels: the generic engine serves."""
-    return type(f"Generic{type(program).__name__}", (type(program),),
-                {"dense_capable": False})()
 
 
 class RecordingCache(QueryCache):
