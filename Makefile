@@ -29,19 +29,21 @@ fuzz:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --seeds 50 \
 		--artifact-dir fuzz-artifacts
 
-## the CI fuzz gate: small graphs, 20 seeds, plus the 90-cell grid
+## the CI fuzz gate: small graphs, 20 seeds, plus the 90-cell
+## differential grid; one JSON artifact per cell in fuzz-artifacts/
 fuzz-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --seeds 20 \
 		--smoke --artifact-dir fuzz-artifacts
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --differential \
-		--graph grid:6x6 -m 3 --quiet
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --grid differential \
+		--graph grid:6x6 -m 3 --quiet --artifact-dir fuzz-artifacts
 
-## the CI respawn gate: every cell of {threaded,multiprocess} x
-## {AAP,BSP,SSP} x {1,2 crashes} must absorb its crashes in place (rung 1
-## of the degradation ladder; see docs/fault_tolerance.md)
+## the CI respawn gate: the 12-cell chaos grid, {threaded,multiprocess} x
+## {AAP,BSP,SSP} x {1,2 crashes}; every cell must absorb its crashes in
+## place (rung 1 of the degradation ladder; see docs/fault_tolerance.md);
+## one JSON artifact per cell in chaos-out/
 chaos-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/chaos_smoke.py \
-		--out chaos-out
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --grid chaos \
+		--artifact-dir chaos-out
 
 ## the end-to-end benchmark at smoke size (all four workloads, both
 ## passes, < 30 s) plus its self-tests; numbers from --quick are for

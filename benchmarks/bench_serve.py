@@ -1,6 +1,6 @@
 """Serving benchmark: seeded mixed update/query load on GraphService.
 
-A plain CLI (like ``bench_kernels.py``) so CI can run it at smoke sizes
+A plain CLI so CI can run it at smoke sizes
 and upload the JSON artifact::
 
     python benchmarks/bench_serve.py --graph powerlaw:800 \

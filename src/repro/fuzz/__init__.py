@@ -1,43 +1,32 @@
-"""Schedule fuzzing + differential conformance (``repro fuzz``).
+"""Conformance: one cell, one runner, one verdict (``repro fuzz``).
 
-Theorem 2 of the paper promises that *any* AAP schedule converges to the
-same answer.  This package stress-tests the reproduction against that
-promise from three angles:
-
-- :mod:`repro.fuzz.perturb` — a seeded :class:`SchedulePerturber` that
-  biases the simulator's event ordering (tie-break shuffling, per-edge
-  latency profiles, straggler/burst phases, forced policy
-  re-evaluations) without touching any scheduling logic;
-- :mod:`repro.fuzz.oracles` — online invariants over the obs event
-  stream (round bounds, message ledger, wake gating) plus the
-  :class:`ContractionProbe` engine proxy for condition T2;
-- :mod:`repro.fuzz.differential` — one workload across
-  modes x runtimes x paths, every assembled answer checked against the
-  sequential fixpoint;
-- :mod:`repro.fuzz.shrink` — greedy minimization of failing cases into
-  replayable JSON artifacts (``repro fuzz --replay``).
-
-See ``docs/conformance.md`` for the full story.
+Theorem 2 of the paper promises that *any* schedule converges to the
+same answer.  :mod:`repro.fuzz.cell` holds a run to it: a serializable
+:class:`Cell`, :func:`run_cell` and its :class:`Verdict`, the seeded fuzz
+cases and the named grids.  :mod:`repro.fuzz.perturb` biases the
+simulator's schedule from a seed, :mod:`repro.fuzz.oracles` checks the
+event stream online, and :mod:`repro.fuzz.shrink` runs lists of cells,
+minimizes failing ones and writes replayable artifacts.  See
+``docs/conformance.md``.
 """
 
-from repro.fuzz.differential import (DiffCell, DiffReport, format_report,
-                                     run_differential)
-from repro.fuzz.driver import (FUZZ_ALGORITHMS, CaseResult, FuzzCase,
-                               build_graph, case_from_seed, run_case)
+from repro.fuzz.cell import (ALGORITHMS, FUZZ_ALGORITHMS, GRIDS, RUNTIMES,
+                             Cell, Verdict, build_graph, case_from_seed,
+                             compare, format_report, run_cell, tolerance)
 from repro.fuzz.oracles import (BoundsOracle, CheckingLog, ContractionProbe,
                                 LedgerOracle, OracleSuite, OracleViolation,
                                 WakeGateOracle)
 from repro.fuzz.perturb import PerturberConfig, SchedulePerturber
-from repro.fuzz.shrink import (ShrinkResult, fuzz_loop, load_artifact,
-                               replay_artifact, save_artifact, shrink)
+from repro.fuzz.shrink import (ShrinkResult, load_artifact, replay_artifact,
+                               run_grid, save_artifact, shrink)
 
 __all__ = [
+    "Cell", "Verdict", "run_cell", "case_from_seed", "build_graph",
+    "compare", "tolerance", "format_report", "GRIDS", "ALGORITHMS",
+    "FUZZ_ALGORITHMS", "RUNTIMES",
     "SchedulePerturber", "PerturberConfig",
     "OracleSuite", "OracleViolation", "BoundsOracle", "LedgerOracle",
     "WakeGateOracle", "ContractionProbe", "CheckingLog",
-    "DiffCell", "DiffReport", "run_differential", "format_report",
-    "FuzzCase", "CaseResult", "case_from_seed", "run_case", "build_graph",
-    "FUZZ_ALGORITHMS",
     "shrink", "ShrinkResult", "save_artifact", "load_artifact",
-    "replay_artifact", "fuzz_loop",
+    "replay_artifact", "run_grid",
 ]

@@ -21,15 +21,8 @@ The invariants come straight from Section 3 of the paper:
 The oracles assume the simulator's sequential event stream (one global
 order, drains visible as ``round_start``).  The wall-clock runtimes emit
 the same record types but interleave them per worker, so only
-:class:`BoundsOracle` is meaningful there.
-
-:class:`ContractionProbe` is different: monotone contraction (condition T2
-— every IncEval moves status variables *down* the partial order) is not
-observable from events, so it proxies the :class:`~repro.core.engine.
-Engine` and compares fragment values before/after each IncEval with
-``program.leq``.  Accumulative programs (PageRank's ship-and-reset deltas)
-and the dense path are skipped, mirroring
-:func:`repro.core.convergence.check_contracting`.
+:class:`BoundsOracle` is meaningful there.  :class:`ContractionProbe`
+checks condition T2, which no event shows, on the engine itself.
 """
 
 from __future__ import annotations
@@ -53,10 +46,6 @@ class OracleViolation:
     def to_dict(self) -> Dict[str, Any]:
         return {"oracle": self.oracle, "message": self.message,
                 "t": self.t, "wid": self.wid}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OracleViolation":
-        return cls(**data)
 
 
 class Oracle:

@@ -1,26 +1,14 @@
-"""Greedy shrinking of failing fuzz cases and replayable artifacts.
+"""Running cells, shrinking failing ones, and replayable artifacts.
 
-A failing (graph, partition, seed) triple from the fuzz loop is rarely
-minimal: the bug usually survives with fewer fragments, a smaller graph
-and most perturbation features disabled.  :func:`shrink` walks those
-dimensions greedily — try one simplification, keep it iff the *same kind*
-of violation still fires, repeat until nothing simplifies — and
-:func:`save_artifact` writes the minimized case as a JSON artifact that
-``repro fuzz --replay`` (and :func:`replay_artifact`) re-executes
-deterministically.
-
-Artifact format (version 1)::
-
-    {
-      "version": 1,
-      "kind": "repro-fuzz-failure",
-      "case": {...FuzzCase.to_dict()...},
-      "violations": [{oracle, message, t, wid}, ...],
-      "shrink_trail": ["disable pokes", "halve n", ...],
-      "attempts": 17
-    }
-
-See ``docs/conformance.md`` for the full loop.
+:func:`run_grid` runs cells and, given a directory, writes each one's
+artifact: ``{"version": 2, "kind": "repro-cell", **Verdict.to_dict(),
+"shrink_trail": [...], "shrink_attempts": N}`` — the cell, its
+violations and what the run did.  ``repro fuzz --replay``
+(:func:`replay_artifact`) re-runs the cell.  A failing *simulated* cell
+is first minimized by :func:`shrink`: try one simplification (fewer
+perturbation features, fragments, nodes), keep it iff the *same kind* of
+violation still fires, repeat.  Live cells are not shrunk: their schedule
+is the machine's, not a seed's.
 """
 
 from __future__ import annotations
@@ -28,80 +16,65 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
-    Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.errors import ReproError
-from repro.fuzz.driver import CaseResult, FuzzCase, case_from_seed, run_case
+from repro.fuzz.cell import Cell, Verdict, run_cell
 
-ARTIFACT_VERSION = 1
-ARTIFACT_KIND = "repro-fuzz-failure"
+ARTIFACT_VERSION = 2
+ARTIFACT_KIND = "repro-cell"
 
 
 @dataclass
 class ShrinkResult:
-    """A minimized failing case plus how it got there."""
+    """A minimized failing cell plus how it got there."""
 
-    case: FuzzCase
-    result: CaseResult
+    cell: Cell
+    verdict: Verdict
     trail: List[str] = field(default_factory=list)
     attempts: int = 0
 
 
-def _oracles(result: CaseResult) -> set:
-    return {v.oracle for v in result.violations}
-
-
-def _variants(case: FuzzCase) -> Iterator[Tuple[str, FuzzCase]]:
-    """Candidate one-step simplifications, cheapest first.
-
-    Perturber features are independent seeded streams (see
-    :mod:`repro.fuzz.perturb`), so disabling one never re-randomizes the
-    others — each acceptance strictly simplifies the schedule.
-    """
+def _variants(cell: Cell) -> Iterator[Tuple[str, Cell]]:
+    """One-step simplifications, cheapest first.  Perturber features are
+    independent seeded streams: disabling one keeps the others' draws."""
     for feat in ("pokes", "phases", "latency_profile", "tie_shuffle"):
-        if case.perturb.get(feat):
-            p = dict(case.perturb)
-            p[feat] = False
-            yield f"disable {feat}", replace(case, perturb=p)
-    if case.fragments > 2:
-        yield (f"fragments {case.fragments}->{case.fragments - 1}",
-               replace(case, fragments=case.fragments - 1))
-    gp = dict(case.graph_params)
-    if case.graph_kind == "grid2d":
+        if (cell.perturb or {}).get(feat):
+            yield f"disable {feat}", replace(
+                cell, perturb={**cell.perturb, feat: False})
+    if cell.fragments > 2:
+        yield (f"fragments {cell.fragments}->{cell.fragments - 1}",
+               replace(cell, fragments=cell.fragments - 1))
+    gp = dict(cell.graph_params)
+    if cell.graph_kind == "grid2d":
         for axis in ("rows", "cols"):
             if gp.get(axis, 0) > 2:
-                smaller = dict(gp)
-                smaller[axis] = max(gp[axis] // 2, 2)
+                smaller = {**gp, axis: max(gp[axis] // 2, 2)}
                 yield (f"{axis} {gp[axis]}->{smaller[axis]}",
-                       replace(case, graph_params=smaller))
+                       replace(cell, graph_params=smaller))
     else:
-        floor = 5 if case.graph_kind == "powerlaw" else 4
-        smaller = dict(gp)
-        smaller["n"] = max(gp.get("n", 0) // 2, floor)
+        floor = 5 if cell.graph_kind == "powerlaw" else 4
+        smaller = {**gp, "n": max(gp.get("n", 0) // 2, floor)}
         if smaller["n"] < gp.get("n", 0):
             yield (f"n {gp['n']}->{smaller['n']}",
-                   replace(case, graph_params=smaller))
+                   replace(cell, graph_params=smaller))
 
 
-def shrink(case: FuzzCase, initial: Optional[CaseResult] = None,
+def shrink(cell: Cell, initial: Optional[Verdict] = None,
            program_cls: Any = None, max_attempts: int = 64,
            progress: Optional[Callable[[str], None]] = None
            ) -> ShrinkResult:
-    """Greedily minimize a failing case.
-
-    A candidate is accepted when it still violates at least one of the
-    oracles the original case violated (same failure *kind*, so the
-    shrinker cannot wander off to an unrelated bug).  ``program_cls``
-    must match whatever :func:`~repro.fuzz.driver.run_case` override
-    produced the failure.
+    """Greedily minimize a failing simulated cell: keep a candidate iff
+    it violates an oracle the original violated (so the shrinker cannot
+    wander off to another bug).  ``program_cls`` as in the failing run.
     """
-    baseline = initial if initial is not None else run_case(
-        case, program_cls=program_cls)
+    baseline = initial if initial is not None else run_cell(
+        cell, program_cls=program_cls)
     if baseline.ok:
-        raise ReproError("refusing to shrink a passing case")
-    kinds = _oracles(baseline)
-    current, current_result = case, baseline
+        raise ReproError("refusing to shrink a passing cell")
+    kinds = baseline.oracles
+    current, current_verdict = cell, baseline
     trail: List[str] = []
     attempts = 0
     improved = True
@@ -109,45 +82,31 @@ def shrink(case: FuzzCase, initial: Optional[CaseResult] = None,
         improved = False
         for description, candidate in _variants(current):
             attempts += 1
-            result = run_case(candidate, program_cls=program_cls)
-            if _oracles(result) & kinds:
-                current, current_result = candidate, result
+            verdict = run_cell(candidate, program_cls=program_cls)
+            if verdict.oracles & kinds:
+                current, current_verdict = candidate, verdict
                 trail.append(description)
                 if progress is not None:
                     progress(f"shrink: {description} "
-                             f"({result.summary()})")
+                             f"({verdict.summary()})")
                 improved = True
                 break
             if attempts >= max_attempts:
                 break
-    return ShrinkResult(case=current, result=current_result, trail=trail,
+    return ShrinkResult(cell=current, verdict=current_verdict, trail=trail,
                         attempts=attempts)
-
-
-# ----------------------------------------------------------------------
-# artifacts
-# ----------------------------------------------------------------------
-def artifact_dict(shrunk: ShrinkResult) -> Dict[str, Any]:
-    return {
-        "version": ARTIFACT_VERSION,
-        "kind": ARTIFACT_KIND,
-        "case": shrunk.case.to_dict(),
-        "violations": [v.to_dict() for v in shrunk.result.violations],
-        "shrink_trail": list(shrunk.trail),
-        "attempts": shrunk.attempts,
-    }
 
 
 def save_artifact(shrunk: ShrinkResult, path: str) -> Dict[str, Any]:
     """Write the replayable JSON artifact; returns the written dict."""
-    data = artifact_dict(shrunk)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+    data = {"version": ARTIFACT_VERSION, "kind": ARTIFACT_KIND,
+            **shrunk.verdict.to_dict(), "shrink_trail": list(shrunk.trail),
+            "shrink_attempts": shrunk.attempts}
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return data
+    return json.loads(json.dumps(data))
 
 
 def load_artifact(path: str) -> Dict[str, Any]:
@@ -159,6 +118,11 @@ def load_artifact(path: str) -> Dict[str, Any]:
     except ValueError as exc:
         raise ReproError(f"artifact {path} is not valid JSON: {exc}") \
             from exc
+    if data.get("kind") == "repro-fuzz-failure":
+        raise ReproError(
+            f"{path} is a version-1 artifact; to convert it, rename its "
+            f"'case' to 'cell', drop 'case.seed' ('perturb.seed' has it) "
+            f"and set 'kind' to {ARTIFACT_KIND!r}, 'version' to 2")
     if data.get("kind") != ARTIFACT_KIND:
         raise ReproError(f"{path} is not a {ARTIFACT_KIND} artifact")
     if data.get("version") != ARTIFACT_VERSION:
@@ -169,56 +133,36 @@ def load_artifact(path: str) -> Dict[str, Any]:
 
 
 def replay_artifact(path: str, program_cls: Any = None
-                    ) -> Tuple[CaseResult, bool]:
-    """Re-run an artifact's case; ``(result, reproduced)``.
+                    ) -> Tuple[Verdict, bool]:
+    """Re-run an artifact's cell; ``(verdict, reproduced)``.
 
-    ``reproduced`` is True when the replay violates at least one oracle
-    the artifact recorded (seeded determinism makes this exact for runs
-    of the same code; after a fix it flips to False, which is the
-    artifact's purpose as a regression probe).
+    ``reproduced``: the replay violates an oracle the artifact recorded
+    (exact for a simulated cell; after a fix it flips to False, which is
+    a committed artifact's purpose as a regression probe).
     """
     data = load_artifact(path)
-    case = FuzzCase.from_dict(data["case"])
-    result = run_case(case, program_cls=program_cls)
+    verdict = run_cell(Cell.from_dict(data["cell"]), program_cls=program_cls)
     recorded = {v["oracle"] for v in data["violations"]}
-    return result, bool(_oracles(result) & recorded)
+    return verdict, bool(verdict.oracles & recorded)
 
 
-# ----------------------------------------------------------------------
-# the loop
-# ----------------------------------------------------------------------
-def fuzz_loop(seeds: Iterable[int], *, smoke: bool = False,
-              artifact_dir: Optional[str] = None,
-              shrink_failures: bool = True,
-              progress: Optional[Callable[[str], None]] = None
-              ) -> Dict[str, Any]:
-    """Run seeded cases; shrink and persist every failure.
-
-    Returns a JSON-serialisable summary with one entry per failing seed
-    (its violations and, when written, the artifact path).
-    """
-    ran = 0
-    failures: List[Dict[str, Any]] = []
-    for seed in seeds:
-        case = case_from_seed(seed, smoke=smoke)
-        result = run_case(case)
-        ran += 1
+def run_grid(cells: Iterable[Cell], *, artifact_dir: Optional[str] = None,
+             shrink_failures: bool = True,
+             progress: Optional[Callable[[str], None]] = None
+             ) -> List[Verdict]:
+    """Run every cell, shrink failing simulated ones, and write each
+    cell's artifact (the shrunk one for a shrunk failure) into
+    ``artifact_dir``, named after its label."""
+    verdicts = []
+    for cell in cells:
+        verdict = run_cell(cell)
+        verdicts.append(verdict)
         if progress is not None:
-            progress(f"{case.label}: {result.summary()}")
-        if result.ok:
-            continue
-        entry: Dict[str, Any] = {
-            "seed": seed,
-            "violations": [v.to_dict() for v in result.violations],
-        }
-        if shrink_failures:
-            shrunk = shrink(case, initial=result, progress=progress)
-            entry["shrunk_case"] = shrunk.case.to_dict()
-            if artifact_dir is not None:
-                path = os.path.join(artifact_dir,
-                                    f"fuzz-failure-seed{seed}.json")
-                save_artifact(shrunk, path)
-                entry["artifact"] = path
-        failures.append(entry)
-    return {"seeds_run": ran, "failures": failures,
-            "ok": not failures}
+            progress(f"{cell.label}: {verdict.summary()}")
+        shrunk = ShrinkResult(cell=cell, verdict=verdict)
+        if not verdict.ok and shrink_failures and cell.runtime == "simulated":
+            shrunk = shrink(cell, initial=verdict, progress=progress)
+        if artifact_dir is not None:
+            name = "".join("-" if c in "/ :" else c for c in cell.label)
+            save_artifact(shrunk, os.path.join(artifact_dir, f"{name}.json"))
+    return verdicts

@@ -8,8 +8,7 @@ from repro.runtime.faultplan import (CrashFault, DelayFault, DropFault,
                                      FaultPlan, InjectedCrash,
                                      StragglerFault)
 from repro.runtime.metrics import RunMetrics, WorkerMetrics
-from repro.runtime.recovery import (RetryPolicy, run_chaos,
-                                    run_with_recovery)
+from repro.runtime.recovery import RetryPolicy, run_with_recovery
 from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.snapshot import (ChandyLamportCoordinator,
                                     GlobalSnapshot, LiveCheckpointer,
@@ -22,5 +21,4 @@ __all__ = ["CostModel", "RunMetrics", "WorkerMetrics", "SimulatedRuntime",
            "DuplicateFault", "DelayFault", "StragglerFault",
            "InjectedCrash", "FailureDetector", "FailureEvent", "Suspicion",
            "ChandyLamportCoordinator", "GlobalSnapshot", "LiveCheckpointer",
-           "WorkerSnapshot", "RetryPolicy", "run_with_recovery",
-           "run_chaos"]
+           "WorkerSnapshot", "RetryPolicy", "run_with_recovery"]

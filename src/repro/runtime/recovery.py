@@ -22,18 +22,17 @@ organised as a three-rung ladder, each rung strictly cheaper than the next:
 
 Each downward transition emits a :data:`~repro.obs.events.DEGRADE` event.
 
-:func:`run_chaos` is the one-call harness behind ``repro chaos``: it runs a
-program under a :class:`~repro.runtime.faultplan.FaultPlan` with the full
-ladder enabled and reports detection latency, respawn/recovery counts, the
-deepest rung reached and answer correctness against a fault-free reference
-run (within a per-workload numeric tolerance).
+A conformance cell that carries a fault plan
+(:class:`repro.fuzz.Cell`, behind ``repro chaos`` and ``repro fuzz --grid
+chaos``) runs through :func:`run_with_recovery` and reads the deepest
+rung, respawns and detection latencies from ``extras["recovery"]``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import RuntimeConfigError, WorkerCrashedError, \
     WorkerFailureError
@@ -182,183 +181,3 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
         }
         return result
 
-
-def _build_runtime(kind: str, *, program, pg, query, policy,
-                   mode: str, snapshot, fault_plan, checkpoint_interval,
-                   heartbeat_interval, heartbeat_timeout, timeout,
-                   observer, respawn_budget: int = 0):
-    """Construct one live-runtime attempt (lazy imports avoid cycles)."""
-    if kind == "threaded":
-        from repro.core.engine import Engine
-        from repro.runtime.threaded import ThreadedRuntime
-        engine = Engine(program, pg, query)
-        rt = ThreadedRuntime(
-            engine, policy, timeout=timeout, observer=observer,
-            fault_plan=fault_plan, checkpoint_interval=checkpoint_interval,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            respawn_budget=respawn_budget)
-        if snapshot is not None:
-            rt.seed_from_snapshot(snapshot)
-        return rt
-    if kind == "multiprocess":
-        from repro.runtime.multiprocess import MultiprocessRuntime
-        return MultiprocessRuntime(
-            program, pg, query, mode=mode, timeout=timeout,
-            observer=observer, fault_plan=fault_plan,
-            checkpoint_interval=checkpoint_interval,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout, snapshot=snapshot,
-            respawn_budget=respawn_budget)
-    raise RuntimeConfigError(f"unknown chaos runtime {kind!r}")
-
-
-def infer_tolerance(program, pg, query) -> float:
-    """Numeric tolerance for comparing two runs of ``program``.
-
-    Non-accumulative aggregators (min/max) are idempotent, so any two
-    fixpoints agree exactly: tolerance 0.  Accumulative programs stop
-    shipping per-node deltas below ``eps_node = epsilon / n``, leaving up
-    to ``eps_node`` unpropagated at each in-neighbour of a node; two runs
-    can therefore differ by ``2 * eps_node * (1 + max_indeg)`` — the same
-    bound :mod:`repro.bench.kernels` uses for its fast-path comparison.
-    """
-    aggregator = getattr(program, "aggregator", None)
-    if not getattr(aggregator, "accumulative", False):
-        return 0.0
-    epsilon = float(getattr(query, "epsilon", 0.0) or 0.0)
-    n = max(len(pg.owner), 1)
-    indeg: Dict[Any, int] = {}
-    for frag in pg.fragments:
-        g = frag.graph
-        for v in g.nodes:
-            indeg[v] = indeg.get(v, 0) + g.in_degree(v)
-    max_indeg = max(indeg.values(), default=0)
-    tol = 2.0 * (epsilon / n) * (1 + max_indeg)
-    return tol if tol > 0.0 else 1e-9
-
-
-def answers_within(reference: Dict[Any, Any], answer: Dict[Any, Any],
-                   tolerance: float) -> Tuple[bool, float]:
-    """Compare assembled answers; returns (ok, max observed diff).
-
-    ``tolerance == 0`` means exact equality.  Equal values (including
-    ``inf == inf`` and non-numeric payloads) always match; unequal
-    non-numeric values never do.
-    """
-    if set(reference) != set(answer):
-        return False, float("inf")
-    worst = 0.0
-    for k, rv in reference.items():
-        av = answer[k]
-        if rv == av:
-            continue
-        try:
-            diff = abs(rv - av)
-        except TypeError:
-            return False, float("inf")
-        worst = max(worst, diff)
-    return worst <= tolerance, worst
-
-
-def run_chaos(program, pg, query, fault_plan, *, runtime: str = "threaded",
-              mode: str = "AAP", policy_factory: Optional[Callable] = None,
-              checkpoint_interval: Optional[float] = 0.05,
-              heartbeat_interval: float = 0.02,
-              heartbeat_timeout: float = 1.0, timeout: float = 60.0,
-              retry: Optional[RetryPolicy] = None,
-              respawn_budget: int = 0,
-              tolerance: Optional[float] = None,
-              observer: Optional[Any] = None,
-              reference: Optional[Dict] = None) -> Dict[str, Any]:
-    """Run ``program`` under ``fault_plan`` with the full recovery ladder.
-
-    ``respawn_budget`` arms rung 1 (per-worker in-place respawns inside
-    the runtime); rung 2 rollbacks and the rung 3 structured failure are
-    always armed via ``retry``.  ``tolerance`` bounds the answer
-    comparison against the fault-free reference; ``None`` infers it from
-    the workload (exact for idempotent aggregators, the bench bound for
-    accumulative ones — see :func:`infer_tolerance`).
-
-    Returns a report dict: the answer-match verdict, attempt / recovery /
-    respawn / takeover counts, the deepest ladder rung reached, detection
-    latencies and the injected fault log.  This is the engine behind the
-    ``repro chaos`` CLI.
-    """
-    from repro.core.modes import make_policy
-
-    new_policy = policy_factory or (lambda: make_policy(mode))
-    if tolerance is None:
-        tolerance = infer_tolerance(program, pg, query)
-    if reference is None:
-        from repro.core.engine import Engine
-        from repro.runtime.simulator import SimulatedRuntime
-        ref_engine = Engine(program, pg, query)
-        reference = SimulatedRuntime(ref_engine, new_policy()).run().answer
-
-    # surgical re-arm: each rollback disarms only the crash that actually
-    # fired (the earliest scheduled one for that worker), so later crashes
-    # in a multi-crash script still play out across restart attempts
-    plan_state = {"plan": fault_plan}
-
-    def factory(snapshot, attempt, crash=None):
-        if crash is not None:
-            plan_state["plan"] = plan_state["plan"].without_crash(crash.wid)
-        return _build_runtime(
-            runtime, program=program, pg=pg, query=query,
-            policy=new_policy(), mode=mode, snapshot=snapshot,
-            fault_plan=plan_state["plan"],
-            checkpoint_interval=checkpoint_interval,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout, timeout=timeout,
-            observer=observer, respawn_budget=respawn_budget)
-
-    start = time.monotonic()
-    failed: Optional[WorkerFailureError] = None
-    try:
-        result = run_with_recovery(factory, retry=retry, observer=observer)
-    except WorkerFailureError as exc:
-        failed = exc
-    elapsed = time.monotonic() - start
-    if failed is not None:
-        respawn_log = getattr(failed, "respawns", [])
-        return {
-            "ok": False,
-            "error": str(failed),
-            "attempts": failed.attempts,
-            "respawns": len(respawn_log),
-            "takeovers": sum(1 for r in respawn_log if r.get("takeover")),
-            "rung": 3,
-            "failures": [
-                {"t": f.t, "kind": f.kind, "wid": f.wid, "detail": f.detail}
-                for f in failed.failures],
-            "last_checkpoint_token": (failed.checkpoint.token
-                                      if failed.checkpoint else None),
-            "elapsed": elapsed,
-        }
-    rec = result.extras.get("recovery", {})
-    fail_log = rec.get("failures", [])
-    respawn_log = rec.get("respawns", [])
-    matches, max_diff = answers_within(reference, result.answer, tolerance)
-    return {
-        "ok": True,
-        "answer_matches_reference": matches,
-        "max_diff": max_diff,
-        "tolerance": tolerance,
-        "attempts": rec.get("attempts", 1),
-        "recoveries": rec.get("recoveries", 0),
-        "respawns": len(respawn_log),
-        "takeovers": sum(1 for r in respawn_log if r.get("takeover")),
-        "respawn_log": [dict(r) for r in respawn_log],
-        "rung": rec.get("rung", 0),
-        "resumed_from_checkpoint": rec.get("resumed_from_checkpoint",
-                                           False),
-        "detection_latencies": [
-            round(c["detection_latency"], 4)
-            for c in rec.get("crashes", [])],
-        "failures": [
-            {"t": f.t, "kind": f.kind, "wid": f.wid, "detail": f.detail}
-            for f in fail_log],
-        "elapsed": elapsed,
-        "mode": result.mode,
-    }

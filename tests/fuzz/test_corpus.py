@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.fuzz import case_from_seed, replay_artifact, run_case
+from repro.fuzz import case_from_seed, replay_artifact, run_cell
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -31,16 +31,16 @@ _ARTIFACTS = sorted(glob.glob(os.path.join(CORPUS, "artifacts", "*.json")))
 class TestPinnedSeeds:
     @pytest.mark.parametrize("seed", _DATA["seeds"])
     def test_seed_green(self, seed):
-        result = run_case(case_from_seed(seed, smoke=_DATA["smoke"]))
-        assert result.ok, f"seed {seed}: {result.summary()}"
+        verdict = run_cell(case_from_seed(seed, smoke=_DATA["smoke"]))
+        assert verdict.ok, f"seed {seed}: {verdict.summary()}"
 
     def test_corpus_is_nontrivial(self):
         assert len(_DATA["seeds"]) >= 20
 
     def test_first_seed_deterministic(self):
         seed = _DATA["seeds"][0]
-        case = case_from_seed(seed, smoke=_DATA["smoke"])
-        assert run_case(case).signature == run_case(case).signature
+        cell = case_from_seed(seed, smoke=_DATA["smoke"])
+        assert run_cell(cell).signature == run_cell(cell).signature
 
 
 class TestFixedArtifacts:
@@ -50,7 +50,7 @@ class TestFixedArtifacts:
     @pytest.mark.parametrize(
         "path", _ARTIFACTS, ids=[os.path.basename(p) for p in _ARTIFACTS])
     def test_artifact_no_longer_reproduces(self, path):
-        result, reproduced = replay_artifact(path)
+        verdict, reproduced = replay_artifact(path)
         assert not reproduced, (
             f"{os.path.basename(path)} reproduces again: "
-            f"{result.summary()}")
+            f"{verdict.summary()}")

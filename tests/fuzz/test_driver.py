@@ -1,10 +1,10 @@
-"""Fuzz driver: seeded case generation, determinism, clean verdicts."""
+"""Seeded fuzz cells: generation, determinism, clean verdicts."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.fuzz import (FUZZ_ALGORITHMS, FuzzCase, build_graph,
-                        case_from_seed, run_case)
+from repro.fuzz import (FUZZ_ALGORITHMS, Cell, build_graph, case_from_seed,
+                        run_cell)
 
 SMOKE_SEEDS = list(range(8))
 
@@ -16,8 +16,8 @@ class TestCaseGeneration:
 
     def test_roundtrip(self):
         for seed in SMOKE_SEEDS:
-            case = case_from_seed(seed, smoke=True)
-            assert FuzzCase.from_dict(case.to_dict()) == case
+            cell = case_from_seed(seed, smoke=True)
+            assert Cell.from_dict(cell.to_dict()) == cell
 
     def test_smoke_changes_only_size(self):
         big = case_from_seed(4)
@@ -28,33 +28,35 @@ class TestCaseGeneration:
         assert big.perturb == small.perturb
 
     def test_seeds_cover_the_space(self):
-        cases = [case_from_seed(s, smoke=True) for s in range(60)]
-        assert {c.algorithm for c in cases} == set(FUZZ_ALGORITHMS)
-        assert len({c.mode for c in cases}) >= 4
+        cells = [case_from_seed(s, smoke=True) for s in range(60)]
+        assert {c.algorithm for c in cells} == set(FUZZ_ALGORITHMS)
+        assert len({c.mode for c in cells}) >= 4
+        # fuzz cells are simulated, generic and fault-free
+        assert {(c.runtime, c.vectorized, c.faults) for c in cells} == \
+            {("simulated", False, ())}
 
     def test_build_graph_rejects_unknown_kind(self):
-        case = case_from_seed(0, smoke=True)
-        bad = FuzzCase.from_dict({**case.to_dict(), "graph_kind": "nope"})
+        cell = case_from_seed(0, smoke=True)
         with pytest.raises(ReproError):
-            build_graph(bad)
+            build_graph("nope", cell.graph_params)
 
 
 class TestRunCase:
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
     def test_smoke_seeds_pass(self, seed):
-        result = run_case(case_from_seed(seed, smoke=True))
-        assert result.ok, result.summary()
-        assert result.answer is not None
-        assert len(result.signature) > 0
+        verdict = run_cell(case_from_seed(seed, smoke=True))
+        assert verdict.ok, verdict.summary()
+        assert verdict.answer is not None
+        assert len(verdict.signature) > 0
 
     def test_same_seed_same_schedule(self):
-        case = case_from_seed(2, smoke=True)
-        r1 = run_case(case)
-        r2 = run_case(case)
+        cell = case_from_seed(2, smoke=True)
+        r1 = run_cell(cell)
+        r2 = run_cell(cell)
         assert r1.signature == r2.signature
         assert r1.answer == r2.answer
 
     def test_different_seeds_differ(self):
-        sigs = {run_case(case_from_seed(s, smoke=True)).signature
+        sigs = {run_cell(case_from_seed(s, smoke=True)).signature
                 for s in SMOKE_SEEDS[:4]}
         assert len(sigs) == 4

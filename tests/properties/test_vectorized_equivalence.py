@@ -22,6 +22,7 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
 from repro.algorithms.pagerank import DENSE_EDGE_SHARE, _spmv_arrays
 from repro.core.aggregators import Sum
 from repro.core.dense import DenseContext
+from repro.fuzz import tolerance
 from repro.graph import generators
 from repro.graph.csr import CompactGraph
 from repro.graph.graph import Graph
@@ -85,12 +86,9 @@ class TestPageRankTolerance:
         gen, vec = run_pair(PageRankProgram, pg, query, mode)
         assert set(gen) == set(vec)
         # both paths stop shipping below eps_node; residuals scale with
-        # in-degree (see bench.kernels._make_workload)
-        eps_node = query.epsilon / n
-        max_indeg = max(g.in_degree(v) for v in g.nodes)
-        tol = 2.0 * eps_node * (1 + max_indeg)
+        # in-degree: the conformance cells' one tolerance
         worst = max(abs(gen[v] - vec[v]) for v in gen)
-        assert worst <= tol
+        assert worst <= tolerance(PageRankProgram(), g, query)
 
 
 class TestLiveRuntimes:

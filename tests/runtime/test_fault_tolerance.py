@@ -9,16 +9,15 @@ structured :class:`WorkerFailureError` instead of hanging.
 
 import pytest
 
-from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
+from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.delay import AAPPolicy
 from repro.core.engine import Engine
 from repro.errors import TerminationError, WorkerFailureError
+from repro.fuzz import Cell, run_cell
 from repro.graph import analysis, generators
 from repro.partition.edge_cut import HashPartitioner
-from repro.runtime.faultplan import (CrashFault, DelayFault, DropFault,
-                                     DuplicateFault, FaultPlan,
-                                     StragglerFault)
-from repro.runtime.recovery import RetryPolicy, run_chaos
+from repro.runtime.faultplan import CrashFault, FaultPlan
+from repro.runtime.recovery import RetryPolicy
 from repro.runtime.threaded import ThreadedRuntime
 
 
@@ -32,62 +31,58 @@ def pg(grid):
     return HashPartitioner().partition(grid, 4)
 
 
-def chaos(pg, plan, *, algorithm="sssp", graph=None, **kw):
-    if algorithm == "sssp":
-        program, query = SSSPProgram(), SSSPQuery(source=0)
-    else:
-        program, query = CCProgram(), CCQuery()
+def chaos(*faults, **kw):
+    """One armed live cell: SSSP from node 0 (or CC) on the 12x12 grid,
+    four fragments, under these fault specs (none: the fault-tolerance
+    machinery on, nothing injected), no in-place respawn (crashes roll
+    back); checkpoints every 10 ms, heartbeats every 5 ms, dead after
+    250 ms."""
     kw.setdefault("checkpoint_interval", 0.01)
     kw.setdefault("heartbeat_interval", 0.005)
     kw.setdefault("heartbeat_timeout", 0.25)
-    return run_chaos(program, pg, query, plan, **kw)
+    return run_cell(Cell(graph_params={"rows": 12, "cols": 12},
+                         faults=faults, **kw))
 
 
 class TestThreadedRecovery:
-    def test_crash_detected_and_recovered(self, pg):
-        plan = FaultPlan(seed=1, faults=(CrashFault(wid=1, at_round=3),))
-        report = chaos(pg, plan, runtime="threaded")
-        assert report["ok"]
-        assert report["answer_matches_reference"]
-        assert report["recoveries"] == 1
-        assert report["failures"][0]["kind"] == "worker_dead"
-        assert report["failures"][0]["wid"] == 1
+    def test_crash_detected_and_recovered(self):
+        report = chaos("crash:1:3", fault_seed=1, runtime="threaded")
+        assert report.ok
+        assert report.recoveries == 1
+        assert report.failures[0].kind == "worker_dead"
+        assert report.failures[0].wid == 1
 
-    def test_detection_beats_global_timeout(self, pg):
+    def test_detection_beats_global_timeout(self):
         # heartbeat detection must fire in O(heartbeat timeout), far below
         # the runtime's global timeout
-        plan = FaultPlan(seed=1, faults=(CrashFault(wid=0, at_round=2),))
-        report = chaos(pg, plan, runtime="threaded", timeout=60.0)
-        assert report["ok"]
-        assert report["detection_latencies"]
-        assert all(lat < 5.0 for lat in report["detection_latencies"])
+        report = chaos("crash:0:2", fault_seed=1, runtime="threaded",
+                       timeout=60.0)
+        assert report.ok
+        assert report.detection_latencies
+        assert all(lat < 5.0 for lat in report.detection_latencies)
 
-    def test_resumes_from_checkpoint(self, pg):
+    def test_resumes_from_checkpoint(self):
         # crash late enough that a periodic checkpoint completed first
-        plan = FaultPlan(seed=2, faults=(
-            CrashFault(wid=2, at_round=8),
-            StragglerFault(wid=1, factor=2.0)))
-        report = chaos(pg, plan, runtime="threaded",
-                       checkpoint_interval=0.005)
-        assert report["ok"] and report["answer_matches_reference"]
+        report = chaos("crash:2:8", "slow:1:2.0", fault_seed=2,
+                       runtime="threaded", checkpoint_interval=0.005)
+        assert report.ok
 
-    def test_message_faults_preserve_answer(self, pg):
+    def test_message_faults_preserve_answer(self):
         # duplicates and delays are safe for idempotent monotone programs;
         # termination still holds because accounting stays balanced
-        plan = FaultPlan(seed=3, faults=(
-            DuplicateFault(rate=0.2), DelayFault(rate=0.2, delay=0.005)))
-        report = chaos(pg, plan, runtime="threaded", algorithm="cc")
-        assert report["ok"]
-        assert report["answer_matches_reference"]
-        assert report["recoveries"] == 0
+        report = chaos("duplicate:0.2", "delay:0.2:0.005", fault_seed=3,
+                       runtime="threaded", algorithm="cc")
+        assert report.ok
+        assert report.recoveries == 0
 
-    def test_drops_do_not_hang_termination(self, pg):
+    def test_drops_do_not_hang_termination(self):
         # dropped messages never enter the in-flight ledger, so the
         # termination protocol still reaches unanimity (the answer may be
         # stale -- drops violate the paper's reliable-channel assumption)
-        plan = FaultPlan(seed=4, faults=(DropFault(rate=0.15),))
-        report = chaos(pg, plan, runtime="threaded", timeout=30.0)
-        assert report["ok"]
+        report = chaos("drop:0.15", fault_seed=4, runtime="threaded",
+                       timeout=30.0)
+        assert report.answer is not None
+        assert report.oracles <= {"differential"}
 
     def test_retries_exhausted_raises_structured_error(self, pg):
         program, query = SSSPProgram(), SSSPQuery(source=0)
@@ -112,34 +107,31 @@ class TestThreadedRecovery:
         assert err.failures  # the failure log rides on the exception
         assert all(f.wid == 0 for f in err.failures)
 
-    def test_chaos_reports_exhaustion(self, pg):
-        # run_chaos keeps every crash live (no without_crashes) by feeding
-        # retries the same plan via retry budget 0
-        plan = FaultPlan(seed=6, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="threaded",
-                       retry=RetryPolicy(max_retries=0))
-        assert not report["ok"]
-        assert report["attempts"] == 1
-        assert report["failures"]
+    def test_chaos_reports_exhaustion(self):
+        # with retry budget 0 the first crash ends the ladder: the cell
+        # reports a structured failure (rung 3), not a hang
+        report = chaos("crash:1:2", fault_seed=6, runtime="threaded",
+                       retry={"max_retries": 0})
+        assert not report.ok
+        assert "crash" in report.oracles
+        assert report.attempts == 1
+        assert report.failures
 
-    def test_no_fault_plan_unchanged(self, pg):
-        plan = FaultPlan(seed=0, faults=())
-        report = chaos(pg, plan, runtime="threaded")
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["recoveries"] == 0
-        assert not report["resumed_from_checkpoint"]
+    def test_no_fault_plan_unchanged(self):
+        report = chaos(runtime="threaded")
+        assert report.ok
+        assert report.recoveries == 0
+        assert not report.resumed_from_checkpoint
 
 
 class TestMultiprocessRecovery:
-    def test_crash_detected_and_recovered(self, pg, grid):
-        plan = FaultPlan(seed=1, faults=(CrashFault(wid=0, at_round=4),))
-        report = chaos(pg, plan, runtime="multiprocess",
+    def test_crash_detected_and_recovered(self):
+        report = chaos("crash:0:4", fault_seed=1, runtime="multiprocess",
                        heartbeat_timeout=0.5, timeout=60.0)
-        assert report["ok"]
-        assert report["answer_matches_reference"]
-        assert report["recoveries"] >= 1
-        assert report["detection_latencies"]
-        assert all(lat < 10.0 for lat in report["detection_latencies"])
+        assert report.ok
+        assert report.recoveries >= 1
+        assert report.detection_latencies
+        assert all(lat < 10.0 for lat in report.detection_latencies)
 
     def test_worker_traceback_surfaced(self, grid):
         # a Python exception in IncEval is a program bug, not a failure:
@@ -161,16 +153,12 @@ class TestMultiprocessRecovery:
 
 
 class TestDeterministicInjection:
-    def test_same_seed_same_fault_log(self, pg):
-        plan = FaultPlan(seed=9, faults=(CrashFault(wid=1, at_round=3),))
-        a = chaos(pg, plan, runtime="threaded")
-        b = chaos(pg, plan, runtime="threaded")
-        assert [f["kind"] for f in a["failures"]] == \
-               [f["kind"] for f in b["failures"]]
-        assert [f["wid"] for f in a["failures"]] == \
-               [f["wid"] for f in b["failures"]]
-        assert a["answer_matches_reference"] and \
-            b["answer_matches_reference"]
+    def test_same_seed_same_fault_log(self):
+        a = chaos("crash:1:3", fault_seed=9, runtime="threaded")
+        b = chaos("crash:1:3", fault_seed=9, runtime="threaded")
+        assert [f.kind for f in a.failures] == [f.kind for f in b.failures]
+        assert [f.wid for f in a.failures] == [f.wid for f in b.failures]
+        assert a.ok and b.ok
 
 
 class TestRetryPolicy:
@@ -191,14 +179,7 @@ class TestRetryPolicy:
 
 
 class TestRecoveryResultAnswer:
-    def test_sssp_answer_equals_dijkstra(self, pg, grid):
-        ref = analysis.dijkstra(grid, 0)
-        plan = FaultPlan(seed=11, faults=(CrashFault(wid=3, at_round=3),))
-        program, query = SSSPProgram(), SSSPQuery(source=0)
-        report = run_chaos(program, pg, query, plan, runtime="threaded",
-                           checkpoint_interval=0.01,
-                           heartbeat_interval=0.005,
-                           heartbeat_timeout=0.25,
-                           reference=ref)
-        assert report["ok"]
-        assert report["answer_matches_reference"]
+    def test_sssp_answer_equals_dijkstra(self, grid):
+        verdict = chaos("crash:3:3", fault_seed=11, runtime="threaded")
+        assert verdict.ok
+        assert verdict.answer == analysis.dijkstra(grid, 0)

@@ -21,6 +21,7 @@ from repro.core.messages import MessageBatch
 from repro.core.modes import MODES
 from repro.errors import RuntimeConfigError, SnapshotError, TransportError, \
     WorkerCrashedError, WorkerFailureError
+from repro.fuzz import Cell, compare, run_cell, tolerance
 from repro.graph import generators
 from repro.obs import Observer
 from repro.obs import events as obs_events
@@ -28,8 +29,7 @@ from repro.partition.edge_cut import HashPartitioner
 from repro.runtime import slab
 from repro.runtime.detection import FailureDetector
 from repro.runtime.faultplan import CrashFault, DropFault, FaultPlan
-from repro.runtime.recovery import RetryPolicy, answers_within, \
-    infer_tolerance, run_chaos, run_with_recovery
+from repro.runtime.recovery import RetryPolicy, run_with_recovery
 from repro.runtime.slab import SlabArena, SlabRing, channel_name, new_run_id
 from repro.runtime.snapshot import GlobalSnapshot, LiveCheckpointer, \
     WorkerSnapshot
@@ -45,13 +45,16 @@ def pg(grid):
     return HashPartitioner().partition(grid, 4)
 
 
-def chaos(pg, plan, **kw):
+def chaos(*faults, observer=None, **kw):
+    """One armed live cell: SSSP from node 0 on the 12x12 grid, four
+    fragments, under these fault specs (none: the fault-tolerance
+    machinery on, nothing injected); checkpoints every 10 ms, heartbeats
+    every 5 ms, dead after 250 ms, 60 s timeout."""
     kw.setdefault("checkpoint_interval", 0.01)
     kw.setdefault("heartbeat_interval", 0.005)
     kw.setdefault("heartbeat_timeout", 0.25)
-    kw.setdefault("timeout", 60.0)
-    source = 0
-    return run_chaos(SSSPProgram(), pg, SSSPQuery(source=source), plan, **kw)
+    cell = Cell(graph_params={"rows": 12, "cols": 12}, faults=faults, **kw)
+    return run_cell(cell, observer=observer)
 
 
 # ----------------------------------------------------------------------
@@ -59,20 +62,19 @@ def chaos(pg, plan, **kw):
 # ----------------------------------------------------------------------
 
 class TestMultiprocessRespawn:
-    def test_aap_crash_respawns_without_restart(self, pg):
+    def test_aap_crash_respawns_without_restart(self):
         # the acceptance scenario: one mid-run crash, shm transport, AAP;
         # the run completes via a single in-place respawn, no rollback
         observer = Observer()
-        plan = FaultPlan(seed=7, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="multiprocess", mode="AAP",
-                       respawn_budget=1, observer=observer)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 1
-        assert report["takeovers"] == 1
-        assert report["recoveries"] == 0
-        assert report["attempts"] == 1
-        assert report["rung"] == 1
-        entry = report["respawn_log"][0]
+        report = chaos("crash:1:2", fault_seed=7, runtime="multiprocess",
+                       mode="AAP", respawn_budget=1, observer=observer)
+        assert report.ok
+        assert report.respawns == 1
+        assert report.takeovers == 1
+        assert report.recoveries == 0
+        assert report.attempts == 1
+        assert report.rung == 1
+        entry = report.respawn_log[0]
         assert entry["wid"] == 1 and entry["incarnation"] == 1
 
         types = observer.log.types()
@@ -80,50 +82,44 @@ class TestMultiprocessRespawn:
         assert obs_events.FRAGMENT_TAKEOVER in types
         assert obs_events.DEGRADE not in types
 
-    def test_survivors_never_stop(self, pg):
+    def test_survivors_never_stop(self):
         # surviving workers' obs streams show no IncEval gap: every round
         # index is present — nobody was paused or restarted mid-sequence
         observer = Observer()
-        plan = FaultPlan(seed=7, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="multiprocess", mode="AAP",
-                       respawn_budget=1, observer=observer)
-        assert report["ok"] and report["respawns"] == 1
+        report = chaos("crash:1:2", fault_seed=7, runtime="multiprocess",
+                       mode="AAP", respawn_budget=1, observer=observer)
+        assert report.ok and report.respawns == 1
         for survivor in (0, 2, 3):
             rounds = sorted(e.round for e in observer.log.filter(
                 type=obs_events.ROUND_END, wid=survivor))
             assert rounds, f"worker {survivor} emitted no rounds"
             assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
 
-    def test_bsp_respawn(self, pg):
-        plan = FaultPlan(seed=3, faults=(CrashFault(wid=2, at_round=2),))
-        report = chaos(pg, plan, runtime="multiprocess", mode="BSP",
-                       respawn_budget=1)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 1 and report["recoveries"] == 0
+    def test_bsp_respawn(self):
+        report = chaos("crash:2:2", fault_seed=3, runtime="multiprocess",
+                       mode="BSP", respawn_budget=1)
+        assert report.ok
+        assert report.respawns == 1 and report.recoveries == 0
 
-    def test_two_crashes_two_respawns(self, pg):
-        plan = FaultPlan(seed=5, faults=(CrashFault(wid=1, at_round=2),
-                                         CrashFault(wid=3, at_round=3)))
-        report = chaos(pg, plan, runtime="multiprocess", mode="AAP",
-                       respawn_budget=1)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 2 and report["recoveries"] == 0
-        assert sorted(r["wid"] for r in report["respawn_log"]) == [1, 3]
+    def test_two_crashes_two_respawns(self):
+        report = chaos("crash:1:2", "crash:3:3", fault_seed=5,
+                       runtime="multiprocess", mode="AAP", respawn_budget=1)
+        assert report.ok
+        assert report.respawns == 2 and report.recoveries == 0
+        assert sorted(r["wid"] for r in report.respawn_log) == [1, 3]
 
-    def test_cascading_crash_during_takeover(self, pg):
+    def test_cascading_crash_during_takeover(self):
         # adjacent-round crashes on neighbouring workers: the second
         # death frequently fires *while* the first takeover is pumping
         # for quarantine acks.  The dead survivor can never ack, so the
         # master must drop it from the expected set and give it its own
         # takeover — not time out and degrade to rollback.
-        plan = FaultPlan(seed=7, faults=(CrashFault(wid=1, at_round=2),
-                                         CrashFault(wid=2, at_round=3)))
-        report = chaos(pg, plan, runtime="multiprocess", mode="AAP",
-                       respawn_budget=1)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 2 and report["recoveries"] == 0
-        assert report["rung"] == 1
-        assert sorted(r["wid"] for r in report["respawn_log"]) == [1, 2]
+        report = chaos("crash:1:2", "crash:2:3", fault_seed=7,
+                       runtime="multiprocess", mode="AAP", respawn_budget=1)
+        assert report.ok
+        assert report.respawns == 2 and report.recoveries == 0
+        assert report.rung == 1
+        assert sorted(r["wid"] for r in report.respawn_log) == [1, 2]
 
     def test_queue_transport_respawn(self, grid, pg):
         # the takeover protocol must work without the shm data plane
@@ -139,31 +135,25 @@ class TestMultiprocessRespawn:
         assert len(rt.respawns) == 1
         assert result.answer == analysis.dijkstra(grid, 0)
 
-    def test_budget_zero_rolls_back(self, pg):
+    def test_budget_zero_rolls_back(self):
         # rung 2 still fires when rung 1 is disarmed
-        plan = FaultPlan(seed=7, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="multiprocess", mode="AAP",
-                       respawn_budget=0)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 0
-        assert report["recoveries"] == 1
-        assert report["rung"] == 2
+        report = chaos("crash:1:2", fault_seed=7, runtime="multiprocess",
+                       mode="AAP", respawn_budget=0)
+        assert report.ok
+        assert report.respawns == 0
+        assert report.recoveries == 1
+        assert report.rung == 2
 
-    def test_accumulative_program_degrades(self, grid, pg):
+    def test_accumulative_program_degrades(self):
         # Sum aggregation is not idempotent under border re-ship, so the
         # runtime refuses the takeover and the supervisor rolls back
         observer = Observer()
-        n = grid.num_nodes
-        plan = FaultPlan(seed=4, faults=(CrashFault(wid=1, at_round=2),))
-        report = run_chaos(
-            PageRankProgram(), pg, PageRankQuery(epsilon=5e-4 * n,
-                                                 num_nodes=n),
-            plan, runtime="multiprocess", mode="AAP", respawn_budget=1,
-            observer=observer, checkpoint_interval=0.01,
-            heartbeat_interval=0.005, heartbeat_timeout=0.25, timeout=60.0)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 0 and report["recoveries"] == 1
-        assert report["tolerance"] > 0.0
+        report = chaos("crash:1:2", fault_seed=4, algorithm="pagerank",
+                       runtime="multiprocess", mode="AAP", respawn_budget=1,
+                       observer=observer)
+        assert report.ok
+        assert report.respawns == 0 and report.recoveries == 1
+        assert report.tolerance > 0.0
         degrades = observer.log.filter(type=obs_events.DEGRADE)
         assert degrades
         assert degrades[0].payload["frm"] == "respawn"
@@ -175,50 +165,46 @@ class TestMultiprocessRespawn:
 # ----------------------------------------------------------------------
 
 class TestThreadedRespawn:
-    def test_crash_resumes_in_place(self, pg):
+    def test_crash_resumes_in_place(self):
         observer = Observer()
-        plan = FaultPlan(seed=7, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="threaded", mode="AAP",
-                       respawn_budget=1, observer=observer)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 1 and report["recoveries"] == 0
+        report = chaos("crash:1:2", fault_seed=7, runtime="threaded",
+                       mode="AAP", respawn_budget=1, observer=observer)
+        assert report.ok
+        assert report.respawns == 1 and report.recoveries == 0
         # threads share the address space: the replacement resumes the
         # surviving fragment, it does not rebuild it -> not a takeover
-        assert report["takeovers"] == 0
-        assert report["rung"] == 1
+        assert report.takeovers == 0
+        assert report.rung == 1
         assert obs_events.WORKER_RESPAWN in observer.log.types()
 
-    def test_pre_peval_crash(self, pg):
+    def test_pre_peval_crash(self):
         # death before the first heartbeat/round: the replacement must
         # run PEval itself instead of resuming a round that never ran
-        plan = FaultPlan(seed=1, faults=(CrashFault(wid=1, at_round=0),))
-        report = chaos(pg, plan, runtime="threaded", mode="AAP",
-                       respawn_budget=1)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 1 and report["recoveries"] == 0
+        report = chaos("crash:1:0", fault_seed=1, runtime="threaded",
+                       mode="AAP", respawn_budget=1)
+        assert report.ok
+        assert report.respawns == 1 and report.recoveries == 0
 
-    def test_bsp_respawn(self, pg):
-        plan = FaultPlan(seed=3, faults=(CrashFault(wid=2, at_round=2),))
-        report = chaos(pg, plan, runtime="threaded", mode="BSP",
-                       respawn_budget=1)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["respawns"] == 1 and report["recoveries"] == 0
+    def test_bsp_respawn(self):
+        report = chaos("crash:2:2", fault_seed=3, runtime="threaded",
+                       mode="BSP", respawn_budget=1)
+        assert report.ok
+        assert report.respawns == 1 and report.recoveries == 0
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_chaos_runs_the_named_mode(self, pg, mode):
-        report = chaos(pg, FaultPlan(seed=0), runtime="threaded", mode=mode)
-        assert report["ok"] and report["answer_matches_reference"]
-        assert report["mode"] == f"{mode}-threaded"
+    def test_chaos_runs_the_named_mode(self, mode):
+        report = chaos(runtime="threaded", mode=mode)
+        assert report.ok
+        assert report.mode == f"{mode}-threaded"
 
-    def test_ladder_bottoms_out_structured(self, pg):
+    def test_ladder_bottoms_out_structured(self):
         # rung 3: no respawn budget, no retries -> WorkerFailureError,
         # surfaced as a structured failure report
-        plan = FaultPlan(seed=6, faults=(CrashFault(wid=1, at_round=2),))
-        report = chaos(pg, plan, runtime="threaded", respawn_budget=0,
-                       retry=RetryPolicy(max_retries=0))
-        assert not report["ok"]
-        assert report["rung"] == 3
-        assert report["failures"]
+        report = chaos("crash:1:2", fault_seed=6, runtime="threaded",
+                       respawn_budget=0, retry={"max_retries": 0})
+        assert not report.ok
+        assert report.rung == 3
+        assert report.failures
 
 
 # ----------------------------------------------------------------------
@@ -408,43 +394,42 @@ class TestRetryPolicyDeadlineJitter:
 
 
 # ----------------------------------------------------------------------
-# satellite: tolerance-based reference comparison
+# the one compare function and the one tolerance of repro.fuzz
 # ----------------------------------------------------------------------
 
 class TestAnswerComparison:
     def test_exact_mode(self):
-        assert answers_within({"a": 1.0}, {"a": 1.0}, 0.0) == (True, 0.0)
-        ok, diff = answers_within({"a": 1.0}, {"a": 1.0001}, 0.0)
+        assert compare({"a": 1.0}, {"a": 1.0}, 0.0) == (True, 0.0)
+        ok, diff = compare({"a": 1.0}, {"a": 1.0001}, 0.0)
         assert not ok
 
     def test_infinities_match_exactly(self):
         inf = math.inf
-        ok, diff = answers_within({"a": inf}, {"a": inf}, 0.0)
+        ok, diff = compare({"a": inf}, {"a": inf}, 0.0)
         assert ok and diff == 0.0
 
     def test_within_and_outside_tolerance(self):
-        ok, diff = answers_within({"a": 1.0, "b": 2.0},
+        ok, diff = compare({"a": 1.0, "b": 2.0},
                                   {"a": 1.0005, "b": 2.0}, 1e-3)
         assert ok and diff == pytest.approx(5e-4)
-        ok, _ = answers_within({"a": 1.0}, {"a": 1.01}, 1e-3)
+        ok, _ = compare({"a": 1.0}, {"a": 1.01}, 1e-3)
         assert not ok
 
     def test_key_mismatch_never_matches(self):
-        ok, diff = answers_within({"a": 1.0}, {"b": 1.0}, 10.0)
+        ok, diff = compare({"a": 1.0}, {"b": 1.0}, 10.0)
         assert not ok and diff == math.inf
 
     def test_non_numeric_values(self):
-        assert answers_within({"a": "x"}, {"a": "x"}, 0.5)[0]
-        assert not answers_within({"a": "x"}, {"a": "y"}, 0.5)[0]
+        assert compare({"a": "x"}, {"a": "x"}, 0.5)[0]
+        assert not compare({"a": "x"}, {"a": "y"}, 0.5)[0]
 
-    def test_inferred_tolerance_idempotent_is_exact(self, pg):
-        assert infer_tolerance(SSSPProgram(), pg,
-                               SSSPQuery(source=0)) == 0.0
+    def test_inferred_tolerance_idempotent_is_exact(self, grid):
+        assert tolerance(SSSPProgram(), grid, SSSPQuery(source=0)) == 0.0
 
-    def test_inferred_tolerance_accumulative_is_positive(self, grid, pg):
+    def test_inferred_tolerance_accumulative_is_positive(self, grid):
         n = grid.num_nodes
-        tol = infer_tolerance(PageRankProgram(), pg,
-                              PageRankQuery(epsilon=5e-4 * n, num_nodes=n))
+        tol = tolerance(PageRankProgram(), grid,
+                        PageRankQuery(epsilon=5e-4 * n, num_nodes=n))
         # 2 * eps_node * (1 + max_indeg): positive but still tight
         assert 0.0 < tol < 0.1
 

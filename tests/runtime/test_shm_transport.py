@@ -19,8 +19,7 @@ from repro.errors import RuntimeConfigError, TransportError
 from repro.graph import generators
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime import slab
-from repro.runtime.faultplan import (CrashFault, DelayFault, DuplicateFault,
-                                     FaultPlan)
+from repro.runtime.faultplan import DelayFault, DuplicateFault, FaultPlan
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.slab import (SlabArena, SlabPool, SlabRing,
                                 ShmMessageBatch, channel_name, new_run_id,
@@ -371,18 +370,13 @@ class TestShmChaos:
         assert result.answer == ref
 
     def test_crash_recovery_under_shm_leaves_no_segments(self):
-        from repro.runtime.recovery import run_chaos
-        g = generators.grid2d(12, 12)
-        pg = HashPartitioner().partition(g, 4)
-        plan = FaultPlan(seed=1, faults=(CrashFault(wid=0, at_round=4),))
-        report = run_chaos(SSSPProgram(), pg, SSSPQuery(source=0), plan,
-                           runtime="multiprocess",
-                           checkpoint_interval=0.01,
-                           heartbeat_interval=0.005,
-                           heartbeat_timeout=0.5, timeout=60.0)
-        assert report["ok"]
-        assert report["answer_matches_reference"]
-        assert report["recoveries"] >= 1
+        from repro.fuzz import Cell, run_cell
+        verdict = run_cell(Cell(
+            graph_params={"rows": 12, "cols": 12}, runtime="multiprocess",
+            faults=("crash:0:4",), fault_seed=1, checkpoint_interval=0.01,
+            heartbeat_interval=0.005, heartbeat_timeout=0.5))
+        assert verdict.ok
+        assert verdict.recoveries >= 1
         # the crashed attempt's arena must have been swept too
         assert residual_segments() == []
 
