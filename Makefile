@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint size trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
-	bench-e2e-quick epoch-layers build-layers
+	bench-e2e-quick epoch-layers build-layers figures
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -78,6 +78,18 @@ epoch-layers:
 ## iterated Graph.edges() or a generated graph's edge pass took 1 ms
 build-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/build_layers.py
+
+## the CI figures gate: regenerate every paper table under benchmarks/out/
+## twice, under two hash seeds, check the paper's shapes over the tables
+## (the test_*_shape tests read only the files), and fail unless the
+## tables are byte-identical to the committed ones (EXPERIMENTS.md)
+figures:
+	for seed in 0 1; do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
+			benchmarks --ignore=benchmarks/e2e -q -p no:cacheprovider \
+			--benchmark-disable || exit 1; \
+		git diff --exit-code --stat benchmarks/out || exit 1; \
+	done
 
 ## example observability run: straggler SSSP -> Chrome trace + audit
 trace-demo:

@@ -12,7 +12,7 @@ delta (Eq. 1) that the paper motivates qualitatively:
   (bounded incrementality), ablated by comparing message-batch sizes.
 """
 
-from conftest import run_once
+from conftest import run_once, table
 
 from repro import api
 from repro.algorithms import SSSPProgram, SSSPQuery
@@ -43,8 +43,11 @@ def test_ablation_l_bottom(benchmark, emit):
         [[r["l_bottom_fraction"], r["time"], r["total_rounds"],
           r["messages"]] for r in rows]))
 
+
+def test_ablation_l_bottom_shape():
+    rows = table("test_ablation_l_bottom")
     # stronger accumulation -> fewer total rounds (less stale computation)
-    assert rows[-1]["total_rounds"] < rows[0]["total_rounds"]
+    assert rows[-1]["total rounds"] < rows[0]["total rounds"]
     # and the default (1.0) must not be slower than the AP-like setting
     assert rows[-1]["time"] <= rows[0]["time"] * 1.10
 
@@ -71,8 +74,13 @@ def test_ablation_accumulation_window(benchmark, emit):
         ["dt fraction", "time", "suspended time", "messages"],
         [[r["dt_fraction"], r["time"], r["suspended"], r["messages"]]
          for r in rows]))
+
+
+def test_ablation_accumulation_window_shape():
+    rows = table("test_ablation_accumulation_window")
     # a zero window disables waiting entirely
-    assert rows[0]["suspended"] <= min(r["suspended"] for r in rows) + 1e-9
+    assert rows[0]["suspended time"] == min(r["suspended time"]
+                                            for r in rows)
 
 
 def run_virtual_workers():
@@ -101,11 +109,15 @@ def test_ablation_virtual_workers(benchmark, emit):
         "Ablation - m=16 virtual workers on n physical hosts (SSSP)",
         ["hosts", "AAP time", "BSP time"],
         [[r["hosts"], r["AAP"], r["BSP"]] for r in rows]))
+
+
+def test_ablation_virtual_workers_shape():
+    rows = table("test_ablation_virtual_workers")
     # fewer hosts -> serialised rounds -> slower, for both models
-    assert rows[-1]["AAP"] > rows[0]["AAP"]
-    assert rows[-1]["BSP"] > rows[0]["BSP"]
+    assert rows[-1]["AAP time"] > rows[0]["AAP time"]
+    assert rows[-1]["BSP time"] > rows[0]["BSP time"]
     # AAP keeps its edge (or parity) under host sharing
-    assert rows[-1]["AAP"] <= rows[-1]["BSP"] * 1.10
+    assert rows[-1]["AAP time"] <= rows[-1]["BSP time"] * 1.10
 
 
 def run_latency_sensitivity():
@@ -130,6 +142,10 @@ def test_ablation_latency(benchmark, emit):
         "Ablation - network latency sensitivity (SSSP, friendster)",
         ["latency", "AAP time", "BSP time"],
         [[r["latency"], r["AAP"], r["BSP"]] for r in rows]))
+
+
+def test_ablation_latency_shape():
+    rows = table("test_ablation_latency")
     # both models get slower as latency rises
-    assert rows[-1]["AAP"] > rows[0]["AAP"]
-    assert rows[-1]["BSP"] > rows[0]["BSP"]
+    assert rows[-1]["AAP time"] > rows[0]["AAP time"]
+    assert rows[-1]["BSP time"] > rows[0]["BSP time"]

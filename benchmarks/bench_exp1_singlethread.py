@@ -8,7 +8,7 @@ fragments under AAP, in simulated time with uniform worker speed.
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_once, table
 
 from repro import api
 from repro.algorithms import (CCProgram, CCQuery, SSSPProgram, SSSPQuery)
@@ -51,6 +51,9 @@ def test_exp1_single_thread(benchmark, emit):
         [[r["algorithm"], r["single"], r["parallel8"],
           round(r["speedup"], 2)] for r in rows]))
 
+
+def test_exp1_single_thread_shape():
+    rows = table("test_exp1_single_thread")
     # parallel execution wins despite communication overheads (the paper
     # measures 1.63-5.2x on real hardware; pure-Python simulated work
     # accounting keeps our margin smaller but positive)

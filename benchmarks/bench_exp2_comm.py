@@ -6,7 +6,7 @@ small stale updates), BSP the least (fully batched), AAP close to SSP and
 "not much worse" than BSP despite running asynchronously.
 """
 
-from conftest import run_once
+from conftest import run_once, table
 
 from repro.bench.experiments import run_communication
 from repro.bench.reporting import format_table, human_bytes
@@ -20,6 +20,9 @@ def test_exp2_communication(benchmark, emit):
         [[r["algorithm"], r["mode"], r["time"],
           human_bytes(r["bytes"]), r["messages"]] for r in rows]))
 
+
+def test_exp2_communication_shape():
+    rows = table("test_exp2_communication")
     by = {(r["algorithm"], r["mode"]): r for r in rows}
     for algorithm in ("sssp", "pagerank"):
         bsp = by[(algorithm, "BSP")]["bytes"]

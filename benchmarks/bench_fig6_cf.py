@@ -5,7 +5,7 @@ CF requires bounded staleness (c) for SSP and AAP.
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_once, series
 
 from repro.bench import workloads
 from repro.bench.experiments import run_modes_experiment
@@ -18,13 +18,17 @@ WORKERS = (3, 4, 6, 8)
 def test_fig6_cf(benchmark, emit, dataset):
     graph, _, _ = (workloads.movielens() if dataset == "movielens"
                    else workloads.netflix())
-    series = run_once(benchmark, run_modes_experiment, "cf", graph, WORKERS,
-                      straggler_factor=3.0)
+    times = run_once(benchmark, run_modes_experiment, "cf", graph, WORKERS,
+                     straggler_factor=3.0)
     emit(format_series(
         f"Fig 6({'g' if dataset == 'movielens' else 'h'}) - "
         f"CF on {dataset}, varying workers (straggler 3x)",
-        "workers", WORKERS, series))
+        "workers", WORKERS, times))
 
-    aap, bsp = series["AAP"], series["BSP"]
+
+@pytest.mark.parametrize("dataset", ["movielens", "netflix"])
+def test_fig6_cf_shape(dataset):
+    times = series(f"test_fig6_cf[{dataset}]")
+    aap, bsp = times["AAP"], times["BSP"]
     # AAP does not lose to the barrier model under a straggler
     assert sum(aap) <= sum(bsp) * 1.10

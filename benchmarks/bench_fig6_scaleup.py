@@ -6,7 +6,7 @@ bounded (their plots stay within ~1.2 of flat).
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_once, series
 
 from repro.bench.experiments import run_scaleup
 from repro.bench.reporting import format_series
@@ -23,5 +23,9 @@ def test_fig6_scaleup(benchmark, emit, algorithm):
         "workers", data["workers"],
         {"time": data["time"], "ratio": data["ratio"]}))
 
+
+@pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+def test_fig6_scaleup_shape(algorithm):
+    ratios = series(f"test_fig6_scaleup[{algorithm}]")["ratio"]
     # reasonable scale-up: 4x data on 4x workers costs < 3x time
-    assert all(r < 3.0 for r in data["ratio"])
+    assert all(r < 3.0 for r in ratios)

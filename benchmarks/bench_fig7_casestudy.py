@@ -10,7 +10,7 @@ stretches, the straggler converges in fewer rounds, fastest run (112s).
 rounds; SSP needs a hand-tuned c; AAP is robust to the choice of c.
 """
 
-from conftest import run_once
+from conftest import run_once, table
 
 from repro.bench.experiments import run_cf_casestudy, run_fig7_casestudy
 from repro.bench.reporting import format_table
@@ -30,16 +30,21 @@ def test_fig7_pagerank_straggler(benchmark, emit):
                                   label=f"[{mode}]"))
     emit("\n".join(report))
 
+
+def test_fig7_pagerank_straggler_shape():
+    runs = {r["mode"]: r for r in table("test_fig7_pagerank_straggler")}
+    aap, rounds = runs["AAP"], "straggler rounds"
     # AAP fastest of the four models
-    assert runs["AAP"]["time"] <= min(d["time"] for m, d in runs.items()
-                                      if m != "AAP") * 1.02
-    # the straggler needs far fewer rounds than under the barrier models
-    # and no more than AP's (up to scheduling noise)
-    assert runs["AAP"]["straggler_rounds"] < runs["BSP"]["straggler_rounds"]
-    assert runs["AAP"]["straggler_rounds"] <= \
-        runs["AP"]["straggler_rounds"] + 2
+    assert aap["time"] <= min(r["time"] for m, r in runs.items()
+                              if m != "AAP") * 1.02
+    # the straggler needs under half the rounds it needs under the barrier
+    # models, and within 10% of AP's, whose straggler never waits: AAP
+    # holds it only while its arrival-rate predictor expects messages,
+    # and in the endgame none are coming (EXPERIMENTS.md, Appendix B)
+    assert 2 * aap[rounds] < min(runs["BSP"][rounds], runs["SSP"][rounds])
+    assert aap[rounds] <= 1.10 * runs["AP"][rounds]
     # BSP idles the most
-    assert runs["BSP"]["idle"] >= runs["AAP"]["idle"]
+    assert runs["BSP"]["total idle"] >= aap["total idle"]
 
 
 def test_appendixB_cf_staleness(benchmark, emit):
@@ -50,6 +55,9 @@ def test_appendixB_cf_staleness(benchmark, emit):
         [[r["mode"], r["c"], r["time"], r["rounds"], r["rmse"]]
          for r in rows]))
 
+
+def test_appendixB_cf_staleness_shape():
+    rows = table("test_appendixB_cf_staleness")
     by_mode = {}
     for r in rows:
         by_mode.setdefault(r["mode"], []).append(r)

@@ -27,6 +27,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.graph.graph import Graph, Node
+from repro.graph.stable import owner
 
 
 class DeltaProgram:
@@ -170,7 +171,7 @@ class DeltaEngine:
         self.round_overhead = round_overhead
         self.speed = speed or {}
         self.max_rounds = max_rounds
-        self._owner = {v: hash(v) % num_workers for v in graph.nodes}
+        self._owner = {v: owner(v, num_workers) for v in graph.nodes}
 
     def run(self, program: DeltaProgram) -> DeltaResult:
         g = self.graph

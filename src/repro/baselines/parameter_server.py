@@ -26,6 +26,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.graph.graph import Graph
+from repro.graph.stable import owner
 
 Node = Hashable
 
@@ -81,14 +82,14 @@ class ParameterServerCF:
 
     def _shards(self) -> Tuple[List[List[Tuple[Node, Node, float]]],
                                List[Node]]:
-        """Split ratings by user hash; collect the item vocabulary."""
+        """Split ratings by user placement; collect the item vocabulary."""
         shards: List[List[Tuple[Node, Node, float]]] = [
             [] for _ in range(self.num_workers)]
         items = set()
         for u, p, r in self.graph.edges():
             if not (isinstance(u, tuple) and u and u[0] == "u"):
                 u, p = p, u
-            shards[hash(u) % self.num_workers].append((u, p, r))
+            shards[owner(u, self.num_workers)].append((u, p, r))
             items.add(p)
         for shard in shards:
             shard.sort()

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.graph.graph import Graph, Node
+from repro.graph.stable import owner
 
 
 @dataclass
@@ -102,7 +103,7 @@ class SuperstepVertexEngine:
         self.async_factor = async_factor
         self.use_combiner = use_combiner
         self.max_supersteps = max_supersteps
-        self._owner = {v: hash(v) % num_workers for v in graph.nodes}
+        self._owner = {v: owner(v, num_workers) for v in graph.nodes}
 
     def _speed(self, wid: int) -> float:
         return self.speed.get(wid, 1.0)

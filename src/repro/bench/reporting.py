@@ -58,3 +58,42 @@ def human_bytes(n: float) -> str:
             return f"{n:.1f}{unit}"
         n /= 1024
     return f"{n:.1f}TB"
+
+
+_BYTE_UNITS = {"B": 1, "KB": 1024, "MB": 1024 ** 2, "GB": 1024 ** 3,
+               "TB": 1024 ** 4}
+
+
+def parse_cell(cell: str) -> Any:
+    """A printed cell back as a number where it is one (``1,427``,
+    ``0.125``, ``3.2MB``), the string otherwise."""
+    text = cell.strip()
+    for unit in sorted(_BYTE_UNITS, key=len, reverse=True):
+        if text.endswith(unit) and text[:-len(unit)][-1:].isdigit():
+            return float(text[:-len(unit)]) * _BYTE_UNITS[unit]
+    try:
+        return float(text.replace(",", ""))
+    except ValueError:
+        return text
+
+
+def parse_table(text: str) -> List[Dict[str, Any]]:
+    """The first table :func:`format_table` (or :func:`format_series`)
+    printed in ``text``, as one ``{header: value}`` dict per row."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("== "))
+    headers = [h.strip() for h in lines[start + 1].split(" | ")]
+    rows = []
+    for line in lines[start + 3:]:
+        if not line.strip():
+            break
+        rows.append(dict(zip(headers, map(parse_cell, line.split(" | ")))))
+    return rows
+
+
+def parse_series(text: str) -> Dict[str, List[float]]:
+    """The series :func:`format_series` printed in ``text``: name ->
+    values in x order."""
+    rows = parse_table(text)
+    label = next(iter(rows[0]))
+    return {row.pop(label): list(row.values()) for row in rows}

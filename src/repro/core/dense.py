@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.aggregators import Aggregator
 from repro.core.pie import FragmentContext, Node, PIEProgram
-from repro.errors import PartitionError, ProgramError
+from repro.errors import ProgramError
 from repro.partition.fragment import (Fragment, PartitionedGraph,
                                       distinct_fids, resized)
 
@@ -35,11 +35,12 @@ def supports_dense(program: PIEProgram, pg: PartitionedGraph) -> bool:
     """
     if not getattr(program, "dense_capable", False):
         return False
-    try:
-        for frag in pg:
-            frag.compact()
-    except PartitionError:
+    # every fragment's ids before any CSR: a fragment left with one would
+    # refuse the non-integer ids a generic engine's growth brings it
+    if any(frag._arrays._sorted_gids is None for frag in pg):
         return False
+    for frag in pg:
+        frag.compact()
     return True
 
 

@@ -1,23 +1,38 @@
-"""Process-stable hashing of node identifiers.
+"""Placement: the one function that puts a node id in a fragment.
 
-Python's builtin ``hash`` is salted per process for ``str``/``bytes``
-(``PYTHONHASHSEED``), so any placement decision derived from it — e.g.
-``hash(v) % m`` fragment ownership — differs between two processes looking
-at the same graph.  For a resident service whose owner map must agree with
-every client, checkpoint and replica, placement has to be a pure function
-of the node id.
+A partition is built once and then serves many queries (paper, Section
+6): a resident service grows it per update batch, and every client,
+checkpoint and replica has to agree on where a node lives.  Placement is
+therefore a pure function of the node id, identical in every process.
+:func:`owner` is that function, and :func:`owners` is the same function
+over every node of a graph; ``HashPartitioner``, the service's cold build
+and the growth it applies later (``grow_edge_cut``) all place with it.
 
-:func:`stable_hash` is that function: a blake2b digest of a canonical,
-type-tagged byte encoding of the id.  It is deterministic across processes,
-interpreter restarts, and ``PYTHONHASHSEED`` values, and does not collide
-``1`` with ``"1"`` (the type tag separates them — unlike ``repr``-based
-schemes where ``repr(1) == "1"[1:-1]`` classes of confusion creep in).
+- An integer id ``v`` goes to ``hash((salt, v)) % m``: CPython's 64-bit
+  tuple hash over an integer's hash, which ``PYTHONHASHSEED`` does not
+  salt.  A graph whose ids are all non-negative integers (what
+  ``GraphArrays.ids`` records) is placed in one C-level pass over its id
+  array.
+- Every other id ``v`` goes to ``stable_hash((salt, v)) % m``.  Builtin
+  ``hash`` is salted per process for ``str`` / ``bytes`` (and tuples of
+  them, CF's ``("u", i)``), so it cannot place those.
+
+:func:`stable_hash` is a blake2b digest of a canonical, type-tagged byte
+encoding of the id.  It is deterministic across processes, interpreter
+restarts, and ``PYTHONHASHSEED`` values, and does not collide ``1`` with
+``"1"`` (the type tag separates them — unlike ``repr``-based schemes
+where ``repr(1) == "1"[1:-1]`` classes of confusion creep in).
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import repeat
 from typing import Hashable
+
+import numpy as np
+
+from repro.graph.csr import GraphArrays, integer_ids
 
 Node = Hashable
 
@@ -71,11 +86,30 @@ def stable_hash(v: Node) -> int:
     return int.from_bytes(digest, "big")
 
 
-def stable_owner(v: Node, m: int) -> int:
-    """Deterministic fragment assignment: ``stable_hash(v) % m``.
+def owner(v: Node, m: int, salt: int = 0) -> int:
+    """The fragment of node id ``v`` among ``m``: ``hash((salt, v)) % m``
+    for an integer id, ``stable_hash((salt, v)) % m`` for any other."""
+    if isinstance(v, (int, np.integer)):
+        return hash((salt, v)) % m
+    return stable_hash((salt, v)) % m
 
-    The placement function of :class:`repro.serve.GraphService` and of
-    the growth it applies later (``grow_edge_cut``): both must agree on
-    ownership, in any process.
+
+def owners(g, m: int, salt: int = 0) -> np.ndarray:
+    """:func:`owner` of every node of ``g`` (any backend), as ``int64``
+    fragment ids in ``g.nodes`` order.
+
+    Reads a graph made over arrays through its arrays, so it builds none
+    of its dicts; ids that are all non-negative integers take one pass of
+    the builtin ``hash`` at C speed, other ids one :func:`owner` each.
     """
-    return stable_hash(v) % m
+    arrays = getattr(g, "_arrays", None)
+    if isinstance(arrays, GraphArrays):
+        nodes, ids = arrays.nodes, arrays.ids
+    else:
+        nodes = np.fromiter(g.nodes, object, g.num_nodes)
+        ids = integer_ids(nodes)
+    if ids is None:
+        return np.fromiter(map(owner, nodes, repeat(m), repeat(salt)),
+                           np.int64, len(nodes))
+    return np.fromiter(map(hash, zip(repeat(salt), nodes)), np.int64,
+                       len(nodes)) % m

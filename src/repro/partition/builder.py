@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.graph import stable
 from repro.graph.csr import GraphArrays, expand_ranges
 from repro.graph.graph import Graph, Node
 from repro.partition.fragment import (Fragment, NodeArrays, PartitionedGraph,
@@ -178,11 +179,11 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
         at = int(bad.argmax())
         raise PartitionError(
             f"edge ({us[at]!r}, {vs[at]!r}) out-of-range {fids[at]}")
-    # isolated nodes: place on their hash fragment
+    # isolated nodes: placed by the owner function
     isolated = np.flatnonzero(
         np.bincount(np.concatenate((src, dst)), minlength=n) == 0)
-    iso_fid = np.fromiter((hash(v) % m for v in nodes[isolated]), np.int64,
-                          isolated.size)
+    iso_fid = np.fromiter((stable.owner(v, m) for v in nodes[isolated]),
+                          np.int64, isolated.size)
     heres = [fe == fid for fid in range(m)]
     locals_ = [np.flatnonzero(np.bincount(np.concatenate(
         (src[here], dst[here], isolated[iso_fid == fid])), minlength=n))

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import repeat
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph, Node
+from repro.graph.stable import owners
 from repro.partition.base import NodePartitioner
 
 
 class HashPartitioner(NodePartitioner):
-    """Assign node ``v`` to ``hash(v) % m`` (salted for reshuffling)."""
+    """Assign node ``v`` to ``owner(v, m, salt)``
+    (:func:`repro.graph.stable.owner`, the one placement function),
+    salted for reshuffling."""
 
     name = "hash"
 
@@ -39,9 +41,7 @@ class HashPartitioner(NodePartitioner):
         """The assignment as ``int64`` fragment ids in ``g.nodes`` order."""
         if num_fragments < 1:
             raise PartitionError("num_fragments must be >= 1")
-        nodes = g.nodes
-        return np.fromiter(map(hash, zip(repeat(self.salt), nodes)),
-                           np.int64, len(nodes)) % num_fragments
+        return owners(g, num_fragments, self.salt)
 
     def assign(self, g: Graph, num_fragments: int) -> Dict[Node, int]:
         return dict(zip(g.nodes, self.owners(g, num_fragments).tolist()))

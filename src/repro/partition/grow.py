@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.errors import PartitionError
-from repro.graph.stable import stable_owner
+from repro.graph.stable import owner
 from repro.partition.fragment import (_WAYS, BORDER_SETS,
                                       PartitionedGraph)
 
@@ -70,15 +70,15 @@ class GrowthReport:
 
 def grow_edge_cut(pg: PartitionedGraph,
                   insertions: Sequence[EdgeInsertion],
-                  assign: Callable[[Node, int], int] = stable_owner
+                  assign: Callable[[Node, int], int] = owner
                   ) -> GrowthReport:
     """Mutate ``pg`` to include ``insertions``; return what changed.
 
     ``insertions`` must already be validated (no duplicates of existing
     edges, no self-loops, no within-batch duplicates) — growth assumes
     every edge is novel.  New nodes are owned by ``assign(v, m)``
-    (default: the stable hash :class:`~repro.serve.GraphService` builds
-    its partition with).
+    (default: :func:`repro.graph.stable.owner`, the placement
+    :class:`~repro.serve.GraphService` builds its partition with).
 
     Only edge-cut partitions grow in place; vertex-cut placement depends
     on global edge assignment and needs a rebuild.

@@ -54,7 +54,7 @@ from repro.core.pie import PIEProgram
 from repro.core.result import RunResult
 from repro.errors import ProgramError, ReproError
 from repro.graph.graph import Graph
-from repro.graph.stable import stable_owner
+from repro.graph.stable import owners
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
                        EventLog, Observer)
 from repro.partition.builder import build_edge_cut
@@ -195,17 +195,20 @@ class GraphService:
         self._staleness = metrics.histogram("serve_staleness")
         self._queries = metrics.counter("serve_queries")
         self._shed_queries = metrics.counter("serve_shed_queries")
-        # ownership is the process-stable hash, here and in grow_edge_cut:
-        # builtin hash is salted per process (PYTHONHASHSEED)
-        owner = {v: stable_owner(v, num_fragments) for v in self.graph.nodes}
-        self.pg = build_edge_cut(self.graph, owner, num_fragments, "serving")
+        # placement is the one owner function, here and in grow_edge_cut:
+        # the same in every process; an owner array, so the build reads
+        # no dict of the graph
+        self.pg = build_edge_cut(self.graph, owners(self.graph, num_fragments),
+                                 num_fragments, "serving")
         # dense kernels on arrays that grow in place; degrades to the
         # generic engine for non-integer node ids or a program without
         # dense kernels
         self.engine = Engine(program, self.pg, query, vectorized=True)
-        # what the first epoch would pay for otherwise: room to grow in,
-        # and a dict probe per id an epoch looks up (a handful, one by
-        # one; kept current by growth) instead of a binary search
+        # what the first epoch would pay for otherwise: the owner map
+        # growth reads and extends, room to grow in, and a dict probe per
+        # id an epoch looks up (a handful, one by one; kept current by
+        # growth) instead of a binary search
+        self.pg.owner
         for frag in self.pg:
             frag._arrays.reserve()
             frag._arrays.lid_of

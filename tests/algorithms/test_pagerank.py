@@ -93,12 +93,12 @@ class TestMemoizedKernelArrays:
         import numpy as np
 
         from repro.algorithms.pagerank import _spmv_arrays
-        from repro.graph.stable import stable_owner
+        from repro.graph import stable
         from repro.partition.builder import build_edge_cut
         from repro.partition.grow import grow_edge_cut
 
         g = generators.powerlaw(80, m=2, seed=3)
-        owner = {v: stable_owner(v, 2) for v in g.nodes}
+        owner = {v: stable.owner(v, 2) for v in g.nodes}
         pg = build_edge_cut(g, owner, 2, "test")
         query = PageRankQuery(epsilon=1e-6)
         api.run(PageRankProgram(), pg, query, vectorized=True)

@@ -21,8 +21,7 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
 from repro.core.engine import Engine
 from repro.core.pie import PIEProgram
 from repro.errors import ProgramError
-from repro.graph import generators
-from repro.graph.stable import stable_owner
+from repro.graph import generators, stable
 from repro.partition.builder import build_edge_cut
 from repro.partition.edge_cut import HashPartitioner, RangePartitioner
 from repro.partition.skew import reshuffle_to_skew
@@ -57,7 +56,7 @@ def partition(graph, how, m, seed):
                                  m, target_ratio=2.0, seed=seed)
     if how == "stable":
         return build_edge_cut(
-            graph, {v: stable_owner(v, m) for v in graph.nodes}, m, "stable")
+            graph, {v: stable.owner(v, m) for v in graph.nodes}, m, "stable")
     return HashEdgePartitioner(salt=seed % 5).partition(graph, m)
 
 

@@ -25,7 +25,7 @@ from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.errors import ProgramError
 from repro.graph import analysis, generators
 from repro.graph.graph import Graph
-from repro.graph.stable import canonical_bytes, stable_hash, stable_owner
+from repro.graph.stable import canonical_bytes, owner, stable_hash
 from repro.serve import GraphService
 from repro.streaming import UpdateBatch, validate_batch
 
@@ -34,9 +34,9 @@ SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 _PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from repro.graph.stable import stable_hash, stable_owner
+from repro.graph.stable import owner, stable_hash
 nodes = ["alpha", "beta", "v-17", ("t", 1), 42, 3.5, None, True, b"raw"]
-print(json.dumps([[repr(v), stable_hash(v), stable_owner(v, 4)]
+print(json.dumps([[repr(v), stable_hash(v), owner(v, 4)]
                   for v in nodes]))
 """
 
@@ -65,10 +65,10 @@ class TestStableOwnership:
             g.add_edge(u, v, 1.0)
         svc = GraphService(CCProgram(), g, CCQuery(), num_fragments=3,
                            runtime="simulated")
-        assert svc.pg.owner == {v: stable_owner(v, 3) for v in g.nodes}
+        assert svc.pg.owner == {v: owner(v, 3) for v in g.nodes}
         svc.ingest(UpdateBatch.of(("d", "e")))
         svc.flush()
-        assert svc.pg.owner["e"] == stable_owner("e", 3)
+        assert svc.pg.owner["e"] == owner("e", 3)
 
 
 class TestAtomicApply:

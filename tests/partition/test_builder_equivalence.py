@@ -30,10 +30,9 @@ from repro.core.modes import make_policy
 from repro.errors import GraphError, PartitionError
 from repro.core.fixpoint import run_sequential_fixpoint
 from repro.graph import csr as csr_module
-from repro.graph import generators
+from repro.graph import generators, stable
 from repro.graph.csr import CompactGraph, GraphArrays, integer_ids
 from repro.graph.graph import Graph
-from repro.graph.stable import stable_owner
 from repro.partition import quality
 from repro.partition.base import NodePartitioner
 from repro.partition.builder import build_edge_cut, build_vertex_cut
@@ -123,10 +122,10 @@ def oracle_vertex_cut(g, edge_owner, m, strategy_name="custom"):
         presence.setdefault(u, set()).add(fid)
         presence.setdefault(v, set()).add(fid)
 
-    # isolated nodes: place on their hash fragment
+    # isolated nodes: placed by the owner function
     for v in g.nodes:
         if v not in presence:
-            fid = hash(v) % m
+            fid = stable.owner(v, m)
             presence[v] = {fid}
             local_graphs[fid].add_node(v)
 
@@ -280,7 +279,7 @@ def node_assignment(g, m, how, rng):
     if how == "hash":
         return HashPartitioner(salt=rng.randrange(5)).assign(g, m)
     if how == "stable":
-        return {v: stable_owner(v, m) for v in g.nodes}
+        return {v: stable.owner(v, m) for v in g.nodes}
     # skewed: most nodes on fragment 0, some fragments possibly empty
     return {v: 0 if rng.random() < 0.7 else rng.randrange(m)
             for v in g.nodes}
@@ -323,7 +322,7 @@ def test_vertex_cut_equals_oracle(g, m, seed):
 # -- the property notices the bugs it is there for ----------------------
 def fixed_case():
     g = generators.powerlaw(40, m=2, weighted=True, seed=3)
-    owner = {v: stable_owner(v, 3) for v in g.nodes}
+    owner = {v: stable.owner(v, 3) for v in g.nodes}
     return build_edge_cut(g, owner, 3, "t"), oracle_edge_cut(g, owner, 3, "t")
 
 
@@ -401,7 +400,7 @@ def test_grow_on_unmaterialised_partition_equals_rebuild():
     from test_grow import assert_partitions_equal
     g = generators.powerlaw(80, m=2, weighted=True, seed=4)
     m = 4
-    owner = {v: stable_owner(v, m) for v in g.nodes}
+    owner = {v: stable.owner(v, m) for v in g.nodes}
     pg = build_edge_cut(g, owner, m, "t")
     u = next(v for v in g.nodes if owner[v] == 0)
     v = next(v for v in g.nodes if owner[v] == 1 and not g.has_edge(u, v))

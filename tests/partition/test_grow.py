@@ -12,9 +12,8 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
 from repro.core.engine import Engine
 from repro.errors import PartitionError
-from repro.graph import generators
+from repro.graph import generators, stable
 from repro.graph.graph import Graph
-from repro.graph.stable import stable_owner
 from repro.partition.builder import build_edge_cut
 from repro.partition.fragment import BORDER_SETS, Fragment
 from repro.partition.grow import grow_edge_cut
@@ -24,7 +23,7 @@ CONTAINERS = ("owned", "mirrors", *BORDER_SETS, "_routing", "graph")
 
 
 def stable_pg(graph, m):
-    owner = {v: stable_owner(v, m) for v in graph.nodes}
+    owner = {v: stable.owner(v, m) for v in graph.nodes}
     return build_edge_cut(graph, owner, m, "test")
 
 
@@ -140,7 +139,7 @@ def test_grow_equals_rebuild(make, m):
 def hand_made(graph, m):
     from test_builder_equivalence import oracle_edge_cut
     return oracle_edge_cut(
-        graph, {v: stable_owner(v, m) for v in graph.nodes}, m, "test")
+        graph, {v: stable.owner(v, m) for v in graph.nodes}, m, "test")
 
 
 @pytest.mark.parametrize("m", [1, 3])

@@ -23,10 +23,9 @@ import pytest
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
 from repro.core.pie import PIEProgram
-from repro.graph import generators
+from repro.graph import generators, stable
 from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
-from repro.graph.stable import stable_owner
 from repro.partition.fragment import Fragment, FragmentCSR, built_on_read
 from repro.serve import GraphService, QueryCache, verify_against_recompute
 from repro.streaming import UpdateBatch
@@ -52,9 +51,10 @@ class RecordingCache(QueryCache):
 
 
 def owned_by(fid, m, taken, start=1000):
-    """The next unused node id the stable hash places on fragment ``fid``."""
+    """The next unused node id the placement function puts on fragment
+    ``fid``."""
     v = next(v for v in count(start)
-             if v not in taken and stable_owner(v, m) == fid)
+             if v not in taken and stable.owner(v, m) == fid)
     taken.add(v)
     return v
 
