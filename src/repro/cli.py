@@ -347,7 +347,7 @@ def cmd_serve(args) -> int:
         else:
             shed += 1
         service.pump(1)
-        ev = service.obs.log.events[-1]  # the ingest above emitted
+        ev = service.obs.log[-1]  # the ingest above emitted
         if ev.type == EPOCH_APPLY:
             print(f"epoch {ev.payload['epoch']:>4}  "
                   f"edges {ev.payload['edges']:>4}  "

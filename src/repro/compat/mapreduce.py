@@ -23,6 +23,7 @@ from repro.core.aggregators import Aggregator
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.errors import ProgramError
 from repro.graph.generators import complete_graph
+from repro.graph.stable import owner
 from repro.partition.builder import build_edge_cut
 from repro.partition.fragment import Fragment, PartitionedGraph
 
@@ -125,7 +126,7 @@ class MapReduceOnPIE(PIEProgram):
     BEACON = "__stage_beacon__"
 
     def _partition_key(self, key: Any, n: int) -> int:
-        return hash(repr(key)) % n
+        return owner(key, n)
 
     def _route(self, frag: Fragment, ctx: FragmentContext, n: int,
                stage: int, pairs: Iterable[KV]) -> None:

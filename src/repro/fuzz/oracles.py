@@ -322,8 +322,9 @@ class OracleSuite:
 class CheckingLog(obs.EventLog):
     """An :class:`~repro.obs.events.EventLog` that feeds a suite online.
 
-    Drop-in for ``Observer.log``: runtimes emit as usual, every record is
-    both stored and pushed through the oracle suite, so invariants are
+    Drop-in for ``Observer.log``: runtimes emit as usual, every record
+    (all come through :meth:`record`) is both stored and pushed through
+    the oracle suite, so invariants are
     checked *during* the run at the exact global order the simulator saw.
     """
 
@@ -331,12 +332,10 @@ class CheckingLog(obs.EventLog):
         super().__init__()
         self.suite = suite
 
-    def emit(self, type: str, t: float, wid: int = -1,
-             round: int = -1, **payload: Any) -> None:
-        event = obs.ObsEvent(type=type, t=t, wid=wid, round=round,
-                             payload=payload)
-        self.append(event)
-        self.suite.on_event(event)
+    def record(self, type: str, t: float, wid: int, round: int,
+               payload: Any) -> None:
+        super().record(type, t, wid, round, payload)
+        self.suite.on_event(obs.as_event((type, t, wid, round, payload)))
 
 
 class ContractionProbe:

@@ -4,9 +4,9 @@ A partition is built once and then serves many queries (paper, Section
 6): a resident service grows it per update batch, and every client,
 checkpoint and replica has to agree on where a node lives.  Placement is
 therefore a pure function of the node id, identical in every process.
-:func:`owner` is that function, and :func:`owners` is the same function
-over every node of a graph; ``HashPartitioner``, the service's cold build
-and the growth it applies later (``grow_edge_cut``) all place with it.
+:func:`owner` is that function; ``HashPartitioner``, the service's cold
+build, ``grow_edge_cut`` and map-reduce keys place with it (:func:`owners`
+over a graph), ``HashEdgePartitioner`` with its edge form :func:`edge_owner`.
 
 - An integer id ``v`` goes to ``hash((salt, v)) % m``: CPython's 64-bit
   tuple hash over an integer's hash, which ``PYTHONHASHSEED`` does not
@@ -92,6 +92,13 @@ def owner(v: Node, m: int, salt: int = 0) -> int:
     if isinstance(v, (int, np.integer)):
         return hash((salt, v)) % m
     return stable_hash((salt, v)) % m
+
+
+def edge_owner(u: Node, v: Node, m: int, salt: int = 0) -> int:
+    """The fragment of edge ``(u, v)``: :func:`owner`'s rule over the
+    key ``(salt, u, v)``."""
+    ints = all(isinstance(x, (int, np.integer)) for x in (u, v))
+    return (hash if ints else stable_hash)((salt, u, v)) % m
 
 
 def owners(g, m: int, salt: int = 0) -> np.ndarray:

@@ -59,7 +59,7 @@ class Observer:
         copy of the event -> registry mapping: a record made in the run's
         own process and one shipped back from a worker both come here.
         """
-        self.log.emit(type, t, wid=wid, round=round, **payload)
+        self.log.record(type, t, wid, round, payload)
         metrics = self.metrics
         if type == ROUND_END:
             metrics.histogram("round_duration", wid).observe(
@@ -79,7 +79,7 @@ class Observer:
                 metrics.histogram("ds_chosen", wid).observe(payload["ds"])
 
     def __repr__(self) -> str:
-        return (f"Observer(events={len(self.log.events)}, "
+        return (f"Observer(events={len(self.log)}, "
                 f"metrics={len(self.metrics.names())})")
 
 

@@ -13,9 +13,10 @@ for the wall-clock runtimes.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, deque
+from operator import itemgetter
 from typing import (Any, Deque, Dict, Iterator, List, NamedTuple, Optional,
-                    Union)
+                    Tuple, Union)
 
 #: a worker begins PEval or IncEval
 ROUND_START = "round_start"
@@ -131,12 +132,26 @@ class ObsEvent(_EventFields):
                 "round": self.round, "payload": dict(self.payload)}
 
 
+def as_event(row) -> ObsEvent:
+    """The :class:`ObsEvent` a stored ``(type, t, wid, round, payload)``
+    row reads as (a payload of values gets its ``SCHEMA`` keys)."""
+    kind, t, wid, round_no, payload = row
+    if payload.__class__ is tuple:
+        payload = dict(zip(SCHEMA[kind], payload))
+    return _new_record(ObsEvent, (kind, t, wid, round_no, payload))
+
+
 class EventLog:
     """Append-only, thread-safe log of :class:`ObsEvent` records.
 
-    The hot-path contract is that runtimes never call :meth:`emit` unless an
-    observer was attached, so a disabled run pays nothing; when enabled the
-    per-emit cost is one lock acquisition and one append.
+    The hot-path contract is that runtimes never write to a log unless an
+    observer was attached, so a disabled run pays nothing.  Every write
+    goes through :meth:`record` and costs one lock acquisition and one
+    append of a plain tuple row, ``(type, t, wid, round, payload)``: a
+    payload dict as handed over, or (from a hot emitter) the payload's
+    values in ``SCHEMA[type]`` order.  Events and their payload dicts are
+    built only when the log is read, so no code outside this module sees
+    a row, and :attr:`events` is a read-only copy.
 
     A batch run keeps every record (``capacity=None``).  A resident
     process that emits for as long as it lives passes a ``capacity``: the
@@ -145,87 +160,98 @@ class EventLog:
     retained either way.
     """
 
-    __slots__ = ("events", "capacity", "dropped", "_lock")
+    __slots__ = ("_rows", "capacity", "dropped", "_lock")
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise ValueError(f"event log capacity must be > 0, "
                              f"got {capacity}")
         self.capacity = capacity
-        self.events: Union[List[ObsEvent], Deque[ObsEvent]] = (
+        self._rows: Union[List[tuple], Deque[tuple]] = (
             [] if capacity is None else deque(maxlen=capacity))
         #: records a bounded log has overwritten
         self.dropped = 0
         self._lock = threading.Lock()
 
+    def record(self, type: str, t: float, wid: int, round: int,
+               payload: Union[Dict[str, Any], tuple]) -> None:
+        """Store one record; ``payload`` is its dict, or its values in
+        ``SCHEMA[type]`` order."""
+        # not ``with``, whose two calls double the lock's cost per read
+        self._lock.acquire()
+        try:
+            if len(self._rows) == self.capacity:
+                self.dropped += 1
+            self._rows.append((type, t, wid, round, payload))
+        finally:
+            self._lock.release()
+
     def emit(self, type: str, t: float, wid: int = -1,
              round: int = -1, **payload: Any) -> None:
-        # straight to the tuple: ``payload`` is already this call's own dict
-        event = _new_record(ObsEvent, (type, t, wid, round, payload))
-        with self._lock:
-            if len(self.events) == self.capacity:
-                self.dropped += 1
-            self.events.append(event)
+        self.record(type, t, wid, round, payload)
 
     def append(self, event: ObsEvent) -> None:
-        with self._lock:
-            if len(self.events) == self.capacity:
-                self.dropped += 1
-            self.events.append(event)
+        self.record(*event)
 
     def extend(self, events) -> None:
         events = list(events)
         with self._lock:
             if self.capacity is not None:
-                self.dropped += max(0, len(self.events) + len(events)
+                self.dropped += max(0, len(self._rows) + len(events)
                                     - self.capacity)
-            self.events.extend(events)
+            self._rows.extend(events)
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> List[ObsEvent]:
-        """The retained records, copied under the lock.
-
-        Every reader goes through this: iterating :attr:`events` itself
-        while a writer appends raises ``RuntimeError: deque mutated during
-        iteration`` on a bounded log.
-        """
+    def _copy(self) -> List[tuple]:
+        """The rows, copied under the lock (a ring mutated mid-read raises)."""
         with self._lock:
-            return list(self.events)
+            return list(self._rows)
+
+    def snapshot(self) -> List[ObsEvent]:
+        """The retained records, as of one moment."""
+        return [as_event(row) for row in self._copy()]
+
+    @property
+    def events(self) -> Tuple[ObsEvent, ...]:
+        return tuple(self.snapshot())
 
     def filter(self, type: Optional[str] = None,
                wid: Optional[int] = None) -> List[ObsEvent]:
-        return [e for e in self.snapshot()
-                if (type is None or e.type == type)
-                and (wid is None or e.wid == wid)]
+        return [as_event(row) for row in self._copy()
+                if (type is None or row[0] == type)
+                and (wid is None or row[2] == wid)]
 
     def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.snapshot():
-            out[e.type] = out.get(e.type, 0) + 1
-        return out
+        return dict(Counter(row[0] for row in self._copy()))
 
     def types(self) -> set:
-        return {e.type for e in self.snapshot()}
+        return {row[0] for row in self._copy()}
 
     def payload_keys(self) -> Dict[str, set]:
         """Observed payload-key sets per event type (schema introspection)."""
         out: Dict[str, set] = {}
-        for e in self.snapshot():
-            out.setdefault(e.type, set()).update(e.payload)
+        for kind, _, _, _, payload in self._copy():
+            out.setdefault(kind, set()).update(
+                SCHEMA[kind] if payload.__class__ is tuple else payload)
         return out
 
     def sort(self) -> None:
         """Order records by timestamp (stable); for merged worker logs."""
         with self._lock:
-            ordered = sorted(self.events, key=lambda e: e.t)
-            self.events.clear()
-            self.events.extend(ordered)
+            ordered = sorted(self._rows, key=itemgetter(1))
+            self._rows.clear()
+            self._rows.extend(ordered)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> ObsEvent:
+        """One record by position: ``log[-1]`` reads only the latest."""
+        with self._lock:
+            return as_event(self._rows[index])
 
     def __iter__(self) -> Iterator[ObsEvent]:
         return iter(self.snapshot())
 
     def __repr__(self) -> str:
-        return f"EventLog({len(self.events)} events)"
+        return f"EventLog({len(self._rows)} events)"

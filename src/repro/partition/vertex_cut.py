@@ -12,13 +12,14 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph, Node
+from repro.graph.stable import edge_owner
 from repro.partition.base import EdgePartitioner
 
 EdgeKey = Tuple[Node, Node]
 
 
 class HashEdgePartitioner(EdgePartitioner):
-    """Assign edge ``(u, v)`` to ``hash((salt, u, v)) % m``."""
+    """Assign edge ``(u, v)`` to :func:`~repro.graph.stable.edge_owner`."""
 
     name = "hash-edge"
 
@@ -28,7 +29,7 @@ class HashEdgePartitioner(EdgePartitioner):
     def assign(self, g: Graph, num_fragments: int) -> Dict[EdgeKey, int]:
         if num_fragments < 1:
             raise PartitionError("num_fragments must be >= 1")
-        return {(u, v): hash((self.salt, u, v)) % num_fragments
+        return {(u, v): edge_owner(u, v, num_fragments, self.salt)
                 for u, v, _ in g.edges()}
 
 

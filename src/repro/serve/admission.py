@@ -32,6 +32,11 @@ class AdmissionController:
     max_pending_batches: int = 64
     max_catchup: Optional[int] = 32
 
+    def __post_init__(self):
+        # a negative limit sheds everything, a read whose bound is met too
+        if min(self.max_pending_batches, self.max_catchup or 0) < 0:
+            raise ValueError(f"admission limits must be >= 0, got {self}")
+
     def admit_batch(self, depth: int) -> Optional[str]:
         """``None`` to accept a batch at queue depth ``depth``, else the
         shed reason."""

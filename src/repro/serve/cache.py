@@ -43,9 +43,8 @@ class QueryCache:
 
     def get(self, key: Node) -> Tuple[bool, Any]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
-        try:
-            value = self._entries[key]
-        except KeyError:
+        value = self._entries.get(key, _ABSENT)
+        if value is _ABSENT:
             self.misses += 1
             return False, None
         self._entries.move_to_end(key)

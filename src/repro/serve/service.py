@@ -408,8 +408,8 @@ class GraphService:
         """The freshness contract, once, for :meth:`query` and
         :meth:`snapshot`: admit or shed, catch up to ``bound``, answer,
         then count, time and log the read.  ``latency`` (the result's and
-        the histogram's) stops when the answer is known; the bookkeeping
-        after it is the caller-side gap docs/serving.md quotes."""
+        the histogram's, the event's timestamp) stops when the answer is
+        known; the bookkeeping after it is the gap docs/serving.md quotes."""
         if bound < 0:
             raise ProgramError(
                 f"staleness bound must be >= 0 epochs, got {bound}")
@@ -434,16 +434,17 @@ class GraphService:
             if not cache_hit:
                 value = self._answer.get(key)
                 self.cache.put(key, value)
-        latency = perf_counter() - t0
+        now = perf_counter()
+        latency = now - t0
         self._query_latency.observe(latency)
         self._staleness.observe(staleness)
         self._queries.inc()
-        self._log.emit(QUERY_SERVED, perf_counter(),
-                       key="<snapshot>" if snapshot else repr(key),
-                       bound=bound, staleness=staleness, epoch=epoch,
-                       latency=latency, cache_hit=cache_hit)
-        # positional: the one record built per read skips keyword matching
-        return QueryResult(True, value, epoch, staleness, latency, cache_hit)
+        # a row in SCHEMA order: the log builds the event when it is read
+        self._log.record(QUERY_SERVED, now, -1, -1, (
+            "<snapshot>" if snapshot else repr(key), bound, staleness,
+            epoch, latency, cache_hit))
+        return tuple.__new__(QueryResult, (True, value, epoch, staleness,
+                                           latency, cache_hit, None))
 
     def __repr__(self) -> str:
         return (f"GraphService(m={self.m}, mode={self.mode!r}, "

@@ -19,7 +19,8 @@ from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.graph import generators
 from repro.graph.csr import CompactGraph
 from repro.graph.graph import Graph
-from repro.graph.stable import owner, owners
+from repro.graph.stable import edge_owner, owner, owners, stable_hash
+from repro.partition.vertex_cut import HashEdgePartitioner
 from repro.serve import GraphService
 from repro.streaming import UpdateBatch
 
@@ -43,9 +44,30 @@ print(json.dumps(out))
 """
 
 
-def _probe(seed):
+#: edges and map-reduce keys: the two placements that used builtin
+#: ``hash`` of a string (``HashEdgePartitioner``) or of ``repr(key)``
+_EDGE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.compat.mapreduce import MapReduceOnPIE
+from repro.graph.graph import Graph
+from repro.partition.vertex_cut import HashEdgePartitioner
+ids = ["alpha", "beta", "gamma", ("u", 1), ("u", 2), 7, 8, "omega"]
+g = Graph(directed=True)
+for a, b in zip(ids, ids[1:] + ids[:3]):
+    g.add_edge(a, b, 1.0)
+out = [sorted((repr(e), f) for e, f in
+              HashEdgePartitioner(salt=salt).assign(g, 4).items())
+       for salt in (0, 3)]
+keys = ["the", "quick", "fox", 12, ("k", 3), None, 2.5]
+out.append([MapReduceOnPIE._partition_key(None, k, 5) for k in keys])
+print(json.dumps(out))
+"""
+
+
+def _probe(seed, script=_PROBE):
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
-    out = subprocess.run([sys.executable, "-c", _PROBE, SRC_DIR], env=env,
+    out = subprocess.run([sys.executable, "-c", script, SRC_DIR], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -56,6 +78,23 @@ def test_hash_partitioner_ignores_the_hash_seed():
     first, *others = [_probe(seed) for seed in (0, 1, 2)]
     assert all(other == first for other in others)
     assert len({f for table in first for _, f in table}) == 4
+
+
+def test_edges_and_map_reduce_keys_ignore_the_hash_seed():
+    first, *others = [_probe(seed, _EDGE_PROBE) for seed in (0, 1, 2)]
+    assert all(other == first for other in others)
+    assert len({f for _, f in first[0]}) == 4
+
+
+def test_integer_edges_keep_the_tuple_hash():
+    """Integer-id edges are placed where ``hash((salt, u, v))`` always
+    put them, so partitions of integer graphs did not move."""
+    g = generators.powerlaw(80, m=2, seed=3)
+    for m, salt in ((2, 0), (5, 7)):
+        assert HashEdgePartitioner(salt).assign(g, m) == {
+            (u, v): hash((salt, u, v)) % m for u, v, _ in g.edges()}
+    assert edge_owner(np.int64(4), 9, 6) == hash((0, 4, 9)) % 6
+    assert edge_owner("a", 9, 6) == stable_hash((0, "a", 9)) % 6
 
 
 #: (id, owner(id, 3), owner(id, 8)): integer ids are CPython's 64-bit

@@ -1,14 +1,23 @@
 """Tests for the typed event log."""
 
+import pathlib
+import subprocess
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.events import (EVENT_TYPES, MSG_DELIVER, ROUND_END,
-                              ROUND_START, SCHEMA, EventLog, ObsEvent)
+import repro
+from repro.obs.events import (EVENT_TYPES, MSG_DELIVER, QUERY_SERVED,
+                              ROUND_END, ROUND_START, SCHEMA, EventLog,
+                              ObsEvent)
 from repro.obs.export import to_chrome_trace, write_jsonl
+
+SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
 class TestObsEvent:
@@ -162,3 +171,166 @@ class TestEventLog:
         assert not thread.is_alive()
         assert len(log) + log.dropped > 0
         assert sum(log.counts().values()) == len(log)
+
+
+    def test_one_record_by_position(self):
+        log = EventLog(capacity=2)
+        for i in range(3):
+            log.record(QUERY_SERVED, float(i), -1, -1,
+                       (repr(i), 0, 0, 0, 1e-6, False))
+        assert log[-1] == ObsEvent(QUERY_SERVED, 2.0, payload={
+            "key": "2", "bound": 0, "staleness": 0, "epoch": 0,
+            "latency": 1e-6, "cache_hit": False})
+        assert log[0].t == 1.0
+        with pytest.raises(IndexError):
+            log[2]
+
+
+# -- rows read as the events a log of ObsEvents would hold --------------
+class EagerLog:
+    """The reference: builds every ObsEvent when it is written."""
+
+    def __init__(self, capacity):
+        self.capacity, self.dropped = capacity, 0
+        self.events = deque(maxlen=capacity)
+
+    def _add(self, event):
+        if len(self.events) == self.capacity:
+            self.dropped += 1
+        self.events.append(event)
+
+    def apply(self, op, arg):
+        if op == "record":
+            kind, t, wid, round_no, values = arg
+            self._add(ObsEvent(kind, t, wid, round_no,
+                               dict(zip(SCHEMA[kind], values))))
+        elif op in ("emit", "append"):
+            self._add(ObsEvent(*arg))
+        elif op == "extend":
+            for event in arg:
+                self._add(ObsEvent(*event))
+        else:
+            ordered = sorted(self.events, key=lambda e: e.t)
+            self.events.clear()
+            self.events.extend(ordered)
+
+
+def _payload_of(kind):
+    """A dict payload: the schema's keys, a subset or a foreign key."""
+    keys = st.lists(st.sampled_from(SCHEMA[kind] + ("extra",)),
+                    unique=True, max_size=3)
+    return keys.map(lambda ks: {k: len(k) for k in ks})
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_WIDS = st.integers(-1, 2)
+_KINDS = st.sampled_from(sorted(SCHEMA))
+_KEYED = _KINDS.flatmap(lambda kind: st.tuples(
+    st.just(kind), _TIMES, _WIDS, st.integers(-1, 3), _payload_of(kind)))
+_OPS = st.one_of(
+    st.tuples(st.just("record"), _KINDS.flatmap(lambda kind: st.tuples(
+        st.just(kind), _TIMES, _WIDS, st.integers(-1, 3),
+        st.tuples(*[st.integers(0, 9)] * len(SCHEMA[kind]))))),
+    st.tuples(st.just("emit"), _KEYED),
+    st.tuples(st.just("append"), _KEYED),
+    st.tuples(st.just("extend"), st.lists(_KEYED, max_size=4)),
+    st.tuples(st.just("sort"), st.none()))
+
+
+def _write(log, op, arg):
+    if op == "record":
+        log.record(*arg)
+    elif op == "emit":
+        kind, t, wid, round_no, payload = arg
+        log.emit(kind, t, wid=wid, round=round_no, **payload)
+    elif op == "append":
+        log.append(ObsEvent(*arg))
+    elif op == "extend":
+        log.extend(ObsEvent(*event) for event in arg)
+    else:
+        log.sort()
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.one_of(st.none(), st.integers(1, 6)),
+       ops=st.lists(_OPS, max_size=25))
+def test_rows_read_like_an_eagerly_built_log(capacity, ops):
+    """Positional records, ``emit``, ``append`` and ``extend``
+    interleaved across a ring wrap: every reader sees what a log that
+    built each ``ObsEvent`` on write would hold."""
+    log, eager = EventLog(capacity), EagerLog(capacity)
+    for op, arg in ops:
+        _write(log, op, arg)
+        eager.apply(op, arg)
+        expected = list(eager.events)
+        assert log.snapshot() == expected
+        assert list(log) == expected and log.events == tuple(expected)
+        assert (len(log), log.dropped) == (len(expected), eager.dropped)
+    expected = list(eager.events)
+    assert all(type(e) is ObsEvent for e in log)
+    assert [e.to_dict() for e in log] == [e.to_dict() for e in expected]
+    if expected:
+        assert (log[0], log[-1]) == (expected[0], expected[-1])
+    for kind in (None, *SCHEMA):
+        for wid in (None, -1, 0, 1, 2):
+            assert log.filter(type=kind, wid=wid) == [
+                e for e in expected if kind in (None, e.type)
+                and wid in (None, e.wid)]
+    counts = {}
+    for e in expected:
+        counts[e.type] = counts.get(e.type, 0) + 1
+    assert log.counts() == counts
+    assert log.types() == set(counts)
+    keys = {}
+    for e in expected:
+        keys.setdefault(e.type, set()).update(e.payload)
+    assert log.payload_keys() == keys
+
+
+# -- the exporters write what they wrote when every record was an event --
+#: sha256 of ``write_jsonl`` / ``json.dumps(to_chrome_trace(...))`` of the
+#: log :data:`_EXPORT_PROBE` builds, taken when the log stored
+#: ``ObsEvent`` s and the reads went through ``emit``
+JSONL_SHA256 = ("0a72c78e32f878481171fa4df55c1df1"
+                "39a8d195b3470c46d1301ad433e14898")
+TRACE_SHA256 = ("9d52f10a45380d2707807ac741ebee76"
+                "97f2090a9b6c070940464bfc1a9704fe")
+
+#: a simulated straggler run, four positional ``query_served`` records,
+#: an ``emit`` and an ``append``; in a fresh interpreter, because message
+#: sequence numbers count up per process
+_EXPORT_PROBE = """
+import hashlib, json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from repro import api
+from repro.algorithms import SSSPProgram, SSSPQuery
+from repro.graph import generators
+from repro.obs import Observer, ObsEvent
+from repro.obs.events import ADMISSION_SHED, INGEST, QUERY_SERVED
+from repro.obs.export import to_chrome_trace, write_jsonl
+from repro.runtime.costmodel import CostModel
+obs = Observer()
+api.run(SSSPProgram(), generators.grid2d(5, 5, weighted=True, seed=1),
+        SSSPQuery(source=0), num_fragments=3, mode="AAP",
+        cost_model=CostModel.with_straggler(0, factor=4.0), observer=obs)
+log = obs.log
+for i in range(4):
+    log.record(QUERY_SERVED, 50.0 + i, -1, -1,
+               (repr(i), 2, 1, 3, 1.5e-6 * (i + 1), i % 2 == 1))
+log.emit(INGEST, 60.0, edges=8, depth=1, latency=2e-5)
+log.append(ObsEvent(ADMISSION_SHED, 61.0, payload={
+    "kind": "query", "reason": "full", "depth": 3}))
+path = os.path.join(sys.argv[2], "ev.jsonl")
+write_jsonl(log, path)
+with open(path, "rb") as fh:
+    jsonl = fh.read()
+trace = json.dumps(to_chrome_trace(log)).encode()
+print(len(log), *(hashlib.sha256(b).hexdigest() for b in (jsonl, trace)))
+"""
+
+
+def test_exports_are_byte_identical(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", _EXPORT_PROBE, SRC_DIR, str(tmp_path)],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["111", JSONL_SHA256, TRACE_SHA256]

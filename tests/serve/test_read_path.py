@@ -17,7 +17,8 @@ from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
 from repro.graph import generators
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
-                       SCHEMA, MetricsRegistry, ObsEvent)
+                       SCHEMA, EventLog, MetricsRegistry, ObsEvent)
+from repro.obs import events as events_module
 from repro.serve import (AdmissionController, GraphService, IngestReceipt,
                          QueryResult)
 from repro.streaming import UpdateBatch
@@ -67,6 +68,34 @@ def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
     assert status["queries"] == {"served": READS, "shed": 0}
     assert status["cache"]["hits"] + status["cache"]["misses"] == READS
     assert status["cache"]["misses"] == 30
+
+
+def test_reads_build_no_event_until_the_log_is_read(monkeypatch):
+    """A served read stores its ``query_served`` record as a row: no
+    ``ObsEvent`` and no keyword ``emit`` until someone reads the log."""
+    svc = make_service()
+    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
+    built, emitted = [], []
+    new_record = events_module._new_record
+    emit = EventLog.emit
+
+    def counting_new(cls, fields):
+        built.append(cls)
+        return new_record(cls, fields)
+
+    def counting_emit(self, *args, **kwargs):
+        emitted.append(args[0])
+        return emit(self, *args, **kwargs)
+    monkeypatch.setattr(events_module, "_new_record", counting_new)
+    monkeypatch.setattr(EventLog, "emit", counting_emit)
+
+    for i in range(READS):
+        assert svc.query(i % 30, staleness_bound=BOUND).served
+    assert (built, emitted) == ([], [])
+    served = events(svc, QUERY_SERVED)
+    assert len(served) == READS and built == [ObsEvent] * READS
+    assert [e.payload["key"] for e in served] == [
+        repr(i % 30) for i in range(READS)]
 
 
 def test_read_past_its_bound_still_catches_up():

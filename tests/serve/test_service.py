@@ -94,6 +94,21 @@ class TestAdmission:
         with pytest.raises(ProgramError):
             svc.query(0, staleness_bound=-1)
 
+    @pytest.mark.parametrize("limits", [dict(max_catchup=-1),
+                                        dict(max_pending_batches=-1)])
+    def test_negative_limits_rejected(self, limits):
+        """A negative limit would shed every read (even one whose bound
+        is met) or every batch; it is refused when the controller is
+        made."""
+        with pytest.raises(ValueError, match="must be >= 0"):
+            AdmissionController(**limits)
+        # zero is a limit, and no limit is None
+        svc = make_service(admission=AdmissionController(
+            max_pending_batches=1, max_catchup=0))
+        assert svc.query(0, staleness_bound=0).served
+        assert AdmissionController(max_catchup=None).admit_query(9, 0) \
+            is None
+
 
 class TestQueryCache:
     def test_lru_unit(self):
@@ -121,6 +136,32 @@ class TestQueryCache:
         fresh = svc.query(100, staleness_bound=0)
         assert not fresh.cache_hit and fresh.value == 0.5
         assert svc.cache.stats()["invalidations"] == 1
+
+    def test_hit_miss_evict_invalidate_sequence(self):
+        """Counts and LRU order after every step; a cached ``None`` is a
+        hit, an absent key a miss."""
+        cache = QueryCache(capacity=3)
+        steps = [
+            (lambda: cache.get("a"), (False, None), [], (0, 1, 0)),
+            (lambda: cache.put("a", None), None, ["a"], (0, 1, 0)),
+            (lambda: cache.put("b", 2), None, ["a", "b"], (0, 1, 0)),
+            (lambda: cache.get("a"), (True, None), ["b", "a"], (1, 1, 0)),
+            (lambda: cache.put("c", 3), None, ["b", "a", "c"], (1, 1, 0)),
+            (lambda: cache.put("d", 4), None, ["a", "c", "d"], (1, 1, 0)),
+            (lambda: cache.get("b"), (False, None), ["a", "c", "d"],
+             (1, 2, 0)),
+            (lambda: cache.get("c"), (True, 3), ["a", "d", "c"], (2, 2, 0)),
+            (lambda: cache.invalidate(["d", "zzz", "a"]), 2, ["c"],
+             (2, 2, 2)),
+            (lambda: cache.get("a"), (False, None), ["c"], (2, 3, 2)),
+            (lambda: cache.put("c", 5), None, ["c"], (2, 3, 2)),
+            (lambda: cache.get("c"), (True, 5), ["c"], (3, 3, 2)),
+        ]
+        for step, returned, order, counts in steps:
+            assert step() == returned
+            assert list(cache._entries) == order
+            assert (cache.hits, cache.misses, cache.invalidations) == counts
+        assert cache.stats()["hit_rate"] == 0.5
 
     def test_capacity_zero_disables(self):
         cache = QueryCache(capacity=0)
