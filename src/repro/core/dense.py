@@ -1,21 +1,23 @@
 """Array-backed fragment state for the vectorized fast path.
 
-:class:`DenseContext` is a drop-in variant of
-:class:`repro.core.pie.FragmentContext` that stores every status variable
+:class:`DenseContext` is the vectorized variant of
+:class:`repro.core.pie.FragmentContext`: it stores every status variable
 in one numpy array indexed by *local id* (the contiguous ids of the
 fragment's cached :class:`~repro.partition.fragment.FragmentCSR` view) and
 tracks changes with a boolean mask instead of a Python set.
 
-The scalar API (``get``/``set``/``values``/``changed``) is preserved so
-runtimes, checkpoints, and Assemble keep working unchanged; vectorized
-kernels bypass it and operate on :attr:`DenseContext.array` /
-:attr:`DenseContext.mask` directly.
+Dense kernels read and write :attr:`DenseContext.array` /
+:attr:`DenseContext.mask`; the scalar ``get`` / ``set`` / ``values`` /
+``changed`` API is the generic context's alone.  A checkpoint, a seeded
+worker and a multiprocess report move a context's state through
+:meth:`DenseContext.export_state` / :meth:`DenseContext.import_state`,
+so the status array is the only recorded form of a dense context.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -211,94 +213,6 @@ def assemble_owner_values(pg: PartitionedGraph, contexts,
     return out
 
 
-class _DenseValues(Mapping):
-    """Read-mostly mapping view over a :class:`DenseContext` array.
-
-    Behaves like the generic context's ``values`` dict for every consumer
-    in the tree: ``dict(ctx.values)`` and iteration yield Python scalars,
-    ``update`` loads a mapping back into the array, and ``deepcopy``
-    (checkpoints) materialises a plain dict.
-    """
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, ctx: "DenseContext"):
-        self._ctx = ctx
-
-    def __getitem__(self, v: Node) -> Any:
-        lid = self._ctx.view.lid_of.get(v)
-        if lid is None:
-            raise KeyError(v)
-        return self._ctx.array[lid].item()
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self._ctx.view.nodes)
-
-    def __len__(self) -> int:
-        return len(self._ctx.view.nodes)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self._ctx.view.lid_of
-
-    def clear(self) -> None:
-        """No-op: the array keeps its shape; ``update`` overwrites."""
-
-    def update(self, mapping: Mapping[Node, Any]) -> None:
-        self._ctx.load_values(mapping)
-
-    def __deepcopy__(self, memo) -> Dict[Node, Any]:
-        arr = self._ctx.array.tolist()
-        return {v: arr[i] for i, v in enumerate(self._ctx.view.nodes)}
-
-
-class _ChangedView:
-    """Set-like facade over the changed-lid boolean mask (global ids)."""
-
-    __slots__ = ("_ctx",)
-
-    def __init__(self, ctx: "DenseContext"):
-        self._ctx = ctx
-
-    def add(self, v: Node) -> None:
-        self._ctx.mask[self._ctx.view.lid_of[v]] = True
-
-    def update(self, nodes: Iterable[Node]) -> None:
-        for v in nodes:
-            self.add(v)
-
-    def discard(self, v: Node) -> None:
-        lid = self._ctx.view.lid_of.get(v)
-        if lid is not None:
-            self._ctx.mask[lid] = False
-
-    def clear(self) -> None:
-        self._ctx.mask[:] = False
-
-    def __iter__(self) -> Iterator[Node]:
-        gids = self._ctx.view.gids
-        for i in np.nonzero(self._ctx.mask)[0]:
-            yield int(gids[i])
-
-    def __len__(self) -> int:
-        return int(self._ctx.mask.sum())
-
-    def __bool__(self) -> bool:
-        return bool(self._ctx.mask.any())
-
-    def __contains__(self, v: object) -> bool:
-        lid = self._ctx.view.lid_of.get(v)
-        return lid is not None and bool(self._ctx.mask[lid])
-
-    def __eq__(self, other: object) -> bool:
-        try:
-            return set(self) == set(other)  # type: ignore[arg-type]
-        except TypeError:
-            return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"_ChangedView({set(self)!r})"
-
-
 class DenseContext(FragmentContext):
     """Array-backed :class:`FragmentContext` over contiguous local ids.
 
@@ -307,15 +221,14 @@ class DenseContext(FragmentContext):
     - :attr:`view` is the fragment's cached CSR view
       (:meth:`Fragment.compact`).
 
-    ``values`` / ``changed`` stay available as compatible facades so
-    snapshot seeding, checkpoint capture, and generic Assemble code keep
-    working on dense contexts.
+    It keeps the generic context's work accounting and ``scratch``; the
+    scalar ``get`` / ``set`` / ``values`` / ``changed`` are not there (the
+    slots stay unset).  Its recorded state is a copy of :attr:`array`.
     """
 
     __slots__ = ("view", "array", "mask")
 
     def __init__(self, fragment: Fragment, aggregator: Aggregator,
-                 init_values: "Mapping[Node, Any] | None" = None,
                  dtype: str = "float64"):
         self.fragment = fragment
         self.aggregator = aggregator
@@ -326,27 +239,6 @@ class DenseContext(FragmentContext):
         self.view = view
         self.array = np.empty(len(view), dtype=np.dtype(dtype))
         self.mask = np.zeros(len(view), dtype=bool)
-        if init_values is not None:
-            self.load_values(init_values)
-
-    # -- facades over the array/mask -----------------------------------
-    @property
-    def values(self) -> _DenseValues:
-        return _DenseValues(self)
-
-    @values.setter
-    def values(self, mapping: Mapping[Node, Any]) -> None:
-        self.load_values(mapping)
-
-    @property
-    def changed(self) -> _ChangedView:
-        return _ChangedView(self)
-
-    @changed.setter
-    def changed(self, nodes: Iterable[Node]) -> None:
-        self.mask[:] = False
-        for v in nodes:
-            self.mask[self.view.lid_of[v]] = True
 
     def follow_view(self) -> None:
         """The fragment grew in place: one status variable (zero until
@@ -356,27 +248,26 @@ class DenseContext(FragmentContext):
         self.mask = resized(self.mask, size, capacity)
 
     def export_state(self) -> np.ndarray:
-        """Owned copy of the status array, for cheap state shipping.
-
-        A multiprocess worker reporting its final state pickles one
-        contiguous array instead of materialising a ``node -> scalar``
-        dict (which costs a Python-level lookup per node on both ends);
-        :meth:`import_state` loads it back into a context built over the
-        same fragment, whose local-id order is identical by construction.
-        """
+        """Owned copy of the status array: one contiguous array to record
+        or pickle, where a ``node -> scalar`` dict would cost a lookup per
+        node on both ends.  :meth:`import_state` loads it back into a
+        context built over the same fragment, whose local-id order is
+        identical by construction."""
         return self.array.copy()
 
-    def import_state(self, array: np.ndarray) -> None:
-        """Load an :meth:`export_state` array back into this context."""
-        if getattr(array, "shape", None) != self.array.shape:
+    def import_state(self, state: np.ndarray) -> None:
+        """Copy an :meth:`export_state` array back in; clear the mask."""
+        if getattr(state, "shape", None) != self.array.shape:
             raise ProgramError(
-                f"dense state shape {getattr(array, 'shape', None)!r} does "
+                f"dense state shape {getattr(state, 'shape', None)!r} does "
                 f"not match fragment {self.fragment.fid} "
                 f"({self.array.shape})")
-        self.array[:] = array
+        self.array[:] = state
+        self.mask[:] = False
 
     def load_values(self, mapping: Mapping[Node, Any]) -> None:
-        """Bulk-assign status variables from a ``node -> value`` mapping."""
+        """Bulk-assign status variables from a ``node -> value`` mapping
+        (the default :meth:`PIEProgram.dense_seed`)."""
         arr = self.array
         lid_of = self.view.lid_of
         for v, value in mapping.items():
@@ -386,38 +277,3 @@ class DenseContext(FragmentContext):
                     f"node {v!r} has no status variable on fragment "
                     f"{self.fragment.fid}")
             arr[lid] = value
-
-    # -- scalar status variable access (generic-path compatibility) ----
-    def get(self, v: Node) -> Any:
-        lid = self.view.lid_of.get(v)
-        if lid is None:
-            raise ProgramError(
-                f"node {v!r} has no status variable on fragment "
-                f"{self.fragment.fid}")
-        return self.array[lid].item()
-
-    def set(self, v: Node, value: Any) -> bool:
-        lid = self.view.lid_of.get(v)
-        if lid is None:
-            raise ProgramError(
-                f"node {v!r} has no status variable on fragment "
-                f"{self.fragment.fid}")
-        if self.array[lid] == value:
-            return False
-        self.array[lid] = value
-        self.mask[lid] = True
-        return True
-
-    def set_silent(self, v: Node, value: Any) -> None:
-        lid = self.view.lid_of.get(v)
-        if lid is None:
-            raise ProgramError(
-                f"node {v!r} has no status variable on fragment "
-                f"{self.fragment.fid}")
-        self.array[lid] = value
-
-    def take_changed(self):
-        gids = self.view.gids
-        lids = np.nonzero(self.mask)[0]
-        self.mask[:] = False
-        return {int(gids[i]) for i in lids}

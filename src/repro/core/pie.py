@@ -21,6 +21,7 @@ changes so the engine can derive designated messages by diffing.
 from __future__ import annotations
 
 import abc
+import copy
 from typing import (AbstractSet, Any, Dict, FrozenSet, Hashable, Iterable,
                     List, Mapping, Optional, Sequence, Set, Tuple)
 
@@ -108,6 +109,19 @@ class FragmentContext:
     def take_changed(self) -> Set[Node]:
         changed, self.changed = self.changed, set()
         return changed
+
+    # -- recorded state (checkpoints, seeding, final reports) ----------
+    def export_state(self) -> Dict[Node, Any]:
+        """A deep copy of the status variables: what a checkpoint or a
+        worker's final report records, and :meth:`import_state` loads."""
+        return copy.deepcopy(self.values)
+
+    def import_state(self, state: Dict[Node, Any]) -> None:
+        """Load a copy of an :meth:`export_state` state and clear change
+        tracking, so a seeded worker re-derives only what its incoming
+        messages improve."""
+        self.values = copy.deepcopy(state)
+        self.changed = set()
 
 
 class PIEProgram(abc.ABC):

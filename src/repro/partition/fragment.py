@@ -239,8 +239,9 @@ class FragmentCSR:
     spans at most :data:`~repro.graph.csr.LID_TABLE_SPAN` ids per node, by
     ``searchsorted`` when the ids are sparser (so nothing is ever sized
     by an id), and one id (:meth:`lid`) by ``searchsorted``; the
-    ``nodes`` list and the ``lid_of`` dict exist for the scalar facade
-    of :mod:`repro.core.dense` and for non-integer ids, built when first
+    ``nodes`` list and the ``lid_of`` dict exist for node-keyed loads
+    (:meth:`~repro.core.dense.DenseContext.load_values`), a resident
+    service's one-by-one lookups and non-integer ids, built when first
     read (:class:`built_on_read`) and patched by growth from then on.
 
     :attr:`csr` is a :class:`~repro.graph.csr.CompactGraph` over the first

@@ -28,7 +28,7 @@ from repro.partition.fragment import PartitionedGraph
 from repro.runtime.faultplan import FaultPlan, fault_kind
 from repro.runtime.lane import Lane
 from repro.runtime.slab import ShmMessageBatch, SlabArena, to_owned
-from repro.runtime.snapshot import apply_snapshot_values, stamp_messages
+from repro.runtime.snapshot import stamp_messages
 
 #: longest a worker stays blocked before it looks again anyway.  A
 #: safety net, not a latency knob: every wake-up source is a readable
@@ -224,8 +224,8 @@ class _Worker:
             # local carry batch.  The carry never touches the ledger: it
             # was never on the wire this run, and crediting is drain-time,
             # so un-announced local replay is conservation-neutral.
-            apply_snapshot_values(self.context, ft.seed_values,
-                                  ft.seed_scratch)
+            self.context.import_state(ft.seed_values)
+            self.context.scratch = ft.seed_scratch
             self.step.resume()
             # (restamped as 0th-superstep traffic: the checkpointed run's
             # superstep numbers mean nothing to this one)
@@ -308,7 +308,7 @@ class _Worker:
     def _report(self) -> None:
         pool = self.pool
         self.control.send(("done", self.wid, _WorkerReport(
-            metrics=self.step.metrics(), values=self._fragment_values(),
+            metrics=self.step.metrics(), values=self.context.export_state(),
             scratch=dict(self.context.scratch), events=self.events,
             shm_batches=pool.sent_batches if pool is not None else 0,
             shm_bytes=pool.sent_bytes if pool is not None else 0,
@@ -343,7 +343,7 @@ class _Worker:
         pre = [m for m in self.step.state.buffer.peek() + self.carry
                if getattr(m, "token", None) != token]
         self.control.put((
-            "ckpt_state", self.wid, token, self._fragment_values(),
+            "ckpt_state", self.wid, token, self.context.export_state(),
             dict(self.context.scratch), pre,
             self.ft.sent_base + self.entries_out,
             self.ft.recv_base + self.recv_total
@@ -571,14 +571,6 @@ class _Worker:
         # a readable pipe must turn into a command or a message on the
         # next pass; a timer or a flushed backlog owes nothing
         self.unanswered = bool(ready)
-
-    def _fragment_values(self):
-        # dense contexts ship their state as one contiguous array:
-        # pickling a node -> scalar dict costs a Python-level lookup per
-        # node on both ends, which dominated the run tail at bench sizes
-        return (("__dense__", self.context.export_state())
-                if hasattr(self.context, "export_state")
-                else dict(self.context.values))
 
     # -- fault seams (never reached when ft is None) -----------------
     def _beat(self) -> None:

@@ -115,10 +115,12 @@ from repro.runtime.metrics import RunMetrics
 from repro.runtime.mp_master import _Master, _reap
 from repro.runtime.mp_worker import _FTConfig, _WorkerReport, _worker_main
 from repro.runtime.slab import SlabArena
-from repro.runtime.snapshot import GlobalSnapshot, apply_snapshot_values
+from repro.runtime.snapshot import GlobalSnapshot
 
 _MODES = ("AP", "BSP", "SSP", "AAP", "Hsync")
 _TRANSPORTS = ("shm", "queue")
+#: bytes of one slab ring
+SLAB_BYTES = 1 << 20
 
 
 class MultiprocessRuntime:
@@ -143,9 +145,7 @@ class MultiprocessRuntime:
                  snapshot: Optional[GlobalSnapshot] = None,
                  vectorized: bool = False,
                  staleness_bound: Optional[int] = None,
-                 hsync_policy: Optional[HsyncPolicy] = None,
                  transport: Optional[str] = None,
-                 slab_bytes: int = 1 << 20,
                  respawn_budget: int = 0):
         if mode not in _MODES:
             raise RuntimeConfigError(
@@ -160,14 +160,12 @@ class MultiprocessRuntime:
         #: last run actually got (shm falls back to queue where
         #: shared memory is unavailable)
         self.transport = transport
-        self.slab_bytes = slab_bytes
         self.transport_used: Optional[str] = None
         #: SSP bound c (same default as make_policy) and the master-side
         #: Hsync switching heuristic; both inert for the other modes
         self.staleness_bound = 1 if staleness_bound is None \
             else staleness_bound
-        self.hsync = (hsync_policy if hsync_policy is not None
-                      else HsyncPolicy()) if mode == "Hsync" else None
+        self.hsync = HsyncPolicy() if mode == "Hsync" else None
         self.program = program
         self.pg = pg
         self.query = query
@@ -264,7 +262,7 @@ class MultiprocessRuntime:
         arena = None
         if self.transport == "shm" and m > 1:
             try:
-                arena = SlabArena(m, self.slab_bytes)
+                arena = SlabArena(m, SLAB_BYTES)
             except Exception:  # pragma: no cover - platform-dependent
                 arena = None
         self.transport_used = "shm" if arena is not None else "queue"
@@ -340,8 +338,8 @@ class MultiprocessRuntime:
         engine = Engine(self.program, self.pg, self.query,
                         vectorized=self.vectorized)
         for wid, report in reports.items():
-            apply_snapshot_values(engine.contexts[wid], report.values,
-                                  report.scratch)
+            engine.contexts[wid].import_state(report.values)
+            engine.contexts[wid].scratch = report.scratch
         answer = engine.assemble()
         workers = [rep.metrics for _, rep in sorted(reports.items())]
         extras: Dict[str, Any] = {"transport": {

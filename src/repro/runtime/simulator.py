@@ -38,6 +38,9 @@ from repro.runtime.events import (Custom, Deliver, EventQueue, RoundEnd,
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.trace import TraceRecorder
 
+#: a worker running more rounds than this is taken for non-terminating
+MAX_ROUNDS_PER_WORKER = 1_000_000
+
 
 class SimulatedRuntime:
     """Run one PIE program to fixpoint under one delay policy."""
@@ -46,7 +49,6 @@ class SimulatedRuntime:
                  cost_model: Optional[CostModel] = None,
                  hosts: Optional[Sequence[int]] = None,
                  record_trace: bool = True,
-                 max_rounds_per_worker: int = 1_000_000,
                  max_events: int = 10_000_000,
                  snapshot_coordinator: Optional[Any] = None,
                  observer: Optional[Any] = None,
@@ -83,7 +85,6 @@ class SimulatedRuntime:
         for w in self.workers:
             w.host = host_of[w.wid]
         self.trace = TraceRecorder(enabled=record_trace)
-        self.max_rounds_per_worker = max_rounds_per_worker
         self.max_events = max_events
         self.snapshot_coordinator = snapshot_coordinator
         # per worker, the running round's (output, costed duration); its
@@ -135,9 +136,8 @@ class SimulatedRuntime:
         import copy
         for wid, ctx in enumerate(self.engine.contexts):
             state = snapshot.fragment_state(wid)
-            ctx.values = copy.deepcopy(state.values)
+            ctx.import_state(state.values)
             ctx.scratch = copy.deepcopy(state.scratch)
-            ctx.changed = set()
             self.steps[wid].resume(snapshot.buffered_messages(wid))
         self._seeded = True
         self._reevaluate_all()
@@ -221,9 +221,9 @@ class SimulatedRuntime:
         step, w = self.steps[wid], self.workers[wid]
         out, duration = self._running[wid]
         step.finish(out, duration)
-        if w.rounds > self.max_rounds_per_worker:
+        if w.rounds > MAX_ROUNDS_PER_WORKER:
             raise TerminationError(
-                f"worker {wid} exceeded {self.max_rounds_per_worker} rounds")
+                f"worker {wid} exceeded {MAX_ROUNDS_PER_WORKER} rounds")
         self.trace.record(wid, step.started, self.now, step.kind,
                           w.rounds - 1)
         # release the physical host

@@ -27,7 +27,7 @@ import copy
 import dataclasses
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.messages import Message
 from repro.errors import SnapshotError
@@ -36,10 +36,17 @@ from repro.runtime.events import Custom
 
 @dataclass
 class WorkerSnapshot:
-    """Frozen state of one worker: status variables + program scratch."""
+    """Frozen state of one worker: status variables + program scratch.
+
+    ``values`` is what the worker's context exported
+    (:meth:`~repro.core.pie.FragmentContext.export_state`): a
+    ``node -> value`` dict for a generic context, a copy of the status
+    array for a dense one.  Only a context of the same kind over the same
+    fragment loads it back (``import_state``).
+    """
 
     wid: int
-    values: Dict[Hashable, Any]
+    values: Any
     scratch: Dict[str, Any]
 
 
@@ -78,44 +85,6 @@ class GlobalSnapshot:
     @property
     def num_channel_messages(self) -> int:
         return sum(len(v) for v in self.channel_messages.values())
-
-
-def apply_snapshot_values(ctx, values: Any, scratch: Optional[Dict] = None
-                          ) -> None:
-    """Load recorded worker state into a (generic or dense) context.
-
-    Recorded values come in two shapes: a plain ``node -> value`` dict, or
-    the dense marker ``("__dense__", array)`` that
-    :meth:`~repro.core.dense.DenseContext.export_state` produces — the
-    fast path for vectorized checkpoints (one contiguous array instead of
-    a per-node dict).  Either shape loads into either context kind; the
-    change-tracking state is cleared so a seeded worker re-derives only
-    what its incoming messages actually improve.
-    """
-    dense_marked = (isinstance(values, tuple) and len(values) == 2
-                    and values[0] == "__dense__")
-    if dense_marked and hasattr(ctx, "import_state"):
-        ctx.import_state(values[1])
-    elif dense_marked:
-        # dense-recorded state into a generic context: expand the array
-        # through the fragment's compact view (dense contexts only exist
-        # for int-node graphs, so the gid mapping is total)
-        view = ctx.fragment.compact()
-        arr = values[1]
-        ctx.values.clear()
-        ctx.values.update(
-            {int(g): arr[lid] for lid, g in enumerate(view.gids)})
-    elif hasattr(ctx, "load_values"):
-        # plain dict into a dense context; checkpoints record every node
-        # of the fragment, so the bulk assignment is total
-        ctx.load_values(values)
-    else:
-        ctx.values.clear()
-        ctx.values.update(values)
-    if scratch is not None:
-        ctx.scratch.clear()
-        ctx.scratch.update(scratch)
-    ctx.changed = set()
 
 
 def stamp_messages(messages: Iterable[Message], token: Any) -> List[Message]:
@@ -213,10 +182,10 @@ class ChandyLamportCoordinator:
         worker's buffer lock held, so the recorded state and the recorded
         channel messages form one consistent cut.
         """
-        self.record_state(wid, copy.deepcopy(context.values),
+        self.record_state(wid, context.export_state(),
                           copy.deepcopy(context.scratch), buffered)
 
-    def record_state(self, wid: int, values: Dict, scratch: Dict,
+    def record_state(self, wid: int, values: Any, scratch: Dict,
                      buffered: Iterable[Message] = ()) -> None:
         """Record an already-extracted worker state (multiprocess master)."""
         with self._lock:
@@ -238,7 +207,7 @@ class ChandyLamportCoordinator:
         # messages already buffered at snapshot time are channel state;
         # peek() inspects them without consuming (and without reaching
         # into the buffer's private storage)
-        self.record_state(wid, copy.deepcopy(ctx.values),
+        self.record_state(wid, ctx.export_state(),
                           copy.deepcopy(ctx.scratch),
                           runtime.workers[wid].buffer.peek())
         # so are messages produced by the currently running round but not

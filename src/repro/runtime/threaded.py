@@ -46,8 +46,11 @@ from repro.obs import events as obs_events
 from repro.runtime.detection import FailureDetector, FailureEvent
 from repro.runtime.faultplan import FaultPlan, InjectedCrash, fault_kind
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.snapshot import (GlobalSnapshot, LiveCheckpointer,
-                                    apply_snapshot_values)
+from repro.runtime.snapshot import GlobalSnapshot, LiveCheckpointer
+
+#: cap, in seconds, on any single wall-clock wait, so a policy returning
+#: large finite delays cannot stall a run
+MAX_WAIT = 0.05
 
 
 class ThreadedRuntime:
@@ -57,9 +60,6 @@ class ThreadedRuntime:
     ----------
     time_scale:
         Multiplier applied to finite delay stretches (seconds); keep small.
-    max_wait:
-        Cap on any single wall-clock wait, so a policy returning large finite
-        delays cannot stall tests.
     timeout:
         Overall run timeout (seconds).
     observer:
@@ -85,8 +85,8 @@ class ThreadedRuntime:
     """
 
     def __init__(self, engine: Engine, policy: DelayPolicy,
-                 time_scale: float = 0.001, max_wait: float = 0.05,
-                 timeout: float = 120.0, observer: Optional[Any] = None,
+                 time_scale: float = 0.001, timeout: float = 120.0,
+                 observer: Optional[Any] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  checkpoint_interval: Optional[float] = None,
                  heartbeat_interval: float = 0.02,
@@ -96,7 +96,6 @@ class ThreadedRuntime:
         self.engine = engine
         self.policy = policy
         self.time_scale = time_scale
-        self.max_wait = max_wait
         self.timeout = timeout
         self.obs = observer
         m = engine.num_workers
@@ -119,7 +118,7 @@ class ThreadedRuntime:
                        emit=observer.record if observer is not None else None,
                        stretch=None if self._injector is None else
                        functools.partial(self._injector.stall, wid,
-                                         cap=max_wait),
+                                         cap=MAX_WAIT),
                        guard=self._locks[wid])
             for wid in range(m)]
         self.workers = [s.state for s in self.steps]
@@ -174,8 +173,8 @@ class ThreadedRuntime:
                 f"engine has {self.engine.num_workers}")
         for wid, ctx in enumerate(self.engine.contexts):
             state = snapshot.worker_states[wid]
-            apply_snapshot_values(ctx, copy.deepcopy(state.values),
-                                  copy.deepcopy(state.scratch))
+            ctx.import_state(state.values)
+            ctx.scratch = copy.deepcopy(state.scratch)
         self._seeded = snapshot
 
     # ------------------------------------------------------------------
@@ -405,8 +404,8 @@ class ThreadedRuntime:
                     continue
                 ds, action = step.decide(self._fleet())
                 if action != "start":
-                    wait = (min(ds * self.time_scale, self.max_wait)
-                            if action == "wake_scheduled" else self.max_wait)
+                    wait = (min(ds * self.time_scale, MAX_WAIT)
+                            if action == "wake_scheduled" else MAX_WAIT)
                     step.mark(WorkerStatus.WAITING)
                     self._events[wid].wait(timeout=wait)
                     self._events[wid].clear()

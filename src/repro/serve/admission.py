@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import RuntimeConfigError
+
 
 @dataclass
 class AdmissionController:
@@ -35,7 +37,8 @@ class AdmissionController:
     def __post_init__(self):
         # a negative limit sheds everything, a read whose bound is met too
         if min(self.max_pending_batches, self.max_catchup or 0) < 0:
-            raise ValueError(f"admission limits must be >= 0, got {self}")
+            raise RuntimeConfigError(
+                f"admission limits must be >= 0, got {self}")
 
     def admit_batch(self, depth: int) -> Optional[str]:
         """``None`` to accept a batch at queue depth ``depth``, else the

@@ -23,6 +23,9 @@ from repro.streaming.updates import UpdateBatch
 
 Node = Hashable
 
+#: the share of generated edges that bring a brand-new node
+GROW_FRACTION = 0.5
+
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile over an already-sorted sequence."""
@@ -53,8 +56,7 @@ class LoadGenerator:
     def __init__(self, service: GraphService, seed: int = 0,
                  num_queries: int = 1000, num_batches: int = 20,
                  batch_size: int = 8, skew: float = 2.0,
-                 staleness_bounds: Sequence[int] = (0, 1, 2, 4),
-                 grow_fraction: float = 0.5):
+                 staleness_bounds: Sequence[int] = (0, 1, 2, 4)):
         if num_queries < 1 or num_batches < 1:
             raise ReproError("loadgen needs at least one query and one batch")
         self.service = service
@@ -65,7 +67,6 @@ class LoadGenerator:
         self.batch_size = batch_size
         self.skew = skew
         self.staleness_bounds = tuple(staleness_bounds)
-        self.grow_fraction = grow_fraction
         # node ids the generator knows about (grows as it invents nodes);
         # sorted by repr for cross-run determinism regardless of set order
         self.nodes: List[Node] = sorted(service.graph.nodes, key=repr)
@@ -93,7 +94,7 @@ class LoadGenerator:
     def _fresh_edge(self) -> Optional[Any]:
         """One edge not in the graph and not already generated."""
         for _ in range(64):
-            if self.rng.random() < self.grow_fraction:
+            if self.rng.random() < GROW_FRACTION:
                 u = self._pick_key()
                 v = self._next_id
                 self._next_id += 1

@@ -95,6 +95,16 @@ class TestCommands:
         code = cli.main(["run", "--graph", "bogus:1"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_negative_admission_limit_is_a_clean_error(self, capsys,
+                                                      command):
+        code = cli.main([command, "-a", "sssp", "--graph", "grid:4x4",
+                         "--source", "0", "--max-pending", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: admission limits must be >= 0")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_trace_writes_chrome_trace(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "events.jsonl"

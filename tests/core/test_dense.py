@@ -1,6 +1,5 @@
 """Tests for the dense (vectorized) fragment state and packed messages."""
 
-import copy
 import math
 
 import numpy as np
@@ -38,7 +37,9 @@ class TestSupportsDense:
     def test_mapping_reads_use_fragment(self, pg):
         frag = pg.fragments[0]
         ctx = SSSPProgram().make_dense_context(frag, SSSPQuery(source=0))
-        assert set(ctx.values) == set(frag.graph.nodes)
+        by_node = dict(zip(ctx.view.gids.tolist(), ctx.array.tolist()))
+        assert set(by_node) == set(frag.graph.nodes)
+        assert len(ctx.array) == len(by_node)
 
     def test_cf_not_dense_capable(self, pg):
         assert not supports_dense(CFProgram(), pg)
@@ -77,100 +78,78 @@ class TestSupportsDense:
         assert r_gen.answer == r_vec.answer
 
 
-class TestDenseValuesFacade:
-    def test_mapping_reads(self, dense_ctx, pg):
-        vals = dense_ctx.values
-        nodes = set(pg.fragments[0].graph.nodes)
-        assert set(vals) == nodes
-        assert len(vals) == len(nodes)
-        for v in nodes:
-            assert isinstance(vals[v], float)
-
-    def test_getitem_unknown_raises_keyerror(self, dense_ctx):
-        with pytest.raises(KeyError):
-            dense_ctx.values["ghost"]
-
-    def test_update_loads_into_array(self, dense_ctx):
-        some = next(iter(dense_ctx.values))
-        dense_ctx.values.update({some: 7.5})
-        assert dense_ctx.get(some) == 7.5
-
-    def test_deepcopy_is_plain_dict(self, dense_ctx):
-        snap = copy.deepcopy(dense_ctx.values)
-        assert isinstance(snap, dict)
-        assert snap == dict(dense_ctx.values)
-        # a snapshot must not alias the live array
-        some = next(iter(snap))
-        dense_ctx.set(some, -123.0)
-        assert snap[some] != -123.0
-
-    def test_values_setter_replaces_state(self, dense_ctx):
-        replacement = {v: 1.0 for v in dense_ctx.values}
-        dense_ctx.values = replacement
-        assert all(x == 1.0 for x in dense_ctx.values.values())
-
-
-class TestChangedFacade:
-    def test_set_marks_changed(self, dense_ctx):
-        some = next(iter(dense_ctx.values))
-        assert dense_ctx.set(some, 3.25)
-        assert some in dense_ctx.changed
-        assert not dense_ctx.set(some, 3.25)  # unchanged value
-
-    def test_take_changed_clears_mask(self, dense_ctx):
-        some = next(iter(dense_ctx.values))
-        dense_ctx.set(some, 2.0)
-        taken = dense_ctx.take_changed()
-        assert taken == {some}
-        assert len(dense_ctx.changed) == 0
-        assert not dense_ctx.changed
-
-    def test_add_discard_iter(self, dense_ctx):
-        a, b = list(dense_ctx.values)[:2]
-        dense_ctx.changed.add(a)
-        dense_ctx.changed.add(b)
-        assert set(dense_ctx.changed) == {a, b}
-        dense_ctx.changed.discard(a)
-        assert set(dense_ctx.changed) == {b}
-        dense_ctx.changed.clear()
-        assert set(dense_ctx.changed) == set()
-
-    def test_changed_setter(self, dense_ctx):
-        a = next(iter(dense_ctx.values))
-        dense_ctx.changed = [a]
-        assert set(dense_ctx.changed) == {a}
-
-    def test_eq_against_set(self, dense_ctx):
-        a = next(iter(dense_ctx.values))
-        dense_ctx.changed.add(a)
-        assert dense_ctx.changed == {a}
-
-
 class TestDenseScalarAccess:
-    def test_get_set_silent(self, dense_ctx):
-        some = next(iter(dense_ctx.values))
-        dense_ctx.set_silent(some, 9.0)
-        assert dense_ctx.get(some) == 9.0
-        assert some not in dense_ctx.changed  # silent: no mask bit
+    def test_scalar_access_is_generic_only(self, dense_ctx):
+        """A dense context has no ``values`` / ``changed``: node-keyed
+        reads and writes are the generic context's alone."""
+        v = int(dense_ctx.view.gids[0])
+        for op in (lambda: dense_ctx.get(v),
+                   lambda: dense_ctx.set(v, 1.0),
+                   lambda: dense_ctx.set_silent(v, 1.0),
+                   lambda: dense_ctx.update(v, 1.0),
+                   lambda: dense_ctx.take_changed(),
+                   lambda: dense_ctx.values,
+                   lambda: dense_ctx.changed):
+            with pytest.raises(AttributeError):
+                op()
 
     def test_unknown_node_raises(self, dense_ctx):
-        for op in (lambda: dense_ctx.get("ghost"),
-                   lambda: dense_ctx.set("ghost", 1.0),
-                   lambda: dense_ctx.set_silent("ghost", 1.0)):
-            with pytest.raises(ProgramError):
-                op()
+        with pytest.raises(ProgramError, match="no status variable"):
+            dense_ctx.load_values({"ghost": 1.0})
 
     def test_init_values_seeded(self, pg):
         frag = next(f for f in pg.fragments if f.graph.has_node(0))
         ctx = SSSPProgram().make_dense_context(frag, SSSPQuery(source=0))
-        assert ctx.get(0) == 0.0
-        others = [v for v in frag.graph.nodes if v != 0]
-        assert all(ctx.get(v) == math.inf for v in others)
+        dist = dict(zip(ctx.view.gids.tolist(), ctx.array.tolist()))
+        assert dist.pop(0) == 0.0
+        assert all(d == math.inf for d in dist.values())
 
     def test_is_fragment_context_subclass(self, dense_ctx):
         from repro.core.pie import FragmentContext
         assert isinstance(dense_ctx, FragmentContext)
         assert isinstance(dense_ctx, DenseContext)
+
+
+class TestRecordedState:
+    """``export_state`` / ``import_state``: the one way a context's state
+    is recorded and restored, for either kind."""
+
+    def test_dense_state_is_an_owned_copy_of_the_array(self, dense_ctx):
+        state = dense_ctx.export_state()
+        assert isinstance(state, np.ndarray)
+        assert np.array_equal(state, dense_ctx.array)
+        dense_ctx.array[0] = -123.0
+        assert state[0] != -123.0
+
+    def test_dense_import_copies_and_clears_the_mask(self, dense_ctx):
+        state = np.arange(len(dense_ctx.array), dtype=float)
+        dense_ctx.mask[:] = True
+        dense_ctx.import_state(state)
+        assert np.array_equal(dense_ctx.array, state)
+        assert not dense_ctx.mask.any()
+        state[0] = -1.0  # loaded, not aliased
+        assert dense_ctx.array[0] == 0.0
+
+    def test_dense_import_refuses_another_shape(self, dense_ctx, pg):
+        with pytest.raises(ProgramError, match="does not match"):
+            dense_ctx.import_state(np.zeros(len(dense_ctx.array) + 1))
+        generic = SSSPProgram().make_context(pg.fragments[0],
+                                             SSSPQuery(source=0))
+        with pytest.raises(ProgramError, match="does not match"):
+            dense_ctx.import_state(generic.export_state())
+
+    def test_generic_round_trip_copies_deeply(self, pg):
+        ctx = SSSPProgram().make_context(pg.fragments[0],
+                                         SSSPQuery(source=0))
+        u, v = list(ctx.values)[:2]
+        ctx.set_silent(u, [1.0])  # a mutable status variable
+        state = ctx.export_state()
+        assert state == ctx.values and state[u] is not ctx.values[u]
+        ctx.set(v, -1.0)
+        assert ctx.changed == {v} and state[v] != -1.0
+        ctx.import_state(state)
+        assert ctx.values == state and ctx.changed == set()
+        assert ctx.values[u] is not state[u]
 
 
 class TestMessageBatch:
@@ -335,5 +314,5 @@ class TestLidLookup:
                                                SSSPQuery(source=0))
         assert ctx.array.min() == 0.0 or 0 not in ctx.view.gids
         assert not ctx.view.built
-        assert ctx.get(int(ctx.view.gids[0])) is not None  # the facade
+        assert ctx.view.lid_of[int(ctx.view.gids[0])] == 0  # a node lookup
         assert ctx.view.built

@@ -59,9 +59,10 @@ class TestGrids:
     def test_cell_counts(self):
         assert len(GRIDS["differential"]()) == 90
         chaos = GRIDS["chaos"]()
-        assert len(chaos) == 12
+        assert len(chaos) == 24
         assert {(c.rung, c.respawn_budget) for c in chaos} == {(1, 1)}
-        assert len({c.label for c in chaos}) == 12
+        assert len({c.label for c in chaos}) == 24
+        assert sum(c.vectorized for c in chaos) == 12
 
 
 class TestLiveArtifact:

@@ -4,7 +4,7 @@ staleness accounting and observability."""
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
-from repro.errors import ProgramError, ReproError
+from repro.errors import ProgramError, ReproError, RuntimeConfigError
 from repro.graph import analysis, generators
 from repro.obs import ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED
 from repro.serve import (AdmissionController, GraphService, QueryCache,
@@ -100,7 +100,7 @@ class TestAdmission:
         """A negative limit would shed every read (even one whose bound
         is met) or every batch; it is refused when the controller is
         made."""
-        with pytest.raises(ValueError, match="must be >= 0"):
+        with pytest.raises(RuntimeConfigError, match="must be >= 0"):
             AdmissionController(**limits)
         # zero is a limit, and no limit is None
         svc = make_service(admission=AdmissionController(
