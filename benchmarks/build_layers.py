@@ -29,7 +29,7 @@ with the generic engine the service builds:
 - ``contexts``      the rest of ``Engine(...)``
 
 Below the layers, a ``serve`` row: the whole cold build of the resident
-service (``GraphService(...)``: graph copy, owner map, partition, engine,
+service (``GraphService(...)``: input arrays, owner map, partition, engine,
 the one PEval run, Assemble — ``setup_s`` of the serve workload), on the
 dense engine it runs by default and on the generic one.
 
@@ -52,10 +52,11 @@ its edge-key dict, not one generated edge at a time), or if a vectorized
 cold build made what only a first read should: a dict-graph node order,
 the partition's owner dict or a directed CSR's in-rows (``dict orders
 built``, ``owner dicts built``, ``in-rows built`` must read 0 there),
-or if a vectorized build — the dense service's included — made the
-input graph build its dicts (the generators hand over arrays, and the
-graph builds its dicts on the first read that needs them: ``input dicts
-built`` must read 0 there), or if the edge pass of a generated graph
+or if a vectorized build — the dense service's and its first ingest
+included — made the input graph, or any graph but a fragment's, build
+its dicts (the generators hand over arrays, and the graph builds its
+dicts on the first read that needs them: ``input dicts built`` must read
+0 there), or if the edge pass of a generated graph
 (which hands its arrays over, with no pass and no id census) took 1 ms.
 This is the table docs/performance.md (ledger entry 6) quotes, not part
 of ``benchmarks/e2e``::
@@ -195,12 +196,22 @@ class GenericSSSP(SSSPProgram):
     dense_capable = False
 
 
-def serve_build(graph, vectorized: bool) -> dict:
+def serve_build(graph, vectorized: bool, seed: int) -> dict:
     """One cold build of the resident service: milliseconds, and what it
-    left built of the partition."""
+    and its first ingest (untimed) left built of the partition, plus how
+    many graphs other than its fragments' had their dicts built (the
+    service checks edge novelty against its partition: none)."""
     program = SSSPProgram() if vectorized else GenericSSSP()
+    batch = wl.ServeScript(graph, seed).batch()
     tracer = Tracer("serve")
     tracer.wrap(Graph, "edges", "edges() reads")
+    made = []  # the graphs whose dicts were built
+    build_dicts = graph_module._dict_containers
+
+    def recording(g):
+        made.append(g)
+        return build_dicts(g)
+    graph_module._dict_containers = recording
     gc.collect()
     gc.disable()
     try:
@@ -209,9 +220,11 @@ def serve_build(graph, vectorized: bool) -> dict:
                            num_fragments=wl.FRAGMENTS, mode="AAP",
                            runtime="threaded")
         wall = time.perf_counter() - t0
+        svc.ingest(batch)
     finally:
         gc.enable()
         tracer.unwrap_all()
+        graph_module._dict_containers = build_dicts
     assert svc.engine.vectorized == vectorized
     built = [kind for kind, there in (
         ("node sets + routing", any(frag.built for frag in svc.pg)),
@@ -219,7 +232,11 @@ def serve_build(graph, vectorized: bool) -> dict:
     return {"ms": {"serve": wall * 1e3}, "built": built,
             "materialised": sum(frag.materialised for frag in svc.pg),
             "edge_reads": len(tracer.durations("edges() reads")),
-            "input_dicts": max(input_dicts(graph), input_dicts(svc.graph))}
+            # a generic engine reads its fragments' dict graphs; any
+            # other graph's dicts are the service's own
+            "input_dicts": max(input_dicts(graph), sum(
+                all(g is not vars(frag).get("graph") for frag in svc.pg)
+                for g in made))}
 
 
 def quartiles(runs, layer: str) -> dict:
@@ -249,7 +266,8 @@ def measure(spec: wl.Spec, quick: bool, seed: int, builds: int) -> dict:
         read_made = {kind: max(run["read_made"][kind] for run in runs)
                      for kind in READ_MADE}
         if spec.kind == "serve":
-            served = [serve_build(graph, vectorized) for _ in range(builds)]
+            served = [serve_build(graph, vectorized, seed)
+                      for _ in range(builds)]
             rows["serve"] = quartiles(served, "serve")
             built = sorted({*built, *served[-1]["built"]})
             materialised = max(materialised, served[-1]["materialised"])

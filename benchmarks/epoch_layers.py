@@ -15,26 +15,31 @@ algorithm's) more than doubles from the small size to the large one, or
 when a drained service differs from a recompute.  Epochs that merged a
 fragment's appended edges into its CSR (the one O(fragment) step left,
 amortised) are counted and left out of the medians; ``first epoch`` is
-the one right after construction.  The last rows are the read blocks
-that follow: cost per read seen by the caller, the latency the service
-reports for the same reads, and the gap between them (the result and
-event records built after the answer is known); then the ``ObsEvent`` s
-and keyword ``emit`` calls one more block of reads made, counted by
-patching, and the script exits 1 unless both are 0 (a read stores its
-record as a row, built into an event only when the log is read).
-These are the tables
-docs/performance.md (ledger entries 4, 5 and 10) quote, not part of
-``benchmarks/e2e``::
+the one right after construction.  Before it, per engine, the first
+ingest: its milliseconds, and what of its allocations a second, fresh
+service still holds after it (``tracemalloc``, so the timed ingest does
+not carry the tracer's cost) — a service that copied the graph into
+dicts for its novelty check would build them here.  The last rows are
+the read blocks that follow: cost per read seen by the caller, the
+latency the service reports for the same reads, and the gap between them
+(the result and event records built after the answer is known); then the
+``ObsEvent`` s and keyword ``emit`` calls one more block of reads made,
+counted by patching, and the script exits 1 unless both are 0 (a read
+stores its record as a row, built into an event only when the log is
+read).  These are the tables docs/performance.md (ledger entries 4, 5,
+10 and 20) quote, not part of ``benchmarks/e2e``::
 
     PYTHONPATH=src python benchmarks/epoch_layers.py [--sizes 2000 20000]
 """
 
 import argparse
+import gc
 import json
 import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -55,8 +60,8 @@ from repro.serve.loadgen import verify_against_recompute  # noqa: E402
 from repro.serve.service import GraphService  # noqa: E402
 
 #: table rows, in the order an epoch runs them; "other" is what is left of
-#: the total: the global graph's own insertions, the snapshot patch, the
-#: cache invalidation and the epoch's obs event
+#: the total: the insertion log, the snapshot patch, the cache
+#: invalidation and the epoch's obs event
 LAYERS = ("grow", "contexts", "routes", "integrate", "run", "answer_delta")
 #: read blocks timed after the epochs; the table shows the median block
 READ_BLOCKS = 5
@@ -103,11 +108,17 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
     svc = build_service(graph, engine)
     assert svc.status()["engine"] == engine
     script = wl.ServeScript(graph, seed)
+    first = script.batch()
+    gc.collect()  # what the earlier columns left is not this one's cost
+    t0 = time.perf_counter()
+    svc.ingest(first)
+    first_ingest = time.perf_counter() - t0
     tracer = Tracer(f"powerlaw-{nodes}")
     install(tracer, svc)
     try:
-        for _ in range(epochs):
-            svc.ingest(script.batch())
+        for epoch in range(epochs):
+            if epoch:
+                svc.ingest(script.batch())
             svc.pump(1)
     finally:
         tracer.unwrap_all()
@@ -126,6 +137,9 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
     steady = [i for i in range(epochs) if i not in merged]
     column = {name: statistics.median(walls[i] for i in steady) * 1e3
               for name, walls in per_epoch.items()}
+    column["first_ingest"] = first_ingest * 1e3
+    column["first_ingest_kb"] = retained_by_first_ingest(
+        graph, engine, first) / 1024
     column["other"] = statistics.median(
         totals[i] - sum(per_epoch[name][i] for name in LAYERS)
         for i in steady) * 1e3
@@ -156,6 +170,23 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
     return column
 
 
+def retained_by_first_ingest(graph, engine: str, batch) -> int:
+    """Bytes of what one ingest of ``batch`` into a fresh service
+    allocated that are still allocated after it (``tracemalloc`` counts
+    numpy's buffers too)."""
+    svc = build_service(graph, engine)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        svc.ingest(batch)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept
+
+
 def count_read_records(svc, script, reads: int) -> tuple:
     """``ObsEvent`` s built and keyword ``emit`` calls made by one more,
     untimed block of reads within their bound: a read stores its
@@ -184,6 +215,11 @@ def table(columns: dict) -> str:
     sizes = list(columns)
     lines = ["| layer | " + " | ".join(sizes) + " |",
              "|---|" + "---:|" * len(sizes)]
+    for label, row, digits in (("first ingest (ms)", "first_ingest", 3),
+                               ("first ingest retained (KB)",
+                                "first_ingest_kb", 1)):
+        lines.append(f"| {label} | " + " | ".join(
+            f"{columns[size][row]:.{digits}f}" for size in sizes) + " |")
     for row in (*LAYERS, "other", "total", "first_epoch", "worst_epoch"):
         lines.append(f"| {row.replace('_', ' ')} (ms) | " + " | ".join(
             f"{columns[size][row]:.3f}" for size in sizes) + " |")

@@ -347,7 +347,7 @@ def cmd_serve(args) -> int:
         else:
             shed += 1
         service.pump(1)
-        ev = service.obs.log[-1]  # the ingest above emitted
+        ev = service.obs.log[-1]  # the pump's EPOCH_APPLY, when it applied one
         if ev.type == EPOCH_APPLY:
             print(f"epoch {ev.payload['epoch']:>4}  "
                   f"edges {ev.payload['edges']:>4}  "
@@ -357,16 +357,17 @@ def cmd_serve(args) -> int:
     service.flush()
     matches = verify_against_recompute(service)
     epoch_hist = service.obs.metrics.histogram("serve_epoch_duration")
+    status = service.status()
     print(json.dumps({
         "graph": args.graph, "algorithm": args.algorithm,
         "mode": args.mode, "runtime": args.runtime,
         "fragments": args.fragments,
         "batches_accepted": accepted, "batches_shed": shed,
         "epochs": service.epoch,
-        "nodes": service.graph.num_nodes,
-        "edges": service.graph.num_edges,
+        "nodes": status["nodes"], "edges": status["edges"],
         "epoch_ms_mean": round(epoch_hist.mean * 1000, 3),
         "matches_recompute": matches,
+        "status": status,
     }, indent=2))
     return 0 if matches else 1
 

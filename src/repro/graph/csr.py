@@ -25,6 +25,9 @@ from repro.errors import GraphError
 from repro.graph.graph import Graph
 
 Edge = Tuple[int, int, float]
+#: a CSR row up to this long is scanned as a Python list
+#: (:meth:`CompactGraph.has_edge`); a numpy ``in`` costs more below it
+_SHORT_ROW = 16
 _EDGE_RECORD = np.dtype([("u", object), ("v", object), ("w", object)])
 
 
@@ -433,10 +436,18 @@ class CompactGraph:
         return len(self.in_arrays(v)[0])
 
     def has_edge(self, u, v) -> bool:
+        """A scan of ``u``'s row — undirected, of the shorter of the two
+        rows, which both hold the edge."""
         if not (self.has_node(u) and self.has_node(v)):
             return False
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        return bool(np.any(self._indices[lo:hi] == v))
+        at = self._indptr.item
+        lo, hi = at(u), at(u + 1)
+        if not self.directed and hi - lo > _SHORT_ROW \
+                and at(v + 1) - at(v) < hi - lo:
+            lo, hi, v = at(v), at(v + 1), u
+        row = self._indices[lo:hi]
+        # a short row is scanned as a list: a numpy ``in`` is all overhead
+        return v in (row.tolist() if hi - lo <= _SHORT_ROW else row)
 
     def weight(self, u, v) -> float:
         self._check(u)
@@ -566,6 +577,40 @@ class GraphArrays(NamedTuple):
         return self._replace(src=np.where(flip, self.dst, self.src),
                              dst=np.where(flip, self.src, self.dst),
                              is_keyed=True)
+
+    def extended(self, edges: Sequence[Tuple[Any, Any, float]]
+                 ) -> "GraphArrays":
+        """These arrays plus ``edges`` ``(u, v, weight)``: their
+        :meth:`to_graph` is what :meth:`Graph.add_novel_edges` of the
+        endpoints in edge order, then the edges, makes of this one's —
+        an endpoint that is no node yet is appended where it first
+        appears — and no dict of either is made.  The edges must be
+        novel and loop-free (not checked)."""
+        if not edges:
+            return self
+        n = len(self.nodes)
+        at = dict(zip(self.nodes.tolist(), range(n)))
+        ends = np.fromiter((at.setdefault(v, len(at)) for edge in edges
+                            for v in edge[:2]), np.int64, 2 * len(edges))
+        fresh = list(at)[n:]
+        src, dst = ends[0::2], ends[1::2]
+        if not self.directed and self.is_keyed:
+            # orient the new ones as the dict graph keys them
+            flip = np.fromiter((repr(u) > repr(v) for u, v, _ in edges),
+                               bool, len(edges))
+            src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
+        nodes = np.fromiter(fresh, object, len(fresh))
+        ids = self.ids
+        if ids is not None:
+            more = integer_ids(nodes)
+            ids = None if more is None else np.concatenate((ids, more))
+        weights = np.fromiter((edge[2] for edge in edges),
+                              self.weights.dtype, len(edges))
+        return self._replace(
+            nodes=np.concatenate((self.nodes, nodes)),
+            src=np.concatenate((self.src, src)),
+            dst=np.concatenate((self.dst, dst)),
+            weights=np.concatenate((self.weights, weights)), ids=ids)
 
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray, CompactGraph]:
         """The node ids in ascending order, each node's rank in that

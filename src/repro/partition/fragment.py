@@ -470,6 +470,21 @@ class FragmentCSR:
             self.csr, self._spilled_in if reverse else self._spilled_out,
             lid, reverse)
 
+    def has_edge(self, u: Node, v: Node) -> bool:
+        """Whether an edge row runs from node ``u`` to node ``v`` (either
+        way when undirected); ``False`` when one is not local.  Needs the
+        CSR.  An edge row is in the spill rows of both its ends or in the
+        CSR rows of both, so one spill row and one CSR row
+        (:meth:`~repro.graph.csr.CompactGraph.has_edge`) answer it."""
+        lid_of = vars(self).get("lid_of")  # a resident service built it
+        lid = self.lid if lid_of is None else lid_of.get
+        tail, head = lid(u), lid(v)
+        if tail is None or head is None:
+            return False
+        more = self._spilled_out.get(tail)
+        return bool(more) and head in more[0] or \
+            self.csr.has_edge(tail, head)
+
     def _spill_rows(self) -> Optional[Spill]:
         """The edge rows appended since the CSR was built, each stored
         direction a row, as arrays."""
@@ -941,6 +956,29 @@ class PartitionedGraph:
     @property
     def num_fragments(self) -> int:
         return len(self.fragments)
+
+    @property
+    def directed(self) -> bool:
+        return self.fragments[0].directed
+
+    def has_edge(self, u: Node, v: Node) -> bool:
+        """Whether the partitioned graph has edge ``(u, v)``, asked of the
+        one fragment that must hold a copy of it, ``u``'s owner's: from
+        its edge rows where it has a CSR (a lid probe per end and a scan
+        of one row, spill included), else from its dict graph (what the
+        generic engine reads, so already built there).  Edge-cut only:
+        a vertex-cut edge need not be at its tail's master."""
+        if self.cut != "edge":
+            raise PartitionError(
+                f"has_edge reads an edge-cut partition, got {self.cut!r}")
+        owner = self.owner
+        fid = owner.get(u)
+        if fid is None or v not in owner:  # a brand-new end
+            return False
+        frag = self.fragments[fid]
+        view = frag._arrays
+        return frag.graph.has_edge(u, v) if view.csr is None \
+            else view.has_edge(u, v)
 
     def fragment_of(self, v: Node) -> Fragment:
         """The fragment that owns node ``v``."""

@@ -69,11 +69,12 @@ class LoadGenerator:
         self.staleness_bounds = tuple(staleness_bounds)
         # node ids the generator knows about (grows as it invents nodes);
         # sorted by repr for cross-run determinism regardless of set order
-        self.nodes: List[Node] = sorted(service.graph.nodes, key=repr)
+        graph = service.graph
+        self.nodes: List[Node] = sorted(graph.nodes, key=repr)
         self._known: Set[Node] = set(self.nodes)
         self._edges: Set[frozenset] = set()
-        directed = service.graph.directed
-        for u, v, _ in service.graph.edges():
+        directed = graph.directed
+        for u, v, _ in graph.edges():
             self._edges.add(self._ekey(u, v, directed))
         self._next_id = 1 + max(
             (v for v in self.nodes if isinstance(v, int)), default=-1)
@@ -163,6 +164,7 @@ class LoadGenerator:
         epoch_hist = svc.obs.metrics.histogram("serve_epoch_duration")
         apply_seconds = epoch_hist.total
         busy = ingest_seconds + apply_seconds
+        status = svc.status()
         report = {
             "seed": self.seed,
             "workload": {
@@ -200,10 +202,7 @@ class LoadGenerator:
                     * 1000.0,
                 },
             },
-            "graph": {
-                "nodes": svc.graph.num_nodes,
-                "edges": svc.graph.num_edges,
-            },
+            "graph": {key: status[key] for key in ("nodes", "edges")},
             "service": {
                 "mode": svc.mode,
                 "runtime": svc.runtime,

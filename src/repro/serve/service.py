@@ -10,8 +10,9 @@ dense kernels and the node ids are non-negative integers; the generic
 engine otherwise:
 
 1. **Ingest** — batches are validated atomically (against the current
-   graph *and* the already-staged batches), admitted through a bounded
-   queue, and parked; accepting a batch advances the *accepted* epoch.
+   graph, which the partition answers for, *and* the already-staged
+   batches), admitted through a bounded queue, and parked; accepting a
+   batch advances the *accepted* epoch.
 2. **Epoch apply** — one parked batch is materialised by growing the
    fragments in place (:func:`~repro.partition.grow.grow_edge_cut` — same
    owner map; its report names the nodes whose presence or routing
@@ -53,6 +54,7 @@ from repro.core.modes import make_policy
 from repro.core.pie import PIEProgram
 from repro.core.result import RunResult
 from repro.errors import ProgramError, ReproError
+from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
 from repro.graph.stable import owners
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
@@ -163,7 +165,12 @@ class GraphService:
             raise ReproError(
                 f"unknown service runtime {runtime!r}; pick from {RUNTIMES}")
         self.program = program
-        self.graph = graph.copy()
+        #: the input graph as arrays (node labels kept): with
+        #: :attr:`_inserted`, what :attr:`graph` is made of when read
+        self._input = GraphArrays.of(graph)._replace(
+            labels=graph.node_labels())
+        #: the applied insertions, in order
+        self._inserted: List[Tuple[Node, Node, float]] = []
         #: the PIE query object (the read API is :meth:`query`)
         self.pie_query = query
         self.m = num_fragments
@@ -198,12 +205,21 @@ class GraphService:
         # placement is the one owner function, here and in grow_edge_cut:
         # the same in every process; an owner array, so the build reads
         # no dict of the graph
-        self.pg = build_edge_cut(self.graph, owners(self.graph, num_fragments),
+        base = self._input.to_graph()
+        self.pg = build_edge_cut(base, owners(base, num_fragments),
                                  num_fragments, "serving")
         # dense kernels on arrays that grow in place; degrades to the
         # generic engine for non-integer node ids or a program without
         # dense kernels
         self.engine = Engine(program, self.pg, query, vectorized=True)
+        hook = "dense_inc_update" if self.engine.vectorized else "inc_update"
+        #: why every batch is refused, if the program keeps
+        #: :class:`~repro.core.pie.PIEProgram`'s default streaming hook for
+        #: the engine it runs on
+        self._refusal = None if getattr(type(program), hook) is not \
+            getattr(PIEProgram, hook) else (
+                f"{program.name} does not support streaming updates "
+                f"(no {hook}); the service cannot take a batch")
         # what the first epoch would pay for otherwise: the owner map
         # growth reads and extends, room to grow in, and a dict probe per
         # id an epoch looks up (a handful, one by one; kept current by
@@ -251,6 +267,15 @@ class GraphService:
         return len(self._pending)
 
     @property
+    def graph(self) -> Graph:
+        """The graph the applied epochs have made: the input plus every
+        applied insertion, as :meth:`Graph.add_novel_edges` would have
+        grown it.  Made on each read, over arrays, so a read builds none
+        of its dicts; the service itself never reads it (it asks its
+        partition whether an edge exists)."""
+        return self._input.extended(self._inserted).to_graph()
+
+    @property
     def answer(self) -> Dict[Node, Any]:
         """The assembled answer at the current *applied* epoch."""
         return dict(self._answer)
@@ -267,6 +292,8 @@ class GraphService:
             "accepted": self.accepted,
             "lag": len(self._pending),
             "engine": "dense" if self.engine.vectorized else "generic",
+            "nodes": len(self.pg.owner),
+            "edges": self._input.num_edges + len(self._inserted),
             "fragments": [
                 {"nodes": len(view), "capacity": view.capacity,
                  "overflow_edges": view.spilled,
@@ -297,11 +324,8 @@ class GraphService:
         the engine it runs on is rejected the same way.  A shed batch
         (queue full) is reported, not raised.
         """
-        hook = "dense_inc_update" if self.engine.vectorized else "inc_update"
-        if getattr(type(self.program), hook) is getattr(PIEProgram, hook):
-            raise ProgramError(
-                f"{self.program.name} does not support streaming updates "
-                f"(no {hook}); the service cannot take a batch")
+        if self._refusal is not None:
+            raise ProgramError(self._refusal)
         t0 = perf_counter()
         reason = self.admission.admit_batch(len(self._pending))
         if reason is not None:
@@ -311,15 +335,16 @@ class GraphService:
             return IngestReceipt(accepted=False, epoch=self.accepted,
                                  depth=len(self._pending),
                                  latency=perf_counter() - t0, reason=reason)
-        keys = validate_batch(self.graph, batch, staged=self._staged)
         if self.engine.vectorized:
-            # the arrays the dense engine serves from number nodes by id
+            # the arrays the dense engine serves from number nodes by id:
+            # a bad id is refused before it is looked up in them
             for edge in batch.insertions:
                 for v in edge[:2]:
                     if type(v) is not int or v < 0:
                         raise ProgramError(
                             f"node id {v!r}: a service on the dense engine "
                             f"takes non-negative integer node ids only")
+        keys = validate_batch(self.pg, batch, staged=self._staged)
         self._staged.update(keys)
         self._pending.append((batch, keys))
         self.accepted += 1
@@ -349,14 +374,7 @@ class GraphService:
         batch, keys = self._pending.popleft()
         t0 = perf_counter()
         self._staged.difference_update(keys)
-        # validated novel at ingest: one bulk insert, undirected edges in
-        # the orientation the graph keys them by
-        edges = batch.insertions if self.graph.directed else [
-            (u, v, w) if repr(u) <= repr(v) else (v, u, w)
-            for u, v, w in batch.insertions]
-        self.graph.add_novel_edges(
-            [v for edge in batch.insertions for v in edge[:2]],
-            *zip(*edges))
+        self._inserted.extend(batch.insertions)
         report = grow_edge_cut(self.pg, batch.insertions)
         self.engine.extend_contexts(report)
         self.engine.refresh_routes(report)

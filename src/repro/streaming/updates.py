@@ -16,10 +16,9 @@ is out of scope here (documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ProgramError
-from repro.graph.graph import Graph
 
 Node = Hashable
 EdgeInsertion = Tuple[Node, Node, float]
@@ -66,11 +65,14 @@ class UpdateBatch:
         return len(self.insertions)
 
 
-def validate_batch(graph: Graph, batch: UpdateBatch,
+def validate_batch(graph: Any, batch: UpdateBatch,
                    staged: Optional[Set[frozenset]] = None
                    ) -> List[frozenset]:
-    """Check a whole batch against ``graph`` before anything mutates;
-    returns the :func:`edge_key` of each insertion, in order.
+    """Check a whole batch against ``graph`` — anything with ``directed``
+    and ``has_edge``: a :class:`~repro.graph.graph.Graph`, or the
+    :class:`~repro.partition.fragment.PartitionedGraph` a service keeps —
+    before anything mutates; returns the :func:`edge_key` of each
+    insertion, in order.
 
     Raises :class:`~repro.errors.ProgramError` if any insertion duplicates
     an existing edge (including reversed duplicates on undirected graphs,
@@ -82,13 +84,14 @@ def validate_batch(graph: Graph, batch: UpdateBatch,
     """
     seen: Set[frozenset] = set()
     keys = []
+    directed = graph.directed
     for u, v, _ in batch.insertions:
         if u == v:
             # re-checked here (not just at batch construction) so a
             # hand-built batch still cannot break apply's atomicity
             raise ProgramError(
                 f"self-loop insertion ({u!r}, {v!r}) is not supported")
-        key = edge_key(graph, u, v)
+        key = _edge_key(directed, u, v)
         if key in seen:
             raise ProgramError(
                 f"duplicate edge ({u!r}, {v!r}) within one batch")
@@ -104,8 +107,12 @@ def validate_batch(graph: Graph, batch: UpdateBatch,
     return keys
 
 
-def edge_key(graph: Graph, u: Node, v: Node) -> frozenset:
+def edge_key(graph: Any, u: Node, v: Node) -> frozenset:
     """The identity of edge ``(u, v)`` under ``graph``'s directedness."""
-    if graph.directed:
+    return _edge_key(graph.directed, u, v)
+
+
+def _edge_key(directed: bool, u: Node, v: Node) -> frozenset:
+    if directed:
         return frozenset((("s", u), ("d", v)))
     return frozenset((u, v))

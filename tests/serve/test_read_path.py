@@ -161,7 +161,7 @@ def test_status_reads_the_handles_and_adds_no_state():
     views = [frag.compact() for frag in svc.pg]
     assert svc.status() == {
         "epoch": 0, "accepted": 0, "lag": 0,
-        "engine": "dense",
+        "engine": "dense", "nodes": 25, "edges": 40,
         "fragments": [{"nodes": len(view), "capacity": 2 * len(view),
                        "overflow_edges": 0, "merge_threshold": 64,
                        "merges": 0} for view in views],
@@ -184,6 +184,8 @@ def test_status_reads_the_handles_and_adds_no_state():
     svc.query(0, staleness_bound=1)
     status = svc.status()
     assert (status["epoch"], status["accepted"], status["lag"]) == (1, 2, 1)
+    # the applied epoch brought node 100 and one edge; the parked one not
+    assert (status["nodes"], status["edges"]) == (26, 41)
     assert status["batches"] == {"accepted": 2, "shed": 0}
     assert status["cache"]["hit_rate"] == 0.5
     assert status["epoch_duration"]["count"] == 1
