@@ -28,7 +28,7 @@ def run_l_bottom_ablation():
         r = api.run(SSSPProgram(), pg, SSSPQuery(source=0), mode="AAP",
                     cost_model=workloads.default_cost(straggler=0,
                                                       factor=4.0),
-                    l_bottom_fraction=frac, record_trace=False)
+                    l_bottom_fraction=frac)
         rows.append({"l_bottom_fraction": frac, "time": r.time,
                      "total_rounds": sum(r.rounds),
                      "messages": r.metrics.total_messages})
@@ -60,7 +60,7 @@ def run_window_ablation():
         r = api.run(SSSPProgram(), pg, SSSPQuery(source=0), mode="AAP",
                     cost_model=workloads.default_cost(straggler=0,
                                                       factor=4.0),
-                    dt_fraction=dt, record_trace=False)
+                    dt_fraction=dt)
         rows.append({"dt_fraction": dt, "time": r.time,
                      "suspended": r.metrics.total_suspended,
                      "messages": r.metrics.total_messages})
@@ -97,7 +97,7 @@ def run_virtual_workers():
         for mode in ("AAP", "BSP"):
             r = api.run(SSSPProgram(), pg, SSSPQuery(source=0), mode=mode,
                         cost_model=workloads.default_cost(seed=1),
-                        hosts=hosts, record_trace=False)
+                        hosts=hosts)
             row[mode] = r.time
         rows.append(row)
     return rows

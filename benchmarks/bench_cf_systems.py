@@ -45,8 +45,7 @@ def run_cf_systems(num_workers: int = 6, epochs: int = 8, seed: int = 5):
             ("GRAPE+ (BSP)", CFProgram(rank=4), "BSP")):
         r = api.run(program, pg, query, mode=mode, staleness_bound=2,
                     cost_model=workloads.grape_cost(straggler=0, factor=3.0,
-                                                    seed=seed),
-                    record_trace=False)
+                                                    seed=seed))
         rows.append({"system": label,
                      "time": r.time, "rmse": r.answer["rmse"],
                      "comm": r.communication_bytes,

@@ -34,7 +34,7 @@ def run_single_vs_parallel():
         for m in (1, 8):
             pg = workloads.partition(g, m, locality=True)
             r = api.run(prog_factory(), pg, query, mode="AAP",
-                        cost_model=cpu_bound_cost(), record_trace=False)
+                        cost_model=cpu_bound_cost())
             times[m] = r.time
         rows.append({"algorithm": name, "single": times[1],
                      "parallel8": times[8],

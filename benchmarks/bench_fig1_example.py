@@ -13,8 +13,7 @@ from repro import api
 from repro.algorithms import CCProgram, CCQuery
 from repro.bench.reporting import format_table
 from repro.bench.workloads import fig1_cost_model, fig1_partition
-from repro.core.modes import MODES
-from repro.runtime.trace import ascii_gantt
+from repro.obs import Observer, ascii_gantt
 
 
 def run_fig1():
@@ -23,7 +22,8 @@ def run_fig1():
     for mode in ("BSP", "AP", "SSP", "AAP"):
         out[mode] = api.run(CCProgram(), pg, CCQuery(), mode=mode,
                             cost_model=fig1_cost_model(),
-                            staleness_bound=1 if mode == "SSP" else None)
+                            staleness_bound=1 if mode == "SSP" else None,
+                            observer=Observer())
     return out
 
 
@@ -38,7 +38,8 @@ def test_fig1_example(benchmark, emit):
          "messages"], rows)]
     for mode, r in runs.items():
         report.append("")
-        report.append(ascii_gantt(r.trace, width=70, label=f"[{mode}]"))
+        report.append(ascii_gantt(r.extras["obs"].log, width=70,
+                                  label=f"[{mode}]"))
     emit("\n".join(report))
 
     for mode, r in runs.items():

@@ -14,7 +14,7 @@ from conftest import run_once, table
 
 from repro.bench.experiments import run_cf_casestudy, run_fig7_casestudy
 from repro.bench.reporting import format_table
-from repro.runtime.trace import ascii_gantt
+from repro.obs import ascii_gantt
 
 
 def test_fig7_pagerank_straggler(benchmark, emit):
@@ -26,8 +26,7 @@ def test_fig7_pagerank_straggler(benchmark, emit):
         ["mode", "time", "straggler rounds", "total idle"], rows)]
     for mode, d in runs.items():
         report.append("")
-        report.append(ascii_gantt(d["result"].trace, width=70,
-                                  label=f"[{mode}]"))
+        report.append(ascii_gantt(d["log"], width=70, label=f"[{mode}]"))
     emit("\n".join(report))
 
 

@@ -13,7 +13,7 @@ Run:  python examples/fig1_walkthrough.py
 from repro import api
 from repro.algorithms import CCProgram, CCQuery
 from repro.bench.workloads import fig1_cost_model, fig1_partition
-from repro.runtime.trace import ascii_gantt
+from repro.obs import Observer, ascii_gantt
 
 
 def main() -> None:
@@ -24,12 +24,13 @@ def main() -> None:
     for mode in ("BSP", "AP", "SSP", "AAP"):
         result = api.run(CCProgram(), pg, CCQuery(), mode=mode,
                          cost_model=fig1_cost_model(),
-                         staleness_bound=1 if mode == "SSP" else None)
+                         staleness_bound=1 if mode == "SSP" else None,
+                         observer=Observer())
         assert set(result.answer.values()) == {0}
         print(f"--- {mode}: finished at t={result.time:.1f}, "
               f"rounds={result.rounds} "
               f"(P3 did {result.rounds[2]} rounds)")
-        print(ascii_gantt(result.trace, width=76))
+        print(ascii_gantt(result.extras["obs"].log, width=76))
         print()
 
 

@@ -13,7 +13,7 @@ from repro import api
 from repro.algorithms import PageRankProgram, PageRankQuery
 from repro.bench import workloads
 from repro.graph import analysis
-from repro.runtime.trace import ascii_gantt
+from repro.obs import Observer, ascii_gantt
 
 
 def main() -> None:
@@ -29,12 +29,13 @@ def main() -> None:
             PageRankProgram(), pg, query, mode=mode,
             cost_model=workloads.default_cost(straggler=0, factor=4.0,
                                               seed=3),
-            staleness_bound=5 if mode == "SSP" else None)
+            staleness_bound=5 if mode == "SSP" else None,
+            observer=Observer())
         err = max(abs(result.answer[v] - reference[v]) for v in reference)
         print(f"--- {mode}: t={result.time:9.1f}  "
               f"straggler rounds={result.rounds[0]:3d}  "
               f"idle={result.metrics.total_idle:9.1f}  max err={err:.2e}")
-        print(ascii_gantt(result.trace, width=76))
+        print(ascii_gantt(result.extras["obs"].log, width=76))
         print()
 
 

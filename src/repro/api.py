@@ -52,7 +52,6 @@ def run(program: PIEProgram, graph_or_partition: Union[Graph,
         cost_model: Optional[CostModel] = None,
         hosts: Optional[Sequence[int]] = None,
         staleness_bound: Optional[int] = None,
-        record_trace: bool = True,
         observer: Optional[Any] = None,
         vectorized: bool = False,
         perturber: Optional[Any] = None,
@@ -64,7 +63,8 @@ def run(program: PIEProgram, graph_or_partition: Union[Graph,
     When the program declares :attr:`PIEProgram.needs_bounded_staleness`
     and no bound is given, its default bound is applied (the paper: CF).
     ``observer`` (a :class:`repro.obs.Observer`) enables structured event
-    and metrics recording; the default ``None`` records nothing.
+    and metrics recording (the rounds a timing diagram draws included);
+    the default ``None`` records nothing.
     ``vectorized`` opts into the dense fast path (see
     ``docs/performance.md``); it silently falls back to the generic path
     when the program or partition does not support it.
@@ -87,8 +87,8 @@ def run(program: PIEProgram, graph_or_partition: Union[Graph,
                              **policy_kwargs)
     engine = Engine(program, pg, query, vectorized=vectorized)
     runtime = SimulatedRuntime(engine, policy, cost_model=cost_model,
-                               hosts=hosts, record_trace=record_trace,
-                               observer=observer, perturber=perturber)
+                               hosts=hosts, observer=observer,
+                               perturber=perturber)
     return runtime.run()
 
 
@@ -98,7 +98,6 @@ def compare_modes(program_factory, graph_or_partition, query: Any, *,
                   partitioner: Optional[Partitioner] = None,
                   cost_model_factory=None,
                   staleness_bound: Optional[int] = None,
-                  record_trace: bool = False,
                   **policy_kwargs: Any) -> Dict[str, RunResult]:
     """Run the identical workload under several models.
 
@@ -117,6 +116,5 @@ def compare_modes(program_factory, graph_or_partition, query: Any, *,
         results[mode] = run(
             program_factory(), pg, query, mode=mode,
             cost_model=cm, staleness_bound=staleness_bound,
-            record_trace=record_trace,
             **(policy_kwargs if mode.upper() == "AAP" else {}))
     return results

@@ -20,6 +20,7 @@ from repro.baselines import PROFILES, run_baseline
 from repro.bench import workloads
 from repro.core.modes import MODES
 from repro.graph.graph import Graph
+from repro.obs import Observer
 
 #: the modes every figure compares (GRAPE+ = AAP; its variants = the rest)
 FIG6_MODES = ("AAP", "BSP", "AP", "SSP")
@@ -95,9 +96,9 @@ def run_table1(num_workers: int = 8, scale: float = 1.0, seed: int = 1
     # synchronous iterations (~0.14 max error on this workload)
     pr = api.run(PageRankProgram(), pg,
                  PageRankQuery(epsilon=1.5, num_nodes=g.num_nodes),
-                 mode="AAP", cost_model=cost(), record_trace=False)
+                 mode="AAP", cost_model=cost())
     ss = api.run(SSSPProgram(), pg, SSSPQuery(source=source), mode="AAP",
-                 cost_model=cost(), record_trace=False)
+                 cost_model=cost())
     rows.append({"system": "GRAPE+",
                  "pagerank_time": pr.time,
                  "pagerank_comm": pr.communication_bytes,
@@ -144,8 +145,7 @@ def run_scaleup(algorithm: str, workers: Sequence[int] = (4, 8, 12, 16),
         pg = workloads.partition(g, n, seed=seed)
         r = api.run(prog_factory(), pg, query, mode="AAP",
                     cost_model=workloads.default_cost(straggler=0,
-                                                      factor=2.0, seed=seed),
-                    record_trace=False)
+                                                      factor=2.0, seed=seed))
         times.append(r.time)
     base = times[0] if times and times[0] > 0 else 1.0
     return {"workers": list(workers), "time": times,
@@ -208,8 +208,8 @@ def run_fig7_casestudy(num_workers: int = 8, straggler: int = 0,
                        ) -> Dict[str, Any]:
     """Appendix B: PageRank timing diagrams with one straggler.
 
-    Returns per-mode run results with traces (for the Gantt rendering) and
-    the straggler round counts the paper quotes (50/27/28 vs 24)."""
+    Returns per-mode event logs (for the Gantt rendering) and the
+    straggler round counts the paper quotes (50/27/28 vs 24)."""
     g = workloads.friendster(scale=0.6, seed=seed)
     pg = workloads.partition(g, num_workers, seed=seed)
     out: Dict[str, Any] = {}
@@ -219,9 +219,9 @@ def run_fig7_casestudy(num_workers: int = 8, straggler: int = 0,
                     cost_model=workloads.default_cost(
                         straggler=straggler, factor=factor, seed=seed),
                     staleness_bound=5 if mode == "SSP" else None,
-                    record_trace=True)
+                    observer=Observer())
         out[mode] = {
-            "result": r,
+            "log": r.extras["obs"].log,
             "time": r.time,
             "straggler_rounds": r.rounds[straggler],
             # the paper's "idle" covers all waiting: idle + suspension
@@ -248,14 +248,13 @@ def run_cf_casestudy(num_workers: int = 6, epochs: int = 6,
 
     for mode in ("BSP", "AP"):
         r = api.run(CFProgram(rank=4), pg, query, mode=mode,
-                    cost_model=cost(), record_trace=False)
+                    cost_model=cost())
         rows.append({"mode": mode, "c": "-", "time": r.time,
                      "rounds": max(r.rounds), "rmse": r.answer["rmse"]})
     for c in bounds:
         for mode in ("SSP", "AAP"):
             r = api.run(CFProgram(rank=4), pg, query, mode=mode,
-                        staleness_bound=c, cost_model=cost(),
-                        record_trace=False)
+                        staleness_bound=c, cost_model=cost())
             rows.append({"mode": mode, "c": c, "time": r.time,
                          "rounds": max(r.rounds), "rmse": r.answer["rmse"]})
     return rows

@@ -37,6 +37,8 @@ from repro.fuzz.cell import (ALGORITHMS, PARTITIONERS, Cell, build_graph,
                              run_cell, workload)
 from repro.graph import analysis
 from repro.graph.graph import Graph
+from repro.obs import (Observer, explain_delays, write_chrome_trace,
+                       write_jsonl, write_report)
 from repro.partition.quality import summary
 from repro.runtime.costmodel import CostModel
 
@@ -114,13 +116,11 @@ def cmd_run(args) -> int:
     result = api.run(program, graph, query, mode=args.mode,
                      num_fragments=args.fragments, partitioner=partitioner,
                      cost_model=_cost_model(args),
-                     record_trace=bool(args.report),
+                     observer=Observer() if args.report else None,
                      vectorized=args.vectorized)
     if args.report:
-        from repro.obs.export import write_report
-        write_report(result, args.report, include_trace=True,
-                     extra={"graph": args.graph,
-                            "algorithm": args.algorithm,
+        write_report(result, args.report,
+                     extra={"graph": args.graph, "algorithm": args.algorithm,
                             "fragments": args.fragments})
     out = _summarise(result)
     if args.algorithm == "cc":
@@ -159,8 +159,6 @@ def cmd_chaos(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one workload with observability on and export the event stream."""
-    from repro.obs import Observer, explain_delays, write_chrome_trace, \
-        write_jsonl
     graph = parse_graph(args.graph, seed=args.seed)
     program, query = build_program(args.algorithm, graph, args.source)
     partitioner = PARTITIONERS[args.partitioner]()

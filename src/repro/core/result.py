@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.runtime
     from repro.runtime.metrics import RunMetrics
@@ -14,15 +14,14 @@ class RunResult:
     """Outcome of parallelising a PIE program under one model.
 
     ``answer`` is ``rho(Q, G)`` — the assembled result.  ``metrics`` carries
-    the measured quantities (response time, communication, rounds); ``trace``
-    optionally carries the per-worker timing intervals used to draw the
-    paper's Fig. 1 / Fig. 7 diagrams.
+    the measured quantities (response time, communication, rounds); the
+    rounds themselves are in the observer's log (``extras["obs"]``), when
+    the run had one.
     """
 
     answer: Any
     mode: str
     metrics: "RunMetrics"
-    trace: Optional[Any] = None
     #: per-worker rounds at termination (r_i of the fixpoint)
     rounds: List[int] = field(default_factory=list)
     extras: Dict[str, Any] = field(default_factory=dict)

@@ -132,10 +132,9 @@ class WorkerStep:
         """
         w = self.state
         now = self.clock()
-        if w.status is not WorkerStatus.CREATED:
-            idle, suspended = self._waited(now)
-            w.idle_time += idle
-            w.suspended_time += suspended
+        idle, suspended = self._waited(now)
+        w.idle_time += idle
+        w.suspended_time += suspended
         w.wait_started = None
         self.mark(WorkerStatus.RUNNING)
         self.started = now
@@ -192,7 +191,8 @@ class WorkerStep:
         w.status = status
 
     def _waited(self, now: float) -> Tuple[float, float]:
-        """Split the time since the last round into (idle, suspended):
+        """Split the time since the last round (or, before PEval, since
+        the run started) into (idle, suspended):
         suspended while work was available but the worker was held (delay
         stretch, gate, busy host), idle while there was none."""
         w = self.state

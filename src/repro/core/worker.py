@@ -74,8 +74,9 @@ class WorkerState:
         self.bytes_sent = 0
         self.work_done = 0
         self.host = host if host is not None else wid
-        #: when the current work-available-but-waiting period began (or None)
-        self.wait_started: Optional[float] = None
+        #: when the current work-available-but-waiting period began (or
+        #: None); PEval is pending from the driver's time 0, its run start
+        self.wait_started: Optional[float] = 0.0
         #: when the last message batch arrived (for the T_idle reference)
         self.last_arrival = 0.0
 

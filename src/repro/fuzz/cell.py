@@ -349,7 +349,7 @@ def _simulate(cell: Cell, cls, pg, query, observer, verdict: Verdict):
         ContractionProbe(Engine(cls(), pg, query,
                                 vectorized=cell.vectorized), suite),
         make_policy(cell.mode, staleness_bound=cell.staleness_bound),
-        observer=Observer(log=log), perturber=perturber, record_trace=False)
+        observer=Observer(log=log), perturber=perturber)
     try:
         return runtime.run()
     finally:

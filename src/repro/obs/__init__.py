@@ -16,8 +16,10 @@ reproduction-side equivalent as three composable pieces:
   same schema.
 - Exporters — Chrome ``trace_event`` JSON (:func:`~repro.obs.export.
   to_chrome_trace`, loadable in ``chrome://tracing`` / Perfetto), a JSONL
-  dump and the JSON run report (:func:`~repro.obs.export.run_report`),
-  plus the delay-decision audit ("why did worker *i* wait?").
+  dump, the JSON run report (:func:`~repro.obs.export.run_report`) and
+  the Fig. 1 / Fig. 7 timing diagram (:func:`~repro.obs.export.
+  ascii_gantt`), plus the delay-decision audit ("why did worker *i*
+  wait?").
 
 See ``docs/observability.md`` for the event schema and usage.
 """
@@ -32,7 +34,8 @@ from repro.obs.events import (ADMISSION_SHED, BARRIER, CHECKPOINT,
                               QUERY_SERVED, RETRY, ROLLBACK, ROUND_END,
                               ROUND_START, SCHEMA, STATUS_CHANGE,
                               TERMINATE_PROBE, EventLog, ObsEvent)
-from repro.obs.export import (read_jsonl, run_report, to_chrome_trace,
+from repro.obs.export import (ascii_gantt, read_jsonl, round_slices,
+                              run_report, to_chrome_trace,
                               write_chrome_trace, write_jsonl, write_report)
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry)
 
@@ -87,6 +90,7 @@ __all__ = [
     "Observer", "EventLog", "ObsEvent", "MetricsRegistry", "Counter",
     "Gauge", "Histogram", "to_chrome_trace", "write_chrome_trace",
     "write_jsonl", "read_jsonl", "run_report", "write_report",
+    "round_slices", "ascii_gantt",
     "explain_delays", "EVENT_TYPES", "SCHEMA",
     "ROUND_START", "ROUND_END", "MSG_SEND", "MSG_DELIVER", "DS_DECISION",
     "STATUS_CHANGE", "BARRIER", "TERMINATE_PROBE", "HEARTBEAT_MISS",

@@ -1,4 +1,6 @@
-"""Exporters: Chrome ``trace_event`` JSON, JSONL event dumps, the run report.
+"""Exporters: Chrome ``trace_event`` JSON, JSONL event dumps, the run
+report and the ASCII timing diagram.  Every one that shows rounds reads
+them from the event log through :func:`round_slices`.
 
 The Chrome format (one JSON document with a ``traceEvents`` array) loads
 directly in ``chrome://tracing`` and in Perfetto's legacy-trace importer
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.obs.events import (BARRIER, MSG_DELIVER, ROUND_END, ROUND_START,
                               EventLog, ObsEvent)
@@ -29,13 +31,79 @@ from repro.obs.events import (BARRIER, MSG_DELIVER, ROUND_END, ROUND_START,
 _TS_SCALE = 1e6
 
 
+class RoundSlice(NamedTuple):
+    """One round of one worker, read off the log by :func:`round_slices`."""
+
+    start: float
+    end: float
+    #: ``"peval"`` / ``"inceval"``
+    kind: str
+    round: int
+    #: the ``round_end`` payload; ``{"unfinished": True}`` for a round
+    #: still open at the last record
+    payload: Dict[str, Any]
+
+
+def round_slices(log: Iterable[ObsEvent]) -> Dict[int, List[RoundSlice]]:
+    """Each worker's rounds, in order: its ``round_start`` / ``round_end``
+    pairs from ``log`` (an :class:`EventLog` or a list of its records).
+
+    The log is the only record of a run's rounds; the Chrome trace, the
+    run report and :func:`ascii_gantt` all read it here.  A round still
+    open at the end (a crashed or a live run) runs to the last record.
+    """
+    slices: Dict[int, List[RoundSlice]] = {}
+    open_rounds: Dict[int, ObsEvent] = {}
+    last = 0.0
+    for e in log:
+        last = max(last, e.t)
+        if e.type == ROUND_START:
+            open_rounds[e.wid] = e
+        elif e.type == ROUND_END:
+            start = open_rounds.pop(e.wid, None)
+            begin = (start.t if start is not None
+                     else e.t - e.payload.get("duration", 0.0))
+            slices.setdefault(e.wid, []).append(RoundSlice(
+                begin, e.t, e.payload.get("kind", "round"), e.round,
+                e.payload))
+    for wid, start in open_rounds.items():
+        slices.setdefault(wid, []).append(RoundSlice(
+            start.t, last, start.payload.get("kind", "round"), start.round,
+            {"unfinished": True}))
+    return slices
+
+
+def ascii_gantt(log: Iterable[ObsEvent], width: int = 78,
+                makespan: Optional[float] = None, label: str = "") -> str:
+    """Render each worker's rounds as one text row, time left to right:
+    ``P`` marks PEval, ``#`` IncEval, a space no round (the paper's
+    Fig. 1 / Fig. 7 timing diagrams).  ``makespan`` defaults to the last
+    round's end."""
+    slices = round_slices(log)
+    span = makespan if makespan is not None else max(
+        (s.end for rounds in slices.values() for s in rounds), default=0.0)
+    if span <= 0:
+        return f"{label} (empty trace)"
+    lines = [f"{label}  (0 .. {span:.2f} time units)"] if label else []
+    for wid in sorted(slices):
+        row = [" "] * width
+        for s in slices[wid]:
+            lo = int(s.start / span * (width - 1))
+            hi = max(int(s.end / span * (width - 1)), lo)
+            ch = "P" if s.kind == "peval" else "#"
+            for i in range(lo, min(hi + 1, width)):
+                row[i] = ch
+        lines.append(f"P{wid:<3d}|{''.join(row)}|")
+    return "\n".join(lines)
+
+
 def to_chrome_trace(log: EventLog, process_name: str = "repro",
                     time_scale: float = _TS_SCALE) -> Dict[str, Any]:
     """Convert an event log into a Chrome ``trace_event`` document.
 
-    Each worker is one thread (track) of one process; ``round_start`` /
-    ``round_end`` pairs become duration slices named after the round kind
-    (``peval`` / ``inceval``).
+    Each worker is one thread (track) of one process; its
+    :func:`round_slices` become duration slices named after the round
+    kind (``peval`` / ``inceval``), placed where their ``round_end`` is.
     """
     # one consistent copy: a live log may be appended to while we convert
     records = log.snapshot()
@@ -48,22 +116,22 @@ def to_chrome_trace(log: EventLog, process_name: str = "repro",
         events.append({"ph": "M", "pid": 0, "tid": wid,
                        "name": "thread_name",
                        "args": {"name": f"worker {wid}"}})
-    open_rounds: Dict[int, ObsEvent] = {}
+
+    def complete(wid: int, s: RoundSlice) -> Dict[str, Any]:
+        begin = s.start * time_scale
+        return {"ph": "X", "pid": 0, "tid": wid, "name": s.kind,
+                "cat": "round", "ts": begin,
+                "dur": max(s.end * time_scale - begin, 0.0),
+                "args": {"round": s.round, **s.payload}}
+
+    rounds = {wid: iter(s) for wid, s in round_slices(records).items()}
     for e in records:
-        ts = e.t * time_scale
         if e.type == ROUND_START:
-            open_rounds[e.wid] = e
             continue
         if e.type == ROUND_END:
-            start = open_rounds.pop(e.wid, None)
-            begin = start.t * time_scale if start is not None \
-                else ts - e.payload.get("duration", 0.0) * time_scale
-            events.append({
-                "ph": "X", "pid": 0, "tid": e.wid,
-                "name": e.payload.get("kind", "round"),
-                "cat": "round", "ts": begin, "dur": max(ts - begin, 0.0),
-                "args": {"round": e.round, **e.payload}})
+            events.append(complete(e.wid, next(rounds[e.wid])))
             continue
+        ts = e.t * time_scale
         tid = e.wid if e.wid >= 0 else 0
         scope = "g" if e.type == BARRIER else "t"
         events.append({
@@ -75,16 +143,9 @@ def to_chrome_trace(log: EventLog, process_name: str = "repro",
                 "ph": "C", "pid": 0, "tid": tid,
                 "name": f"buffer_depth_w{e.wid}", "ts": ts,
                 "args": {"depth": e.payload.get("depth", 0)}})
-    # rounds still open at export time (e.g. a crashed run) become slices
-    # ending at the last known timestamp
-    last_ts = max((e.t for e in records), default=0.0) * time_scale
-    for wid, start in open_rounds.items():
-        events.append({
-            "ph": "X", "pid": 0, "tid": wid,
-            "name": start.payload.get("kind", "round"), "cat": "round",
-            "ts": start.t * time_scale,
-            "dur": max(last_ts - start.t * time_scale, 0.0),
-            "args": {"round": start.round, "unfinished": True}})
+    # what is left is a round still open at the last record
+    for wid, rest in rounds.items():
+        events.extend(complete(wid, s) for s in rest)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -118,11 +179,11 @@ def read_jsonl(path: str) -> EventLog:
     return log
 
 
-def run_report(result, include_trace: bool = False,
-               include_answer: bool = False) -> Dict[str, Any]:
+def run_report(result, include_answer: bool = False) -> Dict[str, Any]:
     """One run (a :class:`~repro.core.result.RunResult`) as a JSON-ready
     document: the totals and per-worker statistics field for field, plus
-    what the run's observer collected.
+    what the run's observer collected, its rounds (``trace``, one
+    :class:`RoundSlice` per round) included.
 
     The answer is excluded by default (it can be huge and its node ids may
     not be JSON keys); pass ``include_answer=True`` for small runs.
@@ -145,21 +206,20 @@ def run_report(result, include_trace: bool = False,
             "event_counts": observer.log.counts(),
             "metrics": observer.metrics.as_dict(),
         }
-    if include_trace and result.trace is not None:
-        doc["trace"] = [asdict(iv) for iv in result.trace.intervals]
+        doc["trace"] = [{"wid": wid, **s._asdict()} for wid, rounds
+                        in sorted(round_slices(observer.log).items())
+                        for s in rounds]
     if include_answer:
         doc["answer"] = {repr(k): v for k, v in result.answer.items()} \
             if isinstance(result.answer, dict) else repr(result.answer)
     return doc
 
 
-def write_report(result, path: str, include_trace: bool = False,
-                 include_answer: bool = False,
+def write_report(result, path: str, include_answer: bool = False,
                  extra: Optional[Dict[str, Any]] = None) -> None:
     """Write :func:`run_report`'s document to ``path`` (``extra`` becomes
     its ``context``)."""
-    doc = run_report(result, include_trace=include_trace,
-                     include_answer=include_answer)
+    doc = run_report(result, include_answer=include_answer)
     if extra:
         doc["context"] = extra
     with open(path, "w", encoding="utf-8") as fh:

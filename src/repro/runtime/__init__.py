@@ -13,10 +13,8 @@ from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.snapshot import (ChandyLamportCoordinator,
                                     GlobalSnapshot, LiveCheckpointer,
                                     WorkerSnapshot)
-from repro.runtime.trace import TraceRecorder, ascii_gantt
 
 __all__ = ["CostModel", "RunMetrics", "WorkerMetrics", "SimulatedRuntime",
-           "TraceRecorder", "ascii_gantt",
            "FaultPlan", "FaultInjector", "CrashFault", "DropFault",
            "DuplicateFault", "DelayFault", "StragglerFault",
            "InjectedCrash", "FailureDetector", "FailureEvent", "Suspicion",

@@ -120,6 +120,7 @@ class _Worker:
                  time_scale: float, observe: bool, ft: Optional[_FTConfig],
                  vectorized: bool, policy: DelayPolicy,
                  arena: Optional[SlabArena]):
+        started = time.monotonic()
         self.control = control
         self.command = command
         self.wid = wid
@@ -173,6 +174,10 @@ class _Worker:
             self.engine, wid, policy, clock=time.monotonic, emit=self.emit,
             stretch=None if self.injector is None else functools.partial(
                 self.injector.stall, wid, cap=_MAX_STALL))
+        # this step's clock is absolute: PEval is pending since the
+        # process started, not since time 0
+        state = self.step.state
+        state.idle_since = state.wait_started = started
         #: the master's latest broadcast; AAP / SSP / Hsync decide on it
         self.fleet = Fleet(0, 0, 0.0, 1e-3, pg.num_fragments)
         # round/rate reports feed the master's fleet broadcasts (AAP/SSP/

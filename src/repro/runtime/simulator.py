@@ -36,14 +36,19 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.events import (Custom, Deliver, EventQueue, RoundEnd,
                                   WakeUp)
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.trace import TraceRecorder
 
 #: a worker running more rounds than this is taken for non-terminating
 MAX_ROUNDS_PER_WORKER = 1_000_000
 
 
 class SimulatedRuntime:
-    """Run one PIE program to fixpoint under one delay policy."""
+    """Run one PIE program to fixpoint under one delay policy.
+
+    Attach an ``observer`` (:class:`repro.obs.Observer`) to keep the run's
+    rounds: :func:`repro.obs.export.ascii_gantt` draws them from its log.
+    ``record_trace`` is accepted and ignored, for one caller only:
+    ``benchmarks/e2e/layers.py`` passes ``record_trace=False``.
+    """
 
     def __init__(self, engine: Engine, policy: DelayPolicy,
                  cost_model: Optional[CostModel] = None,
@@ -84,7 +89,6 @@ class SimulatedRuntime:
         self.workers: List[WorkerState] = [s.state for s in self.steps]
         for w in self.workers:
             w.host = host_of[w.wid]
-        self.trace = TraceRecorder(enabled=record_trace)
         self.max_events = max_events
         self.snapshot_coordinator = snapshot_coordinator
         # per worker, the running round's (output, costed duration); its
@@ -123,7 +127,6 @@ class SimulatedRuntime:
             extras["obs"] = self.obs
         return RunResult(
             answer=answer, mode=self.policy.name, metrics=metrics,
-            trace=self.trace,
             rounds=[w.rounds for w in self.workers],
             extras=extras)
 
@@ -224,8 +227,6 @@ class SimulatedRuntime:
         if w.rounds > MAX_ROUNDS_PER_WORKER:
             raise TerminationError(
                 f"worker {wid} exceeded {MAX_ROUNDS_PER_WORKER} rounds")
-        self.trace.record(wid, step.started, self.now, step.kind,
-                          w.rounds - 1)
         # release the physical host
         host = w.host
         self._host_occupant[host] = None

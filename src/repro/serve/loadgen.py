@@ -231,7 +231,6 @@ def verify_against_recompute(service: GraphService) -> bool:
     engine = Engine(service.program, pg, service.pie_query)
     runtime = SimulatedRuntime(
         engine, make_policy(service.mode,
-                            staleness_bound=service.staleness_bound),
-        record_trace=False)
+                            staleness_bound=service.staleness_bound))
     runtime.run()
     return dict(engine.assemble()) == service.answer

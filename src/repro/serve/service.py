@@ -248,7 +248,7 @@ class GraphService:
         if self.runtime == "threaded":
             return ThreadedRuntime(self.engine, policy,
                                    time_scale=self.time_scale)
-        return SimulatedRuntime(self.engine, policy, record_trace=False)
+        return SimulatedRuntime(self.engine, policy)
 
     def _assembled(self) -> Dict[Node, Any]:
         answer = self.engine.assemble()

@@ -60,10 +60,6 @@ class TestRun:
                 mode="AAP", l_bottom=2, dt_fraction=0.3)
         assert r.answer[99] == analysis.dijkstra(small_grid, 0)[99]
 
-    def test_record_trace_flag(self, small_grid):
-        r = run(CCProgram(), small_grid, CCQuery(), record_trace=False)
-        assert r.trace.intervals == []
-
 
 class TestCompareModes:
     def test_all_modes_by_default(self, partitioned_powerlaw):

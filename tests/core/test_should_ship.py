@@ -40,8 +40,8 @@ class TestHoldBack:
         from repro import api
         coarse = api.run(PageRankProgram(), g,
                          PageRankQuery(epsilon=1.0, num_nodes=200),
-                         num_fragments=4, record_trace=False)
+                         num_fragments=4)
         fine = api.run(PageRankProgram(), g,
                        PageRankQuery(epsilon=1e-3, num_nodes=200),
-                       num_fragments=4, record_trace=False)
+                       num_fragments=4)
         assert coarse.metrics.total_messages < fine.metrics.total_messages

@@ -12,6 +12,7 @@ from repro import api
 from repro.algorithms import CCProgram, CCQuery
 from repro.bench.workloads import fig1_cost_model, fig1_graph, fig1_partition
 from repro.core.modes import MODES
+from repro.obs import Observer, round_slices
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,8 @@ def runs():
     for mode in MODES:
         out[mode] = api.run(CCProgram(), pg, CCQuery(), mode=mode,
                             cost_model=fig1_cost_model(),
-                            staleness_bound=1 if mode == "SSP" else None)
+                            staleness_bound=1 if mode == "SSP" else None,
+                            observer=Observer())
     return out
 
 
@@ -53,9 +55,8 @@ class TestFig1:
         assert p1_wait <= p1_wait_bsp + 1e-9
 
     def test_trace_shows_straggler_longer_rounds(self, runs):
-        trace = runs["AAP"].trace
-        per = trace.by_worker()
-        p3_round = per[2][0].duration
-        p1_round = per[0][0].duration
+        per = round_slices(runs["AAP"].extras["obs"].log)
+        p3_round = per[2][0].end - per[2][0].start
+        p1_round = per[0][0].end - per[0][0].start
         assert p3_round == pytest.approx(6.0)
         assert p1_round == pytest.approx(3.0)

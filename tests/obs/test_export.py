@@ -6,7 +6,7 @@ from repro import api
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.obs import Observer
 from repro.obs.events import EventLog, ObsEvent
-from repro.obs.export import (read_jsonl, to_chrome_trace,
+from repro.obs.export import (read_jsonl, round_slices, to_chrome_trace,
                               write_chrome_trace, write_jsonl)
 from repro.runtime.costmodel import CostModel
 
@@ -79,7 +79,7 @@ class TestChromeTrace:
     def test_straggler_run_export_matches_gantt(self, small_grid, tmp_path):
         # Acceptance criterion: the Chrome-trace export of a straggler run
         # round-trips json.load and reproduces the ASCII-Gantt round counts
-        # (one X slice per recorded round interval, per worker track).
+        # (one X slice per round slice of the log, per worker track).
         obs = Observer()
         result = straggler_run(small_grid, obs)
         path = str(tmp_path / "trace.json")
@@ -90,7 +90,7 @@ class TestChromeTrace:
         per_tid = {}
         for s in slices:
             per_tid[s["tid"]] = per_tid.get(s["tid"], 0) + 1
-        by_worker = result.trace.by_worker()
-        assert per_tid == {wid: len(ivs) for wid, ivs in by_worker.items()}
+        by_worker = round_slices(obs.log)
+        assert per_tid == {wid: len(s) for wid, s in by_worker.items()}
         assert {s["tid"] for s in slices} == set(range(4))
         assert per_tid == {wid: r for wid, r in enumerate(result.rounds)}

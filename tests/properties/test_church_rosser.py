@@ -79,8 +79,7 @@ class TestTimedRunsConfluent:
         cm = CostModel(speed={0: straggler_factor}, latency_jitter=jitter,
                        seed=seed)
         r = api.run(SSSPProgram(), graph, SSSPQuery(source=source),
-                    num_fragments=m, mode=mode, cost_model=cm,
-                    record_trace=False)
+                    num_fragments=m, mode=mode, cost_model=cm)
         ref = analysis.dijkstra(graph, source)
         for v in ref:
             assert r.answer[v] == pytest.approx(ref[v])

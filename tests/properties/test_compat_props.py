@@ -51,7 +51,7 @@ class TestPregelEquivalence:
         g = generators.powerlaw(n, m=2, weighted=True, seed=seed)
         source = next(iter(g.nodes))
         adapter = api.run(PregelAdapter(_PregelSSSP(source)), g, None,
-                          num_fragments=m, mode=mode, record_trace=False)
+                          num_fragments=m, mode=mode)
         engine = SuperstepVertexEngine(g, max(m, 1))
         reference = engine.run(BellmanFordSSSP(source))
         for v in reference.answer:

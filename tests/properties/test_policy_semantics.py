@@ -49,8 +49,7 @@ def _run_with_oracle(graph, fragments, cm, mode, staleness_bound=None):
         if mode == "SSP" else make_policy(mode)
     runtime = SimulatedRuntime(
         Engine(SSSPProgram(), pg, SSSPQuery(source=next(iter(graph.nodes)))),
-        policy, cost_model=cm, observer=Observer(log=log),
-        record_trace=False)
+        policy, cost_model=cm, observer=Observer(log=log))
     runtime.run()
     suite.finish()
     decisions = log.filter(type=obs.DS_DECISION)

@@ -9,6 +9,7 @@ from repro.algorithms import CCProgram, CCQuery
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
 from repro.graph import generators
+from repro.obs import Observer, round_slices
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import SimulatedRuntime
@@ -31,17 +32,19 @@ def scenario(draw):
         speed={0: draw(st.floats(1.0, 8.0))},
         latency_jitter=draw(st.floats(0.0, 0.3)),
         seed=draw(st.integers(0, 100)))
-    return g, m, mode, cm
+    # virtual workers sharing physical hosts wait for them, PEval included
+    hosts = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return g, m, mode, cm, hosts
 
 
 class TestSimulatorInvariants:
     @given(s=scenario())
     @settings(**SETTINGS)
     def test_message_conservation_and_sanity(self, s):
-        g, m, mode, cm = s
+        g, m, mode, cm, hosts = s
         pg = HashPartitioner().partition(g, m)
         rt = SimulatedRuntime(Engine(CCProgram(), pg, CCQuery()),
-                              make_policy(mode), cost_model=cm)
+                              make_policy(mode), cost_model=cm, hosts=hosts)
         result = rt.run()
         metrics = result.metrics
         sent = sum(w.messages_sent for w in metrics.workers)
@@ -60,7 +63,7 @@ class TestSimulatorInvariants:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_bitwise_determinism(self, s):
-        g, m, mode, cm_template = s
+        g, m, mode, cm_template, hosts = s
         pg = HashPartitioner().partition(g, m)
 
         def once():
@@ -71,7 +74,8 @@ class TestSimulatorInvariants:
                            latency_jitter=cm_template.latency_jitter,
                            seed=17)
             rt = SimulatedRuntime(Engine(CCProgram(), pg, CCQuery()),
-                                  make_policy(mode), cost_model=cm)
+                                  make_policy(mode), cost_model=cm,
+                                  hosts=hosts)
             return rt.run()
 
         a, b = once(), once()
@@ -83,13 +87,21 @@ class TestSimulatorInvariants:
     @given(s=scenario())
     @settings(**SETTINGS)
     def test_trace_consistent_with_metrics(self, s):
-        g, m, mode, cm = s
+        g, m, mode, cm, hosts = s
         pg = HashPartitioner().partition(g, m)
+        obs = Observer()
         rt = SimulatedRuntime(Engine(CCProgram(), pg, CCQuery()),
-                              make_policy(mode), cost_model=cm)
+                              make_policy(mode), cost_model=cm, hosts=hosts,
+                              observer=obs)
         result = rt.run()
-        trace = result.trace
-        assert trace.makespan() <= result.time + 1e-9
+        slices = round_slices(obs.log)
         for w in result.metrics.workers:
-            assert trace.rounds(w.wid) == w.rounds
-            assert trace.busy_time(w.wid) == pytest.approx(w.busy_time)
+            rounds = slices[w.wid]
+            assert len(rounds) == w.rounds
+            assert sum(s.end - s.start for s in rounds) == \
+                pytest.approx(w.busy_time)
+            assert rounds[-1].end <= result.time + 1e-9
+            # busy, idle and suspended tile the run, the wait for a
+            # shared host before PEval included
+            assert w.busy_time + w.idle_time + w.suspended_time == \
+                pytest.approx(result.time, abs=1e-9)

@@ -51,9 +51,8 @@ def random_graph(seed: int, n: int) -> Graph:
 
 
 def run_pair(program_cls, pg, query, mode):
-    gen = api.run(program_cls(), pg, query, mode=mode, record_trace=False)
-    vec = api.run(program_cls(), pg, query, mode=mode, record_trace=False,
-                  vectorized=True)
+    gen = api.run(program_cls(), pg, query, mode=mode)
+    vec = api.run(program_cls(), pg, query, mode=mode, vectorized=True)
     return gen.answer, vec.answer
 
 

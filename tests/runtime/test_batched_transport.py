@@ -135,7 +135,7 @@ class TestLiveRuntimeChaos:
     def _clean_answer(self, pg):
         from repro import api
         return api.run(SSSPProgram(), pg, SSSPQuery(source=0),
-                       mode="AP", record_trace=False).answer
+                       mode="AP").answer
 
     def test_threaded_vectorized_chaos(self):
         from repro.core.engine import Engine

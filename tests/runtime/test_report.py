@@ -5,6 +5,7 @@ import json
 
 from repro import api
 from repro.algorithms import CCProgram, CCQuery
+from repro.obs import Observer
 from repro.obs.export import run_report, write_report
 
 
@@ -20,11 +21,13 @@ class TestResultToDict:
         assert "answer" not in doc
 
     def test_trace_included(self, small_powerlaw):
-        r = api.run(CCProgram(), small_powerlaw, CCQuery(), num_fragments=3)
-        doc = run_report(r, include_trace=True)
-        assert doc["trace"]
+        # a run with an observer carries its rounds, read off the log
+        r = api.run(CCProgram(), small_powerlaw, CCQuery(), num_fragments=3,
+                    observer=Observer())
+        doc = run_report(r)
+        assert len(doc["trace"]) == sum(r.rounds)
         iv = doc["trace"][0]
-        assert set(iv) == {"wid", "start", "end", "kind", "round"}
+        assert set(iv) == {"wid", "start", "end", "kind", "round", "payload"}
 
     def test_answer_included(self, small_grid):
         r = api.run(CCProgram(), small_grid, CCQuery(), num_fragments=2)
@@ -32,9 +35,9 @@ class TestResultToDict:
         assert doc["answer"]["0"] == 0
 
     def test_json_serialisable(self, small_powerlaw):
-        r = api.run(CCProgram(), small_powerlaw, CCQuery(), num_fragments=3)
-        text = json.dumps(run_report(r, include_trace=True,
-                                     include_answer=True))
+        r = api.run(CCProgram(), small_powerlaw, CCQuery(), num_fragments=3,
+                    observer=Observer())
+        text = json.dumps(run_report(r, include_answer=True))
         assert "metrics" in text
 
 

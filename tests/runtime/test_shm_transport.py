@@ -327,7 +327,7 @@ class TestTransportEquivalence:
         g = generators.powerlaw(200, m=2, weighted=True, seed=6)
         pg = HashPartitioner().partition(g, 4)
         ref = api.run(SSSPProgram(), pg, SSSPQuery(source=0),
-                      mode="AP", record_trace=False).answer
+                      mode="AP").answer
         return pg, ref
 
     @pytest.mark.parametrize("mode", ["BSP", "AP", "SSP", "AAP", "Hsync"])
@@ -358,7 +358,7 @@ class TestShmChaos:
         g = generators.powerlaw(200, m=2, weighted=True, seed=6)
         pg = HashPartitioner().partition(g, 4)
         ref = api.run(SSSPProgram(), pg, SSSPQuery(source=0),
-                      mode="AP", record_trace=False).answer
+                      mode="AP").answer
         return pg, ref
 
     def test_message_chaos_preserves_answer_on_shm(self):

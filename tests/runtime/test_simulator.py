@@ -9,6 +9,7 @@ from repro.core.engine import Engine
 from repro.core.modes import make_policy
 from repro.errors import RuntimeConfigError, TerminationError
 from repro.graph import analysis, generators
+from repro.obs import Observer, round_slices
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime.costmodel import CostModel
 from repro.runtime.simulator import SimulatedRuntime
@@ -92,19 +93,31 @@ class TestMetricsAndTrace:
         assert m.total_busy <= m.makespan * len(m.workers) + 1e-9
 
     def test_trace_recorded(self, small_grid):
-        rt = build(small_grid, SSSPProgram(), SSSPQuery(source=0))
+        obs = Observer()
+        rt = build(small_grid, SSSPProgram(), SSSPQuery(source=0),
+                   observer=obs)
         result = rt.run()
-        assert result.trace.intervals
-        assert result.trace.makespan() <= result.time + 1e-9
-        # every worker has exactly one peval interval
+        slices = round_slices(obs.log)
+        assert max(s.end for rounds in slices.values()
+                   for s in rounds) <= result.time + 1e-9
+        # every worker has exactly one peval round
         for wid in range(4):
-            kinds = [iv.kind for iv in result.trace.by_worker()[wid]]
+            kinds = [s.kind for s in slices[wid]]
             assert kinds.count("peval") == 1
 
-    def test_trace_disabled(self, small_grid):
-        rt = build(small_grid, CCProgram(), CCQuery(), record_trace=False)
-        result = rt.run()
-        assert result.trace.intervals == []
+    def test_wait_for_a_host_before_peval_is_accounted(self):
+        # workers 1 and 3 wait for their host before PEval: that wait is
+        # suspended time, so every worker's time tiles the makespan
+        pg = HashPartitioner().partition(generators.grid2d(12, 12, seed=2),
+                                         4)
+        result = SimulatedRuntime(
+            Engine(SSSPProgram(), pg, SSSPQuery(source=0)),
+            make_policy("AP"), hosts=[0, 0, 1, 1]).run()
+        for w in result.metrics.workers:
+            assert w.busy_time + w.idle_time + w.suspended_time == \
+                pytest.approx(result.time, abs=1e-9), w.wid
+        assert all(w.suspended_time > 0
+                   for w in result.metrics.workers[1::2])
 
 
 class TestSharedHosts:
