@@ -11,7 +11,7 @@ workers), as the paper prescribes.
 BSP, AP and SSP are special cases (paper, "Special cases"):
 
 ====  =====================================================================
-BSP   ``DS_i = +inf`` if ``r_i > r_min`` else ``0`` — global barrier.
+BSP   ``DS_i = 0`` — the barrier is the step's strict superstep rule.
 AP    ``DS_i = 0`` always — run as soon as the buffer is non-empty.
 SSP   ``DS_i = +inf`` if ``r_i > r_min + c`` else ``0`` — bounded staleness.
 AAP   Eq. (1): dynamic ``DS_i`` from staleness ``eta_i``, target ``L_i``,
@@ -75,6 +75,8 @@ class DelayPolicy(abc.ABC):
     """
 
     name = "policy"
+    #: whether the step runs strict supersteps (BSP) under this policy
+    supersteps = False
 
     @abc.abstractmethod
     def delay(self, view: WorkerView) -> float:
@@ -109,12 +111,13 @@ class APPolicy(DelayPolicy):
 
 
 class BSPPolicy(DelayPolicy):
-    """Bulk Synchronous Parallel: no worker may outpace the slowest."""
+    """Bulk Synchronous Parallel: the step's supersteps are the barrier."""
 
     name = "BSP"
+    supersteps = True
 
     def delay(self, view: WorkerView) -> float:
-        return 0.0 if view.round <= view.rmin else INF
+        return 0.0
 
 
 class SSPPolicy(DelayPolicy):

@@ -99,8 +99,11 @@ class TerminationMaster:
             return False
 
     def wait_for_termination(self, poll: Callable[[], None] = None,
-                             timeout: Optional[float] = None) -> None:
-        """Block until unanimous ack (with optional per-iteration ``poll``)."""
+                             timeout: Optional[float] = None,
+                             barrier: Callable[[], bool] = None) -> None:
+        """Block until unanimous ack (with optional per-iteration ``poll``);
+        ``barrier`` (BSP), asked then under this lock, returns True when it
+        opened the next superstep instead, woken workers marked active."""
         deadline = None
         if timeout is not None:
             import time
@@ -108,6 +111,8 @@ class TerminationMaster:
         with self._lock:
             while not self._terminated:
                 if all(self._inactive) and self._in_flight == 0:
+                    if barrier is not None and barrier():
+                        continue
                     self._terminated = True
                     self._lock.notify_all()
                     return

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Set, Tuple
+from operator import attrgetter
+from typing import (Any, Dict, Hashable, Iterable, List, Optional, Set,
+                    Tuple)
 
 Node = Hashable
 
@@ -137,13 +139,20 @@ class MessageBuffer:
         self.total_received += 1
         self.total_bytes += msg.size_bytes
 
-    def drain(self) -> List[Message]:
+    def drain(self, before: Optional[int] = None) -> List[Message]:
         """Atomically take and clear all buffered messages.
 
         This is the only point where messages leave the buffer (the paper's
         single race condition; the threaded runtime guards it with a lock).
+        ``before`` takes only those stamped with an earlier round, in
+        sender order, and keeps the rest (a BSP superstep's input).
         """
-        taken, self._messages = self._messages, []
+        if before is None:
+            taken, self._messages = self._messages, []
+            return taken
+        taken = sorted((m for m in self._messages if m.round < before),
+                       key=attrgetter("src"))
+        self._messages = [m for m in self._messages if m.round >= before]
         return taken
 
     def peek(self) -> List[Message]:

@@ -10,12 +10,17 @@ message / decision / status records.  A runtime *drives* it and keeps
 transport, clock, wake-up and termination; the contract between the two
 is the "Worker step" section of ``docs/architecture.md``.  The step never
 sleeps or blocks: time is whatever the driver's ``clock`` says.
+
+BSP is one rule here, not a delay: superstep ``s`` consumes exactly the
+batches stamped ``< s`` and stamps its output ``s``; a driver opens
+``s + 1`` once nothing of ``s`` runs or flies (:func:`open_superstep`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from dataclasses import replace
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.core.delay import DelayPolicy, WorkerView
@@ -62,6 +67,24 @@ class Fleet(NamedTuple):
                    num_workers=len(states))
 
 
+def restamped(messages) -> List[Any]:
+    """Restored messages as 0th-superstep traffic: a checkpointed run's
+    stamps mean nothing to this one, and BSP's superstep 1 takes them."""
+    return [replace(m, round=0) for m in messages]
+
+
+def open_superstep(steps: List["WorkerStep"]) -> List[int]:
+    """BSP's barrier over steps sharing an address space, called when no
+    round runs and nothing flies: open the next superstep if any buffer
+    holds mail; returns those workers (none: the run is over, or not BSP)."""
+    held = [s.state.wid for s in steps if s.state.buffer]
+    if steps[0].superstep is None or not held:
+        return []
+    for step in steps:
+        step.superstep += 1
+    return held
+
+
 class WorkerStep:
     """One virtual worker's round protocol, schedule-agnostic.
 
@@ -87,7 +110,7 @@ class WorkerStep:
 
     __slots__ = ("engine", "policy", "clock", "emit", "state",
                  "default_round_time", "stretch", "guard", "num_peers",
-                 "started", "kind")
+                 "started", "kind", "superstep")
 
     def __init__(self, engine: Any, wid: int, policy: DelayPolicy,
                  clock: Callable[[], float],
@@ -108,13 +131,15 @@ class WorkerStep:
         #: start time and kind ("peval" / "inceval") of the latest round
         self.started = 0.0
         self.kind = "peval"
+        #: BSP's open superstep (PEval is the 0th; ``None``: not BSP)
+        self.superstep: Optional[int] = 0 if policy.supersteps else None
 
     def resume(self, buffered=()) -> None:
         """Start from a restored fixpoint or checkpoint instead of PEval,
         ``buffered`` already in; stamps the wait, so the clock must run."""
         w = self.state
         w.rounds = 1
-        for msg in buffered:
+        for msg in restamped(buffered):
             w.buffer.push(msg)
         w.status = (WorkerStatus.WAITING if w.buffer
                     else WorkerStatus.INACTIVE)
@@ -122,13 +147,24 @@ class WorkerStep:
         w.wait_started = now if w.buffer else None
 
     # -- (1) the round -----------------------------------------------
-    def begin(self, batches: Optional[List[Any]] = None,
-              round_no: Optional[int] = None) -> RoundOutput:
+    def due(self) -> bool:
+        """Whether the next round has input: any mail, or under BSP mail
+        stamped before the open superstep.  Delta is asked only then."""
+        if self.superstep is None:
+            return bool(self.state.buffer)
+        return any(m.round < self.superstep for m in self.state.buffer.peek())
+
+    def drain(self) -> List[Any]:
+        """Take the next round's input (under BSP: the due mail, in
+        sender order); the driver serialises it against :meth:`arrived`."""
+        return self.state.buffer.drain(self.superstep)
+
+    def begin(self, batches: Optional[List[Any]] = None) -> RoundOutput:
         """Run the kernel of the next round: PEval when ``batches`` is
-        ``None``, else IncEval over the drained ``batches``.  ``round_no``
-        overrides the stamp outgoing messages carry (strict supersteps
-        stamp the superstep, not ``r_i``).  ``round_start`` is on record
-        before the kernel runs, so a hung round is visible while it hangs.
+        ``None``, else IncEval over the drained ``batches``.  Outgoing
+        messages are stamped ``r_i``, or under BSP the open superstep.
+        ``round_start`` is on record before the kernel runs, so a hung
+        round is visible while it hangs.
         """
         w = self.state
         now = self.clock()
@@ -146,9 +182,12 @@ class WorkerStep:
         # through the instance each time: profilers wrap these attributes
         if batches is None:
             return self.engine.run_peval(w.wid)
-        return self.engine.run_inceval(
-            w.wid, batches,
-            round_no=w.rounds if round_no is None else round_no)
+        return self.engine.run_inceval(w.wid, batches, round_no=self.stamp)
+
+    @property
+    def stamp(self) -> int:
+        """What this worker's output is stamped: ``r_i`` (BSP: ``s``)."""
+        return self.state.rounds if self.superstep is None else self.superstep
 
     def finish(self, out: RoundOutput,
                duration: Optional[float] = None) -> float:

@@ -10,7 +10,7 @@ perturber with the online oracles attached; a live cell runs through
 unless armed by faults or checkpoints).  The :class:`Verdict` is a list
 of :class:`OracleViolation`: the oracles' and ``contraction``, ``crash``
 (the run raised), ``differential`` (the answer left the tolerance),
-``schedule`` (a multiprocess BSP run left the strict superstep schedule)
+``schedule`` (a BSP run left the strict superstep schedule)
 and ``rung`` (the recovery ladder ended off the cell's rung).  Cells come
 from :func:`case_from_seed` (seeded fuzz) and the lists in :data:`GRIDS`.
 """
@@ -48,7 +48,7 @@ FUZZ_ALGORITHMS = ("sssp", "cc", "reachability", "pagerank")
 RUNTIMES = ("simulated", "threaded", "multiprocess")
 #: the engine axis, generic first (its failure explains the vectorized)
 PATHS = (False, True)
-#: runs of a fault-free multiprocess BSP cell, each held to the schedule
+#: runs of a fault-free BSP cell, each held to the schedule
 BSP_REPEATS = 5
 GRAPHS = {"erdos_renyi": generators.erdos_renyi, "grid2d": generators.grid2d,
           "powerlaw": generators.powerlaw, "path": generators.path_graph,
@@ -291,7 +291,7 @@ def run_cell(cell: Cell, observer: Any = None,
     default_cls, query = workload(cell.algorithm, graph, cell.source)
     cls = program_cls or default_cls
     verdict = Verdict(cell=cell)
-    bsp = (cell.mode, cell.runtime, cell.faults) == ("BSP", "multiprocess", ())
+    bsp = (cell.mode, cell.faults) == ("BSP", ())
     reference = pinned = None
     run = _simulate if cell.runtime == "simulated" else _live
     for _ in range(BSP_REPEATS if bsp else 1):
@@ -328,7 +328,8 @@ def run_cell(cell: Cell, observer: Any = None,
             verdict.violate("schedule", (
                 f"schedule {verdict.schedule} is not the strict superstep "
                 f"schedule {pinned}"))
-            break
+        if not verdict.ok:
+            break  # one report, not one per repeat
     crashes = sum(spec.startswith("crash") for spec in cell.faults)
     if cell.rung is not None and (verdict.rung != cell.rung or (
             cell.rung == 1 and verdict.respawns != crashes)):

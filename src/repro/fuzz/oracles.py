@@ -7,11 +7,12 @@ every broken invariant at once and the shrinker can compare verdicts.
 
 The invariants come straight from Section 3 of the paper:
 
-- **bounds** — ``r_min <= r_i <= r_max`` at every policy decision, plus the
-  special-case gating: BSP may only start a round at ``r_min``, SSP(c) at
-  most ``r_min + c`` ahead.
+- **bounds** — ``r_min <= r_i <= r_max`` at every policy decision, plus
+  SSP(c)'s gating: at most ``r_min + c`` ahead.  BSP is held to its whole
+  schedule instead (the ``schedule`` check of :func:`repro.fuzz.run_cell`).
 - **ledger** — every sent message is delivered exactly once, buffer depth
-  and the staleness ``eta_i`` agree with the delivery/drain history, and at
+  and the staleness ``eta_i`` agree with the delivery/drain history (a BSP
+  round drains only its superstep's batches), and at
   termination nothing is in flight (sent = received + in-flight, with the
   in-flight set empty).
 - **wake gate** — a worker never begins IncEval without a policy decision
@@ -72,7 +73,7 @@ class Oracle:
 
 
 class BoundsOracle(Oracle):
-    """``r_min <= r_i <= r_max`` plus BSP/SSP start-gating and span.
+    """``r_min <= r_i <= r_max`` plus SSP start-gating and span.
 
     The span check uses ``c + 1``, not ``c``: the repo's round counters
     mean *rounds completed*, so a worker allowed to start at ``r_min + c``
@@ -94,20 +95,6 @@ class BoundsOracle(Oracle):
         self._last_rmin: Optional[int] = None
         self._span_valid = True
 
-    def _span_limit(self) -> Optional[int]:
-        if self.mode == "BSP":
-            return 1
-        if self.mode == "SSP" and self.c is not None:
-            return self.c + 1
-        return None
-
-    def _start_limit(self, rmin: int) -> Optional[int]:
-        if self.mode == "BSP":
-            return rmin
-        if self.mode == "SSP" and self.c is not None:
-            return rmin + self.c
-        return None
-
     def on_event(self, event: obs.ObsEvent) -> None:
         if event.type == obs.STATUS_CHANGE:
             p = event.payload
@@ -127,18 +114,17 @@ class BoundsOracle(Oracle):
             self.violate(
                 f"worker round {event.round} outside "
                 f"[rmin={rmin}, rmax={rmax}]", event.t, event.wid)
-        span = self._span_limit()
-        if (span is not None and self._span_valid
-                and rmax - rmin > span):
+        if self.mode != "SSP" or self.c is None:
+            return
+        if self._span_valid and rmax - rmin > self.c + 1:
             self.violate(
                 f"{self.mode} span rmax-rmin = {rmax - rmin} exceeds "
-                f"{span}", event.t, event.wid)
-        limit = self._start_limit(rmin)
-        if (limit is not None and p["action"] == "start"
-                and event.round > limit):
+                f"{self.c + 1}", event.t, event.wid)
+        if p["action"] == "start" and event.round > rmin + self.c:
             self.violate(
                 f"{self.mode} started round {event.round} > allowed "
-                f"{limit} (rmin={rmin}, c={self.c})", event.t, event.wid)
+                f"{rmin + self.c} (rmin={rmin}, c={self.c})",
+                event.t, event.wid)
 
 
 class LedgerOracle(Oracle):
@@ -194,11 +180,11 @@ class LedgerOracle(Oracle):
             if p["kind"] != "inceval":
                 return
             expect = self._undrained.get(event.wid, 0)
-            if p["batches"] != expect:
+            if p["batches"] > expect:
                 self.violate(
                     f"IncEval drained {p['batches']} batches, ledger "
                     f"says {expect} were buffered", event.t, event.wid)
-            self._undrained[event.wid] = 0
+            self._undrained[event.wid] = expect - p["batches"]
         elif event.type == obs.DS_DECISION:
             eta = p["eta"]
             expect = self._undrained.get(event.wid, 0)

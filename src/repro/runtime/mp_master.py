@@ -145,7 +145,7 @@ class _Master:
         self.detector = (FailureDetector(m, rt.heartbeat_interval,
                                          rt.heartbeat_timeout,
                                          now=time.monotonic())
-                         if rt.detect_failures else None)
+                         if rt._ft else None)
         self.ckpt = (LiveCheckpointer(rt.checkpoint_interval, m)
                      if rt.checkpoint_interval is not None else None)
         self.last_ft_check = 0.0

@@ -15,13 +15,14 @@ import os
 import select
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
 from repro.core.pie import PIEProgram
-from repro.core.step import DEFAULT_ROUND_TIME, Fleet, WorkerStep
+from repro.core.step import (DEFAULT_ROUND_TIME, Fleet, WorkerStep,
+                             restamped)
 from repro.core.worker import WorkerMetrics
 from repro.obs import events as obs_events
 from repro.partition.fragment import PartitionedGraph
@@ -185,11 +186,6 @@ class _Worker:
         # so skipping the per-round control message there spares the master
         # one event per round per worker
         self.report_rounds = mode in ("AAP", "SSP", "Hsync")
-        #: BSP: the superstep this worker is in (PEval is the 0th).
-        #: Outgoing messages carry it as their round stamp, so a receiver
-        #: can tell a peer's output of the *current* superstep from the
-        #: previous one's.
-        self.superstep = 0
         #: BSP: the barrier report this worker still owes the master
         self.owed: Optional[Tuple] = None
         self.inactive_reported = False
@@ -232,9 +228,7 @@ class _Worker:
             self.context.import_state(ft.seed_values)
             self.context.scratch = ft.seed_scratch
             self.step.resume()
-            # (restamped as 0th-superstep traffic: the checkpointed run's
-            # superstep numbers mean nothing to this one)
-            self.carry.extend(replace(m, round=0) for m in ft.seed_messages)
+            self.carry.extend(restamped(ft.seed_messages))
             if self.report_rounds:
                 self.control.put(("round", self.wid, 1, DEFAULT_ROUND_TIME,
                                   0.0, 0))
@@ -250,8 +244,7 @@ class _Worker:
     def _run_round(self, batch: Optional[List[Any]]) -> None:
         """One round through the step, shipped and reported."""
         step = self.step
-        out = step.begin(batch, round_no=self.superstep
-                         if self.mode == "BSP" else None)
+        out = step.begin(batch)
         duration = step.finish(out)
         self._ship(out.messages)
         if batch and self.pool is not None:
@@ -366,16 +359,14 @@ class _Worker:
         self.control.put(("ack" if empty else "wait", self.wid))
 
     def _on_superstep(self, cmd) -> None:
-        self.superstep = cmd[1]
-        arrived = self.carry + self._drain_in()
-        # a faster peer may already have shipped this superstep's output;
-        # it belongs to the next one
-        batch = [msg for msg in arrived if msg.round < self.superstep]
-        self.carry = [msg for msg in arrived if msg.round >= self.superstep]
-        for msg in batch:
+        # a faster peer's output of this superstep stays for the next one
+        self.step.superstep = cmd[1]
+        for msg in self.carry + self._drain_in():
             self.step.arrived(msg)
+        self.carry.clear()
+        batch = self.step.drain()
         if batch:
-            self._run_round(self.step.state.buffer.drain())
+            self._run_round(batch)
         self.owed = ("step-done", self.wid, len(batch))
 
     def _on_quarantine(self, cmd) -> None:
@@ -426,9 +417,7 @@ class _Worker:
         self.parked.pop(qw, None)
         if self.pool is not None:
             self.pool.rejoin_peer(qw)
-        stamp = (self.superstep if self.mode == "BSP"
-                 else self.step.state.rounds)
-        self._ship(self.engine.derive_reship(self.wid, qw, stamp))
+        self._ship(self.engine.derive_reship(self.wid, qw, self.step.stamp))
 
     #: the master's commands (``stop`` / ``abort`` end the loop itself)
     _COMMANDS = {

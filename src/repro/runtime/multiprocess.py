@@ -25,17 +25,14 @@ All five parallel models are supported:
 
 - ``"AP"``  — fully asynchronous; a worker runs whenever its inbox is
   non-empty.
-- ``"BSP"`` — master-coordinated supersteps (a real distributed barrier).
-  A superstep consumes exactly the previous superstep's messages, so the
+- ``"BSP"`` — master-coordinated supersteps (a real distributed barrier)
+  under the step's superstep rule (:mod:`repro.core.step`), so the
   schedule — rounds per worker, entries shipped — is a function of the
-  input, the same on every run and equal to
-  :meth:`~repro.core.fixpoint.ScheduledExecutor.run_supersteps`.  Three
-  rules make it so: PEval is the 0th superstep (a worker reports it like
-  any other, and superstep 1 opens only when all have); messages carry
-  the superstep that produced them as their round stamp and a receiver
-  sets aside, for the next superstep, any that a faster peer produced in
-  the current one; and a worker's barrier report waits until every frame
-  it wrote to a pickled lane has crossed the pipe.
+  input, the same on every run, on every runtime, and equal to
+  :meth:`~repro.core.fixpoint.ScheduledExecutor.run_supersteps`.  The
+  master opens superstep ``s + 1`` once every worker has reported ``s``
+  (PEval is the 0th), and a worker's barrier report waits until every
+  frame it wrote to a pickled lane has crossed the pipe.
 - ``"SSP"`` — bounded staleness: a worker holds its drained batch while
   ``r_i > r_min + c``, where ``r_min`` comes from the master's fleet
   broadcasts (computed over *active* workers, so a finished worker never
@@ -101,9 +98,9 @@ import multiprocessing as mp
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.core.delay import (AAPPolicy, APPolicy, DelayPolicy, HsyncPolicy,
-                              SSPPolicy)
+from repro.core.delay import AAPPolicy, DelayPolicy, HsyncPolicy
 from repro.core.engine import Engine
+from repro.core.modes import make_policy
 from repro.core.pie import PIEProgram
 from repro.core.result import RunResult
 from repro.errors import RuntimeConfigError, SnapshotError
@@ -141,7 +138,6 @@ class MultiprocessRuntime:
                  checkpoint_interval: Optional[float] = None,
                  heartbeat_interval: float = 0.02,
                  heartbeat_timeout: float = 1.0,
-                 detect_failures: Optional[bool] = None,
                  snapshot: Optional[GlobalSnapshot] = None,
                  vectorized: bool = False,
                  staleness_bound: Optional[int] = None,
@@ -176,15 +172,11 @@ class MultiprocessRuntime:
         self.obs = observer
         self._started = 0.0
         self.fault_plan = fault_plan
-        if detect_failures is None:
-            detect_failures = (fault_plan is not None
-                               or checkpoint_interval is not None)
-        self.detect_failures = detect_failures
         self.checkpoint_interval = checkpoint_interval
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self._ft = (fault_plan is not None or detect_failures
-                    or checkpoint_interval is not None)
+        #: armed (heartbeat detection on) iff faults or checkpoints
+        self._ft = fault_plan is not None or checkpoint_interval is not None
         #: structured failure log (heartbeat misses, detected deaths)
         self.failures: List[FailureEvent] = []
         #: the most recent complete live checkpoint, or None
@@ -223,7 +215,7 @@ class MultiprocessRuntime:
         """
         cfg = _FTConfig(fault_plan=plan,
                         heartbeat_interval=(self.heartbeat_interval
-                                            if self.detect_failures else 0.0),
+                                            if self._ft else 0.0),
                         **respawn)
         if snap is not None and wid in snap.worker_states:
             state = snap.fragment_state(wid)
@@ -239,11 +231,9 @@ class MultiprocessRuntime:
         the fleet broadcasts."""
         if self.mode == "AAP":
             return AAPPolicy()
-        if self.mode == "SSP":
-            return SSPPolicy(self.staleness_bound)
         if self.mode == "Hsync":
             return HsyncPolicy(switch_cost=self.hsync.switch_cost)
-        return APPolicy()
+        return make_policy(self.mode, staleness_bound=self.staleness_bound)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:

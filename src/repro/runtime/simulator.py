@@ -14,7 +14,8 @@ paper prescribes —
 - *Termination*: a worker with an empty buffer after a round becomes
   inactive; the run terminates when no worker is pending and no message is in
   flight (which is exactly "all inactive, all ack" in the event model, since
-  every in-flight message is a scheduled event).
+  every in-flight message is a scheduled event).  Under BSP that moment
+  opens the next superstep instead while any buffer holds mail.
 
 Timing comes from a :class:`~repro.runtime.costmodel.CostModel`; per-worker
 speed factors create stragglers.  Runs are bit-for-bit reproducible: events
@@ -27,7 +28,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
-from repro.core.step import DS_EPSILON, Fleet, WorkerStep
+from repro.core.step import DS_EPSILON, Fleet, WorkerStep, open_superstep
 from repro.core.worker import WorkerState, WorkerStatus
 from repro.errors import RuntimeConfigError, TerminationError
 from repro.core.result import RunResult
@@ -151,6 +152,7 @@ class SimulatedRuntime:
     def _event_loop(self) -> None:
         while True:
             if not self.queue:
+                open_superstep(self.steps)  # BSP: nothing runs or flies
                 # give suspended workers one more look (rmin may have moved)
                 self._reevaluate_all()
                 if not self.queue:
@@ -206,8 +208,7 @@ class SimulatedRuntime:
         duration ahead; its messages are held until then."""
         step, w = self.steps[wid], self.workers[wid]
         w.invalidate_wakeups()
-        batches = (None if w.status is WorkerStatus.CREATED
-                   else w.buffer.drain())
+        batches = None if w.status is WorkerStatus.CREATED else step.drain()
         out = step.begin(batches)
         duration = self.cost.round_time(
             wid, out.work, batches_consumed=len(batches or ()),
@@ -275,7 +276,8 @@ class SimulatedRuntime:
             wid = self._host_queue[host].pop(0)
             w = self.workers[wid]
             if (w.status is WorkerStatus.CREATED
-                    or (w.status is WorkerStatus.WAITING and w.buffer)):
+                    or (w.status is WorkerStatus.WAITING
+                        and self.steps[wid].due())):
                 self._host_occupant[host] = wid
                 self._start_round(wid)
             # else: the worker no longer wants the host; try the next one
@@ -292,7 +294,7 @@ class SimulatedRuntime:
 
     def _reevaluate(self, wid: int) -> None:
         w = self.workers[wid]
-        if w.status is not WorkerStatus.WAITING or not w.buffer:
+        if w.status is not WorkerStatus.WAITING or not self.steps[wid].due():
             return
         occupant = self._host_occupant[w.host]
         ds, action = self.steps[wid].decide(

@@ -39,7 +39,7 @@ from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
 from repro.core.master import TerminationMaster
 from repro.core.result import RunResult
-from repro.core.step import Fleet, WorkerStep
+from repro.core.step import Fleet, WorkerStep, open_superstep
 from repro.core.worker import WorkerStatus
 from repro.errors import SnapshotError, WorkerCrashedError
 from repro.obs import events as obs_events
@@ -74,9 +74,6 @@ class ThreadedRuntime:
     heartbeat_interval / heartbeat_timeout:
         Failure-detector tuning: workers beat every loop iteration; a worker
         silent past the timeout (or whose thread died) is declared failed.
-    detect_failures:
-        Force the failure detector on/off; defaults to on whenever a fault
-        plan or checkpoint interval is configured.
     respawn_budget:
         Surgical-recovery rung 1: how many in-place thread respawns each
         worker slot may spend before a detected death degrades to
@@ -91,7 +88,6 @@ class ThreadedRuntime:
                  checkpoint_interval: Optional[float] = None,
                  heartbeat_interval: float = 0.02,
                  heartbeat_timeout: float = 1.0,
-                 detect_failures: Optional[bool] = None,
                  respawn_budget: int = 0):
         self.engine = engine
         self.policy = policy
@@ -122,19 +118,15 @@ class ThreadedRuntime:
                        guard=self._locks[wid])
             for wid in range(m)]
         self.workers = [s.state for s in self.steps]
-        if detect_failures is None:
-            detect_failures = (fault_plan is not None
-                               or checkpoint_interval is not None)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
+        self._ft = fault_plan is not None or checkpoint_interval is not None
         self._detector: Optional[FailureDetector] = (
             FailureDetector(m, heartbeat_interval, heartbeat_timeout)
-            if detect_failures else None)
+            if self._ft else None)
         self._ckpt: Optional[LiveCheckpointer] = (
             LiveCheckpointer(checkpoint_interval, m)
             if checkpoint_interval is not None else None)
-        self._ft = (self._injector is not None or self._detector is not None
-                    or self._ckpt is not None)
         #: structured failure log (heartbeat misses, detected deaths)
         self.failures: List[FailureEvent] = []
         self._threads: List[threading.Thread] = []
@@ -199,7 +191,8 @@ class ThreadedRuntime:
         crash: Optional[WorkerCrashedError] = None
         poll = self._ft_poll if self._ft else None
         try:
-            self.master.wait_for_termination(timeout=self.timeout, poll=poll)
+            self.master.wait_for_termination(timeout=self.timeout, poll=poll,
+                                             barrier=self._open_superstep)
         except WorkerCrashedError as exc:
             crash = exc
             self.master.abort(exc)  # release every surviving worker
@@ -367,20 +360,32 @@ class ThreadedRuntime:
                                       self.workers[wid].buffer.peek())
 
     # ------------------------------------------------------------------
-    def _note_if_inactive(self, wid: int) -> bool:
-        """Atomically check emptiness and report inactive to the master.
+    def _open_superstep(self) -> bool:
+        """BSP's barrier, asked by the master at quiescence: open the
+        next superstep and wake the workers holding mail (False: done)."""
+        held = open_superstep(self.steps)
+        for wid in held:
+            self.master.set_active(wid)
+            self._events[wid].set()
+        return bool(held)
 
-        The inactive flag must be set atomically with the emptiness check,
-        or a racing delivery could be lost and the master would terminate
+    def _note_if_inactive(self, wid: int) -> bool:
+        """Atomically check for due mail and report inactive to the master.
+
+        The inactive flag must be set atomically with the check, or a
+        racing delivery could be lost and the master would terminate
         with an undrained buffer.  The worker's ``status`` is reset in the
         same critical section, so status-based views (and ``status_change``
-        events) never report a stale RUNNING/WAITING state while the worker
-        sits in the empty-buffer wait path.
+        events) never report a stale RUNNING state while the worker sits
+        in the wait path.  A BSP worker holding only next-superstep mail
+        is inactive to the master and waiting to itself.
         """
+        step = self.steps[wid]
         with self._locks[wid]:
-            if self.workers[wid].buffer:
+            if step.due():
                 return False
-            self.steps[wid].mark(WorkerStatus.INACTIVE)
+            step.mark(WorkerStatus.WAITING if step.state.buffer
+                      else WorkerStatus.INACTIVE)
             self.master.set_inactive(wid)
             return True
 
@@ -417,7 +422,7 @@ class ThreadedRuntime:
                 # with an empty buffer drops out of the fleet's rmin / rmax
                 with self._locks[wid]:
                     step.mark(WorkerStatus.RUNNING)
-                    batches = step.state.buffer.drain()
+                    batches = step.drain()
                 self._run_round(wid, batches)
             self._clean_exit[wid] = True
         except InjectedCrash:

@@ -5,9 +5,15 @@ import math
 
 import pytest
 
+from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.delay import (AAPPolicy, APPolicy, BSPPolicy, HsyncPolicy,
                               SSPPolicy, WorkerView)
+from repro.core.engine import Engine
+from repro.core.messages import Message
+from repro.core.step import WorkerStep
 from repro.errors import RuntimeConfigError
+from repro.graph import generators
+from repro.partition.edge_cut import HashPartitioner
 
 INF = math.inf
 
@@ -26,15 +32,47 @@ class TestAP:
         assert APPolicy().delay(view(eta=100, round=50, rmin=0)) == 0.0
 
 
+def bsp_step(superstep, *mail):
+    """A BSP worker step at ``superstep`` holding ``(src, stamp)`` mail,
+    in arrival order."""
+    graph = generators.grid2d(3, 3)
+    engine = Engine(SSSPProgram(), HashPartitioner().partition(graph, 2),
+                    SSSPQuery(source=0))
+    step = WorkerStep(engine, 1, BSPPolicy(), clock=lambda: 0.0)
+    step.superstep = superstep
+    for src, stamp in mail:
+        step.arrived(Message(src=src, dst=1, round=stamp,
+                             entries=((0, 1.0),)))
+    return step
+
+
 class TestBSP:
+    """BSP's barrier is the step's superstep rule, not a delay: delta
+    never holds a due round, wherever ``r_min`` is."""
+
     def test_at_rmin_proceeds(self):
+        step = bsp_step(3, (0, 2))
+        assert step.due()
         assert BSPPolicy().delay(view(round=3, rmin=3)) == 0.0
+        assert [m.round for m in step.drain()] == [2]
+        assert not step.state.buffer
 
     def test_ahead_suspends(self):
-        assert BSPPolicy().delay(view(round=4, rmin=3)) == INF
+        # a faster peer's output of the open superstep waits for the
+        # next one, even for a worker at r_min
+        step = bsp_step(3, (0, 3))
+        assert not step.due()
+        assert step.drain() == [] and step.state.buffer
+        step.superstep = 4
+        assert step.due()
 
     def test_behind_proceeds(self):
+        # a worker behind r_min runs on its due mail, in sender order;
+        # the open superstep's mail stays buffered
+        step = bsp_step(3, (1, 2), (0, 3), (0, 1))
         assert BSPPolicy().delay(view(round=2, rmin=3)) == 0.0
+        assert [(m.src, m.round) for m in step.drain()] == [(0, 1), (1, 2)]
+        assert [m.round for m in step.state.buffer.peek()] == [3]
 
 
 class TestSSP:

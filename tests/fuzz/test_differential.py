@@ -6,11 +6,19 @@ every assembled answer identical (within the accumulative tolerance) to
 the sequential fixpoint.
 """
 
-from repro.core.modes import MODES
+from repro.algorithms import SSSPProgram, SSSPQuery
+from repro.core.engine import Engine
+from repro.core.modes import MODES, make_policy
 from repro.fuzz import (ALGORITHMS, GRIDS, RUNTIMES, Cell, format_report,
                         run_grid)
 from repro.fuzz import cell as cell_module
 from repro.fuzz.cell import PATHS
+from repro.graph import generators
+from repro.partition.edge_cut import HashPartitioner
+from repro.runtime.costmodel import CostModel
+from repro.runtime.faultplan import FaultPlan, StragglerFault
+from repro.runtime.simulator import SimulatedRuntime
+from repro.runtime.threaded import ThreadedRuntime
 
 GRID4 = ("grid2d", {"rows": 4, "cols": 4, "weighted": True, "seed": 1})
 
@@ -27,17 +35,16 @@ class TestFullGrid:
         assert {c.mode for c in cells} == set(MODES)
         assert {c.runtime for c in cells} == set(RUNTIMES)
         assert {c.vectorized for c in cells} == {False, True}
-        # BSP's schedule is pinned as well as its answer: the
-        # multiprocess cell repeated the strict superstep schedule on
-        # every run, and with two fragments (one sender per worker) the
-        # simulator's delay-stretch BSP has that same schedule
+        # BSP's schedule is pinned as well as its answer: every runtime
+        # repeated the strict superstep schedule on every run, so the
+        # three runtimes' schedules are one
         bsp = {(v.cell.algorithm, v.cell.runtime, v.cell.vectorized): v
                for v in verdicts if v.cell.mode == "BSP"}
         for algorithm in ALGORITHMS:
             for path in PATHS:
-                live = bsp[algorithm, "multiprocess", path].schedule
-                assert live is not None
-                assert live == bsp[algorithm, "simulated", path].schedule
+                schedules = {bsp[algorithm, runtime, path].schedule
+                             for runtime in RUNTIMES}
+                assert len(schedules) == 1 and None not in schedules
 
 
 class TestReportShape:
@@ -62,13 +69,37 @@ class TestBspScheduleOracle:
             return rounds, messages + 1, size
 
         monkeypatch.setattr(cell_module, "bsp_schedule", off_by_one)
-        simulated, live = run_grid(
+        verdicts = run_grid(
             Cell(algorithm="cc", graph_kind=GRID4[0], graph_params=GRID4[1],
                  fragments=2, mode="BSP", runtime=runtime, vectorized=True)
-            for runtime in ("simulated", "multiprocess"))
-        assert simulated.ok  # only the live runtime is pinned
-        assert not live.ok
-        assert live.oracles == {"schedule"}
-        assert "strict superstep schedule" in live.violations[0].message
-        assert "MISMATCH cc/BSP/multiprocess/vectorized" in \
-            format_report([simulated, live])
+            for runtime in RUNTIMES)
+        report = format_report(verdicts)
+        for runtime, verdict in zip(RUNTIMES, verdicts):
+            assert verdict.oracles == {"schedule"}
+            assert len(verdict.violations) == 1  # not one per repeat
+            assert "strict superstep schedule" in \
+                verdict.violations[0].message
+            assert f"MISMATCH cc/BSP/{runtime}/vectorized" in report
+
+    def test_a_straggler_leaves_the_superstep_schedule_alone(self):
+        """SSSP on an 8x8 grid over four fragments, worker 0 four times
+        slower: the simulator (cost model) and the threaded runtime
+        (injected stall, and none) both run the strict superstep."""
+        graph = generators.grid2d(8, 8)
+        pg = HashPartitioner().partition(graph, 4)
+        query = SSSPQuery(source=0)
+        pinned = cell_module.bsp_schedule(SSSPProgram, pg, query, False)
+        slow = FaultPlan(faults=(StragglerFault(0, 4.0),))
+        runtimes = [
+            SimulatedRuntime(Engine(SSSPProgram(), pg, query),
+                             make_policy("BSP"),
+                             cost_model=CostModel.with_straggler(0, 4.0)),
+            ThreadedRuntime(Engine(SSSPProgram(), pg, query),
+                            make_policy("BSP")),
+            ThreadedRuntime(Engine(SSSPProgram(), pg, query),
+                            make_policy("BSP"), fault_plan=slow)]
+        for runtime in runtimes:
+            result = runtime.run()
+            m = result.metrics
+            assert (tuple(result.rounds), m.total_messages,
+                    m.total_bytes) == pinned

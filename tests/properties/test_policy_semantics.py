@@ -1,11 +1,13 @@
 """Property: BSP/SSP(c) simulator runs respect their staleness semantics.
 
-At every ``ds_decision`` event the bounds invariant must hold — a BSP run
-may only start a round at the global frontier ``r_min`` (barrier
-semantics), an SSP(c) run at most ``c`` rounds ahead of it (bounded
-staleness).  The check is the :class:`repro.fuzz.BoundsOracle` attached
-online via :class:`repro.fuzz.CheckingLog`, i.e. exactly what the fuzzer
-uses, applied across hypothesis-drawn graphs, fleets and cost models.
+A BSP run is the strict superstep schedule (``bsp_schedule``: rounds per
+worker, messages and bytes) whatever the cost model and host map, with
+every online oracle clean.  At every ``ds_decision`` event of an SSP(c)
+run the bounds invariant must hold: at most ``c`` rounds ahead of the
+global frontier ``r_min`` (bounded staleness).  The check is the
+:class:`repro.fuzz.BoundsOracle` attached online via
+:class:`repro.fuzz.CheckingLog`, i.e. exactly what the fuzzer uses,
+applied across hypothesis-drawn graphs, fleets and cost models.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
 from repro.core.modes import make_policy
 from repro.fuzz import BoundsOracle, CheckingLog, OracleSuite
+from repro.fuzz.cell import bsp_schedule
 from repro.graph import generators
 from repro.obs import Observer
 from repro.obs import events as obs
@@ -58,15 +61,24 @@ def _run_with_oracle(graph, fragments, cm, mode, staleness_bound=None):
 
 
 class TestBarrierSemantics:
-    @given(s=scenario())
+    @given(s=scenario(), data=st.data())
     @settings(**SETTINGS)
-    def test_bsp_starts_only_at_the_frontier(self, s):
+    def test_bsp_runs_the_superstep_schedule(self, s, data):
         graph, fragments, cm = s
-        suite, decisions = _run_with_oracle(graph, fragments, cm, "BSP")
+        hosts = data.draw(st.lists(st.integers(0, fragments - 1),
+                                   min_size=fragments, max_size=fragments))
+        pg = HashPartitioner().partition(graph, fragments)
+        query = SSSPQuery(source=next(iter(graph.nodes)))
+        suite = OracleSuite.for_run("BSP")
+        result = SimulatedRuntime(
+            Engine(SSSPProgram(), pg, query), make_policy("BSP"),
+            cost_model=cm, hosts=hosts,
+            observer=Observer(log=CheckingLog(suite))).run()
+        suite.finish()
         assert suite.ok, [v.message for v in suite.violations]
-        for e in decisions:
-            if e.payload["action"] == "start":
-                assert e.round == e.payload["rmin"]
+        m = result.metrics
+        assert (tuple(result.rounds), m.total_messages, m.total_bytes) == \
+            bsp_schedule(SSSPProgram, pg, query, vectorized=False)
 
 
 class TestStalenessSemantics:

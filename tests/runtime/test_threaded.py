@@ -31,6 +31,32 @@ class TestCorrectnessUnderRaces:
         assert all(result.answer[v] == pytest.approx(ref[v]) for v in ref)
 
 
+class TestSuperstepBarrier:
+    def test_eight_workers_under_a_short_switch_interval(self):
+        """The master opens each superstep while worker threads read it:
+        with four times more workers than cores and a thread switch
+        every few microseconds, a superstep opened early, or a worker
+        woken late or never, shows as a schedule off the strict one (or
+        a run that times out)."""
+        import sys
+        from repro.fuzz.cell import bsp_schedule
+        pg = HashPartitioner().partition(generators.grid2d(10, 10), 8)
+        query = PageRankQuery(epsilon=1e-3, num_nodes=100)
+        pinned = bsp_schedule(PageRankProgram, pg, query, False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                result = ThreadedRuntime(
+                    Engine(PageRankProgram(), pg, query),
+                    make_policy("BSP"), timeout=30.0).run()
+                m = result.metrics
+                assert (tuple(result.rounds), m.total_messages,
+                        m.total_bytes) == pinned
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestPageRankThreaded:
     def test_pagerank_within_tolerance(self, small_powerlaw):
         result = run_threaded(small_powerlaw, PageRankProgram(),
