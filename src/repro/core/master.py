@@ -14,6 +14,7 @@ quiescence directly observable) but uses the same inactive-flag semantics.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, List, Optional
 
 from repro.errors import TerminationError
@@ -63,11 +64,16 @@ class TerminationMaster:
         with self._lock:
             return list(self._errors)
 
-    def set_inactive(self, wid: int) -> None:
-        """Worker ``wid`` reports an empty buffer after a round."""
+    def set_inactive(self, wid: int,
+                     unless: Callable[[], bool] = None) -> bool:
+        """Worker ``wid`` reports an empty buffer after a round; refused
+        (False) if ``unless()``, asked under the barrier's lock, is true."""
         with self._lock:
+            if unless is not None and unless():
+                return False
             self._inactive[wid] = True
             self._lock.notify_all()
+            return True
 
     def set_active(self, wid: int) -> None:
         """Worker ``wid`` received a message (responds ``wait`` if probed)."""
@@ -104,10 +110,7 @@ class TerminationMaster:
         """Block until unanimous ack (with optional per-iteration ``poll``);
         ``barrier`` (BSP), asked then under this lock, returns True when it
         opened the next superstep instead, woken workers marked active."""
-        deadline = None
-        if timeout is not None:
-            import time
-            deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while not self._terminated:
                 if all(self._inactive) and self._in_flight == 0:
@@ -116,15 +119,11 @@ class TerminationMaster:
                     self._terminated = True
                     self._lock.notify_all()
                     return
-                remaining = None
-                if deadline is not None:
-                    import time
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TerminationError(
-                            "timed out waiting for termination")
-                self._lock.wait(timeout=min(0.05, remaining)
-                                if remaining is not None else 0.05)
+                remaining = (0.05 if deadline is None
+                             else deadline - time.monotonic())
+                if remaining <= 0:
+                    raise TerminationError("timed out waiting for termination")
+                self._lock.wait(timeout=min(0.05, remaining))
                 if poll is not None:
                     poll()
 

@@ -11,10 +11,10 @@ The invariants come straight from Section 3 of the paper:
   SSP(c)'s gating: at most ``r_min + c`` ahead.  BSP is held to its whole
   schedule instead (the ``schedule`` check of :func:`repro.fuzz.run_cell`).
 - **ledger** — every sent message is delivered exactly once, buffer depth
-  and the staleness ``eta_i`` agree with the delivery/drain history (a BSP
-  round drains only its superstep's batches), and at
-  termination nothing is in flight (sent = received + in-flight, with the
-  in-flight set empty).
+  and the staleness ``eta_i`` agree with the delivery/drain history (a
+  round drains every buffered batch; a BSP round only its superstep's),
+  and at termination nothing is in flight or buffered (sent = received +
+  in-flight, with the in-flight set empty).
 - **wake gate** — a worker never begins IncEval without a policy decision
   that released it (action ``start``, or an earlier ``host_queued`` that
   the host-queue drain honoured), i.e. no wake while ``DS_i`` is unexpired.
@@ -134,13 +134,16 @@ class LedgerOracle(Oracle):
     receiver-side buffer depth reported at delivery, the batch count
     drained at each IncEval start, and the staleness ``eta`` the policy
     saw.  :meth:`finish` asserts the termination ledger: nothing in
-    flight, every send matched by exactly one delivery.
+    flight or buffered, every send matched by exactly one delivery.
+    ``partial_drains`` (BSP) lets a round leave batches of the open
+    superstep buffered; otherwise a round drains every buffered batch.
     """
 
     name = "ledger"
 
-    def __init__(self) -> None:
+    def __init__(self, partial_drains: bool = False) -> None:
         super().__init__()
+        self.partial_drains = partial_drains
         #: seq -> (src, dst) of sends not yet delivered
         self._in_flight: Dict[int, Tuple[int, int]] = {}
         self.sent = 0
@@ -180,7 +183,8 @@ class LedgerOracle(Oracle):
             if p["kind"] != "inceval":
                 return
             expect = self._undrained.get(event.wid, 0)
-            if p["batches"] > expect:
+            if (p["batches"] > expect if self.partial_drains
+                    else p["batches"] != expect):
                 self.violate(
                     f"IncEval drained {p['batches']} batches, ledger "
                     f"says {expect} were buffered", event.t, event.wid)
@@ -203,6 +207,9 @@ class LedgerOracle(Oracle):
             self.violate(
                 f"termination ledger: sent {self.sent} != delivered "
                 f"{self.delivered}")
+        for wid in sorted(w for w, n in self._undrained.items() if n):
+            self.violate(f"{self._undrained[wid]} batches still buffered "
+                         f"at termination", wid=wid)
 
 
 class WakeGateOracle(Oracle):
@@ -279,7 +286,8 @@ class OracleSuite:
     @classmethod
     def for_run(cls, mode: str = "AAP",
                 staleness_bound: Optional[int] = None) -> "OracleSuite":
-        return cls([BoundsOracle(mode, staleness_bound), LedgerOracle(),
+        return cls([BoundsOracle(mode, staleness_bound),
+                    LedgerOracle(partial_drains=mode == "BSP"),
                     WakeGateOracle()])
 
     def on_event(self, event: obs.ObsEvent) -> None:

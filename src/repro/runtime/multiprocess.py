@@ -231,8 +231,6 @@ class MultiprocessRuntime:
         the fleet broadcasts."""
         if self.mode == "AAP":
             return AAPPolicy()
-        if self.mode == "Hsync":
-            return HsyncPolicy(switch_cost=self.hsync.switch_cost)
         return make_policy(self.mode, staleness_bound=self.staleness_bound)
 
     # ------------------------------------------------------------------

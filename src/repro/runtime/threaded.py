@@ -370,23 +370,18 @@ class ThreadedRuntime:
         return bool(held)
 
     def _note_if_inactive(self, wid: int) -> bool:
-        """Atomically check for due mail and report inactive to the master.
-
-        The inactive flag must be set atomically with the check, or a
-        racing delivery could be lost and the master would terminate
-        with an undrained buffer.  The worker's ``status`` is reset in the
-        same critical section, so status-based views (and ``status_change``
-        events) never report a stale RUNNING state while the worker sits
-        in the wait path.  A BSP worker holding only next-superstep mail
-        is inactive to the master and waiting to itself.
-        """
+        """Report inactive unless mail is due, asked under this worker's
+        lock (no delivery lands) and the master's (no barrier opens a
+        superstep), or the master could end the run or a superstep on an
+        undrained buffer; ``status`` moves with it, so no view sees a
+        stale RUNNING.  A BSP worker holding only next-superstep mail is
+        inactive to the master and waiting to itself."""
         step = self.steps[wid]
         with self._locks[wid]:
-            if step.due():
+            if not self.master.set_inactive(wid, unless=step.due):
                 return False
             step.mark(WorkerStatus.WAITING if step.state.buffer
                       else WorkerStatus.INACTIVE)
-            self.master.set_inactive(wid)
             return True
 
     def _worker_loop(self, wid: int) -> None:

@@ -30,6 +30,22 @@ class TestProtocol:
         m.message_delivered()
         assert m.try_terminate()
 
+    def test_flag_refused_while_the_worker_has_work(self):
+        # ``unless`` is asked under the master's lock, the one a BSP
+        # barrier holds while it opens the next superstep
+        m = TerminationMaster(1)
+        asked = []
+
+        def has_work():
+            asked.append(m._lock._is_owned())
+            return True
+
+        assert m.set_inactive(0, unless=has_work) is False
+        assert asked == [True]
+        assert m.snapshot_flags() == [False]
+        assert m.set_inactive(0, unless=lambda: False) is True
+        assert m.snapshot_flags() == [True]
+
     def test_reactivation_answers_wait(self):
         # a worker that received a message flips back to active, so the
         # master's broadcast gets a "wait" and the phase resumes

@@ -35,8 +35,8 @@ class TestFullGrid:
         assert {c.mode for c in cells} == set(MODES)
         assert {c.runtime for c in cells} == set(RUNTIMES)
         assert {c.vectorized for c in cells} == {False, True}
-        # BSP's schedule is pinned as well as its answer: every runtime
-        # repeated the strict superstep schedule on every run, so the
+        # BSP's schedule is pinned as well as its answer: the simulator
+        # and every live run kept the strict superstep schedule, so the
         # three runtimes' schedules are one
         bsp = {(v.cell.algorithm, v.cell.runtime, v.cell.vectorized): v
                for v in verdicts if v.cell.mode == "BSP"}

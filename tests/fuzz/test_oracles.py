@@ -113,6 +113,34 @@ class TestLedgerOracle:
         o.on_event(_decision(1, 0, eta=0))
         assert any("eta" in v.message for v in o.violations)
 
+    def test_partial_drain_outside_bsp(self):
+        # an AP / AAP / SSP round takes every buffered batch: one that
+        # strands a batch is flagged at the drain and again at the end
+        o = OracleSuite.for_run("AP").oracles[1]
+        for seq in (1, 2):
+            o.on_event(_send(0, 1, seq=seq))
+            o.on_event(_deliver(1, 0, seq=seq, depth=seq))
+        o.on_event(_round_start(1, 1, batches=1))
+        o.finish()
+        assert any("drained 1 batches, ledger says 2" in v.message
+                   for v in o.violations)
+        assert any("1 batches still buffered" in v.message
+                   for v in o.violations)
+
+    def test_bsp_drains_its_superstep_and_ends_empty(self):
+        o = OracleSuite.for_run("BSP").oracles[1]
+        for seq in (1, 2):
+            o.on_event(_send(0, 1, seq=seq))
+            o.on_event(_deliver(1, 0, seq=seq, depth=seq))
+        o.on_event(_round_start(1, 1, batches=1))
+        o.on_event(_decision(1, 1, eta=1))
+        assert not o.violations
+        o.finish()  # the second batch was never drained
+        assert [v.message for v in o.violations] == [
+            "1 batches still buffered at termination"]
+        o.on_event(_round_start(1, 2, batches=3))
+        assert "drained 3 batches" in o.violations[-1].message
+
     def test_in_flight_at_termination(self):
         o = LedgerOracle()
         o.on_event(_send(0, 1, seq=1))

@@ -56,6 +56,49 @@ class TestSuperstepBarrier:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_barrier_between_the_due_check_and_the_flag(self):
+        """Force the race a worker going inactive has with the barrier:
+        once the worker found no due mail, and everyone else is inactive
+        and nothing flies, the master opens the next superstep just
+        before the worker's flag lands.  Mail the worker held for that
+        superstep is due by then, so the flag must be refused: a worker
+        the master counts inactive while it holds due mail lets the
+        master merge two supersteps, or end the run before it sends."""
+        from repro.fuzz.cell import bsp_schedule
+        graph = generators.grid2d(8, 8)
+        pg = HashPartitioner().partition(graph, 4)
+        query = SSSPQuery(source=0)
+        pinned = bsp_schedule(SSSPProgram, pg, query, False)
+        ref = analysis.dijkstra(graph, 0)
+        raced, flagged_with_due_mail = [], []
+        for _ in range(3):
+            rt = ThreadedRuntime(Engine(SSSPProgram(), pg, query),
+                                 make_policy("BSP"), timeout=30.0)
+            master, flag = rt.master, rt.master.set_inactive
+
+            def barrier_first(wid, *args, _rt=rt, _master=master,
+                              _flag=flag, **kwargs):
+                step = _rt.steps[wid]
+                with _master._lock:
+                    flags = _master.snapshot_flags()
+                    if (not step.due() and _master.in_flight == 0
+                            and all(flags[:wid] + flags[wid + 1:])
+                            and _rt._open_superstep() and step.due()):
+                        raced.append(wid)
+                    flagged = _flag(wid, *args, **kwargs)
+                    if _master.snapshot_flags()[wid] and step.due():
+                        flagged_with_due_mail.append(wid)
+                return flagged
+
+            master.set_inactive = barrier_first
+            result = rt.run()
+            m = result.metrics
+            assert (tuple(result.rounds), m.total_messages,
+                    m.total_bytes) == pinned
+            assert result.answer == pytest.approx(ref)
+        assert raced  # the interleaving happened
+        assert flagged_with_due_mail == []
+
 
 class TestPageRankThreaded:
     def test_pagerank_within_tolerance(self, small_powerlaw):
