@@ -1,8 +1,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint size trace-demo fuzz fuzz-smoke chaos-smoke serve-smoke \
-	bench-e2e-quick epoch-layers build-layers figures
+.PHONY: test lint size examples trace-demo fuzz fuzz-smoke chaos-smoke \
+	serve-smoke bench-e2e-quick epoch-layers build-layers figures
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -23,6 +23,15 @@ lint:
 ## ROADMAP re-anchors and simplicity issues quote)
 size:
 	@$(PYTHON) tools/size.py
+
+## run every script under examples/ (callers of the public API, so a
+## name they import that is gone fails here); exits 1 on the first
+## script that exits non-zero
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 ## schedule fuzzing + differential conformance (docs/conformance.md)
 fuzz:

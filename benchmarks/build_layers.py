@@ -17,7 +17,7 @@ with the generic engine the service builds:
                     (``insertion_order``): made when the dict graph is, so
                     0 in a vectorized build
 - ``assembly``      the rest of ``build_edge_cut``: edge selection, local
-                    node masks, routing pairs, ``Fragment.from_arrays``
+                    node masks, routing pairs, ``Fragment(...)``
 - ``containers``    node sets, routing dicts, placement map, ``lid_of`` —
                     built on first read, so 0 when nobody reads them
 - ``dict graph``    ``Fragment.graph`` materialised: the bulk insert into

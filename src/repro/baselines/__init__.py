@@ -1,7 +1,6 @@
-"""Cross-system baselines: vertex-centric and delta engines, profiles."""
+"""Cross-system baselines: the vertex-centric superstep engine and the
+system profiles that run it."""
 
-from repro.baselines.maiter import (DeltaEngine, DeltaPageRank, DeltaProgram,
-                                    DeltaResult, DeltaSSSP)
 from repro.baselines.profiles import PROFILES, SystemProfile, run_baseline
 from repro.baselines.vertex_centric import (BellmanFordSSSP, HashMinCC,
                                             IterativePageRank,
@@ -10,6 +9,4 @@ from repro.baselines.vertex_centric import (BellmanFordSSSP, HashMinCC,
 
 __all__ = ["PROFILES", "SystemProfile", "run_baseline",
            "SuperstepVertexEngine", "VertexCentricProgram", "VCResult",
-           "BellmanFordSSSP", "HashMinCC", "IterativePageRank",
-           "DeltaEngine", "DeltaProgram", "DeltaPageRank", "DeltaSSSP",
-           "DeltaResult"]
+           "BellmanFordSSSP", "HashMinCC", "IterativePageRank"]

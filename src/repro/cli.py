@@ -456,7 +456,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--runtime", default="threaded",
                          choices=["threaded", "multiprocess"])
     p_chaos.add_argument("--mode", default="AAP",
-                         choices=["AP", "BSP", "AAP"])
+                         choices=["AP", "BSP", "SSP", "AAP"])
     p_chaos.add_argument("--crash", action="append", metavar="WID:ROUND",
                          help="kill worker WID at round ROUND (repeatable)")
     p_chaos.add_argument("--drop", type=float, default=0.0,

@@ -34,9 +34,9 @@ class built_on_read:
 
     A non-data descriptor: the value is stored in the instance
     ``__dict__``, which shadows it, so it is reached on a miss only and
-    plain assignment (a hand-made ``Fragment(...)``, in-place growth)
-    works as on any object.  First reads race (threaded workers share a
-    partition): a miss looks again under ``_FIRST_READ``.
+    plain assignment (in-place growth) works as on any object.  First
+    reads race (threaded workers share a partition): a miss looks again
+    under ``_FIRST_READ``.
     """
 
     #: serialises first reads; re-entrant, as a builder may read another

@@ -1,18 +1,14 @@
-"""Graph serialisation: whitespace edge lists and a JSON property format.
+"""Graph serialisation: whitespace edge lists.
 
 Edge-list format (one edge per line)::
 
     # directed: true        <- optional header comment
     v                       <- a node: nodes are added in the order read
     u v [weight]
-
-JSON format stores directedness, node labels and edge weights/labels and
-round-trips property graphs exactly.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
@@ -77,43 +73,3 @@ def _parse_node(token: str):
         return int(token)
     except ValueError:
         return token
-
-
-def write_json(g: Graph, path: PathLike) -> None:
-    """Write the full property graph (labels included) as JSON."""
-    doc = {
-        "directed": g.directed,
-        "nodes": [{"id": _encode(v), "label": g.node_label(v)}
-                  for v in g.nodes],
-        "edges": [{"u": _encode(u), "v": _encode(v), "w": w,
-                   "label": g.edge_label(u, v)}
-                  for u, v, w in g.edges()],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def read_json(path: PathLike) -> Graph:
-    """Read a property graph written by :func:`write_json`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    g = Graph(directed=bool(doc["directed"]))
-    for nd in doc["nodes"]:
-        g.add_node(_decode(nd["id"]), nd.get("label"))
-    for ed in doc["edges"]:
-        g.add_edge(_decode(ed["u"]), _decode(ed["v"]), ed.get("w", 1.0),
-                   ed.get("label"))
-    return g
-
-
-def _encode(v):
-    """JSON-encode a node id; tuples become tagged lists."""
-    if isinstance(v, tuple):
-        return {"__tuple__": [_encode(x) for x in v]}
-    return v
-
-
-def _decode(v):
-    if isinstance(v, dict) and "__tuple__" in v:
-        return tuple(_decode(x) for x in v["__tuple__"])
-    return v

@@ -80,7 +80,7 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
         slot[local] = np.arange(local.size)
         local_nodes, local_own = nodes[local], own[local]
         mine = fids[here] == fid
-        fragments.append(Fragment.from_arrays(
+        fragments.append(Fragment(
             fid, GraphArrays(
                 local_nodes, slot[arrays.src[edges]],
                 slot[arrays.dst[edges]], arrays.weights[edges],
@@ -92,8 +92,8 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
                        {name: _mask(member, members)[local]
                         for name, members in borders.items()},
                        slot[at[here[mine]]], peers[mine]), cut))
-    return PartitionedGraph.from_arrays(fragments, owner or (nodes, own),
-                                        strategy_name, cut)
+    return PartitionedGraph(fragments, owner or (nodes, own), strategy_name,
+                            cut)
 
 
 def build_edge_cut(g: Graph, owner: Mapping[Node, int] | np.ndarray, m: int,

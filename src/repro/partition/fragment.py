@@ -39,10 +39,11 @@ caches, patched if present**:
   (:meth:`FragmentCSR.out_edges` reads both; a merge folds them into the
   CSR when they pass :data:`MERGE_FRACTION` of it) — and patches the
   containers that have been built; the ones that have not are built
-  later from the grown arrays;
-- a hand-made ``Fragment(fid, graph, owned=..., ...)`` is the other way
-  round: it holds its containers from the start and its array form is
-  derived from them the first time somebody needs it.
+  later from the grown arrays.
+
+There is one way to make a fragment, the builder's
+(:mod:`repro.partition.builder`): ``Fragment(fid, graph_arrays,
+node_arrays, cut)``.
 
 A vectorized build, run and epoch reads none of the containers: peers
 come from the builder, routes from the programs' array rules
@@ -70,7 +71,7 @@ BORDER_SETS = ("in_border", "out_border", "out_copies", "in_copies")
 #: the border sets an outgoing cut edge puts its (owned end, mirror end)
 #: in, then an incoming one; an undirected cut edge is both
 _WAYS = (("out_border", "out_copies"), ("in_border", "in_copies"))
-#: what a builder fragment makes from its array form on first read
+#: what a fragment makes from its array form on first read
 _CONTAINERS = ("owned", "mirrors", *BORDER_SETS, "_routing")
 
 #: Edges appended to a fragment are folded into its CSR once they exceed
@@ -253,10 +254,9 @@ class FragmentCSR:
     lids stay.  Every per-lid column shares one amortised-doubling
     :attr:`capacity`, which contexts and engines follow (:func:`resized`).
 
-    One instance per fragment, for life: made by the builder
-    (:meth:`Fragment.from_arrays`) or derived once from a hand-made
-    fragment's containers; :meth:`Fragment.compact` returns it with the
-    CSR built.
+    One instance per fragment, for life, made with it
+    (:class:`Fragment`); :meth:`Fragment.compact` returns it with the CSR
+    built.
     """
 
     nodes = built_on_read(lambda view: view.gids.tolist())
@@ -663,28 +663,6 @@ def _dict_graph(frag: "Fragment") -> Graph:
                        view.labels, True).to_graph()
 
 
-def _derived_arrays(frag: "Fragment") -> FragmentCSR:
-    """The array form of a hand-made fragment, from its containers.  A
-    mirror's owner is what the partition the fragment was put in says
-    (``-1`` outside one)."""
-    graph = GraphArrays.of(frag.graph)
-    nodes = graph.nodes.tolist()
-    owner_of = {} if frag._partition is None else frag._partition.owner
-    owner = np.fromiter(
-        (frag.fid if v in frag.owned else owner_of.get(v, -1)
-         for v in nodes), np.int64, len(nodes))
-    borders = {name: np.fromiter(map(getattr(frag, name).__contains__,
-                                     nodes), bool, len(nodes))
-               for name in BORDER_SETS}
-    at = {v: i for i, v in enumerate(nodes)}
-    pairs = [(at[v], fid) for v, fids in frag._routing.items()
-             for fid in sorted(fids)]
-    routed, peers = (np.fromiter(column, np.int64, len(pairs))
-                     for column in (zip(*pairs) if pairs else ((), ())))
-    return FragmentCSR(frag, graph, NodeArrays(graph.nodes, owner, borders,
-                                               routed, peers))
-
-
 class Fragment:
     """One fragment of a partitioned graph, resident at one virtual worker."""
 
@@ -700,65 +678,27 @@ class Fragment:
     #: the local dict graph, materialised from the array form on first
     #: read
     graph = built_on_read(_dict_graph)
-    #: the array form; a hand-made fragment derives its own on first need
-    _arrays = built_on_read(_derived_arrays)
     built = _any_built(*_CONTAINERS)
-    #: whether the dict graph has been built (or was handed in)
+    #: whether the dict graph has been built
     materialised = _any_built("graph")
 
-    def __init__(self, fid: int, graph: Graph,
-                 owned: Iterable[Node], mirrors: Iterable[Node],
-                 in_border: Iterable[Node], out_border: Iterable[Node],
-                 out_copies: Iterable[Node], in_copies: Iterable[Node],
-                 routing: Mapping[Node, Sequence[int]],
+    def __init__(self, fid: int, graph: GraphArrays, arrays: NodeArrays,
                  cut: str = "edge"):
-        self._setup(fid, None, cut)
-        self.graph = graph
-        self.owned: Set[Node] = set(owned)
-        self.mirrors: Set[Node] = set(mirrors)
-        self.in_border: Set[Node] = set(in_border)
-        self.out_border: Set[Node] = set(out_border)
-        self.out_copies: Set[Node] = set(out_copies)
-        self.in_copies: Set[Node] = set(in_copies)
-        self._routing: Dict[Node, Tuple[int, ...]] = {
-            v: tuple(fids) for v, fids in routing.items()}
-        self._validate()
-
-    @classmethod
-    def from_arrays(cls, fid: int, graph: GraphArrays, arrays: NodeArrays,
-                    cut: str = "edge") -> "Fragment":
         """The fragment the array-native builder makes: its sets, its
         routing index and its dict graph are built from the arrays when
         someone reads them."""
-        self = cls.__new__(cls)
-        self._setup(fid, set(distinct_fids(arrays.peers)), cut)
-        self._arrays = FragmentCSR(self, graph, arrays)
-        self._validate_arrays()
-        return self
-
-    def _setup(self, fid: int, peers: Optional[Set[int]], cut: str) -> None:
         self.fid = fid
         self.cut = cut
-        self._peers = peers
+        #: the builder hands each fragment its peers; growth adds to them
+        self._peers: Set[int] = set(distinct_fids(arrays.peers))
         self._memo: Optional[Dict] = None
-        #: the partition this fragment is part of
-        self._partition: Optional[PartitionedGraph] = None
-
-    def _validate(self) -> None:
-        if self.owned & self.mirrors:
-            overlap = next(iter(self.owned & self.mirrors))
-            raise PartitionError(
-                f"fragment {self.fid}: node {overlap!r} both owned and mirror")
-        for v in (self.in_border | self.out_border) - self.owned:
-            raise PartitionError(
-                f"fragment {self.fid}: border node {v!r} not owned")
-        for v in (self.out_copies | self.in_copies) - self.mirrors:
-            raise PartitionError(
-                f"fragment {self.fid}: copy {v!r} not a mirror")
+        #: the array form, for life
+        self._arrays = FragmentCSR(self, graph, arrays)
+        self._validate_arrays()
 
     def _validate_arrays(self) -> None:
-        """:meth:`_validate` on the arrays (one owner per node, so owned
-        and mirrors cannot overlap)."""
+        """Every border node is owned and every copy is a mirror (one
+        owner per node, so owned and mirrors cannot overlap)."""
         view = self._arrays
         for name, allowed, complaint in (
                 ("in_border", view.owned_mask, "border node {!r} not owned"),
@@ -768,7 +708,7 @@ class Fragment:
             bad = view.borders[name] & ~allowed
             if bad.any():
                 raise PartitionError(f"fragment {self.fid}: " + complaint
-                                     .format(view.gids[bad.argmax()]))
+                                     .format(view.gids[bad].tolist()[0]))
 
     # ------------------------------------------------------------------
     @property
@@ -802,11 +742,9 @@ class Fragment:
     def peer_fragments(self) -> Set[int]:
         """Fragments sharing at least one node with this one (its senders).
 
-        Computed once (runtimes rebuild their queues from this on every
-        run); in-place growth adds the peers it creates.
+        Handed over by the builder (runtimes rebuild their queues from
+        this on every run); in-place growth adds the peers it creates.
         """
-        if self._peers is None:  # the builder hands its fragments theirs
-            self._peers = set().union(*self._routing.values())
         return self._peers
 
     def compact(self) -> FragmentCSR:
@@ -917,35 +855,17 @@ class PartitionedGraph:
     built = _any_built("placement")
 
     def __init__(self, fragments: Sequence[Fragment],
-                 owner: Mapping[Node, int],
-                 placement: Mapping[Node, Sequence[int]],
-                 strategy_name: str = "custom", cut: str = "edge"):
-        self._setup(fragments, dict(owner), strategy_name, cut)
-        self.placement: Dict[Node, Tuple[int, ...]] = {
-            v: tuple(fids) for v, fids in placement.items()}
-
-    @classmethod
-    def from_arrays(cls, fragments: Sequence[Fragment],
-                    owner: Dict[Node, int] | Tuple[np.ndarray, np.ndarray],
-                    strategy_name: str, cut: str) -> "PartitionedGraph":
+                 owner: Dict[Node, int] | Tuple[np.ndarray, np.ndarray],
+                 strategy_name: str, cut: str):
         """What the array-native builder makes.  ``owner`` (a map, or the
         nodes and their owners as two arrays, made into one when read)
         becomes the partition's own and gives :attr:`placement` its order;
         where every node resides is read off the fragments when asked."""
-        self = cls.__new__(cls)
-        self._setup(fragments, owner, strategy_name, cut)
-        return self
-
-    def _setup(self, fragments: Sequence[Fragment],
-               owner: Dict[Node, int] | Tuple[np.ndarray, np.ndarray],
-               strategy_name: str, cut: str) -> None:
         self.cut = cut
         self.fragments: List[Fragment] = list(fragments)
         setattr(self, "owner" if isinstance(owner, dict) else "_assignment",
                 owner)
         self.strategy_name = strategy_name
-        for frag in self.fragments:
-            frag._partition = self
         if not self.fragments:
             raise PartitionError("a partition needs at least one fragment")
         seen_fids = {f.fid for f in self.fragments}

@@ -17,7 +17,10 @@ every per-lid column, an edge copy a row after the CSR's, a routing entry
 an appended ``(lid, peer)`` pair.  Node sets, routing dict, dict graph and
 placement map only ever *gain* members under insertion, so the ones that
 have been built are patched in place; the others are built later from the
-grown arrays.  The :class:`GrowthReport` names, per fragment, the nodes
+grown arrays.  They are patched rather than rebuilt after each epoch
+because a rebuild costs 3x (2,000 nodes) to 25x (20,000) a whole generic
+epoch and grows with the fragment (docs/performance.md, ledger entry
+22).  The :class:`GrowthReport` names, per fragment, the nodes
 whose presence, border status or routing changed and the edge copies it
 got; an :class:`~repro.core.engine.Engine` kept over the partition
 follows from it (:meth:`~repro.core.engine.Engine.extend_contexts`,

@@ -1,13 +1,9 @@
-"""Tests for the extra lattice PIE programs (reachability, widest paths)."""
-
-import math
+"""Tests for reachability, the fuzzer's ``Max``-lattice PIE program."""
 
 import pytest
 
 from repro import api
-from repro.algorithms import (ReachabilityProgram, ReachQuery,
-                              WidestPathProgram, WidestPathQuery,
-                              reference_widest_paths)
+from repro.algorithms import ReachabilityProgram, ReachQuery
 from repro.core.convergence import verify_conditions
 from repro.core.modes import MODES
 from repro.graph import analysis, generators
@@ -49,49 +45,3 @@ class TestReachability:
         report = verify_conditions(ReachabilityProgram(), pg,
                                    ReachQuery(source=0), runs=3)
         assert report.ok
-
-
-class TestWidestPath:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_reference(self, weighted_powerlaw, mode):
-        r = api.run(WidestPathProgram(), weighted_powerlaw,
-                    WidestPathQuery(source=0), num_fragments=4, mode=mode)
-        ref = reference_widest_paths(weighted_powerlaw, 0)
-        for v in ref:
-            assert r.answer[v] == pytest.approx(ref[v]), f"node {v}"
-
-    def test_source_infinite_width(self, weighted_powerlaw):
-        r = api.run(WidestPathProgram(), weighted_powerlaw,
-                    WidestPathQuery(source=0), num_fragments=3)
-        assert r.answer[0] == math.inf
-
-    def test_bottleneck_semantics(self):
-        g = Graph(directed=True)
-        g.add_edge(0, 1, 10.0)
-        g.add_edge(1, 2, 3.0)   # bottleneck on the top route
-        g.add_edge(0, 3, 5.0)
-        g.add_edge(3, 2, 5.0)   # wider bottom route
-        r = api.run(WidestPathProgram(), g, WidestPathQuery(source=0),
-                    num_fragments=2)
-        assert r.answer[2] == 5.0
-
-    def test_unreachable_zero(self):
-        g = generators.path_graph(4, weighted=True, seed=1)
-        g.add_node(99)
-        r = api.run(WidestPathProgram(), g, WidestPathQuery(source=0),
-                    num_fragments=2)
-        assert r.answer[99] == 0.0
-
-    def test_conditions_hold(self, weighted_powerlaw):
-        pg = HashPartitioner().partition(weighted_powerlaw, 4)
-        report = verify_conditions(WidestPathProgram(), pg,
-                                   WidestPathQuery(source=0), runs=3)
-        assert report.ok
-
-    def test_vertex_cut(self, weighted_powerlaw):
-        pg = GreedyVertexCutPartitioner(seed=2).partition(
-            weighted_powerlaw, 3)
-        r = api.run(WidestPathProgram(), pg, WidestPathQuery(source=0))
-        ref = reference_widest_paths(weighted_powerlaw, 0)
-        for v in ref:
-            assert r.answer[v] == pytest.approx(ref[v])

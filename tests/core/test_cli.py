@@ -121,6 +121,15 @@ class TestCommands:
         assert "round_start" in out
         assert " P0 " in out  # the audit lines
 
+    def test_chaos_runs_ssp(self, capsys):
+        """SSP is one of the chaos grid's modes, so ``repro chaos`` takes
+        it too: a crashed worker is absorbed and the answer is right."""
+        code, out = self.run_cli(
+            capsys, "chaos", "--mode", "SSP", "--runtime", "threaded",
+            "--graph", "grid:8x8", "-m", "4", "--crash", "1:2")
+        assert code == 0
+        assert '"ok": true' in out
+
     def test_trace_threaded_runtime(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         code, out = self.run_cli(

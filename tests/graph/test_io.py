@@ -71,24 +71,3 @@ class TestEdgeList:
         path.write_text("# directed: false\n\n# comment\n1 2\n")
         g = io.read_edge_list(path)
         assert g.num_edges == 1
-
-
-class TestJson:
-    def test_roundtrip_with_labels(self, tmp_path):
-        g = Graph(directed=True)
-        g.add_node(1, label="source")
-        g.add_edge(1, 2, 4.0, label="road")
-        path = tmp_path / "g.json"
-        io.write_json(g, path)
-        back = io.read_json(path)
-        assert back == g
-        assert back.node_label(1) == "source"
-        assert back.edge_label(1, 2) == "road"
-
-    def test_tuple_node_ids_roundtrip(self, tmp_path):
-        g, _, _ = generators.bipartite_ratings(5, 4, 2, seed=1)
-        path = tmp_path / "b.json"
-        io.write_json(g, path)
-        back = io.read_json(path)
-        assert back == g
-        assert any(isinstance(v, tuple) for v in back.nodes)

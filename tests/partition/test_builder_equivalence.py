@@ -2,11 +2,15 @@
 
 ``oracle_edge_cut`` / ``oracle_vertex_cut`` are that builder, kept here as
 the straight-line reference: one ``add_node`` / ``add_edge`` and eight
-``set.add`` per node and edge.  ``oracle_csr`` is the CSR view spelt out
-the same way.  The property compares everything a runtime can observe:
-owner, placement, routing, the six border sets, the CSR arrays byte for
-byte, and — once materialised — the dict graph's node, adjacency and
-``edges()`` order, which generic-path schedules depend on.
+``set.add`` per node and edge, into plain test data (an
+:class:`OraclePartition` of :class:`OracleFragment`; no class of
+``repro.partition.fragment`` is made, and the oracle side's sizes and
+quality metrics are computed here, not by ``repro.partition.quality``).
+``oracle_csr`` is the CSR view spelt out the same way.  The property
+compares everything a runtime can observe: owner, placement, routing,
+the six border sets, the CSR arrays byte for byte, and — once
+materialised — the dict graph's node, adjacency and ``edges()`` order,
+which generic-path schedules depend on.
 
 ``oracle_graph_arrays`` is the edge pass every dict graph took before
 integer ids were read from the edge-key dict: one streamed pass over
@@ -16,6 +20,8 @@ built on either.
 """
 
 import random
+import statistics
+from typing import Dict, List, NamedTuple, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -38,8 +44,7 @@ from repro.partition.base import NodePartitioner
 from repro.partition.builder import build_edge_cut, build_vertex_cut
 from repro.partition.edge_cut import HashPartitioner
 from repro.partition import fragment as fragment_module
-from repro.partition.fragment import (Fragment, PartitionedGraph,
-                                      insertion_order)
+from repro.partition.fragment import NodeArrays, insertion_order
 from repro.partition.grow import grow_edge_cut
 from repro.partition.vertex_cut import HashEdgePartitioner
 from repro.runtime.multiprocess import MultiprocessRuntime
@@ -52,6 +57,57 @@ CSR_ARRAYS = ("out_indptr", "out_indices", "out_weights", "in_indptr",
 
 
 # -- the oracle --------------------------------------------------------
+class OracleFragment(NamedTuple):
+    """One fragment as the per-edge builder made it."""
+
+    graph: Graph
+    owned: Set
+    mirrors: Set
+    in_border: Set
+    out_border: Set
+    out_copies: Set
+    in_copies: Set
+    routing: Dict[object, Tuple[int, ...]]
+
+
+class OraclePartition(NamedTuple):
+    cut: str
+    directed: bool
+    fragments: List[OracleFragment]
+    owner: Dict[object, int]
+    placement: Dict[object, Tuple[int, ...]]
+
+
+def oracle_sizes(want):
+    """``|F_i|``: local nodes plus local edges."""
+    return [f.graph.num_nodes + f.graph.num_edges for f in want.fragments]
+
+
+def oracle_edges_from_owned(frag):
+    return sum(u in frag.owned for u, _, _ in frag.graph.edges())
+
+
+def oracle_summary(want):
+    """``quality.summary`` computed from the oracle's data: a cut edge is
+    an edge with a copy in two fragments; a node resides where the
+    placement says."""
+    copies = [(u, v) if want.directed else frozenset((u, v))
+              for f in want.fragments for u, v, _ in f.graph.edges()]
+    distinct = len(set(copies))
+    sizes = oracle_sizes(want)
+    mean, median = sum(sizes) / len(sizes), statistics.median(sizes)
+    residences = [len(fids) for fids in want.placement.values()]
+    return {
+        "fragments": float(len(sizes)),
+        "edge_cut_ratio": 0.0 if not distinct
+        else (len(copies) - distinct) / distinct,
+        "replication_factor": sum(residences) / len(residences)
+        if residences else 1.0,
+        "balance": max(sizes) / mean if mean else 1.0,
+        "skew_ratio": max(sizes) / median if median else 1.0,
+    }
+
+
 def oracle_edge_cut(g, owner, m, strategy_name="custom"):
     local_graphs = [Graph(directed=g.directed) for _ in range(m)]
     owned = [set() for _ in range(m)]
@@ -95,15 +151,13 @@ def oracle_edge_cut(g, owner, m, strategy_name="custom"):
         routing = {v: tuple(sorted(presence[v] - {fid}))
                    for v in owned[fid] | mirrors[fid]
                    if len(presence[v]) > 1}
-        fragments.append(Fragment(
-            fid=fid, graph=local_graphs[fid], owned=owned[fid],
-            mirrors=mirrors[fid], in_border=in_border[fid],
-            out_border=out_border[fid], out_copies=out_copies[fid],
-            in_copies=in_copies[fid], routing=routing, cut="edge"))
+        fragments.append(OracleFragment(
+            local_graphs[fid], owned[fid], mirrors[fid], in_border[fid],
+            out_border[fid], out_copies[fid], in_copies[fid], routing))
     # in the owner map's order, which need not be g.nodes'
     placement = {v: tuple(sorted(presence[v])) for v in owner}
-    return PartitionedGraph(fragments, dict(owner), placement, strategy_name,
-                            cut="edge")
+    return OraclePartition("edge", g.directed, fragments, dict(owner),
+                           placement)
 
 
 def oracle_vertex_cut(g, edge_owner, m, strategy_name="custom"):
@@ -139,14 +193,12 @@ def oracle_vertex_cut(g, edge_owner, m, strategy_name="custom"):
         replicated_owned = {v for v in owned if len(presence[v]) > 1}
         routing = {v: tuple(sorted(presence[v] - {fid}))
                    for v in local_nodes if len(presence[v]) > 1}
-        fragments.append(Fragment(
-            fid=fid, graph=local_graphs[fid], owned=owned, mirrors=mirror,
-            in_border=replicated_owned, out_border=replicated_owned,
-            out_copies=mirror, in_copies=mirror, routing=routing,
-            cut="vertex"))
+        fragments.append(OracleFragment(
+            local_graphs[fid], owned, mirror, replicated_owned,
+            replicated_owned, mirror, mirror, routing))
     placement = {v: tuple(sorted(fids)) for v, fids in presence.items()}
-    return PartitionedGraph(fragments, owner, placement, strategy_name,
-                            cut="vertex")
+    return OraclePartition("vertex", g.directed, fragments, owner,
+                           placement)
 
 
 def oracle_csr(graph, owned):
@@ -187,16 +239,17 @@ def assert_same_partition(got, want):
     """``got`` (array-built, unmaterialised) against the oracle ``want``;
     its owner and placement maps are read last, its in-rows lazily."""
     assert got.cut == want.cut
-    assert got.num_fragments == want.num_fragments
-    assert quality.summary(got) == quality.summary(want)
-    assert got.sizes() == want.sizes()
+    assert got.num_fragments == len(want.fragments)
+    assert quality.summary(got) == oracle_summary(want)
+    assert got.sizes() == oracle_sizes(want)
     assert not any(f.materialised for f in got)
-    for fg, fw in zip(got, want):
+    for fg, fw in zip(got, want.fragments):
         for name in SETS:
             assert getattr(fg, name) == getattr(fw, name), name
-        assert fg._routing == fw._routing
-        assert (fg.cut, fg.directed) == (fw.cut, fw.directed)
-        assert fg.num_local_edges == fw.num_local_edges
+        assert fg._routing == fw.routing
+        assert (fg.cut, fg.directed) == (want.cut, want.directed)
+        assert fg.num_local_edges == fw.graph.num_edges
+        assert fg.num_edges_from_owned() == oracle_edges_from_owned(fw)
         if has_int_ids(fw.graph.nodes):
             view, ref = fg.compact(), oracle_csr(fw.graph, fw.owned)
             assert view.nodes == ref["nodes"]
@@ -218,7 +271,7 @@ def assert_same_partition(got, want):
             with pytest.raises(PartitionError):
                 fg.compact()
         assert not fg.materialised
-    for fg, fw in zip(got, want):
+    for fg, fw in zip(got, want.fragments):
         assert_same_graph(fg.graph, fw.graph)
         assert fg.materialised and fg._arrays is not None  # arrays stay
     assert list(got.owner.items()) == list(want.owner.items())
@@ -443,12 +496,18 @@ def test_errors_keep_their_types():
         build_vertex_cut(g, {(0, 1): 0, (1, 2): 1}, 2)
     with pytest.raises(PartitionError, match="out-of-range"):
         build_vertex_cut(g, {(0, 1): 0, (1, 2): 1, (2, 0): 2}, 2)
-    with pytest.raises(PartitionError, match="both owned and mirror"):
-        Fragment(0, g, [0, 1], [1], (), (), (), (), {})
-    with pytest.raises(PartitionError, match="not owned"):
-        Fragment(0, g, [0], [1], [1], (), (), (), {})
-    with pytest.raises(PartitionError, match="not a mirror"):
-        Fragment(0, g, [0], [1], (), (), [2], (), {})
+    # a fragment's own checks, on the arrays it is made from (one owner
+    # column: no node can be both owned and a mirror)
+    arrays = GraphArrays.of(g)
+    for name, at, complaint in (("in_border", 1, "border node 1 not owned"),
+                                ("in_copies", 0, "copy 0 not a mirror")):
+        borders = {border: np.zeros(3, dtype=bool) for border in
+                   fragment_module.BORDER_SETS}
+        borders[name][at] = True
+        nobody = np.zeros(0, dtype=np.int64)
+        with pytest.raises(PartitionError, match=complaint):
+            fragment_module.Fragment(0, arrays, NodeArrays(
+                arrays.nodes, np.array([0, 1, 1]), borders, nobody, nobody))
 
 
 def test_a_node_outside_the_graph_has_no_owner():

@@ -136,27 +136,19 @@ def test_grow_equals_rebuild(make, m):
         assert_routes_equal_rebuild(engines, report, rebuilt)
 
 
-def hand_made(graph, m):
-    from test_builder_equivalence import oracle_edge_cut
-    return oracle_edge_cut(
-        graph, {v: stable.owner(v, m) for v in graph.nodes}, m, "test")
-
-
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("prepared", ["untouched", "compacted", "half-read",
-                                      "all-read", "hand-made"])
+                                      "all-read"])
 def test_growth_is_on_the_arrays_and_patches_what_was_built(prepared,
                                                             directed, m):
     """One growth algorithm, whatever exists when it runs: nothing but
     the builder's arrays, a CSR (the new edges are its spill), some or
-    all containers (patched in place — the same objects afterwards), or a
-    hand-made fragment's containers (its array form is derived once)."""
+    all containers (patched in place — the same objects afterwards)."""
     graph = generators.erdos_renyi(40, 0.08, directed=directed, seed=m)
     for u, v, _ in list(graph.edges()):  # weights that tell edges apart
         graph.add_edge(u, v, 1.0 + ((u * 7 + v) % 5) / 4)
-    pg = hand_made(graph, m) if prepared == "hand-made" \
-        else stable_pg(graph, m)
+    pg = stable_pg(graph, m)
     for frag in pg:
         if prepared != "untouched":
             frag.compact()
@@ -167,7 +159,7 @@ def test_growth_is_on_the_arrays_and_patches_what_was_built(prepared,
             pg.placement
     held = [{name: vars(frag)[name] for name in CONTAINERS
              if name in vars(frag)} for frag in pg]
-    views = [vars(frag).get("_arrays") for frag in pg]
+    views = [frag._arrays for frag in pg]
     rng = random.Random(f"{prepared}-{directed}-{m}")
     next_id = max(graph.nodes) + 1
     for _ in range(3):
@@ -187,7 +179,7 @@ def test_growth_is_on_the_arrays_and_patches_what_was_built(prepared,
                 == set(before)
             assert all(vars(frag)[name] is obj
                        for name, obj in before.items())
-            assert view is None or frag._arrays is view  # for life
+            assert frag._arrays is view  # for life
         assert_arrays_equal_rebuild(pg, rebuilt)
     assert_partitions_equal(pg, rebuilt)  # and the containers read now
     assert type(pg.fragments[0]) is Fragment

@@ -6,8 +6,8 @@ every first read can be made to *raise* and partition -> ``compact()`` ->
 ``Engine(vectorized=True)`` -> threaded and multiprocess runs still finish
 (a forked worker inherits the patch, so this covers the children too),
 while a generic engine on the same partition afterwards reads containers
-equal to the ones the per-edge oracle of ``test_builder_equivalence.py``
-builds eagerly.
+equal to the sets and maps the per-edge oracle of
+``test_builder_equivalence.py`` builds eagerly.
 """
 
 import pytest
@@ -25,6 +25,9 @@ from repro.partition.fragment import (Fragment, FragmentCSR,
 from repro.partition.grow import grow_edge_cut
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.threaded import ThreadedRuntime
+from test_builder_equivalence import (oracle_csr, oracle_edge_cut,
+                                      oracle_edges_from_owned, oracle_sizes,
+                                      oracle_summary)
 
 SETS = ("owned", "mirrors", "in_border", "out_border", "out_copies",
         "in_copies")
@@ -64,9 +67,9 @@ def test_vectorized_build_and_runs_build_no_container(name, monkeypatch):
     program_cls, make_graph = WORKLOADS[name]
     graph = make_graph()
     query, tolerance = query_for(program_cls, graph)
-    from test_builder_equivalence import oracle_edge_cut
     eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 2), 2)
-    reference = run_sequential_fixpoint(Engine(program_cls(), eager, query))
+    reference = run_sequential_fixpoint(Engine(
+        program_cls(), HashPartitioner().partition(graph, 2), query))
 
     def boom(self, obj, objtype=None):
         raise AssertionError(f"{objtype.__name__}.{self.name} was read")
@@ -94,11 +97,13 @@ def test_vectorized_build_and_runs_build_no_container(name, monkeypatch):
     Engine(program_cls(), pg, query)
     assert all(frag.materialised and frag.built for frag in pg)
     assert list(pg.placement.items()) == list(eager.placement.items())
-    for lazy, built in zip(pg, eager):
-        for attr in (*SETS, "_routing"):
+    for lazy, built in zip(pg, eager.fragments):
+        for attr in SETS:
             assert getattr(lazy, attr) == getattr(built, attr), attr
-        assert lazy.compact().lid_of == built.compact().lid_of
-        assert lazy.compact().nodes == built.compact().nodes
+        assert lazy._routing == built.routing
+        ref = oracle_csr(built.graph, built.owned)
+        assert lazy.compact().lid_of == ref["lid_of"]
+        assert lazy.compact().nodes == ref["nodes"]
 
 
 def test_public_classes_from_birth_and_one_attribute_per_read():
@@ -150,17 +155,6 @@ def test_a_view_has_the_array_routes_whatever_was_read_first(monkeypatch):
     assert run_sequential_fixpoint(engine) == reference
 
 
-def test_hand_made_fragments_have_everything_from_the_start():
-    graph = generators.path_graph(4)
-    frag = Fragment(0, graph, owned=[0, 1], mirrors=[2], in_border=[1],
-                    out_border=[1], out_copies=[2], in_copies=[2],
-                    routing={1: [1], 2: [1]})
-    pg = PartitionedGraph([frag], {0: 0, 1: 0}, {0: [0], 1: [0, 1]})
-    assert frag.built and pg.built and pg.placement[1] == (0, 1)
-    assert type(frag) is Fragment and type(pg) is PartitionedGraph
-    assert frag.peer_fragments() == {1}
-
-
 def test_growth_keeps_the_arrays_the_truth():
     graph = generators.grid2d(6, 6, weighted=True, seed=2)
     pg = HashPartitioner().partition(graph, 2)
@@ -184,12 +178,14 @@ def test_growth_keeps_the_arrays_the_truth():
 def test_counting_edges_and_sizes_builds_nothing():
     graph = generators.powerlaw(120, m=3, weighted=True, seed=5)
     pg = HashPartitioner().partition(graph, 3)
-    from test_builder_equivalence import oracle_edge_cut
-    eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 3), 3,
-                            "hash")
-    assert all(frag.built and frag.materialised for frag in eager)
+    eager = oracle_edge_cut(graph, HashPartitioner().assign(graph, 3), 3)
     assert [f.num_edges_from_owned() for f in pg] \
-        == [f.num_edges_from_owned() for f in eager]
-    assert pg.sizes() == eager.sizes() and repr(pg) == repr(eager)
-    assert quality.edge_cut_ratio(pg) == quality.edge_cut_ratio(eager)
+        == [oracle_edges_from_owned(f) for f in eager.fragments]
+    assert pg.sizes() == oracle_sizes(eager)
+    assert [repr(f) for f in pg] == [
+        f"Fragment(fid={fid}, owned={len(f.owned)}, "
+        f"mirrors={len(f.mirrors)}, edges={f.graph.num_edges})"
+        for fid, f in enumerate(eager.fragments)]
+    assert quality.edge_cut_ratio(pg) \
+        == oracle_summary(eager)["edge_cut_ratio"]
     assert not any(frag.built for frag in pg)

@@ -24,10 +24,10 @@ from repro.core.aggregators import Sum
 from repro.core.dense import DenseContext
 from repro.fuzz import tolerance
 from repro.graph import generators
-from repro.graph.csr import CompactGraph
+from repro.graph.csr import CompactGraph, GraphArrays
 from repro.graph.graph import Graph
 from repro.partition.edge_cut import HashPartitioner
-from repro.partition.fragment import Fragment
+from repro.partition.fragment import BORDER_SETS, Fragment, NodeArrays
 from repro.partition.vertex_cut import HashEdgePartitioner
 
 MODES = ("AAP", "BSP", "AP", "SSP")
@@ -165,13 +165,15 @@ class CountingContext(DenseContext):
 
 
 def kernel_state(n, edges, directed, owned, pend, eps_node):
-    """A one-fragment context over ``edges`` with ``pend`` pending."""
-    g = Graph(directed=directed)
-    for v in range(n):
-        g.add_node(v)
-    mirrors = [v for v in range(n) if not owned[v]]
-    frag = Fragment(0, g, [v for v in range(n) if owned[v]], mirrors,
-                    (), (), (), (), {})
+    """A one-fragment context over ``edges`` with ``pend`` pending: nodes
+    ``0..n-1``, the ``owned`` ones on fragment 0, the rest mirrors."""
+    ids = np.arange(n, dtype=np.int64)
+    nobody = np.zeros(0, dtype=np.int64)
+    frag = Fragment(0, GraphArrays(
+        ids.astype(object), nobody, nobody, np.zeros(0), directed, {}, True,
+        ids), NodeArrays(ids.astype(object), np.where(owned, 0, 1),
+                         {name: np.zeros(n, dtype=bool)
+                          for name in BORDER_SETS}, nobody, nobody))
     frag.compact().csr = raw_csr(n, edges, directed)
     ctx = CountingContext(frag, Sum())
     ctx.array[:] = pend
