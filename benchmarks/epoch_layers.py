@@ -60,8 +60,8 @@ from repro.serve.loadgen import verify_against_recompute  # noqa: E402
 from repro.serve.service import GraphService  # noqa: E402
 
 #: table rows, in the order an epoch runs them; "other" is what is left of
-#: the total: the insertion log, the snapshot patch, the cache
-#: invalidation and the epoch's obs event
+#: the total: the insertion log, the snapshot patch and the epoch's obs
+#: event
 LAYERS = ("grow", "contexts", "routes", "integrate", "run", "answer_delta")
 #: read blocks timed after the epochs; the table shows the median block
 READ_BLOCKS = 5

@@ -278,6 +278,9 @@ def cmd_fuzz(args) -> int:
         count = args.seeds if args.seed is None else 1
         cells = [fuzz.case_from_seed(seed, smoke=args.smoke)
                  for seed in range(first, first + count)]
+    if not cells:
+        # a gate that ran no cell has checked nothing
+        raise ReproError("no cells to run (--seeds must be >= 1)")
     verdicts = fuzz.run_grid(cells, artifact_dir=args.artifact_dir,
                              shrink_failures=not args.no_shrink,
                              progress=progress)
@@ -322,8 +325,7 @@ def _build_service(args):
         max_catchup=args.max_catchup if args.max_catchup >= 0 else None)
     return GraphService(program, graph, query,
                         num_fragments=args.fragments, mode=args.mode,
-                        runtime=args.runtime, admission=admission,
-                        cache_size=args.cache_size)
+                        runtime=args.runtime, admission=admission)
 
 
 def cmd_serve(args) -> int:
@@ -549,8 +551,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="ingest queue bound (excess batches are shed)")
         p.add_argument("--max-catchup", type=int, default=32,
                        help="max epochs one query may force (-1: unbounded)")
-        p.add_argument("--cache-size", type=int, default=4096,
-                       help="query result cache capacity (0 disables)")
 
     p_serve = sub.add_parser(
         "serve", help="resident bounded-staleness service: stream a seeded "

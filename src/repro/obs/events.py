@@ -89,8 +89,7 @@ SCHEMA: Dict[str, tuple] = {
     DEGRADE: ("frm", "to", "reason"),
     INGEST: ("edges", "depth", "latency"),
     EPOCH_APPLY: ("epoch", "edges", "changed", "duration", "merged"),
-    QUERY_SERVED: ("key", "bound", "staleness", "epoch", "latency",
-                   "cache_hit"),
+    QUERY_SERVED: ("key", "bound", "staleness", "epoch", "latency"),
     ADMISSION_SHED: ("kind", "reason", "depth"),
 }
 

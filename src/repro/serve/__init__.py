@@ -8,14 +8,13 @@ staleness bound (see :mod:`repro.serve.service` and ``docs/serving.md``).
 """
 
 from repro.serve.admission import AdmissionController
-from repro.serve.cache import QueryCache
 from repro.serve.loadgen import (LoadGenerator, latency_summary, percentile,
                                  verify_against_recompute)
 from repro.serve.service import (GraphService, IngestReceipt, QueryResult,
                                  RUNTIMES)
 
 __all__ = [
-    "AdmissionController", "QueryCache", "GraphService", "IngestReceipt",
-    "QueryResult", "RUNTIMES", "LoadGenerator", "latency_summary",
-    "percentile", "verify_against_recompute",
+    "AdmissionController", "GraphService", "IngestReceipt", "QueryResult",
+    "RUNTIMES", "LoadGenerator", "latency_summary", "percentile",
+    "verify_against_recompute",
 ]

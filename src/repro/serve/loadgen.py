@@ -3,13 +3,13 @@
 Drives a mixed update/query workload against a service and reports what a
 serving benchmark cares about: query latency percentiles, the staleness
 actually served (and whether any answer violated its declared bound —
-the contract check), sustained update throughput, cache effectiveness and
-shed counts.  Everything is derived from one ``random.Random(seed)``, so
-a report is reproducible bit-for-bit given the same service configuration.
+the contract check), sustained update throughput and shed counts.
+Everything is derived from one ``random.Random(seed)``, so a report is
+reproducible bit-for-bit given the same service configuration.
 
 Query keys are drawn with a configurable skew (``index ~ n * u**skew``
-over the known-node list, so low-index nodes are hot), which is what makes
-the changed-mask-invalidated cache measurable.
+over the known-node list, so low-index nodes are hot), the way a service
+is read: a few hot keys asked over and over.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ class LoadGenerator:
                  batch_size: int = 8, skew: float = 2.0,
                  staleness_bounds: Sequence[int] = (0, 1, 2, 4)):
         if num_queries < 1 or num_batches < 1:
-            raise ReproError("loadgen needs at least one query and one batch")
+            raise ReproError(
+                "LoadGenerator needs at least one query and one batch")
+        if batch_size < 1:
+            raise ReproError(
+                f"LoadGenerator needs batch_size >= 1, got {batch_size}")
         self.service = service
         self.rng = random.Random(seed)
         self.seed = seed
@@ -131,7 +135,7 @@ class LoadGenerator:
         query_latencies: List[float] = []
         staleness_counts: Dict[int, int] = {}
         violations = 0
-        served = shed_queries = cache_hits = 0
+        served = shed_queries = 0
         batches_ok = batches_shed = edges_applied = 0
         ingest_seconds = 0.0
         for op in ops:
@@ -156,8 +160,6 @@ class LoadGenerator:
             query_latencies.append(result.latency)
             staleness_counts[result.staleness] = \
                 staleness_counts.get(result.staleness, 0) + 1
-            if result.cache_hit:
-                cache_hits += 1
             if result.staleness > bound:
                 violations += 1
         svc.flush()
@@ -177,8 +179,6 @@ class LoadGenerator:
             "queries": {
                 "served": served,
                 "shed": shed_queries,
-                "cache_hits": cache_hits,
-                "cache": svc.cache.stats(),
                 "latency": latency_summary(query_latencies),
             },
             "staleness": {

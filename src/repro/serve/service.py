@@ -34,8 +34,8 @@ engine otherwise:
    accepted-but-unapplied batches; a query whose bound is already met is
    answered from the current snapshot, otherwise the service applies
    pending batches until the lag satisfies the bound ("block until
-   convergence catches up").  Point lookups go through an LRU cache
-   invalidated by the changed keys of each epoch's answer diff.
+   convergence catches up").  A point lookup reads the maintained
+   answer: the dict the epochs patch with their answer deltas.
 
 Every ingest, epoch and query emits an obs event and feeds the latency /
 freshness histograms on the service's :class:`~repro.obs.Observer`.
@@ -53,7 +53,7 @@ from repro.core.fixpoint import resume_to_fixpoint
 from repro.core.modes import make_policy
 from repro.core.pie import PIEProgram
 from repro.core.result import RunResult
-from repro.errors import ProgramError, ReproError
+from repro.errors import PartitionError, ProgramError, ReproError
 from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
 from repro.graph.stable import owners
@@ -64,7 +64,6 @@ from repro.partition.grow import GrowthReport, grow_edge_cut
 from repro.runtime.simulator import SimulatedRuntime
 from repro.runtime.threaded import ThreadedRuntime
 from repro.serve.admission import AdmissionController
-from repro.serve.cache import QueryCache
 from repro.streaming.updates import UpdateBatch, validate_batch
 
 Node = Hashable
@@ -105,6 +104,15 @@ def integrate_insertions(engine: Engine, report: GrowthReport) -> List:
     return messages
 
 
+class _NoCache:
+    """What :attr:`GraphService.cache` hands out: nothing is served from
+    a cache, so no read is a hit."""
+
+    @staticmethod
+    def stats() -> Dict[str, float]:
+        return {"hit_rate": 0.0}
+
+
 class IngestReceipt(NamedTuple):
     """What :meth:`GraphService.ingest` hands back for one batch."""
 
@@ -137,7 +145,6 @@ class QueryResult(NamedTuple):
     staleness: int
     #: wall seconds from query arrival to answer
     latency: float
-    cache_hit: bool = False
     #: shed reason when not served
     reason: Optional[str] = None
 
@@ -158,12 +165,13 @@ class GraphService:
                  runtime: str = "threaded",
                  staleness_bound: Optional[int] = None,
                  admission: Optional[AdmissionController] = None,
-                 cache_size: int = 4096,
                  observer: Optional[Observer] = None,
                  time_scale: float = 1e-4):
         if runtime not in RUNTIMES:
             raise ReproError(
                 f"unknown service runtime {runtime!r}; pick from {RUNTIMES}")
+        if num_fragments < 1:
+            raise PartitionError("num_fragments must be >= 1")
         self.program = program
         #: the input graph as arrays (node labels kept): with
         #: :attr:`_inserted`, what :attr:`graph` is made of when read
@@ -182,7 +190,6 @@ class GraphService:
         self.staleness_bound = staleness_bound
         self.admission = admission if admission is not None \
             else AdmissionController()
-        self.cache = QueryCache(cache_size)
         #: always-on observability: events + histograms for every ingest,
         #: epoch and query land here
         self.obs = observer if observer is not None \
@@ -200,7 +207,6 @@ class GraphService:
         self._csr_merges = metrics.counter("serve_csr_merges")
         self._query_latency = metrics.histogram("serve_query_latency")
         self._staleness = metrics.histogram("serve_staleness")
-        self._queries = metrics.counter("serve_queries")
         self._shed_queries = metrics.counter("serve_shed_queries")
         # placement is the one owner function, here and in grow_edge_cut:
         # the same in every process; an owner array, so the build reads
@@ -280,12 +286,20 @@ class GraphService:
         """The assembled answer at the current *applied* epoch."""
         return dict(self._answer)
 
+    @property
+    def cache(self) -> _NoCache:
+        """A stand-in with ``stats()["hit_rate"] == 0.0``, for one reader:
+        ``benchmarks/e2e/layers.py`` reports ``serve.cache_hit_rate`` from
+        it.  A read is a lookup in the maintained answer; the service never
+        consults this."""
+        return _NoCache()
+
     def status(self) -> Dict[str, Any]:
         """What the service is doing right now, as one JSON-ready dict.
 
         Read-only and free of state of its own: every number comes from
-        the counters, histograms, cache and event log the hot paths
-        already feed.
+        the counters, histograms and event log the hot paths already
+        feed.
         """
         return {
             "epoch": self.epoch,
@@ -300,11 +314,10 @@ class GraphService:
                  "merge_threshold": view.merge_threshold,
                  "merges": view.merges}
                 for view in (frag._arrays for frag in self.pg)],
-            "queries": {"served": self._queries.value,
+            "queries": {"served": self._query_latency.count,
                         "shed": self._shed_queries.value},
             "batches": {"accepted": self._batches_accepted.value,
                         "shed": self._shed_batches.value},
-            "cache": self.cache.stats(),
             "query_latency": self._query_latency.summary(),
             "staleness": self._staleness.summary(),
             "epoch_duration": self._epoch_duration.summary(),
@@ -395,7 +408,6 @@ class GraphService:
         changed = {k: val for k, val in delta.items()
                    if answer.get(k, _MISSING) != val}
         answer.update(changed)
-        self.cache.invalidate(changed)
         duration = perf_counter() - t0
         self._epochs.inc()
         self._epoch_duration.observe(duration)
@@ -425,9 +437,10 @@ class GraphService:
                snapshot: bool) -> QueryResult:
         """The freshness contract, once, for :meth:`query` and
         :meth:`snapshot`: admit or shed, catch up to ``bound``, answer,
-        then count, time and log the read.  ``latency`` (the result's and
-        the histogram's, the event's timestamp) stops when the answer is
-        known; the bookkeeping after it is the gap docs/serving.md quotes."""
+        then time and log the read (the latency histogram's count is the
+        served count).  ``latency`` (the result's and the histogram's, the
+        event's timestamp) stops when the answer is known; the bookkeeping
+        after it is the gap docs/serving.md quotes."""
         if bound < 0:
             raise ProgramError(
                 f"staleness bound must be >= 0 epochs, got {bound}")
@@ -445,24 +458,17 @@ class GraphService:
             self._apply_one()
         staleness = len(pending)
         epoch = self.epoch
-        if snapshot:
-            cache_hit, value = False, dict(self._answer)
-        else:
-            cache_hit, value = self.cache.get(key)
-            if not cache_hit:
-                value = self._answer.get(key)
-                self.cache.put(key, value)
+        value = dict(self._answer) if snapshot else self._answer.get(key)
         now = perf_counter()
         latency = now - t0
         self._query_latency.observe(latency)
         self._staleness.observe(staleness)
-        self._queries.inc()
         # a row in SCHEMA order: the log builds the event when it is read
         self._log.record(QUERY_SERVED, now, -1, -1, (
             "<snapshot>" if snapshot else repr(key), bound, staleness,
-            epoch, latency, cache_hit))
+            epoch, latency))
         return tuple.__new__(QueryResult, (True, value, epoch, staleness,
-                                           latency, cache_hit, None))
+                                           latency, None))
 
     def __repr__(self) -> str:
         return (f"GraphService(m={self.m}, mode={self.mode!r}, "

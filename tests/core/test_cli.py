@@ -105,6 +105,36 @@ class TestCommands:
         assert err.startswith("error: admission limits must be >= 0")
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_batches_are_a_clean_error(self, capsys, command, size):
+        """A batch of no edges streams nothing: refused, not reported as
+        a successful run."""
+        code = cli.main([command, "-a", "sssp", "--graph", "grid:4x4",
+                         "--source", "0", "--runtime", "simulated",
+                         "--batches", "2", "--batch-size", size])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: LoadGenerator needs batch_size >= 1, got {size}\n")
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_fewer_than_one_fragment_is_a_clean_error(self, capsys,
+                                                      command):
+        code = cli.main([command, "-a", "sssp", "--graph", "grid:4x4",
+                         "--source", "0", "--runtime", "simulated",
+                         "-m", "0"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: num_fragments must be >= 1\n"
+
+    def test_fuzz_with_no_cell_is_a_usage_error(self, capsys):
+        """A conformance gate that ran no cell did not pass."""
+        code = cli.main(["fuzz", "--seeds", "0", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2 and "cells match" not in captured.out
+        assert captured.err.startswith("error: no cells to run")
+        assert len(captured.err.splitlines()) == 1
+
     def test_trace_writes_chrome_trace(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "events.jsonl"

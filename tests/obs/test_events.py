@@ -177,10 +177,10 @@ class TestEventLog:
         log = EventLog(capacity=2)
         for i in range(3):
             log.record(QUERY_SERVED, float(i), -1, -1,
-                       (repr(i), 0, 0, 0, 1e-6, False))
+                       (repr(i), 0, 0, 0, 1e-6))
         assert log[-1] == ObsEvent(QUERY_SERVED, 2.0, payload={
             "key": "2", "bound": 0, "staleness": 0, "epoch": 0,
-            "latency": 1e-6, "cache_hit": False})
+            "latency": 1e-6})
         assert log[0].t == 1.0
         with pytest.raises(IndexError):
             log[2]
@@ -289,12 +289,12 @@ def test_rows_read_like_an_eagerly_built_log(capacity, ops):
 
 # -- the exporters write what they wrote when every record was an event --
 #: sha256 of ``write_jsonl`` / ``json.dumps(to_chrome_trace(...))`` of the
-#: log :data:`_EXPORT_PROBE` builds, taken when the log stored
-#: ``ObsEvent`` s and the reads went through ``emit``
-JSONL_SHA256 = ("0a72c78e32f878481171fa4df55c1df1"
-                "39a8d195b3470c46d1301ad433e14898")
-TRACE_SHA256 = ("9d52f10a45380d2707807ac741ebee76"
-                "97f2090a9b6c070940464bfc1a9704fe")
+#: log :data:`_EXPORT_PROBE` builds, taken from the same log with every
+#: ``query_served`` record appended as an eagerly built ``ObsEvent``
+JSONL_SHA256 = ("edea3eb2a54f519d5bb4ad72b1cde3e7"
+                "428c66514d054c5777598e651ac7fc9d")
+TRACE_SHA256 = ("7384e92cc83a94298717d744d178f1e3"
+                "db4bc75e22fa55fdf4f1546022d86eb4")
 
 #: a simulated straggler run, four positional ``query_served`` records,
 #: an ``emit`` and an ``append``; in a fresh interpreter, because message
@@ -316,7 +316,7 @@ api.run(SSSPProgram(), generators.grid2d(5, 5, weighted=True, seed=1),
 log = obs.log
 for i in range(4):
     log.record(QUERY_SERVED, 50.0 + i, -1, -1,
-               (repr(i), 2, 1, 3, 1.5e-6 * (i + 1), i % 2 == 1))
+               (repr(i), 2, 1, 3, 1.5e-6 * (i + 1)))
 log.emit(INGEST, 60.0, edges=8, depth=1, latency=2e-5)
 log.append(ObsEvent(ADMISSION_SHED, 61.0, payload={
     "kind": "query", "reason": "full", "depth": 3}))

@@ -4,13 +4,14 @@ A service over integer node ids runs the dense engine on arrays that grow
 in place; ``generic()`` makes the same program ``dense_capable = False``,
 which is how a service ends up on the generic engine (no knob).  Three
 parts.  *Exact*: after every epoch of a seeded insertion stream the
-delta-patched snapshot equals a fresh ``engine.assemble()`` and the cache
-was invalidated for exactly the keys of the full diff.  *Differential*:
-the dense and the generic service agree on answer, invalidated keys and
-changed count after every epoch.  *Bounded*: with every whole-fragment
-entry point an epoch used to go through patched to raise, epochs still
-apply (and start no thread), and the routing-index lookups an epoch makes
-do not grow with the graph.
+delta-patched snapshot equals a fresh ``engine.assemble()`` and
+``serve_epoch_changed`` grew by exactly the size of the full diff (the
+service's changed keys are keys whose value moved, so together these pin
+the set).  *Differential*: the dense and the generic service agree on
+answer and changed count after every epoch.  *Bounded*: with every
+whole-fragment entry point an epoch used to go through patched to raise,
+epochs still apply (and start no thread), and the routing-index lookups
+an epoch makes do not grow with the graph.
 """
 
 import random
@@ -27,7 +28,7 @@ from repro.graph import generators, stable
 from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
 from repro.partition.fragment import Fragment, FragmentCSR, built_on_read
-from repro.serve import GraphService, QueryCache, verify_against_recompute
+from repro.serve import GraphService, verify_against_recompute
 from repro.streaming import UpdateBatch
 from tests.conftest import generic
 
@@ -38,16 +39,10 @@ ALGOS = {
 _MISSING = object()
 
 
-class RecordingCache(QueryCache):
-    """Remembers the key set of every invalidation."""
-
-    def __init__(self):
-        super().__init__()
-        self.invalidated = []
-
-    def invalidate(self, keys):
-        self.invalidated.append(set(keys))
-        return super().invalidate(keys)
+def changed_so_far(svc):
+    """(epochs, changed keys) the service has reported so far."""
+    hist = svc.obs.metrics.histogram("serve_epoch_changed")
+    return hist.count, hist.total
 
 
 def owned_by(fid, m, taken, start=1000):
@@ -120,20 +115,19 @@ def scripted_batches(g, paths, taken, m, rng):
 
 def check_every_epoch(svc, batches):
     """Apply ``batches`` one epoch at a time; after each, the patched
-    snapshot is the full Assemble and the invalidated keys the full diff."""
-    svc.cache = RecordingCache()
-    invalidated = svc.cache.invalidated
+    snapshot is the full Assemble and the epoch reported as many changed
+    keys as the full diff has."""
     before = dict(svc.engine.assemble())
     assert svc.answer == before
     for edges in batches:
         svc.ingest(UpdateBatch(insertions=tuple(edges)))
+        epochs, changed = changed_so_far(svc)
         assert svc.pump(1) == 1
         full = dict(svc.engine.assemble())
         assert svc.answer == full
         diff = {k for k, val in full.items()
                 if before.get(k, _MISSING) != val}
-        assert invalidated.pop() == diff
-        assert not invalidated
+        assert changed_so_far(svc) == (epochs + 1, changed + len(diff))
         before = full
     assert verify_against_recompute(svc)
 
@@ -155,9 +149,9 @@ def test_delta_patched_answer_equals_assemble(algo, runtime, m, directed):
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 def test_dense_and_generic_services_agree_every_epoch(algo, m, directed):
-    """Same stream, both engines: identical answer, identical invalidated
-    keys and ``changed`` count after every epoch, both equal to a
-    from-scratch recompute."""
+    """Same stream, both engines: identical answer and ``changed`` count
+    after every epoch — the size of the epoch's diff on both — and both
+    equal to a from-scratch recompute."""
     program, query = ALGOS[algo]()
     g, paths, taken = islands(directed, m)
     services = [GraphService(prog, g, query, num_fragments=m,
@@ -165,21 +159,22 @@ def test_dense_and_generic_services_agree_every_epoch(algo, m, directed):
                 for prog in (program, generic(program))]
     assert [svc.status()["engine"] for svc in services] \
         == ["dense", "generic"]
-    for svc in services:
-        svc.cache = RecordingCache()
-    assert services[0].answer == services[1].answer
+    before = services[0].answer
+    assert services[1].answer == before
     rng = random.Random(f"{algo}-{m}-{directed}")
     for edges in scripted_batches(g, paths, taken, m, rng):
+        epochs, changed = changed_so_far(services[0])
         for svc in services:
             svc.ingest(UpdateBatch(insertions=tuple(edges)))
             assert svc.pump(1) == 1
         dense, other = services
-        assert dense.answer == other.answer
-        assert dense.cache.invalidated.pop() \
-            == other.cache.invalidated.pop()
-        changed = [svc.obs.metrics.histogram("serve_epoch_changed").total
-                   for svc in services]
-        assert changed[0] == changed[1]
+        after = dense.answer
+        assert other.answer == after
+        diff = [k for k, val in after.items()
+                if before.get(k, _MISSING) != val]
+        assert changed_so_far(dense) == changed_so_far(other) \
+            == (epochs + 1, changed + len(diff))
+        before = after
     assert all(verify_against_recompute(svc) for svc in services)
 
 

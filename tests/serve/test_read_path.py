@@ -3,10 +3,12 @@
 Count-based, like ``test_epoch_delta.py``.  *Nothing else*: with every
 by-name instrument lookup, the epoch apply and Assemble patched to raise
 after construction, reads whose bound is already met are still served.
-*All of it*: each of them is admitted, goes through the cache, is timed,
-counted and logged — one ``query_served`` event with the schema's payload
-keys per read.  The record types the paths hand back keep their contract
-(keyword construction, defaults, immutability, equality, pickling).
+*All of it*: each of them is admitted, read from the maintained answer,
+timed and logged — one observation in each of the latency and staleness
+histograms and one ``query_served`` event with the schema's payload keys
+per read; no other instrument moves.  The record types the paths hand
+back keep their contract (keyword construction, defaults, immutability,
+equality, pickling).
 """
 
 import pickle
@@ -59,15 +61,29 @@ def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
     assert len(served) == READS
     assert all(set(e.payload) == set(SCHEMA[QUERY_SERVED]) for e in served)
     assert [e.payload["key"] for e in served] == [repr(k) for k in keys]
-    assert [e.payload["cache_hit"] for e in served] \
-        == [r.cache_hit for r in results]
     status = svc.status()
     assert status["query_latency"]["count"] == READS
     assert status["staleness"]["count"] == READS
     assert status["staleness"]["total"] == READS * BOUND
     assert status["queries"] == {"served": READS, "shed": 0}
-    assert status["cache"]["hits"] + status["cache"]["misses"] == READS
-    assert status["cache"]["misses"] == 30
+
+
+def test_a_read_feeds_exactly_its_two_histograms():
+    """The served count is the latency histogram's count: a read feeds
+    that histogram and the staleness one, and no other instrument."""
+    svc = make_service()
+    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
+    metrics = svc.obs.metrics
+    before = metrics.as_dict()
+    for i in range(READS):
+        assert svc.query(i % 30, staleness_bound=1).served
+    after = metrics.as_dict()
+    moved = {name for name in after if after[name] != before.get(name)}
+    assert moved == {"serve_query_latency", "serve_staleness"}
+    latency = metrics.histogram("serve_query_latency")
+    assert latency.count == metrics.histogram("serve_staleness").count \
+        == READS
+    assert svc.status()["queries"]["served"] == latency.count
 
 
 def test_reads_build_no_event_until_the_log_is_read(monkeypatch):
@@ -133,7 +149,7 @@ def test_snapshot_goes_through_the_same_contract():
     (event,) = events(svc, QUERY_SERVED)
     assert event.payload["key"] == "<snapshot>"
     assert set(event.payload) == set(SCHEMA[QUERY_SERVED])
-    assert svc.status()["cache"]["misses"] == 0  # a snapshot is not cached
+    assert svc.status()["queries"] == {"served": 1, "shed": 0}
 
 
 def test_ingests_and_epochs_still_record_their_instruments():
@@ -156,7 +172,7 @@ def test_ingests_and_epochs_still_record_their_instruments():
 
 
 def test_status_reads_the_handles_and_adds_no_state():
-    svc = make_service(cache_size=4)
+    svc = make_service()
     before = dict(vars(svc))
     views = [frag.compact() for frag in svc.pg]
     assert svc.status() == {
@@ -167,7 +183,6 @@ def test_status_reads_the_handles_and_adds_no_state():
                        "merges": 0} for view in views],
         "queries": {"served": 0, "shed": 0},
         "batches": {"accepted": 0, "shed": 0},
-        "cache": svc.cache.stats(),
         "query_latency": svc.obs.metrics.histogram(
             "serve_query_latency").summary(),
         "staleness": {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0,
@@ -187,7 +202,8 @@ def test_status_reads_the_handles_and_adds_no_state():
     # the applied epoch brought node 100 and one edge; the parked one not
     assert (status["nodes"], status["edges"]) == (26, 41)
     assert status["batches"] == {"accepted": 2, "shed": 0}
-    assert status["cache"]["hit_rate"] == 0.5
+    assert status["queries"] == {"served": 2, "shed": 0}
+    assert status["query_latency"]["count"] == 2
     assert status["epoch_duration"]["count"] == 1
     assert status["events"] == {"retained": len(svc.obs.log), "dropped": 0}
     # the epoch put node 100 and the edge to it on the arrays, in place
@@ -206,7 +222,7 @@ def test_status_reads_the_handles_and_adds_no_state():
 RECORDS = [
     (QueryResult,
      dict(served=True, value=1.5, epoch=3, staleness=1, latency=2e-6),
-     dict(cache_hit=False, reason=None)),
+     dict(reason=None)),
     (IngestReceipt,
      dict(accepted=True, epoch=4, depth=2, latency=5e-5),
      dict(reason=None)),

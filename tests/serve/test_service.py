@@ -1,13 +1,16 @@
-"""Unit tests for the resident graph service: admission, cache, epochs,
+"""Unit tests for the resident graph service: admission, epochs, reads,
 staleness accounting and observability."""
+
+import warnings
 
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
-from repro.errors import ProgramError, ReproError, RuntimeConfigError
+from repro.errors import (PartitionError, ProgramError, ReproError,
+                          RuntimeConfigError)
 from repro.graph import analysis, generators
 from repro.obs import ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED
-from repro.serve import (AdmissionController, GraphService, QueryCache,
+from repro.serve import (AdmissionController, GraphService,
                          verify_against_recompute)
 from repro.streaming import UpdateBatch
 
@@ -61,6 +64,18 @@ class TestIngestAndEpochs:
         with pytest.raises(ReproError):
             make_service(runtime="quantum")
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_fewer_than_one_fragment_is_refused(self, m):
+        """Refused before placement, in the partitioners' words, and with
+        no numpy warning on the way."""
+        g = generators.grid2d(3, 3, weighted=True, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PartitionError,
+                               match=r"^num_fragments must be >= 1$"):
+                GraphService(SSSPProgram(), g, SSSPQuery(source=0),
+                             num_fragments=m, runtime="simulated")
+
 
 class TestAdmission:
     def test_ingest_shed_when_queue_full(self):
@@ -110,82 +125,33 @@ class TestAdmission:
             is None
 
 
-class TestQueryCache:
-    def test_lru_unit(self):
-        cache = QueryCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == (True, 1)
-        cache.put("c", 3)  # evicts "b" (least recently used)
-        assert cache.get("b") == (False, None)
-        assert cache.get("a") == (True, 1)
-        assert cache.invalidate(["a", "zzz"]) == 1
-        assert cache.get("a") == (False, None)
-        assert cache.stats()["hits"] == 2
+class TestReads:
+    """A read is a lookup in the answer the epochs maintain."""
 
-    def test_invalidating_a_negative_entry_counts(self):
-        """A key read before its node exists is cached as ``None``;
-        dropping that entry is an invalidation like any other."""
-        cache = QueryCache()
-        cache.put("ghost", None)
-        assert cache.invalidate(["ghost", "never-cached"]) == 1
-        assert cache.stats()["invalidations"] == 1
+    def test_a_key_read_before_its_node_exists_reads_its_value_after(self):
         svc = make_service()
         assert svc.query(100, staleness_bound=0).value is None
         svc.ingest(UpdateBatch.of((0, 100, 0.5)))
-        fresh = svc.query(100, staleness_bound=0)
-        assert not fresh.cache_hit and fresh.value == 0.5
-        assert svc.cache.stats()["invalidations"] == 1
+        assert svc.query(100, staleness_bound=0).value == 0.5
 
-    def test_hit_miss_evict_invalidate_sequence(self):
-        """Counts and LRU order after every step; a cached ``None`` is a
-        hit, an absent key a miss."""
-        cache = QueryCache(capacity=3)
-        steps = [
-            (lambda: cache.get("a"), (False, None), [], (0, 1, 0)),
-            (lambda: cache.put("a", None), None, ["a"], (0, 1, 0)),
-            (lambda: cache.put("b", 2), None, ["a", "b"], (0, 1, 0)),
-            (lambda: cache.get("a"), (True, None), ["b", "a"], (1, 1, 0)),
-            (lambda: cache.put("c", 3), None, ["b", "a", "c"], (1, 1, 0)),
-            (lambda: cache.put("d", 4), None, ["a", "c", "d"], (1, 1, 0)),
-            (lambda: cache.get("b"), (False, None), ["a", "c", "d"],
-             (1, 2, 0)),
-            (lambda: cache.get("c"), (True, 3), ["a", "d", "c"], (2, 2, 0)),
-            (lambda: cache.invalidate(["d", "zzz", "a"]), 2, ["c"],
-             (2, 2, 2)),
-            (lambda: cache.get("a"), (False, None), ["c"], (2, 3, 2)),
-            (lambda: cache.put("c", 5), None, ["c"], (2, 3, 2)),
-            (lambda: cache.get("c"), (True, 5), ["c"], (3, 3, 2)),
-        ]
-        for step, returned, order, counts in steps:
-            assert step() == returned
-            assert list(cache._entries) == order
-            assert (cache.hits, cache.misses, cache.invalidations) == counts
-        assert cache.stats()["hit_rate"] == 0.5
-
-    def test_capacity_zero_disables(self):
-        cache = QueryCache(capacity=0)
-        cache.put("a", 1)
-        assert cache.get("a") == (False, None)
-
-    def test_service_hits_then_invalidates_on_change(self):
+    def test_a_read_after_an_epoch_sees_the_changed_value(self):
         svc = make_service()
         first = svc.query(24, staleness_bound=0)
-        second = svc.query(24, staleness_bound=0)
-        assert not first.cache_hit and second.cache_hit
-        # a shortcut into the corner changes 24's distance -> invalidated
+        assert svc.query(24, staleness_bound=0).value == first.value
+        # a shortcut into the corner changes 24's distance
         svc.ingest(UpdateBatch.of((0, 100, 0.01), (100, 24, 0.01)))
         third = svc.query(24, staleness_bound=0)
-        assert not third.cache_hit
-        assert third.value == pytest.approx(0.02)
-        assert svc.query(24, staleness_bound=0).cache_hit
+        assert third.value == pytest.approx(0.02) != first.value
+        assert svc.query(24, staleness_bound=0).value == third.value
 
-    def test_unchanged_keys_survive_epochs(self):
+    def test_an_unchanged_key_reads_the_same_across_epochs(self):
         svc = make_service()
-        svc.query(0, staleness_bound=0)  # the source never changes
+        before = svc.query(0, staleness_bound=0)  # the source never moves
         svc.ingest(UpdateBatch.of((24, 100, 1.0)))
         svc.flush()
-        assert svc.query(0, staleness_bound=0).cache_hit
+        after = svc.query(0, staleness_bound=0)
+        assert (before.value, before.epoch) == (0.0, 0)
+        assert (after.value, after.epoch) == (0.0, 1)
 
 
 class TestSnapshotsAndObs:
@@ -224,7 +190,7 @@ class TestSnapshotsAndObs:
         for _ in range(12):
             svc.query(0, staleness_bound=0)
         assert len(svc.obs.log) == 5 and svc.obs.log.dropped == 7
-        assert svc.obs.metrics.counter("serve_queries").value == 12
+        assert svc.obs.metrics.histogram("serve_query_latency").count == 12
         mine = Observer()
         assert make_service(observer=mine).obs.log.capacity is None
 
