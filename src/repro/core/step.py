@@ -13,7 +13,7 @@ sleeps or blocks: time is whatever the driver's ``clock`` says.
 
 BSP is one rule here, not a delay: superstep ``s`` consumes exactly the
 batches stamped ``< s`` and stamps its output ``s``; a driver opens
-``s + 1`` once nothing of ``s`` runs or flies (:func:`open_superstep`).
+``s + 1`` when the master's book says so (:mod:`repro.core.master`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ DEFAULT_ROUND_TIME = 1e-4
 
 
 class Fleet(NamedTuple):
-    """What one worker knows of the others when it asks delta.
+    """What one worker knows of the others when it asks delta, as the
+    master's book builds it (:func:`repro.core.master.fleet_of`).
 
     ``rmin`` / ``rmax`` range over workers that still have pending work
     (``None``: nobody has, the asking worker's own round stands in), so a
@@ -51,38 +52,11 @@ class Fleet(NamedTuple):
     avg_round_time: float
     num_workers: int
 
-    @classmethod
-    def of(cls, states: List[WorkerState], now: float,
-           default_round_time: float = DEFAULT_ROUND_TIME) -> "Fleet":
-        """Snapshot of workers that share this address space."""
-        pending = [w.rounds for w in states if w.pending]
-        rates = [w.arrival_rate.predict(now=now) for w in states]
-        finite = [r for r in rates if r > 0 and not math.isinf(r)]
-        t_preds = [w.round_time.predict(default=default_round_time)
-                   for w in states]
-        return cls(rmin=min(pending) if pending else None,
-                   rmax=max(pending) if pending else None,
-                   avg_rate=sum(finite) / len(finite) if finite else 0.0,
-                   avg_round_time=sum(t_preds) / len(t_preds),
-                   num_workers=len(states))
-
 
 def restamped(messages) -> List[Any]:
     """Restored messages as 0th-superstep traffic: a checkpointed run's
     stamps mean nothing to this one, and BSP's superstep 1 takes them."""
     return [replace(m, round=0) for m in messages]
-
-
-def open_superstep(steps: List["WorkerStep"]) -> List[int]:
-    """BSP's barrier over steps sharing an address space, called when no
-    round runs and nothing flies: open the next superstep if any buffer
-    holds mail; returns those workers (none: the run is over, or not BSP)."""
-    held = [s.state.wid for s in steps if s.state.buffer]
-    if steps[0].superstep is None or not held:
-        return []
-    for step in steps:
-        step.superstep += 1
-    return held
 
 
 class WorkerStep:

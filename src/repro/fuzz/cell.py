@@ -28,7 +28,7 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
 from repro.core.engine import Engine
 from repro.core.fixpoint import ScheduledExecutor, run_sequential_fixpoint
 from repro.core.modes import MODES, make_policy
-from repro.errors import ReproError, WorkerFailureError
+from repro.errors import ReproError, RuntimeConfigError, WorkerFailureError
 from repro.fuzz.oracles import (CheckingLog, ContractionProbe, OracleSuite,
                                 OracleViolation)
 from repro.fuzz.perturb import PerturberConfig, SchedulePerturber
@@ -283,7 +283,10 @@ def run_cell(cell: Cell, observer: Any = None,
 
     ``observer`` records a live cell's events (a simulated cell records
     into its own oracle-checking log).  ``program_cls`` replaces the
-    algorithm's program class, keeping its query (an injected bug).
+    algorithm's program class, keeping its query (an injected bug).  A
+    configuration the runtime or the retry policy refuses raises its
+    :class:`~repro.errors.RuntimeConfigError`: a usage error, not a
+    finding about the program.
     """
     start = time.monotonic()
     graph = build_graph(cell.graph_kind, cell.graph_params)
@@ -305,6 +308,8 @@ def run_cell(cell: Cell, observer: Any = None,
                 pinned = (bsp_schedule(cls, pg, query, cell.vectorized)
                           if bsp else None)
             result = run(cell, cls, pg, query, observer, verdict)
+        except RuntimeConfigError:
+            raise  # a refused configuration is the caller's, not a finding
         except WorkerFailureError as exc:
             verdict.rung, verdict.attempts = 3, exc.attempts
             verdict.failures = list(exc.failures)

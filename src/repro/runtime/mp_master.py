@@ -1,11 +1,13 @@
 """The master of the multiprocess runtime.
 
-:class:`_Master` is the event loop of the parent process: it reads the
-workers' control events, keeps the channel :class:`Ledger`, and takes the
-barrier / probe / stop decisions the books allow.  With fault tolerance on
-it also runs the failure detector and the checkpoint epochs, and repairs a
-dead worker in place (:meth:`_Master.takeover`).  The wire protocol and
-its ordering guarantees are described in :mod:`repro.runtime.multiprocess`.
+:class:`_Master` is the event loop of the parent process: it feeds the
+workers' control events to the master's book
+(:class:`~repro.core.master.MasterBook`: flags, per-channel ledger,
+barrier, probe, fleet) and turns the book's barrier / probe / stop
+decisions into commands.  With fault tolerance on it also runs the failure
+detector and the checkpoint epochs, and repairs a dead worker in place
+(:meth:`_Master.takeover`).  The wire protocol and its ordering guarantees
+are described in :mod:`repro.runtime.multiprocess`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.delay import WorkerView
-from repro.core.step import Fleet
+from repro.core.master import NONE, OPEN, STOP, MasterBook
 from repro.errors import TerminationError, WorkerCrashedError
 from repro.obs import events as obs_events
 from repro.runtime.detection import FailureDetector, FailureEvent
 from repro.runtime.lane import Lane
-from repro.runtime.mp_worker import _WorkerReport
+from repro.runtime.mp_worker import UNREPORTED_ROUND_TIME, _WorkerReport
 from repro.runtime.slab import SlabArena
 from repro.runtime.snapshot import LiveCheckpointer
 
@@ -36,57 +38,6 @@ def _reap(proc) -> bool:
             stop()
             proc.join(1.0)
     return not proc.is_alive()
-
-
-class Ledger:
-    """Termination ledger v3: per-directed-channel conservation books.
-
-    ``sent[(s, d)]`` counts logical entries announced by s for d,
-    ``recv[(s, d)]`` entries d reported drained from s.  Channel
-    granularity is what makes surgical recovery possible: a takeover
-    settles exactly the dead worker's channels and leaves everyone else's
-    accounting untouched.
-    """
-
-    def __init__(self, m: int):
-        self.sent: Dict[Tuple[int, int], int] = {}
-        self.recv: Dict[Tuple[int, int], int] = {}
-        #: current incarnation per worker slot; reports from an older
-        #: incarnation arrive late and are dropped (their channels were
-        #: already equalized at takeover)
-        self.era = [0] * m
-
-    def announce(self, src: int, by_dst: Dict[int, int], era: int) -> None:
-        if era == self.era[src]:
-            for dst, n in by_dst.items():
-                self.sent[(src, dst)] = self.sent.get((src, dst), 0) + n
-
-    def credit(self, dst: int, by_src: Dict[int, int], era: int) -> None:
-        if era == self.era[dst]:
-            for src, n in by_src.items():
-                self.recv[(src, dst)] = self.recv.get((src, dst), 0) + n
-
-    def in_flight(self) -> int:
-        # clamped per channel: a post-takeover drain race can over-credit
-        # one channel, which must not hide real in-flight traffic elsewhere
-        return sum(max(n - self.recv.get(chan, 0), 0)
-                   for chan, n in self.sent.items())
-
-    def settle(self, w: int, peers: List[int]) -> Tuple[int, int]:
-        """Equalize dead worker ``w``'s channels; returns its cumulative
-        ``(sent, received)`` entries, the bases its replacement inherits.
-
-        Outbound (w, d): lower sent to what was actually drained —
-        announced-but-lost traffic died with the worker.  Inbound (d, w):
-        raise recv to sent — the survivors' announced traffic was drained
-        at quarantine, discarded with the rings, or forgone with the
-        delayed queue; either way it is off the wire.
-        """
-        for d in peers:
-            self.recv[(d, w)] = self.sent.get((d, w), 0)
-            self.sent[(w, d)] = self.recv.get((w, d), 0)
-        return (sum(self.sent.get((w, d), 0) for d in peers),
-                sum(self.recv.get((d, w), 0) for d in peers))
 
 
 class _Master:
@@ -110,25 +61,12 @@ class _Master:
         self.arena = arena
         self.spawn = spawn
         self.deadline = time.monotonic() + rt.timeout
-        self.ledger = Ledger(m)
-        self.inactive = [False] * m
-        self.rounds = [1] * m
-        self.rates = [0.0] * m
-        self.durations = [1e-3] * m
+        #: flags, ledger, barrier, probe and fleet; under BSP a worker's
+        #: ``step-done`` flags it, PEval being the 0th superstep
+        self.book = MasterBook(m, bsp=rt.mode == "BSP",
+                               round_time=UNREPORTED_ROUND_TIME,
+                               emit=rt._emit_master)
         self.reports: Dict[int, _WorkerReport] = {}
-        # the terminate probe: how many answers are owed, how many came,
-        # and whether any of them (or an ``active`` report) said wait
-        self.acks_pending = 0
-        self.ack_count = 0
-        self.got_wait = False
-        #: BSP barrier membership: which workers answered the current
-        #: superstep (a set, not a counter, so a takeover cannot count a
-        #: slot twice).  PEval is the 0th superstep: it starts empty and
-        #: fills as the workers report theirs.
-        self.steppers: set = set()
-        self.step_activity = False
-        self.step_no = 0
-        self.bsp = rt.mode == "BSP"
         # async modes that consult fleet state get periodic broadcasts;
         # SSP and Hsync workers block on r_min, so they are also told
         # when it moves, not 20 ms later
@@ -172,11 +110,11 @@ class _Master:
             if self.fleet_mode:
                 if now >= self.next_fleet or (
                         self.gating
-                        and min(self._active_rounds()) != self.told_rmin):
+                        and self.book.fleet().rmin != self.told_rmin):
                     self._broadcast_fleet()
                     self.next_fleet = now + _FLEET_PERIOD
                 timers.append(self.next_fleet)
-            if self._decide():
+            if self._command():
                 return self._collect_reports()
             got = self._events(min(timers) - time.monotonic())
             self.timed_out = got is None
@@ -221,22 +159,16 @@ class _Master:
         if evt[2] == self.qtarget:
             self.qacks.add(evt[1])
 
-    def _on_activity(self, evt) -> None:
-        self.inactive[evt[1]] = evt[0] == "inactive"
-        if evt[0] == "active":  # a probed worker woke up: as good as wait
-            self.got_wait = True
-
     def _on_round(self, evt) -> None:
         _, wid, r, dur, rate, eta = evt
-        self.rounds[wid] = r
-        self.durations[wid] = dur
-        self.rates[wid] = rate
+        rounds = self.book.rounds
+        self.book.observe(wid, r, dur, rate)
         if self.rt.hsync is not None:
             # feed the switching heuristic; only eta and the duration
             # matter to on_round_complete
             self.rt.hsync.on_round_complete(WorkerView(
-                wid=wid, round=r, eta=eta, rmin=min(self.rounds),
-                rmax=max(self.rounds), idle_time=0.0,
+                wid=wid, round=r, eta=eta, rmin=min(rounds),
+                rmax=max(rounds), idle_time=0.0,
                 now=time.monotonic() - self.rt._started,
                 t_pred=dur, s_pred=rate, fleet_avg_rate=0.0,
                 num_workers=self.m), dur)
@@ -273,108 +205,49 @@ class _Master:
                     self.ckpt_amend += len(msg)
                 return
 
-    def _on_ack(self, evt) -> None:
-        self.ack_count += 1
-        if evt[0] == "wait":
-            self.got_wait = True
-
     def _on_error(self, evt) -> None:
         raise TerminationError(
             f"worker {evt[1]} crashed: {evt[2]}"
             "\n--- worker traceback ---\n" + str(evt[3]).rstrip())
 
-    def _on_step_done(self, evt) -> None:
-        self.steppers.add(evt[1])
-        if evt[2] > 0:
-            self.step_activity = True
-
-    #: control events by kind (``done`` is read by ``_collect_reports``)
+    #: control events by kind (``done`` is read by ``_collect_reports``);
+    #: an ``active`` report to an open probe is as good as ``wait``
     _HANDLERS = {
-        "sent": lambda self, e: self.ledger.announce(e[1], e[2], e[3]),
-        "drained": lambda self, e: self.ledger.credit(e[1], e[2], e[3]),
+        "sent": lambda self, e: self.book.announce(e[1], e[2], e[3]),
+        "drained": lambda self, e: self.book.credit(e[1], e[2], e[3]),
+        "inactive": lambda self, e: self.book.set_inactive(e[1]),
+        "active": lambda self, e: self.book.set_active(e[1]),
+        "step-done": lambda self, e: self.book.set_inactive(
+            e[1], worked=e[2] > 0),
+        "ack": lambda self, e: self.book.answer(e[1], True),
+        "wait": lambda self, e: self.book.answer(e[1], False),
         "quarantined": _on_quarantined,
-        "inactive": _on_activity, "active": _on_activity,
         "round": _on_round, "heartbeat": _on_heartbeat,
         "ckpt_state": _on_ckpt_state, "ckpt_late": _on_ckpt_late,
-        "ack": _on_ack, "wait": _on_ack,
-        "error": _on_error, "step-done": _on_step_done}
+        "error": _on_error}
 
     # -- barrier / probe / stop --------------------------------------
-    def _decided(self) -> None:
-        self.rt._wake["decisions"] += 1
-        self.rt._wake["timeout_decisions"] += self.timed_out
+    def _command(self) -> bool:
+        """Carry out what the book decides right now; True once the stop
+        broadcast went out.
 
-    def _probe(self) -> None:
-        # the paper's terminate broadcast: probe every worker
-        self._decided()
-        self.ack_count = 0
-        self.got_wait = False
-        self.acks_pending = self.m
-        self._broadcast(("probe",))
-
-    def _start_superstep(self) -> None:
-        self._decided()
-        self.steppers.clear()
-        self.step_activity = False
-        self.step_no += 1
-        self.rt._emit_master(obs_events.BARRIER, step=self.step_no)
-        self._broadcast(("superstep", self.step_no))
-
-    def _decide(self) -> bool:
-        """Take the barrier / probe / stop decision the books allow
-        right now; True once the stop broadcast went out.
-
-        Deciding on the spot, not after a quiet spell, is safe
-        because each lane is FIFO: by the time a worker's
-        ``step-done`` or ``ack`` has been read, so has every ``sent``
-        and ``drained`` it reported before it."""
-        if self.acks_pending:
-            if self.ack_count < self.acks_pending:
-                return False
-            self.acks_pending = 0
-            self.rt._emit_master(
-                obs_events.TERMINATE_PROBE,
-                result="ack" if not self.got_wait else "wait")
-            if (not self.got_wait and self.ledger.in_flight() == 0
-                    and (self.bsp or all(self.inactive))):
-                self._decided()
-                self._broadcast(("stop",))
-                return True
-            if self.bsp:
-                self._start_superstep()
-                return False
-        if self.bsp:
-            if len(self.steppers) == self.m:
-                if not self.step_activity and self.ledger.in_flight() == 0:
-                    # a quiet barrier is necessary but no longer
-                    # sufficient: drain-time crediting means a
-                    # checkpoint drain may have parked messages in a
-                    # worker's carry after it answered an empty
-                    # superstep — probe before stopping
-                    self._probe()
-                else:
-                    self._start_superstep()
-        elif all(self.inactive) and self.ledger.in_flight() == 0:
-            self._probe()
-        return False
-
-    def _active_rounds(self) -> List[int]:
-        # bounds over *active* workers: a finished worker must not pin
-        # r_min, or an SSP/Hsync-gated worker would deadlock waiting
-        # for rounds that will never come (same rule as WorkerState.
-        # pending in the other runtimes)
-        return [r for r, idle in zip(self.rounds, self.inactive)
-                if not idle] or self.rounds
+        Deciding on the spot, not after a quiet spell, is safe because
+        each lane is FIFO: by the time a worker's ``step-done`` or
+        ``ack`` has been read, so has every ``sent`` and ``drained`` it
+        reported before it."""
+        decision = self.book.decide()
+        if decision != NONE:
+            self.rt._wake["decisions"] += 1
+            self.rt._wake["timeout_decisions"] += self.timed_out
+            # the commands are named as the decisions: ``probe`` is the
+            # paper's terminate broadcast
+            self._broadcast(("superstep", self.book.superstep)
+                            if decision == OPEN else (decision,))
+        return decision == STOP
 
     def _broadcast_fleet(self) -> None:
-        live_rates = [r for r in self.rates if r > 0]
-        base = self._active_rounds()
-        self.told_rmin = min(base)
-        fleet = Fleet(
-            rmin=self.told_rmin, rmax=max(base),
-            avg_rate=sum(live_rates) / len(live_rates) if live_rates else 0.0,
-            avg_round_time=sum(self.durations) / len(self.durations),
-            num_workers=self.m)
+        fleet = self.book.fleet()
+        self.told_rmin = fleet.rmin
         hsync = self.rt.hsync
         switching = (hsync.mode, hsync.switches) if hsync is not None else None
         # telemetry, not protocol: skip a worker whose pipe is full
@@ -521,7 +394,7 @@ class _Master:
         # 5. equalize the ledger.  The post-equalize sums seed the
         # replacement's cumulative checkpoint counters so epoch
         # conservation still balances across incarnations.
-        sent_base, recv_base = self.ledger.settle(w, peers)
+        sent_base, recv_base = self.book.settle(w)
         # 6. an open checkpoint epoch can never complete (the dead
         # worker will never record); abort it, keep the last one
         if self.ckpt is not None:
@@ -534,23 +407,15 @@ class _Master:
             self.plan_now = self.plan_now.without_crash(w)
         incarnation = (self.detector.respawn(w, time.monotonic())
                        if self.detector is not None
-                       else self.ledger.era[w] + 1)
-        self.ledger.era[w] = incarnation
+                       else self.book.era[w] + 1)
         snap = rt.last_checkpoint
         seeded = (snap is not None and snap.complete
                   and w in snap.worker_states)
-        self.spawn(w, incarnation, self.plan_now, sent_base, recv_base)
-        # 8. master bookkeeping: the replacement starts fresh
-        self.inactive[w] = False
-        self.rounds[w] = 1
-        self.durations[w] = 1e-3
-        self.rates[w] = 0.0
-        # BSP: the open barrier waits for the replacement's own
+        # 8. the replacement starts fresh in the book: only its reports
+        # count, and under BSP the open barrier waits for its own
         # 0th-superstep report, whatever the dead incarnation answered
-        self.steppers.discard(w)
-        self.acks_pending = 0
-        self.ack_count = 0
-        self.got_wait = False
+        self.book.rejoin(w, incarnation)
+        self.spawn(w, incarnation, self.plan_now, sent_base, recv_base)
         # 9. rejoin: live survivors rebind the reset rings and
         # re-ship their full border through the normal transport
         # seam — everything the replacement's checkpoint state (or

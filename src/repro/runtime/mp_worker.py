@@ -39,6 +39,9 @@ _REPOLL = 0.25
 #: cap, in seconds, on one delay stretch and on one straggler stall
 _MAX_DELAY = 0.01
 _MAX_STALL = 0.05
+#: the fleet's round time of a worker that has reported none (the master's
+#: book and a worker's fleet before the first broadcast start at it)
+UNREPORTED_ROUND_TIME = 1e-3
 
 
 @dataclass
@@ -180,7 +183,8 @@ class _Worker:
         state = self.step.state
         state.idle_since = state.wait_started = started
         #: the master's latest broadcast; AAP / SSP / Hsync decide on it
-        self.fleet = Fleet(0, 0, 0.0, 1e-3, pg.num_fragments)
+        self.fleet = Fleet(0, 0, 0.0, UNREPORTED_ROUND_TIME,
+                           pg.num_fragments)
         # round/rate reports feed the master's fleet broadcasts (AAP/SSP/
         # Hsync) and the Hsync switching policy; AP and BSP consume neither,
         # so skipping the per-round control message there spares the master

@@ -5,9 +5,11 @@ compute-heavy workloads, so this runtime places each virtual worker in its
 own OS process (the repro band's "needs multiprocessing" note).  Fragments,
 program and query are shipped once at start; designated messages travel
 through shared-memory rings (or pickled per-``(src, dst)`` lanes); the
-master process runs the paper's termination protocol (inactive flags,
+master process runs the paper's termination protocol through the master's
+book (:class:`~repro.core.master.MasterBook`: inactive flags, per-channel
 in-flight accounting, and an explicit probe/ack round — the
-``terminate``/``ack``-or-``wait`` exchange).
+``terminate``/``ack``-or-``wait`` exchange — the same rule the other
+runtimes decide by).
 
 Nothing on the blocking path sleeps and re-checks.  Every channel is
 single-producer and selectable (:mod:`repro.runtime.lane`): the master
@@ -111,6 +113,7 @@ from repro.runtime.lane import Lane
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.mp_master import _Master, _reap
 from repro.runtime.mp_worker import _FTConfig, _WorkerReport, _worker_main
+from repro.runtime.recovery import check_live_knobs
 from repro.runtime.slab import SlabArena
 from repro.runtime.snapshot import GlobalSnapshot
 
@@ -146,6 +149,7 @@ class MultiprocessRuntime:
         if mode not in _MODES:
             raise RuntimeConfigError(
                 f"multiprocess runtime supports {_MODES}, got {mode!r}")
+        check_live_knobs(timeout, respawn_budget, checkpoint_interval)
         if transport is None:
             transport = "shm"
         if transport not in _TRANSPORTS:

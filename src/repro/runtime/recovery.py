@@ -42,6 +42,20 @@ from repro.runtime.faultplan import _mix
 from repro.runtime.snapshot import GlobalSnapshot
 
 
+def check_live_knobs(timeout: float, respawn_budget: int,
+                     checkpoint_interval: Optional[float]) -> None:
+    """Refuse a live runtime's knobs when it is built, before anything
+    runs (``checkpoint_interval`` ``None``: no checkpoints)."""
+    for ok, rule, value in (
+            (timeout > 0, "timeout must be positive", timeout),
+            (respawn_budget >= 0, "respawn_budget must be >= 0",
+             respawn_budget),
+            (checkpoint_interval is None or checkpoint_interval > 0,
+             "checkpoint interval must be positive", checkpoint_interval)):
+        if not ok:
+            raise RuntimeConfigError(f"{rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff for failure recovery.

@@ -14,8 +14,9 @@ paper prescribes —
 - *Termination*: a worker with an empty buffer after a round becomes
   inactive; the run terminates when no worker is pending and no message is in
   flight (which is exactly "all inactive, all ack" in the event model, since
-  every in-flight message is a scheduled event).  Under BSP that moment
-  opens the next superstep instead while any buffer holds mail.
+  every in-flight message is a scheduled event).  At that moment the
+  master's book (:class:`~repro.core.master.MasterBook`) decides: under
+  BSP it opens the next superstep instead while any buffer holds mail.
 
 Timing comes from a :class:`~repro.runtime.costmodel.CostModel`; per-worker
 speed factors create stragglers.  Runs are bit-for-bit reproducible: events
@@ -28,7 +29,8 @@ from typing import Any, List, Optional, Sequence
 
 from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
-from repro.core.step import DS_EPSILON, Fleet, WorkerStep, open_superstep
+from repro.core.master import OPEN, MasterBook, local_fleet
+from repro.core.step import DS_EPSILON, Fleet, WorkerStep
 from repro.core.worker import WorkerState, WorkerStatus
 from repro.errors import RuntimeConfigError, TerminationError
 from repro.core.result import RunResult
@@ -88,6 +90,8 @@ class SimulatedRuntime:
                        default_round_time=self.cost.round_time(wid, 1))
             for wid in range(m)]
         self.workers: List[WorkerState] = [s.state for s in self.steps]
+        #: asked whenever the event queue drains (nothing runs or flies)
+        self.book = MasterBook(m, bsp=policy.supersteps)
         for w in self.workers:
             w.host = host_of[w.wid]
         self.max_events = max_events
@@ -152,7 +156,7 @@ class SimulatedRuntime:
     def _event_loop(self) -> None:
         while True:
             if not self.queue:
-                open_superstep(self.steps)  # BSP: nothing runs or flies
+                self._quiesced()
                 # give suspended workers one more look (rmin may have moved)
                 self._reevaluate_all()
                 if not self.queue:
@@ -175,6 +179,17 @@ class SimulatedRuntime:
             self._on_custom(event)
         else:  # pragma: no cover - defensive
             raise TerminationError(f"unknown event {event!r}")
+
+    def _quiesced(self) -> None:
+        """Nothing runs or flies: every worker is inactive to the book,
+        which answers its probe from the buffers (BSP: opens the next
+        superstep while one holds mail)."""
+        for wid in range(len(self.steps)):
+            self.book.set_inactive(wid)
+        if self.book.decide(
+                holds=lambda wid: bool(self.workers[wid].buffer)) == OPEN:
+            for step in self.steps:
+                step.superstep = self.book.superstep
 
     def _check_quiescent(self) -> None:
         stuck = [w.wid for w in self.workers
@@ -286,7 +301,7 @@ class SimulatedRuntime:
     # policy evaluation
     # ------------------------------------------------------------------
     def _fleet(self) -> Fleet:
-        return Fleet.of(self.workers, self.now, self.cost.alpha)
+        return local_fleet(self.workers, self.now, self.cost.alpha)
 
     def _reevaluate_all(self) -> None:
         for wid in range(len(self.workers)):

@@ -247,9 +247,7 @@ class LiveCheckpointer:
     """
 
     def __init__(self, interval: float, num_workers: int):
-        if interval <= 0:
-            raise SnapshotError(
-                f"checkpoint interval must be positive, got {interval!r}")
+        # a positive interval: the runtimes refuse any other when built
         self.interval = interval
         self.num_workers = num_workers
         #: the last complete snapshot (rollback target), or None

@@ -2,9 +2,10 @@
 
 Where the simulator *models* asynchrony deterministically, this runtime
 *is* asynchronous: one thread per virtual worker, push-based point-to-point
-queues, the paper's master termination protocol
-(:class:`~repro.core.master.TerminationMaster`), and delay stretches
-realised as wall-clock waits.
+queues, a master that decides termination and BSP's barrier by the
+master's book (:class:`~repro.core.master.MasterBook`, asked under one
+lock, its probe answered on the spot from the workers' buffers), and delay
+stretches realised as wall-clock waits.
 
 Because of the GIL this runtime does not demonstrate speed-up (the repro
 band notes compute-heavy async workers need multiprocessing); it
@@ -12,7 +13,7 @@ demonstrates *correctness under real races*: the Church-Rosser tests run the
 same program here and compare with the reference answer.  Wall-clock delay
 stretches are scaled by ``time_scale`` so tests stay fast.
 
-A worker that raises calls :meth:`TerminationMaster.abort`, which releases
+A worker that raises calls :meth:`ThreadedRuntime.abort`, which releases
 every other worker promptly; the first error is re-raised by :meth:`run`
 with any concurrent failures attached as notes.
 
@@ -37,15 +38,16 @@ from typing import Any, List, Optional
 
 from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
-from repro.core.master import TerminationMaster
+from repro.core.master import OPEN, STOP, MasterBook, local_fleet
 from repro.core.result import RunResult
-from repro.core.step import Fleet, WorkerStep, open_superstep
+from repro.core.step import Fleet, WorkerStep
 from repro.core.worker import WorkerStatus
-from repro.errors import SnapshotError, WorkerCrashedError
+from repro.errors import SnapshotError, TerminationError, WorkerCrashedError
 from repro.obs import events as obs_events
 from repro.runtime.detection import FailureDetector, FailureEvent
 from repro.runtime.faultplan import FaultPlan, InjectedCrash, fault_kind
 from repro.runtime.metrics import RunMetrics
+from repro.runtime.recovery import check_live_knobs
 from repro.runtime.snapshot import GlobalSnapshot, LiveCheckpointer
 
 #: cap, in seconds, on any single wall-clock wait, so a policy returning
@@ -61,7 +63,7 @@ class ThreadedRuntime:
     time_scale:
         Multiplier applied to finite delay stretches (seconds); keep small.
     timeout:
-        Overall run timeout (seconds).
+        Overall run timeout (seconds, positive).
     observer:
         Optional :class:`repro.obs.Observer`; ``None`` (the default) records
         nothing and costs nothing.
@@ -78,7 +80,7 @@ class ThreadedRuntime:
         Surgical-recovery rung 1: how many in-place thread respawns each
         worker slot may spend before a detected death degrades to
         whole-run rollback (``WorkerCrashedError``).  0 (default)
-        disables the rung.
+        disables the rung; a negative budget is refused.
     """
 
     def __init__(self, engine: Engine, policy: DelayPolicy,
@@ -89,13 +91,19 @@ class ThreadedRuntime:
                  heartbeat_interval: float = 0.02,
                  heartbeat_timeout: float = 1.0,
                  respawn_budget: int = 0):
+        check_live_knobs(timeout, respawn_budget, checkpoint_interval)
         self.engine = engine
         self.policy = policy
         self.time_scale = time_scale
         self.timeout = timeout
         self.obs = observer
         m = engine.num_workers
-        self.master = TerminationMaster(m)
+        #: the master's book, read and written under ``_master`` only
+        self.book = MasterBook(m, bsp=policy.supersteps)
+        self._master = threading.Condition()
+        self._stopped = False
+        #: every worker error, first failure first (:meth:`run` raises it)
+        self.errors: List[BaseException] = []
         self._locks = [threading.Lock() for _ in range(m)]
         self._events = [threading.Event() for _ in range(m)]
         # seconds since the run started: the runtime's clock and its
@@ -107,7 +115,7 @@ class ThreadedRuntime:
         self.fault_plan = fault_plan
         self._injector = fault_plan.injector() if fault_plan else None
         #: one step per virtual worker; this class only drives them
-        #: (thread, lock, wake-up event, termination master, fault seams)
+        #: (thread, lock, wake-up event, the master's loop, fault seams)
         #: — docs/architecture.md
         self.steps = [
             WorkerStep(engine, wid, policy, clock=self._now,
@@ -189,13 +197,11 @@ class ThreadedRuntime:
         for t in self._threads:
             t.start()
         crash: Optional[WorkerCrashedError] = None
-        poll = self._ft_poll if self._ft else None
         try:
-            self.master.wait_for_termination(timeout=self.timeout, poll=poll,
-                                             barrier=self._open_superstep)
+            self._await_stop()
         except WorkerCrashedError as exc:
             crash = exc
-            self.master.abort(exc)  # release every surviving worker
+            self.abort(exc)  # release every surviving worker
         for wid in range(self.engine.num_workers):
             self._events[wid].set()  # release any sleeper
         for t in self._threads:
@@ -203,10 +209,10 @@ class ThreadedRuntime:
         for timer in self._timers:
             timer.cancel()
         self._emit(obs_events.TERMINATE_PROBE,
-                   result="aborted" if self.master.aborted else "quiescent")
+                   result="aborted" if self.errors else "quiescent")
         if crash is not None:
             raise crash
-        errors = self.master.errors
+        errors = self.errors
         if errors:
             first = errors[0]
             for other in errors[1:]:
@@ -228,6 +234,49 @@ class ThreadedRuntime:
                          extras=extras)
 
     # ------------------------------------------------------------------
+    def _await_stop(self) -> None:
+        """The master: ask the book whenever a report wakes it (at least
+        every 50 ms, then the fault-tolerance poll) until it says stop, a
+        worker aborts, or the timeout passes."""
+        deadline = time.monotonic() + self.timeout
+        with self._master:
+            while not self._stopped:
+                if self._ask_book() == STOP:
+                    self._stopped = True
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TerminationError("timed out waiting for termination")
+                self._master.wait(timeout=min(0.05, remaining))
+                if self._ft:
+                    self._ft_poll()
+
+    def _ask_book(self) -> str:
+        """The book's decision, its probe answered on the spot: a worker
+        waits iff its buffer holds mail (safe without the worker's lock: a
+        delivery is buffered before it is credited under this one).  A
+        superstep wakes the workers with mail due; the rest report."""
+        decision = self.book.decide(
+            holds=lambda wid: bool(self.workers[wid].buffer))
+        if decision == OPEN:
+            for wid, step in enumerate(self.steps):
+                step.superstep = self.book.superstep
+                if step.due():
+                    self._events[wid].set()
+                else:
+                    self.book.set_inactive(wid)
+        return decision
+
+    def abort(self, exc: BaseException) -> None:
+        """A worker crashed: stop the run at once, releasing everybody.
+        The first error is the one :meth:`run` raises; later ones stay in
+        :attr:`errors` as context."""
+        with self._master:
+            self.errors.append(exc)
+            self._stopped = True
+            self._master.notify_all()
+
+    # ------------------------------------------------------------------
     def _emit(self, type_: str, **payload) -> None:
         """Runtime-side observability record (probe, checkpoint, faults)."""
         if self.obs is not None:
@@ -239,18 +288,18 @@ class ThreadedRuntime:
     def _ft_poll(self) -> None:
         """Master-side tick: rotate checkpoints, run the failure detector.
 
-        Runs inside :meth:`TerminationMaster.wait_for_termination`'s wait
-        loop (every <= 50 ms).  Raising ``WorkerCrashedError`` from here
-        aborts the run promptly — detection latency is O(heartbeat
-        timeout), not O(global timeout).
+        Runs inside the master's wait loop, under the book's lock (every
+        <= 50 ms).  Raising ``WorkerCrashedError`` from here aborts the run
+        promptly — detection latency is O(heartbeat timeout), not
+        O(global timeout).
         """
-        if self.master.terminated:
+        if self._stopped:
             return
         now = time.monotonic()
         t = now - self._started[0]
         if self._ckpt is not None:
             self._ckpt.maybe_start(now)
-            snap = self._ckpt.maybe_complete(now, self.master.in_flight)
+            snap = self._ckpt.maybe_complete(now, self.book.in_flight())
             if snap is not None:
                 self._emit(obs_events.CHECKPOINT, token=snap.token,
                            workers=snap.num_workers_recorded,
@@ -304,7 +353,7 @@ class ThreadedRuntime:
             # on the same shared context — never run two incarnations
             # of one fragment concurrently
             return degrade("old thread is hung, not dead")
-        if self.master.terminated:
+        if self._stopped:
             return False
         t0 = time.monotonic()
         self._budget[wid] -= 1
@@ -323,7 +372,8 @@ class ThreadedRuntime:
         self._threads[wid] = replacement
         # mark active before the thread runs: the master must not reach
         # a termination verdict between start() and the first loop tick
-        self.master.set_active(wid)
+        with self._master:
+            self.book.set_active(wid)
         replacement.start()
         self._events[wid].set()
         duration = time.monotonic() - t0
@@ -360,26 +410,19 @@ class ThreadedRuntime:
                                       self.workers[wid].buffer.peek())
 
     # ------------------------------------------------------------------
-    def _open_superstep(self) -> bool:
-        """BSP's barrier, asked by the master at quiescence: open the
-        next superstep and wake the workers holding mail (False: done)."""
-        held = open_superstep(self.steps)
-        for wid in held:
-            self.master.set_active(wid)
-            self._events[wid].set()
-        return bool(held)
-
     def _note_if_inactive(self, wid: int) -> bool:
         """Report inactive unless mail is due, asked under this worker's
-        lock (no delivery lands) and the master's (no barrier opens a
+        lock (no delivery lands) and the book's (no barrier opens a
         superstep), or the master could end the run or a superstep on an
         undrained buffer; ``status`` moves with it, so no view sees a
         stale RUNNING.  A BSP worker holding only next-superstep mail is
         inactive to the master and waiting to itself."""
         step = self.steps[wid]
         with self._locks[wid]:
-            if not self.master.set_inactive(wid, unless=step.due):
-                return False
+            with self._master:
+                if not self.book.set_inactive(wid, unless=step.due):
+                    return False
+                self._master.notify_all()
             step.mark(WorkerStatus.WAITING if step.state.buffer
                       else WorkerStatus.INACTIVE)
             return True
@@ -395,7 +438,7 @@ class ThreadedRuntime:
                 # before PEval finished) initialises the fragment
                 self._run_round(wid, None)
                 self._peval_done[wid] = True
-            while not self.master.terminated:
+            while not self._stopped:
                 if self._ft:
                     self._ft_tick(wid)
                 if self._note_if_inactive(wid):
@@ -427,7 +470,7 @@ class ThreadedRuntime:
         except BaseException as exc:
             # abort releases every worker promptly and keeps the first
             # error; concurrent failures are collected, not overwritten
-            self.master.abort(exc)
+            self.abort(exc)
             self._clean_exit[wid] = True
 
     def _run_round(self, wid: int, batches: Optional[List[Any]]) -> None:
@@ -439,7 +482,7 @@ class ThreadedRuntime:
         self.policy.on_round_complete(step.view(self._fleet()), duration)
 
     def _fleet(self) -> Fleet:
-        return Fleet.of(self.workers, self._now())
+        return local_fleet(self.workers, self._now())
 
     # ------------------------------------------------------------------
     # transport: _send decides the fate of a message, _deliver lands it
@@ -462,7 +505,8 @@ class ThreadedRuntime:
         # sub-batches, not the dropped entries) — each logical entry is
         # counted exactly once
         for m, delay in deliveries:
-            self.master.message_sent()
+            with self._master:
+                self.book.announce(m.src, {m.dst: 1})
             self.steps[m.src].sent(m)
             if delay <= 0:
                 self._deliver(m)
@@ -478,6 +522,8 @@ class ThreadedRuntime:
             if coord is not None:
                 coord.on_deliver(msg.dst, msg, self._now())
             self.steps[msg.dst].arrived(msg)
-        self.master.set_active(msg.dst)
-        self.master.message_delivered()
+        with self._master:
+            self.book.set_active(msg.dst)
+            self.book.credit(msg.dst, {msg.src: 1})
+            self._master.notify_all()
         self._events[msg.dst].set()

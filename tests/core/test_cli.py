@@ -160,6 +160,26 @@ class TestCommands:
         assert code == 0
         assert '"ok": true' in out
 
+    @pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--retries", "-1", "max_retries must be >= 0"),
+        ("--retry-jitter", "2", "jitter must be in [0, 1]"),
+        ("--retry-deadline", "-1", "deadline must be positive"),
+        ("--checkpoint-interval", "-1",
+         "checkpoint interval must be positive"),
+        ("--timeout", "0", "timeout must be positive"),
+        ("--respawn-budget", "-2", "respawn_budget must be >= 0")])
+    def test_chaos_refuses_a_configuration(self, capsys, runtime, flag,
+                                           value, error):
+        """A refused knob is a usage error, not a ``crash`` finding."""
+        code = cli.main(["chaos", "--runtime", runtime, "--graph",
+                         "grid:4x4", "-m", "2", "--crash", "1:2",
+                         flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {error}")
+        assert len(captured.err.splitlines()) == 1
+
     def test_trace_threaded_runtime(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         code, out = self.run_cli(

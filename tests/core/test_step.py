@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.delay import AAPPolicy, APPolicy, DelayPolicy
 from repro.core.engine import Engine, RoundOutput
+from repro.core.master import local_fleet
 from repro.core.messages import Message
 from repro.core.predictors import ArrivalRatePredictor, RoundTimePredictor
 from repro.core.step import Fleet, WorkerStep
@@ -49,7 +50,7 @@ def pair():
 
 
 def _fleet(steps, clock):
-    return Fleet.of([s.state for s in steps], clock(), 0.5)
+    return local_fleet([s.state for s in steps], clock(), 0.5)
 
 
 class TestOneWorkerByHand:

@@ -12,11 +12,13 @@ import pytest
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.delay import AAPPolicy
 from repro.core.engine import Engine
-from repro.errors import TerminationError, WorkerFailureError
+from repro.errors import (RuntimeConfigError, TerminationError,
+                          WorkerFailureError)
 from repro.fuzz import Cell, run_cell
 from repro.graph import analysis, generators
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime.faultplan import CrashFault, FaultPlan
+from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.recovery import RetryPolicy
 from repro.runtime.threaded import ThreadedRuntime
 
@@ -183,3 +185,23 @@ class TestRecoveryResultAnswer:
         verdict = chaos("crash:3:3", fault_seed=11, runtime="threaded")
         assert verdict.ok
         assert verdict.answer == analysis.dijkstra(grid, 0)
+
+
+@pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
+@pytest.mark.parametrize("knobs, error", [
+    ({"timeout": 0}, "timeout must be positive, got 0"),
+    ({"timeout": -5.0}, "timeout must be positive, got -5.0"),
+    ({"respawn_budget": -2}, "respawn_budget must be >= 0, got -2"),
+    ({"checkpoint_interval": -1.0},
+     "checkpoint interval must be positive, got -1.0")])
+def test_both_constructors_refuse_the_same_knobs(pg, runtime, knobs, error):
+    """A deadline already passed used to read as a hung run, and a
+    negative budget as rung 1 switched off: both runtimes refuse them
+    when built, in the same words, before anything runs."""
+    program, query = SSSPProgram(), SSSPQuery(source=0)
+    with pytest.raises(RuntimeConfigError) as exc_info:
+        if runtime == "threaded":
+            ThreadedRuntime(Engine(program, pg, query), AAPPolicy(), **knobs)
+        else:
+            MultiprocessRuntime(program, pg, query, mode="AAP", **knobs)
+    assert str(exc_info.value) == error

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
                               PageRankQuery, SSSPProgram, SSSPQuery)
 from repro.core.engine import Engine
+from repro.core.master import OPEN
 from repro.core.modes import make_policy
 from repro.graph import analysis, generators
 from repro.partition.edge_cut import HashPartitioner
@@ -74,23 +75,29 @@ class TestSuperstepBarrier:
         for _ in range(3):
             rt = ThreadedRuntime(Engine(SSSPProgram(), pg, query),
                                  make_policy("BSP"), timeout=30.0)
-            master, flag = rt.master, rt.master.set_inactive
+            book, flag = rt.book, rt.book.set_inactive
 
-            def barrier_first(wid, *args, _rt=rt, _master=master,
-                              _flag=flag, **kwargs):
-                step = _rt.steps[wid]
-                with _master._lock:
-                    flags = _master.snapshot_flags()
-                    if (not step.due() and _master.in_flight == 0
-                            and all(flags[:wid] + flags[wid + 1:])
-                            and _rt._open_superstep() and step.due()):
-                        raced.append(wid)
+            def barrier_first(wid, *args, _rt=rt, _book=book, _flag=flag,
+                              **kwargs):
+                # the worker's flag (it brings ``unless``; the barrier's
+                # own re-flags of workers with nothing due do not)
+                step, racing = _rt.steps[wid], "unless" in kwargs
+                with _rt._master:
+                    flags = _book.inactive
+                    if (racing and step.state.buffer and not step.due()
+                            and _book.in_flight() == 0
+                            and all(flags[:wid] + flags[wid + 1:])):
+                        # the flag it raised on its previous turn lets
+                        # the barrier close before this one lands
+                        _flag(wid)
+                        if _rt._ask_book() == OPEN and step.due():
+                            raced.append(wid)
                     flagged = _flag(wid, *args, **kwargs)
-                    if _master.snapshot_flags()[wid] and step.due():
+                    if racing and _book.inactive[wid] and step.due():
                         flagged_with_due_mail.append(wid)
                 return flagged
 
-            master.set_inactive = barrier_first
+            book.set_inactive = barrier_first
             result = rt.run()
             m = result.metrics
             assert (tuple(result.rounds), m.total_messages,
@@ -169,8 +176,8 @@ class TestFailurePropagation:
         with pytest.raises(RuntimeError, match="peval exploded"):
             rt.run()
         # every raising worker is on record; none overwrote the first
-        assert len(rt.master.errors) >= 1
-        assert all(isinstance(e, RuntimeError) for e in rt.master.errors)
+        assert len(rt.errors) >= 1
+        assert all(isinstance(e, RuntimeError) for e in rt.errors)
 
     def test_abort_releases_other_workers(self, small_powerlaw):
         # the non-failing workers must exit their loops, not linger
@@ -199,7 +206,7 @@ class TestInactiveStatusReset:
         w.status = WorkerStatus.WAITING
         assert rt._note_if_inactive(0) is True
         assert w.status is WorkerStatus.INACTIVE
-        assert rt.master.snapshot_flags()[0] is True
+        assert rt.book.inactive[0] is True
 
     def test_note_if_inactive_skips_nonempty_buffer(self, small_grid):
         from repro.core.messages import Message
@@ -214,7 +221,7 @@ class TestInactiveStatusReset:
                       entries=((0, 1.0),)))
         assert rt._note_if_inactive(0) is False
         assert w.status is WorkerStatus.WAITING
-        assert rt.master.snapshot_flags()[0] is False
+        assert rt.book.inactive[0] is False
 
 
 class _BlockingCC(CCProgram):
