@@ -22,12 +22,13 @@ not carry the tracer's cost) — a service that copied the graph into
 dicts for its novelty check would build them here.  The last rows are
 the read blocks that follow: cost per read seen by the caller, the
 latency the service reports for the same reads, and the gap between them
-(the result and event records built after the answer is known); then the
-``ObsEvent`` s and keyword ``emit`` calls one more block of reads made,
-counted by patching, and the script exits 1 unless both are 0 (a read
-stores its record as a row, built into an event only when the log is
-read).  These are the tables docs/performance.md (ledger entries 4, 5,
-10 and 20) quote, not part of ``benchmarks/e2e``::
+(the histograms and the result record, after the answer is known); then
+the ``EventLog.record`` calls one more block of reads made (``emit`` and
+``append`` write through it), counted by patching, and the script exits 1
+unless that is 0 (a served read writes no event: it counts in its
+latency and staleness histograms).  These are the tables
+docs/performance.md (ledger entries 4, 5, 10, 20 and 25) quote, not part
+of ``benchmarks/e2e``::
 
     PYTHONPATH=src python benchmarks/epoch_layers.py [--sizes 2000 20000]
 """
@@ -53,7 +54,6 @@ from tracing import Tracer  # noqa: E402  (benchmarks/e2e)
 
 from repro.algorithms import SSSPProgram, SSSPQuery  # noqa: E402
 from repro.graph import generators  # noqa: E402
-from repro.obs import events as events_module  # noqa: E402
 from repro.obs.events import EventLog  # noqa: E402
 from repro.serve import service as service_module  # noqa: E402
 from repro.serve.loadgen import verify_against_recompute  # noqa: E402
@@ -151,7 +151,7 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
         "serve_epoch_changed").mean
     # read blocks of the workload: caller-side cost per read beside what
     # the service reports (``QueryResult.latency`` stops when the answer
-    # is known); the gap is the result / event bookkeeping
+    # is known); the gap is the histogram / result bookkeeping
     per_read, reported = [], []
     for _ in range(READ_BLOCKS):
         keys = [script.key() for _ in range(reads)]
@@ -164,8 +164,7 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
     column["read_self_reported_us"] = statistics.median(reported) * 1e6
     column["read_gap_us"] = (column["read_us"]
                              - column["read_self_reported_us"])
-    column["read_events_built"], column["read_keyword_emits"] = \
-        count_read_records(svc, script, reads)
+    column["read_records"] = count_read_records(svc, script, reads)
     column["verified"] = verify_against_recompute(svc)
     return column
 
@@ -187,28 +186,24 @@ def retained_by_first_ingest(graph, engine: str, batch) -> int:
     return kept
 
 
-def count_read_records(svc, script, reads: int) -> tuple:
-    """``ObsEvent`` s built and keyword ``emit`` calls made by one more,
-    untimed block of reads within their bound: a read stores its
-    ``query_served`` record as a row, so both must be 0."""
-    built, emitted = [0], [0]
-    new_record, emit = events_module._new_record, EventLog.emit
+def count_read_records(svc, script, reads: int) -> int:
+    """``EventLog.record`` calls (every ``emit`` and ``append`` is one)
+    made by one more, untimed block of reads within their bound: a
+    served read writes no event, so it must be 0."""
+    recorded = [0]
+    record = EventLog.record
 
-    def counting_new(cls, fields):
-        built[0] += 1
-        return new_record(cls, fields)
-
-    def counting_emit(self, *args, **kwargs):
-        emitted[0] += 1
-        return emit(self, *args, **kwargs)
+    def counting_record(self, *args):
+        recorded[0] += 1
+        return record(self, *args)
     keys = [script.key() for _ in range(reads)]
-    events_module._new_record, EventLog.emit = counting_new, counting_emit
+    EventLog.record = counting_record
     try:
         for key in keys:
             svc.query(key, staleness_bound=wl.READ_BOUND)
     finally:
-        events_module._new_record, EventLog.emit = new_record, emit
-    return built[0], emitted[0]
+        EventLog.record = record
+    return recorded[0]
 
 
 def table(columns: dict) -> str:
@@ -233,12 +228,8 @@ def table(columns: dict) -> str:
                        ("gap (us)", "read_gap_us")):
         lines.append(f"| {label} | " + " | ".join(
             f"{columns[size][row]:.2f}" for size in sizes) + " |")
-    for label, row in (("ObsEvents built by a read block",
-                        "read_events_built"),
-                       ("keyword emits by a read block",
-                        "read_keyword_emits")):
-        lines.append(f"| {label} | " + " | ".join(
-            str(columns[size][row]) for size in sizes) + " |")
+    lines.append("| log records by a read block | " + " | ".join(
+        str(columns[size]["read_records"]) for size in sizes) + " |")
     return "\n".join(lines)
 
 
@@ -265,11 +256,11 @@ def main(argv=None) -> int:
     for row in grew:
         print(f"dense row {row!r} grows with the graph: {small[row]:.3f} "
               f"-> {large[row]:.3f} ms", file=sys.stderr)
-    eager = [name for name, column in columns.items()
-             if column["read_events_built"] or column["read_keyword_emits"]]
-    for name in eager:
-        print(f"{name}: reads within their bound built an ObsEvent or "
-              f"went through the keyword emit", file=sys.stderr)
+    logged = [name for name, column in columns.items()
+              if column["read_records"]]
+    for name in logged:
+        print(f"{name}: reads within their bound wrote to the event log",
+              file=sys.stderr)
     if args.out:
         out = pathlib.Path(args.out)
         out.write_text(text + "\n")
@@ -277,7 +268,7 @@ def main(argv=None) -> int:
             {"seed": args.seed, "epochs": args.epochs,
              "fragments": wl.FRAGMENTS, "batch_edges": wl.BATCH_EDGES,
              "columns": columns}, indent=2) + "\n")
-    return 0 if not grew and not eager and all(
+    return 0 if not grew and not logged and all(
         c["verified"] for c in columns.values()) else 1
 
 

@@ -54,9 +54,9 @@ class MasterBook:
     Per slot: the inactive flag (BSP: reported the open superstep), the
     round, rate and round time, and the era whose ledger reports count.
     Per directed channel: entries announced and received.  The open
-    superstep (``None``: not BSP) and the probe's answers.  ``emit(type,
-    **payload)`` records opened barriers and closed probes.  Not
-    thread-safe: a threaded driver calls it under one lock.
+    superstep (``None``: not BSP) and the numbered probe's answers.
+    ``emit(type, **payload)`` records opened barriers and closed probes.
+    Not thread-safe: a threaded driver calls it under one lock.
     """
 
     def __init__(self, m: int, bsp: bool = False,
@@ -77,7 +77,7 @@ class MasterBook:
         self.superstep: Optional[int] = 0 if bsp else None
         #: whether a worker ran a round in the open superstep
         self.worked = False
-        self.probing = False
+        self.probing, self.probe = False, 0
         self.answered: set = set()
         self.waited = False
 
@@ -99,9 +99,10 @@ class MasterBook:
         self.inactive[w] = False
         self.waited = True
 
-    def answer(self, w: int, ack: bool) -> None:
-        """Slot ``w``'s answer to the open probe (none open: dropped)."""
-        if self.probing:
+    def answer(self, w: int, ack: bool, probe: int) -> None:
+        """Slot ``w``'s answer to probe ``probe`` (dropped unless that is
+        the open one: a takeover may have abandoned it)."""
+        if self.probing and probe == self.probe:
             self.answered.add(w)
             self.waited = self.waited or not ack
 
@@ -181,12 +182,12 @@ class MasterBook:
             return self._open()
         if self.in_flight():
             return NONE
-        self.probing, self.waited = True, False
+        self.probing, self.waited, self.probe = True, False, self.probe + 1
         self.answered.clear()
         if holds is None:
             return PROBE
         for w in range(self.m):
-            self.answer(w, not holds(w))
+            self.answer(w, not holds(w), self.probe)
         return self._close_probe()
 
     def _close_probe(self) -> str:

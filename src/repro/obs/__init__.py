@@ -31,9 +31,9 @@ from repro.obs.events import (ADMISSION_SHED, BARRIER, CHECKPOINT,
                               DS_DECISION, EPOCH_APPLY, EVENT_TYPES,
                               FAILURE_DETECTED, FAULT_INJECTED,
                               HEARTBEAT_MISS, INGEST, MSG_DELIVER, MSG_SEND,
-                              QUERY_SERVED, RETRY, ROLLBACK, ROUND_END,
-                              ROUND_START, SCHEMA, STATUS_CHANGE,
-                              TERMINATE_PROBE, EventLog, ObsEvent)
+                              RETRY, ROLLBACK, ROUND_END, ROUND_START,
+                              SCHEMA, STATUS_CHANGE, TERMINATE_PROBE,
+                              EventLog, ObsEvent)
 from repro.obs.export import (ascii_gantt, read_jsonl, round_slices,
                               run_report, to_chrome_trace,
                               write_chrome_trace, write_jsonl, write_report)
@@ -95,5 +95,5 @@ __all__ = [
     "ROUND_START", "ROUND_END", "MSG_SEND", "MSG_DELIVER", "DS_DECISION",
     "STATUS_CHANGE", "BARRIER", "TERMINATE_PROBE", "HEARTBEAT_MISS",
     "FAILURE_DETECTED", "CHECKPOINT", "ROLLBACK", "RETRY", "FAULT_INJECTED",
-    "INGEST", "EPOCH_APPLY", "QUERY_SERVED", "ADMISSION_SHED",
+    "INGEST", "EPOCH_APPLY", "ADMISSION_SHED",
 ]

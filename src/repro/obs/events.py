@@ -56,8 +56,6 @@ DEGRADE = "degrade"
 INGEST = "ingest"
 #: one ingested batch was fully applied and re-converged (an epoch)
 EPOCH_APPLY = "epoch_apply"
-#: the graph service answered a read query under its freshness contract
-QUERY_SERVED = "query_served"
 #: admission control shed work (an update batch or a read query)
 ADMISSION_SHED = "admission_shed"
 
@@ -65,7 +63,7 @@ EVENT_TYPES = (ROUND_START, ROUND_END, MSG_SEND, MSG_DELIVER, DS_DECISION,
                STATUS_CHANGE, BARRIER, TERMINATE_PROBE, HEARTBEAT_MISS,
                FAILURE_DETECTED, CHECKPOINT, ROLLBACK, RETRY, FAULT_INJECTED,
                WORKER_RESPAWN, FRAGMENT_TAKEOVER, DEGRADE, INGEST,
-               EPOCH_APPLY, QUERY_SERVED, ADMISSION_SHED)
+               EPOCH_APPLY, ADMISSION_SHED)
 
 #: canonical payload keys per event type (shared by every runtime)
 SCHEMA: Dict[str, tuple] = {
@@ -89,7 +87,6 @@ SCHEMA: Dict[str, tuple] = {
     DEGRADE: ("frm", "to", "reason"),
     INGEST: ("edges", "depth", "latency"),
     EPOCH_APPLY: ("epoch", "edges", "changed", "duration", "merged"),
-    QUERY_SERVED: ("key", "bound", "staleness", "epoch", "latency"),
     ADMISSION_SHED: ("kind", "reason", "depth"),
 }
 

@@ -219,8 +219,8 @@ class _Master:
         "active": lambda self, e: self.book.set_active(e[1]),
         "step-done": lambda self, e: self.book.set_inactive(
             e[1], worked=e[2] > 0),
-        "ack": lambda self, e: self.book.answer(e[1], True),
-        "wait": lambda self, e: self.book.answer(e[1], False),
+        "ack": lambda self, e: self.book.answer(e[1], True, e[2]),
+        "wait": lambda self, e: self.book.answer(e[1], False, e[2]),
         "quarantined": _on_quarantined,
         "round": _on_round, "heartbeat": _on_heartbeat,
         "ckpt_state": _on_ckpt_state, "ckpt_late": _on_ckpt_late,
@@ -239,10 +239,11 @@ class _Master:
         if decision != NONE:
             self.rt._wake["decisions"] += 1
             self.rt._wake["timeout_decisions"] += self.timed_out
-            # the commands are named as the decisions: ``probe`` is the
-            # paper's terminate broadcast
+            # the commands are named as the decisions: ``probe n`` is the
+            # paper's terminate broadcast, and its answers name ``n``
             self._broadcast(("superstep", self.book.superstep)
-                            if decision == OPEN else (decision,))
+                            if decision == OPEN
+                            else (decision, self.book.probe))
         return decision == STOP
 
     def _broadcast_fleet(self) -> None:

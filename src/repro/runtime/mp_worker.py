@@ -355,12 +355,12 @@ class _Worker:
     def _on_probe(self, cmd) -> None:
         # the paper's terminate broadcast: ack iff still inactive (both
         # planes: unread lane bytes AND unparsed ring records), and
-        # nothing parked for a quarantined peer
+        # nothing parked for a quarantined peer; the answer names the probe
         empty = (all(lane.empty() for lane in self.in_lanes)
                  and not self.carry and not self.step.state.buffer
                  and not any(self.parked.values())
                  and (self.pool is None or self.pool.drained))
-        self.control.put(("ack" if empty else "wait", self.wid))
+        self.control.put(("ack" if empty else "wait", self.wid, cmd[1]))
 
     def _on_superstep(self, cmd) -> None:
         # a faster peer's output of this superstep stays for the next one

@@ -37,8 +37,9 @@ engine otherwise:
    convergence catches up").  A point lookup reads the maintained
    answer: the dict the epochs patch with their answer deltas.
 
-Every ingest, epoch and query emits an obs event and feeds the latency /
-freshness histograms on the service's :class:`~repro.obs.Observer`.
+Every ingest, epoch and shed emits an obs event on the service's
+:class:`~repro.obs.Observer`; a served read emits none and feeds only the
+latency and staleness histograms (their count is the served count).
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from repro.errors import PartitionError, ProgramError, ReproError
 from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph
 from repro.graph.stable import owners
-from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
-                       EventLog, Observer)
+from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, EventLog,
+                       Observer)
 from repro.partition.builder import build_edge_cut
 from repro.partition.grow import GrowthReport, grow_edge_cut
 from repro.runtime.simulator import SimulatedRuntime
@@ -74,9 +75,9 @@ _MISSING = object()
 RUNTIMES = ("threaded", "simulated")
 
 #: events the service's own log retains: a resident process emits one per
-#: read for as long as it lives, so its log is a ring of the recent past
-#: (:attr:`~repro.obs.EventLog.dropped` counts the rest; the histograms
-#: see every event)
+#: ingest, epoch and shed for as long as it lives, so its log is a ring of
+#: the recent past (:attr:`~repro.obs.EventLog.dropped` counts the rest;
+#: the histograms see every event)
 EVENT_LOG_CAPACITY = 8192
 
 
@@ -190,8 +191,8 @@ class GraphService:
         self.staleness_bound = staleness_bound
         self.admission = admission if admission is not None \
             else AdmissionController()
-        #: always-on observability: events + histograms for every ingest,
-        #: epoch and query land here
+        #: always-on observability: events for every ingest, epoch and
+        #: shed, histograms for those and every read, land here
         self.obs = observer if observer is not None \
             else Observer(log=EventLog(capacity=EVENT_LOG_CAPACITY))
         # every instrument the ingest / epoch / read paths touch, taken
@@ -437,10 +438,10 @@ class GraphService:
                snapshot: bool) -> QueryResult:
         """The freshness contract, once, for :meth:`query` and
         :meth:`snapshot`: admit or shed, catch up to ``bound``, answer,
-        then time and log the read (the latency histogram's count is the
-        served count).  ``latency`` (the result's and the histogram's, the
-        event's timestamp) stops when the answer is known; the bookkeeping
-        after it is the gap docs/serving.md quotes."""
+        then time the read into its two histograms, whose count is the
+        served count (no event).  ``latency`` (the result's and the
+        histogram's) stops when the answer is known; the bookkeeping after
+        it is the gap docs/serving.md quotes."""
         if bound < 0:
             raise ProgramError(
                 f"staleness bound must be >= 0 epochs, got {bound}")
@@ -457,17 +458,11 @@ class GraphService:
         while len(pending) > bound:
             self._apply_one()
         staleness = len(pending)
-        epoch = self.epoch
         value = dict(self._answer) if snapshot else self._answer.get(key)
-        now = perf_counter()
-        latency = now - t0
+        latency = perf_counter() - t0
         self._query_latency.observe(latency)
         self._staleness.observe(staleness)
-        # a row in SCHEMA order: the log builds the event when it is read
-        self._log.record(QUERY_SERVED, now, -1, -1, (
-            "<snapshot>" if snapshot else repr(key), bound, staleness,
-            epoch, latency))
-        return tuple.__new__(QueryResult, (True, value, epoch, staleness,
+        return tuple.__new__(QueryResult, (True, value, self.epoch, staleness,
                                            latency, None))
 
     def __repr__(self) -> str:

@@ -34,44 +34,50 @@ SCRIPTS = {
     "async quiescence": (2, False, [
         ("set_inactive", 0), ("decide", NONE),
         ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, True), ("decide", NONE),
-        ("answer", 1, True), ("decide", STOP)]),
+        ("answer", 0, True, 1), ("decide", NONE),
+        ("answer", 1, True, 1), ("decide", STOP)]),
     "a probe answered wait resumes, then probes again": (2, False, [
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
         ("set_active", 1),  # mail raced in: as good as wait
-        ("answer", 0, True), ("answer", 1, False), ("decide", NONE),
+        ("answer", 0, True, 1), ("answer", 1, False, 1), ("decide", NONE),
         ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, True), ("answer", 1, True), ("decide", STOP)]),
+        ("answer", 0, True, 2), ("answer", 1, True, 2), ("decide", STOP)]),
     "a stale wait with every slot inactive probes at once": (2, False, [
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, True), ("answer", 1, False), ("decide", PROBE)]),
+        ("answer", 0, True, 1), ("answer", 1, False, 1), ("decide", PROBE)]),
     "nothing stops while entries fly": (2, False, [
         ("announce", 0, {1: 3}), ("set_inactive", 0), ("set_inactive", 1),
         ("decide", NONE), ("credit", 1, {0: 2}), ("decide", NONE),
         ("credit", 1, {0: 1}), ("decide", PROBE)]),
     "entries landing during the probe keep it from stopping": (2, False, [
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
-        ("announce", 0, {1: 1}), ("answer", 0, True), ("answer", 1, True),
-        ("decide", NONE)]),
+        ("announce", 0, {1: 1}), ("answer", 0, True, 1),
+        ("answer", 1, True, 1), ("decide", NONE)]),
     "BSP: a barrier after work opens the next superstep": (2, True, [
         ("set_inactive", 0, True), ("decide", NONE),
         ("set_inactive", 1), ("decide", OPEN),
         ("decide", NONE),  # every flag cleared: all must report again
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, True), ("answer", 1, True), ("decide", STOP)]),
+        ("answer", 0, True, 1), ("answer", 1, True, 1), ("decide", STOP)]),
     "BSP: work opens the barrier with entries still on the wire": (2, True, [
         ("announce", 0, {1: 4}), ("set_inactive", 0, True),
         ("set_inactive", 1), ("decide", OPEN)]),
     "BSP: a quiet barrier probes, and a wait opens the next": (2, True, [
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, False), ("answer", 1, True), ("decide", OPEN)]),
+        ("answer", 0, False, 1), ("answer", 1, True, 1), ("decide", OPEN)]),
     "an answer with no probe open is dropped": (1, False, [
-        ("answer", 0, False), ("set_inactive", 0), ("decide", PROBE),
-        ("answer", 0, True), ("decide", STOP)]),
+        ("answer", 0, False, 0), ("set_inactive", 0), ("decide", PROBE),
+        ("answer", 0, True, 1), ("decide", STOP)]),
     "a rejoin abandons the open probe": (2, False, [
         ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
-        ("answer", 0, True), ("rejoin", 1, 1), ("answer", 1, True),
+        ("answer", 0, True, 1), ("rejoin", 1, 1), ("answer", 1, True, 1),
         ("decide", NONE), ("set_inactive", 1), ("decide", PROBE)]),
+    "a late answer to an abandoned probe does not count": (2, False, [
+        ("set_inactive", 0), ("set_inactive", 1), ("decide", PROBE),
+        ("rejoin", 1, 1), ("set_inactive", 1), ("decide", PROBE),
+        ("answer", 1, True, 1),  # slot 1's ack to the first probe, late
+        ("answer", 0, True, 2), ("decide", NONE),  # still waits for 1
+        ("answer", 1, True, 2), ("decide", STOP)]),
 }
 
 
@@ -257,8 +263,8 @@ class TestProtocol:
         book.set_inactive(1)
         assert book.decide() == PROBE
         book.set_active(1)
-        book.answer(0, True)
-        book.answer(1, True)
+        book.answer(0, True, book.probe)
+        book.answer(1, True, book.probe)
         assert book.decide() == NONE
 
     def test_negative_in_flight_rejected(self):
@@ -272,10 +278,10 @@ class TestProtocol:
         book = MasterBook(1)
         book.set_inactive(0)
         assert book.decide() == PROBE
-        book.answer(0, False)
+        book.answer(0, False, 1)
         assert book.decide() == PROBE  # a fresh attempt, fresh answers
-        assert not book.answered
-        book.answer(0, True)
+        assert not book.answered and book.probe == 2
+        book.answer(0, True, 2)
         assert book.decide() == STOP
 
     def test_flags_are_per_slot(self):

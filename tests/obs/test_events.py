@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.obs.events import (EVENT_TYPES, MSG_DELIVER, QUERY_SERVED,
+from repro.obs.events import (EPOCH_APPLY, EVENT_TYPES, MSG_DELIVER,
                               ROUND_END, ROUND_START, SCHEMA, EventLog,
                               ObsEvent)
 from repro.obs.export import to_chrome_trace, write_jsonl
@@ -176,11 +176,11 @@ class TestEventLog:
     def test_one_record_by_position(self):
         log = EventLog(capacity=2)
         for i in range(3):
-            log.record(QUERY_SERVED, float(i), -1, -1,
-                       (repr(i), 0, 0, 0, 1e-6))
-        assert log[-1] == ObsEvent(QUERY_SERVED, 2.0, payload={
-            "key": "2", "bound": 0, "staleness": 0, "epoch": 0,
-            "latency": 1e-6})
+            log.record(EPOCH_APPLY, float(i), -1, -1,
+                       (i + 1, 8, 0, 1e-6, []))
+        assert log[-1] == ObsEvent(EPOCH_APPLY, 2.0, payload={
+            "epoch": 3, "edges": 8, "changed": 0, "duration": 1e-6,
+            "merged": []})
         assert log[0].t == 1.0
         with pytest.raises(IndexError):
             log[2]
@@ -290,13 +290,14 @@ def test_rows_read_like_an_eagerly_built_log(capacity, ops):
 # -- the exporters write what they wrote when every record was an event --
 #: sha256 of ``write_jsonl`` / ``json.dumps(to_chrome_trace(...))`` of the
 #: log :data:`_EXPORT_PROBE` builds, taken from the same log with every
-#: ``query_served`` record appended as an eagerly built ``ObsEvent``
-JSONL_SHA256 = ("edea3eb2a54f519d5bb4ad72b1cde3e7"
-                "428c66514d054c5777598e651ac7fc9d")
-TRACE_SHA256 = ("7384e92cc83a94298717d744d178f1e3"
-                "db4bc75e22fa55fdf4f1546022d86eb4")
+#: positional ``epoch_apply`` record appended as an eagerly built
+#: ``ObsEvent``
+JSONL_SHA256 = ("7e2b53f430ed0cb4a1f3c329b51a7016"
+                "a453216784ab6d02d95920711e09abd4")
+TRACE_SHA256 = ("bbb72197d46d495258a72427bd8d4b7d"
+                "6beca1bad4046dcc60b03aeaba33367d")
 
-#: a simulated straggler run, four positional ``query_served`` records,
+#: a simulated straggler run, four positional ``epoch_apply`` records,
 #: an ``emit`` and an ``append``; in a fresh interpreter, because message
 #: sequence numbers count up per process
 _EXPORT_PROBE = """
@@ -306,7 +307,7 @@ from repro import api
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.graph import generators
 from repro.obs import Observer, ObsEvent
-from repro.obs.events import ADMISSION_SHED, INGEST, QUERY_SERVED
+from repro.obs.events import ADMISSION_SHED, EPOCH_APPLY, INGEST
 from repro.obs.export import to_chrome_trace, write_jsonl
 from repro.runtime.costmodel import CostModel
 obs = Observer()
@@ -315,8 +316,8 @@ api.run(SSSPProgram(), generators.grid2d(5, 5, weighted=True, seed=1),
         cost_model=CostModel.with_straggler(0, factor=4.0), observer=obs)
 log = obs.log
 for i in range(4):
-    log.record(QUERY_SERVED, 50.0 + i, -1, -1,
-               (repr(i), 2, 1, 3, 1.5e-6 * (i + 1)))
+    log.record(EPOCH_APPLY, 50.0 + i, -1, -1,
+               (i + 1, 8, 2 * i, 1.5e-4 * (i + 1), [i] if i % 2 else []))
 log.emit(INGEST, 60.0, edges=8, depth=1, latency=2e-5)
 log.append(ObsEvent(ADMISSION_SHED, 61.0, payload={
     "kind": "query", "reason": "full", "depth": 3}))

@@ -2,13 +2,13 @@
 
 Count-based, like ``test_epoch_delta.py``.  *Nothing else*: with every
 by-name instrument lookup, the epoch apply and Assemble patched to raise
-after construction, reads whose bound is already met are still served.
-*All of it*: each of them is admitted, read from the maintained answer,
-timed and logged — one observation in each of the latency and staleness
-histograms and one ``query_served`` event with the schema's payload keys
-per read; no other instrument moves.  The record types the paths hand
-back keep their contract (keyword construction, defaults, immutability,
-equality, pickling).
+after construction, reads whose bound is already met are still served,
+and they write no event (the log keeps its length).  *All of it*: each
+of them is admitted, read from the maintained answer and timed — one
+observation in each of the latency and staleness histograms per read; no
+other instrument moves.  The record types the paths hand back keep their
+contract (keyword construction, defaults, immutability, equality,
+pickling).
 """
 
 import pickle
@@ -18,8 +18,8 @@ import pytest
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
 from repro.graph import generators
-from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, QUERY_SERVED,
-                       SCHEMA, EventLog, MetricsRegistry, ObsEvent)
+from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, SCHEMA,
+                       EventLog, MetricsRegistry, ObsEvent)
 from repro.obs import events as events_module
 from repro.serve import (AdmissionController, GraphService, IngestReceipt,
                          QueryResult)
@@ -43,6 +43,7 @@ def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
     svc = make_service()
     assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
     assert svc.ingest(UpdateBatch.of((100, 101, 0.5))).accepted
+    logged = svc.obs.log.events
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a read within its bound reached this")
@@ -57,26 +58,27 @@ def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
                and r.reason is None for r in results)
     snapshot = svc.answer
     assert [r.value for r in results] == [snapshot.get(k) for k in keys]
-    served = events(svc, QUERY_SERVED)
-    assert len(served) == READS
-    assert all(set(e.payload) == set(SCHEMA[QUERY_SERVED]) for e in served)
-    assert [e.payload["key"] for e in served] == [repr(k) for k in keys]
+    assert svc.obs.log.events == logged  # the two ingests, nothing more
+    assert svc.obs.log.counts() == {INGEST: 2}
     status = svc.status()
     assert status["query_latency"]["count"] == READS
     assert status["staleness"]["count"] == READS
     assert status["staleness"]["total"] == READS * BOUND
     assert status["queries"] == {"served": READS, "shed": 0}
+    assert status["events"] == {"retained": 2, "dropped": 0}
 
 
 def test_a_read_feeds_exactly_its_two_histograms():
     """The served count is the latency histogram's count: a read feeds
-    that histogram and the staleness one, and no other instrument."""
+    that histogram and the staleness one, no other instrument and not
+    the event log."""
     svc = make_service()
     assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
     metrics = svc.obs.metrics
-    before = metrics.as_dict()
+    before, logged = metrics.as_dict(), len(svc.obs.log)
     for i in range(READS):
         assert svc.query(i % 30, staleness_bound=1).served
+    assert len(svc.obs.log) == logged
     after = metrics.as_dict()
     moved = {name for name in after if after[name] != before.get(name)}
     assert moved == {"serve_query_latency", "serve_staleness"}
@@ -86,32 +88,32 @@ def test_a_read_feeds_exactly_its_two_histograms():
     assert svc.status()["queries"]["served"] == latency.count
 
 
-def test_reads_build_no_event_until_the_log_is_read(monkeypatch):
-    """A served read stores its ``query_served`` record as a row: no
-    ``ObsEvent`` and no keyword ``emit`` until someone reads the log."""
+def test_reads_write_no_record_and_build_no_event(monkeypatch):
+    """A served read makes no ``EventLog.record`` call (through which
+    ``emit`` and ``append`` write too) and builds no ``ObsEvent``; the
+    ingest before the reads still writes its one row."""
     svc = make_service()
-    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
-    built, emitted = [], []
+    built, recorded = [], []
     new_record = events_module._new_record
-    emit = EventLog.emit
+    record = EventLog.record
 
     def counting_new(cls, fields):
         built.append(cls)
         return new_record(cls, fields)
 
-    def counting_emit(self, *args, **kwargs):
-        emitted.append(args[0])
-        return emit(self, *args, **kwargs)
+    def counting_record(self, type_, *args):
+        recorded.append(type_)
+        return record(self, type_, *args)
     monkeypatch.setattr(events_module, "_new_record", counting_new)
-    monkeypatch.setattr(EventLog, "emit", counting_emit)
+    monkeypatch.setattr(EventLog, "record", counting_record)
 
+    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
+    assert recorded == [INGEST]
     for i in range(READS):
         assert svc.query(i % 30, staleness_bound=BOUND).served
-    assert (built, emitted) == ([], [])
-    served = events(svc, QUERY_SERVED)
-    assert len(served) == READS and built == [ObsEvent] * READS
-    assert [e.payload["key"] for e in served] == [
-        repr(i % 30) for i in range(READS)]
+    assert (built, recorded) == ([], [INGEST])
+    (event,) = svc.obs.log
+    assert event.type == INGEST and built == [ObsEvent]
 
 
 def test_read_past_its_bound_still_catches_up():
@@ -138,7 +140,8 @@ def test_shed_read_reports_its_reason_and_is_logged():
     assert event.payload == {"kind": "query", "reason": shed.reason,
                              "depth": 1}
     assert svc.status()["queries"] == {"served": 0, "shed": 1}
-    assert not events(svc, QUERY_SERVED)
+    assert svc.obs.log.counts() == {INGEST: 1, ADMISSION_SHED: 1}
+    assert svc.obs.metrics.histogram("serve_query_latency").count == 0
 
 
 def test_snapshot_goes_through_the_same_contract():
@@ -146,10 +149,15 @@ def test_snapshot_goes_through_the_same_contract():
     svc.ingest(UpdateBatch.of((0, 100, 0.5)))
     whole = svc.snapshot(staleness_bound=0)
     assert whole.served and whole.value == svc.answer and svc.epoch == 1
-    (event,) = events(svc, QUERY_SERVED)
-    assert event.payload["key"] == "<snapshot>"
-    assert set(event.payload) == set(SCHEMA[QUERY_SERVED])
-    assert svc.status()["queries"] == {"served": 1, "shed": 0}
+    # its catch-up logged the epoch; the read itself, nothing
+    assert svc.obs.log.counts() == {INGEST: 1, EPOCH_APPLY: 1}
+    status = svc.status()
+    assert status["queries"] == {"served": 1, "shed": 0}
+    assert status["staleness"]["count"] == 1
+    assert status["staleness"]["total"] == 0
+    again = svc.snapshot(staleness_bound=0)
+    assert again.value == whole.value and len(svc.obs.log) == 2
+    assert svc.status()["query_latency"]["count"] == 2
 
 
 def test_ingests_and_epochs_still_record_their_instruments():
@@ -215,7 +223,8 @@ def test_status_reads_the_handles_and_adds_no_state():
     assert all(part["capacity"] >= part["nodes"] and part["merges"] == 0
                for part in status["fragments"])
     assert vars(svc).keys() == before.keys()
-    assert len(svc.obs.log) == 5  # status() itself emits nothing
+    # two ingests and an epoch: neither the reads nor status() emit
+    assert len(svc.obs.log) == 3
 
 
 # -- the record types --------------------------------------------------
