@@ -130,11 +130,8 @@ class ObsEvent(_EventFields):
 
 def as_event(row) -> ObsEvent:
     """The :class:`ObsEvent` a stored ``(type, t, wid, round, payload)``
-    row reads as (a payload of values gets its ``SCHEMA`` keys)."""
-    kind, t, wid, round_no, payload = row
-    if payload.__class__ is tuple:
-        payload = dict(zip(SCHEMA[kind], payload))
-    return _new_record(ObsEvent, (kind, t, wid, round_no, payload))
+    row reads as."""
+    return _new_record(ObsEvent, row)
 
 
 class EventLog:
@@ -143,11 +140,10 @@ class EventLog:
     The hot-path contract is that runtimes never write to a log unless an
     observer was attached, so a disabled run pays nothing.  Every write
     goes through :meth:`record` and costs one lock acquisition and one
-    append of a plain tuple row, ``(type, t, wid, round, payload)``: a
-    payload dict as handed over, or (from a hot emitter) the payload's
-    values in ``SCHEMA[type]`` order.  Events and their payload dicts are
-    built only when the log is read, so no code outside this module sees
-    a row, and :attr:`events` is a read-only copy.
+    append of a plain tuple row, ``(type, t, wid, round, payload)``, the
+    payload dict as handed over.  Events are built only when the log is
+    read, so no code outside this module sees a row, and :attr:`events`
+    is a read-only copy.
 
     A batch run keeps every record (``capacity=None``).  A resident
     process that emits for as long as it lives passes a ``capacity``: the
@@ -170,9 +166,8 @@ class EventLog:
         self._lock = threading.Lock()
 
     def record(self, type: str, t: float, wid: int, round: int,
-               payload: Union[Dict[str, Any], tuple]) -> None:
-        """Store one record; ``payload`` is its dict, or its values in
-        ``SCHEMA[type]`` order."""
+               payload: Dict[str, Any]) -> None:
+        """Store one record."""
         # not ``with``, whose two calls double the lock's cost per read
         self._lock.acquire()
         try:
@@ -227,8 +222,7 @@ class EventLog:
         """Observed payload-key sets per event type (schema introspection)."""
         out: Dict[str, set] = {}
         for kind, _, _, _, payload in self._copy():
-            out.setdefault(kind, set()).update(
-                SCHEMA[kind] if payload.__class__ is tuple else payload)
+            out.setdefault(kind, set()).update(payload)
         return out
 
     def sort(self) -> None:

@@ -158,17 +158,6 @@ class FaultPlan:
         """Build a fresh injector (per run attempt)."""
         return FaultInjector(self)
 
-    def without_crashes(self) -> "FaultPlan":
-        """The same plan minus *all* crash faults.
-
-        Blunt instrument: it also disarms crashes that never fired, so a
-        multi-crash plan loses its later crashes across restart attempts.
-        Supervisors should prefer :meth:`without_crash`, which surgically
-        removes only the crash that already happened.
-        """
-        return FaultPlan(seed=self.seed, faults=tuple(
-            f for f in self.faults if not isinstance(f, CrashFault)))
-
     def without_crash(self, wid: int,
                       at_round: Optional[int] = None) -> "FaultPlan":
         """The same plan minus *one* fired crash of worker ``wid``.
@@ -190,10 +179,6 @@ class FaultPlan:
         faults = list(self.faults)
         faults.remove(fired)
         return FaultPlan(seed=self.seed, faults=tuple(faults))
-
-    @property
-    def has_crashes(self) -> bool:
-        return any(isinstance(f, CrashFault) for f in self.faults)
 
     @property
     def crash_faults(self) -> Tuple:

@@ -4,10 +4,11 @@
 workers' control events to the master's book
 (:class:`~repro.core.master.MasterBook`: flags, per-channel ledger,
 barrier, probe, fleet) and turns the book's barrier / probe / stop
-decisions into commands.  With fault tolerance on it also runs the failure
-detector and the checkpoint epochs, and repairs a dead worker in place
-(:meth:`_Master.takeover`).  The wire protocol and its ordering guarantees
-are described in :mod:`repro.runtime.multiprocess`.
+decisions into commands.  With fault tolerance on it also runs the
+checkpoint epochs and rung 1
+(:class:`~repro.runtime.recovery.RespawnRung`), whose repair on processes
+is :meth:`_Master.takeover`.  The wire protocol and its ordering
+guarantees are described in :mod:`repro.runtime.multiprocess`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.delay import WorkerView
 from repro.core.master import NONE, OPEN, STOP, MasterBook
-from repro.errors import TerminationError, WorkerCrashedError
-from repro.obs import events as obs_events
-from repro.runtime.detection import FailureDetector, FailureEvent
+from repro.errors import TerminationError
 from repro.runtime.lane import Lane
 from repro.runtime.mp_worker import UNREPORTED_ROUND_TIME, _WorkerReport
+from repro.runtime.recovery import Repaired, RespawnRung
 from repro.runtime.slab import SlabArena
 from repro.runtime.snapshot import LiveCheckpointer
 
@@ -76,16 +76,15 @@ class _Master:
         self.next_fleet = 0.0
         self.timed_out = False
         # --- fault tolerance (all None / unused when off) ----------------
-        self.budget = [rt.respawn_budget] * m
         self.plan_now = rt.fault_plan
         self.qacks: set = set()
         self.qtarget = -1
-        self.detector = (FailureDetector(m, rt.heartbeat_interval,
-                                         rt.heartbeat_timeout,
-                                         now=time.monotonic())
-                         if rt._ft else None)
         self.ckpt = (LiveCheckpointer(rt.checkpoint_interval, m)
                      if rt.checkpoint_interval is not None else None)
+        started = rt._started
+        self.rung = RespawnRung(rt, m, self.ckpt,
+                                lambda: time.monotonic() - started)
+        rt.failures, rt.respawns = self.rung.failures, self.rung.respawns
         self.last_ft_check = 0.0
         # per-epoch channel accounting: the cut is flushed only when every
         # un-tokened (pre-record) message has been received or amended
@@ -173,10 +172,6 @@ class _Master:
                 t_pred=dur, s_pred=rate, fleet_avg_rate=0.0,
                 num_workers=self.m), dur)
 
-    def _on_heartbeat(self, evt) -> None:
-        if self.detector is not None:
-            self.detector.beat(evt[1], time.monotonic(), evt[2])
-
     def _on_ckpt_state(self, evt) -> None:
         _, wid, token, values, scratch, pre, sent_n, recv_n = evt
         ckpt = self.ckpt
@@ -222,7 +217,9 @@ class _Master:
         "ack": lambda self, e: self.book.answer(e[1], True, e[2]),
         "wait": lambda self, e: self.book.answer(e[1], False, e[2]),
         "quarantined": _on_quarantined,
-        "round": _on_round, "heartbeat": _on_heartbeat,
+        "heartbeat": lambda self, e: self.rung.detector.beat(
+            e[1], time.monotonic(), e[2]),
+        "round": _on_round,
         "ckpt_state": _on_ckpt_state, "ckpt_late": _on_ckpt_late,
         "error": _on_error}
 
@@ -267,8 +264,7 @@ class _Master:
         if now - self.last_ft_check < _FT_PERIOD:
             return
         self.last_ft_check = now
-        rt, ckpt = self.rt, self.ckpt
-        t = now - rt._started
+        ckpt = self.ckpt
         if ckpt is not None:
             coord = ckpt.maybe_start(now)
             if coord is not None:
@@ -285,32 +281,10 @@ class _Master:
                             - sum(self.ckpt_recv.values())
                             - self.ckpt_amend, 0)
                         if len(self.ckpt_sent) == self.m else 1)
-            snap = ckpt.maybe_complete(now, residual)
-            if snap is not None:
-                rt.last_checkpoint = snap
-                rt._emit_master(
-                    obs_events.CHECKPOINT, token=snap.token,
-                    workers=snap.num_workers_recorded,
-                    channel_messages=snap.num_channel_messages)
-        if self.detector is None:
-            return
-        for s in self.detector.check(
-                now, alive=lambda i: self.procs[i].is_alive()):
-            rt.failures.append(FailureEvent(
-                t=t, kind=s.kind, wid=s.wid, detail=f"age={s.age:.3f}s"))
-            if not s.fatal:
-                rt._emit_master(obs_events.HEARTBEAT_MISS,
-                                wid=s.wid, age=s.age)
-                continue
-            rt._emit_master(obs_events.FAILURE_DETECTED, wid=s.wid,
-                            reason=s.kind, age=s.age)
-            # degradation ladder, rung 1: try an in-place respawn
-            # with fragment takeover before surfacing the crash
-            if not self.takeover(s.wid):
-                raise WorkerCrashedError(
-                    wid=s.wid, reason=s.kind, detected_at=t,
-                    checkpoint=ckpt.last if ckpt is not None else None,
-                    failures=rt.failures, detection_latency=s.age)
+            self.rung.checkpoint(now, residual)
+            self.rt.last_checkpoint = ckpt.last
+        self.rung.poll(now, alive=lambda i: self.procs[i].is_alive(),
+                       repair=self.takeover)
 
     def _pump(self, timeout_s: float, until: Callable[[], bool]) -> bool:
         """Drain control events until ``until()`` holds (True) or the
@@ -327,30 +301,19 @@ class _Master:
                 self.handle(evt)
         return True
 
-    def _degrade(self, w: int, reason: str) -> bool:
-        self.rt._emit_master(obs_events.DEGRADE, wid=w, frm="respawn",
-                             to="rollback", reason=reason)
-        return False
-
-    def takeover(self, w: int) -> bool:
-        """Degradation-ladder rung 1: in-place respawn with fragment
-        takeover.  Returns True when the replacement is running and
-        rejoined; False hands the failure to the next rung (whole-run
-        rollback via WorkerCrashedError)."""
+    def takeover(self, w: int):
+        """Rung 1's repair on processes: fragment takeover.  The
+        replacement is running and rejoined when this returns
+        :class:`~repro.runtime.recovery.Repaired`."""
         rt, procs, commands = self.rt, self.procs, self.commands
-        t0 = time.monotonic()
-        if self.budget[w] <= 0:
-            if rt.respawn_budget > 0:
-                return self._degrade(w, "respawn budget exhausted")
-            return False  # rung disabled: no DEGRADE noise
         if not getattr(rt.program, "reship_capable", True):
-            return self._degrade(w, "program aggregation is not idempotent")
+            return self.rung.refuse(w, "program aggregation is not idempotent")
         if self.m == 1:
-            return self._degrade(w, "no surviving peers to re-ship from")
+            return self.rung.refuse(w, "no surviving peers to re-ship from")
         # 1. make sure the dead incarnation is really gone: its slab
         # cursors and lane ends must never touch the wire again
         if not _reap(procs[w]):  # pragma: no cover - defensive
-            return self._degrade(w, "old incarnation would not die")
+            return self.rung.refuse(w, "old incarnation would not die")
         # 2. quarantine: survivors take a final drain of everything
         # the dead worker got onto the wire, fence its rings, and
         # stop writing to its data lanes.  Only *live*
@@ -376,7 +339,7 @@ class _Master:
         ok = self._pump(5.0, acked_or_dead)
         self.qtarget = -1
         if not ok:
-            return self._degrade(
+            return self.rung.refuse(
                 w, "quarantine acknowledgement timed out "
                 f"(missing {sorted(live - self.qacks)})")
         # 3. empty the dead worker's inbound data lanes.  Each has one
@@ -401,17 +364,14 @@ class _Master:
         if self.ckpt is not None:
             self.ckpt.abort_current(time.monotonic())
             self._reset_epoch()
-        # 7. respawn: disarm only the crash that fired, bump the
-        # incarnation, seed from the last complete checkpoint
-        self.budget[w] -= 1
+        # 7. respawn: spend the budget, bump the incarnation, disarm
+        # only the crash that fired, seed from the last complete checkpoint
+        incarnation = self.rung.respawn(w)
         if self.plan_now is not None:
             self.plan_now = self.plan_now.without_crash(w)
-        incarnation = (self.detector.respawn(w, time.monotonic())
-                       if self.detector is not None
-                       else self.book.era[w] + 1)
         snap = rt.last_checkpoint
-        seeded = (snap is not None and snap.complete
-                  and w in snap.worker_states)
+        token = (snap.token if snap is not None and snap.complete
+                 and w in snap.worker_states else None)
         # 8. the replacement starts fresh in the book: only its reports
         # count, and under BSP the open barrier waits for its own
         # 0th-superstep report, whatever the dead incarnation answered
@@ -427,16 +387,4 @@ class _Master:
         # full border), which is exactly the Theorem 2 condition.
         for d in live:
             commands[d].send(("rejoin", w))
-        duration = time.monotonic() - t0
-        token = snap.token if seeded else None
-        rt.respawns.append({
-            "wid": w, "incarnation": incarnation, "seeded": seeded,
-            "token": token, "takeover": True, "t": t0 - rt._started,
-            "duration": duration, "budget_left": self.budget[w]})
-        rt._emit_master(obs_events.WORKER_RESPAWN, wid=w,
-                        incarnation=incarnation, seeded=seeded,
-                        token=token, budget_left=self.budget[w])
-        rt._emit_master(obs_events.FRAGMENT_TAKEOVER, wid=w,
-                        incarnation=incarnation, reshipped=len(live),
-                        duration=duration)
-        return True
+        return Repaired(token=token, takeover=True, reshipped=len(live))

@@ -78,20 +78,11 @@ the master broadcasts ``("checkpoint", token)``, each worker snapshots its
 state before its next send and ships it back, late un-tokened messages are
 added to the snapshot they logically precede.
 
-Surgical recovery (``respawn_budget > 0``) upgrades a detected death from
-"abandon the run" to an in-place repair: the master quarantines the dead
-worker (survivors take a final drain, fence its slab rings, and park
-traffic bound for it), settles the per-channel termination ledger, resets
-the rings under a bumped generation number, respawns a replacement process
-seeded from the last complete checkpoint's fragment state, and rejoins it
-— surviving peers re-ship their full border through the normal transport
-seam, which is safe exactly when the program's aggregation is idempotent
-(:attr:`~repro.core.pie.PIEProgram.reship_capable`).  Surviving workers
-never stop in the asynchronous modes and only pause at the next barrier in
-BSP.  When the rung is unavailable (budget spent, accumulative program,
-single worker, or a protocol step times out) the failure degrades to
-:class:`~repro.errors.WorkerCrashedError` and the recovery ladder in
-:mod:`repro.runtime.recovery` takes over.
+Surgical recovery (``respawn_budget > 0``) is rung 1 of the ladder in
+:mod:`repro.runtime.recovery`, whose
+:class:`~repro.runtime.recovery.RespawnRung` detects, gates and records a
+death; this runtime's repair is the master's fragment takeover
+(:meth:`~repro.runtime.mp_master._Master.takeover`, docs/fault_tolerance.md).
 """
 
 from __future__ import annotations
@@ -181,7 +172,7 @@ class MultiprocessRuntime:
         self.heartbeat_timeout = heartbeat_timeout
         #: armed (heartbeat detection on) iff faults or checkpoints
         self._ft = fault_plan is not None or checkpoint_interval is not None
-        #: structured failure log (heartbeat misses, detected deaths)
+        #: the last run's failure log (heartbeat misses, detected deaths)
         self.failures: List[FailureEvent] = []
         #: the most recent complete live checkpoint, or None
         self.last_checkpoint: Optional[GlobalSnapshot] = None
@@ -258,7 +249,6 @@ class MultiprocessRuntime:
             except Exception:  # pragma: no cover - platform-dependent
                 arena = None
         self.transport_used = "shm" if arena is not None else "queue"
-        self.respawns = []
         self._wake = {"decisions": 0, "timeout_decisions": 0}
 
         def launch(wid: int, cfg: Optional[_FTConfig]):

@@ -5,11 +5,12 @@ consistent Chandy-Lamport cut is a valid restart point: re-running from the
 snapshot reaches the same fixpoint as the uninterrupted run.  Recovery is
 organised as a three-rung ladder, each rung strictly cheaper than the next:
 
-1. **In-place respawn** (rung 1, inside the runtimes): the master
-   quarantines the dead worker, respawns a replacement in place, re-seeds
-   its fragment from the last checkpoint and has peers re-ship their
-   border values.  Survivors never stop in AP/AAP/SSP and pause only at
-   the next barrier in BSP.  Enabled per-runtime with ``respawn_budget``.
+1. **In-place respawn** (rung 1, :class:`RespawnRung` and a live
+   runtime's repair): threads resume the dead worker's fragment on a new
+   thread; processes re-seed it from the last checkpoint and have peers
+   re-ship their border values.  Survivors never stop in AP/AAP/SSP and
+   pause only at the next barrier in BSP.  Enabled per-runtime with
+   ``respawn_budget``.
 2. **Whole-run rollback** (rung 2, :func:`run_with_recovery`): when the
    respawn budget is exhausted — or the runtime cannot take the fragment
    over — the supervisor builds a fresh runtime seeded from the last
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import RuntimeConfigError, WorkerCrashedError, \
     WorkerFailureError
 from repro.obs import events as obs_events
-from repro.runtime.detection import FailureEvent
+from repro.runtime.detection import FailureDetector, FailureEvent
 from repro.runtime.faultplan import _mix
-from repro.runtime.snapshot import GlobalSnapshot
+from repro.runtime.snapshot import GlobalSnapshot, LiveCheckpointer
 
 
 def check_live_knobs(timeout: float, respawn_budget: int,
@@ -54,6 +55,112 @@ def check_live_knobs(timeout: float, respawn_budget: int,
              "checkpoint interval must be positive", checkpoint_interval)):
         if not ok:
             raise RuntimeConfigError(f"{rule}, got {value!r}")
+
+
+class Repaired(NamedTuple):
+    """A repair's part of the respawn record."""
+
+    token: Optional[int]  # the checkpoint it seeded from (None: no seed)
+    takeover: bool  # the fragment was rebuilt, not resumed
+    reshipped: int  # peers that re-shipped their border to it
+
+
+class RespawnRung:
+    """Rung 1 of one live run: all of an in-place respawn but the repair.
+
+    :meth:`poll` logs the failure detector's verdicts and gates each death
+    on its slot's respawn budget, then hands it to the runtime's
+    ``repair(wid)``.  A repair refuses (:meth:`refuse`) or passes the point
+    of no return (:meth:`respawn`) and returns :class:`Repaired`; a death
+    left unrepaired raises :class:`WorkerCrashedError` for rung 2.
+
+    It reads live runtime ``rt``'s knobs and keeps nothing of it, so a
+    finished run is freed by reference count: ``repair`` comes with each
+    poll, and records go to its observer's log stamped by ``clock`` (the
+    run's seconds).  Only an armed run (faults or checkpoints) polls.
+    """
+
+    def __init__(self, rt: Any, num_workers: int,
+                 ckpt: Optional[LiveCheckpointer],
+                 clock: Callable[[], float]):
+        self.limit = rt.respawn_budget
+        #: in-place respawns each worker slot has left
+        self.budget = [self.limit] * num_workers
+        armed = rt.fault_plan is not None or ckpt is not None
+        self.detector = FailureDetector(
+            num_workers, rt.heartbeat_interval, rt.heartbeat_timeout,
+            now=time.monotonic()) if armed else None
+        self.ckpt = ckpt
+        self.log = None if rt.obs is None else rt.obs.log
+        self.clock = clock
+        #: structured failure log (heartbeat misses, detected deaths)
+        self.failures: List[FailureEvent] = []
+        #: one record per in-place respawn
+        self.respawns: List[Dict[str, Any]] = []
+
+    def _emit(self, type_: str, **payload) -> None:
+        if self.log is not None:
+            self.log.emit(type_, self.clock(), **payload)
+
+    def checkpoint(self, now: float, in_flight: int) -> None:
+        """Complete the open checkpoint epoch if it can be, and record it."""
+        snap = self.ckpt.maybe_complete(now, in_flight)
+        if snap is not None:
+            self._emit(obs_events.CHECKPOINT, token=snap.token,
+                       workers=snap.num_workers_recorded,
+                       channel_messages=snap.num_channel_messages)
+
+    def poll(self, now: float, alive: Callable[[int], bool],
+             repair: Callable[[int], Any]) -> None:
+        """One detector check at ``now``, its monotonic clock."""
+        t = self.clock()
+        for s in self.detector.check(now, alive=alive):
+            self.failures.append(FailureEvent(
+                t=t, kind=s.kind, wid=s.wid, detail=f"age={s.age:.3f}s"))
+            if not s.fatal:
+                self._emit(obs_events.HEARTBEAT_MISS, wid=s.wid, age=s.age)
+                continue
+            self._emit(obs_events.FAILURE_DETECTED, wid=s.wid,
+                       reason=s.kind, age=s.age)
+            t0 = time.monotonic()
+            spent = self.budget[s.wid] <= 0
+            if spent and self.limit > 0:  # budget 0: the rung is off
+                self.refuse(s.wid, "respawn budget exhausted")
+            done = not spent and repair(s.wid)
+            if not done:
+                raise WorkerCrashedError(
+                    wid=s.wid, reason=s.kind, detected_at=t,
+                    checkpoint=None if self.ckpt is None else self.ckpt.last,
+                    failures=self.failures, detection_latency=s.age)
+            self._record(s.wid, t, time.monotonic() - t0, done)
+
+    def refuse(self, wid: int, reason: str) -> bool:
+        """The repair cannot be made: degrade to rollback."""
+        self._emit(obs_events.DEGRADE, wid=wid, frm="respawn",
+                   to="rollback", reason=reason)
+        return False
+
+    def respawn(self, wid: int) -> int:
+        """The point of no return: spend one of the slot's respawns;
+        returns the incarnation the replacement's heartbeats carry."""
+        self.budget[wid] -= 1
+        return self.detector.respawn(wid, time.monotonic())
+
+    def _record(self, wid: int, t: float, duration: float,
+                done: Repaired) -> None:
+        incarnation = self.detector.incarnation(wid)
+        seeded = done.token is not None
+        left = self.budget[wid]
+        self.respawns.append({
+            "wid": wid, "incarnation": incarnation, "seeded": seeded,
+            "token": done.token, "takeover": done.takeover, "t": t,
+            "duration": duration, "budget_left": left})
+        self._emit(obs_events.WORKER_RESPAWN, wid=wid,
+                   incarnation=incarnation, seeded=seeded,
+                   token=done.token, budget_left=left)
+        self._emit(obs_events.FRAGMENT_TAKEOVER, wid=wid,
+                   incarnation=incarnation, reshipped=done.reshipped,
+                   duration=duration)
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,11 @@ _SHM_PREFIX = "reproshm"
 
 
 def new_run_id() -> str:
-    """A fresh data-plane namespace (one per runtime ``run()``)."""
-    return uuid.uuid4().hex[:12]
+    """A fresh data-plane namespace (one per runtime ``run()``), led by
+    the creating process's pid and a ``-``, so that
+    ``residual_segments(f"{pid}-")`` finds one process's segments.  A
+    channel name stays within 31 bytes up to 1,000 workers."""
+    return f"{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
 def channel_name(run_id: str, src: int, dst: int) -> str:

@@ -20,12 +20,11 @@ with any concurrent failures attached as notes.
 Fault tolerance (paper, Section 6) is opt-in and adds nothing to the
 default path: pass a :class:`~repro.runtime.faultplan.FaultPlan` to inject
 reproducible chaos at the send seam, a ``checkpoint_interval`` for periodic
-live Chandy-Lamport snapshots, and the master then runs a heartbeat
-failure detector — a silently dead worker raises
-:class:`~repro.errors.WorkerCrashedError` (carrying the last checkpoint)
-within the heartbeat timeout instead of stalling until the global deadline.
-:func:`repro.runtime.recovery.run_with_recovery` turns that into rollback
-and restart.
+live Chandy-Lamport snapshots, and the master then polls rung 1
+(:class:`~repro.runtime.recovery.RespawnRung`): within the heartbeat
+timeout, a dead worker's fragment resumes on a new thread or the run
+raises :class:`~repro.errors.WorkerCrashedError` with the last checkpoint,
+for :func:`repro.runtime.recovery.run_with_recovery` to roll back.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ from repro.core.step import Fleet, WorkerStep
 from repro.core.worker import WorkerStatus
 from repro.errors import SnapshotError, TerminationError, WorkerCrashedError
 from repro.obs import events as obs_events
-from repro.runtime.detection import FailureDetector, FailureEvent
+from repro.runtime.detection import FailureEvent
 from repro.runtime.faultplan import FaultPlan, InjectedCrash, fault_kind
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.recovery import check_live_knobs
+from repro.runtime.recovery import Repaired, RespawnRung, check_live_knobs
 from repro.runtime.snapshot import GlobalSnapshot, LiveCheckpointer
 
 #: cap, in seconds, on any single wall-clock wait, so a policy returning
@@ -129,28 +128,19 @@ class ThreadedRuntime:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self._ft = fault_plan is not None or checkpoint_interval is not None
-        self._detector: Optional[FailureDetector] = (
-            FailureDetector(m, heartbeat_interval, heartbeat_timeout)
-            if self._ft else None)
         self._ckpt: Optional[LiveCheckpointer] = (
             LiveCheckpointer(checkpoint_interval, m)
             if checkpoint_interval is not None else None)
-        #: structured failure log (heartbeat misses, detected deaths)
+        #: the last run's failure log (heartbeat misses, detected deaths)
         self.failures: List[FailureEvent] = []
         self._threads: List[threading.Thread] = []
         self._timers: List[threading.Timer] = []
         self._clean_exit = [False] * m
         #: the checkpoint to resume from instead of PEval, if any
         self._seeded: Optional[GlobalSnapshot] = None
-        #: surgical-recovery rung 1: in-place thread respawns allowed per
-        #: worker slot before a death degrades to whole-run rollback
         self.respawn_budget = respawn_budget
-        self._budget = [respawn_budget] * m
         #: one record per successful in-place respawn of the last run
         self.respawns: List[dict] = []
-        #: per-slot incarnation, carried by heartbeats so a stale beat
-        #: can never vouch for a replacement thread
-        self._era = [0] * m
         #: whether this slot's fragment ran PEval (a pre-PEval crash
         #: leaves an uninitialised context the replacement must fill)
         self._peval_done = [False] * m
@@ -184,11 +174,10 @@ class ThreadedRuntime:
             # only now: the steps stamp their waits with the run's clock
             for wid, step in enumerate(self.steps):
                 step.resume(self._seeded.buffered_messages(wid))
-        self.respawns = []
-        self._budget = [self.respawn_budget] * self.engine.num_workers
-        if self._detector is not None:
-            for wid in range(self.engine.num_workers):
-                self._detector.beat(wid, start)
+        # rung 1's detector, budget and logs, one set per run
+        rung = self._rung = RespawnRung(self, self.engine.num_workers,
+                                        self._ckpt, self._now)
+        self.failures, self.respawns = rung.failures, rung.respawns
         self._threads = [threading.Thread(target=self._worker_loop,
                                           args=(wid,),
                                           name=f"grape-worker-{wid}",
@@ -286,47 +275,23 @@ class ThreadedRuntime:
     # fault-tolerance hooks (never on the default path)
     # ------------------------------------------------------------------
     def _ft_poll(self) -> None:
-        """Master-side tick: rotate checkpoints, run the failure detector.
-
-        Runs inside the master's wait loop, under the book's lock (every
-        <= 50 ms).  Raising ``WorkerCrashedError`` from here aborts the run
-        promptly — detection latency is O(heartbeat timeout), not
-        O(global timeout).
-        """
+        """Master-side tick, under the book's lock (every <= 50 ms):
+        rotate checkpoints, then rung 1's poll, which raises
+        ``WorkerCrashedError`` for a death it cannot repair."""
         if self._stopped:
             return
         now = time.monotonic()
-        t = now - self._started[0]
         if self._ckpt is not None:
             self._ckpt.maybe_start(now)
-            snap = self._ckpt.maybe_complete(now, self.book.in_flight())
-            if snap is not None:
-                self._emit(obs_events.CHECKPOINT, token=snap.token,
-                           workers=snap.num_workers_recorded,
-                           channel_messages=snap.num_channel_messages)
-        if self._detector is None:
-            return
-        for s in self._detector.check(now, alive=self._worker_alive):
-            self.failures.append(FailureEvent(
-                t=t, kind=s.kind, wid=s.wid, detail=f"age={s.age:.3f}s"))
-            if not s.fatal:
-                self._emit(obs_events.HEARTBEAT_MISS, wid=s.wid, age=s.age)
-                continue
-            self._emit(obs_events.FAILURE_DETECTED, wid=s.wid,
-                       reason=s.kind, age=s.age)
-            # degradation ladder, rung 1: respawn the thread in place
-            if not self._try_respawn(s, t):
-                raise WorkerCrashedError(
-                    wid=s.wid, reason=s.kind, detected_at=t,
-                    checkpoint=self.last_checkpoint, failures=self.failures,
-                    detection_latency=s.age)
+            self._rung.checkpoint(now, self.book.in_flight())
+        self._rung.poll(now, alive=self._worker_alive, repair=self._respawn)
 
     def _worker_alive(self, wid: int) -> bool:
         # a clean exit (master terminated while the poll raced) is not death
         return self._threads[wid].is_alive() or self._clean_exit[wid]
 
-    def _try_respawn(self, s, t: float) -> bool:
-        """Degradation-ladder rung 1: replace a dead worker thread.
+    def _respawn(self, wid: int):
+        """Rung 1's repair on threads: resume the fragment on a new thread.
 
         Threads share the address space, so the dead worker's fragment
         state *survives* its thread: an injected crash fires between
@@ -334,37 +299,18 @@ class ThreadedRuntime:
         its final round produced was already shipped.  Takeover is
         therefore pure resumption on the surviving context: no checkpoint
         reseed, no border re-ship, no quarantine, and surviving workers
-        never pause at all.  Returns False to hand the failure to the
-        next rung (whole-run rollback via ``WorkerCrashedError``).
+        never pause at all.
         """
-        wid = s.wid
-
-        def degrade(reason: str) -> bool:
-            self._emit(obs_events.DEGRADE, wid=wid, frm="respawn",
-                       to="rollback", reason=reason)
-            return False
-
-        if self._budget[wid] <= 0:
-            if self.respawn_budget > 0:
-                return degrade("respawn budget exhausted")
-            return False  # rung disabled: no DEGRADE noise
         if self._threads[wid].is_alive():
             # hung, not dead: its next step would race the replacement
             # on the same shared context — never run two incarnations
             # of one fragment concurrently
-            return degrade("old thread is hung, not dead")
-        if self._stopped:
-            return False
-        t0 = time.monotonic()
-        self._budget[wid] -= 1
+            return self._rung.refuse(wid, "old thread is hung, not dead")
+        incarnation = self._rung.respawn(wid)
         if self._injector is not None:
             # the fired crash consumed its schedule slot; un-mark the
             # slot so any *later* scheduled crash for it can still fire
             self._injector.reset_worker(wid)
-        incarnation = (self._detector.respawn(wid, t0)
-                       if self._detector is not None
-                       else self._era[wid] + 1)
-        self._era[wid] = incarnation
         self._clean_exit[wid] = False
         replacement = threading.Thread(
             target=self._worker_loop, args=(wid,),
@@ -376,24 +322,12 @@ class ThreadedRuntime:
             self.book.set_active(wid)
         replacement.start()
         self._events[wid].set()
-        duration = time.monotonic() - t0
-        # threads share the address space, so the fragment survives its
-        # worker: the replacement resumes in place with no state rebuild
-        self.respawns.append({
-            "wid": wid, "incarnation": incarnation, "seeded": False,
-            "token": None, "takeover": False, "t": t, "duration": duration,
-            "budget_left": self._budget[wid]})
-        self._emit(obs_events.WORKER_RESPAWN, wid=wid,
-                   incarnation=incarnation, seeded=False, token=None,
-                   budget_left=self._budget[wid])
-        self._emit(obs_events.FRAGMENT_TAKEOVER, wid=wid,
-                   incarnation=incarnation, reshipped=0, duration=duration)
-        return True
+        return Repaired(token=None, takeover=False, reshipped=0)
 
     def _ft_tick(self, wid: int) -> None:
         """Worker-side tick: heartbeat, injected crash, checkpoint record."""
-        if self._detector is not None:
-            self._detector.beat(wid, time.monotonic(), self._era[wid])
+        detector = self._rung.detector
+        detector.beat(wid, time.monotonic(), detector.incarnation(wid))
         if self._injector is not None:
             w = self.workers[wid]
             if self._injector.crash_due(wid, w.rounds):

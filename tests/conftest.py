@@ -46,12 +46,13 @@ def pytest_runtest_call(item):
 
 
 def session_state():
-    """What a test must hand back as it found it: repro-owned ``/dev/shm``
-    segments, live ``multiprocessing`` children, open descriptors."""
+    """What a test must hand back as it found it: the ``/dev/shm``
+    segments this process made (not a concurrent suite's or
+    benchmark's), live ``multiprocessing`` children, open descriptors."""
     import multiprocessing
 
     from repro.runtime.slab import residual_segments
-    return {"shm": set(residual_segments()),
+    return {"shm": set(residual_segments(f"{os.getpid()}-")),
             "children": {p.pid for p in multiprocessing.active_children()},
             "fds": len(os.listdir("/proc/self/fd"))
             if os.path.isdir("/proc/self/fd") else 0}

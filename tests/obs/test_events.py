@@ -176,8 +176,8 @@ class TestEventLog:
     def test_one_record_by_position(self):
         log = EventLog(capacity=2)
         for i in range(3):
-            log.record(EPOCH_APPLY, float(i), -1, -1,
-                       (i + 1, 8, 0, 1e-6, []))
+            log.emit(EPOCH_APPLY, float(i), epoch=i + 1, edges=8, changed=0,
+                     duration=1e-6, merged=[])
         assert log[-1] == ObsEvent(EPOCH_APPLY, 2.0, payload={
             "epoch": 3, "edges": 8, "changed": 0, "duration": 1e-6,
             "merged": []})
@@ -200,11 +200,7 @@ class EagerLog:
         self.events.append(event)
 
     def apply(self, op, arg):
-        if op == "record":
-            kind, t, wid, round_no, values = arg
-            self._add(ObsEvent(kind, t, wid, round_no,
-                               dict(zip(SCHEMA[kind], values))))
-        elif op in ("emit", "append"):
+        if op in ("record", "emit", "append"):
             self._add(ObsEvent(*arg))
         elif op == "extend":
             for event in arg:
@@ -228,9 +224,7 @@ _KINDS = st.sampled_from(sorted(SCHEMA))
 _KEYED = _KINDS.flatmap(lambda kind: st.tuples(
     st.just(kind), _TIMES, _WIDS, st.integers(-1, 3), _payload_of(kind)))
 _OPS = st.one_of(
-    st.tuples(st.just("record"), _KINDS.flatmap(lambda kind: st.tuples(
-        st.just(kind), _TIMES, _WIDS, st.integers(-1, 3),
-        st.tuples(*[st.integers(0, 9)] * len(SCHEMA[kind]))))),
+    st.tuples(st.just("record"), _KEYED),
     st.tuples(st.just("emit"), _KEYED),
     st.tuples(st.just("append"), _KEYED),
     st.tuples(st.just("extend"), st.lists(_KEYED, max_size=4)),
@@ -255,7 +249,7 @@ def _write(log, op, arg):
 @given(capacity=st.one_of(st.none(), st.integers(1, 6)),
        ops=st.lists(_OPS, max_size=25))
 def test_rows_read_like_an_eagerly_built_log(capacity, ops):
-    """Positional records, ``emit``, ``append`` and ``extend``
+    """``record``, ``emit``, ``append`` and ``extend``
     interleaved across a ring wrap: every reader sees what a log that
     built each ``ObsEvent`` on write would hold."""
     log, eager = EventLog(capacity), EagerLog(capacity)
@@ -290,15 +284,14 @@ def test_rows_read_like_an_eagerly_built_log(capacity, ops):
 # -- the exporters write what they wrote when every record was an event --
 #: sha256 of ``write_jsonl`` / ``json.dumps(to_chrome_trace(...))`` of the
 #: log :data:`_EXPORT_PROBE` builds, taken from the same log with every
-#: positional ``epoch_apply`` record appended as an eagerly built
-#: ``ObsEvent``
+#: record appended as an eagerly built ``ObsEvent``
 JSONL_SHA256 = ("7e2b53f430ed0cb4a1f3c329b51a7016"
                 "a453216784ab6d02d95920711e09abd4")
 TRACE_SHA256 = ("bbb72197d46d495258a72427bd8d4b7d"
                 "6beca1bad4046dcc60b03aeaba33367d")
 
-#: a simulated straggler run, four positional ``epoch_apply`` records,
-#: an ``emit`` and an ``append``; in a fresh interpreter, because message
+#: a simulated straggler run, four ``epoch_apply`` records, an ``emit``
+#: and an ``append``; in a fresh interpreter, because message
 #: sequence numbers count up per process
 _EXPORT_PROBE = """
 import hashlib, json, os, sys, tempfile
@@ -316,8 +309,8 @@ api.run(SSSPProgram(), generators.grid2d(5, 5, weighted=True, seed=1),
         cost_model=CostModel.with_straggler(0, factor=4.0), observer=obs)
 log = obs.log
 for i in range(4):
-    log.record(EPOCH_APPLY, 50.0 + i, -1, -1,
-               (i + 1, 8, 2 * i, 1.5e-4 * (i + 1), [i] if i % 2 else []))
+    log.emit(EPOCH_APPLY, 50.0 + i, epoch=i + 1, edges=8, changed=2 * i,
+             duration=1.5e-4 * (i + 1), merged=[i] if i % 2 else [])
 log.emit(INGEST, 60.0, edges=8, depth=1, latency=2e-5)
 log.append(ObsEvent(ADMISSION_SHED, 61.0, payload={
     "kind": "query", "reason": "full", "depth": 3}))

@@ -16,6 +16,8 @@ from repro.errors import (RuntimeConfigError, TerminationError,
                           WorkerFailureError)
 from repro.fuzz import Cell, run_cell
 from repro.graph import analysis, generators
+from repro.obs import Observer
+from repro.obs.events import FAULT_INJECTED
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime.faultplan import CrashFault, FaultPlan
 from repro.runtime.multiprocess import MultiprocessRuntime
@@ -33,7 +35,7 @@ def pg(grid):
     return HashPartitioner().partition(grid, 4)
 
 
-def chaos(*faults, **kw):
+def chaos(*faults, observer=None, **kw):
     """One armed live cell: SSSP from node 0 (or CC) on the 12x12 grid,
     four fragments, under these fault specs (none: the fault-tolerance
     machinery on, nothing injected), no in-place respawn (crashes roll
@@ -43,7 +45,7 @@ def chaos(*faults, **kw):
     kw.setdefault("heartbeat_interval", 0.005)
     kw.setdefault("heartbeat_timeout", 0.25)
     return run_cell(Cell(graph_params={"rows": 12, "cols": 12},
-                         faults=faults, **kw))
+                         faults=faults, **kw), observer=observer)
 
 
 class TestThreadedRecovery:
@@ -154,13 +156,28 @@ class TestMultiprocessRecovery:
         assert "kaboom in inceval" in text
 
 
+def fault_log(*faults):
+    """What the seed decides: the injected crashes and the deaths they
+    cause.  Not the heartbeat misses: how many wall-clock beats a loaded
+    box misses is its own affair."""
+    observer = Observer()
+    report = chaos(*faults, fault_seed=9, runtime="threaded",
+                   observer=observer)
+    assert report.ok
+    deaths = [(f.kind, f.wid) for f in report.failures
+              if f.kind != "heartbeat_miss"]
+    crashes = [(e.wid, e.payload["detail"])
+               for e in observer.log.filter(type=FAULT_INJECTED)
+               if e.payload["fault"] == "crash"]
+    return deaths, crashes
+
+
 class TestDeterministicInjection:
     def test_same_seed_same_fault_log(self):
-        a = chaos("crash:1:3", fault_seed=9, runtime="threaded")
-        b = chaos("crash:1:3", fault_seed=9, runtime="threaded")
-        assert [f.kind for f in a.failures] == [f.kind for f in b.failures]
-        assert [f.wid for f in a.failures] == [f.wid for f in b.failures]
-        assert a.ok and b.ok
+        assert fault_log("crash:1:3") == fault_log("crash:1:3")
+
+    def test_another_crash_another_fault_log(self):
+        assert fault_log("crash:2:3") != fault_log("crash:1:3")
 
 
 class TestRetryPolicy:

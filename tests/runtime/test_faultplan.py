@@ -97,12 +97,3 @@ class TestValidation:
     def test_bad_parameters_rejected(self, fault):
         with pytest.raises(RuntimeConfigError):
             FaultPlan(seed=0, faults=(fault(),))
-
-    def test_without_crashes_strips_only_crashes(self):
-        plan = FaultPlan(seed=5, faults=(
-            CrashFault(wid=0, at_round=1), DropFault(rate=0.1),
-            StragglerFault(wid=1, factor=2.0)))
-        stripped = plan.without_crashes()
-        assert plan.has_crashes and not stripped.has_crashes
-        assert len(stripped.faults) == 2
-        assert stripped.seed == plan.seed

@@ -111,35 +111,59 @@ class TestNoReferenceCycles:
     timed next (it read as a 10x slower ``core.delay_decide_us`` in the
     e2e benchmark's traced pass)."""
 
-    @pytest.mark.parametrize("runtime", ["simulated", "threaded",
-                                         "multiprocess"])
-    def test_runtime_dies_with_its_last_reference(self, grid, runtime):
-        import gc
-        import weakref
-
+    @staticmethod
+    def build(name, pg, **kw):
         from repro.core.engine import Engine
         from repro.core.modes import make_policy
         from repro.obs import Observer
         from repro.runtime.simulator import SimulatedRuntime
         from repro.runtime.threaded import ThreadedRuntime
 
-        _, pg, reference = grid
         query = SSSPQuery(source=0)
-        if runtime == "multiprocess":
-            rt = MultiprocessRuntime(SSSPProgram(), pg, query, mode="AAP",
-                                     observer=Observer(), timeout=60.0)
-        else:
-            cls = (SimulatedRuntime if runtime == "simulated"
-                   else ThreadedRuntime)
-            rt = cls(Engine(SSSPProgram(), pg, query), make_policy("AAP"),
-                     observer=Observer())
+        if name == "multiprocess":
+            return MultiprocessRuntime(SSSPProgram(), pg, query, mode="AAP",
+                                       observer=Observer(), timeout=60.0,
+                                       **kw)
+        cls = SimulatedRuntime if name == "simulated" else ThreadedRuntime
+        return cls(Engine(SSSPProgram(), pg, query), make_policy("AAP"),
+                   observer=Observer(), **kw)
+
+    @staticmethod
+    def run_and_free(rt, reference, respawns=0):
+        """Run ``rt``, which no caller may hold, and drop the last
+        reference to it with the cyclic collector off."""
+        import gc
+        import weakref
+
         gc.collect()
         gc.disable()
         try:
             result = rt.run()
             assert result.answer == pytest.approx(reference)
+            assert len(getattr(rt, "respawns", ())) == respawns
             ref = weakref.ref(rt)
             del rt, result
             assert ref() is None, "the runtime is part of a cycle"
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("runtime", ["simulated", "threaded",
+                                         "multiprocess"])
+    def test_runtime_dies_with_its_last_reference(self, grid, runtime):
+        _, pg, reference = grid
+        self.run_and_free(self.build(runtime, pg), reference)
+
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["armed", "crashed"])
+    @pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
+    def test_an_armed_run_dies_with_its_last_reference(self, grid, runtime,
+                                                       crash):
+        # rung 1's wiring (detector, budget, checkpoints, a respawn)
+        # holds nothing of the runtime either
+        _, pg, reference = grid
+        plan = FaultPlan(seed=2, faults=(
+            (CrashFault(wid=1, at_round=2),) if crash else ()))
+        self.run_and_free(self.build(
+            runtime, pg, fault_plan=plan, respawn_budget=1,
+            checkpoint_interval=0.01, heartbeat_interval=0.005,
+            heartbeat_timeout=0.25), reference, respawns=int(crash))

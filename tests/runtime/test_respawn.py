@@ -1,10 +1,12 @@
 """Surgical worker recovery: in-place respawn, fragment takeover, ladder.
 
 Covers the rung-1 respawn path of both live runtimes (the master respawns
-a dead worker in place instead of restarting the whole run), the
-supporting machinery (incarnation-keyed failure detection, surgical fault
-re-arming, ring generations, per-fragment snapshot extraction) and the
-degradation ladder wiring in :mod:`repro.runtime.recovery`.
+a dead worker in place instead of restarting the whole run; the budget
+gate and the records are one :class:`~repro.runtime.recovery.RespawnRung`
+for both), the supporting machinery (incarnation-keyed failure
+detection, surgical fault re-arming, ring generations, per-fragment
+snapshot extraction) and the degradation ladder wiring in
+:mod:`repro.runtime.recovery`.
 """
 
 from __future__ import annotations
@@ -208,6 +210,25 @@ class TestThreadedRespawn:
 
 
 # ----------------------------------------------------------------------
+# rung 1 on either runtime: the budget gate
+# ----------------------------------------------------------------------
+
+class TestRespawnRung:
+    @pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
+    def test_spent_budget_degrades_to_rollback(self, runtime):
+        # the slot's second crash finds its one respawn spent: the rung
+        # degrades it, once, and the supervisor rolls the run back
+        observer = Observer()
+        report = chaos("crash:1:2", "crash:1:4", fault_seed=7,
+                       runtime=runtime, mode="AAP", respawn_budget=1,
+                       observer=observer)
+        assert report.ok
+        assert report.rung == 2 and report.recoveries == 1
+        assert [e.payload["reason"] for e in observer.log.filter(
+            type=obs_events.DEGRADE)] == ["respawn budget exhausted"]
+
+
+# ----------------------------------------------------------------------
 # failure-detector edge cases (incarnation-keyed heartbeats)
 # ----------------------------------------------------------------------
 
@@ -287,11 +308,6 @@ class TestFaultPlanSurgical:
     def test_without_crash_no_match_is_identity(self):
         plan = FaultPlan(seed=0, faults=(CrashFault(wid=1, at_round=2),))
         assert plan.without_crash(9) is plan
-
-    def test_without_crashes_still_blunt(self):
-        plan = FaultPlan(seed=0, faults=(
-            CrashFault(wid=1, at_round=2), CrashFault(wid=2, at_round=9)))
-        assert plan.without_crashes().crash_faults == ()
 
     def test_injector_reset_rearms_next_scheduled_crash(self):
         plan = FaultPlan(seed=0, faults=(

@@ -7,6 +7,7 @@ queue transports must produce identical answers across every parallel
 model, under chaos, and through crash/checkpoint recovery.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -378,7 +379,7 @@ class TestShmChaos:
         assert verdict.ok
         assert verdict.recoveries >= 1
         # the crashed attempt's arena must have been swept too
-        assert residual_segments() == []
+        assert residual_segments(f"{os.getpid()}-") == []
 
 
 class TestStatsAudit:
