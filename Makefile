@@ -73,7 +73,8 @@ serve-smoke:
 
 ## where one epoch apply of the service spends its time, layer by
 ## layer, at two graph sizes (docs/performance.md ledger entry 4): a row
-## that grows with the graph is an O(fragment) step
+## that grows with the graph is an O(fragment) step; exits 1 if a block
+## of reads within their bound writes an event or asks admission
 epoch-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/epoch_layers.py
 

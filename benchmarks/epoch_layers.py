@@ -23,12 +23,14 @@ dicts for its novelty check would build them here.  The last rows are
 the read blocks that follow: cost per read seen by the caller, the
 latency the service reports for the same reads, and the gap between them
 (the histograms and the result record, after the answer is known); then
-the ``EventLog.record`` calls one more block of reads made (``emit`` and
-``append`` write through it), counted by patching, and the script exits 1
-unless that is 0 (a served read writes no event: it counts in its
-latency and staleness histograms).  These are the tables
-docs/performance.md (ledger entries 4, 5, 10, 20 and 25) quote, not part
-of ``benchmarks/e2e``::
+the ``EventLog.record`` calls (``emit`` and ``append`` write through it)
+and the ``AdmissionController.admit_query`` calls one more block of reads
+made, counted by patching, and the script exits 1 unless both are 0 (a
+served read writes no event: it counts in its latency and staleness
+histograms; and a read within its bound has nothing to catch up, so the
+admission controller is not asked).  These are the tables
+docs/performance.md (ledger entries 4, 5, 10, 20, 25 and 26) quote, not
+part of ``benchmarks/e2e``::
 
     PYTHONPATH=src python benchmarks/epoch_layers.py [--sizes 2000 20000]
 """
@@ -41,6 +43,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "e2e"))
@@ -56,6 +59,7 @@ from repro.algorithms import SSSPProgram, SSSPQuery  # noqa: E402
 from repro.graph import generators  # noqa: E402
 from repro.obs.events import EventLog  # noqa: E402
 from repro.serve import service as service_module  # noqa: E402
+from repro.serve.admission import AdmissionController  # noqa: E402
 from repro.serve.loadgen import verify_against_recompute  # noqa: E402
 from repro.serve.service import GraphService  # noqa: E402
 
@@ -164,7 +168,8 @@ def measure(nodes: int, seed: int, epochs: int, reads: int,
     column["read_self_reported_us"] = statistics.median(reported) * 1e6
     column["read_gap_us"] = (column["read_us"]
                              - column["read_self_reported_us"])
-    column["read_records"] = count_read_records(svc, script, reads)
+    column["read_records"], column["read_admissions"] = count_read_calls(
+        svc, script, reads)
     column["verified"] = verify_against_recompute(svc)
     return column
 
@@ -186,24 +191,24 @@ def retained_by_first_ingest(graph, engine: str, batch) -> int:
     return kept
 
 
-def count_read_records(svc, script, reads: int) -> int:
+def count_read_calls(svc, script, reads: int) -> tuple:
     """``EventLog.record`` calls (every ``emit`` and ``append`` is one)
-    made by one more, untimed block of reads within their bound: a
-    served read writes no event, so it must be 0."""
-    recorded = [0]
-    record = EventLog.record
-
-    def counting_record(self, *args):
-        recorded[0] += 1
-        return record(self, *args)
+    and ``AdmissionController.admit_query`` calls made by one more,
+    untimed block of reads within their bound: a served read writes no
+    event, and one within its bound asks no admission, so both must be
+    0."""
     keys = [script.key() for _ in range(reads)]
-    EventLog.record = counting_record
-    try:
+    with counting(EventLog, "record") as record, \
+            counting(AdmissionController, "admit_query") as admit:
         for key in keys:
             svc.query(key, staleness_bound=wl.READ_BOUND)
-    finally:
-        EventLog.record = record
-    return recorded[0]
+    return record.call_count, admit.call_count
+
+
+def counting(cls, name):
+    """Patch ``cls.name`` with a mock that calls through and counts."""
+    return mock.patch.object(cls, name, autospec=True,
+                             side_effect=getattr(cls, name))
 
 
 def table(columns: dict) -> str:
@@ -228,8 +233,10 @@ def table(columns: dict) -> str:
                        ("gap (us)", "read_gap_us")):
         lines.append(f"| {label} | " + " | ".join(
             f"{columns[size][row]:.2f}" for size in sizes) + " |")
-    lines.append("| log records by a read block | " + " | ".join(
-        str(columns[size]["read_records"]) for size in sizes) + " |")
+    for label, row in (("log records by a read block", "read_records"),
+                       ("admissions by a read block", "read_admissions")):
+        lines.append(f"| {label} | " + " | ".join(
+            str(columns[size][row]) for size in sizes) + " |")
     return "\n".join(lines)
 
 
@@ -256,11 +263,14 @@ def main(argv=None) -> int:
     for row in grew:
         print(f"dense row {row!r} grows with the graph: {small[row]:.3f} "
               f"-> {large[row]:.3f} ms", file=sys.stderr)
-    logged = [name for name, column in columns.items()
-              if column["read_records"]]
-    for name in logged:
-        print(f"{name}: reads within their bound wrote to the event log",
-              file=sys.stderr)
+    called = [f"{name}: reads within their bound {what}"
+              for name, column in columns.items()
+              for row, what in (("read_records", "wrote to the event log"),
+                                ("read_admissions",
+                                 "asked the admission controller"))
+              if column[row]]
+    for line in called:
+        print(line, file=sys.stderr)
     if args.out:
         out = pathlib.Path(args.out)
         out.write_text(text + "\n")
@@ -268,7 +278,7 @@ def main(argv=None) -> int:
             {"seed": args.seed, "epochs": args.epochs,
              "fragments": wl.FRAGMENTS, "batch_edges": wl.BATCH_EDGES,
              "columns": columns}, indent=2) + "\n")
-    return 0 if not grew and not logged and all(
+    return 0 if not grew and not called and all(
         c["verified"] for c in columns.values()) else 1
 
 

@@ -195,8 +195,11 @@ class ThreadedRuntime:
             self._events[wid].set()  # release any sleeper
         for t in self._threads:
             t.join(timeout=5.0)
+        # a timer, fired or not, holds ``_deliver``: keeping them would
+        # keep this runtime in a reference cycle
         for timer in self._timers:
             timer.cancel()
+        self._timers.clear()
         self._emit(obs_events.TERMINATE_PROBE,
                    result="aborted" if self.errors else "quiescent")
         if crash is not None:

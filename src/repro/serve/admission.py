@@ -19,23 +19,22 @@ from repro.errors import RuntimeConfigError
 
 @dataclass
 class AdmissionController:
-    """Decide whether to accept an update batch or a read query.
+    """Decide whether to accept an update batch or a read that must catch up.
 
     - ``max_pending_batches`` bounds the ingest queue: an
       :meth:`~repro.serve.service.GraphService.ingest` arriving when the
       queue is full is shed, so backlog (and the staleness debt queries
       must pay down) stays bounded.
-    - ``max_catchup`` bounds the work one query may force: a query whose
-      freshness bound requires applying more than this many pending
-      batches is shed rather than allowed to stall the caller.  ``None``
-      disables the query bound.
+    - ``max_catchup`` bounds the work one read may force: the service asks
+      only when a read must catch up, and sheds it if that means applying
+      more than this many pending batches.  ``None`` disables the bound.
     """
 
     max_pending_batches: int = 64
     max_catchup: Optional[int] = 32
 
     def __post_init__(self):
-        # a negative limit sheds everything, a read whose bound is met too
+        # a negative limit would shed every batch or every catch-up
         if min(self.max_pending_batches, self.max_catchup or 0) < 0:
             raise RuntimeConfigError(
                 f"admission limits must be >= 0, got {self}")
@@ -49,10 +48,11 @@ class AdmissionController:
         return None
 
     def admit_query(self, lag: int, bound: int) -> Optional[str]:
-        """``None`` to accept a query, else the shed reason.
+        """``None`` to accept a read, else the shed reason; the service
+        asks only when a read must catch up (``lag > bound``).
 
         ``lag`` is the current staleness (pending batches); ``bound`` is
-        the query's declared maximum, so ``lag - bound`` is the number of
+        the read's declared maximum, so ``lag - bound`` is the number of
         epochs the service would have to apply before answering.
         """
         if self.max_catchup is None:

@@ -32,10 +32,10 @@ engine otherwise:
 3. **Query** — each read declares a maximum staleness in applied-batch
    epochs (an SSP-style bound).  The service's staleness is the number of
    accepted-but-unapplied batches; a query whose bound is already met is
-   answered from the current snapshot, otherwise the service applies
-   pending batches until the lag satisfies the bound ("block until
-   convergence catches up").  A point lookup reads the maintained
-   answer: the dict the epochs patch with their answer deltas.
+   answered from the current snapshot at once, otherwise the service asks
+   admission and applies pending batches until the lag meets the bound
+   ("block until convergence catches up").  A point lookup reads the
+   maintained answer: the dict the epochs patch with their answer deltas.
 
 Every ingest, epoch and shed emits an obs event on the service's
 :class:`~repro.obs.Observer`; a served read emits none and feeds only the
@@ -423,46 +423,52 @@ class GraphService:
     def query(self, key: Node, staleness_bound: int = 0) -> QueryResult:
         """Answer a point lookup no staler than ``staleness_bound`` epochs.
 
-        If the current lag exceeds the bound, pending batches are applied
-        until it does not (the "block until convergence catches up" arm of
-        the contract); the admission controller may shed the query first
-        if that catch-up would exceed its work budget.
+        A read whose bound the lag already meets is a lookup in the
+        maintained answer, timed into its two histograms.  The admission
+        controller is asked only when a read must catch up (:meth:`_catch_up`).
         """
-        return self._serve(key, staleness_bound, snapshot=False)
+        lag = len(self._pending)
+        if lag > staleness_bound:
+            return self._catch_up(staleness_bound, self._answer.get, key)
+        t0 = perf_counter()
+        value = self._answer.get(key)
+        latency = perf_counter() - t0
+        self._query_latency.observe(latency)
+        self._staleness.observe(lag)
+        return tuple.__new__(QueryResult, (True, value, self.epoch, lag,
+                                           latency, None))
 
     def snapshot(self, staleness_bound: int = 0) -> QueryResult:
         """The whole assembled answer under the same freshness contract."""
-        return self._serve(None, staleness_bound, snapshot=True)
+        return self._catch_up(staleness_bound, dict, self._answer)
 
-    def _serve(self, key: Optional[Node], bound: int,
-               snapshot: bool) -> QueryResult:
-        """The freshness contract, once, for :meth:`query` and
-        :meth:`snapshot`: admit or shed, catch up to ``bound``, answer,
-        then time the read into its two histograms, whose count is the
-        served count (no event).  ``latency`` (the result's and the
-        histogram's) stops when the answer is known; the bookkeeping after
-        it is the gap docs/serving.md quotes."""
+    def _catch_up(self, bound: int, read, arg) -> QueryResult:
+        """The freshness contract of a :meth:`query` past its bound and of
+        every :meth:`snapshot`: admit or shed if a catch-up is due, apply
+        batches until the lag meets ``bound``, then time ``read(arg)``."""
         if bound < 0:
             raise ProgramError(
                 f"staleness bound must be >= 0 epochs, got {bound}")
         t0 = perf_counter()
         pending = self._pending
-        reason = self.admission.admit_query(len(pending), bound)
-        if reason is not None:
-            self._shed_queries.inc()
-            self._log.emit(ADMISSION_SHED, perf_counter(), kind="query",
-                           reason=reason, depth=len(pending))
-            return QueryResult(served=False, value=None, epoch=self.epoch,
-                               staleness=len(pending),
-                               latency=perf_counter() - t0, reason=reason)
-        while len(pending) > bound:
-            self._apply_one()
-        staleness = len(pending)
-        value = dict(self._answer) if snapshot else self._answer.get(key)
+        if len(pending) > bound:
+            reason = self.admission.admit_query(len(pending), bound)
+            if reason is not None:
+                self._shed_queries.inc()
+                self._log.emit(ADMISSION_SHED, perf_counter(), kind="query",
+                               reason=reason, depth=len(pending))
+                return QueryResult(served=False, value=None,
+                                   epoch=self.epoch, staleness=len(pending),
+                                   latency=perf_counter() - t0,
+                                   reason=reason)
+            while len(pending) > bound:
+                self._apply_one()
+        lag = len(pending)
+        value = read(arg)
         latency = perf_counter() - t0
         self._query_latency.observe(latency)
-        self._staleness.observe(staleness)
-        return tuple.__new__(QueryResult, (True, value, self.epoch, staleness,
+        self._staleness.observe(lag)
+        return tuple.__new__(QueryResult, (True, value, self.epoch, lag,
                                            latency, None))
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from repro import api
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.errors import TerminationError
 from repro.graph import analysis, generators
-from repro.runtime.faultplan import CrashFault, FaultPlan
+from repro.runtime.faultplan import CrashFault, DelayFault, FaultPlan
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.slab import SlabArena
 
@@ -167,3 +167,11 @@ class TestNoReferenceCycles:
             runtime, pg, fault_plan=plan, respawn_budget=1,
             checkpoint_interval=0.01, heartbeat_interval=0.005,
             heartbeat_timeout=0.25), reference, respawns=int(crash))
+
+    def test_a_delayed_run_dies_with_its_last_reference(self, grid):
+        # a delayed message rides a timer whose function is the runtime's
+        # own delivery: the timers of a finished run hold nothing of it
+        _, pg, reference = grid
+        plan = FaultPlan(seed=2, faults=(DelayFault(rate=0.2, delay=0.001),))
+        self.run_and_free(self.build("threaded", pg, fault_plan=plan),
+                          reference)

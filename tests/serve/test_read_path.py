@@ -1,22 +1,27 @@
 """A served read does all of its bookkeeping and nothing else.
 
 Count-based, like ``test_epoch_delta.py``.  *Nothing else*: with every
-by-name instrument lookup, the epoch apply and Assemble patched to raise
-after construction, reads whose bound is already met are still served,
-and they write no event (the log keeps its length).  *All of it*: each
-of them is admitted, read from the maintained answer and timed — one
-observation in each of the latency and staleness histograms per read; no
-other instrument moves.  The record types the paths hand back keep their
-contract (keyword construction, defaults, immutability, equality,
-pickling).
+by-name instrument lookup, the admission controller, the catch-up arm,
+the epoch apply and Assemble patched to raise after construction, reads
+whose bound is already met are still served, and they write no event
+(the log keeps its length).  *All of it*: each of them is read from the
+maintained answer and timed — one observation in each of the latency and
+staleness histograms per read; no other instrument moves.  Only a read
+that must catch up asks the admission controller, once, and a shed read
+keeps its reason word for word.  The record types the paths hand back
+keep their contract (keyword construction, defaults, immutability,
+equality, pickling).
 """
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
 from repro.algorithms import SSSPProgram, SSSPQuery
 from repro.core.engine import Engine
+from repro.errors import ProgramError
 from repro.graph import generators
 from repro.obs import (ADMISSION_SHED, EPOCH_APPLY, INGEST, SCHEMA,
                        EventLog, MetricsRegistry, ObsEvent)
@@ -48,6 +53,8 @@ def test_reads_within_bound_touch_only_their_own_bookkeeping(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a read within its bound reached this")
     monkeypatch.setattr(MetricsRegistry, "_get", forbidden)
+    monkeypatch.setattr(AdmissionController, "admit_query", forbidden)
+    monkeypatch.setattr(GraphService, "_catch_up", forbidden)
     monkeypatch.setattr(GraphService, "_apply_one", forbidden)
     monkeypatch.setattr(Engine, "assemble", forbidden)
 
@@ -142,6 +149,142 @@ def test_shed_read_reports_its_reason_and_is_logged():
     assert svc.status()["queries"] == {"served": 0, "shed": 1}
     assert svc.obs.log.counts() == {INGEST: 1, ADMISSION_SHED: 1}
     assert svc.obs.metrics.histogram("serve_query_latency").count == 0
+
+
+def count_admissions(monkeypatch):
+    """Patch ``admit_query`` to count its calls; returns the list of
+    ``(lag, bound, reason)`` it saw."""
+    asked = []
+    admit = AdmissionController.admit_query
+
+    def counting(self, lag, bound):
+        reason = admit(self, lag, bound)
+        asked.append((lag, bound, reason))
+        return reason
+    monkeypatch.setattr(AdmissionController, "admit_query", counting)
+    return asked
+
+
+def test_a_read_past_its_bound_asks_admission_once(monkeypatch):
+    svc = make_service(admission=AdmissionController(max_catchup=1))
+    for i in range(3):
+        assert svc.ingest(UpdateBatch.of((0, 100 + i, 0.5))).accepted
+    asked = count_admissions(monkeypatch)
+    shed = svc.query(0, staleness_bound=1)
+    assert asked == [(3, 1, shed.reason)]
+    # the reason, word for word, as the controller has always put it
+    assert shed.reason == "catch-up of 2 epochs exceeds limit 1 " \
+                          "(lag=3, bound=1)"
+    assert (shed.served, shed.value, shed.epoch, shed.staleness) \
+        == (False, None, 0, 3)
+    (event,) = events(svc, ADMISSION_SHED)
+    assert event.payload == {"kind": "query", "reason": shed.reason,
+                             "depth": 3}
+    served = svc.query(0, staleness_bound=2)
+    assert asked[1:] == [(3, 2, None)]
+    assert (served.served, served.epoch, served.staleness) == (True, 1, 2)
+    svc.query(0, staleness_bound=2)  # met now: no second question
+    assert len(asked) == 2
+    assert svc.status()["queries"] == {"served": 2, "shed": 1}
+
+
+@pytest.mark.parametrize("lag", [0, 2])
+def test_a_negative_bound_raises_before_any_instrument_moves(monkeypatch,
+                                                             lag):
+    svc = make_service()
+    for i in range(lag):
+        assert svc.ingest(UpdateBatch.of((0, 100 + i, 0.5))).accepted
+    asked = count_admissions(monkeypatch)
+    metrics, logged = svc.obs.metrics.as_dict(), len(svc.obs.log)
+    for read in (lambda: svc.query(0, staleness_bound=-1),
+                 lambda: svc.snapshot(staleness_bound=-1)):
+        with pytest.raises(ProgramError, match="got -1"):
+            read()
+    assert svc.obs.metrics.as_dict() == metrics
+    assert (asked, len(svc.obs.log), svc.lag, svc.epoch) \
+        == ([], logged, lag, 0)
+
+
+def test_snapshot_keeps_the_contract_on_both_arms(monkeypatch):
+    svc = make_service(admission=AdmissionController(max_catchup=1))
+    assert svc.ingest(UpdateBatch.of((0, 100, 0.5))).accepted
+    asked = count_admissions(monkeypatch)
+    latency = svc.obs.metrics.histogram("serve_query_latency")
+    # within its bound: no admission, no epoch, the whole answer
+    whole = svc.snapshot(staleness_bound=1)
+    assert (whole.served, whole.epoch, whole.staleness) == (True, 0, 1)
+    assert whole.value == svc.answer and whole.value is not svc._answer
+    assert (asked, latency.count) == ([], 1)
+    # past it: admitted once, caught up, then the same answer
+    assert svc.ingest(UpdateBatch.of((0, 101, 0.5))).accepted
+    assert svc.ingest(UpdateBatch.of((0, 102, 0.5))).accepted
+    shed = svc.snapshot(staleness_bound=0)
+    assert shed.reason == "catch-up of 3 epochs exceeds limit 1 " \
+                          "(lag=3, bound=0)"
+    assert (shed.served, shed.value, shed.staleness) == (False, None, 3)
+    fresh = svc.snapshot(staleness_bound=2)
+    assert (fresh.served, fresh.epoch, fresh.staleness) == (True, 1, 2)
+    assert fresh.value == svc.answer and 100 in fresh.value
+    assert asked == [(3, 0, shed.reason), (3, 2, None)]
+    assert latency.count == 2
+    assert svc.status()["staleness"]["total"] == 1 + 2
+    assert svc.obs.log.counts() == {INGEST: 3, ADMISSION_SHED: 1,
+                                    EPOCH_APPLY: 1}
+
+
+#: sha256 of every read's ``(served, value, epoch, staleness, reason)``
+#: in :func:`read_script`, as the read path answered it before reads
+#: within their bound skipped admission
+SCRIPT_DIGEST = ("1dcb01373b8cdabb03115620cfbedf52"
+                 "66b32cd985137f0fa39dc55878d09bc0")
+
+
+def read_script(svc, read, seed=3):
+    """Seeded ingests, pumps and ``read(key, bound)`` calls at bounds
+    0-3, some of which must catch up and some of which are shed; returns
+    what the reads answered."""
+    rng = random.Random(seed)
+    answered, new = [], 100
+    for _ in range(60):
+        roll = rng.random()
+        if roll < 0.25:
+            edges = []
+            for _ in range(rng.randint(1, 3)):
+                edges.append((rng.randrange(new), new,
+                              round(rng.uniform(0.5, 3.0), 3)))
+                new += 1
+            svc.ingest(UpdateBatch.of(*edges))
+        elif roll < 0.3:
+            svc.pump(1)
+        else:
+            answered.append(read(rng.randrange(new + 2), rng.randrange(4)))
+    return answered
+
+
+def test_a_read_script_answers_as_it_always_did():
+    """Every read of a seeded ingest / read script answers as the one
+    read path did before (pinned digest), and as the old path's steps —
+    admission, catch-up, lookup — spelled out on a twin service."""
+    svc = make_service(admission=AdmissionController(max_catchup=1))
+
+    def query(key, bound):
+        r = svc.query(key, staleness_bound=bound)
+        return (r.served, r.value, r.epoch, r.staleness, r.reason)
+    answered = read_script(svc, query)
+
+    twin = make_service(admission=AdmissionController(max_catchup=1))
+
+    def old_steps(key, bound):
+        reason = twin.admission.admit_query(twin.lag, bound)
+        if reason is not None:
+            return (False, None, twin.epoch, twin.lag, reason)
+        twin.pump(max(0, twin.lag - bound))
+        return (True, twin.answer.get(key), twin.epoch, twin.lag, None)
+    assert read_script(twin, old_steps) == answered
+    assert sum(not r[0] for r in answered) > 0  # some were shed
+    assert sum(r[3] > 0 for r in answered) > 0  # some read stale
+    digest = hashlib.sha256(repr(answered).encode()).hexdigest()
+    assert digest == SCRIPT_DIGEST
 
 
 def test_snapshot_goes_through_the_same_contract():
