@@ -25,7 +25,8 @@ with the generic engine the service builds:
 - ``csr sort``      ``stable_order``: one key sort for the out-rows (a
                     directed graph's in-rows are sorted on first read)
 - ``csr view``      the rest of ``Fragment.compact``
-- ``routes``        ship sets / dense routing masks of the engine
+- ``routes``        the engine's routing masks (the program's rule over
+                    each fragment's node table, either engine)
 - ``contexts``      the rest of ``Engine(...)``
 
 Below the layers, a ``serve`` row: the whole cold build of the resident
@@ -125,8 +126,7 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     tracer.wrap(Graph, "add_novel_edges", "dict graph")
     tracer.wrap(csr_module, "stable_order", "csr sort")
     tracer.wrap(Fragment, "compact", "csr view")
-    tracer.wrap(Engine, "_ship_set", "routes")
-    tracer.wrap(Engine, "_routes", "routes")
+    tracer.wrap(Engine, "_routing", "routes")
     tracer.wrap(Graph, "edges", "edges() reads")
     gc.collect()
     gc.disable()
@@ -140,8 +140,8 @@ def cold_build(graph, program_cls, query, vectorized: bool) -> dict:
     finally:
         gc.enable()
         tracer.unwrap_all()
-    # layers nest (a generic engine reads sets inside its route loop, a
-    # route loop may build the CSR view): each is charged its self time
+    # layers nest (a generic engine's contexts read its dict graph, which
+    # reads containers): each is charged its self time
     out = {name: tracer.self_time(name) * 1e3 for name in LAYERS}
     out["total"] = tracer.total("total") * 1e3
     built = [kind for kind, there in (

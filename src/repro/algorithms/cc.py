@@ -275,8 +275,7 @@ class CCProgram(PIEProgram):
         return moved
 
     # ------------------------------------------------------------------
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         """Ship mirror cids to the owner under edge-cut (``C_i = F_i.O``);
         every copy exchanges updates under vertex-cut.
 
@@ -284,17 +283,8 @@ class CCProgram(PIEProgram):
         fragment's border nodes, so min-cid information still flows both
         ways across every cut edge.
         """
-        if frag.cut != "edge":
-            return frag.locations(v)
-        if v not in frag.mirrors:
-            return ()
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
-
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
-        from repro.core.dense import routes_to_copies, routes_to_owner
-        return (routes_to_owner if frag.cut == "edge"
-                else routes_to_copies)(frag, lids)
+        from repro.core.dense import routes_by_cut
+        return routes_by_cut(frag, lids)
 
     def assemble(self, pg: PartitionedGraph,
                  contexts: Sequence[FragmentContext],

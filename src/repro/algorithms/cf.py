@@ -64,8 +64,8 @@ class CFProgram(PIEProgram):
     needs_bounded_staleness = True
     default_staleness_bound = 2
     finite_domain = False
-    # destinations() depends on self.aggregation, so engines must not
-    # memoize routing per program *class*
+    # routes() depends on self.aggregation, so engines must not memoize
+    # routing per program *class*
     cacheable_routes = False
 
     #: message aggregation schemes: "gossip" ships every fragment's deltas
@@ -161,21 +161,26 @@ class CFProgram(PIEProgram):
     # epoch this costs 2*(holders-1) messages — the decentralised
     # equivalent of a parameter server sharded across the fragments.
     # ------------------------------------------------------------------
-    def ship_set(self, frag: Fragment):
-        return frozenset(v for v in frag.graph.nodes
-                         if _is_item(v) and frag.locations(v))
-
-    def ships(self, frag: Fragment, v: Node) -> bool:
-        return _is_item(v) and bool(frag.locations(v))
-
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[Node]:
-        if self.aggregation == "gossip":
-            return frag.locations(v)
-        if v in frag.owned:
-            return frag.locations(v)     # owner broadcasts the factor
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
+        """Items only.  Gossip: every copy ships everywhere else the item
+        resides (the copies rule).  Server: the owner broadcasts the
+        factor to every copy (the copies rule for owned items) and a
+        mirror ships its deltas to the owner (the owner rule)."""
+        import numpy as np
+        from repro.core.dense import routes_to_copies
+        view = frag._arrays
+        at = slice(None) if lids is None else lids
+        items = np.fromiter(map(_is_item, view.gids[at].tolist()), bool)
+        routes, ship_mask = routes_to_copies(frag, lids)
+        out = {}
+        for dst, there in routes.items():
+            there = items & np.asarray(there, dtype=bool)
+            if self.aggregation == "server":
+                # a mirror resides at its owner: of its copies, keep that
+                there &= view.owned_mask[at] | (view.owner[at] == dst)
+            if there.any():
+                out[dst] = there
+        return out, items & np.asarray(ship_mask, dtype=bool)
 
     def emit(self, frag: Fragment, ctx: FragmentContext,
              v: Node) -> Tuple[str, Vector]:

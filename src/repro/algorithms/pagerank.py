@@ -283,20 +283,9 @@ class PageRankProgram(PIEProgram):
         ctx.set_silent(v, 0.0)
         return delta
 
-    def ship_set(self, frag: Fragment):
-        """Only mirror copies carry outbound deltas."""
-        return frozenset(v for v in frag.mirrors if frag.locations(v))
-
-    def ships(self, frag: Fragment, v: Node) -> bool:
-        return v in frag.mirrors and bool(frag.locations(v))
-
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
-        """A delta must be consumed exactly once: ship to the owner only."""
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
-
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
+        """Only mirror copies carry outbound deltas, and a delta must be
+        consumed exactly once: ship to the owner only."""
         from repro.core.dense import routes_to_owner
         return routes_to_owner(frag, lids)
 

@@ -62,14 +62,9 @@ class ReachabilityProgram(PIEProgram):
                     ctx.set(u, True)
                     stack.append(u)
 
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
-        if frag.cut != "edge":
-            return frag.locations(v)
-        if v not in frag.mirrors:
-            return ()
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
+        from repro.core.dense import routes_by_cut
+        return routes_by_cut(frag, lids)
 
     def assemble(self, pg: PartitionedGraph,
                  contexts: Sequence[FragmentContext],

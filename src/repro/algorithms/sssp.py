@@ -228,28 +228,15 @@ class SSSPProgram(PIEProgram):
         return heads
 
     # ------------------------------------------------------------------
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         """Ship mirror updates to the owner (``C_i = F_i.O`` designated
-        messages).
-
-        Under edge-cut a node's owner holds all of its outgoing edges: an
-        owned node's new distance is only useful locally, and a mirror's
-        improvement is only useful to the owner — other mirror holders'
+        messages) under edge-cut: a node's owner holds all of its outgoing
+        edges, so an owned node's new distance is only useful locally, and
+        a mirror's improvement only to the owner — other mirror holders'
         copies feed the owner independently.  Under vertex-cut every
-        replicated copy relaxes edges, so all copies exchange updates.
-        """
-        if frag.cut != "edge":
-            return frag.locations(v)
-        if v not in frag.mirrors:
-            return ()
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
-
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
-        from repro.core.dense import routes_to_copies, routes_to_owner
-        return (routes_to_owner if frag.cut == "edge"
-                else routes_to_copies)(frag, lids)
+        replicated copy relaxes edges, so all copies exchange updates."""
+        from repro.core.dense import routes_by_cut
+        return routes_by_cut(frag, lids)
 
     # ------------------------------------------------------------------
     def assemble(self, pg: PartitionedGraph,

@@ -217,17 +217,10 @@ class MapReduceOnPIE(PIEProgram):
         ctx.set_silent(v, ())
         return bag
 
-    def ship_set(self, frag: Fragment):
-        return frozenset(v for v in frag.mirrors if frag.locations(v))
-
-    def ships(self, frag: Fragment, v: Hashable) -> bool:
-        return v in frag.mirrors and bool(frag.locations(v))
-
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Hashable) -> Sequence[int]:
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
         """A bag must reach its worker node's owner exactly once."""
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
+        from repro.core.dense import routes_to_owner
+        return routes_to_owner(frag, lids)
 
     def apply_incoming(self, frag: Fragment, ctx: FragmentContext,
                        v: Hashable, payloads: Sequence[Tuple]) -> bool:

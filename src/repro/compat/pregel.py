@@ -194,16 +194,10 @@ class PregelAdapter(PIEProgram):
         ctx.set_silent(v, None)
         return pending
 
-    def ship_set(self, frag: Fragment):
-        return frozenset(v for v in frag.mirrors if frag.locations(v))
-
-    def ships(self, frag: Fragment, v: Node) -> bool:
-        return v in frag.mirrors and bool(frag.locations(v))
-
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
-        owner = pg.owner[v]
-        return (owner,) if owner != frag.fid else ()
+    def routes(self, pg: PartitionedGraph, frag: Fragment, lids=None):
+        """A mirror's pending messages go to the vertex's owner."""
+        from repro.core.dense import routes_to_owner
+        return routes_to_owner(frag, lids)
 
     def apply_incoming(self, frag: Fragment, ctx: FragmentContext, v: Node,
                        payloads: Sequence[Any]) -> bool:

@@ -130,17 +130,24 @@ def scalar_waves(ctx: "DenseContext", seeds: Iterable[int], weighted: bool,
     return lids
 
 
+def _few(per_lid: List[Sequence[int]]) -> Routes:
+    """Routes over a handful of lids from each one's destinations."""
+    return ({dst: [dst in to for to in per_lid]
+             for dst in set().union(*per_lid)},
+            [bool(to) for to in per_lid])
+
+
 def routes_to_owner(frag: Fragment,
-                    lids: Optional[np.ndarray] = None) -> Routes:
-    """The array rule "a mirror copy ships to its owner"
-    (:meth:`PIEProgram.dense_routes`): what SSSP and CC declare under
-    edge-cut and PageRank always."""
-    view = frag.compact()
+                    lids: Optional[Sequence[int]] = None) -> Routes:
+    """The rule "a mirror copy ships to its owner"
+    (:meth:`PIEProgram.routes`), read off the fragment's node table: what
+    SSSP, CC and reachability declare under edge-cut, and PageRank and
+    the Pregel / MapReduce adapters always."""
+    view = frag._arrays
     if lids is not None and len(lids) <= FEW_NODES:  # element by element
         owned, owner = view.owned_mask, view.owner
-        goes = [-1 if owned.item(lid) else owner.item(lid) for lid in lids]
-        return ({dst: [to == dst for to in goes]
-                 for dst in set(goes) - {-1}}, [to >= 0 for to in goes])
+        return _few([() if owned.item(lid) else (owner.item(lid),)
+                     for lid in lids])
     at = slice(None) if lids is None else lids
     ship_mask, owner = ~view.owned_mask[at], view.owner[at]
     return {dst: ship_mask & (owner == dst)
@@ -148,20 +155,34 @@ def routes_to_owner(frag: Fragment,
 
 
 def routes_to_copies(frag: Fragment,
-                     lids: Optional[np.ndarray] = None) -> Routes:
-    """The array rule "every shared copy ships to everywhere else the
-    node resides" — the routing index itself, which is the default
-    ``destinations`` and what SSSP and CC declare under vertex-cut."""
-    view = frag.compact()
+                     lids: Optional[Sequence[int]] = None) -> Routes:
+    """The rule "every shared copy ships to everywhere else the node
+    resides" — the routing index itself, read off the fragment's routing
+    pairs: the default :meth:`PIEProgram.routes`, and what SSSP, CC and
+    reachability declare under vertex-cut."""
+    view = frag._arrays
+    if lids is not None and len(lids) <= FEW_NODES:  # element by element
+        return _few([view.peers_of(lid) for lid in lids])
     at = slice(None) if lids is None else lids
+    routed, peers = view.routed, view.peers
     routes = {}
-    for dst in distinct_fids(view.peers):
+    for dst in distinct_fids(peers):
         there = np.zeros(len(view), dtype=bool)
-        there[view.routed[view.peers == dst]] = True
+        there[routed[peers == dst]] = True
         routes[dst] = there[at]
     ship_mask = np.zeros(len(view), dtype=bool)
-    ship_mask[view.routed] = True
+    ship_mask[routed] = True
     return routes, ship_mask[at]
+
+
+def routes_by_cut(frag: Fragment,
+                  lids: Optional[Sequence[int]] = None) -> Routes:
+    """:func:`routes_to_owner` under edge-cut, where a node's owner holds
+    all of its edges, so only the owner needs a mirror's improvement;
+    :func:`routes_to_copies` under vertex-cut, where every copy relaxes
+    edges and all copies exchange updates (SSSP, CC, reachability)."""
+    return (routes_to_owner if frag.cut == "edge"
+            else routes_to_copies)(frag, lids)
 
 
 def aggregator_ufunc(agg: Aggregator):

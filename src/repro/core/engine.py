@@ -76,16 +76,16 @@ class Engine:
         else:
             self.contexts = [
                 program.make_context(frag, query) for frag in pg]
-        # ship sets and dense routes are pure functions of the partition
-        # (unless the program says otherwise), so they are memoized on the
-        # fragments: repeated engine builds over the same PartitionedGraph
-        # — every run of a query class — skip the setup cost
-        if self.vectorized:
-            routed = [self._routes(frag) for frag in pg]
-            self._dense_routes = [routes for routes, _ in routed]
-            self._dense_ship_masks = [ship_mask for _, ship_mask in routed]
-        else:
-            self._ship_sets = [self._ship_set(frag) for frag in pg]
+        # routing is a pure function of the partition (unless the program
+        # says otherwise), so it is memoized on the fragments: repeated
+        # engine builds over the same PartitionedGraph — every run of a
+        # query class — skip the setup cost
+        routing = [self._routing(frag) for frag in pg]
+        #: per fragment, the program's routes (:meth:`PIEProgram.routes`):
+        #: per destination a lid mask, and their union; both engines
+        #: derive from them
+        self._routes = [routes for routes, _ in routing]
+        self._ship_masks = [ship_mask for _, ship_mask in routing]
         #: whether incoming payloads are aggregated the default way, so a
         #: handful of them can be, one by one (:meth:`_absorb_few`)
         self._plain_apply = type(program).dense_apply_incoming \
@@ -99,131 +99,72 @@ class Engine:
     def num_workers(self) -> int:
         return self.pg.num_fragments
 
-    def _memoized(self, frag, kind: str, build) -> Any:
-        """``build(frag)``, kept on the fragment per program class when
-        the program's routing is a pure function of the partition."""
+    def _routing(self, frag) -> Any:
+        """The program's routes of ``frag``, validated, kept on the
+        fragment per program class when they are a pure function of the
+        partition."""
         if not getattr(self.program, "cacheable_routes", True):
-            return build(frag)
-        return frag.memo((kind, type(self.program)), lambda: build(frag))
-
-    def _ship_set(self, frag) -> Set[Node]:
-        return self._memoized(frag, "ship_set", self._checked_ship_set)
-
-    def _routes(self, frag) -> Any:
-        return self._memoized(frag, "dense_routes", self._checked_routes)
-
-    def _checked_ship_set(self, frag) -> Set[Node]:
-        """The program's ship set, validated against the routing index."""
-        ship = set(self.program.ship_set(frag))
-        self._check_shippable(frag, ship)
-        return ship
+            return self._checked_routes(frag)
+        return frag.memo(("routes", type(self.program)),
+                         lambda: self._checked_routes(frag))
 
     @staticmethod
-    def _check_shippable(frag, nodes) -> None:
-        stray = [v for v in nodes if not frag.locations(v)]
+    def _refuse_stray(frag, stray: List[Node]) -> None:
         if stray:
             raise ProgramError(
                 f"ship set of fragment {frag.fid} contains node "
                 f"{stray[0]!r} that resides nowhere else")
 
     def _checked_routes(self, frag) -> Any:
-        """One fragment's routing masks for batched derivation.
-
-        ``destinations`` depends only on the partition, so we bake one
-        boolean lid-mask per destination plus the union ship mask;
-        deriving a round's batches is then pure masking.  The program's
-        array rule (:meth:`PIEProgram.dense_routes`) states both in
-        bulk and is validated against the routing index on the arrays;
-        without one (a third-party program) it is a loop over the
-        checked ship set.
-        """
-        import numpy as np
-        view = frag.compact()
-        rule = self.program.dense_routes(self.pg, frag)
-        if rule is not None:
-            routes, ship_mask = rule
-            stray = ship_mask.copy()
-            stray[view.routed] = False  # the routing index, on arrays
-            self._check_shippable(frag, view.gids[stray].tolist())
-            return routes, ship_mask
-        routes: Dict[int, Any] = {}
-        ship_mask = np.zeros(len(view), dtype=bool)
-        for v in self._ship_set(frag):
-            dests = self.program.destinations(self.pg, frag, v)
-            if not dests:
-                continue
-            lid = view.lid_of[v]
-            ship_mask[lid] = True
-            for dst in dests:
-                if dst not in routes:
-                    routes[dst] = np.zeros(len(view), dtype=bool)
-                routes[dst][lid] = True
+        """One fragment's routing masks: one boolean lid-mask per
+        destination plus the union ship mask, so deriving a round's
+        messages is masking.  The program states them in bulk
+        (:meth:`PIEProgram.routes`); they are validated against the
+        routing index on the arrays."""
+        view = frag._arrays
+        routes, ship_mask = self.program.routes(self.pg, frag)
+        stray = ship_mask.copy()
+        stray[view.routed] = False
+        self._refuse_stray(frag, view.gids[stray].tolist())
         return routes, ship_mask
 
     # ------------------------------------------------------------------
     # following in-place growth (repro.partition.grow)
     # ------------------------------------------------------------------
     def refresh_routes(self, report: GrowthReport) -> None:
-        """Patch the routing this engine holds after the partition grew.
-
-        Ship-set membership is re-decided (:meth:`PIEProgram.ships`, or
-        the array rule at the lids in question) and re-validated only for
-        the nodes ``report`` names.  Growth dropped the fragment-level
-        memo: a patched ship set is put back for the next engine of this
-        program class (dense routes it builds from the arrays, at array
-        speed).
-        """
-        for wid, nodes in report.rerouted.items():
-            frag = self.pg.fragments[wid]
-            if self.vectorized:
-                self._refresh_dense(frag, nodes)
-                continue
-            gained = [v for v in nodes if self.program.ships(frag, v)]
-            self._check_shippable(frag, gained)
-            ship = self._ship_sets[wid]
-            ship.difference_update(nodes)
-            ship.update(gained)
-        for wid in () if self.vectorized else report.touched:
-            self._memoized(self.pg.fragments[wid], "ship_set",
-                           lambda frag: self._ship_sets[frag.fid])
-
-    def _refresh_dense(self, frag, nodes: Dict[Node, int]) -> None:
-        """:meth:`refresh_routes` for one fragment's routing masks: they
-        follow the fragment's capacity, and the bits of ``nodes`` (with
-        their lids) are re-decided."""
+        """Patch the routing this engine holds after the partition grew:
+        per fragment, the masks follow its capacity, and the bits of the
+        nodes ``report.rerouted`` names are re-decided (the program's
+        :meth:`~PIEProgram.routes` at their lids) and re-validated.
+        Growth dropped the fragment-level memo; the next engine states the
+        rule on the grown arrays."""
         import numpy as np
         from repro.partition.fragment import resized
-        wid, view = frag.fid, frag.compact()
-        size, capacity = len(view), view.capacity
-        ship_mask = self._dense_ship_masks[wid]
-        routes = self._dense_routes[wid]
-        if len(ship_mask) != size:
-            ship_mask = self._dense_ship_masks[wid] = resized(
-                ship_mask, size, capacity)
-            for dst, mask in routes.items():
-                routes[dst] = resized(mask, size, capacity)
-        lids = list(nodes.values())
-        rule = self.program.dense_routes(self.pg, frag, lids)
-        if rule is None:  # a third-party program: its per-node forms
-            dests = [self.program.destinations(self.pg, frag, v)
-                     if self.program.ships(frag, v) else () for v in nodes]
-            rule = ({dst: np.array([dst in to for to in dests])
-                     for dst in set().union(*dests)},
-                    np.array([bool(to) for to in dests], dtype=bool))
-        gained, ships = rule
-        # shippable: a mirror resides at its owner at least, an owned
-        # node wherever its routing pairs say
-        owned = view.owned_mask
-        self._check_shippable(frag, [
-            v for (v, lid), ships_now in zip(nodes.items(), ships)
-            if ships_now and owned.item(lid) and not view.peers_of(lid)])
-        for dst in gained.keys() - routes.keys():
-            routes[dst] = np.zeros(capacity, dtype=bool)[:size]
-        # bit by bit: growth names a handful of nodes
-        for at, lid in enumerate(lids):
-            ship_mask[lid] = ships[at]
-            for dst, mask in routes.items():
-                mask[lid] = dst in gained and gained[dst][at]
+        for wid, nodes in report.rerouted.items():
+            frag = self.pg.fragments[wid]
+            view = frag._arrays
+            lids = list(nodes.values())
+            gained, ships = self.program.routes(self.pg, frag, lids)
+            # shippable: a mirror resides at its owner at least, an owned
+            # node wherever its routing pairs say
+            owned = view.owned_mask
+            self._refuse_stray(frag, [
+                v for (v, lid), ships_now in zip(nodes.items(), ships)
+                if ships_now and owned.item(lid) and not view.peers_of(lid)])
+            size, capacity = len(view), view.capacity
+            ship_mask, routes = self._ship_masks[wid], self._routes[wid]
+            if len(ship_mask) != size:
+                ship_mask = self._ship_masks[wid] = resized(
+                    ship_mask, size, capacity)
+                for dst, mask in routes.items():
+                    routes[dst] = resized(mask, size, capacity)
+            for dst in gained.keys() - routes.keys():
+                routes[dst] = np.zeros(capacity, dtype=bool)[:size]
+            # bit by bit: growth names a handful of nodes
+            for at, lid in enumerate(lids):
+                ship_mask[lid] = ships[at]
+                for dst, mask in routes.items():
+                    mask[lid] = dst in gained and gained[dst][at]
 
     def extend_contexts(self, report: GrowthReport) -> None:
         """Give every node that growth made locally present a status
@@ -417,22 +358,23 @@ class Engine:
             return self._derive_dense(wid, round_no, token=token)
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
-        ship = self._ship_sets[wid]
+        routes, ship_mask = self._routes[wid], self._ship_masks[wid]
+        lid_of = frag._arrays.lid_of
         changed = ctx.take_changed()
         if self._written is not None:
             self._written[wid] |= changed
         per_dest: Dict[int, List] = {}
         held_back = []
-        for v in sorted(changed & ship, key=repr):
+        for v in sorted((v for v in changed if ship_mask.item(lid_of[v])),
+                        key=repr):
             if not self.program.should_ship(frag, ctx, v):
                 held_back.append(v)
                 continue
-            dests = self.program.destinations(self.pg, frag, v)
-            if not dests:
-                continue
             payload = self.program.emit(frag, ctx, v)
-            for dst in dests:
-                per_dest.setdefault(dst, []).append((v, payload))
+            lid = lid_of[v]
+            for dst, route in routes.items():
+                if route.item(lid):
+                    per_dest.setdefault(dst, []).append((v, payload))
         # held-back nodes stay marked so a later round reconsiders them
         ctx.changed.update(held_back)
         entry_bytes = self.program.value_size_bytes(None)
@@ -446,7 +388,7 @@ class Engine:
         import numpy as np
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
-        ship_mask = self._dense_ship_masks[wid]
+        ship_mask = self._ship_masks[wid]
         if self._written is None:
             lids = (ctx.mask & ship_mask).nonzero()[0]
         else:  # everything marked is written; what ships is part of it
@@ -468,7 +410,7 @@ class Engine:
         gids = ctx.view.gids[lids]
         entry_bytes = self.program.value_size_bytes(None)
         out: List[MessageBatch] = []
-        routes = self._dense_routes[wid]
+        routes = self._routes[wid]
         for dst in sorted(routes):
             sel = routes[dst][lids]
             if not sel.any():
@@ -492,29 +434,25 @@ class Engine:
         the change masks are left untouched so normal derivation is not
         perturbed.
         """
+        import numpy as np
+        frag = self.pg.fragments[wid]
+        ctx = self.contexts[wid]
+        route = self._routes[wid].get(dst)
+        if route is None or not route.any():
+            return []
+        lids = np.nonzero(route)[0]
+        entry_bytes = self.program.value_size_bytes(None)
         if self.vectorized:
-            import numpy as np
-            frag = self.pg.fragments[wid]
-            ctx = self.contexts[wid]
-            route = self._dense_routes[wid].get(dst)
-            if route is None or not route.any():
-                return []
-            lids = np.nonzero(route)[0]
             payloads = np.asarray(self.program.dense_emit(frag, ctx, lids))
             return [MessageBatch(
                 src=wid, dst=dst, round=round_no,
                 ids=ctx.view.gids[lids], payloads=payloads, token=token,
-                entry_bytes=self.program.value_size_bytes(None))]
-        frag = self.pg.fragments[wid]
-        ctx = self.contexts[wid]
-        per_dest: Dict[int, List] = {}
-        for v in sorted(self._ship_sets[wid], key=repr):
-            if dst not in self.program.destinations(self.pg, frag, v):
-                continue
-            per_dest.setdefault(dst, []).append(
-                (v, self.program.emit(frag, ctx, v)))
-        return make_messages(wid, round_no, per_dest, token=token,
-                             entry_bytes=self.program.value_size_bytes(None))
+                entry_bytes=entry_bytes)]
+        nodes = sorted(frag._arrays.gids[lids].tolist(), key=repr)
+        return make_messages(
+            wid, round_no,
+            {dst: [(v, self.program.emit(frag, ctx, v)) for v in nodes]},
+            token=token, entry_bytes=entry_bytes)
 
     def assemble(self) -> Any:
         """Apply Assemble to the partial results of all workers."""

@@ -10,9 +10,10 @@ in GRAPE/AAP (Section 2 of the paper):
 - :meth:`PIEProgram.assemble` — collects partial results into ``Q(G)``.
 
 The only additions over the sequential algorithms are the declarations:
-the *candidate set* ``C_i`` (:meth:`candidates`), whose status variables are
-the update parameters, and the aggregate function ``f_aggr``
-(:attr:`aggregator`) that resolves conflicting writes.
+the *candidate set* ``C_i`` and the routing index ``I_i`` as one rule
+(:meth:`PIEProgram.routes`: which nodes' changed status variables ship,
+and where), and the aggregate function ``f_aggr`` (:attr:`aggregator`)
+that resolves conflicting writes.
 
 :class:`FragmentContext` holds the per-fragment status variables and tracks
 changes so the engine can derive designated messages by diffing.
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import (AbstractSet, Any, Dict, FrozenSet, Hashable, Iterable,
-                    List, Mapping, Optional, Sequence, Set, Tuple)
+from typing import (Any, Dict, Hashable, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.aggregators import Aggregator
 from repro.errors import ProgramError
@@ -142,9 +143,9 @@ class PIEProgram(abc.ABC):
     dense_capable: bool = False
     #: numpy dtype name of the dense status-variable array
     dense_dtype: str = "float64"
-    #: True when ``ship_set``/``destinations`` are pure functions of the
-    #: partition, letting engines memoize routing per fragment + program
-    #: class; set False when routing depends on instance state (e.g. CF's
+    #: True when :meth:`routes` is a pure function of the partition,
+    #: letting engines memoize routing per fragment + program class; set
+    #: False when routing depends on instance state (e.g. CF's
     #: configurable aggregation topology)
     cacheable_routes: bool = True
 
@@ -165,33 +166,34 @@ class PIEProgram(abc.ABC):
     # ------------------------------------------------------------------
     # declarations
     # ------------------------------------------------------------------
-    def candidates(self, frag: Fragment) -> AbstractSet[Node]:
-        """The candidate set ``C_i`` whose variables are update parameters.
+    def routes(self, pg: PartitionedGraph, frag: Fragment,
+               lids: Any = None) -> Tuple[Dict[int, Any], Any]:
+        """Which local nodes' changed values ship, and to which fragments:
+        the candidate set ``C_i`` and the routing index ``I_i`` as one
+        rule, for every local node at once — or, after in-place growth,
+        for the few ``lids`` growth names, at a cost bounded by them.
 
-        Defaults to every node shared with another fragment, which is correct
-        under both edge-cut and vertex-cut.  Programs may restrict it (the
-        paper uses ``F_i.O`` for CC/SSSP under edge-cut).
+        Returns ``(routes, ship_mask)``, boolean masks over the lids asked
+        about (any sequence will do for a handful): per destination
+        fragment the nodes whose changed values go there (no entry for a
+        fragment that gets none), and their union.  A rule reads the
+        fragment's node table (``owner``, ``owned_mask``, ``routed`` /
+        ``peers`` of ``frag._arrays``), so it holds for any node ids and
+        builds no container; :mod:`repro.core.dense` has the usual ones:
+        :func:`~repro.core.dense.routes_to_owner` (a mirror ships to its
+        owner: accumulative deltas are consumed exactly once there),
+        :func:`~repro.core.dense.routes_to_copies` (every shared copy
+        ships everywhere else the node resides) and
+        :func:`~repro.core.dense.routes_by_cut` (the first under
+        edge-cut, the second under vertex-cut).  Both engines derive
+        their messages from it; the engine refuses a rule that ships a
+        node residing nowhere else.
+
+        Default: :func:`~repro.core.dense.routes_to_copies`, correct under
+        both edge-cut and vertex-cut.
         """
-        return frag.shared_nodes
-
-    def ship_set(self, frag: Fragment) -> FrozenSet[Node]:
-        """Nodes whose changed values are shipped to co-hosting fragments.
-
-        Defaults to every candidate that resides somewhere else.  Accumulative
-        programs typically restrict this to mirror copies.
-        """
-        return frozenset(v for v in self.candidates(frag)
-                         if frag.locations(v))
-
-    def ships(self, frag: Fragment, v: Node) -> bool:
-        """``v in ship_set(frag)`` for one local node, without the set.
-
-        An engine builds its ship sets in bulk and, after in-place growth,
-        re-asks this for the few nodes the growth touched; a program that
-        overrides one form overrides the other (``tests/core/test_pie.py``
-        holds every program in the repo to it).
-        """
-        return frag.is_shared(v) and bool(frag.locations(v))
+        from repro.core.dense import routes_to_copies
+        return routes_to_copies(frag, lids)
 
     @abc.abstractmethod
     def init_values(self, frag: Fragment, query: Any) -> Dict[Node, Any]:
@@ -237,16 +239,6 @@ class PIEProgram(abc.ABC):
         Accumulative programs override this to ship-and-reset deltas.
         """
         return ctx.get(v)
-
-    def destinations(self, pg: PartitionedGraph, frag: Fragment,
-                     v: Node) -> Sequence[int]:
-        """Fragments that receive ``v``'s changed value.
-
-        Default: every other fragment where ``v`` resides (the routing index
-        ``I_i``).  Accumulative programs ship deltas to the owner only, so a
-        delta is consumed exactly once.
-        """
-        return frag.locations(v)
 
     def should_ship(self, frag: Fragment, ctx: FragmentContext,
                     v: Node) -> bool:
@@ -374,26 +366,6 @@ class PIEProgram(abc.ABC):
         """Aggregate incoming payload arrays; return changed unique lids."""
         from repro.core.dense import apply_aggregated
         return apply_aggregated(self.aggregator, ctx.array, lids, payloads)
-
-    def dense_routes(self, pg: PartitionedGraph, frag: Fragment,
-                     lids: Any = None
-                     ) -> Optional[Tuple[Dict[int, Any], Any]]:
-        """:meth:`ship_set` and :meth:`destinations` of every local node
-        at once, over the lids of ``frag.compact()`` — or, after in-place
-        growth, of the few ``lids`` it names, at a cost bounded by them.
-
-        Returns ``(routes, ship_mask)``, each a boolean mask over the
-        lids asked about (any sequence will do for a handful): per
-        destination fragment the nodes whose changed values go there (no
-        entry for a fragment that gets none), and their union.  ``None``
-        (the default) leaves it to the engine, which loops over the two
-        per-node forms.  A dense-capable program that overrides those
-        states the same rule here, on the view's ``owner`` / ``routed`` /
-        ``peers`` arrays (:mod:`repro.core.dense` has the two usual
-        rules); ``tests/core/test_dense_routes.py`` holds every program
-        in the repo to it, and to the equality of the two forms.
-        """
-        return None
 
     def dense_assemble(self, pg: PartitionedGraph, contexts: Sequence[Any],
                        query: Any) -> Any:

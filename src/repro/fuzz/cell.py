@@ -387,14 +387,15 @@ def _live(cell: Cell, cls, pg, query, observer, verdict: Verdict):
         if crash is not None and armed:
             knobs["fault_plan"] = knobs["fault_plan"].without_crash(crash.wid)
         if cell.runtime == "multiprocess":
-            return MultiprocessRuntime(
-                cls(), pg, query, mode=cell.mode, snapshot=snapshot,
+            rt = MultiprocessRuntime(
+                cls(), pg, query, mode=cell.mode,
                 staleness_bound=cell.staleness_bound,
                 vectorized=cell.vectorized, **knobs)
-        rt = ThreadedRuntime(
-            Engine(cls(), pg, query, vectorized=cell.vectorized),
-            make_policy(cell.mode, staleness_bound=cell.staleness_bound),
-            **knobs)
+        else:
+            rt = ThreadedRuntime(
+                Engine(cls(), pg, query, vectorized=cell.vectorized),
+                make_policy(cell.mode, staleness_bound=cell.staleness_bound),
+                **knobs)
         if snapshot is not None:
             rt.seed_from_snapshot(snapshot)
         return rt

@@ -46,11 +46,11 @@ There is one way to make a fragment, the builder's
 node_arrays, cut)``.
 
 A vectorized build, run and epoch reads none of the containers: peers
-come from the builder, routes from the programs' array rules
-(:meth:`~repro.core.pie.PIEProgram.dense_routes`), sizes, ``directed``
-and the quality metrics from the arrays.  Generic-path programs (so a
-``GraphService`` over non-integer ids), ``replication_factor`` and
-``runtime.recovery`` are who reads them.
+come from the builder, routes from the programs' routing rules over the
+node table (:meth:`~repro.core.pie.PIEProgram.routes`, on either
+engine), sizes, ``directed`` and the quality metrics from the arrays.
+Generic-path programs (so a ``GraphService`` over non-integer ids),
+``replication_factor`` and ``runtime.recovery`` are who reads them.
 """
 
 from __future__ import annotations
@@ -767,13 +767,14 @@ class Fragment:
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """Memoize partition-derived data on this fragment.
 
-        Engines cache ship sets and dense routing masks here (keyed by
-        program class), kernels their per-fragment arrays (out-degrees,
-        the rows a full sweep reads): pure functions of the partition
-        that would otherwise be rebuilt per engine or per round.  Callers
-        must treat cached objects as immutable; the one exception is the
-        ship set, which the engine that follows in-place growth patches
-        and re-installs (:meth:`~repro.core.engine.Engine.refresh_routes`).
+        Engines cache routing masks here (keyed by program class),
+        kernels their per-fragment arrays (out-degrees, the rows a full
+        sweep reads): pure functions of the partition that would
+        otherwise be rebuilt per engine or per round.  Callers must treat
+        cached objects as immutable; growth drops them first
+        (:meth:`invalidate_caches`), and only then does an engine kept
+        over the partition patch the masks it holds
+        (:meth:`~repro.core.engine.Engine.refresh_routes`).
         """
         if self._memo is None:
             self._memo = {}
@@ -789,10 +790,11 @@ class Fragment:
         grew in place.
 
         :func:`repro.partition.grow.grow_edge_cut` grows the array form
-        and patches the containers itself; ship sets, dense routes and
-        kernel arrays are what is left.  An engine kept over the
-        partition patches its routing from the growth report and puts it
-        back (:meth:`~repro.core.engine.Engine.refresh_routes`).
+        and patches the containers itself; routing masks and kernel
+        arrays are what is left.  An engine kept over the partition
+        patches its own routing from the growth report
+        (:meth:`~repro.core.engine.Engine.refresh_routes`); the next
+        engine states the rule on the grown arrays.
         """
         self._memo = None
 

@@ -55,8 +55,8 @@ class GrowthReport:
     new_nodes: Set[Node] = field(default_factory=set)
     #: per fragment: nodes whose presence, border status or routing entry
     #: changed there, with their lids — everything a per-fragment function
-    #: of those (a ship set) has to look at again; every other node is as
-    #: it was
+    #: of those (a routing rule) has to look at again; every other node is
+    #: as it was
     rerouted: Dict[int, Dict[Node, int]] = field(default_factory=dict)
     #: per fragment: the insertions it got a copy of, in insertion order —
     #: the fragment's last edge rows — and the same as rows over its
@@ -143,7 +143,7 @@ def grow_edge_cut(pg: PartitionedGraph,
             placement[v] = tuple(sorted(placement[v] + (fid,)))
 
     for fid in touched:
-        # ship sets, dense routes and kernel arrays are functions of the
+        # routing masks and kernel arrays are functions of the
         # partition that just changed under them
         frags[fid].invalidate_caches()
         view = frags[fid]._arrays

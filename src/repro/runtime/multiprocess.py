@@ -119,9 +119,9 @@ class MultiprocessRuntime:
 
     The fault-tolerance keyword arguments mirror
     :class:`~repro.runtime.threaded.ThreadedRuntime`; all default to off,
-    leaving the legacy path untouched.  ``snapshot`` (or
-    :meth:`seed_from_snapshot`) starts the run from a consistent
-    Chandy-Lamport checkpoint instead of PEval.
+    leaving the legacy path untouched.  :meth:`seed_from_snapshot`, called
+    after construction as on the threaded runtime, starts the next run
+    from a consistent Chandy-Lamport checkpoint instead of PEval.
     """
 
     def __init__(self, program: PIEProgram, pg: PartitionedGraph, query: Any,
@@ -132,7 +132,6 @@ class MultiprocessRuntime:
                  checkpoint_interval: Optional[float] = None,
                  heartbeat_interval: float = 0.02,
                  heartbeat_timeout: float = 1.0,
-                 snapshot: Optional[GlobalSnapshot] = None,
                  vectorized: bool = False,
                  staleness_bound: Optional[int] = None,
                  transport: Optional[str] = None,
@@ -183,8 +182,6 @@ class MultiprocessRuntime:
         #: one record per successful in-place respawn of the last run
         self.respawns: List[Dict[str, Any]] = []
         self._snapshot: Optional[GlobalSnapshot] = None
-        if snapshot is not None:
-            self.seed_from_snapshot(snapshot)
 
     def seed_from_snapshot(self, snapshot: GlobalSnapshot) -> None:
         """Start the next :meth:`run` from a consistent checkpoint."""

@@ -16,7 +16,7 @@ engine otherwise:
 2. **Epoch apply** — one parked batch is materialised by growing the
    fragments in place (:func:`~repro.partition.grow.grow_edge_cut` — same
    owner map; its report names the nodes whose presence or routing
-   changed, and the engine patches ship sets and contexts for those
+   changed, and the engine patches routing masks and contexts for those
    only), new nodes get their per-node initial value and fresh mirrors
    adopt their owner's converged value, each touched fragment integrates
    its insertions through :meth:`~repro.core.pie.PIEProgram.inc_update` +

@@ -1,5 +1,6 @@
 """Tests for the engine mechanics (diff shipping, message application)."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
@@ -100,28 +101,34 @@ class TestAssemble:
 class TestShipSetValidation:
     def test_ship_set_must_have_locations(self, small_grid):
         class Broken(CCProgram):
-            def ship_set(self, frag):
-                return frozenset(frag.graph.nodes)  # includes interior
+            def routes(self, pg, frag, lids=None):
+                routes, ship_mask = super().routes(pg, frag, lids)
+                return routes, np.ones_like(ship_mask)  # interior too
 
         pg = RangePartitioner().partition(small_grid, 2)
-        with pytest.raises(ProgramError):
-            Engine(Broken(), pg, CCQuery())
+        for vectorized in (False, True):
+            with pytest.raises(ProgramError, match="resides nowhere else"):
+                Engine(Broken(), pg, CCQuery(), vectorized=vectorized)
 
     def test_growth_revalidates_the_nodes_it_names(self, small_grid):
-        """``refresh_routes`` keeps the check, for the re-decided nodes."""
+        """``refresh_routes`` keeps the check, for the re-decided nodes,
+        and refuses before it patches anything."""
         from repro.partition.grow import grow_edge_cut
 
         class Greedy(CCProgram):
-            def ships(self, frag, v):
-                return True  # also the interior node growth adds
+            def routes(self, pg, frag, lids=None):
+                if lids is None:
+                    return super().routes(pg, frag)
+                # also the interior node growth adds
+                return {}, [True] * len(lids)
 
         pg = RangePartitioner().partition(small_grid, 2)
         engine = Engine(Greedy(), pg, CCQuery())
-        before = [set(ship) for ship in engine._ship_sets]
+        before = [mask.tolist() for mask in engine._ship_masks]
         anchor = next(v for v in pg.fragments[0].owned
                       if not pg.fragments[0].locations(v))
         report = grow_edge_cut(pg, [(anchor, 999, 1.0)],
                                assign=lambda v, m: 0)
         with pytest.raises(ProgramError, match="resides nowhere else"):
             engine.refresh_routes(report)
-        assert [set(ship) for ship in engine._ship_sets] == before
+        assert [mask.tolist() for mask in engine._ship_masks] == before

@@ -1,5 +1,6 @@
 """Tests for the PIE programming-model contracts."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms import CCProgram, CCQuery, SSSPProgram, SSSPQuery
@@ -10,8 +11,27 @@ from repro.partition.edge_cut import HashPartitioner
 
 
 @pytest.fixture
-def frag(small_grid):
-    return HashPartitioner().partition(small_grid, 3).fragments[0]
+def pg(small_grid):
+    return HashPartitioner().partition(small_grid, 3)
+
+
+@pytest.fixture
+def frag(pg):
+    return pg.fragments[0]
+
+
+class Default(SSSPProgram):
+    """A program that states no routing rule of its own."""
+
+    routes = PIEProgram.routes
+
+
+def shipped(program, pg, frag):
+    """Per node the rule ships: the fragments it ships to."""
+    routes, ship_mask = program.routes(pg, frag)
+    nodes = frag._arrays.gids.tolist()
+    return {nodes[lid]: {dst for dst, mask in routes.items() if mask[lid]}
+            for lid in np.flatnonzero(ship_mask).tolist()}
 
 
 @pytest.fixture
@@ -71,46 +91,18 @@ class TestFragmentContext:
 
 
 class TestProgramDeclarations:
-    def test_default_candidates_are_shared(self, frag):
-        prog = SSSPProgram()
-        assert prog.candidates(frag) == frag.shared_nodes
+    def test_default_candidates_are_shared(self, pg, frag):
+        """The default rule ships exactly the shared nodes (on an
+        edge-cut, every one resides somewhere else)."""
+        assert set(shipped(Default(), pg, frag)) == frag.shared_nodes
 
-    def test_ship_set_only_nodes_with_locations(self, frag):
-        prog = CCProgram()
-        for v in prog.ship_set(frag):
-            assert frag.locations(v)
-
-    def test_ships_is_ship_set_per_node(self, small_grid):
-        """The two forms of the ship declaration agree, on every program
-        that spells one out and under both cuts."""
-        from repro.algorithms import (CFProgram, PageRankProgram)
-        from repro.graph import generators
-        from repro.partition.vertex_cut import GreedyVertexCutPartitioner
-        ratings, _, _ = generators.bipartite_ratings(12, 8, 4, seed=3)
-        cases = [(SSSPProgram(), small_grid), (CCProgram(), small_grid),
-                 (PageRankProgram(), small_grid), (CFProgram(), ratings)]
-        for prog, graph in cases:
-            for pg in (HashPartitioner().partition(graph, 3),
-                       GreedyVertexCutPartitioner().partition(graph, 3)):
-                for f in pg:
-                    assert prog.ship_set(f) == {
-                        v for v in f.graph.nodes if prog.ships(f, v)}, \
-                        (prog.name, pg.cut)
-
-    def test_ship_declarations_are_overridden_together(self):
-        import repro.algorithms  # noqa: F401  (registers the subclasses)
-        import repro.compat.mapreduce  # noqa: F401
-        import repro.compat.pregel  # noqa: F401
-
-        def walk(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from walk(sub)
-
-        for cls in walk(PIEProgram):
-            if cls.__module__.startswith("repro."):
-                assert ("ship_set" in vars(cls)) == ("ships" in vars(cls)), \
-                    cls.__name__
+    def test_ship_set_only_nodes_with_locations(self, pg, frag):
+        """A rule ships a node only to fragments where it resides."""
+        for program in (Default(), CCProgram()):
+            rule = shipped(program, pg, frag)
+            assert rule
+            for v, dsts in rule.items():
+                assert dsts and dsts <= set(frag.locations(v)), v
 
     def test_make_context_requires_full_init(self, frag):
         class Sloppy(SSSPProgram):

@@ -6,6 +6,7 @@ the grown arrays)."""
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
@@ -28,24 +29,36 @@ def stable_pg(graph, m):
 
 
 def make_engines(pg):
-    """Warm engines kept over ``pg`` while it grows: the default ship
-    declaration (twice) and a mirrors-only one."""
+    """Warm generic engines kept over ``pg`` while it grows: the owner
+    rule (SSSP and CC under edge-cut, PageRank)."""
     return [Engine(SSSPProgram(), pg, SSSPQuery(source=0)),
             Engine(CCProgram(), pg, CCQuery()),
             Engine(PageRankProgram(), pg, PageRankQuery(epsilon=1e-3))]
 
 
+def routing_by_node(engine):
+    """Per fragment, per shipped node the fragments its changes go to:
+    an engine's routing with the lids read as nodes."""
+    out = []
+    for frag, routes, ship_mask in zip(engine.pg, engine._routes,
+                                       engine._ship_masks):
+        nodes = frag._arrays.gids.tolist()
+        out.append({nodes[lid]: {dst for dst, mask in routes.items()
+                                 if mask[lid]}
+                    for lid in np.flatnonzero(ship_mask).tolist()})
+    return out
+
+
 def assert_routes_equal_rebuild(engines, report, rebuilt):
-    """The patched ship and peer sets are the ones a fresh engine over
-    the rebuilt partition computes."""
+    """The patched routing and peer sets are the ones a fresh engine over
+    the rebuilt partition computes, and the next engine over the grown
+    partition states the same."""
     for engine in engines:
         engine.refresh_routes(report)
-        fresh = Engine(engine.program, rebuilt, engine.query)
-        assert engine._ship_sets == fresh._ship_sets
-        for frag, ship in zip(engine.pg, engine._ship_sets):
-            # and the next engine of this class is handed the patched set
-            assert frag.memo(("ship_set", type(engine.program)),
-                             lambda: None) is ship
+        want = routing_by_node(Engine(engine.program, rebuilt, engine.query))
+        assert routing_by_node(engine) == want
+        assert routing_by_node(
+            Engine(engine.program, engine.pg, engine.query)) == want
     for grown, want in zip(engines[0].pg, rebuilt):
         assert grown._peers is not None  # patched, not recomputed
         assert grown.peer_fragments() == want.peer_fragments()

@@ -236,10 +236,11 @@ class TestDenseCheckpoints:
     def test_seeds_a_multiprocess_run(self, pg, small_powerlaw, algorithm):
         snapshot = dense_snapshot(pg, algorithm)
         program_cls, query, _ = CASES[algorithm]
-        result = MultiprocessRuntime(
+        runtime = MultiprocessRuntime(
             program_cls(), pg, query(), mode="AAP", timeout=60,
-            vectorized=True, snapshot=snapshot).run()
-        assert_answer(result.answer, algorithm, small_powerlaw)
+            vectorized=True)
+        runtime.seed_from_snapshot(snapshot)
+        assert_answer(runtime.run().answer, algorithm, small_powerlaw)
 
     def test_a_generic_state_does_not_seed_a_dense_engine(self, pg):
         _, generic = checkpointed_run(

@@ -250,11 +250,10 @@ class TestNoFragmentSizedStep:
         stream stays under its threshold)."""
         def boom(*args, **kwargs):
             raise AssertionError("O(fragment) call inside an epoch")
-        for name in ("assemble", "init_values", "ship_set", "candidates",
-                     "dense_assemble", "dense_seed", "make_dense_context"):
+        for name in ("assemble", "init_values", "dense_assemble",
+                     "dense_seed", "make_dense_context"):
             monkeypatch.setattr(type(svc.program), name, boom)
         monkeypatch.setattr(Engine, "assemble", boom)
-        monkeypatch.setattr(Engine, "_checked_ship_set", boom)
         monkeypatch.setattr(Engine, "_checked_routes", boom)
         monkeypatch.setattr(Fragment, "shared_nodes", property(boom))
         monkeypatch.setattr(Fragment, "border_nodes", property(boom))
