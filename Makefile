@@ -2,7 +2,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint size examples trace-demo fuzz fuzz-smoke chaos-smoke \
-	serve-smoke bench-e2e-quick epoch-layers build-layers figures
+	serve-smoke bench-e2e-quick epoch-layers round-layers build-layers \
+	figures
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -77,6 +78,14 @@ serve-smoke:
 ## of reads within their bound writes an event or asks admission
 epoch-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/epoch_layers.py
+
+## where one round of the multiprocess SSSP workload (sssp-grid-mp) spends
+## its time: kernel and waves per round on the sequential schedule, the
+## hand-off between the workers, the stop-to-reports tail and Assemble
+## (docs/performance.md ledger entry 29); exits 1 if a multiprocess
+## answer differs from the sequential reference
+round-layers:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/round_layers.py
 
 ## where a cold build (partition + compact + engine: the benchmark's
 ## setup_s) spends its time, layer by layer, on the four workload graphs

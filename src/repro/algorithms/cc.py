@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Sequence, Set
 
+import numpy as np
+
 from repro.core.aggregators import Min
+from repro.core.dense import (FEW_NODES, FILTER_SHARE, assemble_owner_values,
+                              distinct, routes_by_cut, scalar_waves)
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.partition.fragment import Fragment, PartitionedGraph
 
@@ -131,7 +135,6 @@ class CCProgram(PIEProgram):
 
     def dense_peval(self, frag: Fragment, ctx: Any,
                     query: CCQuery) -> None:
-        import numpy as np
         self._dense_propagate(frag, ctx,
                               np.arange(len(ctx.view), dtype=np.int64))
 
@@ -147,9 +150,6 @@ class CCProgram(PIEProgram):
         root/cid scratch resolution; the global fixpoint (min member id
         per component) is identical.
         """
-        import numpy as np
-        from repro.core.dense import (FEW_NODES, FILTER_SHARE, distinct,
-                                      scalar_waves)
         view = ctx.view
         labels = ctx.array
         # undirected adjacency already holds each edge both ways; directed
@@ -182,8 +182,9 @@ class CCProgram(PIEProgram):
                     # edge-sized work
                     better = lab < labels[tgt]
                     tgt = tgt[better]
-                    np.minimum.at(labels, tgt, lab[better])
-                    lowered.append(tgt)
+                    if tgt.size:
+                        np.minimum.at(labels, tgt, lab[better])
+                        lowered.append(tgt)
                 else:
                     # many: an unfiltered scatter-min plus a node-sized
                     # before/after compare beats filtering the edge-sized
@@ -263,7 +264,6 @@ class CCProgram(PIEProgram):
         """Labels are fresh on every local node, so a new edge's union is
         its higher end taking the lower label; propagation goes on from
         the ends that moved."""
-        import numpy as np
         labels = ctx.array
         src_lids, dst_lids = np.asarray(src_lids), np.asarray(dst_lids)
         ends = np.concatenate((src_lids, dst_lids))
@@ -283,7 +283,6 @@ class CCProgram(PIEProgram):
         fragment's border nodes, so min-cid information still flows both
         ways across every cut edge.
         """
-        from repro.core.dense import routes_by_cut
         return routes_by_cut(frag, lids)
 
     def assemble(self, pg: PartitionedGraph,
@@ -332,7 +331,6 @@ class CCProgram(PIEProgram):
 
     def dense_answer_delta(self, pg: PartitionedGraph, contexts, written,
                            query: CCQuery) -> Dict[Node, Node]:
-        from repro.core.dense import assemble_owner_values
         return assemble_owner_values(pg, contexts, lids=written)
 
 

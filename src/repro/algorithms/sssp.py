@@ -20,7 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Sequence, Set
 
+import numpy as np
+
 from repro.core.aggregators import Min
+from repro.core.dense import (FEW_EDGES, FEW_NODES, FILTER_SHARE,
+                              assemble_owner_values, distinct, routes_by_cut,
+                              scalar_waves)
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.partition.fragment import Fragment, PartitionedGraph
 
@@ -111,7 +116,6 @@ class SSSPProgram(PIEProgram):
 
     def dense_peval(self, frag: Fragment, ctx: Any,
                     query: SSSPQuery) -> None:
-        import numpy as np
         src = ctx.view.lid(query.source)
         if src is not None:
             self._dense_relax(frag, ctx,
@@ -129,9 +133,6 @@ class SSSPProgram(PIEProgram):
         path's sum is evaluated in the same order), so the cross-check
         against the generic path is exact equality.
         """
-        import numpy as np
-        from repro.core.dense import (FEW_NODES, FILTER_SHARE, distinct,
-                                      scalar_waves)
         view = ctx.view
         dist = ctx.array
         # under edge-cut, mirrors never relax locally (the owner holds
@@ -144,12 +145,15 @@ class SSSPProgram(PIEProgram):
             if not seeds:
                 return
         frontier = distinct(np.asarray(seeds, dtype=np.int64), dist.size)
+        # only a seed can sit at infinity: every later frontier was just
+        # lowered
         frontier = frontier[np.isfinite(dist[frontier])]
         while frontier.size:
             if relax_ok is not None:
+                # the one filter that can empty a frontier of lowered lids
                 frontier = frontier[relax_ok[frontier]]
-            if frontier.size == 0:
-                break
+                if not frontier.size:
+                    break
             offer, tgt, weights = view.out_edges(frontier, at_source=dist)
             ctx.add_work(int(frontier.size + tgt.size))
             if tgt.size == 0:
@@ -158,9 +162,9 @@ class SSSPProgram(PIEProgram):
             if tgt.size < FILTER_SHARE * dist.size:
                 # few candidates: keep the improving ones, edge-sized work
                 better = nd < dist[tgt]
-                if not better.any():
-                    break
                 tgt = tgt[better]
+                if not tgt.size:
+                    break
                 np.minimum.at(dist, tgt, nd[better])
                 frontier = distinct(tgt, dist.size)
             else:
@@ -193,8 +197,6 @@ class SSSPProgram(PIEProgram):
         improved.  A row relaxes from a mirror tail too (its value is
         the owner's, a real path's length): the head's fragment learns
         at once what the tail's owner is about to ship it."""
-        import numpy as np
-        from repro.core.dense import FEW_EDGES, scalar_waves
         dist = ctx.array
         if len(weights) <= FEW_EDGES:  # a handful of rows: one by one
             heads = []
@@ -235,7 +237,6 @@ class SSSPProgram(PIEProgram):
         a mirror's improvement only to the owner — other mirror holders'
         copies feed the owner independently.  Under vertex-cut every
         replicated copy relaxes edges, so all copies exchange updates."""
-        from repro.core.dense import routes_by_cut
         return routes_by_cut(frag, lids)
 
     # ------------------------------------------------------------------
@@ -257,5 +258,4 @@ class SSSPProgram(PIEProgram):
 
     def dense_answer_delta(self, pg: PartitionedGraph, contexts, written,
                            query: SSSPQuery) -> Dict[Node, float]:
-        from repro.core.dense import assemble_owner_values
         return assemble_owner_values(pg, contexts, lids=written)

@@ -74,8 +74,9 @@ def distinct(lids: np.ndarray, n: int) -> np.ndarray:
         seen[lids] = True
         return np.flatnonzero(seen)
     lids = np.sort(lids)
-    first = np.ones(lids.size, dtype=bool)
-    first[1:] = lids[1:] != lids[:-1]
+    first = np.empty(lids.size, dtype=bool)
+    first[0] = True
+    np.not_equal(lids[1:], lids[:-1], out=first[1:])
     return lids[first]
 
 
@@ -146,8 +147,10 @@ def routes_to_owner(frag: Fragment,
     view = frag._arrays
     if lids is not None and len(lids) <= FEW_NODES:  # element by element
         owned, owner = view.owned_mask, view.owner
-        return _few([() if owned.item(lid) else (owner.item(lid),)
-                     for lid in lids])
+        to = [None if owned.item(lid) else owner.item(lid) for lid in lids]
+        return ({dst: [fid == dst for fid in to]
+                 for dst in set(to).difference((None,))},
+                [fid is not None for fid in to])
     at = slice(None) if lids is None else lids
     ship_mask, owner = ~view.owned_mask[at], view.owner[at]
     return {dst: ship_mask & (owner == dst)

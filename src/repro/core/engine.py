@@ -25,13 +25,17 @@ can pass it unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set
 
+import numpy as np
+
+from repro.core.dense import FEW_NODES, supports_dense
 from repro.core.messages import (Message, MessageBatch, group_entries,
                                  make_messages)
 from repro.core.pie import FragmentContext, PIEProgram
 from repro.errors import ProgramError
-from repro.partition.fragment import Fragment, PartitionedGraph
+from repro.partition.fragment import Fragment, PartitionedGraph, resized
 from repro.partition.grow import GrowthReport
 
 Node = Hashable
@@ -61,7 +65,6 @@ class Engine:
         self.pg = pg
         self.query = query
         if vectorized:
-            from repro.core.dense import supports_dense
             self.vectorized = supports_dense(program, pg)
         else:
             self.vectorized = False
@@ -138,8 +141,6 @@ class Engine:
         :meth:`~PIEProgram.routes` at their lids) and re-validated.
         Growth dropped the fragment-level memo; the next engine states the
         rule on the grown arrays."""
-        import numpy as np
-        from repro.partition.fragment import resized
         for wid, nodes in report.rerouted.items():
             frag = self.pg.fragments[wid]
             view = frag._arrays
@@ -161,10 +162,11 @@ class Engine:
             for dst in gained.keys() - routes.keys():
                 routes[dst] = np.zeros(capacity, dtype=bool)[:size]
             # bit by bit: growth names a handful of nodes
-            for at, lid in enumerate(lids):
-                ship_mask[lid] = ships[at]
-                for dst, mask in routes.items():
-                    mask[lid] = dst in gained and gained[dst][at]
+            for lid, bit in zip(lids, ships):
+                ship_mask[lid] = bit
+            for dst, mask in routes.items():
+                for lid, bit in zip(lids, gained.get(dst, repeat(False))):
+                    mask[lid] = bit
 
     def extend_contexts(self, report: GrowthReport) -> None:
         """Give every node that growth made locally present a status
@@ -192,7 +194,6 @@ class Engine:
                     if owner[v] != fid:
                         values[v] = self.contexts[owner[v]].values[v]
             return
-        import numpy as np
         for fid, nodes in report.new_local.items():
             ctx, frag = self.contexts[fid], self.pg.fragments[fid]
             ctx.follow_view()
@@ -232,7 +233,6 @@ class Engine:
         if not self.vectorized:
             return self.program.answer_delta(self.pg, self.contexts,
                                              written, self.query)
-        import numpy as np
         lids = []
         for parts, ctx in zip(written, self.contexts):
             # (a lid written twice is there twice: the hook reads values)
@@ -283,8 +283,6 @@ class Engine:
     def _run_inceval_dense(self, wid: int, batches: Sequence[Any],
                            round_no: int) -> RoundOutput:
         """Dense round: concatenate batch arrays, aggregate, IncEval."""
-        import numpy as np
-        from repro.core.dense import FEW_NODES
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
         ctx.round = round_no
@@ -332,7 +330,6 @@ class Engine:
         one: what the default ``dense_apply_incoming`` does with arrays
         (:func:`repro.core.dense.apply_aggregated`); returns the lids
         whose value changed, ascending."""
-        import numpy as np
         ctx = self.contexts[wid]
         lid_of, array = ctx.view.lid, ctx.array
         combine = self.program.aggregator.combine
@@ -385,7 +382,6 @@ class Engine:
                       token: Any = None) -> List[MessageBatch]:
         """Pack the round's changed candidates into per-destination
         batches."""
-        import numpy as np
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
         ship_mask = self._ship_masks[wid]
@@ -434,7 +430,6 @@ class Engine:
         the change masks are left untouched so normal derivation is not
         perturbed.
         """
-        import numpy as np
         frag = self.pg.fragments[wid]
         ctx = self.contexts[wid]
         route = self._routes[wid].get(dst)

@@ -36,26 +36,20 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     The ragged-range expansion used by every CSR kernel: given per-node
     slice starts and lengths, produce the flat edge-index array without a
-    Python loop.  One scatter + one cumsum over the output — cheaper than
-    the textbook double-``np.repeat`` formulation, whose repeats touch
-    edge-sized intermediates twice.
+    Python loop.  Output position ``p`` of range ``i`` holds ``p`` plus
+    that range's offset, ``starts[i]`` minus where the range begins in
+    the output: one ``repeat`` of the offsets plus one ``arange``.
+    That is half the calls of a scatter + cumsum over the output (which
+    must drop empty ranges first), so it is the faster form at the
+    frontier sizes a wave has (docs/performance.md, ledger entry 29).
+    The array methods, not their ``np.`` wrappers: a wave is a few
+    dozen edges, where a wrapper's call costs as much as its work.
     """
     if starts.size == 1:  # one range: a frontier of one node
         return np.arange(starts[0], starts[0] + counts[0], dtype=np.int64)
-    nz = counts > 0
-    if not nz.all():
-        starts = starts[nz]
-        counts = counts[nz]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out = np.ones(int(ends[-1]), dtype=np.int64)
-    out[0] = starts[0]
-    if starts.size > 1:
-        # at each range boundary, jump from the previous range's last
-        # index (starts[i-1] + counts[i-1] - 1) to starts[i]
-        out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
+    ends = counts.cumsum()
+    return ((starts - (ends - counts)).repeat(counts)
+            + np.arange(ends[-1] if ends.size else 0, dtype=np.int64))
 
 
 class Spill(NamedTuple):
@@ -115,8 +109,8 @@ def frontier_edges(csr: "CompactGraph", spill: Optional[Spill],
         starts = indptr[inside]
         counts = indptr[inside + 1] - starts
         at = expand_ranges(starts, counts)
-        sources = np.repeat(
-            inside if at_source is None else at_source[inside], counts)
+        sources = (inside if at_source is None
+                   else at_source[inside]).repeat(counts)
         targets = targets[at]
         weights = weights[at] if weighted else None
     if spill is None:

@@ -22,6 +22,7 @@ touches only its own end and its own buffer.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import select
@@ -29,6 +30,7 @@ import struct
 from typing import Any, List
 
 _LEN = struct.Struct("<I")
+#: one read's size, and what a Linux pipe holds by default
 _CHUNK = 1 << 16
 
 
@@ -75,7 +77,18 @@ class Lane:
         return True
 
     def send(self, obj: Any) -> None:
+        """Queue ``obj`` and write it out.  A frame larger than a default
+        pipe (a worker's final report) first grows this pipe to hold it
+        (``F_SETPIPE_SZ``), so it goes out in one write instead of one
+        per pipe-full, each waiting for the reader to empty the pipe.
+        Where the system refuses (not Linux, or over a limit), the pipe
+        keeps its size and the frame goes out as it drains."""
         self.put(obj)
+        if len(self._out) > _CHUNK:
+            try:
+                fcntl.fcntl(self.wfd, fcntl.F_SETPIPE_SZ, len(self._out))
+            except (AttributeError, OSError):
+                pass
         self.flush()
 
     def send_or_drop(self, obj: Any) -> None:

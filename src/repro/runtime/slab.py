@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import os
 import select
+import struct
 import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -99,8 +100,12 @@ SLAB_MAGIC = 0x5245_5052_4F53_4C41  # "REPROSLA"
 #: record kinds
 REC_DATA = 0x5245C0DA
 REC_PAD = 0x5245ADAD
-#: record-header field indices (u64 words)
-(_KIND, _RSEQ, _COUNT, _ROUND, _SEQ, _TOKEN, _DTYPE, _EBYTES) = range(8)
+#: the record header, read and written in one call each way (the order
+#: is the module docstring's); a PAD record writes only its kind and
+#: length words, one ``_WORD`` each, at these word indices
+_RECORD = struct.Struct("8Q")
+_WORD = struct.Struct("Q")
+_KIND, _COUNT = 0, 2
 
 #: payload dtypes the wire format can carry (ids are always int64)
 DTYPE_CODES: Dict[str, int] = {"float64": 1, "float32": 2, "int64": 3,
@@ -235,20 +240,21 @@ class SlabRing:
             shm = self._shm
             shm._slab_close = shm.close
             shm.close = lambda: None
-        self._ctrl = np.frombuffer(self._shm.buf, dtype=np.uint64, count=8)
+        # the slab header's words as Python ints: no numpy scalar per read
+        self._ctrl = self._shm.buf[:HEADER_BYTES].cast("Q")
         if create:
             self._ctrl[_CAP] = capacity
             self._ctrl[_HEAD] = 0
             self._ctrl[_TAIL] = 0
             self._ctrl[_GEN] = 0
             self._ctrl[_MAGIC] = SLAB_MAGIC  # last: marks the slab usable
-        elif int(self._ctrl[_MAGIC]) != SLAB_MAGIC:
-            magic = int(self._ctrl[_MAGIC])
+        elif self._ctrl[_MAGIC] != SLAB_MAGIC:
+            magic = self._ctrl[_MAGIC]
             self.close()  # a refused attachment must not keep its mapping
             raise TransportError(
                 f"slab {name!r} has bad magic 0x{magic:x} "
                 f"(torn or foreign segment)")
-        self.capacity = int(self._ctrl[_CAP])
+        self.capacity = self._ctrl[_CAP]
         #: consumer-side read cursor and per-channel record counter
         self._cursor = 0
         self._read_seq = 0
@@ -258,21 +264,21 @@ class SlabRing:
         #: :meth:`reset` bumps the header word, and both endpoints refuse
         #: to touch a ring whose live generation no longer matches until
         #: they :meth:`rebind`
-        self._gen = int(self._ctrl[_GEN])
+        self._gen = self._ctrl[_GEN]
 
     # -- shared ---------------------------------------------------------
     @property
     def head(self) -> int:
-        return int(self._ctrl[_HEAD])
+        return self._ctrl[_HEAD]
 
     @property
     def tail(self) -> int:
-        return int(self._ctrl[_TAIL])
+        return self._ctrl[_TAIL]
 
     @property
     def generation(self) -> int:
         """The ring's live incarnation number (bumped by :meth:`reset`)."""
-        return int(self._ctrl[_GEN])
+        return self._ctrl[_GEN]
 
     @property
     def stale(self) -> bool:
@@ -309,7 +315,9 @@ class SlabRing:
         self._write_seq = 0
 
     def close(self) -> None:
-        """Release numpy header views and unmap (no unlink)."""
+        """Release the header view and unmap (no unlink)."""
+        if self._ctrl is not None:
+            self._ctrl.release()
         self._ctrl = None
         try:
             getattr(self._shm, "_slab_close", self._shm.close)()
@@ -351,21 +359,13 @@ class SlabRing:
             return False  # ring full: fall back rather than block
         buf = self._shm.buf
         if pad:
-            hdr = np.frombuffer(buf, dtype=np.uint64, count=8,
-                                offset=HEADER_BYTES + off)
-            hdr[_KIND] = REC_PAD
-            hdr[_COUNT] = pad
+            # a PAD record's kind and length; its other words are not read
+            _WORD.pack_into(buf, HEADER_BYTES + off + 8 * _KIND, REC_PAD)
+            _WORD.pack_into(buf, HEADER_BYTES + off + 8 * _COUNT, pad)
             off = 0
         base = HEADER_BYTES + off
-        hdr = np.frombuffer(buf, dtype=np.uint64, count=8, offset=base)
-        hdr[_KIND] = REC_DATA
-        hdr[_RSEQ] = self._write_seq
-        hdr[_COUNT] = len(ids)
-        hdr[_ROUND] = msg.round
-        hdr[_SEQ] = msg.seq
-        hdr[_TOKEN] = token
-        hdr[_DTYPE] = code
-        hdr[_EBYTES] = msg.entry_bytes
+        _RECORD.pack_into(buf, base, REC_DATA, self._write_seq, len(ids),
+                          msg.round, msg.seq, token, code, msg.entry_bytes)
         if ids.nbytes:
             buf[base + HEADER_BYTES:base + HEADER_BYTES + ids.nbytes] = \
                 ids.tobytes()
@@ -395,25 +395,23 @@ class SlabRing:
                 f"stale slab descriptor: pos={pos} outside live window "
                 f"[{tail}, {head}) of {self.name!r}")
         base = HEADER_BYTES + pos % cap
-        hdr = np.frombuffer(self._shm.buf, dtype=np.uint64, count=8,
-                            offset=base)
-        kind = int(hdr[_KIND])
+        (kind, found_seq, count, round_no, seq, token, code,
+         entry_bytes) = _RECORD.unpack_from(self._shm.buf, base)
         if kind == REC_PAD:
-            return None, pos + int(hdr[_COUNT])
+            return None, pos + count
         if kind != REC_DATA:
             raise TransportError(
                 f"torn read in {self.name!r} at pos={pos}: record magic "
                 f"0x{kind:x}")
-        if rec_seq is not None and int(hdr[_RSEQ]) != rec_seq:
+        if rec_seq is not None and found_seq != rec_seq:
             raise TransportError(
                 f"slab generation mismatch in {self.name!r}: expected "
-                f"record #{rec_seq} at pos={pos}, found #{int(hdr[_RSEQ])}")
-        count = int(hdr[_COUNT])
-        dtype = _CODE_DTYPES.get(int(hdr[_DTYPE]))
+                f"record #{rec_seq} at pos={pos}, found #{found_seq}")
+        dtype = _CODE_DTYPES.get(code)
         if dtype is None:
             raise TransportError(
                 f"torn read in {self.name!r}: unknown payload dtype code "
-                f"{int(hdr[_DTYPE])} at pos={pos}")
+                f"{code} at pos={pos}")
         total = _roundup(HEADER_BYTES + count * 8 + count * dtype.itemsize)
         if pos + total > head or total > cap:
             raise TransportError(
@@ -423,12 +421,11 @@ class SlabRing:
                             offset=base + HEADER_BYTES)
         payloads = np.frombuffer(self._shm.buf, dtype=dtype, count=count,
                                  offset=base + HEADER_BYTES + count * 8)
-        token = int(hdr[_TOKEN])
         batch = ShmMessageBatch(
-            src=src, dst=dst, round=int(hdr[_ROUND]), ids=ids,
-            payloads=payloads, seq=int(hdr[_SEQ]),
+            src=src, dst=dst, round=round_no, ids=ids,
+            payloads=payloads, seq=seq,
             token=None if token == 0 else token - 1,
-            entry_bytes=int(hdr[_EBYTES]), release_end=pos + total)
+            entry_bytes=entry_bytes, release_end=pos + total)
         return batch, pos + total
 
     def poll(self, src: int, dst: int) -> List[ShmMessageBatch]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import analysis, generators
@@ -160,6 +162,29 @@ class TestExpandRanges:
         out = expand_ranges(np.empty(0, dtype=np.int64),
                             np.empty(0, dtype=np.int64))
         assert out.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @example([], False)
+    @example([(7, 3)], False)
+    @example([(7, 0)], False)
+    @example([(1, 2), (5, 4), (9, 1)], True)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 9)),
+                    max_size=40),
+           st.booleans())
+    def test_equals_concatenated_aranges(self, ranges, all_zero):
+        """Random starts and counts, zeros included; all-zero counts, a
+        single range and no range at all among the draws."""
+        from repro.graph.csr import expand_ranges
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        counts = np.array([0 if all_zero else c for _, c in ranges],
+                          dtype=np.int64)
+        expect = np.concatenate(
+            [np.arange(s, s + c, dtype=np.int64)
+             for s, c in zip(starts.tolist(), counts.tolist())]
+            or [np.empty(0, dtype=np.int64)])
+        out = expand_ranges(starts, counts)
+        assert out.dtype == np.int64
+        assert out.tolist() == expect.tolist()
 
 
 class TestStableOrder:

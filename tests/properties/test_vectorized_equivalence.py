@@ -7,6 +7,7 @@ the identical float operations); PageRank within the shipping tolerance
 (accumulation order differs between the two paths).
 """
 
+import math
 import random
 from unittest import mock
 
@@ -22,6 +23,7 @@ from repro.algorithms import (CCProgram, CCQuery, PageRankProgram,
 from repro.algorithms.pagerank import DENSE_EDGE_SHARE, _spmv_arrays
 from repro.core.aggregators import Sum
 from repro.core.dense import DenseContext
+from repro.core.engine import Engine
 from repro.fuzz import tolerance
 from repro.graph import generators
 from repro.graph.csr import CompactGraph, GraphArrays
@@ -73,6 +75,71 @@ class TestExactEquality:
         pg = CUTS[cut]().partition(g, 4)
         gen, vec = run_pair(CCProgram, pg, CCQuery(), mode)
         assert gen == vec
+
+
+def local_sinks(view) -> list:
+    """The lids with no out-edge in the fragment."""
+    return [lid for lid in range(len(view))
+            if not view.out_edges(np.array([lid]), weighted=False)[1].size]
+
+
+SEED_CASES = {
+    # half the seeds still at infinity: they offer nothing
+    "infinite": lambda view, rng: list(rng.choice(
+        len(view), size=min(40, len(view)), replace=False)),
+    # every shared copy, mirrors among them: under edge-cut no mirror
+    # relaxes
+    "mirrors": lambda view, rng: np.unique(view.routed).tolist(),
+    # nodes with no out-edge: the first wave's expansion is empty
+    "empty": lambda view, rng: local_sinks(view),
+}
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+@pytest.mark.parametrize("case", sorted(SEED_CASES))
+@pytest.mark.parametrize("many", [False, True], ids=["scalar", "array"])
+class TestSSSPWaveSeeds:
+    """The dense SSSP kernel equals the generic Dijkstra run from the same
+    status values and the same seeds, bit for bit, in the values and in
+    the nodes it marks changed: seeds at infinity, seeds that are
+    mirrors, a wave whose expansion is empty; a handful of seeds (the
+    scalar waves) and many (the array waves)."""
+
+    def test_dense_equals_generic(self, cut, case, many):
+        g = generators.erdos_renyi(400, 2.0 / 400, weighted=True,
+                                   directed=True, seed=11)
+        pg = CUTS[cut]().partition(g, 2)
+        program, query = SSSPProgram(), SSSPQuery(source=0)
+        rng = np.random.default_rng(5)
+        mirror_seeds = 0
+        for fid, frag in enumerate(pg.fragments):
+            generic = Engine(program, pg, query).contexts[fid]
+            dense = Engine(program, pg, query,
+                           vectorized=True).contexts[fid]
+            view = dense.view
+            lids = SEED_CASES[case](view, rng)
+            lids = sorted(lids) if many else sorted(lids)[:10]
+            assert len(lids) > 16 if many else 0 < len(lids) <= 16
+            mirror_seeds += int((~view.owned_mask[lids]).sum())
+            # a state of finite and infinite distances; the seeds of the
+            # "infinite" case half at infinity, every other seed finite
+            values = np.where(rng.random(len(view)) < 0.5, math.inf,
+                              rng.uniform(0.0, 40.0, len(view)))
+            finite = rng.uniform(0.0, 40.0, len(lids))
+            values[lids] = finite if case != "infinite" else np.where(
+                np.arange(len(lids)) % 2 == 0, math.inf, finite)
+            dense.array[:] = values
+            dense.mask[:] = False
+            gids = view.gids.tolist()
+            generic.values.update(zip(gids, values.tolist()))
+            generic.changed = set()
+            program._dense_relax(frag, dense,
+                                 np.array(lids, dtype=np.int64))
+            program._dijkstra(frag, generic, {gids[lid] for lid in lids})
+            assert dict(zip(gids, dense.array.tolist())) == generic.values
+            assert {gids[lid] for lid in np.flatnonzero(dense.mask)} \
+                == generic.changed
+        assert mirror_seeds or case != "mirrors"
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -116,6 +116,65 @@ class TestRingWireFormat:
         assert producer.head > producer.capacity  # really wrapped
 
 
+#: the bytes one fixed batch puts on the wire (native 64-bit words, as
+#: the module docstring lays them out): the 64-byte record header
+#: (kind, rec_seq, count, round, seq, token+1, dtype_code, entry_bytes),
+#: the int64 ids, the float64 payloads
+GOLDEN_RECORD = bytes.fromhex(
+    "dac04552000000000000000000000000"  # kind REC_DATA, rec_seq 0
+    "03000000000000000700000000000000"  # count 3, round 7
+    "2a000000000000000600000000000000"  # seq 42, token 5 + 1
+    "01000000000000000c00000000000000"  # float64, entry_bytes 12
+    "0b000000000000001600000000000000"  # ids 11, 22
+    "2100000000000000000000000000f83f"  # id 33, payload 1.5
+    "00000000000004c00000000000c05740")  # payloads -2.5, 95.0
+
+
+@pytest.mark.skipif(np.little_endian is False,
+                    reason="the golden bytes are little-endian")
+class TestGoldenRecord:
+    """The wire bytes of a ring record, pinned: a change to how the header
+    is read or written must leave every byte where it was."""
+
+    def batch(self, round_no=7, seq=42, n=3):
+        ids = np.array([11, 22, 33, 44, 55][:n], dtype=np.int64)
+        payloads = np.array([1.5, -2.5, 95.0, 0.0, 1.0][:n])
+        return MessageBatch(src=0, dst=1, round=round_no, ids=ids,
+                            payloads=payloads, seq=seq, token=5,
+                            entry_bytes=12)
+
+    def test_one_record_header_and_payload(self, ring_pair):
+        producer, consumer = ring_pair
+        assert producer.try_write(self.batch())
+        at = slab.HEADER_BYTES
+        assert bytes(producer._shm.buf[at:at + len(GOLDEN_RECORD)]) \
+            == GOLDEN_RECORD
+        # 64 + 3 * 8 + 3 * 8 bytes, rounded up to the 64-byte alignment
+        assert producer.head == 128
+        (got,) = consumer.poll(0, 1)
+        assert (got.round, got.seq, got.token, got.entry_bytes,
+                got.release_end) == (7, 42, 5, 12, 128)
+
+    def test_pad_record_words(self, ring_pair):
+        """At the ring's end a PAD record writes its kind and length; the
+        record after it starts the buffer again with the next rec_seq."""
+        producer, consumer = ring_pair
+        for i in range(21):  # 21 records of 192 bytes in a 4,096-byte ring
+            assert producer.try_write(self.batch(round_no=i, seq=i, n=5))
+            consumer.release(consumer.poll(0, 1)[0].release_end)
+        assert producer.try_write(self.batch(round_no=99, seq=43, n=5))
+        words = np.frombuffer(bytes(producer._shm.buf), dtype=np.uint64)
+        pad = (slab.HEADER_BYTES + 21 * 192) // 8
+        assert (words[pad].item(), words[pad + 2].item()) \
+            == (slab.REC_PAD, 4096 - 21 * 192)
+        first = slab.HEADER_BYTES // 8
+        assert words[first:first + 8].tolist() == [
+            slab.REC_DATA, 21, 5, 99, 43, 6, 1, 12]
+        assert producer.head == 4096 + 192
+        (got,) = consumer.poll(0, 1)
+        assert (got.round, got.seq) == (99, 43)
+
+
 class TestRingFallbacks:
     def test_full_ring_returns_false_not_blocks(self, ring_pair):
         producer, _ = ring_pair

@@ -7,6 +7,7 @@ protocol (no barrier / probe / stop decision on an idle timeout, O(1)
 empty wake-ups per round, busy/idle seconds reported).
 """
 
+import fcntl
 import multiprocessing as mp
 import os
 import select
@@ -170,6 +171,35 @@ class TestLane:
             got = lane.get_all()
         assert not lane.backlog
         assert got[0][0] == "big" and np.array_equal(got[0][1], big)
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
+                        reason="pipe sizes are Linux's")
+    def test_send_writes_a_report_sized_frame_in_one_go(self, lane):
+        """A frame larger than the pipe (a worker's final report) leaves
+        ``send`` without anybody reading: the pipe grew to hold it.  Small
+        frames, and the data lanes' ``put`` / ``flush``, leave the pipe's
+        size alone."""
+        size = fcntl.fcntl(lane.wfd, fcntl.F_GETPIPE_SZ)
+        lane.send("small")
+        lane.put(("data", np.arange(25_000, dtype=np.int64)))
+        lane.flush(block=False)
+        assert fcntl.fcntl(lane.wfd, fcntl.F_GETPIPE_SZ) == size
+        got = []
+        while len(got) < 2:
+            got += lane.get_all()
+            lane.flush(block=False)
+        report = np.arange(25_000, dtype=np.int64)  # 200 KB
+        sender = threading.Thread(target=lane.send, args=(("done", report),))
+        sender.start()
+        sender.join(timeout=LONG)
+        whole = not sender.is_alive()
+        while len(got) < 3:  # lets a sender still waiting finish
+            got += lane.get_all()
+        sender.join(timeout=LONG)
+        assert whole
+        assert fcntl.fcntl(lane.wfd, fcntl.F_GETPIPE_SZ) >= report.nbytes
+        assert got[0] == "small" and got[2][0] == "done"
+        assert np.array_equal(got[2][1], report)
 
     def test_torn_tail_is_discarded_and_framing_resumes(self, lane):
         lane.send("whole")
