@@ -82,8 +82,10 @@ epoch-layers:
 ## where one round of the multiprocess SSSP workload (sssp-grid-mp) spends
 ## its time: kernel and waves per round on the sequential schedule, the
 ## hand-off between the workers, the stop-to-reports tail and Assemble
-## (docs/performance.md ledger entry 29); exits 1 if a multiprocess
-## answer differs from the sequential reference
+## (docs/performance.md ledger entry 29), then start, finish, worker CPU
+## and minor faults of a cold and a warm run on the worker pool (entry
+## 30); exits 1 if a multiprocess answer differs from the sequential
+## reference
 round-layers:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/round_layers.py
 

@@ -21,11 +21,19 @@ the runtime call (``benchmarks/e2e/tracing.Tracer``; nothing is edited):
   broadcast and ends when every worker's final report is in) and the
   master's ``_assemble``; then as many observed runs, whose event logs
   give the hand-off: from a worker's ``round_end`` to the peer's next
-  ``round_start`` (median over every round of every observed run).
+  ``round_start`` (median over every round of every observed run);
+- the worker pool, for the first (cold) run on the partition and for
+  warm runs (``--runs`` observed runs each; a cold run closes the pool
+  first): start, from ``run()`` to the first ``round_start``; finish,
+  from the last ``round_end`` to ``run()``'s return; the workers' CPU
+  and minor faults per run (from ``RunResult.extras["workers"]``, or,
+  at a checkout whose workers are reaped after every run, from
+  ``RUSAGE_CHILDREN``) and the master's minor faults per run, beside
+  the minor faults of one in-process sequential pass.
 
 It exits 1 if any multiprocess run's answer differs from the sequential
 reference (SSSP is exact: equality, floats included).  These are the
-tables docs/performance.md (ledger entry 29) quotes, not part of
+tables docs/performance.md (ledger entries 29 and 30) quotes, not part of
 ``benchmarks/e2e``::
 
     PYTHONPATH=src python benchmarks/round_layers.py [--side 160] [--runs 7]
@@ -35,6 +43,7 @@ import argparse
 import bisect
 import json
 import pathlib
+import resource
 import statistics
 import sys
 import time
@@ -54,6 +63,7 @@ from repro.graph import generators  # noqa: E402
 from repro.obs import Observer, round_slices  # noqa: E402
 from repro.partition.fragment import FragmentCSR  # noqa: E402
 from repro.runtime import mp_master  # noqa: E402
+from repro.runtime import multiprocess as mp_runtime  # noqa: E402
 from repro.runtime.multiprocess import MultiprocessRuntime  # noqa: E402
 
 SPEC = wl.WORKLOADS["sssp-grid-mp"]
@@ -73,6 +83,10 @@ def sequential(pg, program_cls, query, reps: int) -> dict:
         answer, rounds, entries = wl.seq_run(engine)
         per_pass.append((tracer.total("round"), tracer.total("kernel")))
     engine = Engine(program_cls(), pg, query, vectorized=True)
+    faults = minor_faults(resource.RUSAGE_SELF)
+    wl.seq_run(engine)
+    faults = minor_faults(resource.RUSAGE_SELF) - faults
+    engine = Engine(program_cls(), pg, query, vectorized=True)
     tracer = Tracer("waves")
     tracer.wrap(FragmentCSR, "out_edges", "wave")
     try:
@@ -82,7 +96,12 @@ def sequential(pg, program_cls, query, reps: int) -> dict:
     return {"answer": answer, "rounds": rounds, "entries": entries,
             "round_us": min(r for r, _ in per_pass) / rounds * 1e6,
             "kernel_us": min(k for _, k in per_pass) / rounds * 1e6,
-            "waves": len(tracer.durations("wave")) / rounds}
+            "waves": len(tracer.durations("wave")) / rounds,
+            "faults": faults}
+
+
+def minor_faults(who) -> int:
+    return resource.getrusage(who).ru_minflt
 
 
 def hand_offs(log) -> list:
@@ -132,6 +151,50 @@ def multiprocess(pg, program_cls, query, runs: int, reference) -> dict:
             "rounds": sum(result.rounds), "wrong": wrong}
 
 
+def pool_runs(pg, program_cls, query, runs: int, reference) -> dict:
+    """Observed runs, first each on a fresh pool (cold), then on the
+    pool the last one left (warm): medians of start, finish, worker CPU
+    and minor faults, and the master's minor faults per run."""
+    close_pool = getattr(mp_runtime, "close_pool", lambda: None)
+    out, wrong = {}, 0
+    for label in ("cold", "warm"):
+        rows = []
+        for _ in range(runs):
+            if label == "cold":
+                close_pool()
+            obs = Observer()
+            rt = MultiprocessRuntime(
+                program_cls(), pg, query, mode=SPEC.mode,
+                timeout=wl.RUN_TIMEOUT, vectorized=True, observer=obs)
+            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            master = minor_faults(resource.RUSAGE_SELF)
+            result = rt.run()
+            returned = time.monotonic() - rt._started
+            master = minor_faults(resource.RUSAGE_SELF) - master
+            wrong += result.answer != reference
+            slices = [s for mine in round_slices(obs.log).values()
+                      for s in mine]
+            workers = result.extras.get("workers")
+            if workers is None:  # reaped after the run: their rusage
+                now = resource.getrusage(resource.RUSAGE_CHILDREN)
+                cpu = (now.ru_utime + now.ru_stime
+                       - kids.ru_utime - kids.ru_stime)
+                faults = now.ru_minflt - kids.ru_minflt
+            else:
+                cpu = sum(w["cpu_s"] for w in workers)
+                faults = sum(w["minor_faults"] for w in workers)
+            rows.append((min(s.start for s in slices),
+                         returned - max(s.end for s in slices),
+                         cpu, faults, master))
+        for at, key in enumerate(("start_ms", "finish_ms", "cpu_ms",
+                                  "faults", "master_faults")):
+            value = statistics.median(row[at] for row in rows)
+            out[f"{label}_{key}"] = value * (1e3 if "ms" in key else 1)
+    close_pool()
+    out["wrong"] = wrong
+    return out
+
+
 ROWS = (("seq rounds", "rounds", "seq", 0),
         ("seq entries", "entries", "seq", 0),
         ("round (us/round, fastest pass)", "round_us", "seq", 1),
@@ -144,12 +207,25 @@ ROWS = (("seq rounds", "rounds", "seq", 0),
         ("assemble (ms)", "assemble_ms", "mp", 2),
         ("answers differing from the reference", "wrong", "mp", 0))
 
+POOL_ROWS = (("start, run() -> first round_start (ms)", "start_ms", 2),
+             ("finish, last round_end -> return (ms)", "finish_ms", 2),
+             ("worker CPU, both workers (ms / run)", "cpu_ms", 1),
+             ("worker minor faults, both workers (/ run)", "faults", 0),
+             ("master minor faults (/ run)", "master_faults", 0))
 
-def table(label: str, seq: dict, mp: dict) -> str:
+
+def table(label: str, seq: dict, mp: dict, pool: dict) -> str:
     lines = [f"| layer | {label} |", "|---|---:|"]
     for name, key, side, digits in ROWS:
         value = (seq if side == "seq" else mp)[key]
         lines.append(f"| {name} | {value:.{digits}f} |")
+    lines += ["", "| worker pool (median of observed runs) | cold | warm |",
+              "|---|---:|---:|"]
+    for name, key, digits in POOL_ROWS:
+        lines.append(f"| {name} | {pool['cold_' + key]:.{digits}f} | "
+                     f"{pool['warm_' + key]:.{digits}f} |")
+    lines.append(f"| in-process sequential pass, minor faults | "
+                 f"{seq['faults']} | |")
     return "\n".join(lines)
 
 
@@ -168,20 +244,24 @@ def main(argv=None) -> int:
     program_cls, query, _ = wl.make_query(SPEC, graph)
     pg = wl.build_partition(graph)
     seq = sequential(pg, program_cls, query, reps=args.runs)
-    mp = multiprocess(pg, program_cls, query, args.runs, seq.pop("answer"))
-    text = table(f"grid {args.side}x{args.side}, seed {args.seed}", seq, mp)
+    reference = seq.pop("answer")
+    mp = multiprocess(pg, program_cls, query, args.runs, reference)
+    pool = pool_runs(pg, program_cls, query, args.runs, reference)
+    text = table(f"grid {args.side}x{args.side}, seed {args.seed}", seq, mp,
+                 pool)
     print(text)
-    if mp["wrong"]:
-        print(f"{mp['wrong']} multiprocess answers differ from the "
+    wrong = mp["wrong"] + pool["wrong"]
+    if wrong:
+        print(f"{wrong} multiprocess answers differ from the "
               f"sequential reference", file=sys.stderr)
     if args.out:
         out = pathlib.Path(args.out)
         out.write_text(text + "\n")
         out.with_suffix(".json").write_text(json.dumps(
             {"side": args.side, "seed": args.seed, "runs": args.runs,
-             "fragments": wl.FRAGMENTS, "seq": seq, "mp": mp},
-            indent=2) + "\n")
-    return 1 if mp["wrong"] else 0
+             "fragments": wl.FRAGMENTS, "seq": seq, "mp": mp,
+             "pool": pool}, indent=2) + "\n")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -587,8 +587,9 @@ class FragmentCSR:
         spill into the CSR (one key sort per stored adjacency), the
         appended ids into the lookup index and its lid table, the
         appended pairs into the sorted pairs.  O(fragment); lids do not
-        change, what was memoized on the fragment goes."""
-        self.fragment.invalidate_caches()
+        change, what was memoized on the fragment goes (the graph it
+        holds does not change: not a growth)."""
+        self.fragment.invalidate_caches(grown=False)
         self._sorted_pairs()
         if self._recent:
             gids = self.gids
@@ -692,6 +693,10 @@ class Fragment:
         #: the builder hands each fragment its peers; growth adds to them
         self._peers: Set[int] = set(distinct_fids(arrays.peers))
         self._memo: Optional[Dict] = None
+        #: bumped by every in-place growth (:meth:`invalidate_caches`): a
+        #: process that forked a copy of this fragment holds the same
+        #: graph only while the number it forked with is current
+        self.version = 0
         #: the array form, for life
         self._arrays = FragmentCSR(self, graph, arrays)
         self._validate_arrays()
@@ -785,18 +790,22 @@ class Fragment:
             self._memo[key] = value
             return value
 
-    def invalidate_caches(self) -> None:
+    def invalidate_caches(self, grown: bool = True) -> None:
         """Drop every memoized function of the partition: the fragment
-        grew in place.
+        grew in place (or, ``grown=False``, merged what it grew).
 
         :func:`repro.partition.grow.grow_edge_cut` grows the array form
         and patches the containers itself; routing masks and kernel
         arrays are what is left.  An engine kept over the partition
         patches its own routing from the growth report
         (:meth:`~repro.core.engine.Engine.refresh_routes`); the next
-        engine states the rule on the grown arrays.
+        engine states the rule on the grown arrays.  A growth also bumps
+        :attr:`version`, so a resident worker pool forked before it is
+        not used again (:mod:`repro.runtime.multiprocess`).
         """
         self._memo = None
+        if grown:
+            self.version += 1
 
     @property
     def num_local_edges(self) -> int:

@@ -1,17 +1,23 @@
 """The worker process of the multiprocess runtime.
 
-A :class:`_Worker` drives one :class:`~repro.core.step.WorkerStep` — the
-step runs the rounds, asks the delay policy and accounts the traffic — and
-keeps what is the process's own: the lanes and slab rings (transport), the
-blocking wait (wake-up), the master's commands (termination, barriers,
-checkpoints, takeover) and the fault seams.  The wire protocol and its
-ordering guarantees are described in :mod:`repro.runtime.multiprocess`.
+A worker process is resident: :func:`_worker_main` keeps its fragment
+(the forked partition, whose memo stays warm), its lanes and its slab
+rings, and runs one :class:`_Worker` per run the master ships it — the
+first run's :class:`_RunSpec` comes with the fork, every later one over
+the command lane.  A :class:`_Worker` drives one
+:class:`~repro.core.step.WorkerStep` — the step runs the rounds, asks the
+delay policy and accounts the traffic — and keeps what is the run's own:
+the blocking wait (wake-up), the master's commands (termination,
+barriers, checkpoints, takeover) and the fault seams.  The wire protocol
+and its ordering guarantees are described in
+:mod:`repro.runtime.multiprocess`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import resource
 import select
 import time
 import traceback
@@ -28,7 +34,7 @@ from repro.obs import events as obs_events
 from repro.partition.fragment import PartitionedGraph
 from repro.runtime.faultplan import FaultPlan, fault_kind
 from repro.runtime.lane import Lane
-from repro.runtime.slab import ShmMessageBatch, SlabArena, to_owned
+from repro.runtime.slab import ShmMessageBatch, SlabArena, SlabPool, to_owned
 from repro.runtime.snapshot import stamp_messages
 
 #: longest a worker stays blocked before it looks again anyway.  A
@@ -73,6 +79,22 @@ class _FTConfig:
 
 
 @dataclass
+class _RunSpec:
+    """What one run asks of a worker process beyond its resident
+    fragment: shipped with the fork for a pool's first run and over the
+    command lane for every later one (so it must pickle)."""
+
+    mode: str
+    program: PIEProgram
+    query: Any
+    time_scale: float
+    observe: bool
+    ft: Optional[_FTConfig]
+    vectorized: bool
+    policy: DelayPolicy
+
+
+@dataclass
 class _WorkerReport:
     """What a worker ships back to the master when told to stop."""
 
@@ -91,16 +113,61 @@ class _WorkerReport:
     shm_fallbacks: int = 0
     #: wake-ups by a readable pipe that found no command and no message
     empty_wakeups: int = 0
+    #: this run's own CPU seconds and minor faults, the process's max
+    #: RSS, and its pid (a resident worker is not reaped after the run,
+    #: so its parent's ``RUSAGE_CHILDREN`` never sees it)
+    usage: Dict[str, float] = field(default_factory=dict)
 
 
-def _worker_main(control: Lane, wid: int, *args) -> None:
-    """Entry point of one worker process (see :class:`_Worker`)."""
+def _usage_now() -> Tuple[float, int, float]:
+    """CPU seconds (user + sys), minor faults and max RSS (MB) of this
+    process so far."""
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    return (now.ru_utime + now.ru_stime, now.ru_minflt,
+            now.ru_maxrss / 1024.0)
+
+
+def _worker_main(control: Lane, command: Lane, wid: int,
+                 pg: PartitionedGraph, lanes: Dict[Tuple[int, int], Lane],
+                 arena: Optional[SlabArena], spec: _RunSpec) -> None:
+    """Entry point of one resident worker process: run ``spec``, then
+    every run the master ships, until it aborts (or is gone)."""
     try:
-        _Worker(control, wid, *args).run()
+        pool = arena.pool(wid) if arena is not None else None
+        parent = os.getppid()
+        held: List[Tuple] = []
+        since = (0.0, 0, 0.0)  # the first run pays for the fork too
+        while _Worker(control, command, wid, pg, lanes, pool, spec, held,
+                      since).run():
+            since = _usage_now()
+            got = _next_run(command, parent)
+            if got is None:
+                return
+            spec, held = got
+            if pool is not None:
+                pool.rebind()  # the master reset every ring before
     except Exception as exc:  # pragma: no cover - surfaced by master
         # ship the formatted traceback too: the master re-raises it, and
         # "worker 3 crashed: KeyError(5)" alone is undebuggable
         control.send(("error", wid, repr(exc), traceback.format_exc()))
+
+
+def _next_run(command: Lane, parent: int
+              ) -> Optional[Tuple[_RunSpec, List[Tuple]]]:
+    """Wait between runs: the next ``run`` command's spec, with the
+    commands read together with it (the new run's first fleet broadcast
+    may share the read); ``None`` on ``abort`` or once the master is
+    gone (this process was re-parented)."""
+    while True:
+        cmds = command.get_all()
+        for at, cmd in enumerate(cmds):
+            if cmd[0] == "run":
+                return cmd[1], cmds[at + 1:]
+            if cmd[0] == "abort":
+                return None
+        if not select.select([command], [], [], _REPOLL)[0] \
+                and os.getppid() != parent:
+            return None
 
 
 def _entries_by(end: str, messages) -> Dict[int, int]:
@@ -114,42 +181,44 @@ def _entries_by(end: str, messages) -> Dict[int, int]:
 
 
 class _Worker:
-    """One worker: ``control`` is its event lane to the master, ``command``
-    the master's lane to it, ``lanes[(src, dst)]`` the pickled data plane;
-    all of them, and the arena's rings and doorbells, predate the fork."""
+    """One run of one worker: ``control`` is its event lane to the
+    master, ``command`` the master's lane to it, ``lanes[(src, dst)]``
+    the pickled data plane and ``pool`` its endpoint of the slab rings
+    (``None``: the lanes carry everything); all of them predate the fork
+    and outlive the run.  ``held`` are commands already read for this
+    run, ``since`` the process's :func:`_usage_now` when it began."""
 
-    def __init__(self, control: Lane, wid: int, mode: str,
-                 program: PIEProgram, pg: PartitionedGraph, query: Any,
-                 lanes: Dict[Tuple[int, int], Lane], command: Lane,
-                 time_scale: float, observe: bool, ft: Optional[_FTConfig],
-                 vectorized: bool, policy: DelayPolicy,
-                 arena: Optional[SlabArena]):
+    def __init__(self, control: Lane, command: Lane, wid: int,
+                 pg: PartitionedGraph, lanes: Dict[Tuple[int, int], Lane],
+                 pool: Optional[SlabPool], spec: _RunSpec,
+                 held: List[Tuple], since: Tuple[float, int, float]):
         started = time.monotonic()
         self.control = control
         self.command = command
         self.wid = wid
-        self.mode = mode
+        self.mode = mode = spec.mode
         self.lanes = lanes
-        self.time_scale = time_scale
-        self.ft = ft
+        self.time_scale = spec.time_scale
+        self.ft = ft = spec.ft
+        self.held = held
+        self.since = since
         # Engine builds contexts for every fragment; acceptable at these
         # scales and keeps the shipping path identical to the other
         # runtimes.  Only contexts[wid] is ever touched in this process.
-        self.engine = Engine(program, pg, query, vectorized=vectorized)
+        self.engine = Engine(spec.program, pg, spec.query,
+                             vectorized=spec.vectorized)
         self.context = self.engine.contexts[wid]
         self.in_lanes = [lane for (_, dst), lane in lanes.items()
                          if dst == wid]
         self.out_lanes = [lane for (src, _), lane in lanes.items()
                           if src == wid]
-        # zero-copy data plane: attach this worker's slab rings (the master
-        # created them, and the doorbells, before forking).  ``pool is
-        # None`` leaves only the pickled lanes.
-        self.pool = arena.pool(wid) if arena is not None else None
+        self.pool = pool
         #: observability records, shipped in the final report (timestamps
         #: are absolute monotonic; the master normalises them)
         self.events: List[Tuple] = []
-        self.emit = ((lambda *record: self.events.append(record))
-                     if observe else None)
+        events = self.events  # the sink holds the list, not the worker
+        self.emit = ((lambda *record: events.append(record))
+                     if spec.observe else None)
         # --- fault-tolerance state (all inert when ft is None) ------------
         plan = ft.fault_plan if ft is not None else None
         self.injector = plan.injector() if plan is not None else None
@@ -175,7 +244,8 @@ class _Worker:
         #: accompanies rejoin dominates them under monotone aggregation)
         self.parked: Dict[int, List[Any]] = {}
         self.step = WorkerStep(
-            self.engine, wid, policy, clock=time.monotonic, emit=self.emit,
+            self.engine, wid, spec.policy, clock=time.monotonic,
+            emit=self.emit,
             stretch=None if self.injector is None else functools.partial(
                 self.injector.stall, wid, cap=_MAX_STALL))
         # this step's clock is absolute: PEval is pending since the
@@ -198,9 +268,12 @@ class _Worker:
         self.empty_wakeups = 0
 
     # -- the loop ----------------------------------------------------
-    def run(self) -> None:
+    def run(self) -> bool:
+        """The run, until ``stop`` (reported: True, the process waits for
+        the next run) or ``abort`` (False: the pool is closing)."""
         self._first_round()
         turn = self._bsp_turn if self.mode == "BSP" else self._async_turn
+        held = self.held
         while True:
             if self.ft is not None:
                 self._beat()
@@ -208,14 +281,16 @@ class _Worker:
                 self._flush_delayed()
             # master commands take priority (probe/fleet/superstep/stop)
             cmds = self.command.get_all()
+            if held:
+                cmds, held = held + cmds, None
             if cmds:
                 self.unanswered = False
             for cmd in cmds:
                 if cmd[0] == "abort":
-                    return  # the master is tearing down: nobody reads a report
+                    return False  # tearing down: nobody reads a report
                 if cmd[0] == "stop":
                     self._report()
-                    return
+                    return True
                 self._COMMANDS[cmd[0]](self, cmd)
             turn()
 
@@ -309,16 +384,21 @@ class _Worker:
 
     def _report(self) -> None:
         pool = self.pool
+        cpu, faults, max_rss = _usage_now()
+        usage = {"pid": os.getpid(), "cpu_s": cpu - self.since[0],
+                 "minor_faults": faults - self.since[1],
+                 "max_rss_mb": max_rss}
         self.control.send(("done", self.wid, _WorkerReport(
             metrics=self.step.metrics(), values=self.context.export_state(),
             scratch=dict(self.context.scratch), events=self.events,
             shm_batches=pool.sent_batches if pool is not None else 0,
             shm_bytes=pool.sent_bytes if pool is not None else 0,
             shm_fallbacks=pool.fallbacks if pool is not None else 0,
-            empty_wakeups=self.empty_wakeups)))
-        # no pool.close() here: numpy views into the slabs may still be
-        # alive (closing would raise BufferError); process exit unmaps, and
-        # the master's arena sweep owns the unlink
+            empty_wakeups=self.empty_wakeups, usage=usage)))
+        # no pool.close() here: the rings serve the next run, numpy views
+        # into them may still be alive (closing would raise BufferError);
+        # process exit unmaps, and the master's arena sweep owns the
+        # unlink
 
     # -- master commands ---------------------------------------------
     def _on_fleet(self, cmd) -> None:

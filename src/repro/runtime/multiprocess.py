@@ -2,8 +2,9 @@
 
 Python's GIL prevents the threaded runtime from showing real speed-ups on
 compute-heavy workloads, so this runtime places each virtual worker in its
-own OS process (the repro band's "needs multiprocessing" note).  Fragments,
-program and query are shipped once at start; designated messages travel
+own OS process (the repro band's "needs multiprocessing" note).  Fragments
+are shipped once, when the worker pool forks, program and query with
+every run (see "Workers are resident" below); designated messages travel
 through shared-memory rings (or pickled per-``(src, dst)`` lanes); the
 master process runs the paper's termination protocol through the master's
 book (:class:`~repro.core.master.MasterBook`: inactive flags, per-channel
@@ -48,7 +49,22 @@ All five parallel models are supported:
   current global mode; workers gate like BSP while it says so, run free in
   AP phases, and pay the switch cost once per switch.
 
-Everything shipped must be picklable (the built-in PIE programs are).
+Workers are resident (GRAPE+ partitions once and answers many queries):
+one pool of ``m`` forked worker processes, with their lanes and slab
+arena, is bound to the partition the first run forked it for.  A later
+run on the same partition (same object, same ``m``, same transport, no
+in-place growth since: :attr:`~repro.partition.fragment.Fragment.version`)
+ships its program, query, mode, policy, observe flag and fault-tolerance
+config or snapshot seed over the command lanes; each worker builds that
+run's engine over its resident fragment, whose memo stays warm, and
+waits again after its report.  Between runs the master resets every
+ring and the workers rebind theirs (the takeover's reset / rebind
+handshake).  At most one pool lives per process: a run on another
+partition, ``m`` or transport closes it and forks anew.  A run that
+raises, times out or loses a worker (respawned or not) closes it too;
+so do the partition's collection, interpreter exit and
+:func:`close_pool`.  A run whose program or query does not pickle gets
+a fresh fork, which inherits them.
 
 Transport (data plane vs control plane)
 ---------------------------------------
@@ -88,7 +104,11 @@ death; this runtime's repair is the master's fragment takeover
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import pickle
+import threading
 import time
+import weakref
 from typing import Any, Dict, List, Optional
 
 from repro.core.delay import AAPPolicy, DelayPolicy, HsyncPolicy
@@ -103,7 +123,8 @@ from repro.runtime.faultplan import FaultPlan
 from repro.runtime.lane import Lane
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.mp_master import _Master, _reap
-from repro.runtime.mp_worker import _FTConfig, _WorkerReport, _worker_main
+from repro.runtime.mp_worker import (_FTConfig, _RunSpec, _WorkerReport,
+                                     _worker_main)
 from repro.runtime.recovery import check_live_knobs
 from repro.runtime.slab import SlabArena
 from repro.runtime.snapshot import GlobalSnapshot
@@ -114,6 +135,142 @@ _TRANSPORTS = ("shm", "queue")
 SLAB_BYTES = 1 << 20
 
 
+class _Pool:
+    """The resident workers of one partition: ``m`` forked processes,
+    their control / command lanes, the pickled data lanes and the slab
+    arena.  Holds the partition only weakly; its collection closes the
+    pool, as does :meth:`close` and interpreter exit."""
+
+    def __init__(self, pg: PartitionedGraph, transport: str,
+                 specs: List[_RunSpec]):
+        m = pg.num_fragments
+        self.key = _pool_key(pg, transport)
+        self.pg = weakref.ref(pg)
+        # every channel is a single-producer lane made before the fork:
+        # control[w] worker -> master, commands[w] master -> worker, and
+        # lanes[(src, dst)] the pickled data plane
+        self.control = [Lane() for _ in range(m)]
+        self.commands = [Lane() for _ in range(m)]
+        self.lanes = {(src, dst): Lane() for src in range(m)
+                      for dst in range(m) if src != dst}
+        # shm data plane: pre-create the full channel mesh before forking,
+        # so worker attachment can never race slab creation.  Any failure
+        # (no /dev/shm, exhausted segments) leaves the lanes to carry it.
+        self.arena = None
+        if transport == "shm" and m > 1:
+            try:
+                self.arena = SlabArena(m, SLAB_BYTES)
+            except Exception:  # pragma: no cover - platform-dependent
+                self.arena = None
+        self.transport_used = "shm" if self.arena is not None else "queue"
+        self.procs: List[Any] = []
+        # every pipe, process and slab goes back on the clean path, the
+        # terminate/crash path, the partition's collection and exit
+        self._finalizer = weakref.finalize(
+            pg, _Pool._teardown, os.getpid(), self.procs, self.control,
+            self.commands, self.lanes, self.arena)
+        try:
+            for wid in range(m):
+                self.procs.append(self._launch(wid, specs[wid]))
+        except BaseException:
+            self.close()
+            raise
+
+    def _launch(self, wid: int, spec: _RunSpec):
+        """Fork worker ``wid`` onto its current lanes; it runs ``spec``
+        first (inherited, not pickled)."""
+        p = mp.get_context("fork").Process(
+            target=_worker_main,
+            args=(self.control[wid], self.commands[wid], wid, self.pg(),
+                  self.lanes, self.arena, spec),
+            daemon=True)
+        p.start()
+        return p
+
+    def replace(self, wid: int, spec: _RunSpec) -> None:
+        """Fork a replacement for dead worker ``wid``, on fresh lanes to
+        and from the master: the dead incarnation's may hold commands
+        the replacement must never see, and a torn tail of its last
+        event."""
+        for chan in (self.commands, self.control):
+            chan[wid].close()
+            chan[wid] = Lane()
+        self.procs[wid].close()
+        self.procs[wid] = self._launch(wid, spec)
+
+    def fits(self, pg: PartitionedGraph, transport: str) -> bool:
+        return (self._finalizer.alive and self.pg() is pg
+                and self.key == _pool_key(pg, transport))
+
+    def ship(self, specs: List[_RunSpec]) -> bool:
+        """Start the next run on the resident workers: reset the rings,
+        then one ``run`` command each.  False if a spec does not pickle
+        (a local class, a lambda, a lock, ...): the caller closes the
+        pool, with any worker that got its spec, and forks anew."""
+        if self.arena is not None:
+            self.arena.reset_all()
+        try:
+            for lane, spec in zip(self.commands, specs):
+                lane.send(("run", spec))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return False
+        return True
+
+    def close(self) -> None:
+        self._finalizer()
+
+    @staticmethod
+    def _teardown(owner: int, procs, control, commands, lanes,
+                  arena) -> None:
+        if os.getpid() != owner:
+            return  # a forked worker's copy: the pool is not its to close
+        for cq in commands:
+            cq.send_or_drop(("abort",))
+        for p in procs:
+            p.join(timeout=5.0)
+        for p in procs:
+            if _reap(p):
+                p.close()  # releases the sentinel descriptor
+        # after the workers are joined or killed, so neither a pipe nor a
+        # /dev/shm segment outlives them
+        for lane in [*control, *commands, *lanes.values()]:
+            lane.close()
+        if arena is not None:
+            arena.unlink_all()
+
+
+def _pool_key(pg: PartitionedGraph, transport: str):
+    return (pg.num_fragments, transport,
+            tuple(frag.version for frag in pg.fragments))
+
+
+#: the resident pool (at most one per process) and who is running on it
+_POOL: Optional[_Pool] = None
+_POOL_BUSY = threading.Lock()
+
+
+def _resident_pool(pg: PartitionedGraph, transport: str,
+                   specs: List[_RunSpec]) -> _Pool:
+    """The resident pool, started on ``specs``: the one there is if it
+    fits and takes them, else a fresh fork."""
+    global _POOL
+    if _POOL is not None and not (_POOL.fits(pg, transport)
+                                  and _POOL.ship(specs)):
+        close_pool()
+    if _POOL is None:
+        _POOL = _Pool(pg, transport, specs)
+    return _POOL
+
+
+def close_pool() -> None:
+    """Close the resident worker pool, if there is one: its processes
+    are stopped and reaped, its pipes closed, its segments unlinked."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.close()
+
+
 class MultiprocessRuntime:
     """Run a PIE program across real OS processes.
 
@@ -122,6 +279,10 @@ class MultiprocessRuntime:
     leaving the legacy path untouched.  :meth:`seed_from_snapshot`, called
     after construction as on the threaded runtime, starts the next run
     from a consistent Chandy-Lamport checkpoint instead of PEval.
+
+    Runs on the same partition share the process's resident worker pool
+    (module docstring); ``RunResult.extras["workers"]`` reports what each
+    worker process spent on the run.
     """
 
     def __init__(self, program: PIEProgram, pg: PartitionedGraph, query: Any,
@@ -225,82 +386,51 @@ class MultiprocessRuntime:
             return AAPPolicy()
         return make_policy(self.mode, staleness_bound=self.staleness_bound)
 
+    def _spec(self, cfg: Optional[_FTConfig]) -> _RunSpec:
+        return _RunSpec(self.mode, self.program, self.query, self.time_scale,
+                        self.obs is not None, cfg, self.vectorized,
+                        self._worker_policy())
+
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        m = self.pg.num_fragments
-        ctx = mp.get_context("fork")
-        # every channel is a single-producer lane made before the fork:
-        # control[w] worker -> master, commands[w] master -> worker, and
-        # lanes[(src, dst)] the pickled data plane
-        control = [Lane() for _ in range(m)]
-        commands = [Lane() for _ in range(m)]
-        lanes = {(src, dst): Lane() for src in range(m)
-                 for dst in range(m) if src != dst}
-        # shm data plane: pre-create the full channel mesh before forking,
-        # so worker attachment can never race slab creation.  Any failure
-        # (no /dev/shm, exhausted segments) leaves the lanes to carry it.
-        arena = None
-        if self.transport == "shm" and m > 1:
-            try:
-                arena = SlabArena(m, SLAB_BYTES)
-            except Exception:  # pragma: no cover - platform-dependent
-                arena = None
-        self.transport_used = "shm" if arena is not None else "queue"
+        started = time.monotonic()
+        self._started = started
         self._wake = {"decisions": 0, "timeout_decisions": 0}
-
-        def launch(wid: int, cfg: Optional[_FTConfig]):
-            p = ctx.Process(
-                target=_worker_main,
-                args=(control[wid], wid, self.mode, self.program, self.pg,
-                      self.query, lanes, commands[wid], self.time_scale,
-                      self.obs is not None, cfg, self.vectorized,
-                      self._worker_policy(), arena),
-                daemon=True)
-            p.start()
-            return p
+        specs = [self._spec(self._ft_config(wid, self._snapshot,
+                                            self.fault_plan)
+                            if self._ft or self._snapshot is not None
+                            else None)
+                 for wid in range(self.pg.num_fragments)]
 
         def spawn_replacement(wid: int, incarnation: int,
                               plan: Optional[FaultPlan],
                               sent_base: int, recv_base: int) -> None:
-            # fresh lanes to and from the master: the dead incarnation's
-            # may hold commands the replacement must never see, and a
-            # torn tail of its last event
-            for chan in (commands, control):
-                chan[wid].close()
-                chan[wid] = Lane()
-            procs[wid].close()
             snap = self.last_checkpoint
-            procs[wid] = launch(wid, self._ft_config(
+            pool.replace(wid, self._spec(self._ft_config(
                 wid, snap if snap is not None and snap.complete else None,
                 plan, incarnation=incarnation, sent_base=sent_base,
-                recv_base=recv_base))
+                recv_base=recv_base)))
 
-        started = time.monotonic()
-        self._started = started
-        procs: List[Any] = []
+        # the resident pool, unless another thread's run is on it: then
+        # this run gets workers of its own, closed when it ends
+        resident = _POOL_BUSY.acquire(blocking=False)
         try:
-            for wid in range(m):
-                procs.append(launch(wid, self._ft_config(
-                    wid, self._snapshot, self.fault_plan)
-                    if self._ft or self._snapshot is not None else None))
-            reports = _Master(self, control, commands, procs, lanes, arena,
-                              spawn_replacement).run()
+            pool = (_resident_pool if resident else _Pool)(
+                self.pg, self.transport, specs)
+            self.transport_used = pool.transport_used
+            try:
+                reports = _Master(self, pool.control, pool.commands,
+                                  pool.procs, pool.lanes, pool.arena,
+                                  spawn_replacement).run()
+            except BaseException:
+                pool.close()
+                raise
+            if self.failures or not resident:
+                # a lost worker (respawned or not) leaves no pool behind
+                pool.close()
         finally:
-            for cq in commands:
-                cq.send_or_drop(("abort",))
-            for p in procs:
-                p.join(timeout=5.0)
-            for p in procs:
-                if _reap(p):
-                    p.close()  # releases the sentinel descriptor
-            # every descriptor and every slab goes on both the clean path
-            # and the terminate/crash path — after the workers are joined
-            # or killed, so neither a pipe nor a /dev/shm segment
-            # outlives the run
-            for lane in [*control, *commands, *lanes.values()]:
-                lane.close()
-            if arena is not None:
-                arena.unlink_all()
+            if resident:
+                _POOL_BUSY.release()
         makespan = time.monotonic() - started
         return self._assemble(reports, makespan)
 
@@ -320,7 +450,8 @@ class MultiprocessRuntime:
             engine.contexts[wid].import_state(report.values)
             engine.contexts[wid].scratch = report.scratch
         answer = engine.assemble()
-        workers = [rep.metrics for _, rep in sorted(reports.items())]
+        ordered = sorted(reports.items())
+        workers = [rep.metrics for _, rep in ordered]
         extras: Dict[str, Any] = {"transport": {
             "kind": self.transport_used or self.transport,
             "shm_batches": sum(r.shm_batches for r in reports.values()),
@@ -332,7 +463,10 @@ class MultiprocessRuntime:
             # preceded them
             "wake": {"empty_wakeups": sum(r.empty_wakeups
                                           for r in reports.values()),
-                     **self._wake}}
+                     **self._wake},
+            # what each worker process spent on this run (``pid`` names
+            # the process: resident workers keep theirs across runs)
+            "workers": [{"wid": wid, **rep.usage} for wid, rep in ordered]}
         if self.respawns:
             extras["respawns"] = [dict(r) for r in self.respawns]
         if self.obs is not None:

@@ -258,7 +258,6 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
                             "detection_latency": crash.detection_latency})
             if crash.checkpoint is not None:
                 snapshot = crash.checkpoint
-            last_crash = crash
             backoff = retry.delay(attempt + 1)
             out_of_retries = attempt >= retry.max_retries
             out_of_time = (retry.deadline is not None
@@ -276,6 +275,10 @@ def run_with_recovery(runtime_factory: Callable[..., Any],
                     attempts=attempt + 1)
                 err.respawns = respawn_log
                 raise err from crash
+            # the next factory call reads the crash, not its traceback,
+            # whose frames (this one included) would hold the failed
+            # attempt, its partition and so its worker pool in a cycle
+            last_crash = crash.with_traceback(None)
             attempt += 1
             recoveries += 1
             if observer is not None:

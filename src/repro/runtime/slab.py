@@ -58,8 +58,12 @@ must match.  Any mismatch raises a typed
 :class:`~repro.errors.TransportError` instead of returning garbage.
 
 Lifetime: the master creates every channel slab before forking workers
-and unlinks them all in its ``finally`` block, so neither a clean exit
-nor a crashed-worker abort leaks ``/dev/shm`` segments.  Worker-side
+and unlinks them all when it closes the worker pool, so neither a clean
+exit nor a crashed-worker abort leaks ``/dev/shm`` segments.  A pool
+serves many runs: between two of them the master resets every ring
+(:meth:`SlabArena.reset_all`) and each worker rebinds its endpoints
+(:meth:`SlabPool.rebind`), the takeover's reset / rebind handshake
+applied to the whole mesh.  Worker-side
 attachments are immediately unregistered from the
 ``multiprocessing.resource_tracker`` — ownership stays with the master's
 sweep (and the tracker would otherwise double-unlink under fork).
@@ -117,7 +121,7 @@ _SHM_PREFIX = "reproshm"
 
 
 def new_run_id() -> str:
-    """A fresh data-plane namespace (one per runtime ``run()``), led by
+    """A fresh data-plane namespace (one per worker pool), led by
     the creating process's pid and a ``-``, so that
     ``residual_segments(f"{pid}-")`` finds one process's segments.  A
     channel name stays within 31 bytes up to 1,000 workers."""
@@ -303,14 +307,16 @@ class SlabRing:
         return self._gen
 
     def rebind(self) -> None:
-        """Adopt the ring's current incarnation (survivor rejoin).
+        """Adopt the ring's current incarnation (survivor rejoin, or the
+        next run of a resident pool).
 
-        Re-reads the header and rewinds the endpoint cursors to the live
-        window, so a surviving peer can resume reading/writing a channel
-        that was reset while its counterpart was being replaced.
+        Re-reads the header and rewinds the endpoint cursors to the start
+        of the live window, ``tail``: a reset ring's consumer has released
+        nothing since, so a record the new producer published before this
+        endpoint rebound is read, not skipped.
         """
         self._gen = self.generation
-        self._cursor = self.head
+        self._cursor = self.tail
         self._read_seq = 0
         self._write_seq = 0
 
@@ -564,6 +570,22 @@ class SlabPool:
         self._quarantined.add(peer)
         return last
 
+    def rebind(self) -> None:
+        """Bind every channel to its reset incarnation for the next run
+        of a resident pool (the master reset them all with
+        :meth:`SlabArena.reset_all`): no peer is quarantined, the
+        counters start at zero and a bell byte left from the last run is
+        dropped."""
+        for ring in (*self._out.values(), *self._in.values()):
+            ring.rebind()
+        self._quarantined.clear()
+        self.sent_batches = self.sent_bytes = self.fallbacks = 0
+        if self.bell is not None:
+            try:
+                os.read(self.bell, 4096)
+            except BlockingIOError:
+                pass
+
     def rejoin_peer(self, peer: int) -> None:
         """Bind both of ``peer``'s channels to their reset incarnation."""
         for side in (self._in, self._out):
@@ -600,7 +622,7 @@ class SlabPool:
 # ----------------------------------------------------------------------
 
 class SlabArena:
-    """Master-side owner of every channel slab of one run.
+    """Master-side owner of every channel slab of one worker pool.
 
     Creates the full ``src x dst`` mesh before the workers fork (so
     worker attachment never races creation) and sweeps every segment on
@@ -652,13 +674,20 @@ class SlabArena:
                 gen = ring.reset()
         return gen
 
+    def reset_all(self) -> None:
+        """Reset every ring for the next run of a resident pool; called
+        while every worker waits for its run command, so no endpoint is
+        reading or writing."""
+        for ring in self._rings:
+            ring.reset()
+
     def pool(self, wid: int) -> "SlabPool":
         """Worker ``wid``'s endpoint (call in the forked worker)."""
         return SlabPool(self.run_id, wid, self.num_workers, self.doorbells)
 
     def unlink_all(self) -> int:
         """Close + unlink every segment (and close the doorbells) of this
-        run; returns the segment count."""
+        arena; returns the segment count."""
         removed = 0
         for ring in self._rings:
             ring.close()

@@ -245,8 +245,10 @@ class GraphService:
         self._staged: Set[Any] = set()
         #: the one PEval in this service's lifetime
         self.initial_result: RunResult = self._make_runtime().run()
-        #: the one full Assemble; epochs patch it with answer deltas
-        self._answer: Dict[Node, Any] = self._assembled()
+        #: the one full Assemble (the run's own answer); epochs patch it
+        #: with answer deltas
+        self._answer: Dict[Node, Any] = self._mapping(
+            self.initial_result.answer)
         self.engine.track_writes()
 
     # -- runtime plumbing ----------------------------------------------
@@ -258,7 +260,10 @@ class GraphService:
         return SimulatedRuntime(self.engine, policy)
 
     def _assembled(self) -> Dict[Node, Any]:
-        answer = self.engine.assemble()
+        return self._mapping(self.engine.assemble())
+
+    def _mapping(self, answer: Any) -> Dict[Node, Any]:
+        """A copy of an assembled ``answer`` to serve point lookups from."""
         try:
             return dict(answer)
         except (TypeError, ValueError):

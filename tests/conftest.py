@@ -48,10 +48,16 @@ def pytest_runtest_call(item):
 def session_state():
     """What a test must hand back as it found it: the ``/dev/shm``
     segments this process made (not a concurrent suite's or
-    benchmark's), live ``multiprocessing`` children, open descriptors."""
+    benchmark's), live ``multiprocessing`` children, open descriptors.
+
+    The multiprocess runtime keeps its workers resident between runs;
+    the census closes that pool first, so what it counts is what the
+    pool's close did not give back."""
     import multiprocessing
 
+    from repro.runtime.multiprocess import close_pool
     from repro.runtime.slab import residual_segments
+    close_pool()
     return {"shm": set(residual_segments(f"{os.getpid()}-")),
             "children": {p.pid for p in multiprocessing.active_children()},
             "fds": len(os.listdir("/proc/self/fd"))
@@ -77,9 +83,10 @@ def leaks_since(before):
 def session_hygiene():
     """Every test leaves no segment, no child process and no descriptor.
 
-    A multiprocess run owns slabs, worker processes and one pipe per
-    lane and doorbell; its ``finally`` gives all of them back on clean
-    exits, worker exceptions, takeovers and timeouts alike.  Anything
+    A multiprocess run's worker pool owns slabs, worker processes and
+    one pipe per lane and doorbell; closing it gives all of them back
+    after clean exits, worker exceptions, takeovers and timeouts alike
+    (a failed run closes it itself, the census closes the rest).  Anything
     left here is a leaked lifetime path: fail the test that introduced
     it rather than let it pile up across the suite.
     """

@@ -507,6 +507,19 @@ class TestRingGenerations:
         (got,) = consumer.poll(0, 1)
         assert len(got) == 5
 
+    def test_rebind_reads_what_the_new_incarnation_wrote_first(
+            self, ring_pair):
+        # a replacement (or the next run's peer) may publish before this
+        # endpoint rebinds: its records must be read, not skipped
+        producer, consumer = ring_pair
+        assert producer.try_write(_batch(3))
+        assert len(consumer.poll(0, 1)) == 1
+        producer.reset()
+        assert producer.try_write(_batch(4))
+        consumer.rebind()
+        (got,) = consumer.poll(0, 1)
+        assert len(got) == 4
+
     def test_arena_reset_worker_touches_only_its_channels(self):
         arena = SlabArena(3, 1 << 16)
         try:

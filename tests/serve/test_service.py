@@ -77,6 +77,36 @@ class TestIngestAndEpochs:
                              num_fragments=m, runtime="simulated")
 
 
+class ListAnswer(SSSPProgram):
+    """Assembles a list of values: no node -> value mapping to serve."""
+
+    def dense_assemble(self, pg, contexts, query):
+        return list(super().dense_assemble(pg, contexts, query).values())
+
+
+class TestFirstAnswer:
+    @pytest.mark.parametrize("runtime", ["simulated", "threaded"])
+    def test_the_run_s_answer_is_assembled_once(self, runtime, monkeypatch):
+        from repro.core.engine import Engine
+        calls = []
+        real = Engine.assemble
+        monkeypatch.setattr(Engine, "assemble",
+                            lambda engine: calls.append(1) or real(engine))
+        svc = make_service(runtime=runtime)
+        assert len(calls) == 1
+        assert svc.answer == svc.initial_result.answer
+        assert svc.answer is not svc.initial_result.answer  # a copy
+        svc.ingest(UpdateBatch.of((0, 100, 0.5)))
+        svc.flush()
+        assert 100 not in svc.initial_result.answer
+
+    def test_a_non_mapping_answer_is_refused(self):
+        g = generators.grid2d(4, 4, weighted=True, seed=1)
+        with pytest.raises(ProgramError, match="assembles a list"):
+            GraphService(ListAnswer(), g, SSSPQuery(source=0),
+                         num_fragments=2, runtime="simulated")
+
+
 class TestAdmission:
     def test_ingest_shed_when_queue_full(self):
         svc = make_service(
