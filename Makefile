@@ -47,8 +47,8 @@ fuzz-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli fuzz --grid differential \
 		--graph grid:6x6 -m 3 --quiet --artifact-dir fuzz-artifacts
 
-## the CI respawn gate: the 24-cell chaos grid, {threaded,multiprocess} x
-## {AAP,BSP,SSP} x {1,2 crashes} x {generic,vectorized}; every cell must
+## the CI respawn gate: the 32-cell chaos grid, {threaded,multiprocess} x
+## {AAP,BSP,SSP,Hsync} x {1,2 crashes} x {generic,vectorized}; every cell must
 ## absorb its crashes in place (rung 1 of the degradation ladder; see
 ## docs/fault_tolerance.md);
 ## one JSON artifact per cell in chaos-out/

@@ -457,8 +457,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_chaos, algorithms=ALGORITHMS)  # cells compare to a fixpoint
     p_chaos.add_argument("--runtime", default="threaded",
                          choices=["threaded", "multiprocess"])
-    p_chaos.add_argument("--mode", default="AAP",
-                         choices=["AP", "BSP", "SSP", "AAP"])
+    p_chaos.add_argument("--mode", default="AAP", choices=list(MODES))
     p_chaos.add_argument("--crash", action="append", metavar="WID:ROUND",
                          help="kill worker WID at round ROUND (repeatable)")
     p_chaos.add_argument("--drop", type=float, default=0.0,
@@ -468,7 +467,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--delay", default=None, metavar="RATE:SECONDS",
                          help="delay RATE of messages by SECONDS")
     p_chaos.add_argument("--slow", action="append", metavar="WID:FACTOR",
-                         help="stretch worker WID's rounds by FACTOR")
+                         help="stall worker WID FACTOR - 1 times each "
+                              "round's CPU time")
     p_chaos.add_argument("--fault-seed", type=int, default=0,
                          help="seed of the deterministic fault plan")
     p_chaos.add_argument("--checkpoint-interval", type=float, default=0.05,

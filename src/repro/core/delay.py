@@ -1,8 +1,8 @@
 """Delay-stretch policies: the heart of the AAP model.
 
 Each (virtual) worker ``P_i`` maintains a *delay stretch* ``DS_i``: after
-finishing a round, the worker is put on hold for ``DS_i`` time to accumulate
-updates before starting the next round (Section 3).  A
+finishing a round, the worker is put on hold for ``DS_i`` (in its driver's
+clock unit) to accumulate updates before its next round (Section 3).  A
 :class:`DelayPolicy` computes ``DS_i`` from the worker's snapshot
 (:class:`WorkerView`).  The runtime re-evaluates the policy whenever the
 worker's state changes (round completion, message arrival, progress of other
@@ -80,8 +80,8 @@ class DelayPolicy(abc.ABC):
 
     @abc.abstractmethod
     def delay(self, view: WorkerView) -> float:
-        """Return ``DS_i`` in time units; ``math.inf`` means "suspend until
-        the next state change re-evaluates the policy"."""
+        """Return ``DS_i`` in the unit of ``view.now``; ``math.inf`` means
+        "suspend until the next state change re-evaluates the policy"."""
 
     def decide(self, view: WorkerView) -> Tuple[float, Dict[str, Any]]:
         """``DS_i`` plus the decision's audit details.
@@ -252,8 +252,9 @@ class HsyncPolicy(DelayPolicy):
     observable proxies the prediction is built from: in **BSP** mode, a high
     straggler ratio (slowest/mean round time) argues for AP; in **AP** mode,
     high average staleness at trigger time (many superseded message batches)
-    argues for BSP.  Each switch costs ``switch_cost`` time units, paid by
-    every worker on its next round — the explicit cost AAP avoids.
+    argues for BSP.  Each switch costs ``switch_cost`` fleet-average round
+    times, paid by every worker on its next round — the explicit cost AAP
+    avoids.
     """
 
     name = "Hsync"
@@ -306,7 +307,7 @@ class HsyncPolicy(DelayPolicy):
             # each worker pays the switching cost once per switch, on the
             # same decision that actually adds the penalty
             self._paid[view.wid] = self.switches
-            penalty = self.switch_cost
+            penalty = self.switch_cost * view.fleet_avg_round_time
         return base + penalty
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import time
 from dataclasses import replace
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
@@ -74,7 +75,8 @@ class WorkerStep:
         ``t_i`` before the first round has been observed.
     stretch:
         Optional straggler seam of the wall-clock drivers: called with
-        the kernel's elapsed seconds before the round is measured.
+        the kernel's CPU seconds (``time.thread_time()``) before the
+        round is measured.
     guard:
         Optional context manager under which the driver calls
         :meth:`arrived` from other threads (its buffer lock); the step
@@ -84,7 +86,7 @@ class WorkerStep:
 
     __slots__ = ("engine", "policy", "clock", "emit", "state",
                  "default_round_time", "stretch", "guard", "num_peers",
-                 "started", "kind", "superstep")
+                 "started", "cpu_started", "kind", "superstep")
 
     def __init__(self, engine: Any, wid: int, policy: DelayPolicy,
                  clock: Callable[[], float],
@@ -104,6 +106,8 @@ class WorkerStep:
         self.num_peers = len(engine.pg.fragments[wid].peer_fragments())
         #: start time and kind ("peval" / "inceval") of the latest round
         self.started = 0.0
+        #: the thread's CPU clock at the kernel's start (with a stretch)
+        self.cpu_started = 0.0
         self.kind = "peval"
         #: BSP's open superstep (PEval is the 0th; ``None``: not BSP)
         self.superstep: Optional[int] = 0 if policy.supersteps else None
@@ -153,6 +157,8 @@ class WorkerStep:
             self.emit(obs_events.ROUND_START, now, w.wid, w.rounds,
                       {"kind": self.kind,
                        "batches": 0 if batches is None else len(batches)})
+        if self.stretch is not None:
+            self.cpu_started = time.thread_time()
         # through the instance each time: profilers wrap these attributes
         if batches is None:
             return self.engine.run_peval(w.wid)
@@ -175,7 +181,7 @@ class WorkerStep:
         """
         w = self.state
         if duration is None and self.stretch is not None:
-            self.stretch(self.clock() - self.started)
+            self.stretch(time.thread_time() - self.cpu_started)
         with self.guard:
             now = self.clock()
             if duration is None:

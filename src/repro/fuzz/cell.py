@@ -429,8 +429,8 @@ CRASHES = {1: ("crash:1:2",), 2: ("crash:1:2", "crash:2:3")}
 
 def chaos_grid(graph=("grid2d", {"rows": 12, "cols": 12}),
                fragments: int = 4, timeout: float = 60.0) -> List[Cell]:
-    """{threaded, multiprocess} x {AAP, BSP, SSP} x {1, 2 crashes} x
-    2 engines of SSSP: each crash absorbed in place (rung 1).  24.
+    """{threaded, multiprocess} x {AAP, BSP, SSP, Hsync} x {1, 2 crashes}
+    x 2 engines of SSSP: each crash absorbed in place (rung 1).  32.
     Checkpoints every 10 ms, heartbeats every 5 ms, a worker silent for
     250 ms is dead."""
     return [Cell(algorithm="sssp", graph_kind=graph[0],
@@ -440,7 +440,7 @@ def chaos_grid(graph=("grid2d", {"rows": 12, "cols": 12}),
                  heartbeat_interval=0.005, heartbeat_timeout=0.25,
                  timeout=timeout)
             for r in ("threaded", "multiprocess")
-            for m in ("AAP", "BSP", "SSP") for k in sorted(CRASHES)
+            for m in ("AAP", "BSP", "SSP", "Hsync") for k in sorted(CRASHES)
             for v in PATHS]
 
 

@@ -109,7 +109,7 @@ class DelayFault:
 
 @dataclass(frozen=True)
 class StragglerFault:
-    """Stretch every round of worker ``wid`` by ``factor`` (>= 1)."""
+    """Worker ``wid`` stalls ``factor - 1`` times each round's CPU time."""
 
     wid: int
     factor: float
@@ -264,18 +264,18 @@ class FaultInjector:
         with self._lock:
             self._crashed.discard(wid)
 
-    def round_slowdown(self, wid: int, duration: float) -> float:
-        """Extra seconds worker ``wid`` must stall after a round."""
+    def round_slowdown(self, wid: int, cpu: float) -> float:
+        """Extra seconds worker ``wid`` stalls after ``cpu`` CPU seconds."""
         factor = self._stragglers.get(wid)
         if factor is None:
             return 0.0
-        return (factor - 1.0) * max(duration, 0.0)
+        return (factor - 1.0) * max(cpu, 0.0)
 
-    def stall(self, wid: int, duration: float, cap: float) -> None:
-        """Straggler fault on a wall-clock runtime: sleep a round that
-        took ``duration`` out to its slowed-down length (``cap`` at most)
-        — the worker step's ``stretch`` seam."""
-        extra = self.round_slowdown(wid, duration)
+    def stall(self, wid: int, cpu: float, cap: float) -> None:
+        """The worker step's ``stretch`` seam: sleep the slowdown of a
+        round that took ``cpu`` CPU seconds (``cap`` at most).  Not its
+        wall time, which on threads includes its peers' GIL turns."""
+        extra = self.round_slowdown(wid, cpu)
         if extra > 0:
             time.sleep(min(extra, cap))
 

@@ -52,7 +52,7 @@ UNREPORTED_ROUND_TIME = 1e-3
 
 @dataclass
 class _FTConfig:
-    """Per-worker fault-tolerance config shipped at fork time.
+    """Per-worker fault-tolerance config, shipped in each run's spec.
 
     ``None`` (the default everywhere) keeps the worker loop on the exact
     legacy path: no injector, no heartbeats, no checkpoint handling.
@@ -87,7 +87,6 @@ class _RunSpec:
     mode: str
     program: PIEProgram
     query: Any
-    time_scale: float
     observe: bool
     ft: Optional[_FTConfig]
     vectorized: bool
@@ -198,7 +197,6 @@ class _Worker:
         self.wid = wid
         self.mode = mode = spec.mode
         self.lanes = lanes
-        self.time_scale = spec.time_scale
         self.ft = ft = spec.ft
         self.held = held
         self.since = since
@@ -362,9 +360,9 @@ class _Worker:
             self._block()
             return
         if action == "wake_scheduled":
-            # a delay stretch (or Hsync's switch cost), then take what
-            # accumulated meanwhile into the same round
-            time.sleep(min(ds * self.time_scale, _MAX_DELAY))
+            # a delay stretch (or Hsync's switch cost) of ds seconds,
+            # then take what accumulated meanwhile into the same round
+            time.sleep(min(ds, _MAX_DELAY))
             for msg in self._drain_in():
                 step.arrived(msg)
         self._run_round(state.buffer.drain())

@@ -287,7 +287,6 @@ class MultiprocessRuntime:
 
     def __init__(self, program: PIEProgram, pg: PartitionedGraph, query: Any,
                  mode: str = "AP", timeout: float = 120.0,
-                 time_scale: float = 0.001,
                  observer: Optional[Any] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  checkpoint_interval: Optional[float] = None,
@@ -323,7 +322,6 @@ class MultiprocessRuntime:
         self.mode = mode
         self.vectorized = vectorized
         self.timeout = timeout
-        self.time_scale = time_scale
         self.obs = observer
         self._started = 0.0
         self.fault_plan = fault_plan
@@ -387,7 +385,7 @@ class MultiprocessRuntime:
         return make_policy(self.mode, staleness_bound=self.staleness_bound)
 
     def _spec(self, cfg: Optional[_FTConfig]) -> _RunSpec:
-        return _RunSpec(self.mode, self.program, self.query, self.time_scale,
+        return _RunSpec(self.mode, self.program, self.query,
                         self.obs is not None, cfg, self.vectorized,
                         self._worker_policy())
 

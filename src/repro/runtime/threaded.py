@@ -10,8 +10,9 @@ stretches realised as wall-clock waits.
 Because of the GIL this runtime does not demonstrate speed-up (the repro
 band notes compute-heavy async workers need multiprocessing); it
 demonstrates *correctness under real races*: the Church-Rosser tests run the
-same program here and compare with the reference answer.  Wall-clock delay
-stretches are scaled by ``time_scale`` so tests stay fast.
+same program here and compare with the reference answer.  A step measures
+``t_i`` and ``s_i`` in seconds, so a delay stretch ``DS_i`` is a wait of
+``DS_i`` seconds (``MAX_WAIT`` at most), cut short by a delivery.
 
 A worker that raises calls :meth:`ThreadedRuntime.abort`, which releases
 every other worker promptly; the first error is re-raised by :meth:`run`
@@ -59,8 +60,6 @@ class ThreadedRuntime:
 
     Parameters
     ----------
-    time_scale:
-        Multiplier applied to finite delay stretches (seconds); keep small.
     timeout:
         Overall run timeout (seconds, positive).
     observer:
@@ -83,7 +82,7 @@ class ThreadedRuntime:
     """
 
     def __init__(self, engine: Engine, policy: DelayPolicy,
-                 time_scale: float = 0.001, timeout: float = 120.0,
+                 timeout: float = 120.0,
                  observer: Optional[Any] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  checkpoint_interval: Optional[float] = None,
@@ -93,7 +92,6 @@ class ThreadedRuntime:
         check_live_knobs(timeout, respawn_budget, checkpoint_interval)
         self.engine = engine
         self.policy = policy
-        self.time_scale = time_scale
         self.timeout = timeout
         self.obs = observer
         m = engine.num_workers
@@ -382,12 +380,13 @@ class ThreadedRuntime:
                     self._events[wid].wait(timeout=0.02)
                     self._events[wid].clear()
                     continue
+                # a wake-up set by mail already in the buffer is stale:
+                # only a delivery after this decision may cut its wait
+                self._events[wid].clear()
                 ds, action = step.decide(self._fleet())
                 if action != "start":
-                    wait = (min(ds * self.time_scale, MAX_WAIT)
-                            if action == "wake_scheduled" else MAX_WAIT)
                     step.mark(WorkerStatus.WAITING)
-                    self._events[wid].wait(timeout=wait)
+                    self._events[wid].wait(timeout=min(ds, MAX_WAIT))
                     self._events[wid].clear()
                     if action == "suspend":
                         # re-evaluate after any state change

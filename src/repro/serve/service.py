@@ -166,8 +166,7 @@ class GraphService:
                  runtime: str = "threaded",
                  staleness_bound: Optional[int] = None,
                  admission: Optional[AdmissionController] = None,
-                 observer: Optional[Observer] = None,
-                 time_scale: float = 1e-4):
+                 observer: Optional[Observer] = None):
         if runtime not in RUNTIMES:
             raise ReproError(
                 f"unknown service runtime {runtime!r}; pick from {RUNTIMES}")
@@ -185,7 +184,6 @@ class GraphService:
         self.m = num_fragments
         self.mode = mode
         self.runtime = runtime
-        self.time_scale = time_scale
         if staleness_bound is None and program.needs_bounded_staleness:
             staleness_bound = program.default_staleness_bound
         self.staleness_bound = staleness_bound
@@ -255,8 +253,7 @@ class GraphService:
     def _make_runtime(self):
         policy = make_policy(self.mode, staleness_bound=self.staleness_bound)
         if self.runtime == "threaded":
-            return ThreadedRuntime(self.engine, policy,
-                                   time_scale=self.time_scale)
+            return ThreadedRuntime(self.engine, policy)
         return SimulatedRuntime(self.engine, policy)
 
     def _assembled(self) -> Dict[Node, Any]:

@@ -161,6 +161,17 @@ class TestCommands:
         assert '"ok": true' in out
 
     @pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
+    def test_chaos_runs_hsync(self, capsys, runtime):
+        """Hsync is one of the chaos grid's modes too: its crashes are
+        absorbed in place on both live runtimes."""
+        code, out = self.run_cli(
+            capsys, "chaos", "--mode", "Hsync", "--runtime", runtime,
+            "--graph", "grid:8x8", "-m", "4", "--crash", "1:2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] and doc["respawns"] == 1 and doc["attempts"] == 1
+
+    @pytest.mark.parametrize("runtime", ["threaded", "multiprocess"])
     @pytest.mark.parametrize("flag, value, error", [
         ("--retries", "-1", "max_retries must be >= 0"),
         ("--retry-jitter", "2", "jitter must be in [0, 1]"),

@@ -183,7 +183,7 @@ class TestHsync:
             p.on_round_complete(view(eta=5), duration=1.0)
         d_first = p.delay(view(wid=1, round=1, rmin=1))
         d_second = p.delay(view(wid=1, round=1, rmin=1))
-        assert d_first == 3.0
+        assert d_first == 3.0 * view().fleet_avg_round_time
         assert d_second == 0.0
 
     def test_barrier_blocked_worker_still_pays_switch_cost(self):
@@ -198,7 +198,8 @@ class TestHsync:
         assert p.delay(view(wid=2, round=4, rmin=3)) == INF
         assert 2 not in p._paid
         # once the barrier releases it, the switch cost is finally charged
-        assert p.delay(view(wid=2, round=3, rmin=3)) == 3.0
+        assert p.delay(view(wid=2, round=3, rmin=3)) == \
+            3.0 * view().fleet_avg_round_time
         # and only once
         assert p.delay(view(wid=2, round=3, rmin=3)) == 0.0
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import SSSPProgram, SSSPQuery
+from repro.core import step as step_module
 from repro.core.delay import AAPPolicy, APPolicy, DelayPolicy
 from repro.core.engine import Engine, RoundOutput
 from repro.core.master import local_fleet
@@ -206,21 +207,26 @@ class TestOneWorkerByHand:
         assert (m1.idle_time, m1.suspended_time) == (0.0, 2.0)
         assert m1.messages_received == 1
 
-    def test_measured_duration_includes_the_stretch(self, pair):
+    def test_measured_duration_includes_the_stretch(self, pair,
+                                                    monkeypatch):
+        # the stretch is handed the kernel's CPU seconds, not its wall
+        # time: a round that waited for the CPU half its length
         steps, clock, _ = pair
-        step, seen = steps[0], []
+        step, seen, cpu = steps[0], [], Clock()
+        monkeypatch.setattr(step_module, "time",
+                            SimpleNamespace(thread_time=cpu))
 
-        def stretch(elapsed):
-            seen.append(elapsed)
-            clock.t += 3 * elapsed  # a 4x straggler, stalling on the clock
+        def stretch(cpu_s):
+            seen.append(cpu_s)
+            clock.t += 3 * cpu_s  # a 4x straggler, stalling on the clock
 
         step.stretch = stretch
         out = step.begin()
-        clock.t = 0.5
-        assert step.finish(out) == 2.0
-        assert seen == [0.5]
-        assert step.state.busy_time == 2.0
-        assert step.state.round_time.predict() == 2.0
+        clock.t, cpu.t = 0.5, 0.25
+        assert step.finish(out) == 1.25
+        assert seen == [0.25]
+        assert step.state.busy_time == 1.25
+        assert step.state.round_time.predict() == 1.25
 
     def test_a_round_closes_under_the_guard_but_never_stalls_under_it(
             self, pair):

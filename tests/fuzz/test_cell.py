@@ -59,10 +59,11 @@ class TestGrids:
     def test_cell_counts(self):
         assert len(GRIDS["differential"]()) == 90
         chaos = GRIDS["chaos"]()
-        assert len(chaos) == 24
+        assert len(chaos) == 32
         assert {(c.rung, c.respawn_budget) for c in chaos} == {(1, 1)}
-        assert len({c.label for c in chaos}) == 24
-        assert sum(c.vectorized for c in chaos) == 12
+        assert len({c.label for c in chaos}) == 32
+        assert sum(c.vectorized for c in chaos) == 16
+        assert {c.mode for c in chaos} == {"AAP", "BSP", "SSP", "Hsync"}
 
 
 class TestLiveArtifact:
