@@ -30,18 +30,10 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph import stable
-from repro.graph.csr import GraphArrays, expand_ranges
+from repro.graph.csr import GraphArrays
 from repro.graph.graph import Graph, Node
 from repro.partition.fragment import (Fragment, NodeArrays, PartitionedGraph,
                                       insertion_order)
-
-
-def _mask(scratch: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """``scratch`` (a reused boolean array) with exactly ``positions``
-    set."""
-    scratch[:] = False
-    scratch[positions] = True
-    return scratch
 
 
 def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
@@ -52,46 +44,41 @@ def _assemble(arrays: GraphArrays, cut: str, strategy_name: str,
     owner per node position, ``owner`` the partition's map (``None``: made
     from ``own`` when read); a part is one fragment's local node positions,
     ascending, the boolean selection of its edges and its border sets as
-    node positions.  A node resides exactly where it is local, which gives
-    the routing index — handed over as arrays, like the node sets: the
-    fragments build the containers when someone reads them, and the
-    placement map is read off the routing (in the owner map's order)."""
-    nodes, ids, m = arrays.nodes, arrays.ids, len(parts)
-    # every (node, fragment) presence, by node and then by fragment
-    at, fids = np.divmod(np.sort(np.concatenate(
-        [local * m + fid for fid, (local, _, _) in enumerate(parts)])), m)
-    counts = np.bincount(at, minlength=len(nodes))
-    # routing: each presence of a node with copies, paired with every
-    # other fragment the node resides on
-    shared = np.flatnonzero(counts[at] > 1)
-    copies = counts[at[shared]]
-    here = np.repeat(shared, copies)
-    there = expand_ranges((np.cumsum(counts) - counts)[at[shared]], copies)
-    elsewhere = fids[here] != fids[there]
-    here, peers = here[elsewhere], fids[there[elsewhere]]
+    boolean masks over the node positions.  A node resides exactly where
+    it is local, which gives the routing index — handed over as arrays,
+    like the node sets: the fragments build the containers when someone
+    reads them, and the placement map is read off the routing (in the
+    owner map's order)."""
+    nodes, ids = arrays.nodes, arrays.ids
+    # which fragments each node resides on
+    present = np.zeros((len(nodes), len(parts)), dtype=bool)
+    for fid, (local, _, _) in enumerate(parts):
+        present[local, fid] = True
     slot = np.empty(len(nodes), dtype=np.int64)
-    member = np.empty(len(nodes), dtype=bool)
     fragments = []
     for fid, (local, edges, borders) in enumerate(parts):
+        edges = np.flatnonzero(edges)
+        src, dst = arrays.src[edges], arrays.dst[edges]
         if ids is None or not arrays.is_keyed:  # as NodeArrays lists them
-            ends = arrays.src[edges], arrays.dst[edges]
-            local = insertion_order((own == fid) & (cut == "edge"), *ends,
-                                    local)
+            local = insertion_order((own == fid) & (cut == "edge"), src,
+                                    dst, local)
         slot[local] = np.arange(local.size)
         local_nodes, local_own = nodes[local], own[local]
-        mine = fids[here] == fid
+        # routing: each local node paired with every other fragment it
+        # resides on, by lid and then by peer
+        elsewhere = present[local]
+        elsewhere[:, fid] = False
         fragments.append(Fragment(
             fid, GraphArrays(
-                local_nodes, slot[arrays.src[edges]],
-                slot[arrays.dst[edges]], arrays.weights[edges],
+                local_nodes, slot[src], slot[dst], arrays.weights[edges],
                 arrays.directed,
                 {v: labels[v] for v in local_nodes[local_own == fid]
                  if v in labels} if labels else {}, arrays.is_keyed,
                 None if ids is None else ids[local]),
             NodeArrays(local_nodes, local_own,
-                       {name: _mask(member, members)[local]
-                        for name, members in borders.items()},
-                       slot[at[here[mine]]], peers[mine]), cut))
+                       {name: mask[local] for name, mask in borders.items()},
+                       *np.divmod(np.flatnonzero(elsewhere), len(parts))),
+            cut))
     return PartitionedGraph(fragments, owner or (nodes, own), strategy_name,
                             cut)
 
@@ -124,26 +111,37 @@ def build_edge_cut(g: Graph, owner: Mapping[Node, int] | np.ndarray, m: int,
         at = bad.argmax()
         raise PartitionError(f"node {nodes[at]!r} assigned out-of-range "
                              f"fragment {own[at]}")
-    fu, fv = own[src], own[dst]
-    cut = fu != fv
+    # the cut edges' columns, taken once: a cut edge leaves its source's
+    # fragment and enters its target's
+    fu = own[src]
+    cut = np.flatnonzero(fu != own[dst])
+    cut_src, cut_dst = src[cut], dst[cut]
+    cut_from, cut_to = fu[cut], own[cut_dst]
+    # border bookkeeping, directed semantics (undirected graphs get the
+    # symmetric closure): an owned node is an out- / in-border node iff a
+    # cut edge starts / ends at it
+    starts, ends = np.zeros((2, len(nodes)), bool)
+    starts[cut_src] = ends[cut_dst] = True
+    if not g.directed:
+        starts = ends = starts | ends
     parts = []
     for fid in range(m):
+        leaving = np.flatnonzero(cut_from == fid)
+        entering = np.flatnonzero(cut_to == fid)
         # the edge has a copy in the fragment of each endpoint
-        here = (fu == fid) | (fv == fid)
-        # border bookkeeping, directed semantics; undirected graphs get
-        # the symmetric closure
-        leaving, entering = cut & (fu == fid), cut & (fv == fid)
-        out_border, out_copies = src[leaving], dst[leaving]
-        in_border, in_copies = dst[entering], src[entering]
+        here = fu == fid
+        here[cut[entering]] = True
+        # the mirrors the cut edges bring in
+        out_copies, in_copies = np.zeros((2, len(nodes)), bool)
+        out_copies[cut_dst[leaving]] = in_copies[cut_src[entering]] = True
         if not g.directed:
-            out_border = in_border = np.concatenate((out_border, in_border))
-            out_copies = in_copies = np.concatenate((out_copies, in_copies))
-        # local: the owned nodes and the mirrors cut edges bring in
-        local = own == fid
-        local[out_copies] = local[in_copies] = True
-        parts.append((np.flatnonzero(local), here, dict(
-            in_border=in_border, out_border=out_border,
-            out_copies=out_copies, in_copies=in_copies)))
+            out_copies = in_copies = out_copies | in_copies
+        owned = own == fid
+        parts.append((np.flatnonzero(owned | out_copies | in_copies), here,
+                      dict(in_border=owned & ends, out_border=owned & starts,
+                           out_copies=out_copies, in_copies=in_copies)))
+    # the per-edge temporaries go before the fragments' columns are made
+    del fu, cut, cut_src, cut_dst, cut_from, cut_to
     labels = {v: label for v, label in g.node_labels().items()
               if label is not None}
     return _assemble(arrays, "edge", strategy_name, own, owner, labels,
@@ -192,10 +190,13 @@ def build_vertex_cut(g: Graph, edge_owner: Mapping[Tuple[Node, Node], int],
     own = np.empty(n, dtype=np.int64)
     for fid in reversed(range(m)):  # the smallest fragment id wins
         own[locals_[fid]] = fid
-    parts = []
+    shared, parts = copies > 1, []
     for fid, (local, here) in enumerate(zip(locals_, heres)):
-        owned = own[local] == fid
-        replicated, mirrors = local[owned & (copies[local] > 1)], local[~owned]
+        owned = own == fid
+        mirrors = np.zeros(n, dtype=bool)
+        mirrors[local] = True
+        mirrors &= ~owned
+        replicated = owned & shared
         parts.append((local, here, dict(
             in_border=replicated, out_border=replicated,
             out_copies=mirrors, in_copies=mirrors)))

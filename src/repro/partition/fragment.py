@@ -101,8 +101,8 @@ class NodeArrays(NamedTuple):
     owner: np.ndarray
     #: per name in :data:`BORDER_SETS`, the boolean mask of its members
     borders: Mapping[str, np.ndarray]
-    #: the routing index ``I_i`` as pairs, grouped by node and ascending
-    #: in the peer: ``routed[k]`` also resides on fragment ``peers[k]``
+    #: the routing index ``I_i`` as pairs, ascending in the position and
+    #: then in the peer: ``routed[k]`` also resides on fragment ``peers[k]``
     routed: np.ndarray
     peers: np.ndarray
 
@@ -291,8 +291,8 @@ class FragmentCSR:
             gids, owner = gids[order], owner[order]
             borders = {name: mask[order] for name, mask in borders.items()}
             routed, src, dst = rank[routed], rank[src], rank[dst]
-        by_lid = stable_order(routed, max(len(gids), 1))
-        routed, peers = routed[by_lid], peers[by_lid]
+            by_lid = stable_order(routed, max(len(gids), 1))
+            routed, peers = routed[by_lid], peers[by_lid]
         #: integer ids only: the ids in ascending order and, once a merge
         #: folded appended nodes in, the lid at each position
         self._sorted_gids = None if ids is None else gids

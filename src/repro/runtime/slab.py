@@ -111,11 +111,12 @@ _RECORD = struct.Struct("8Q")
 _WORD = struct.Struct("Q")
 _KIND, _COUNT = 0, 2
 
-#: payload dtypes the wire format can carry (ids are always int64)
-DTYPE_CODES: Dict[str, int] = {"float64": 1, "float32": 2, "int64": 3,
-                               "int32": 4, "bool": 5, "uint8": 6,
-                               "int16": 7, "uint64": 8}
-_CODE_DTYPES = {v: np.dtype(k) for k, v in DTYPE_CODES.items()}
+#: payload dtypes the wire format can carry (ids are always int64), keyed
+#: by dtype: a non-native ``>f8`` is no ``float64`` (it takes the queue)
+_CODE_DTYPES = dict(enumerate(map(np.dtype, (
+    "float64", "float32", "int64", "int32", "bool", "uint8", "int16",
+    "uint64")), start=1))
+DTYPE_CODES: Dict[np.dtype, int] = {v: k for k, v in _CODE_DTYPES.items()}
 
 _SHM_PREFIX = "reproshm"
 
@@ -353,7 +354,7 @@ class SlabRing:
         payloads = np.ascontiguousarray(msg.payloads)
         if payloads.ndim != 1 or ids.ndim != 1:
             return False
-        code = DTYPE_CODES.get(payloads.dtype.name)
+        code = DTYPE_CODES.get(payloads.dtype)
         token = self._encode_token(msg.token)
         if code is None or token is None:
             return False

@@ -12,7 +12,8 @@ band notes compute-heavy async workers need multiprocessing); it
 demonstrates *correctness under real races*: the Church-Rosser tests run the
 same program here and compare with the reference answer.  A step measures
 ``t_i`` and ``s_i`` in seconds, so a delay stretch ``DS_i`` is a wait of
-``DS_i`` seconds (``MAX_WAIT`` at most), cut short by a delivery.
+``DS_i`` seconds (``MAX_WAIT`` at most), cut short by a delivery, or for
+a worker the SSP / Hsync bound suspends, by ``r_min`` moving.
 
 A worker that raises calls :meth:`ThreadedRuntime.abort`, which releases
 every other worker promptly; the first error is re-raised by :meth:`run`
@@ -34,7 +35,7 @@ import copy
 import functools
 import threading
 import time
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.delay import DelayPolicy
 from repro.core.engine import Engine
@@ -103,6 +104,8 @@ class ThreadedRuntime:
         self.errors: List[BaseException] = []
         self._locks = [threading.Lock() for _ in range(m)]
         self._events = [threading.Event() for _ in range(m)]
+        #: suspended worker -> the ``r_min`` it was suspended at
+        self._suspended: Dict[int, Optional[int]] = {}
         # seconds since the run started: the runtime's clock and its
         # steps'.  A closure over a cell, not a method of the runtime, so
         # a finished run stays free-able by reference count
@@ -360,7 +363,8 @@ class ThreadedRuntime:
                 self._master.notify_all()
             step.mark(WorkerStatus.WAITING if step.state.buffer
                       else WorkerStatus.INACTIVE)
-            return True
+        self._wake_suspended()
+        return True
 
     def _worker_loop(self, wid: int) -> None:
         step = self.steps[wid]
@@ -383,13 +387,19 @@ class ThreadedRuntime:
                 # a wake-up set by mail already in the buffer is stale:
                 # only a delivery after this decision may cut its wait
                 self._events[wid].clear()
-                ds, action = step.decide(self._fleet())
+                fleet = self._fleet()
+                ds, action = step.decide(fleet)
                 if action != "start":
                     step.mark(WorkerStatus.WAITING)
+                    if action == "suspend":
+                        # registered, then checked: no move goes unseen
+                        self._suspended[wid] = fleet.rmin
+                        self._wake_suspended()
                     self._events[wid].wait(timeout=min(ds, MAX_WAIT))
                     self._events[wid].clear()
                     if action == "suspend":
                         # re-evaluate after any state change
+                        del self._suspended[wid]
                         continue
                 # non-empty: only this thread drains, and it just looked.
                 # RUNNING in the same critical section, or a waiting worker
@@ -416,9 +426,21 @@ class ThreadedRuntime:
         for msg in out.messages:
             self._send(msg)
         self.policy.on_round_complete(step.view(self._fleet()), duration)
+        self._wake_suspended()
 
     def _fleet(self) -> Fleet:
         return local_fleet(self.workers, self._now())
+
+    def _wake_suspended(self) -> None:
+        """Wake each suspended worker whose ``r_min`` the fleet has left
+        (a round ended, a worker reported inactive): SSP's and Hsync's
+        bound waits for it to move, as the multiprocess master tells its
+        workers; mail wakes a worker on its own."""
+        if self._suspended:
+            rmin = self._fleet().rmin
+            for wid, at in tuple(self._suspended.items()):
+                if at != rmin:
+                    self._events[wid].set()
 
     # ------------------------------------------------------------------
     # transport: _send decides the fate of a message, _deliver lands it

@@ -359,6 +359,81 @@ def test_edge_cut_equals_oracle(g, m, how, seed, form):
                           oracle_edge_cut(g, owner, m, "t"))
 
 
+def one_fragment(m):
+    """No cut: every node on fragment ``m - 1`` (the others empty)."""
+    g = generators.powerlaw(30, m=2, weighted=True, seed=2)
+    return g, {v: m - 1 for v in g.nodes}, m
+
+
+def all_cut(directed):
+    """A grid, two-coloured: every edge is cut."""
+    grid = generators.grid2d(5, 6, weighted=True, seed=4)
+    g = Graph(directed=directed)
+    for u, v, w in grid.edges():
+        g.add_edge(u, v, w)
+    return g, {v: (v // 6 + v % 6) % 2 for v in g.nodes}, 2
+
+
+def one_way(m):
+    """A directed cycle in contiguous chunks, one chunk per fragment in
+    turn, plus chords that run forward only: fragment ``i``'s cut edges
+    leave for ``i + 1`` and enter from ``i - 1``, so its leaving and
+    entering edges (and its out- and in-copies) differ."""
+    g = Graph(directed=True)
+    n = 4 * m
+    for v in range(n):
+        g.add_edge(v, (v + 1) % n, 1.0 + v % 3)
+    for v in range(0, n - 4, 3):
+        g.add_edge(v, v + 4, 0.5)
+    return g, {v: v // 4 for v in g.nodes}, m
+
+
+def unsorted_ids(directed):
+    """Integer ids inserted out of order: a fragment's lids (ascending
+    ids) are not its graph positions."""
+    rng = random.Random(11)
+    ids = list(range(0, 60, 3))
+    rng.shuffle(ids)
+    g = Graph(directed=directed)
+    for v in ids:
+        g.add_node(v)
+    for _ in range(45):
+        u, v = rng.sample(ids, 2)
+        g.add_edge(u, v, rng.choice([1.0, 2.5]))
+    return g, {v: stable.owner(v, 3) for v in g.nodes}, 3
+
+
+CORNER_CASES = {
+    "no cut, m = 1": lambda: one_fragment(1),
+    "no cut, all on one of three": lambda: one_fragment(3),
+    "all cut, undirected": lambda: all_cut(False),
+    "all cut, directed": lambda: all_cut(True),
+    "one-way cuts, m = 3": lambda: one_way(3),
+    "one-way cuts, m = 4": lambda: one_way(4),
+    "unsorted ids, directed": lambda: unsorted_ids(True),
+    "unsorted ids, undirected": lambda: unsorted_ids(False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORNER_CASES))
+@pytest.mark.parametrize("form", ["mapping", "array"])
+def test_edge_cut_corner_cases_equal_oracle(case, form):
+    g, owner, m = CORNER_CASES[case]()
+    given = np.fromiter(owner.values(), np.int64, len(owner)) \
+        if form == "array" else owner
+    pg = build_edge_cut(g, given, m, "t")
+    cut = sum(owner[u] != owner[v] for u, v, _ in g.edges())
+    if case.startswith("no cut"):
+        assert cut == 0
+    if case.startswith("all cut"):
+        assert cut == g.num_edges
+    if case.startswith("one-way"):
+        assert all(f.out_copies and f.out_copies != f.in_copies for f in pg)
+    if case.startswith("unsorted"):
+        assert list(g.nodes) != sorted(g.nodes)
+    assert_same_partition(pg, oracle_edge_cut(g, owner, m, "t"))
+
+
 @given(g=graphs(), m=st.integers(1, 5), seed=st.integers(0, 1000))
 @settings(**SETTINGS)
 def test_vertex_cut_equals_oracle(g, m, seed):

@@ -20,9 +20,11 @@ from repro.core.delay import APPolicy, DelayPolicy
 from repro.core.engine import Engine
 from repro.core.step import WorkerStep
 from repro.graph import generators
+from repro.graph.graph import Graph
 from repro.partition.builder import build_edge_cut
 from repro.partition.edge_cut import HashPartitioner
 from repro.runtime import faultplan
+from repro.runtime import threaded as threaded_module
 from repro.runtime.faultplan import FaultPlan, StragglerFault
 from repro.runtime.multiprocess import MultiprocessRuntime
 from repro.runtime.threaded import ThreadedRuntime
@@ -138,3 +140,61 @@ class TestFiniteDelayIsSeconds:
                                  HoldOnce(), timeout=60.0).run()
         assert sum(result.rounds) > 4
         assert _held_at_least(result) == []
+
+
+#: how long the lagging worker is held at its first ask, seconds
+LAG = 0.3
+
+
+class LagAndBound(DelayPolicy):
+    """SSP with ``c = 0`` (a worker ahead of ``r_min`` is suspended), with
+    worker 1 held ``LAG`` seconds at its first ask, so that it lags; the
+    time of each ask and of each finished round, per worker."""
+
+    name = "lag-and-bound"
+
+    def __init__(self):
+        self.asks, self.done, self.lagged = [], [], False
+
+    def delay(self, view):
+        self.asks.append((time.monotonic(), view.wid, view.round, view.rmin))
+        if view.wid == 1 and not self.lagged:
+            self.lagged = True
+            return LAG
+        return 0.0 if view.round <= view.rmin else float("inf")
+
+    def on_round_complete(self, view, duration):
+        self.done.append((time.monotonic(), view.wid))
+
+
+class TestSuspendedWorkerWakesWhenRminMoves:
+    def test_threads_wake_a_suspended_worker_when_rmin_moves(
+            self, monkeypatch):
+        """SSSP from node 0 over three fragments.  Worker 2's PEval mails
+        workers 0 and 1; worker 1 is held, worker 0 runs, mails worker 2,
+        which mails it back: worker 0, a round ahead of the held worker 1,
+        is suspended by the bound.  Worker 1's round sends nothing (node 2
+        has no out-edge), so no mail wakes worker 0; only ``r_min`` moves
+        as that round ends.  With the cap on a wait raised to 3 s, the
+        suspended worker asks again within 0.2 s of the move (it waited
+        out the cap before)."""
+        monkeypatch.setattr(threaded_module, "MAX_WAIT", 3.0)
+        graph = Graph(directed=True)
+        for u, v in ((0, 1), (0, 2), (1, 3), (3, 4)):
+            graph.add_edge(u, v, 1.0)
+        pg = build_edge_cut(graph, {0: 2, 1: 0, 2: 1, 3: 2, 4: 0}, 3)
+        policy = LagAndBound()
+        result = ThreadedRuntime(Engine(SSSPProgram(), pg,
+                                        SSSPQuery(source=0)),
+                                 policy, timeout=60.0).run()
+        assert result.answer == {0: 0.0, 1: 1.0, 2: 1.0, 3: 2.0, 4: 3.0}
+        suspended = [(t, r) for t, wid, r, rmin in policy.asks
+                     if wid == 0 and r > rmin]
+        assert len(suspended) == 1, policy.asks
+        t_suspended, _ = suspended[0]
+        moved = min(t for t, wid in policy.done
+                    if wid == 1 and t > t_suspended)
+        resumed = min(t for t, wid, _, _ in policy.asks
+                      if wid == 0 and t > t_suspended)
+        assert resumed - moved < 0.2, \
+            f"asked again {resumed - moved:.3f} s after r_min moved"

@@ -196,6 +196,19 @@ class TestRingFallbacks:
                            payloads=np.ones(3, dtype=np.complex128))
         assert not producer.try_write(msg)
 
+    def test_non_native_byte_order_arrives_with_its_values(self, ring_pair):
+        """A big-endian ``>f8`` payload is not the wire's native float64:
+        the ring refuses it, so the pickled lane carries it, values and
+        all (read as native float64 they were denormal garbage)."""
+        producer, consumer = ring_pair
+        values = np.array([1.5, 2.25, 3.0], dtype=">f8")
+        msg = MessageBatch(src=0, dst=1, round=1,
+                           ids=np.arange(3, dtype=np.int64), payloads=values)
+        got = consumer.poll(0, 1)[0] if producer.try_write(msg) \
+            else pickle.loads(pickle.dumps(msg))
+        assert got.payloads.tolist() == [1.5, 2.25, 3.0]
+        assert producer.head == 0
+
     def test_non_integer_token_returns_false(self, ring_pair):
         producer, _ = ring_pair
         assert not producer.try_write(make_batch(3, token="snap-1"))
